@@ -79,10 +79,12 @@ fn bench_channel_mode(c: &mut Criterion) {
     for (name, capacity) in [("unbounded", None), ("bounded_1k", Some(1_024usize))] {
         group.bench_with_input(BenchmarkId::from_parameter(name), &capacity, |b, &cap| {
             b.iter(|| {
-                let session = Session::with_config(SessionConfig {
-                    batch_size: 1_024,
-                    channel_capacity: cap,
-                });
+                let session = Session::builder()
+                    .config(SessionConfig {
+                        batch_size: 1_024,
+                        channel_capacity: cap,
+                    })
+                    .start();
                 let mut v = SpyVec::register_with_capacity(&session, site!("ablate"), n as usize);
                 for i in 0..n {
                     v.add(i);

@@ -52,10 +52,12 @@ fn bench_batch_size(c: &mut Criterion) {
     for batch in [16usize, 128, 1024, 8192] {
         group.bench_with_input(BenchmarkId::from_parameter(batch), &batch, |b, &batch| {
             b.iter(|| {
-                let session = Session::with_config(SessionConfig {
-                    batch_size: batch,
-                    channel_capacity: None,
-                });
+                let session = Session::builder()
+                    .config(SessionConfig {
+                        batch_size: batch,
+                        channel_capacity: None,
+                    })
+                    .start();
                 let mut v = SpyVec::register_with_capacity(&session, site!("bench"), n as usize);
                 for i in 0..n {
                     v.add(i);

@@ -8,7 +8,7 @@
 //! is untouched either way: handles never see the tap).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use dsspy_collect::{Session, SessionConfig};
+use dsspy_collect::Session;
 use dsspy_collections::{site, SpyVec};
 use dsspy_core::Dsspy;
 use dsspy_events::{AccessEvent, AccessKind};
@@ -30,7 +30,7 @@ fn bench_collector_thread(c: &mut Criterion) {
 
     group.bench_function("tap_disabled", |b| {
         b.iter(|| {
-            let session = Session::with_config(SessionConfig::default());
+            let session = Session::new();
             fill(&session, n);
             std::hint::black_box(session.finish().event_count())
         })

@@ -7,12 +7,12 @@
 //! raw per-operation cost of the metric primitives themselves.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use dsspy_collect::{Session, SessionConfig};
+use dsspy_collect::Session;
 use dsspy_collections::{site, SpyVec};
 use dsspy_telemetry::Telemetry;
 
 fn fill_session(telemetry: Telemetry, n: u64) -> u64 {
-    let session = Session::with_telemetry(SessionConfig::default(), telemetry);
+    let session = Session::builder().telemetry(telemetry).start();
     let mut v = SpyVec::register_with_capacity(&session, site!("bench"), n as usize);
     for i in 0..n {
         v.add(i);

@@ -44,6 +44,19 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
+/// The numeric value of flag `name` (`raw`, as found on the command line):
+/// `None` when the flag is absent; usage and exit 2 when it does not parse.
+fn number(name: &str, raw: Option<String>) -> Option<usize> {
+    let raw = raw?;
+    match raw.parse() {
+        Ok(n) => Some(n),
+        Err(_) => {
+            eprintln!("dsspy: {name} expects a non-negative integer, got {raw:?}");
+            usage()
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else { usage() };
@@ -85,10 +98,9 @@ fn main() {
         })
         .collect();
 
-    let instance: usize = value("--instance")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let threads: usize = value("--threads").and_then(|v| v.parse().ok()).unwrap_or(0);
+    let num = |name: &str| number(name, value(name));
+    let instance = num("--instance").unwrap_or(0);
+    let threads = num("--threads").unwrap_or(0);
     let svg: Option<PathBuf> = value("--svg").map(PathBuf::from);
     let telemetry_out: Option<PathBuf> = value("--telemetry").map(PathBuf::from);
     let flight_recorder: Option<PathBuf> = value("--flight-recorder").map(PathBuf::from);
@@ -154,7 +166,7 @@ fn main() {
                     usage()
                 };
                 let addr = value("--addr").unwrap_or_else(|| "127.0.0.1:9464".to_string());
-                let requests = value("--requests").and_then(|v| v.parse().ok());
+                let requests = num("--requests").map(|n| n as u64);
                 if flag("--live") {
                     cmd_telemetry_serve_live(
                         Path::new(path),
@@ -197,7 +209,7 @@ fn main() {
             let Some(path) = positional.first() else {
                 usage()
             };
-            let events: usize = value("--events").and_then(|v| v.parse().ok()).unwrap_or(48);
+            let events = num("--events").unwrap_or(48);
             let trace: Option<PathBuf> = value("--trace").map(PathBuf::from);
             match cmd_doctor(Path::new(path), events, trace.as_deref()) {
                 Ok((out, incidents)) => {
@@ -211,12 +223,10 @@ fn main() {
             }
         }
         "watch" => {
-            let batch: usize = value("--batch").and_then(|v| v.parse().ok()).unwrap_or(512);
-            let window: usize = value("--window")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(1024);
-            let every: u64 = value("--every").and_then(|v| v.parse().ok()).unwrap_or(4);
-            let frames: usize = value("--frames").and_then(|v| v.parse().ok()).unwrap_or(12);
+            let batch = num("--batch").unwrap_or(512);
+            let window = num("--window").unwrap_or(1024);
+            let every = num("--every").unwrap_or(4) as u64;
+            let frames = num("--frames").unwrap_or(12);
             if flag("--follow") {
                 cmd_watch_follow(
                     value("--workload").as_deref(),

@@ -26,12 +26,13 @@
 //! the streamed verdicts equal the post-mortem analysis. `dsspy demo
 //! --live` does the same against a genuinely live session, and `dsspy
 //! watch --follow` goes one further: it drives a suite7 workload on its own
-//! thread and follows the session's [`TapFanout`] (analyzer + sampler +
-//! recorder) while it runs. `dsspy telemetry serve` exposes the
-//! self-observed analysis as a Prometheus scrape endpoint over a
-//! plain-stdlib TCP listener; with `--live` it attaches to a *running*
-//! session instead, re-collecting the capture in real time and rendering a
-//! fresh, validated snapshot per scrape.
+//! thread and follows the analyzer on the session's [`TapFanout`] while it
+//! runs. All live commands share one rig and one convergence check. `dsspy
+//! telemetry serve` exposes the self-observed analysis as a Prometheus
+//! scrape endpoint over a plain-stdlib TCP listener; with `--live` the same
+//! listener attaches to a *running* session instead, re-collecting the
+//! capture in real time and rendering a fresh, validated snapshot per
+//! scrape, in which the per-batch `collector.*` counters show its pulse.
 //!
 //! `--threads` controls the analysis fan-out of the commands that run the
 //! full pipeline (`0` = one worker per core, `1` = sequential); the output
@@ -57,13 +58,13 @@
 //! spawning processes; the binary is a thin argv switch.
 
 use dsspy_collect::{
-    load_capture, load_capture_with, save_capture_with, Capture, CaptureRecorder, CollectorStats,
-    CollectorTap, PersistError, ReadOptions, Session, SessionConfig, TapFanout,
+    load_capture, load_capture_with, save_capture_with, Capture, CollectorStats, CollectorTap,
+    PersistError, ReadOptions, Session, SessionConfig, TapFanout,
 };
 use dsspy_core::{diff_reports, instances_csv, sketches, use_cases_csv, Dsspy, Report};
 use dsspy_events::{AccessEvent, InstanceId, Origin};
 use dsspy_patterns::{analyze, segment_phases, MinerConfig, PhaseConfig};
-use dsspy_stream::{SnapshotPolicy, StreamConfig, StreamingAnalyzer, TelemetrySampler};
+use dsspy_stream::{SnapshotPolicy, StreamConfig, StreamingAnalyzer};
 use dsspy_telemetry::{
     export, FlightConfig, FlightDump, FlightRecorder, OverheadReport, Telemetry, TraceContext,
 };
@@ -74,6 +75,7 @@ use dsspy_viz::{
 };
 use dsspy_workloads::{suite7, Mode, Scale};
 use std::path::Path;
+use std::sync::Arc;
 
 /// CLI-level errors.
 #[derive(Debug)]
@@ -330,15 +332,14 @@ pub fn cmd_telemetry(
 /// test scale and save the capture — a self-contained way to produce input
 /// for every other command (and for the tier-1 smoke test).
 ///
-/// With `live`, the session additionally feeds the full [`TapFanout`] trio
-/// (streaming analyzer + telemetry sampler + capture recorder) while the
-/// workload runs, and the command verifies on exit that the streamed
-/// verdicts equal the post-mortem analysis of the very capture it just
-/// saved.
+/// With `live`, the session additionally feeds the streaming analyzer
+/// through the live rig while the workload runs, and the command verifies
+/// on exit that the streamed verdicts equal the post-mortem analysis of the
+/// very capture it just saved.
 ///
 /// `flight_out` arms a [`FlightRecorder`] on the session (auto-dumping to
 /// the path on incident, flushed once more at finish); `inject_panic` adds
-/// a fourth, deliberately faulty subscriber to the live fan-out so the
+/// a second, deliberately faulty subscriber to the live fan-out so the
 /// recorder has a real `subscriber-panic` incident to capture — the demo
 /// input for `dsspy doctor`.
 pub fn cmd_demo(
@@ -359,57 +360,45 @@ pub fn cmd_demo(
     // telemetry (collector histograms, queue pressure) into offline analysis.
     let telemetry = Telemetry::enabled();
     let flight = flight_for(flight_out, &telemetry);
-    if live {
-        let LiveRig {
-            streaming, session, ..
-        } = live_rig(
-            Dsspy::new().with_threads(1),
+    let dsspy = Dsspy::new().with_threads(1);
+    let (streaming, session) = if live {
+        let (streaming, session) = live_rig(
+            dsspy,
             StreamConfig::default(),
             &telemetry,
             &flight,
             inject_panic,
         );
-        w.run(Scale::Test, Mode::Instrumented(&session));
-        let capture = session.finish();
-        let stats = streaming.stats();
-        let live_report = streaming
-            .latest_report()
-            .ok_or_else(|| CliError::Stream("session ended without a snapshot".into()))?;
-        let post = Dsspy::new().with_threads(1).analyze_capture(&capture);
-        if !instances_match(&live_report, &post)? {
-            return Err(CliError::Stream(
-                "live streaming verdicts diverged from post-mortem analysis".into(),
-            ));
-        }
-        save_capture_with(&capture, out, &telemetry)?;
-        let mut msg = demo_header(out, &capture, w.spec().name);
-        msg.push_str(&format!(
-            "; live stream folded {} events in {} batches into {} snapshot(s), verdicts match post-mortem: yes",
-            stats.events, stats.batches, stats.snapshots,
-        ));
-        msg.push_str(&flight_summary(&flight, flight_out));
-        return Ok(msg);
-    }
-    let session = Session::builder()
-        .telemetry(telemetry.clone())
-        .flight(flight.clone())
-        .start();
+        (Some(streaming), session)
+    } else {
+        let session = Session::builder()
+            .telemetry(telemetry.clone())
+            .flight(flight.clone())
+            .start();
+        (None, session)
+    };
     w.run(Scale::Test, Mode::Instrumented(&session));
     let capture = session.finish();
+    let streamed = match &streaming {
+        Some(streaming) => {
+            converged(&dsspy, streaming, &capture)?;
+            let stats = streaming.stats();
+            format!(
+                "; live stream folded {} events in {} batches into {} snapshot(s), verdicts match post-mortem: yes",
+                stats.events, stats.batches, stats.snapshots,
+            )
+        }
+        None => String::new(),
+    };
     save_capture_with(&capture, out, &telemetry)?;
-    let mut msg = demo_header(out, &capture, w.spec().name);
-    msg.push_str(&flight_summary(&flight, flight_out));
-    Ok(msg)
-}
-
-/// The shared first clause of the demo's success message.
-fn demo_header(out: &Path, capture: &Capture, workload: &str) -> String {
-    let events: u64 = capture.profiles.iter().map(|p| p.events.len() as u64).sum();
-    format!(
-        "wrote {} ({} instances, {events} events) from workload {workload}",
+    Ok(format!(
+        "wrote {} ({} instances, {} events) from workload {}{streamed}{}",
         out.display(),
         capture.profiles.len(),
-    )
+        capture.event_count(),
+        w.spec().name,
+        flight_summary(&flight, flight_out),
+    ))
 }
 
 /// Index of a suite7 workload by (case-insensitive) name; `None` picks the
@@ -433,13 +422,101 @@ fn find_workload(name: Option<&str>) -> Result<usize, CliError> {
         })
 }
 
-/// Whether two reports carry byte-identical per-instance verdicts
-/// (classifications, evidence, metrics, patterns, advisories and
-/// recommended actions all ride in the serialized instance reports).
-fn instances_match(a: &Report, b: &Report) -> Result<bool, CliError> {
-    let a = serde_json::to_string(&a.instances).map_err(|e| CliError::Json(e.to_string()))?;
-    let b = serde_json::to_string(&b.instances).map_err(|e| CliError::Json(e.to_string()))?;
-    Ok(a == b)
+/// The check every streaming command ends with: the analyzer's final
+/// snapshot must carry byte-identical per-instance verdicts to the
+/// post-mortem analysis of `capture` (classifications, evidence, metrics,
+/// patterns, advisories and recommended actions all ride in the serialized
+/// instance reports). Returns that final snapshot.
+fn converged(
+    dsspy: &Dsspy,
+    streaming: &StreamingAnalyzer,
+    capture: &Capture,
+) -> Result<Arc<Report>, CliError> {
+    let live = streaming
+        .latest_report()
+        .ok_or_else(|| CliError::Stream("session ended without a snapshot".into()))?;
+    let post = dsspy.analyze_capture(capture);
+    let verdicts =
+        |r: &Report| serde_json::to_string(&r.instances).map_err(|e| CliError::Json(e.to_string()));
+    if verdicts(&live)? != verdicts(&post)? {
+        return Err(CliError::Stream(
+            "streaming verdicts diverged from post-mortem analysis".into(),
+        ));
+    }
+    Ok(live)
+}
+
+/// The stream configuration behind `watch`'s flags: `window` retained
+/// events per instance, a snapshot every `every` folded batches.
+fn watch_config(window: usize, every: u64) -> StreamConfig {
+    StreamConfig {
+        window_events: window,
+        max_retained_patterns: 0,
+        snapshots: SnapshotPolicy {
+            every_batches: every.max(1),
+            ..SnapshotPolicy::default()
+        },
+    }
+}
+
+/// `watch`'s frame printer, shared by replay and `--follow`: one line per
+/// snapshot the analyzer published since the last poll, up to `max` lines
+/// (later snapshots still happen; they just aren't printed).
+struct Frames {
+    out: String,
+    printed: usize,
+    seen: u64,
+    max: usize,
+}
+
+impl Frames {
+    fn new(max: usize) -> Frames {
+        Frames {
+            out: String::new(),
+            printed: 0,
+            seen: 0,
+            max,
+        }
+    }
+
+    fn poll(&mut self, streaming: &StreamingAnalyzer) {
+        let stats = streaming.stats();
+        if stats.snapshots <= self.seen {
+            return;
+        }
+        self.seen = stats.snapshots;
+        if self.printed >= self.max {
+            return;
+        }
+        let Some(report) = streaming.latest_report() else {
+            return;
+        };
+        self.printed += 1;
+        self.out.push_str(&format!(
+            "frame {}: {} events in {} batches | {}/{} instances flagged, \
+             {} use cases | window {} (peak {})\n",
+            self.printed,
+            stats.events,
+            stats.batches,
+            report.flagged_instance_count(),
+            report.instance_count(),
+            report.all_use_cases().len(),
+            stats.window_events,
+            stats.window_peak,
+        ));
+    }
+
+    /// The frames, then the converged report, `note`, and the verdict line.
+    fn finish(self, live: &Report, note: &str) -> String {
+        let mut out = self.out;
+        out.push('\n');
+        out.push_str(&live.summary());
+        out.push_str("\n\n");
+        out.push_str(&live.render_use_cases());
+        out.push_str(note);
+        out.push_str("streaming verdicts match post-mortem analysis: yes\n");
+        out
+    }
 }
 
 /// `dsspy watch`: replay a saved capture through the streaming analyzer as
@@ -459,67 +536,20 @@ pub fn cmd_watch(
 ) -> Result<String, CliError> {
     let capture = load_capture(path)?;
     let dsspy = Dsspy::new().with_threads(1);
-    let config = StreamConfig {
-        window_events: window,
-        max_retained_patterns: 0,
-        snapshots: SnapshotPolicy {
-            every_batches: every.max(1),
-            ..SnapshotPolicy::default()
-        },
-    };
-    let streaming = StreamingAnalyzer::new(dsspy, config);
+    let streaming = StreamingAnalyzer::new(dsspy, watch_config(window, every));
     for profile in &capture.profiles {
         streaming.register_instance(profile.instance.clone());
     }
-    let mut out = String::new();
-    let mut frames = 0usize;
-    let mut seen_snapshots = 0u64;
+    let mut frames = Frames::new(max_frames);
     for profile in &capture.profiles {
         for chunk in profile.events.chunks(batch.max(1)) {
             streaming.fold_batch(profile.instance.id, chunk, 0);
-            let stats = streaming.stats();
-            if stats.snapshots > seen_snapshots {
-                seen_snapshots = stats.snapshots;
-                if frames < max_frames {
-                    frames += 1;
-                    let report = streaming
-                        .latest_report()
-                        .ok_or_else(|| CliError::Stream("snapshot counter ran ahead".into()))?;
-                    out.push_str(&format!(
-                        "frame {frames}: {} events in {} batches | {}/{} instances flagged, \
-                         {} use cases | window {} (peak {})\n",
-                        stats.events,
-                        stats.batches,
-                        report.flagged_instance_count(),
-                        report.instance_count(),
-                        report.all_use_cases().len(),
-                        stats.window_events,
-                        stats.window_peak,
-                    ));
-                }
-            }
+            frames.poll(&streaming);
         }
     }
     streaming.finish_replay(&capture.stats, capture.session_nanos);
-    let live = streaming
-        .latest_report()
-        .ok_or_else(|| CliError::Stream("replay ended without a snapshot".into()))?;
-    let post = dsspy.analyze_capture(&capture);
-    let converged = instances_match(&live, &post)?;
-    out.push('\n');
-    out.push_str(&live.summary());
-    out.push_str("\n\n");
-    out.push_str(&live.render_use_cases());
-    out.push_str(&format!(
-        "streaming verdicts match post-mortem analysis: {}\n",
-        if converged { "yes" } else { "NO" }
-    ));
-    if !converged {
-        return Err(CliError::Stream(
-            "streaming verdicts diverged from post-mortem analysis".into(),
-        ));
-    }
-    Ok(out)
+    let live = converged(&dsspy, &streaming, &capture)?;
+    Ok(frames.finish(&live, ""))
 }
 
 /// `dsspy telemetry serve`: self-observe a full analysis of the capture and
@@ -539,16 +569,37 @@ pub fn cmd_telemetry_serve(
     requests: Option<u64>,
     self_check: bool,
 ) -> Result<String, CliError> {
-    use std::io::{Read, Write};
+    let body = cmd_telemetry(path, threads, "prometheus", true)?;
+    let (served, local, scraped) = serve_metrics(addr, requests, self_check, || Ok(body.clone()))?;
+    let mut msg = format!(
+        "served {served} scrape(s) of {} bytes from http://{local}/metrics",
+        body.len()
+    );
+    if let Some(scraped) = scraped {
+        if scraped != body {
+            return Err(CliError::Telemetry(
+                "self-check scrape differs from the exposition".into(),
+            ));
+        }
+        msg.push_str("; self-check scrape validated");
+    }
+    Ok(msg)
+}
 
-    let telemetry = Telemetry::enabled();
-    let (_, report) = analyze_capture_file(path, false, threads, &telemetry)?;
-    let snapshot = report
-        .telemetry
-        .as_ref()
-        .ok_or_else(|| CliError::Telemetry("run produced no snapshot".into()))?;
-    let body = export::prometheus(snapshot);
-    validate_prometheus(&body).map_err(CliError::Telemetry)?;
+/// The listener loop behind `telemetry serve`, with or without `--live`:
+/// answer `/` and `/metrics` with `render()`'s exposition and anything else
+/// with a 404, until `requests` connections were served (`None`: forever).
+/// With `self_check`, one of those scrapes comes from this process over a
+/// real TCP connection and must pass [`validate_prometheus`]. Returns the
+/// number of connections served, the bound address and the self-check
+/// body.
+fn serve_metrics(
+    addr: &str,
+    requests: Option<u64>,
+    self_check: bool,
+    mut render: impl FnMut() -> Result<String, CliError>,
+) -> Result<(u64, std::net::SocketAddr, Option<String>), CliError> {
+    use std::io::{Read, Write};
 
     let listener = std::net::TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
@@ -576,19 +627,18 @@ pub fn cmd_telemetry_serve(
         let mut buf = [0u8; 1024];
         let n = conn.read(&mut buf).unwrap_or(0);
         let request = String::from_utf8_lossy(&buf[..n]);
-        let path_ok = request
+        // Request line: METHOD TARGET VERSION.
+        let target = request
             .lines()
             .next()
-            .map(|l| {
-                let mut parts = l.split_whitespace();
-                parts.next(); // method
-                matches!(parts.next(), Some("/") | Some("/metrics"))
-            })
-            .unwrap_or(false);
-        let (status, payload) = if path_ok {
-            ("200 OK", body.as_str())
+            .and_then(|l| l.split_whitespace().nth(1));
+        let (status, payload) = if matches!(target, Some("/" | "/metrics")) {
+            ("200 OK", render()?)
         } else {
-            ("404 Not Found", "only / and /metrics exist here\n")
+            (
+                "404 Not Found",
+                "only / and /metrics exist here\n".to_string(),
+            )
         };
         let _ = conn.write_all(
             format!(
@@ -599,45 +649,28 @@ pub fn cmd_telemetry_serve(
             .as_bytes(),
         );
         served += 1;
-        if let Some(max) = requests {
-            if served >= max {
-                break;
-            }
+        if requests.is_some_and(|max| served >= max) {
+            break;
         }
     }
-
-    let mut msg = format!(
-        "served {served} scrape(s) of {} bytes from http://{local}/metrics",
-        body.len()
-    );
-    if let Some(handle) = checker {
-        let scraped = handle
-            .join()
-            .map_err(|_| CliError::Telemetry("self-check thread panicked".into()))?
-            .map_err(CliError::Telemetry)?;
-        validate_prometheus(&scraped).map_err(CliError::Telemetry)?;
-        if scraped != body {
-            return Err(CliError::Telemetry(
-                "self-check scrape differs from the exposition".into(),
-            ));
+    // Close the listener first: a self-check connection that was never
+    // accepted then fails instead of blocking the join forever.
+    drop(listener);
+    let scraped = match checker {
+        Some(handle) => {
+            let body = handle
+                .join()
+                .map_err(|_| CliError::Telemetry("self-check thread panicked".into()))?
+                .map_err(CliError::Telemetry)?;
+            validate_prometheus(&body).map_err(CliError::Telemetry)?;
+            Some(body)
         }
-        msg.push_str("; self-check scrape validated");
-    }
-    Ok(msg)
+        None => None,
+    };
+    Ok((served, local, scraped))
 }
 
-/// The live-session subscriber trio behind `--live` and `--follow`: a
-/// streaming analyzer, a telemetry sampler and a capture recorder, all
-/// multiplexed onto one session through a [`TapFanout`] so each sees every
-/// stored batch independently.
-struct LiveRig {
-    streaming: StreamingAnalyzer,
-    sampler: TelemetrySampler,
-    recorder: CaptureRecorder,
-    session: Session,
-}
-
-/// A deliberately faulty fourth subscriber behind `--inject-panic`: panics
+/// A deliberately faulty second subscriber behind `--inject-panic`: panics
 /// on its first `on_batch` delivery, gets poisoned by the fan-out's panic
 /// isolation, and thereby forces a `subscriber-panic` incident into the
 /// flight recorder — the acceptance path for `dsspy doctor`.
@@ -657,22 +690,37 @@ impl CollectorTap for PanicBomb {
     fn on_stop(&mut self, _ctx: TraceContext, _stats: &CollectorStats, _session_nanos: u64) {}
 }
 
+/// The pipeline a live command drives: sessions shipping
+/// `batch_size`-event batches, analysis on `threads` workers.
+fn live_dsspy(batch_size: usize, threads: usize) -> Dsspy {
+    Dsspy {
+        session: SessionConfig {
+            batch_size,
+            channel_capacity: None,
+        },
+        ..Dsspy::new()
+    }
+    .with_threads(threads)
+}
+
+/// The one live-session rig behind `demo --live`, `watch --follow`,
+/// `telemetry serve --live` and `doctor`'s re-collection: an observed
+/// session whose [`TapFanout`] feeds the streaming analyzer (plus the
+/// `bomb` under `--inject-panic`, isolated from it by the fan-out). The
+/// session's own collector publishes its pulse (`collector.*`), so the
+/// analyzer is the only subscriber a live surface needs.
 fn live_rig(
     dsspy: Dsspy,
     config: StreamConfig,
     telemetry: &Telemetry,
     flight: &FlightRecorder,
     inject_panic: bool,
-) -> LiveRig {
+) -> (StreamingAnalyzer, Session) {
     let streaming = StreamingAnalyzer::with_telemetry(dsspy, config, telemetry.clone())
         .with_flight(flight.clone());
-    let sampler = TelemetrySampler::new(telemetry);
-    let recorder = CaptureRecorder::new();
     let mut fanout = TapFanout::with_telemetry(telemetry.clone())
         .with_flight(flight.clone())
-        .with_subscriber("analyzer", streaming.tap())
-        .with_subscriber("sampler", sampler.tap())
-        .with_subscriber("recorder", recorder.tap());
+        .with_subscriber("analyzer", streaming.tap());
     if inject_panic {
         fanout.subscribe("bomb", Box::new(PanicBomb));
     }
@@ -683,12 +731,7 @@ fn live_rig(
         .tap(Box::new(fanout))
         .start();
     streaming.bind_registry(session.registry_handle());
-    LiveRig {
-        streaming,
-        sampler,
-        recorder,
-        session,
-    }
+    (streaming, session)
 }
 
 /// Build the flight recorder behind a `--flight-recorder PATH` flag: the
@@ -758,14 +801,12 @@ fn replay_live(session: &Session, source: &Capture) {
 /// *running* session instead of a finished analysis. The saved capture is
 /// re-collected in real time on a driver thread through [`replay_live`]
 /// while the listener renders a **fresh** snapshot of the enabled
-/// [`Telemetry`] for every scrape — `collector.*`, `stream.*` and
-/// `stream.tap.*` signals observed mid-collection, each exposition
-/// validated before it is served.
+/// [`Telemetry`] for every scrape — `collector.*` (events and batches
+/// stored so far, queue depth), `stream.*` and `stream.tap.*` signals
+/// observed mid-collection, each exposition validated before it is served.
 ///
-/// Once the driver drains, the command proves the whole fan-out converged:
-/// the streaming analyzer's verdicts, the sampler's collector stats and the
-/// post-mortem analysis of the recorder's rebuilt capture must all agree
-/// with [`Dsspy::analyze_capture`] of the re-collected session's capture.
+/// Once the driver drains, the streamed verdicts must equal
+/// [`Dsspy::analyze_capture`] of the re-collected session's capture.
 pub fn cmd_telemetry_serve_live(
     path: &Path,
     threads: usize,
@@ -774,145 +815,39 @@ pub fn cmd_telemetry_serve_live(
     self_check: bool,
     flight_out: Option<&Path>,
 ) -> Result<String, CliError> {
-    use std::io::{Read, Write};
-
     let source = load_capture(path)?;
-    let dsspy = Dsspy {
-        session: SessionConfig {
-            batch_size: 64,
-            channel_capacity: None,
-        },
-        ..Dsspy::new()
-    }
-    .with_threads(threads);
+    let dsspy = live_dsspy(64, threads);
     let telemetry = Telemetry::enabled();
     let flight = flight_for(flight_out, &telemetry);
-    let LiveRig {
-        streaming,
-        sampler,
-        recorder,
-        session,
-    } = live_rig(dsspy, StreamConfig::default(), &telemetry, &flight, false);
-
+    let (streaming, session) = live_rig(dsspy, StreamConfig::default(), &telemetry, &flight, false);
     let driver = std::thread::spawn(move || {
         replay_live(&session, &source);
         session.finish()
     });
 
-    let listener = std::net::TcpListener::bind(addr)?;
-    let local = listener.local_addr()?;
-    eprintln!("serving live session metrics on http://{local}/metrics");
-    let checker = self_check.then(|| {
-        std::thread::spawn(move || -> Result<String, String> {
-            let mut stream = std::net::TcpStream::connect(local).map_err(|e| e.to_string())?;
-            stream
-                .write_all(b"GET /metrics HTTP/1.0\r\nHost: dsspy\r\n\r\n")
-                .map_err(|e| e.to_string())?;
-            let mut response = String::new();
-            stream
-                .read_to_string(&mut response)
-                .map_err(|e| e.to_string())?;
-            let (_headers, body) = response
-                .split_once("\r\n\r\n")
-                .ok_or_else(|| "malformed HTTP response".to_string())?;
-            Ok(body.to_string())
-        })
-    });
-
-    let mut served = 0u64;
     let mut last_len = 0usize;
-    for conn in listener.incoming() {
-        let mut conn = conn?;
-        let mut buf = [0u8; 1024];
-        let n = conn.read(&mut buf).unwrap_or(0);
-        let request = String::from_utf8_lossy(&buf[..n]);
-        let path_ok = request
-            .lines()
-            .next()
-            .map(|l| {
-                let mut parts = l.split_whitespace();
-                parts.next(); // method
-                matches!(parts.next(), Some("/") | Some("/metrics"))
-            })
-            .unwrap_or(false);
+    let (served, local, scraped) = serve_metrics(addr, requests, self_check, || {
         // The point of --live: a fresh snapshot per scrape, frozen while
         // the collector may still be storing batches — and still a valid
         // exposition every single time.
-        let body = if path_ok {
-            let rendered = export::prometheus(&telemetry.snapshot());
-            validate_prometheus(&rendered).map_err(|e| {
-                CliError::Telemetry(format!("mid-session scrape failed validation: {e}"))
-            })?;
-            last_len = rendered.len();
-            Some(rendered)
-        } else {
-            None
-        };
-        let (status, payload) = match &body {
-            Some(b) => ("200 OK", b.as_str()),
-            None => ("404 Not Found", "only / and /metrics exist here\n"),
-        };
-        let _ = conn.write_all(
-            format!(
-                "HTTP/1.0 {status}\r\nContent-Type: text/plain; version=0.0.4; \
-                 charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{payload}",
-                payload.len()
-            )
-            .as_bytes(),
-        );
-        served += 1;
-        if let Some(max) = requests {
-            if served >= max {
-                break;
-            }
-        }
-    }
+        let body = export::prometheus(&telemetry.snapshot());
+        validate_prometheus(&body).map_err(|e| {
+            CliError::Telemetry(format!("mid-session scrape failed validation: {e}"))
+        })?;
+        last_len = body.len();
+        Ok(body)
+    })?;
 
     let capture = driver
         .join()
         .map_err(|_| CliError::Stream("live replay driver panicked".into()))?;
-    let post = dsspy.analyze_capture(&capture);
-    let live = streaming
-        .latest_report()
-        .ok_or_else(|| CliError::Stream("session ended without a snapshot".into()))?;
-    if !instances_match(&live, &post)? {
-        return Err(CliError::Stream(
-            "live streaming verdicts diverged from post-mortem analysis".into(),
-        ));
-    }
-    let (stats, nanos) = sampler
-        .final_stats()
-        .ok_or_else(|| CliError::Stream("sampler missed on_stop".into()))?;
-    if stats != capture.stats || nanos != capture.session_nanos {
-        return Err(CliError::Stream(
-            "sampler stats diverged from the collector's".into(),
-        ));
-    }
-    let infos: Vec<_> = capture
-        .profiles
-        .iter()
-        .map(|p| p.instance.clone())
-        .collect();
-    let rebuilt = recorder
-        .capture(infos)
-        .ok_or_else(|| CliError::Stream("recorder missed on_stop".into()))?;
-    if !instances_match(&dsspy.analyze_capture(&rebuilt), &post)? {
-        return Err(CliError::Stream(
-            "recorder's rebuilt capture analyzed differently".into(),
-        ));
-    }
-
+    converged(&dsspy, &streaming, &capture)?;
     let mut msg = format!(
         "served {served} live scrape(s) (last {last_len} bytes) from http://{local}/metrics; \
-         re-collected {} events in {} batches; all 3 subscribers converged with post-mortem",
+         re-collected {} events in {} batches; streaming verdicts converged with post-mortem",
         capture.stats.events, capture.stats.batches
     );
-    if let Some(handle) = checker {
-        let scraped = handle
-            .join()
-            .map_err(|_| CliError::Telemetry("self-check thread panicked".into()))?
-            .map_err(CliError::Telemetry)?;
-        validate_prometheus(&scraped).map_err(CliError::Telemetry)?;
+    if scraped.is_some() {
         msg.push_str("; self-check scrape validated");
     }
     msg.push_str(&flight_summary(&flight, flight_out));
@@ -922,9 +857,8 @@ pub fn cmd_telemetry_serve_live(
 /// `dsspy watch --follow`: subscribe the streaming analyzer to a session
 /// that is *actually running* — a suite7 workload driven on its own thread
 /// — instead of replaying a finished file. Frames are printed as snapshots
-/// appear; on drain the streamed verdicts, the sampler's stats and the
-/// recorder's rebuilt capture are all checked against the post-mortem
-/// analysis.
+/// appear; on drain the streamed verdicts are checked against the
+/// post-mortem analysis.
 pub fn cmd_watch_follow(
     workload: Option<&str>,
     batch: usize,
@@ -934,64 +868,24 @@ pub fn cmd_watch_follow(
     flight_out: Option<&Path>,
 ) -> Result<String, CliError> {
     let w_idx = find_workload(workload)?;
-    let dsspy = Dsspy {
-        session: SessionConfig {
-            batch_size: batch.max(1),
-            channel_capacity: None,
-        },
-        ..Dsspy::new()
-    }
-    .with_threads(1);
+    let dsspy = live_dsspy(batch.max(1), 1);
     let telemetry = Telemetry::enabled();
-    let config = StreamConfig {
-        window_events: window,
-        max_retained_patterns: 0,
-        snapshots: SnapshotPolicy {
-            every_batches: every.max(1),
-            ..SnapshotPolicy::default()
-        },
-    };
     let flight = flight_for(flight_out, &telemetry);
-    let LiveRig {
-        streaming,
-        sampler,
-        recorder,
-        session,
-    } = live_rig(dsspy, config, &telemetry, &flight, false);
-
+    let (streaming, session) = live_rig(
+        dsspy,
+        watch_config(window, every),
+        &telemetry,
+        &flight,
+        false,
+    );
     let driver = std::thread::spawn(move || {
-        let suite = suite7();
-        suite[w_idx].run(Scale::Test, Mode::Instrumented(&session));
+        suite7()[w_idx].run(Scale::Test, Mode::Instrumented(&session));
         session.finish()
     });
 
-    let mut out = String::new();
-    let mut frames = 0usize;
-    let mut seen = 0u64;
-    let poll = |out: &mut String, frames: &mut usize, seen: &mut u64| {
-        let stats = streaming.stats();
-        if stats.snapshots > *seen {
-            *seen = stats.snapshots;
-            if *frames < max_frames {
-                if let Some(report) = streaming.latest_report() {
-                    *frames += 1;
-                    out.push_str(&format!(
-                        "frame {frames}: {} events in {} batches | {}/{} instances flagged, \
-                         {} use cases | window {} (peak {})\n",
-                        stats.events,
-                        stats.batches,
-                        report.flagged_instance_count(),
-                        report.instance_count(),
-                        report.all_use_cases().len(),
-                        stats.window_events,
-                        stats.window_peak,
-                    ));
-                }
-            }
-        }
-    };
+    let mut frames = Frames::new(max_frames);
     while !driver.is_finished() {
-        poll(&mut out, &mut frames, &mut seen);
+        frames.poll(&streaming);
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
     let capture = driver
@@ -999,51 +893,13 @@ pub fn cmd_watch_follow(
         .map_err(|_| CliError::Stream("workload driver panicked".into()))?;
     // The drain published a final snapshot; catch it even if the loop
     // exited first.
-    poll(&mut out, &mut frames, &mut seen);
-
-    let live = streaming
-        .latest_report()
-        .ok_or_else(|| CliError::Stream("session ended without a snapshot".into()))?;
-    let post = dsspy.analyze_capture(&capture);
-    let converged = instances_match(&live, &post)?;
-    out.push('\n');
-    out.push_str(&live.summary());
-    out.push_str("\n\n");
-    out.push_str(&live.render_use_cases());
-    out.push_str(&format!(
+    frames.poll(&streaming);
+    let live = converged(&dsspy, &streaming, &capture)?;
+    let note = format!(
         "followed live session: {} events in {} batches, {} frame(s) printed\n",
-        capture.stats.events, capture.stats.batches, frames
-    ));
-    out.push_str(&format!(
-        "streaming verdicts match post-mortem analysis: {}\n",
-        if converged { "yes" } else { "NO" }
-    ));
-    if !converged {
-        return Err(CliError::Stream(
-            "streaming verdicts diverged from post-mortem analysis".into(),
-        ));
-    }
-    let (stats, nanos) = sampler
-        .final_stats()
-        .ok_or_else(|| CliError::Stream("sampler missed on_stop".into()))?;
-    if stats != capture.stats || nanos != capture.session_nanos {
-        return Err(CliError::Stream(
-            "sampler stats diverged from the collector's".into(),
-        ));
-    }
-    let infos: Vec<_> = capture
-        .profiles
-        .iter()
-        .map(|p| p.instance.clone())
-        .collect();
-    let rebuilt = recorder
-        .capture(infos)
-        .ok_or_else(|| CliError::Stream("recorder missed on_stop".into()))?;
-    if !instances_match(&dsspy.analyze_capture(&rebuilt), &post)? {
-        return Err(CliError::Stream(
-            "recorder's rebuilt capture analyzed differently".into(),
-        ));
-    }
+        capture.stats.events, capture.stats.batches, frames.printed
+    );
+    let mut out = frames.finish(&live, &note);
     let flight_note = flight_summary(&flight, flight_out);
     if !flight_note.is_empty() {
         out.push_str(flight_note.trim_start_matches("; "));
@@ -1083,16 +939,13 @@ pub fn cmd_doctor(
             let source = load_capture(path)?;
             let telemetry = Telemetry::enabled();
             let flight = FlightRecorder::with_telemetry(FlightConfig::default(), &telemetry);
-            let dsspy = Dsspy {
-                session: SessionConfig {
-                    batch_size: 64,
-                    channel_capacity: None,
-                },
-                ..Dsspy::new()
-            }
-            .with_threads(1);
-            let LiveRig { session, .. } =
-                live_rig(dsspy, StreamConfig::default(), &telemetry, &flight, false);
+            let (_, session) = live_rig(
+                live_dsspy(64, 1),
+                StreamConfig::default(),
+                &telemetry,
+                &flight,
+                false,
+            );
             replay_live(&session, &source);
             session.finish();
             (
@@ -1448,17 +1301,11 @@ mod tests {
         assert!(msg.contains("flight recorder:"), "{msg}");
         assert!(msg.contains("0 incident(s)"), "{msg}");
         // The dump on disk is a valid schema-stamped flight dump with the
-        // whole fan-out trio on record.
+        // live rig's one subscriber on record.
         let dump = FlightDump::from_json(&std::fs::read_to_string(&dump_path).unwrap()).unwrap();
         assert!(dump.incidents.is_empty());
         assert_eq!(dump.sessions().len(), 1);
-        for sub in ["analyzer", "sampler", "recorder"] {
-            assert!(
-                dump.subscribers().contains(&sub),
-                "{:?}",
-                dump.subscribers()
-            );
-        }
+        assert_eq!(dump.subscribers(), vec!["analyzer"]);
         // Doctor reads it back and issues a clean bill of health.
         let (out, incidents) = cmd_doctor(&dump_path, 32, None).unwrap();
         assert_eq!(incidents, 0);

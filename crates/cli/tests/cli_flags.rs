@@ -1,0 +1,63 @@
+//! The `dsspy` binary parses numeric flags strictly: a malformed value
+//! prints usage and exits 2 instead of silently falling back to a default.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+use dsspy_cli::cmd_demo;
+
+fn dsspy(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_dsspy"))
+        .args(args)
+        .output()
+        .expect("run dsspy")
+}
+
+fn demo_capture() -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("dsspy-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = dir.join("flags.dsspycap");
+    cmd_demo(&path, None, false, None, false).expect("demo capture");
+    path
+}
+
+fn assert_usage_exit(out: &Output, flag: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains(flag), "names the bad flag: {stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+}
+
+#[test]
+fn malformed_threads_exits_2_with_usage() {
+    let capture = demo_capture();
+    let capture = capture.to_str().expect("utf-8 temp path");
+    assert_usage_exit(
+        &dsspy(&["analyze", capture, "--threads", "abc"]),
+        "--threads",
+    );
+    // The well-formed value still runs.
+    let ok = dsspy(&["analyze", capture, "--threads", "2"]);
+    assert!(
+        ok.status.success(),
+        "{}",
+        String::from_utf8_lossy(&ok.stderr)
+    );
+}
+
+#[test]
+fn malformed_watch_flags_exit_2_before_any_work() {
+    assert_usage_exit(&dsspy(&["watch", "--follow", "--frames", "x"]), "--frames");
+    for flag in ["--batch", "--window", "--every"] {
+        assert_usage_exit(&dsspy(&["watch", "--follow", flag, "-1"]), flag);
+    }
+    assert_usage_exit(
+        &dsspy(&["telemetry", "serve", "c.dsspycap", "--requests", "1.5"]),
+        "--requests",
+    );
+    assert_usage_exit(&dsspy(&["doctor", "f.json", "--events", ""]), "--events");
+    assert_usage_exit(
+        &dsspy(&["chart", "c.dsspycap", "--instance", "two"]),
+        "--instance",
+    );
+}

@@ -9,9 +9,9 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use dsspy_cli::{cmd_demo, cmd_telemetry_serve_live, cmd_watch_follow, validate_prometheus};
-use dsspy_collect::{CaptureRecorder, Session, SessionConfig, TapFanout};
+use dsspy_collect::{Session, SessionConfig, TapFanout};
 use dsspy_core::Dsspy;
-use dsspy_stream::{StreamConfig, StreamingAnalyzer, TelemetrySampler};
+use dsspy_stream::{StreamConfig, StreamingAnalyzer};
 use dsspy_telemetry::{export, Telemetry};
 use dsspy_workloads::{suite7, Mode, Scale};
 
@@ -29,7 +29,7 @@ fn demo_capture(name: &str) -> PathBuf {
 
 /// The core `--live` property, exercised without TCP in the way: while a
 /// real session is mid-collection (batches flushing on the collector
-/// thread, the fan-out dispatching to three subscribers), a snapshot taken
+/// thread, the fan-out dispatching to the analyzer), a snapshot taken
 /// at *any* instant must render a valid Prometheus exposition. Before the
 /// buckets-first histogram snapshot fix, a scrape racing a `record()` could
 /// observe a torn histogram (count ahead of buckets) and fail validation.
@@ -46,13 +46,13 @@ fn every_scrape_racing_a_batch_flush_validates() {
     let telemetry = Telemetry::enabled();
     let streaming =
         StreamingAnalyzer::with_telemetry(dsspy, StreamConfig::default(), telemetry.clone());
-    let sampler = TelemetrySampler::new(&telemetry);
-    let recorder = CaptureRecorder::new();
-    let fanout = TapFanout::with_telemetry(telemetry.clone())
-        .with_subscriber("analyzer", streaming.tap())
-        .with_subscriber("sampler", sampler.tap())
-        .with_subscriber("recorder", recorder.tap());
-    let session = Session::with_tap(dsspy.session, telemetry.clone(), Box::new(fanout));
+    let fanout =
+        TapFanout::with_telemetry(telemetry.clone()).with_subscriber("analyzer", streaming.tap());
+    let session = Session::builder()
+        .config(dsspy.session)
+        .telemetry(telemetry.clone())
+        .tap(Box::new(fanout))
+        .start();
     streaming.bind_registry(session.registry_handle());
 
     let driver = std::thread::spawn(move || {
@@ -74,35 +74,22 @@ fn every_scrape_racing_a_batch_flush_validates() {
     assert!(scrapes > 0, "at least one scrape raced the session");
 
     // And the drained exposition still validates and carries the live
-    // stream families.
+    // collector and stream families.
     let body = export::prometheus(&telemetry.snapshot());
     validate_prometheus(&body).expect("final exposition");
     for family in [
-        "stream_live_batches",
+        "collector_events",
         "stream_tap_analyzer_batches",
         "collector_batch_events",
     ] {
         assert!(body.contains(family), "missing {family} in exposition");
     }
 
-    // Convergence across the fan-out, same as the production surfaces check.
+    // Convergence, same as the production surfaces check.
     let live = streaming.latest_report().expect("final snapshot");
     let post = dsspy.analyze_capture(&capture);
     assert_eq!(
         serde_json::to_string(&live.instances).unwrap(),
-        serde_json::to_string(&post.instances).unwrap()
-    );
-    let (stats, nanos) = sampler.final_stats().expect("sampler saw on_stop");
-    assert_eq!(stats, capture.stats);
-    assert_eq!(nanos, capture.session_nanos);
-    let infos: Vec<_> = capture
-        .profiles
-        .iter()
-        .map(|p| p.instance.clone())
-        .collect();
-    let rebuilt = recorder.capture(infos).expect("recorder saw on_stop");
-    assert_eq!(
-        serde_json::to_string(&dsspy.analyze_capture(&rebuilt).instances).unwrap(),
         serde_json::to_string(&post.instances).unwrap()
     );
 }
@@ -113,7 +100,10 @@ fn live_serve_self_check_smoke() {
     let msg = cmd_telemetry_serve_live(&capture, 1, "127.0.0.1:0", Some(1), true, None)
         .expect("live serve with self-check");
     assert!(msg.contains("self-check scrape validated"), "{msg}");
-    assert!(msg.contains("all 3 subscribers converged"), "{msg}");
+    assert!(
+        msg.contains("streaming verdicts converged with post-mortem"),
+        "{msg}"
+    );
 }
 
 #[test]
@@ -157,7 +147,10 @@ fn live_serve_survives_external_scrapes_racing_the_replay() {
         .join()
         .expect("server thread")
         .expect("server converged");
-    assert!(msg.contains("all 3 subscribers converged"), "{msg}");
+    assert!(
+        msg.contains("streaming verdicts converged with post-mortem"),
+        "{msg}"
+    );
 }
 
 #[test]

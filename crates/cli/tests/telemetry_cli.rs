@@ -69,6 +69,26 @@ fn analyze_with_telemetry_writes_a_loadable_snapshot() {
 }
 
 #[test]
+fn demo_overhead_share_stays_below_the_whole_session() {
+    // Decode runs in the analyzing process after the session ended; only
+    // the collector's in-session busy time may be charged to the session.
+    let path = temp_dir().join("overhead.dsspycap");
+    cmd_demo(&path, Some("Mandelbrot"), false, None, false).unwrap();
+    let json = cmd_telemetry(&path, 1, "json", false).unwrap();
+    let snapshot: TelemetrySnapshot = serde_json::from_str(&json).unwrap();
+    let overhead = snapshot.overhead.expect("accounted");
+    assert_eq!(
+        Some(overhead.accounted_profiling_nanos),
+        snapshot.counter(dsspy_telemetry::overhead::signals::COLLECTOR_BUSY)
+    );
+    assert!(
+        overhead.overhead_share() < 1.0,
+        "profiling work is {:.2}% of the session",
+        overhead.overhead_share() * 100.0
+    );
+}
+
+#[test]
 fn analyze_without_telemetry_flag_keeps_the_plain_output() {
     let capture = demo_capture("plain.dsspycap");
     let observed_out = temp_dir().join("plain.telemetry.json");

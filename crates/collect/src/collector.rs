@@ -88,10 +88,12 @@ pub struct CollectorStats {
 /// [`CollectorStats::dropped`].
 ///
 /// When `telemetry` is enabled the thread reports its own behaviour: queue
-/// depth sampled at every batch receipt (and its peak), batch size and
-/// queue-wait histograms, per-batch handling time, and the total busy time
-/// that feeds the Table IV-style overhead accountant. The disabled path
-/// costs one branch per batch.
+/// depth sampled at every batch receipt (and its peak — this thread is the
+/// only writer of both gauges), `collector.events`/`collector.batches`
+/// counters advanced per stored batch so a live scrape sees the session's
+/// pulse, batch size and queue-wait histograms, per-batch handling time,
+/// and the total busy time that feeds the Table IV-style overhead
+/// accountant. The disabled path costs one branch per batch.
 pub(crate) fn spawn(
     rx: Receiver<Msg>,
     telemetry: Telemetry,
@@ -109,6 +111,8 @@ pub(crate) fn spawn(
             let batch_wait = telemetry.histogram("collector.batch_wait_nanos");
             let batch_handle = telemetry.histogram("collector.batch_handle_nanos");
             let busy = telemetry.counter(signals::COLLECTOR_BUSY);
+            let events_stored = telemetry.counter("collector.events");
+            let batches_stored = telemetry.counter("collector.batches");
             let enabled = telemetry.is_enabled();
             let watermark = flight.queue_watermark();
             // Latched so a sustained breach is one incident, not one per
@@ -178,13 +182,16 @@ pub(crate) fn spawn(
                         if let Some(tap) = tap.as_deref_mut() {
                             tap.on_batch(ctx, id, &batch, depth);
                         }
-                        stats.events += batch.len() as u64;
+                        let events = batch.len() as u64;
+                        stats.events += events;
                         stats.batches += 1;
                         map.entry(id).or_default().extend(batch);
                         if enabled {
                             let spent = telemetry.now_nanos().saturating_sub(start_nanos);
                             batch_handle.record(spent);
                             busy.add(spent);
+                            events_stored.add(events);
+                            batches_stored.inc();
                         }
                     }
                     Msg::Stop { session_nanos: n } => {
@@ -227,10 +234,8 @@ pub(crate) fn spawn(
                 );
             }
             // The queue is fully drained; leave the gauge reflecting that,
-            // and publish the final counters alongside `CollectorStats`.
+            // and publish the post-stop drops alongside `CollectorStats`.
             queue_depth.set(0);
-            telemetry.counter("collector.events").add(stats.events);
-            telemetry.counter("collector.batches").add(stats.batches);
             telemetry.counter("collector.dropped").add(stats.dropped);
             (map, stats)
         })

@@ -5,7 +5,7 @@
 //! more: a streaming analyzer, a telemetry sampler feeding a live scrape
 //! endpoint, and ad-hoc observers, all watching the same session. The
 //! [`TapFanout`] is that multiplexer — it is itself a [`CollectorTap`], so
-//! it plugs into [`Session::with_tap`](crate::Session::with_tap) unchanged,
+//! it plugs into [`SessionBuilder::tap`](crate::SessionBuilder::tap) unchanged,
 //! and it delivers every `on_batch`/`on_stop` to each registered subscriber
 //! **in registration order**, on the collector thread.
 //!
@@ -72,7 +72,7 @@ struct Subscriber {
 /// Build with [`TapFanout::new`] / [`TapFanout::with_telemetry`], register
 /// subscribers with [`TapFanout::subscribe`] (or the chaining
 /// [`TapFanout::with_subscriber`]), then hand the whole fanout to
-/// [`Session::with_tap`](crate::Session::with_tap) as `Box::new(fanout)`.
+/// [`SessionBuilder::tap`](crate::SessionBuilder::tap) as `Box::new(fanout)`.
 pub struct TapFanout {
     telemetry: Telemetry,
     flight: FlightRecorder,
@@ -285,10 +285,10 @@ struct RecorderState {
 ///
 /// Clones share state: keep one handle on the driving thread and pass
 /// [`CaptureRecorder::tap`] to a [`TapFanout`] (or directly to
-/// [`Session::with_tap`](crate::Session::with_tap)). Because taps observe
+/// [`SessionBuilder::tap`](crate::SessionBuilder::tap)). Because taps observe
 /// exactly the stored batches, the rebuilt capture's profiles are
-/// byte-identical to the session's own — the property the live-service
-/// convergence tests pin.
+/// byte-identical to the session's own — the reference the fan-out
+/// convergence tests compare against. No production surface installs it.
 #[derive(Clone, Default)]
 pub struct CaptureRecorder {
     shared: Arc<Mutex<RecorderState>>,

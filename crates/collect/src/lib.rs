@@ -20,10 +20,9 @@
 //!   post-mortem analysis.
 //! * Live consumers subscribe to the collector's batch path through the
 //!   [`CollectorTap`] hook; a [`TapFanout`] multiplexes one session to many
-//!   subscribers (streaming analyzer, telemetry sampler, recorders) with
-//!   per-subscriber panic isolation — the substrate of the long-running
-//!   service surfaces (`dsspy watch --follow`, `dsspy telemetry serve
-//!   --live`).
+//!   subscribers with per-subscriber panic isolation — the substrate of the
+//!   long-running service surfaces (`dsspy watch --follow`, `dsspy
+//!   telemetry serve --live`), which put the streaming analyzer on it.
 //!
 //! Timestamps combine a session-global atomic sequence number (total order)
 //! with wall-clock nanoseconds from a monotonic [`SessionClock`], and every

@@ -7,9 +7,8 @@
 //! — this is what the slowdown benchmarks compare against, and what
 //! `dsspy_telemetry::OverheadReport::from_measurement` consumes as the
 //! paired plain/instrumented wall-time measurement. (The single-run
-//! estimator, `OverheadReport::account`, instead sums the collector and
-//! persistence busy-time signals a telemetry-enabled [`crate::Session`]
-//! records.)
+//! estimator, `OverheadReport::account`, instead reads the collector
+//! busy-time signal a telemetry-enabled [`crate::Session`] records.)
 
 use dsspy_events::{AccessKind, Target};
 

@@ -13,9 +13,7 @@ use std::thread::JoinHandle;
 
 use crossbeam::channel::{bounded, unbounded, Sender};
 use dsspy_events::{AccessEvent, AccessKind, AllocationSite, DsKind, InstanceId, Origin, Target};
-use dsspy_telemetry::{
-    next_session_id, FlightRecorder, Gauge, IncidentTrigger, Telemetry, TraceContext,
-};
+use dsspy_telemetry::{next_session_id, FlightRecorder, IncidentTrigger, Telemetry, TraceContext};
 
 use crate::clock::{current_thread_tag, SessionClock};
 use crate::collector::{spawn, Capture, CollectorStats, CollectorTap, Msg};
@@ -50,8 +48,8 @@ pub(crate) struct SessionInner {
     /// Shared with streaming consumers via [`Session::registry_handle`], so
     /// a tap can resolve instance metadata while the session is still live.
     pub(crate) registry: Arc<Registry>,
-    /// Self-observation handle; [`Telemetry::disabled`] unless the session
-    /// was started with [`Session::with_telemetry`].
+    /// Self-observation handle; [`Telemetry::disabled`] unless attached via
+    /// [`SessionBuilder::telemetry`].
     pub(crate) telemetry: Telemetry,
     /// Flight recorder the session's pipeline records into;
     /// [`FlightRecorder::disabled`] unless attached via [`SessionBuilder`].
@@ -59,11 +57,6 @@ pub(crate) struct SessionInner {
     /// The process-unique id stamped into every [`TraceContext`] this
     /// session's collector emits.
     pub(crate) session_id: u64,
-    /// `collector.queue_depth`, resolved once so the producer-side sample in
-    /// [`InstanceHandle::flush`] costs no registry lookup.
-    queue_depth: Gauge,
-    /// `collector.queue_depth_hwm`, ditto.
-    queue_hwm: Gauge,
     closed: AtomicBool,
     dropped: AtomicU64,
 }
@@ -80,74 +73,17 @@ pub struct Session {
 }
 
 impl Session {
-    /// Start a session with default configuration.
+    /// Start an unobserved session with the default configuration and no
+    /// tap.
     pub fn new() -> Session {
-        Session::with_config(SessionConfig::default())
+        Session::builder().start()
     }
 
-    /// Start a session with explicit configuration.
-    pub fn with_config(config: SessionConfig) -> Session {
-        Session::with_telemetry(config, Telemetry::disabled())
-    }
-
-    /// Start a session that also observes itself: the collector thread
-    /// reports queue depth, batch latency, and busy time into `telemetry`
-    /// (see the `dsspy-telemetry` crate). Passing [`Telemetry::disabled`]
-    /// is exactly [`Session::with_config`].
-    pub fn with_telemetry(config: SessionConfig, telemetry: Telemetry) -> Session {
-        Session::build(config, telemetry, FlightRecorder::disabled(), None)
-    }
-
-    /// Start a session whose collector thread feeds every stored batch to
-    /// `tap` before folding it into the post-mortem capture — the
-    /// subscription point for live consumers like `dsspy-stream`'s
-    /// `StreamingAnalyzer`. The tap runs on the collector thread; see
-    /// [`CollectorTap`] for the exact delivery guarantees.
-    pub fn with_tap(
-        config: SessionConfig,
-        telemetry: Telemetry,
-        tap: Box<dyn CollectorTap>,
-    ) -> Session {
-        Session::build(config, telemetry, FlightRecorder::disabled(), Some(tap))
-    }
-
-    /// Full-control construction: configure telemetry, a flight recorder,
-    /// and a tap in any combination. The other constructors are shorthands
-    /// over this.
+    /// Configure a session — [`SessionConfig`], telemetry, a flight recorder
+    /// and a collector tap, in any combination — then
+    /// [`SessionBuilder::start`] it.
     pub fn builder() -> SessionBuilder {
         SessionBuilder::default()
-    }
-
-    fn build(
-        config: SessionConfig,
-        telemetry: Telemetry,
-        flight: FlightRecorder,
-        tap: Option<Box<dyn CollectorTap>>,
-    ) -> Session {
-        let (tx, rx) = match config.channel_capacity {
-            Some(n) => bounded(n),
-            None => unbounded(),
-        };
-        let session_id = next_session_id();
-        let join = spawn(rx, telemetry.clone(), flight.clone(), session_id, tap);
-        let queue_depth = telemetry.gauge("collector.queue_depth");
-        let queue_hwm = telemetry.gauge("collector.queue_depth_hwm");
-        Session {
-            inner: Arc::new(SessionInner {
-                clock: SessionClock::new(),
-                registry: Arc::new(Registry::new()),
-                telemetry,
-                flight,
-                session_id,
-                queue_depth,
-                queue_hwm,
-                closed: AtomicBool::new(false),
-                dropped: AtomicU64::new(0),
-            }),
-            sender: tx,
-            join,
-            batch_size: config.batch_size.max(1),
-        }
     }
 
     /// The process-unique session id the collector stamps into every
@@ -295,9 +231,38 @@ impl SessionBuilder {
         self
     }
 
-    /// Spawn the collector thread and start the session.
+    /// Spawn the collector thread and start the session. With telemetry
+    /// enabled the collector reports queue depth, batch latency and busy
+    /// time (see the `dsspy-telemetry` crate); a tap sees every stored batch
+    /// on the collector thread before it is folded into the capture (see
+    /// [`CollectorTap`] for the exact delivery guarantees).
     pub fn start(self) -> Session {
-        Session::build(self.config, self.telemetry, self.flight, self.tap)
+        let (tx, rx) = match self.config.channel_capacity {
+            Some(n) => bounded(n),
+            None => unbounded(),
+        };
+        let session_id = next_session_id();
+        let join = spawn(
+            rx,
+            self.telemetry.clone(),
+            self.flight.clone(),
+            session_id,
+            self.tap,
+        );
+        Session {
+            inner: Arc::new(SessionInner {
+                clock: SessionClock::new(),
+                registry: Arc::new(Registry::new()),
+                telemetry: self.telemetry,
+                flight: self.flight,
+                session_id,
+                closed: AtomicBool::new(false),
+                dropped: AtomicU64::new(0),
+            }),
+            sender: tx,
+            join,
+            batch_size: self.config.batch_size.max(1),
+        }
     }
 }
 
@@ -382,14 +347,6 @@ impl InstanceHandle {
                 .telemetry
                 .counter("collector.dropped")
                 .add(lost.len() as u64);
-        } else if self.inner.telemetry.is_enabled() {
-            // Producer-side pressure sample: depth as the *enqueuer* sees
-            // it, including the batch just shipped. A fast collector keeps
-            // the receipt-time sample near 0; this one reflects the bursts
-            // that streaming backpressure reacts to.
-            let depth = self.sender.len() as u64;
-            self.inner.queue_depth.set(depth);
-            self.inner.queue_hwm.set_max(depth);
         }
     }
 
@@ -442,10 +399,12 @@ mod tests {
 
     #[test]
     fn small_batches_flush_incrementally() {
-        let session = Session::with_config(SessionConfig {
-            batch_size: 4,
-            channel_capacity: None,
-        });
+        let session = Session::builder()
+            .config(SessionConfig {
+                batch_size: 4,
+                channel_capacity: None,
+            })
+            .start();
         let mut h = session.register(site(1), DsKind::List, "i32");
         for i in 0..10u32 {
             h.record(AccessKind::Insert, Target::Index(i), i + 1);
@@ -545,10 +504,12 @@ mod tests {
 
     #[test]
     fn bounded_channel_applies_backpressure_without_loss() {
-        let session = Session::with_config(SessionConfig {
-            batch_size: 1,
-            channel_capacity: Some(2),
-        });
+        let session = Session::builder()
+            .config(SessionConfig {
+                batch_size: 1,
+                channel_capacity: Some(2),
+            })
+            .start();
         let mut h = session.register(site(1), DsKind::List, "i32");
         for i in 0..1000u32 {
             h.record(AccessKind::Insert, Target::Index(i), i + 1);

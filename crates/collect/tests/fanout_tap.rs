@@ -31,14 +31,13 @@ fn three_recorders_rebuild_identical_captures() {
     for (i, r) in recorders.iter().enumerate() {
         fanout.subscribe(&format!("rec{i}"), r.tap());
     }
-    let session = Session::with_tap(
-        SessionConfig {
+    let session = Session::builder()
+        .config(SessionConfig {
             batch_size: 64,
             channel_capacity: None,
-        },
-        Telemetry::disabled(),
-        Box::new(fanout),
-    );
+        })
+        .tap(Box::new(fanout))
+        .start();
     run_workload(&session);
     let capture = session.finish();
     assert!(capture.stats.batches > 1, "workload spans several batches");
@@ -110,14 +109,13 @@ fn subscriber_panic_on_collector_thread_does_not_poison_the_session() {
     // the session (and restore it for the rest of the suite).
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let session = Session::with_tap(
-        SessionConfig {
+    let session = Session::builder()
+        .config(SessionConfig {
             batch_size: 16,
             channel_capacity: None,
-        },
-        Telemetry::disabled(),
-        Box::new(fanout),
-    );
+        })
+        .tap(Box::new(fanout))
+        .start();
     run_workload(&session);
     let capture = session.finish();
     std::panic::set_hook(hook);

@@ -2,12 +2,16 @@
 //! queue depth, batch histograms, busy time — and the queue-depth gauge
 //! drains to 0 once `Session::finish` stops the collector.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
+
 use dsspy_collect::{
     load_capture_with, read_capture_with, save_capture_with, write_capture, write_capture_with,
-    ReadOptions, Session, SessionConfig,
+    CollectorStats, CollectorTap, ReadOptions, Session, SessionConfig,
 };
-use dsspy_events::{AccessKind, AllocationSite, DsKind, Target};
-use dsspy_telemetry::{overhead::signals, Telemetry};
+use dsspy_events::{AccessEvent, AccessKind, AllocationSite, DsKind, InstanceId, Target};
+use dsspy_telemetry::{overhead::signals, Telemetry, TraceContext};
 
 fn site(line: u32) -> AllocationSite {
     AllocationSite::new("Test", "main", line)
@@ -16,13 +20,13 @@ fn site(line: u32) -> AllocationSite {
 #[test]
 fn queue_depth_gauge_drains_to_zero_after_stop() {
     let telemetry = Telemetry::enabled();
-    let session = Session::with_telemetry(
-        SessionConfig {
+    let session = Session::builder()
+        .config(SessionConfig {
             batch_size: 8,
             channel_capacity: None,
-        },
-        telemetry.clone(),
-    );
+        })
+        .telemetry(telemetry.clone())
+        .start();
     let mut handles: Vec<_> = (0..4)
         .map(|t| session.register(site(t), DsKind::List, "i32"))
         .collect();
@@ -72,9 +76,120 @@ fn queue_depth_gauge_drains_to_zero_after_stop() {
 }
 
 #[test]
+fn collector_counters_advance_while_the_session_runs() {
+    let telemetry = Telemetry::enabled();
+    let session = Session::builder().telemetry(telemetry.clone()).start();
+    let mut h = session.register(site(1), DsKind::List, "i32");
+    for i in 0..100u32 {
+        h.record(AccessKind::Insert, Target::Index(i), i + 1);
+    }
+    h.flush();
+    // The batch is stored asynchronously: poll, but never past a deadline.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while telemetry
+        .snapshot()
+        .counter("collector.events")
+        .unwrap_or(0)
+        == 0
+    {
+        assert!(
+            Instant::now() < deadline,
+            "collector.events still 0 mid-session"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let mid = telemetry.snapshot();
+    assert_eq!(mid.counter("collector.events"), Some(100));
+    assert_eq!(mid.counter("collector.batches"), Some(1));
+    drop(h);
+    let capture = session.finish();
+    // Published per batch, not once more at stop.
+    assert_eq!(
+        telemetry.snapshot().counter("collector.events"),
+        Some(capture.stats.events)
+    );
+}
+
+/// A deliberately slow tap that meets the test at `gate` to pin down when
+/// the collector samples its queue, and remembers the deepest queue it was
+/// handed.
+struct GatedTap {
+    gate: Arc<Barrier>,
+    deliveries: usize,
+    deepest: Arc<AtomicUsize>,
+}
+
+impl CollectorTap for GatedTap {
+    fn on_batch(
+        &mut self,
+        _ctx: TraceContext,
+        _id: InstanceId,
+        _events: &[AccessEvent],
+        queue_depth: usize,
+    ) {
+        self.deepest.fetch_max(queue_depth, Ordering::Relaxed);
+        self.deliveries += 1;
+        match self.deliveries {
+            // Batch 1: hold the collector until the test has queued the rest.
+            1 => {
+                self.gate.wait();
+                self.gate.wait();
+            }
+            // Batch 2 was sampled: only now may `Stop` join the queue.
+            2 => {
+                self.gate.wait();
+            }
+            _ => {}
+        }
+    }
+    fn on_stop(&mut self, _ctx: TraceContext, _stats: &CollectorStats, _nanos: u64) {}
+}
+
+#[test]
+fn queue_depth_hwm_is_the_deepest_queue_the_tap_was_handed() {
+    let telemetry = Telemetry::enabled();
+    let gate = Arc::new(Barrier::new(2));
+    let deepest = Arc::new(AtomicUsize::new(0));
+    let session = Session::builder()
+        .config(SessionConfig {
+            batch_size: 4,
+            channel_capacity: None,
+        })
+        .telemetry(telemetry.clone())
+        .tap(Box::new(GatedTap {
+            gate: Arc::clone(&gate),
+            deliveries: 0,
+            deepest: Arc::clone(&deepest),
+        }))
+        .start();
+    let mut h = session.register(site(1), DsKind::List, "i32");
+    let mut record = |range: std::ops::Range<u32>| {
+        for i in range {
+            h.record(AccessKind::Insert, Target::Index(i), i + 1);
+        }
+    };
+    // Batch 1 ships and the collector is held inside the tap with it ...
+    record(0..4);
+    gate.wait();
+    // ... while batches 2..=500 queue up behind it.
+    record(4..2_000);
+    gate.wait();
+    gate.wait();
+    drop(h);
+    session.finish();
+    let deepest = deepest.load(Ordering::Relaxed) as u64;
+    assert_eq!(deepest, 498, "batch 2 is received with 3..=500 queued");
+    // The collector's receipt-time sample is the gauge's only writer.
+    assert_eq!(
+        telemetry.snapshot().gauge("collector.queue_depth_hwm"),
+        Some(deepest)
+    );
+}
+
+#[test]
 fn handle_side_drops_reach_the_telemetry_counter() {
     let telemetry = Telemetry::enabled();
-    let session = Session::with_telemetry(SessionConfig::default(), telemetry.clone());
+    let session = Session::builder().telemetry(telemetry.clone()).start();
     let mut h = session.register(site(1), DsKind::List, "i32");
     h.record(AccessKind::Insert, Target::Index(0), 1);
     h.flush();

@@ -122,7 +122,10 @@ impl Dsspy {
     /// and the resulting report embeds the snapshot with Table IV-style
     /// overhead accounting.
     pub fn profile_with(&self, program: impl FnOnce(&Session), telemetry: &Telemetry) -> Report {
-        let session = Session::with_telemetry(self.session, telemetry.clone());
+        let session = Session::builder()
+            .config(self.session)
+            .telemetry(telemetry.clone())
+            .start();
         program(&session);
         let capture = session.finish();
         self.analyze_capture_with(&capture, telemetry)

@@ -24,8 +24,9 @@
 //! * raw events are retained only in a per-instance display window of at most
 //!   [`StreamConfig::window_events`] events, evicted FIFO.
 //!
-//! Snapshot cadence applies backpressure: the collector's queue depth (the
-//! same signal the `collector.queue_depth` gauge reports) stretches the
+//! Snapshot cadence applies backpressure: the collector's queue depth behind
+//! each batch, read from its channel at receipt (the value the collector
+//! also writes to the `collector.queue_depth` gauge), stretches the
 //! interval between [`Report`] snapshots by powers of two
 //! ([`SnapshotPolicy`]), so a flooded collector spends its cycles storing
 //! events, not re-classifying them.
@@ -55,8 +56,9 @@ use serde::{Deserialize, Serialize};
 ///
 /// Cadence is measured in *batches folded*, not wall clock, so replays and
 /// live sessions behave identically and tests are deterministic. The
-/// collector's queue depth — sampled at batch receipt, the same signal as
-/// the `collector.queue_depth` gauge — stretches the interval: every
+/// `queue_depth` the collector hands the tap with each batch — its channel
+/// length read at receipt, the same value it writes to the
+/// `collector.queue_depth` gauge — stretches the interval: every
 /// `backoff_queue_depth` queued messages doubles it, up to
 /// `max_backoff_shifts` doublings. An idle collector snapshots every
 /// `every_batches` batches; a flooded one backs off to
@@ -440,7 +442,8 @@ impl CollectorTap for StreamTap {
 /// Two modes share one implementation:
 ///
 /// * **Session mode** — [`StreamingAnalyzer::attach`] (or
-///   [`StreamingAnalyzer::tap`] + [`Session::with_tap`] +
+///   [`StreamingAnalyzer::tap`] +
+///   [`SessionBuilder::tap`](dsspy_collect::SessionBuilder::tap) +
 ///   [`StreamingAnalyzer::bind_registry`]) subscribes to a live session's
 ///   collector thread.
 /// * **Replay mode** — [`StreamingAnalyzer::replay_capture`] (or
@@ -477,9 +480,11 @@ impl StreamingAnalyzer {
     }
 
     /// The collector-thread subscription. Hand this to
-    /// [`Session::with_tap`]; call [`StreamingAnalyzer::bind_registry`] with
-    /// the session's [`Session::registry_handle`] so snapshots can resolve
-    /// instance metadata.
+    /// [`SessionBuilder::tap`](dsspy_collect::SessionBuilder::tap), directly
+    /// or through a [`TapFanout`](dsspy_collect::TapFanout); call
+    /// [`StreamingAnalyzer::bind_registry`] with the session's
+    /// [`Session::registry_handle`] so snapshots can resolve instance
+    /// metadata.
     pub fn tap(&self) -> Box<dyn CollectorTap> {
         Box::new(StreamTap {
             shared: Arc::clone(&self.shared),
@@ -619,11 +624,12 @@ struct SamplerInstruments {
 /// size of the most recent batch, and a `stream.live.stopped` flag once the
 /// session drains.
 ///
-/// Unlike the [`StreamingAnalyzer`] it keeps no per-instance state — it is
-/// the cheap subscriber a `dsspy telemetry serve --live` endpoint attaches
-/// alongside the analyzer, so Prometheus can watch a session's pulse even
-/// when re-classification is backed off. Clones share state; hand
-/// [`TelemetrySampler::tap`] to a
+/// Unlike the [`StreamingAnalyzer`] it keeps no per-instance state. No
+/// production surface installs it: an observed session's collector
+/// publishes the same pulse itself (`collector.events`/`collector.batches`
+/// per stored batch, `collector.queue_depth` and its high-watermark), so
+/// `stream.live.*` duplicates `collector.*`. It remains for the benchmark's
+/// live rig. Clones share state; hand [`TelemetrySampler::tap`] to a
 /// [`TapFanout`](dsspy_collect::TapFanout).
 #[derive(Clone)]
 pub struct TelemetrySampler {
@@ -758,14 +764,13 @@ mod tests {
     fn sampler_publishes_live_signals_and_final_stats() {
         let telemetry = Telemetry::enabled();
         let sampler = TelemetrySampler::new(&telemetry);
-        let session = Session::with_tap(
-            SessionConfig {
+        let session = Session::builder()
+            .config(SessionConfig {
                 batch_size: 32,
                 channel_capacity: None,
-            },
-            Telemetry::disabled(),
-            sampler.tap(),
-        );
+            })
+            .tap(sampler.tap())
+            .start();
         run_workload(&session);
         let capture = session.finish();
 

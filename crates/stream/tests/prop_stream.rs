@@ -249,11 +249,10 @@ proptest! {
             fanout.subscribe(&format!("analyzer{i}"), a.tap());
         }
         fanout.subscribe("recorder", recorder.tap());
-        let session = Session::with_tap(
-            dsspy.session,
-            dsspy_telemetry::Telemetry::disabled(),
-            Box::new(fanout),
-        );
+        let session = Session::builder()
+            .config(dsspy.session)
+            .tap(Box::new(fanout))
+            .start();
         for a in &analyzers {
             a.bind_registry(session.registry_handle());
         }

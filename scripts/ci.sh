@@ -5,7 +5,8 @@
 #               DSSPY_TEST_THREADS=1/2/4 in debug AND release (the report
 #               must be identical at every analysis width — this varies how
 #               it is computed, never what comes out), then explicit
-#               --threads CLI runs, the live-scrape smoke
+#               --threads CLI runs, the bad-input cell (malformed numeric
+#               flags exit 2), the live-scrape smoke
 #               (`telemetry serve --live --self-check`) and the follow
 #               smoke (`watch --follow`), then every Criterion bench once.
 #   matrix      only the 2x3 debug/release x threads test matrix.
@@ -108,14 +109,28 @@ if [[ "$MODE" == "full" ]]; then
             "$(printf '"kind":"smoke","threads":%s,' "$t")" \
             ./target/release/dsspy analyze "$SMOKE" --threads "$t"
     done
+    # Malformed numeric flags are rejected with usage and exit 2, never
+    # silently replaced by a default.
+    run_cell bad-input '"kind":"smoke",' \
+        bash -c '
+            set -uo pipefail
+            smoke="$1"
+            ./target/release/dsspy analyze "$smoke" --threads abc
+            code=$?
+            [[ "$code" -eq 2 ]] || { echo "analyze --threads abc: exit $code, want 2"; exit 1; }
+            ./target/release/dsspy watch --follow --frames x
+            code=$?
+            [[ "$code" -eq 2 ]] || { echo "watch --follow --frames x: exit $code, want 2"; exit 1; }
+            echo "malformed numeric flags exit 2 with usage"
+        ' bad-input "$SMOKE"
     # The scrape endpoint attached to a *running* session: re-collects the
     # capture live, serves a fresh validated exposition per scrape, scrapes
-    # itself over TCP, and fails unless all three fan-out subscribers
-    # converge with the post-mortem analysis.
+    # itself over TCP, and fails unless the streaming analyzer on the
+    # fan-out converges with the post-mortem analysis.
     run_cell live-scrape-smoke '"kind":"smoke",' \
         ./target/release/dsspy telemetry serve "$SMOKE" --live \
         --addr 127.0.0.1:0 --requests 1 --self-check
-    # Follow a live workload session through the same fan-out.
+    # Follow a live workload session through the same live rig.
     run_cell watch-follow-smoke '"kind":"smoke",' \
         ./target/release/dsspy watch --follow --frames 3
     # Flight-recorder + doctor smoke: a clean live demo with the recorder

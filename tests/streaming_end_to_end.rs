@@ -77,7 +77,11 @@ fn fanout_session_feeds_analyzer_sampler_and_recorder_identically() {
         .with_subscriber("analyzer", streaming.tap())
         .with_subscriber("sampler", sampler.tap())
         .with_subscriber("recorder", recorder.tap());
-    let session = Session::with_tap(dsspy.session, telemetry.clone(), Box::new(fanout));
+    let session = Session::builder()
+        .config(dsspy.session)
+        .telemetry(telemetry.clone())
+        .tap(Box::new(fanout))
+        .start();
     streaming.bind_registry(session.registry_handle());
     w.run(Scale::Test, Mode::Instrumented(&session));
     let capture = session.finish();

@@ -3,7 +3,7 @@
 //! decode), and analysis (per-instance spans), and the final snapshot both
 //! exports cleanly and restores the serde-skipped `Report::timings`.
 
-use dsspy::collect::{load_capture_with, save_capture_with, ReadOptions, Session, SessionConfig};
+use dsspy::collect::{load_capture_with, save_capture_with, ReadOptions, Session};
 use dsspy::collections::{site, SpyMap, SpyVec};
 use dsspy::core::{Dsspy, Report};
 use dsspy::telemetry::{export, overhead::signals, Telemetry, TelemetrySnapshot};
@@ -18,7 +18,7 @@ fn observed_capture_path(name: &str) -> std::path::PathBuf {
 /// that watched it plus the path its capture was saved to.
 fn record_observed(name: &str) -> (Telemetry, std::path::PathBuf) {
     let telemetry = Telemetry::enabled();
-    let session = Session::with_telemetry(SessionConfig::default(), telemetry.clone());
+    let session = Session::builder().telemetry(telemetry.clone()).start();
     {
         let mut list = SpyVec::register(&session, site!("e2e_hot_list"));
         for i in 0..2_000u64 {
