@@ -2,19 +2,25 @@
 //!
 //! The acceptance bar mirrors `streaming_overhead`: the *recorder-disabled*
 //! path — a plain session built through `Session::builder()` with the
-//! default disabled [`FlightRecorder`] handle — must track the pre-recorder
-//! collector throughput (`stream/session/tap_disabled`) within noise, since
-//! the disabled handle is one branch on a pointer-sized option per edge.
-//! `recorder_enabled` then shows the ring's real price on the collector
-//! thread (a mutex push per batch receipt), and `recorder_enabled_fanout`
-//! the full live price with the tap dispatch edges recorded too.
+//! default disabled telemetry handle, whose flight recorder is therefore
+//! disabled too — must track the pre-recorder collector throughput
+//! (`stream/session/tap_disabled`) within noise, since the disabled
+//! recorder is one branch on a pointer-sized option per edge.
+//!
+//! The recorder lives inside a [`Telemetry`] handle
+//! ([`Telemetry::with_flight`]), so `recorder_enabled` also enables
+//! telemetry: compare it with `telemetry/session/enabled`, not with
+//! `recorder_disabled`, to read the ring's own price on the collector
+//! thread (a mutex push per batch receipt). `recorder_enabled_fanout` shows
+//! the full live price, with the streaming analyzer attached and its tap
+//! dispatch edges recorded too.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use dsspy_collect::{Session, TapFanout};
+use dsspy_collect::Session;
 use dsspy_collections::{site, SpyVec};
 use dsspy_core::Dsspy;
 use dsspy_stream::{StreamConfig, StreamingAnalyzer};
-use dsspy_telemetry::{FlightConfig, FlightRecorder};
+use dsspy_telemetry::{FlightConfig, Telemetry};
 
 fn fill(session: &Session, n: u64) -> u64 {
     let mut v = SpyVec::register_with_capacity(session, site!("bench"), n as usize);
@@ -40,14 +46,15 @@ fn bench_flight(c: &mut Criterion) {
         })
     });
 
-    // The ring alone: every batch receipt recorded, no tap installed.
+    // The ring on an enabled handle: every batch receipt recorded, no tap
+    // installed.
     group.bench_function("recorder_enabled", |b| {
         b.iter(|| {
-            let flight = FlightRecorder::new(FlightConfig::default());
-            let session = Session::builder().flight(flight.clone()).start();
+            let telemetry = Telemetry::enabled().with_flight(FlightConfig::default());
+            let session = Session::builder().telemetry(telemetry.clone()).start();
             fill(&session, n);
             let count = session.finish().event_count();
-            std::hint::black_box((count, flight.dump().events.len()))
+            std::hint::black_box((count, telemetry.flight().dump().events.len()))
         })
     });
 
@@ -55,21 +62,16 @@ fn bench_flight(c: &mut Criterion) {
     // every dispatch edge recorded.
     group.bench_function("recorder_enabled_fanout", |b| {
         b.iter(|| {
-            let flight = FlightRecorder::new(FlightConfig::default());
-            let streaming =
-                StreamingAnalyzer::new(Dsspy::new().with_threads(1), StreamConfig::default())
-                    .with_flight(flight.clone());
-            let fanout = TapFanout::new()
-                .with_flight(flight.clone())
-                .with_subscriber("analyzer", streaming.tap());
-            let session = Session::builder()
-                .flight(flight.clone())
-                .tap(Box::new(fanout))
-                .start();
-            streaming.bind_registry(session.registry_handle());
+            let telemetry = Telemetry::enabled().with_flight(FlightConfig::default());
+            let streaming = StreamingAnalyzer::with_telemetry(
+                Dsspy::new().with_threads(1),
+                StreamConfig::default(),
+                telemetry.clone(),
+            );
+            let session = streaming.attach(Vec::new());
             fill(&session, n);
             let count = session.finish().event_count();
-            std::hint::black_box((count, flight.dump().events.len()))
+            std::hint::black_box((count, telemetry.flight().dump().events.len()))
         })
     });
     group.finish();

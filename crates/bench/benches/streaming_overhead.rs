@@ -40,7 +40,7 @@ fn bench_collector_thread(c: &mut Criterion) {
         b.iter(|| {
             let streaming =
                 StreamingAnalyzer::new(Dsspy::new().with_threads(1), StreamConfig::default());
-            let session = streaming.attach();
+            let session = streaming.attach(Vec::new());
             fill(&session, n);
             let count = session.finish().event_count();
             std::hint::black_box((count, streaming.stats().snapshots))

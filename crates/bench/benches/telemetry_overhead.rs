@@ -78,9 +78,13 @@ fn bench_primitives(c: &mut Criterion) {
             }
         })
     });
+    // One iteration opens 1 000 spans, not the group's 100 000 elements:
+    // the throughput counts the spans actually opened.
+    let spans = 1_000u64;
+    group.throughput(Throughput::Elements(spans));
     group.bench_function("span_disabled", |b| {
         b.iter(|| {
-            for i in 0..1_000u64 {
+            for i in 0..spans {
                 drop(disabled.span_lazy("bench", || format!("span#{i}")));
             }
         })

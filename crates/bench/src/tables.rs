@@ -1,10 +1,11 @@
 //! The per-artifact regeneration functions.
 
 use std::fmt::Write;
+use std::time::Instant;
 
 use dsspy_collect::Session;
 use dsspy_collections::SpyVec;
-use dsspy_core::{measure_avg_nanos, Dsspy, Report};
+use dsspy_core::{measure_avg_nanos, Dsspy};
 use dsspy_events::AllocationSite;
 use dsspy_parallel::{
     default_threads, par_find_all, par_for_init, par_map, par_max_by_key, par_merge_sort,
@@ -297,22 +298,28 @@ fn evaluate_one(w: &dyn Workload, scale: Scale, runs: usize, threads: usize) -> 
     let plain = measure_avg_nanos(runs, || {
         std::hint::black_box(w.run(scale, Mode::Plain));
     });
-    // Instrumented runs include session setup/teardown and analysis-free
-    // collection, matching the paper's "data collection" phase.
-    let mut last_report: Option<Report> = None;
-    let instrumented = measure_avg_nanos(runs, || {
-        // The analysis fan-out dogfoods the same thread budget the parallel
-        // workload variants get.
-        let dsspy = Dsspy::new().with_threads(threads);
-        let report = dsspy.profile(|session| {
-            std::hint::black_box(w.run(scale, Mode::Instrumented(session)));
-        });
-        last_report = Some(report);
-    });
+    // The analysis fan-out dogfoods the same thread budget the parallel
+    // workload variants get.
+    let dsspy = Dsspy::new().with_threads(threads);
+    // Instrumented runs time session start → workload → `finish()`: the
+    // paper's "data collection" phase. Analysis and the previous run's
+    // capture teardown stay outside the clock.
+    let runs = runs.max(1);
+    let mut collect_nanos = 0u128;
+    let mut capture = None;
+    for _ in 0..runs {
+        drop(capture.take());
+        let started = Instant::now();
+        let session = Session::builder().config(dsspy.session).start();
+        std::hint::black_box(w.run(scale, Mode::Instrumented(&session)));
+        capture = Some(session.finish());
+        collect_nanos += started.elapsed().as_nanos();
+    }
+    let instrumented = (collect_nanos / runs as u128) as u64;
+    let report = dsspy.analyze_capture(&capture.expect("at least one run"));
     let parallel = measure_avg_nanos(runs, || {
         std::hint::black_box(w.run(scale, Mode::Parallel(threads)));
     });
-    let report = last_report.expect("at least one run");
     let projected_8core = w.fractions(scale).map(|f| f.amdahl_bound(8));
     EvaluationRow {
         name: spec.name.to_string(),

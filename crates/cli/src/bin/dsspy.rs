@@ -1,5 +1,6 @@
 //! The `dsspy` binary: analyze, chart, diff and sketch saved captures.
 
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 
 use dsspy_cli::{
@@ -53,6 +54,21 @@ fn number(name: &str, raw: Option<String>) -> Option<usize> {
         Err(_) => {
             eprintln!("dsspy: {name} expects a non-negative integer, got {raw:?}");
             usage()
+        }
+    }
+}
+
+/// Write `out` and a newline to stdout. A reader that stops early
+/// (`dsspy analyze c.dsspycap --json | head`) closes the pipe; that ends
+/// the output quietly instead of panicking. Any other write failure is an
+/// error: exit 1.
+fn emit(out: &str) {
+    let mut stdout = std::io::stdout().lock();
+    let written = stdout.write_all(format!("{out}\n").as_bytes());
+    if let Err(e) = written.and_then(|()| stdout.flush()) {
+        if e.kind() != ErrorKind::BrokenPipe {
+            eprintln!("dsspy: cannot write output: {e}");
+            std::process::exit(1);
         }
     }
 }
@@ -213,7 +229,7 @@ fn main() {
             let trace: Option<PathBuf> = value("--trace").map(PathBuf::from);
             match cmd_doctor(Path::new(path), events, trace.as_deref()) {
                 Ok((out, incidents)) => {
-                    println!("{out}");
+                    emit(&out);
                     std::process::exit(if incidents > 0 { 1 } else { 0 });
                 }
                 Err(e) => {
@@ -247,7 +263,7 @@ fn main() {
     };
 
     match result {
-        Ok(out) => println!("{out}"),
+        Ok(out) => emit(&out),
         Err(e) => {
             eprintln!("dsspy: {e}");
             std::process::exit(1);

@@ -26,8 +26,9 @@
 //! the streamed verdicts equal the post-mortem analysis. `dsspy demo
 //! --live` does the same against a genuinely live session, and `dsspy
 //! watch --follow` goes one further: it drives a suite7 workload on its own
-//! thread and follows the analyzer on the session's [`TapFanout`] while it
-//! runs. All live commands share one rig and one convergence check. `dsspy
+//! thread and follows the analyzer on the session's fan-out tap while it
+//! runs. Every live command wires its analyzer into the session through
+//! [`StreamingAnalyzer::attach`] and ends with one convergence check. `dsspy
 //! telemetry serve` exposes the self-observed analysis as a Prometheus
 //! scrape endpoint over a plain-stdlib TCP listener; with `--live` the same
 //! listener attaches to a *running* session instead, re-collecting the
@@ -38,8 +39,9 @@
 //! full pipeline (`0` = one worker per core, `1` = sequential); the output
 //! is identical for every value.
 //!
-//! `--flight-recorder PATH` arms a [`dsspy_telemetry::FlightRecorder`] on
-//! the live-session commands: a fixed-capacity causal ring of structured
+//! `--flight-recorder PATH` arms a [`dsspy_telemetry::FlightRecorder`]
+//! inside the live-session commands' telemetry handle
+//! ([`Telemetry::with_flight`]): a fixed-capacity causal ring of structured
 //! pipeline events (batch receipts, fan-out dispatches, snapshots, drops,
 //! panics, queue-watermark crossings), auto-dumped to `PATH` on every
 //! incident and flushed once more when the session finishes. `dsspy doctor`
@@ -59,15 +61,13 @@
 
 use dsspy_collect::{
     load_capture, load_capture_with, save_capture_with, Capture, CollectorStats, CollectorTap,
-    PersistError, ReadOptions, Session, SessionConfig, TapFanout,
+    PersistError, ReadOptions, Session, SessionConfig,
 };
 use dsspy_core::{diff_reports, instances_csv, sketches, use_cases_csv, Dsspy, Report};
 use dsspy_events::{AccessEvent, InstanceId, Origin};
 use dsspy_patterns::{analyze, segment_phases, MinerConfig, PhaseConfig};
 use dsspy_stream::{SnapshotPolicy, StreamConfig, StreamingAnalyzer};
-use dsspy_telemetry::{
-    export, FlightConfig, FlightDump, FlightRecorder, OverheadReport, Telemetry, TraceContext,
-};
+use dsspy_telemetry::{export, FlightConfig, FlightDump, OverheadReport, Telemetry, TraceContext};
 use dsspy_viz::html_report;
 use dsspy_viz::{
     flight_incidents_text, flight_lag_text, flight_timeline_text, profile_chart_svg,
@@ -333,15 +333,15 @@ pub fn cmd_telemetry(
 /// for every other command (and for the tier-1 smoke test).
 ///
 /// With `live`, the session additionally feeds the streaming analyzer
-/// through the live rig while the workload runs, and the command verifies
-/// on exit that the streamed verdicts equal the post-mortem analysis of the
-/// very capture it just saved.
+/// ([`StreamingAnalyzer::attach`]) while the workload runs, and the command
+/// verifies on exit that the streamed verdicts equal the post-mortem
+/// analysis of the very capture it just saved.
 ///
-/// `flight_out` arms a [`FlightRecorder`] on the session (auto-dumping to
-/// the path on incident, flushed once more at finish); `inject_panic` adds
-/// a second, deliberately faulty subscriber to the live fan-out so the
-/// recorder has a real `subscriber-panic` incident to capture — the demo
-/// input for `dsspy doctor`.
+/// `flight_out` arms a flight recorder on the session's telemetry
+/// (auto-dumping to the path on incident, flushed once more at finish);
+/// `inject_panic` adds a second, deliberately faulty subscriber to the live
+/// fan-out so the recorder has a real `subscriber-panic` incident to
+/// capture — the demo input for `dsspy doctor`.
 pub fn cmd_demo(
     out: &Path,
     workload: Option<&str>,
@@ -358,23 +358,19 @@ pub fn cmd_demo(
     let w = &suite[find_workload(workload)?];
     // Record under an observed session so the capture carries collection-time
     // telemetry (collector histograms, queue pressure) into offline analysis.
-    let telemetry = Telemetry::enabled();
-    let flight = flight_for(flight_out, &telemetry);
+    let telemetry = observer(flight_out);
     let dsspy = Dsspy::new().with_threads(1);
     let (streaming, session) = if live {
-        let (streaming, session) = live_rig(
-            dsspy,
-            StreamConfig::default(),
-            &telemetry,
-            &flight,
-            inject_panic,
-        );
+        let streaming =
+            StreamingAnalyzer::with_telemetry(dsspy, StreamConfig::default(), telemetry.clone());
+        let mut extra: Vec<(&str, Box<dyn CollectorTap>)> = Vec::new();
+        if inject_panic {
+            extra.push(("bomb", Box::new(PanicBomb)));
+        }
+        let session = streaming.attach(extra);
         (Some(streaming), session)
     } else {
-        let session = Session::builder()
-            .telemetry(telemetry.clone())
-            .flight(flight.clone())
-            .start();
+        let session = Session::builder().telemetry(telemetry.clone()).start();
         (None, session)
     };
     w.run(Scale::Test, Mode::Instrumented(&session));
@@ -397,7 +393,7 @@ pub fn cmd_demo(
         capture.profiles.len(),
         capture.event_count(),
         w.spec().name,
-        flight_summary(&flight, flight_out),
+        flight_summary(&telemetry, flight_out),
     ))
 }
 
@@ -703,57 +699,26 @@ fn live_dsspy(batch_size: usize, threads: usize) -> Dsspy {
     .with_threads(threads)
 }
 
-/// The one live-session rig behind `demo --live`, `watch --follow`,
-/// `telemetry serve --live` and `doctor`'s re-collection: an observed
-/// session whose [`TapFanout`] feeds the streaming analyzer (plus the
-/// `bomb` under `--inject-panic`, isolated from it by the fan-out). The
-/// session's own collector publishes its pulse (`collector.*`), so the
-/// analyzer is the only subscriber a live surface needs.
-fn live_rig(
-    dsspy: Dsspy,
-    config: StreamConfig,
-    telemetry: &Telemetry,
-    flight: &FlightRecorder,
-    inject_panic: bool,
-) -> (StreamingAnalyzer, Session) {
-    let streaming = StreamingAnalyzer::with_telemetry(dsspy, config, telemetry.clone())
-        .with_flight(flight.clone());
-    let mut fanout = TapFanout::with_telemetry(telemetry.clone())
-        .with_flight(flight.clone())
-        .with_subscriber("analyzer", streaming.tap());
-    if inject_panic {
-        fanout.subscribe("bomb", Box::new(PanicBomb));
-    }
-    let session = Session::builder()
-        .config(dsspy.session)
-        .telemetry(telemetry.clone())
-        .flight(flight.clone())
-        .tap(Box::new(fanout))
-        .start();
-    streaming.bind_registry(session.registry_handle());
-    (streaming, session)
-}
-
-/// Build the flight recorder behind a `--flight-recorder PATH` flag: the
-/// default ring, auto-dumping to `path` on every incident (and flushed once
-/// more when the session finishes), its `flight.*` gauges published into
-/// `telemetry`. No flag → the disabled, zero-cost handle.
-fn flight_for(path: Option<&Path>, telemetry: &Telemetry) -> FlightRecorder {
-    match path {
-        Some(p) => {
-            FlightRecorder::with_telemetry(FlightConfig::default().with_dump_path(p), telemetry)
+/// The enabled telemetry handle a live command observes its session with.
+/// A `--flight-recorder PATH` flag arms the default flight ring inside it,
+/// auto-dumping to `path` on every incident (and flushed once more when
+/// the session finishes); no flag leaves the recorder disabled.
+fn observer(flight_out: Option<&Path>) -> Telemetry {
+    match flight_out {
+        Some(path) => {
+            Telemetry::enabled().with_flight(FlightConfig::default().with_dump_path(path))
         }
-        None => FlightRecorder::disabled(),
+        None => Telemetry::enabled(),
     }
 }
 
 /// The one-line flight summary appended to command output when the
-/// recorder was enabled.
-fn flight_summary(flight: &FlightRecorder, path: Option<&Path>) -> String {
+/// recorder was armed.
+fn flight_summary(telemetry: &Telemetry, path: Option<&Path>) -> String {
     let Some(path) = path else {
         return String::new();
     };
-    let dump = flight.dump();
+    let dump = telemetry.flight().dump();
     format!(
         "; flight recorder: {} event(s) retained ({} overwritten), {} incident(s), dump at {}",
         dump.events.len(),
@@ -817,9 +782,10 @@ pub fn cmd_telemetry_serve_live(
 ) -> Result<String, CliError> {
     let source = load_capture(path)?;
     let dsspy = live_dsspy(64, threads);
-    let telemetry = Telemetry::enabled();
-    let flight = flight_for(flight_out, &telemetry);
-    let (streaming, session) = live_rig(dsspy, StreamConfig::default(), &telemetry, &flight, false);
+    let telemetry = observer(flight_out);
+    let streaming =
+        StreamingAnalyzer::with_telemetry(dsspy, StreamConfig::default(), telemetry.clone());
+    let session = streaming.attach(Vec::new());
     let driver = std::thread::spawn(move || {
         replay_live(&session, &source);
         session.finish()
@@ -850,7 +816,7 @@ pub fn cmd_telemetry_serve_live(
     if scraped.is_some() {
         msg.push_str("; self-check scrape validated");
     }
-    msg.push_str(&flight_summary(&flight, flight_out));
+    msg.push_str(&flight_summary(&telemetry, flight_out));
     Ok(msg)
 }
 
@@ -869,15 +835,10 @@ pub fn cmd_watch_follow(
 ) -> Result<String, CliError> {
     let w_idx = find_workload(workload)?;
     let dsspy = live_dsspy(batch.max(1), 1);
-    let telemetry = Telemetry::enabled();
-    let flight = flight_for(flight_out, &telemetry);
-    let (streaming, session) = live_rig(
-        dsspy,
-        watch_config(window, every),
-        &telemetry,
-        &flight,
-        false,
-    );
+    let telemetry = observer(flight_out);
+    let streaming =
+        StreamingAnalyzer::with_telemetry(dsspy, watch_config(window, every), telemetry.clone());
+    let session = streaming.attach(Vec::new());
     let driver = std::thread::spawn(move || {
         suite7()[w_idx].run(Scale::Test, Mode::Instrumented(&session));
         session.finish()
@@ -900,7 +861,7 @@ pub fn cmd_watch_follow(
         capture.stats.events, capture.stats.batches, frames.printed
     );
     let mut out = frames.finish(&live, &note);
-    let flight_note = flight_summary(&flight, flight_out);
+    let flight_note = flight_summary(&telemetry, flight_out);
     if !flight_note.is_empty() {
         out.push_str(flight_note.trim_start_matches("; "));
         out.push('\n');
@@ -937,19 +898,17 @@ pub fn cmd_doctor(
             // Not a dump: treat as a capture and re-collect it live under
             // full observation.
             let source = load_capture(path)?;
-            let telemetry = Telemetry::enabled();
-            let flight = FlightRecorder::with_telemetry(FlightConfig::default(), &telemetry);
-            let (_, session) = live_rig(
+            let telemetry = Telemetry::enabled().with_flight(FlightConfig::default());
+            let session = StreamingAnalyzer::with_telemetry(
                 live_dsspy(64, 1),
                 StreamConfig::default(),
-                &telemetry,
-                &flight,
-                false,
-            );
+                telemetry.clone(),
+            )
+            .attach(Vec::new());
             replay_live(&session, &source);
             session.finish();
             (
-                flight.dump(),
+                telemetry.flight().dump(),
                 format!("re-collected capture {}", path.display()),
             )
         }
@@ -1301,7 +1260,7 @@ mod tests {
         assert!(msg.contains("flight recorder:"), "{msg}");
         assert!(msg.contains("0 incident(s)"), "{msg}");
         // The dump on disk is a valid schema-stamped flight dump with the
-        // live rig's one subscriber on record.
+        // analyzer, the live session's one subscriber, on record.
         let dump = FlightDump::from_json(&std::fs::read_to_string(&dump_path).unwrap()).unwrap();
         assert!(dump.incidents.is_empty());
         assert_eq!(dump.sessions().len(), 1);
@@ -1393,9 +1352,8 @@ mod tests {
 
     #[test]
     fn flight_metric_families_reach_the_exposition() {
-        let telemetry = Telemetry::enabled();
-        let flight = FlightRecorder::with_telemetry(FlightConfig::default(), &telemetry);
-        flight.record(
+        let telemetry = Telemetry::enabled().with_flight(FlightConfig::default());
+        telemetry.flight().record(
             TraceContext::new(1, 1),
             dsspy_telemetry::FlightEventKind::SessionStart,
         );

@@ -13,9 +13,11 @@ use std::thread::JoinHandle;
 use crossbeam::channel::Receiver;
 use dsspy_events::{AccessEvent, InstanceId, InstanceInfo, RuntimeProfile};
 use dsspy_telemetry::{
-    overhead::signals, FlightEventKind, FlightRecorder, IncidentTrigger, Telemetry, TraceContext,
+    overhead::signals, FlightEventKind, IncidentTrigger, Telemetry, TraceContext,
 };
 use serde::{Deserialize, Serialize};
+
+use crate::fanout::TapFanout;
 
 /// Messages from instrumented code to the collector thread.
 pub(crate) enum Msg {
@@ -35,6 +37,9 @@ pub(crate) enum Msg {
 
 /// Observer of the collector's batch path — the subscription point for
 /// streaming consumers (`dsspy-stream`'s `StreamingAnalyzer` attaches here).
+/// A tap is always a subscriber of a [`TapFanout`]: the collector drives
+/// only the fan-out, which delivers to each subscriber behind
+/// `catch_unwind`, so a panicking tap cannot take the collector down.
 ///
 /// The tap runs *on the collector thread*: it sees every stored batch, in
 /// arrival order, before the batch is folded into the post-mortem event map.
@@ -93,13 +98,14 @@ pub struct CollectorStats {
 /// counters advanced per stored batch so a live scrape sees the session's
 /// pulse, batch size and queue-wait histograms, per-batch handling time,
 /// and the total busy time that feeds the Table IV-style overhead
-/// accountant. The disabled path costs one branch per batch.
+/// accountant. The disabled path costs one branch per batch. When the
+/// handle has an armed flight recorder, batch receipts, drops and
+/// queue-watermark crossings are recorded into it.
 pub(crate) fn spawn(
     rx: Receiver<Msg>,
     telemetry: Telemetry,
-    flight: FlightRecorder,
     session_id: u64,
-    mut tap: Option<Box<dyn CollectorTap>>,
+    mut tap: Option<Box<TapFanout>>,
 ) -> JoinHandle<(HashMap<InstanceId, Vec<AccessEvent>>, CollectorStats)> {
     std::thread::Builder::new()
         .name("dsspy-collector".into())
@@ -114,16 +120,15 @@ pub(crate) fn spawn(
             let events_stored = telemetry.counter("collector.events");
             let batches_stored = telemetry.counter("collector.batches");
             let enabled = telemetry.is_enabled();
+            let flight = telemetry.flight();
             let watermark = flight.queue_watermark();
             // Latched so a sustained breach is one incident, not one per
             // batch; re-arms once the queue falls back under the watermark.
             let mut above_watermark = false;
-            if flight.is_enabled() {
-                flight.record(
-                    TraceContext::new(session_id, 0),
-                    FlightEventKind::SessionStart,
-                );
-            }
+            flight.record(
+                TraceContext::new(session_id, 0),
+                FlightEventKind::SessionStart,
+            );
 
             let mut map: HashMap<InstanceId, Vec<AccessEvent>> = HashMap::new();
             let mut stats = CollectorStats::default();
@@ -223,16 +228,14 @@ pub(crate) fn spawn(
             if let Some(tap) = tap.as_deref_mut() {
                 tap.on_stop(stop_ctx, &stats, session_nanos);
             }
-            if flight.is_enabled() {
-                flight.record(
-                    stop_ctx,
-                    FlightEventKind::SessionStop {
-                        events: stats.events,
-                        batches: stats.batches,
-                        dropped: stats.dropped,
-                    },
-                );
-            }
+            flight.record(
+                stop_ctx,
+                FlightEventKind::SessionStop {
+                    events: stats.events,
+                    batches: stats.batches,
+                    dropped: stats.dropped,
+                },
+            );
             // The queue is fully drained; leave the gauge reflecting that,
             // and publish the post-stop drops alongside `CollectorStats`.
             queue_depth.set(0);
@@ -376,13 +379,7 @@ mod tests {
     #[test]
     fn collector_thread_drains_after_stop() {
         let (tx, rx) = crossbeam::channel::unbounded();
-        let join = spawn(
-            rx,
-            Telemetry::disabled(),
-            FlightRecorder::disabled(),
-            1,
-            None,
-        );
+        let join = spawn(rx, Telemetry::disabled(), 1, None);
         tx.send(Msg::Batch(
             InstanceId(0),
             vec![AccessEvent::at(0, AccessKind::Insert, 0, 1)],
@@ -414,15 +411,7 @@ mod tests {
             0,
         ))
         .unwrap();
-        let (map, stats) = spawn(
-            rx,
-            Telemetry::disabled(),
-            FlightRecorder::disabled(),
-            1,
-            None,
-        )
-        .join()
-        .unwrap();
+        let (map, stats) = spawn(rx, Telemetry::disabled(), 1, None).join().unwrap();
         assert!(map.is_empty(), "post-shutdown events must not be stored");
         assert_eq!(stats.dropped, 2);
         assert_eq!(stats.events, 0);
@@ -432,13 +421,7 @@ mod tests {
     #[test]
     fn collector_thread_stops_when_senders_drop() {
         let (tx, rx) = crossbeam::channel::unbounded();
-        let join = spawn(
-            rx,
-            Telemetry::disabled(),
-            FlightRecorder::disabled(),
-            1,
-            None,
-        );
+        let join = spawn(rx, Telemetry::disabled(), 1, None);
         tx.send(Msg::Batch(
             InstanceId(3),
             vec![AccessEvent::at(0, AccessKind::Read, 0, 1)],
@@ -516,9 +499,11 @@ mod tests {
         let (_, stats) = spawn(
             rx,
             Telemetry::disabled(),
-            FlightRecorder::disabled(),
             7,
-            Some(Box::new(RecordingTap(Arc::clone(&seen)))),
+            Some(Box::new(TapFanout::new().with_subscriber(
+                "recording",
+                Box::new(RecordingTap(Arc::clone(&seen))),
+            ))),
         )
         .join()
         .unwrap();

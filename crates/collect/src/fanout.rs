@@ -1,18 +1,18 @@
 //! Fan-out tap: one collector thread, many [`CollectorTap`] subscribers.
 //!
-//! PR 3's streaming subsystem attached exactly one in-process consumer to
-//! the collector's batch path. A long-running profiling *service* needs
-//! more: a streaming analyzer, a telemetry sampler feeding a live scrape
-//! endpoint, and ad-hoc observers, all watching the same session. The
-//! [`TapFanout`] is that multiplexer — it is itself a [`CollectorTap`], so
-//! it plugs into [`SessionBuilder::tap`](crate::SessionBuilder::tap) unchanged,
-//! and it delivers every `on_batch`/`on_stop` to each registered subscriber
-//! **in registration order**, on the collector thread.
+//! A long-running profiling *service* puts several in-process consumers on
+//! the collector's batch path: a streaming analyzer, ad-hoc observers, and
+//! in tests a reference recorder, all watching the same session. The
+//! [`TapFanout`] is the only thing the collector drives —
+//! [`SessionBuilder::tap`](crate::SessionBuilder::tap) takes nothing else, so
+//! a single subscriber is a fan-out of one — and it delivers every
+//! `on_batch`/`on_stop` to each registered subscriber **in registration
+//! order**, on the collector thread.
 //!
 //! Delivery guarantees, per subscriber:
 //!
-//! * every stored batch, in arrival order (the same order the single-tap
-//!   path sees — dropped post-`Stop` batches are never delivered);
+//! * every stored batch, in arrival order (dropped post-`Stop` batches are
+//!   never delivered);
 //! * `on_stop` exactly once, after the last batch;
 //! * **panic isolation** — a subscriber that panics is poisoned (skipped
 //!   for the rest of the session, counted in `stream.tap.panics`) and the
@@ -23,7 +23,10 @@
 //! per-subscriber `stream.tap.<label>.*` instruments: `batches` / `events`
 //! counters and a `dispatch_nanos` histogram (time that subscriber spends
 //! in `on_batch`, which is collector busy time), plus the aggregate
-//! `stream.tap.subscribers` gauge and `stream.tap.panics` counter.
+//! `stream.tap.subscribers` gauge and `stream.tap.panics` counter. When that
+//! handle has an armed flight recorder, every delivery and every panic
+//! incident is recorded into it, on the same timeline as the collector's
+//! batch receipts.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -31,8 +34,7 @@ use std::sync::Arc;
 
 use dsspy_events::{AccessEvent, InstanceId, InstanceInfo};
 use dsspy_telemetry::{
-    Counter, FlightEventKind, FlightRecorder, Gauge, Histogram, IncidentTrigger, Telemetry,
-    TraceContext,
+    Counter, FlightEventKind, Gauge, Histogram, IncidentTrigger, Telemetry, TraceContext,
 };
 use parking_lot::Mutex;
 
@@ -67,7 +69,8 @@ struct Subscriber {
     dispatch_nanos: Histogram,
 }
 
-/// A [`CollectorTap`] that multiplexes the batch path to N subscribers.
+/// The collector's one tap: multiplexes the batch path to N
+/// [`CollectorTap`] subscribers, each behind `catch_unwind`.
 ///
 /// Build with [`TapFanout::new`] / [`TapFanout::with_telemetry`], register
 /// subscribers with [`TapFanout::subscribe`] (or the chaining
@@ -75,7 +78,6 @@ struct Subscriber {
 /// [`SessionBuilder::tap`](crate::SessionBuilder::tap) as `Box::new(fanout)`.
 pub struct TapFanout {
     telemetry: Telemetry,
-    flight: FlightRecorder,
     subs: Vec<Subscriber>,
     subscribers: Gauge,
     panics: Counter,
@@ -99,22 +101,11 @@ impl TapFanout {
         let dispatch_max = telemetry.gauge("stream.tap.dispatch_nanos_max");
         TapFanout {
             telemetry,
-            flight: FlightRecorder::disabled(),
             subs: Vec::new(),
             subscribers,
             panics,
             dispatch_max,
         }
-    }
-
-    /// Record every per-subscriber delivery (and panic incident) into
-    /// `flight`, chaining. Attach the *same* recorder to the session (via
-    /// [`SessionBuilder::flight`](crate::SessionBuilder::flight)) so
-    /// dispatch events interleave with the collector's batch receipts in
-    /// one causal timeline.
-    pub fn with_flight(mut self, flight: FlightRecorder) -> TapFanout {
-        self.flight = flight;
-        self
     }
 
     /// Register `tap` under `label`. Delivery order across subscribers is
@@ -170,6 +161,31 @@ impl TapFanout {
             .collect()
     }
 
+    /// Deliver one stored batch to every healthy subscriber — the collector
+    /// thread's per-batch call (see [`CollectorTap::on_batch`]).
+    pub(crate) fn on_batch(
+        &mut self,
+        ctx: TraceContext,
+        id: InstanceId,
+        events: &[AccessEvent],
+        queue_depth: usize,
+    ) {
+        self.dispatch(ctx, Some(events.len() as u64), |tap| {
+            tap.on_batch(ctx, id, events, queue_depth)
+        });
+    }
+
+    /// Deliver the session stop to every healthy subscriber (see
+    /// [`CollectorTap::on_stop`]).
+    pub(crate) fn on_stop(
+        &mut self,
+        ctx: TraceContext,
+        stats: &CollectorStats,
+        session_nanos: u64,
+    ) {
+        self.dispatch(ctx, None, |tap| tap.on_stop(ctx, stats, session_nanos));
+    }
+
     /// Deliver one callback to every healthy subscriber, isolating panics.
     /// `batch_events` is `Some(len)` for `on_batch` deliveries (counted into
     /// the subscriber's `batches`/`events` instruments) and `None` for
@@ -182,6 +198,7 @@ impl TapFanout {
         batch_events: Option<u64>,
         call: impl Fn(&mut dyn CollectorTap),
     ) {
+        let flight = self.telemetry.flight();
         for sub in self.subs.iter_mut().filter(|s| !s.poisoned) {
             let started = self.telemetry.now_nanos();
             // The collector thread must survive any subscriber. A panicking
@@ -197,18 +214,16 @@ impl TapFanout {
                     }
                     sub.dispatch_nanos.record(dur_nanos);
                     self.dispatch_max.set_max(dur_nanos);
-                    if self.flight.is_enabled() {
-                        let kind = match batch_events {
-                            Some(events) => FlightEventKind::TapDispatch { events, dur_nanos },
-                            None => FlightEventKind::StopDelivered { dur_nanos },
-                        };
-                        self.flight.record_for(ctx, Some(&sub.label), kind);
-                    }
+                    let kind = match batch_events {
+                        Some(events) => FlightEventKind::TapDispatch { events, dur_nanos },
+                        None => FlightEventKind::StopDelivered { dur_nanos },
+                    };
+                    flight.record_for(ctx, Some(&sub.label), kind);
                 }
                 Err(payload) => {
                     sub.poisoned = true;
                     self.panics.inc();
-                    self.flight.incident(
+                    flight.incident(
                         ctx,
                         Some(&sub.label),
                         IncidentTrigger::SubscriberPanic {
@@ -251,24 +266,6 @@ impl std::fmt::Debug for TapFanout {
     }
 }
 
-impl CollectorTap for TapFanout {
-    fn on_batch(
-        &mut self,
-        ctx: TraceContext,
-        id: InstanceId,
-        events: &[AccessEvent],
-        queue_depth: usize,
-    ) {
-        self.dispatch(ctx, Some(events.len() as u64), |tap| {
-            tap.on_batch(ctx, id, events, queue_depth)
-        });
-    }
-
-    fn on_stop(&mut self, ctx: TraceContext, stats: &CollectorStats, session_nanos: u64) {
-        self.dispatch(ctx, None, |tap| tap.on_stop(ctx, stats, session_nanos));
-    }
-}
-
 /// What a [`CaptureRecorder`] has seen so far.
 #[derive(Default)]
 struct RecorderState {
@@ -283,9 +280,8 @@ struct RecorderState {
 /// delivered batch and, once the session stops, can rebuild a [`Capture`]
 /// equal to the one [`Session::finish`](crate::Session::finish) returns.
 ///
-/// Clones share state: keep one handle on the driving thread and pass
-/// [`CaptureRecorder::tap`] to a [`TapFanout`] (or directly to
-/// [`SessionBuilder::tap`](crate::SessionBuilder::tap)). Because taps observe
+/// Clones share state: keep one handle on the driving thread and subscribe
+/// [`CaptureRecorder::tap`] to a [`TapFanout`]. Because taps observe
 /// exactly the stored batches, the rebuilt capture's profiles are
 /// byte-identical to the session's own — the reference the fan-out
 /// convergence tests compare against. No production surface installs it.
@@ -305,11 +301,6 @@ impl CaptureRecorder {
         Box::new(RecorderTap {
             shared: Arc::clone(&self.shared),
         })
-    }
-
-    /// Whether `on_stop` has been delivered.
-    pub fn stopped(&self) -> bool {
-        self.shared.lock().finished.is_some()
     }
 
     /// The collector stats and session duration delivered at `on_stop`.
@@ -515,7 +506,7 @@ mod tests {
     #[test]
     fn recorder_rebuilds_the_capture() {
         let recorder = CaptureRecorder::new();
-        let mut tap = recorder.tap();
+        let mut tap = TapFanout::new().with_subscriber("recorder", recorder.tap());
         tap.on_batch(TraceContext::new(1, 1), InstanceId(0), &batch(0..3), 0);
         tap.on_batch(TraceContext::new(1, 2), InstanceId(1), &batch(3..5), 0);
         assert!(recorder.capture(Vec::new()).is_none(), "not stopped yet");
@@ -612,11 +603,9 @@ mod tests {
 
     #[test]
     fn fanout_records_flight_dispatches_and_panic_incidents() {
-        let telemetry = Telemetry::enabled();
-        let flight = dsspy_telemetry::FlightRecorder::new(dsspy_telemetry::FlightConfig::default());
+        let telemetry = Telemetry::enabled().with_flight(dsspy_telemetry::FlightConfig::default());
         let r = CaptureRecorder::new();
         let mut fanout = TapFanout::with_telemetry(telemetry.clone())
-            .with_flight(flight.clone())
             .with_subscriber("analyzer", r.tap())
             .with_subscriber(
                 "bomb",
@@ -633,7 +622,7 @@ mod tests {
         std::panic::set_hook(hook);
         fanout.on_stop(TraceContext::new(9, 1), &CollectorStats::default(), 1);
 
-        let dump = flight.dump();
+        let dump = telemetry.flight().dump();
         // analyzer: TapDispatch + StopDelivered; bomb: the panic event.
         let chain = dump.chain(ctx);
         assert!(chain

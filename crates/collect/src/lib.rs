@@ -18,11 +18,14 @@
 //! * When the [`Session`] is finished, the collector drains, joins, and the
 //!   per-instance [`dsspy_events::RuntimeProfile`]s are handed to
 //!   post-mortem analysis.
-//! * Live consumers subscribe to the collector's batch path through the
-//!   [`CollectorTap`] hook; a [`TapFanout`] multiplexes one session to many
-//!   subscribers with per-subscriber panic isolation — the substrate of the
-//!   long-running service surfaces (`dsspy watch --follow`, `dsspy
-//!   telemetry serve --live`), which put the streaming analyzer on it.
+//! * Live consumers implement the [`CollectorTap`] hook and subscribe to a
+//!   [`TapFanout`], the only tap the collector drives: it multiplexes one
+//!   session to any number of subscribers with per-subscriber panic
+//!   isolation — the substrate of the long-running service surfaces
+//!   (`dsspy watch --follow`, `dsspy telemetry serve --live`), which put
+//!   the streaming analyzer on it.
+//! * One [`dsspy_telemetry::Telemetry`] handle observes the whole session:
+//!   metrics, spans and, when armed, the flight recorder, all on one clock.
 //!
 //! Timestamps combine a session-global atomic sequence number (total order)
 //! with wall-clock nanoseconds from a monotonic [`SessionClock`], and every

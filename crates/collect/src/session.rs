@@ -13,10 +13,11 @@ use std::thread::JoinHandle;
 
 use crossbeam::channel::{bounded, unbounded, Sender};
 use dsspy_events::{AccessEvent, AccessKind, AllocationSite, DsKind, InstanceId, Origin, Target};
-use dsspy_telemetry::{next_session_id, FlightRecorder, IncidentTrigger, Telemetry, TraceContext};
+use dsspy_telemetry::{next_session_id, IncidentTrigger, Telemetry, TraceContext};
 
 use crate::clock::{current_thread_tag, SessionClock};
-use crate::collector::{spawn, Capture, CollectorStats, CollectorTap, Msg};
+use crate::collector::{spawn, Capture, CollectorStats, Msg};
+use crate::fanout::TapFanout;
 use crate::registry::Registry;
 
 /// Tunables for a profiling session.
@@ -48,12 +49,10 @@ pub(crate) struct SessionInner {
     /// Shared with streaming consumers via [`Session::registry_handle`], so
     /// a tap can resolve instance metadata while the session is still live.
     pub(crate) registry: Arc<Registry>,
-    /// Self-observation handle; [`Telemetry::disabled`] unless attached via
+    /// Self-observation handle, flight recorder included;
+    /// [`Telemetry::disabled`] unless attached via
     /// [`SessionBuilder::telemetry`].
     pub(crate) telemetry: Telemetry,
-    /// Flight recorder the session's pipeline records into;
-    /// [`FlightRecorder::disabled`] unless attached via [`SessionBuilder`].
-    pub(crate) flight: FlightRecorder,
     /// The process-unique id stamped into every [`TraceContext`] this
     /// session's collector emits.
     pub(crate) session_id: u64,
@@ -79,9 +78,9 @@ impl Session {
         Session::builder().start()
     }
 
-    /// Configure a session — [`SessionConfig`], telemetry, a flight recorder
-    /// and a collector tap, in any combination — then
-    /// [`SessionBuilder::start`] it.
+    /// Configure a session — [`SessionConfig`], telemetry (with or without
+    /// an armed flight recorder) and a collector tap, in any combination —
+    /// then [`SessionBuilder::start`] it.
     pub fn builder() -> SessionBuilder {
         SessionBuilder::default()
     }
@@ -92,13 +91,8 @@ impl Session {
         self.inner.session_id
     }
 
-    /// The flight recorder this session's pipeline records into (disabled
-    /// unless attached via [`SessionBuilder::flight`]).
-    pub fn flight_recorder(&self) -> &FlightRecorder {
-        &self.inner.flight
-    }
-
-    /// The telemetry handle this session reports into (disabled by default).
+    /// The telemetry handle this session reports into (disabled by default);
+    /// its [`Telemetry::flight`] is the recorder the pipeline records into.
     pub fn telemetry(&self) -> &Telemetry {
         &self.inner.telemetry
     }
@@ -188,21 +182,20 @@ impl Session {
         // Incident auto-dumps keep the configured dump file fresh mid-run;
         // this final flush captures the session's full tail (including the
         // SessionStop event the collector just recorded).
-        if let Err(err) = self.inner.flight.flush_dump() {
+        if let Err(err) = self.inner.telemetry.flight().flush_dump() {
             eprintln!("dsspy: final flight-recorder dump failed: {err}");
         }
         capture
     }
 }
 
-/// Builder for sessions that combine telemetry, a flight recorder, and a
-/// collector tap. [`SessionBuilder::start`] spawns the collector thread.
+/// Builder for sessions that combine telemetry and a collector tap.
+/// [`SessionBuilder::start`] spawns the collector thread.
 #[derive(Default)]
 pub struct SessionBuilder {
     config: SessionConfig,
     telemetry: Telemetry,
-    flight: FlightRecorder,
-    tap: Option<Box<dyn CollectorTap>>,
+    tap: Option<Box<TapFanout>>,
 }
 
 impl SessionBuilder {
@@ -212,21 +205,20 @@ impl SessionBuilder {
         self
     }
 
-    /// Observe the session with `telemetry`.
+    /// Observe the session with `telemetry`. When the handle has an armed
+    /// flight recorder ([`Telemetry::with_flight`]), the collector records
+    /// the session's pipeline events into it and triggers its incident
+    /// dumps.
     pub fn telemetry(mut self, telemetry: Telemetry) -> SessionBuilder {
         self.telemetry = telemetry;
         self
     }
 
-    /// Record the session's pipeline events into `flight` (and trigger its
-    /// incident dumps).
-    pub fn flight(mut self, flight: FlightRecorder) -> SessionBuilder {
-        self.flight = flight;
-        self
-    }
-
-    /// Feed every stored batch to `tap` on the collector thread.
-    pub fn tap(mut self, tap: Box<dyn CollectorTap>) -> SessionBuilder {
+    /// Feed every stored batch to `tap`'s subscribers on the collector
+    /// thread. The collector only ever drives a [`TapFanout`], so every
+    /// subscriber is panic-isolated; a single subscriber is a fan-out of
+    /// one.
+    pub fn tap(mut self, tap: Box<TapFanout>) -> SessionBuilder {
         self.tap = Some(tap);
         self
     }
@@ -235,26 +227,20 @@ impl SessionBuilder {
     /// enabled the collector reports queue depth, batch latency and busy
     /// time (see the `dsspy-telemetry` crate); a tap sees every stored batch
     /// on the collector thread before it is folded into the capture (see
-    /// [`CollectorTap`] for the exact delivery guarantees).
+    /// [`CollectorTap`](crate::CollectorTap) for the exact delivery
+    /// guarantees).
     pub fn start(self) -> Session {
         let (tx, rx) = match self.config.channel_capacity {
             Some(n) => bounded(n),
             None => unbounded(),
         };
         let session_id = next_session_id();
-        let join = spawn(
-            rx,
-            self.telemetry.clone(),
-            self.flight.clone(),
-            session_id,
-            self.tap,
-        );
+        let join = spawn(rx, self.telemetry.clone(), session_id, self.tap);
         Session {
             inner: Arc::new(SessionInner {
                 clock: SessionClock::new(),
                 registry: Arc::new(Registry::new()),
                 telemetry: self.telemetry,
-                flight: self.flight,
                 session_id,
                 closed: AtomicBool::new(false),
                 dropped: AtomicU64::new(0),
@@ -304,7 +290,7 @@ impl InstanceHandle {
                 // First post-shutdown drop on this session: the drop counter
                 // just moved, which is an incident trigger. Later drops ride
                 // the same incident — the counter shows the volume.
-                self.inner.flight.incident(
+                self.inner.telemetry.flight().incident(
                     TraceContext::new(self.inner.session_id, 0),
                     None,
                     IncidentTrigger::DropSpike { dropped: 1 },

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use dsspy_collect::{
     load_capture_with, read_capture_with, save_capture_with, write_capture, write_capture_with,
-    CollectorStats, CollectorTap, ReadOptions, Session, SessionConfig,
+    CollectorStats, CollectorTap, ReadOptions, Session, SessionConfig, TapFanout,
 };
 use dsspy_events::{AccessEvent, AccessKind, AllocationSite, DsKind, InstanceId, Target};
 use dsspy_telemetry::{overhead::signals, Telemetry, TraceContext};
@@ -156,11 +156,14 @@ fn queue_depth_hwm_is_the_deepest_queue_the_tap_was_handed() {
             channel_capacity: None,
         })
         .telemetry(telemetry.clone())
-        .tap(Box::new(GatedTap {
-            gate: Arc::clone(&gate),
-            deliveries: 0,
-            deepest: Arc::clone(&deepest),
-        }))
+        .tap(Box::new(TapFanout::new().with_subscriber(
+            "gated",
+            Box::new(GatedTap {
+                gate: Arc::clone(&gate),
+                deliveries: 0,
+                deepest: Arc::clone(&deepest),
+            }),
+        )))
         .start();
     let mut h = session.register(site(1), DsKind::List, "i32");
     let mut record = |range: std::ops::Range<u32>| {

@@ -12,7 +12,7 @@ use std::time::Instant;
 use dsspy_collect::{Capture, Session, SessionConfig};
 use dsspy_events::RuntimeProfile;
 use dsspy_patterns::{analyze, regularity, MinerConfig, RegularityConfig};
-use dsspy_telemetry::{overhead::signals, FlightRecorder, OverheadReport, Telemetry};
+use dsspy_telemetry::{overhead::signals, OverheadReport, Telemetry};
 use dsspy_usecases::{advisories, classify, AdvisoryConfig, Thresholds};
 use serde::{Deserialize, Serialize};
 
@@ -120,35 +120,14 @@ impl Dsspy {
     /// [`Dsspy::profile`] under observation: the session's collector
     /// reports into `telemetry`, the analysis records per-instance spans,
     /// and the resulting report embeds the snapshot with Table IV-style
-    /// overhead accounting.
+    /// overhead accounting. When `telemetry` carries an armed flight
+    /// recorder ([`Telemetry::with_flight`]), every batch receipt, drop and
+    /// queue-pressure crossing of the run lands in its causal ring; read it
+    /// back with [`Telemetry::flight`] after this returns.
     pub fn profile_with(&self, program: impl FnOnce(&Session), telemetry: &Telemetry) -> Report {
         let session = Session::builder()
             .config(self.session)
             .telemetry(telemetry.clone())
-            .start();
-        program(&session);
-        let capture = session.finish();
-        self.analyze_capture_with(&capture, telemetry)
-    }
-
-    /// [`Dsspy::profile_with`] under *full* observation: telemetry plus a
-    /// [`FlightRecorder`] threaded into the session's collector, so every
-    /// batch receipt, drop and queue-pressure crossing of the run lands in
-    /// the recorder's causal ring (and auto-dumps on incident when the
-    /// recorder was configured with a dump path). The flight recorder is a
-    /// cheap cloneable handle; keep one and read
-    /// [`FlightRecorder::dump`](dsspy_telemetry::FlightRecorder::dump)
-    /// after this returns.
-    pub fn profile_observed(
-        &self,
-        program: impl FnOnce(&Session),
-        telemetry: &Telemetry,
-        flight: &FlightRecorder,
-    ) -> Report {
-        let session = Session::builder()
-            .config(self.session)
-            .telemetry(telemetry.clone())
-            .flight(flight.clone())
             .start();
         program(&session);
         let capture = session.finish();
@@ -337,12 +316,10 @@ mod tests {
     }
 
     #[test]
-    fn profile_observed_records_a_clean_flight_chain() {
+    fn profile_with_an_armed_recorder_records_a_clean_flight_chain() {
         use dsspy_telemetry::{FlightConfig, FlightEventKind};
-        let telemetry = Telemetry::enabled();
-        let flight =
-            dsspy_telemetry::FlightRecorder::with_telemetry(FlightConfig::default(), &telemetry);
-        let report = Dsspy::new().profile_observed(
+        let telemetry = Telemetry::enabled().with_flight(FlightConfig::default());
+        let report = Dsspy::new().profile_with(
             |session| {
                 let mut list = SpyVec::register(session, site!("observed"));
                 for i in 0..300 {
@@ -350,10 +327,9 @@ mod tests {
                 }
             },
             &telemetry,
-            &flight,
         );
         assert_eq!(report.instance_count(), 1);
-        let dump = flight.dump();
+        let dump = telemetry.flight().dump();
         assert!(dump.incidents.is_empty(), "{:?}", dump.incidents);
         let sessions = dump.sessions();
         assert_eq!(sessions.len(), 1, "{sessions:?}");

@@ -41,13 +41,11 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use dsspy_collect::{Capture, CollectorStats, CollectorTap, Registry, Session};
+use dsspy_collect::{Capture, CollectorStats, CollectorTap, Registry, Session, TapFanout};
 use dsspy_core::{AnalysisTimings, Dsspy, InstanceReport, Report};
 use dsspy_events::{AccessEvent, InstanceId, InstanceInfo, Origin};
 use dsspy_patterns::IncrementalAnalyzer;
-use dsspy_telemetry::{
-    Counter, FlightEventKind, FlightRecorder, Gauge, Histogram, Telemetry, TraceContext,
-};
+use dsspy_telemetry::{Counter, FlightEventKind, Gauge, Histogram, Telemetry, TraceContext};
 use dsspy_usecases::{classify, AdvisoryFold};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -207,10 +205,9 @@ impl InstanceState {
 struct Shared {
     dsspy: Dsspy,
     config: StreamConfig,
+    /// Self-observation handle; snapshot publications are recorded into its
+    /// flight recorder when one is armed.
     telemetry: Telemetry,
-    /// Flight recorder snapshot publications are recorded into (disabled
-    /// unless attached via [`StreamingAnalyzer::with_flight`]).
-    flight: FlightRecorder,
     /// The causal coordinates of the most recently folded batch — the
     /// context a snapshot publication is attributed to.
     last_ctx: TraceContext,
@@ -242,7 +239,6 @@ impl Shared {
             dsspy,
             config,
             telemetry,
-            flight: FlightRecorder::disabled(),
             last_ctx: TraceContext::default(),
             ins,
             registry: None,
@@ -336,15 +332,13 @@ impl Shared {
         self.ins
             .snapshot_nanos
             .record(self.telemetry.now_nanos().saturating_sub(started));
-        if self.flight.is_enabled() {
-            self.flight.record_for(
-                self.last_ctx,
-                Some("analyzer"),
-                FlightEventKind::SnapshotPublished {
-                    snapshot: self.snapshots,
-                },
-            );
-        }
+        self.telemetry.flight().record_for(
+            self.last_ctx,
+            Some("analyzer"),
+            FlightEventKind::SnapshotPublished {
+                snapshot: self.snapshots,
+            },
+        );
     }
 
     /// Classify everything folded so far, mirroring
@@ -441,11 +435,12 @@ impl CollectorTap for StreamTap {
 ///
 /// Two modes share one implementation:
 ///
-/// * **Session mode** — [`StreamingAnalyzer::attach`] (or
-///   [`StreamingAnalyzer::tap`] +
+/// * **Session mode** — [`StreamingAnalyzer::attach`] starts a session
+///   whose collector feeds the analyzer through a
+///   [`TapFanout`]. (The parts stay public for rigs that assemble their own
+///   fan-out: [`StreamingAnalyzer::tap`] +
 ///   [`SessionBuilder::tap`](dsspy_collect::SessionBuilder::tap) +
-///   [`StreamingAnalyzer::bind_registry`]) subscribes to a live session's
-///   collector thread.
+///   [`StreamingAnalyzer::bind_registry`].)
 /// * **Replay mode** — [`StreamingAnalyzer::replay_capture`] (or
 ///   [`StreamingAnalyzer::register_instance`] +
 ///   [`StreamingAnalyzer::fold_batch`]) streams an existing capture through
@@ -468,7 +463,8 @@ impl StreamingAnalyzer {
     }
 
     /// A streaming analyzer that reports its internals (`stream.*` counters,
-    /// histograms, gauges) into `telemetry`.
+    /// histograms, gauges) into `telemetry`, and its snapshot publications
+    /// into that handle's flight recorder when one is armed.
     pub fn with_telemetry(
         dsspy: Dsspy,
         config: StreamConfig,
@@ -479,12 +475,11 @@ impl StreamingAnalyzer {
         }
     }
 
-    /// The collector-thread subscription. Hand this to
-    /// [`SessionBuilder::tap`](dsspy_collect::SessionBuilder::tap), directly
-    /// or through a [`TapFanout`](dsspy_collect::TapFanout); call
-    /// [`StreamingAnalyzer::bind_registry`] with the session's
+    /// The collector-thread subscription. Subscribe it to a [`TapFanout`]
+    /// handed to [`SessionBuilder::tap`](dsspy_collect::SessionBuilder::tap),
+    /// and call [`StreamingAnalyzer::bind_registry`] with the session's
     /// [`Session::registry_handle`] so snapshots can resolve instance
-    /// metadata.
+    /// metadata — or let [`StreamingAnalyzer::attach`] do all of it.
     pub fn tap(&self) -> Box<dyn CollectorTap> {
         Box::new(StreamTap {
             shared: Arc::clone(&self.shared),
@@ -496,29 +491,29 @@ impl StreamingAnalyzer {
         self.shared.lock().registry = Some(registry);
     }
 
-    /// Record snapshot publications into `flight`, chaining.
-    /// [`StreamingAnalyzer::attach`] also threads the recorder into the
-    /// session it starts, so collector-side events (batch receipts, drops,
-    /// watermark breaches) land in the same causal timeline.
-    pub fn with_flight(self, flight: FlightRecorder) -> StreamingAnalyzer {
-        self.shared.lock().flight = flight;
-        self
-    }
-
-    /// Start a session wired to this analyzer: the collector feeds the tap,
-    /// and the session's registry backs snapshot metadata. The session's
-    /// collector reports into the same `telemetry` handle the analyzer was
-    /// built with.
-    pub fn attach(&self) -> Session {
-        let (telemetry, session_config, flight) = {
+    /// Start a session wired to this analyzer, with the analyzer's
+    /// [`Dsspy::session`] configuration: the collector drives a
+    /// [`TapFanout`] whose first subscriber is this analyzer (labelled
+    /// `analyzer`), followed by each of `extra` in order, every one
+    /// panic-isolated from the others. The session's registry backs
+    /// snapshot metadata. Session, fan-out and analyzer all report into the
+    /// telemetry handle the analyzer was built with, so its flight
+    /// recorder, when armed, sees batch receipts, dispatches and snapshots
+    /// on one causal timeline.
+    pub fn attach(&self, extra: Vec<(&str, Box<dyn CollectorTap>)>) -> Session {
+        let (telemetry, session_config) = {
             let s = self.shared.lock();
-            (s.telemetry.clone(), s.dsspy.session, s.flight.clone())
+            (s.telemetry.clone(), s.dsspy.session)
         };
+        let mut fanout =
+            TapFanout::with_telemetry(telemetry.clone()).with_subscriber("analyzer", self.tap());
+        for (label, tap) in extra {
+            fanout.subscribe(label, tap);
+        }
         let session = Session::builder()
             .config(session_config)
             .telemetry(telemetry)
-            .flight(flight)
-            .tap(self.tap())
+            .tap(Box::new(fanout))
             .start();
         self.bind_registry(session.registry_handle());
         session
@@ -629,8 +624,8 @@ struct SamplerInstruments {
 /// publishes the same pulse itself (`collector.events`/`collector.batches`
 /// per stored batch, `collector.queue_depth` and its high-watermark), so
 /// `stream.live.*` duplicates `collector.*`. It remains for the benchmark's
-/// live rig. Clones share state; hand [`TelemetrySampler::tap`] to a
-/// [`TapFanout`](dsspy_collect::TapFanout).
+/// live rig. Clones share state; subscribe [`TelemetrySampler::tap`] to a
+/// [`TapFanout`].
 #[derive(Clone)]
 pub struct TelemetrySampler {
     shared: Arc<Mutex<SamplerState>>,
@@ -748,7 +743,7 @@ mod tests {
     fn live_session_converges_to_post_mortem() {
         let dsspy = Dsspy::new().with_threads(1);
         let streaming = StreamingAnalyzer::new(dsspy, StreamConfig::default());
-        let session = streaming.attach();
+        let session = streaming.attach(Vec::new());
         run_workload(&session);
         let capture = session.finish();
         let live = streaming
@@ -769,7 +764,9 @@ mod tests {
                 batch_size: 32,
                 channel_capacity: None,
             })
-            .tap(sampler.tap())
+            .tap(Box::new(
+                TapFanout::new().with_subscriber("sampler", sampler.tap()),
+            ))
             .start();
         run_workload(&session);
         let capture = session.finish();
@@ -918,7 +915,7 @@ mod tests {
     fn selective_mode_filters_streaming_reports_too() {
         let dsspy = Dsspy::new().selective().with_threads(1);
         let streaming = StreamingAnalyzer::new(dsspy, StreamConfig::default());
-        let session = streaming.attach();
+        let session = streaming.attach(Vec::new());
         {
             let mut auto = SpyVec::register(&session, site!("auto_hot"));
             for i in 0..400 {
@@ -943,7 +940,7 @@ mod tests {
         let dsspy = Dsspy::new().with_threads(1);
         let streaming =
             StreamingAnalyzer::with_telemetry(dsspy, StreamConfig::default(), telemetry.clone());
-        let session = streaming.attach();
+        let session = streaming.attach(Vec::new());
         run_workload(&session);
         let _capture = session.finish();
         let snap = telemetry.snapshot();
@@ -968,19 +965,19 @@ mod tests {
 
     #[test]
     fn live_session_records_a_causal_flight_chain() {
-        use dsspy_telemetry::{FlightConfig, FlightRecorder};
+        use dsspy_telemetry::FlightConfig;
 
-        let flight = FlightRecorder::new(FlightConfig::default());
+        let telemetry = Telemetry::enabled().with_flight(FlightConfig::default());
         let dsspy = Dsspy::new().with_threads(1);
         let streaming =
-            StreamingAnalyzer::new(dsspy, StreamConfig::default()).with_flight(flight.clone());
-        let session = streaming.attach();
+            StreamingAnalyzer::with_telemetry(dsspy, StreamConfig::default(), telemetry.clone());
+        let session = streaming.attach(Vec::new());
         let sid = session.session_id();
         assert_ne!(sid, 0);
         run_workload(&session);
         let capture = session.finish();
 
-        let dump = flight.dump();
+        let dump = telemetry.flight().dump();
         assert_eq!(dump.sessions(), vec![sid], "one live session observed");
         let batches: Vec<_> = dump
             .events
@@ -1041,7 +1038,7 @@ mod tests {
             ..Dsspy::new()
         };
         let streaming = StreamingAnalyzer::new(dsspy.with_threads(1), StreamConfig::default());
-        let session = streaming.attach();
+        let session = streaming.attach(Vec::new());
         {
             let mut v = SpyVec::register(&session, site!("pressured"));
             for i in 0..5_000 {

@@ -210,7 +210,7 @@ proptest! {
         }
         .with_threads(1);
         let streaming = StreamingAnalyzer::new(dsspy, StreamConfig::default());
-        let session = streaming.attach();
+        let session = streaming.attach(Vec::new());
         drive(&session, &ops);
         let capture = session.finish();
         let live = streaming.latest_report().expect("final snapshot");

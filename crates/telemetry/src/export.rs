@@ -298,10 +298,12 @@ mod tests {
 
     #[test]
     fn flight_chrome_trace_tracks_subscribers_and_marks_incidents() {
-        use crate::flight::{FlightConfig, FlightEventKind, FlightRecorder, IncidentTrigger};
+        use crate::flight::{FlightConfig, FlightEventKind, IncidentTrigger};
         use crate::trace::TraceContext;
 
-        let f = FlightRecorder::new(FlightConfig::default());
+        let f = crate::Telemetry::enabled()
+            .with_flight(FlightConfig::default())
+            .flight();
         let ctx = TraceContext::new(1, 1);
         f.record(
             ctx,

@@ -11,9 +11,17 @@
 //! reconstructable after the fact (DINAMITE-style bounded always-on
 //! tracing; TASKPROF-style causal reconstruction).
 //!
-//! The cardinal rule matches [`Telemetry`](crate::Telemetry): **zero cost
-//! when disabled**. [`FlightRecorder::disabled`] is a `None` behind a cheap
-//! clone and every `record` is one branch on a pointer-sized option; the
+//! The recorder is not a handle of its own:
+//! [`Telemetry::with_flight`](crate::Telemetry::with_flight) arms it inside
+//! a telemetry handle, and [`Telemetry::flight`](crate::Telemetry::flight)
+//! reads it back
+//! wherever that handle reaches (session, collector, fan-out, streaming
+//! analyzer). Its events are stamped from the telemetry clock, so flight
+//! events, spans and histogram samples share one timeline.
+//!
+//! The cardinal rule matches [`Telemetry`](crate::Telemetry): **zero cost when disabled**. The
+//! recorder of an unarmed handle is a `None` behind a cheap clone and every
+//! `record` is one branch on a pointer-sized option; the
 //! collector hot path never allocates or locks on behalf of the recorder
 //! unless it is enabled. When enabled, a `record` is one short
 //! `parking_lot` critical section (push + bounded evict) — events arrive
@@ -35,9 +43,9 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::clock::ClockSource;
-use crate::metrics::{Counter, Gauge};
+use crate::metrics::{Counter, Gauge, MetricRegistry};
 use crate::trace::TraceContext;
-use crate::Telemetry;
+use crate::TelemetryInner;
 
 /// Schema identifier written into every [`FlightDump`].
 pub const FLIGHT_SCHEMA: &str = "dsspy-flight/1";
@@ -160,7 +168,7 @@ pub struct FlightEvent {
     /// Recorder-global sequence number (monotonic, never reused — gaps
     /// reveal ring overwrites).
     pub seq: u64,
-    /// Nanoseconds on the recorder clock.
+    /// Nanoseconds on the telemetry clock.
     pub nanos: u64,
     /// The batch this event belongs to causally.
     pub ctx: TraceContext,
@@ -230,7 +238,7 @@ pub struct Incident {
     /// The [`FlightEvent::seq`] of the event recorded alongside this
     /// incident (anchor into the ring, when it is still there).
     pub seq: u64,
-    /// Nanoseconds on the recorder clock.
+    /// Nanoseconds on the telemetry clock.
     pub nanos: u64,
     /// The batch the incident belongs to causally.
     pub ctx: TraceContext,
@@ -317,8 +325,11 @@ struct FlightState {
     incidents: Vec<Incident>,
 }
 
-struct FlightInner {
-    clock: ClockSource,
+/// The ring and incident log an armed [`Telemetry`](crate::Telemetry)
+/// carries. It has no clock of its own: events are stamped from the
+/// telemetry clock, so they share one timeline with the handle's spans and
+/// histograms.
+pub(crate) struct FlightInner {
     config: FlightConfig,
     state: Mutex<FlightState>,
     events: Counter,
@@ -327,47 +338,57 @@ struct FlightInner {
     ring_len: Gauge,
 }
 
-/// Handle to one flight recorder. Clones share the ring; the
-/// default/disabled handle makes every operation a no-op branch.
-#[derive(Clone, Default)]
+impl FlightInner {
+    /// A fresh ring publishing `flight.events` / `flight.incidents` /
+    /// `flight.overwritten` counters and `flight.ring_len` /
+    /// `flight.capacity` gauges into `registry`.
+    pub(crate) fn new(config: FlightConfig, registry: &MetricRegistry) -> FlightInner {
+        let capacity = config.capacity.max(1);
+        Gauge(Some(registry.gauge("flight.capacity"))).set(capacity as u64);
+        FlightInner {
+            config: FlightConfig { capacity, ..config },
+            state: Mutex::new(FlightState {
+                next_seq: 0,
+                overwritten: 0,
+                ring: VecDeque::with_capacity(capacity.min(1024)),
+                incidents: Vec::new(),
+            }),
+            events: Counter(Some(registry.counter("flight.events"))),
+            incidents: Counter(Some(registry.counter("flight.incidents"))),
+            overwritten: Counter(Some(registry.counter("flight.overwritten"))),
+            ring_len: Gauge(Some(registry.gauge("flight.ring_len"))),
+        }
+    }
+}
+
+impl std::fmt::Debug for FlightInner {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let state = self.state.lock();
+        f.debug_struct("FlightRecorder")
+            .field("capacity", &self.config.capacity)
+            .field("events", &state.ring.len())
+            .field("overwritten", &state.overwritten)
+            .field("incidents", &state.incidents.len())
+            .finish()
+    }
+}
+
+/// Handle to the flight recorder armed inside a
+/// [`Telemetry`](crate::Telemetry); obtain it with
+/// [`Telemetry::flight`](crate::Telemetry::flight). Clones share the ring;
+/// the recorder of an unarmed handle makes every operation a no-op branch.
+#[derive(Clone)]
 pub struct FlightRecorder {
-    inner: Option<Arc<FlightInner>>,
+    /// `Some` only when the telemetry handle's flight ring is armed.
+    pub(crate) inner: Option<Arc<TelemetryInner>>,
 }
 
 impl FlightRecorder {
-    /// An enabled recorder without metric self-observation.
-    pub fn new(config: FlightConfig) -> FlightRecorder {
-        FlightRecorder::with_telemetry(config, &Telemetry::disabled())
-    }
-
-    /// An enabled recorder that also publishes `flight.*` instruments into
-    /// `telemetry`: `flight.events` / `flight.incidents` /
-    /// `flight.overwritten` counters and the `flight.ring_len` /
-    /// `flight.capacity` gauges.
-    pub fn with_telemetry(config: FlightConfig, telemetry: &Telemetry) -> FlightRecorder {
-        let capacity = config.capacity.max(1);
-        telemetry.gauge("flight.capacity").set(capacity as u64);
-        FlightRecorder {
-            inner: Some(Arc::new(FlightInner {
-                clock: ClockSource::default(),
-                config: FlightConfig { capacity, ..config },
-                state: Mutex::new(FlightState {
-                    next_seq: 0,
-                    overwritten: 0,
-                    ring: VecDeque::with_capacity(capacity.min(1024)),
-                    incidents: Vec::new(),
-                }),
-                events: telemetry.counter("flight.events"),
-                incidents: telemetry.counter("flight.incidents"),
-                overwritten: telemetry.counter("flight.overwritten"),
-                ring_len: telemetry.gauge("flight.ring_len"),
-            })),
-        }
-    }
-
-    /// The no-op recorder for unobserved pipelines.
-    pub fn disabled() -> FlightRecorder {
-        FlightRecorder { inner: None }
+    /// The telemetry clock and the armed ring, or `None` when disabled.
+    #[inline]
+    fn armed(&self) -> Option<(&ClockSource, &FlightInner)> {
+        let telemetry = self.inner.as_deref()?;
+        Some((&telemetry.clock, telemetry.flight.as_ref()?))
     }
 
     /// Whether this handle records anything.
@@ -380,7 +401,7 @@ impl FlightRecorder {
     /// callers use this to skip the depth comparison entirely).
     #[inline]
     pub fn queue_watermark(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.config.queue_watermark)
+        self.armed().map_or(0, |(_, f)| f.config.queue_watermark)
     }
 
     /// Record one collector-level event (no subscriber attribution).
@@ -391,8 +412,10 @@ impl FlightRecorder {
 
     /// Record one event attributed to a fan-out subscriber.
     pub fn record_for(&self, ctx: TraceContext, subscriber: Option<&str>, kind: FlightEventKind) {
-        let Some(inner) = &self.inner else { return };
-        let nanos = inner.clock.nanos();
+        let Some((clock, inner)) = self.armed() else {
+            return;
+        };
+        let nanos = clock.nanos();
         let mut state = inner.state.lock();
         push_event(inner, &mut state, nanos, ctx, subscriber, kind);
     }
@@ -401,8 +424,10 @@ impl FlightRecorder {
     /// ring), a matching event joins the ring, and — when configured — the
     /// whole recorder state is re-dumped to [`FlightConfig::dump_path`].
     pub fn incident(&self, ctx: TraceContext, subscriber: Option<&str>, trigger: IncidentTrigger) {
-        let Some(inner) = &self.inner else { return };
-        let nanos = inner.clock.nanos();
+        let Some((clock, inner)) = self.armed() else {
+            return;
+        };
+        let nanos = clock.nanos();
         let dump = {
             let mut state = inner.state.lock();
             let seq = push_event(
@@ -439,17 +464,10 @@ impl FlightRecorder {
         }
     }
 
-    /// Number of incidents triggered so far.
-    pub fn incident_count(&self) -> usize {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| i.state.lock().incidents.len())
-    }
-
     /// Freeze the recorder into a serializable dump.
     pub fn dump(&self) -> FlightDump {
-        match &self.inner {
-            Some(inner) => dump_locked(inner, &inner.state.lock()),
+        match self.armed() {
+            Some((_, inner)) => dump_locked(inner, &inner.state.lock()),
             None => FlightDump {
                 schema: FLIGHT_SCHEMA.to_string(),
                 capacity: 0,
@@ -460,20 +478,15 @@ impl FlightRecorder {
         }
     }
 
-    /// Write the current dump to `path` as JSON.
-    pub fn write_dump(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.dump().to_json())
-    }
-
     /// Write the current dump to the configured
     /// [`FlightConfig::dump_path`], if any. Returns whether a file was
     /// written. This is the end-of-session flush: incident auto-dumps keep
     /// the file fresh mid-flight, this call captures the final tail.
     pub fn flush_dump(&self) -> std::io::Result<bool> {
-        let Some(path) = self.inner.as_ref().and_then(|i| i.config.dump_path.clone()) else {
+        let Some(path) = self.armed().and_then(|(_, f)| f.config.dump_path.clone()) else {
             return Ok(false);
         };
-        self.write_dump(&path)?;
+        std::fs::write(path, self.dump().to_json())?;
         Ok(true)
     }
 }
@@ -519,17 +532,9 @@ fn dump_locked(inner: &FlightInner, state: &FlightState) -> FlightDump {
 
 impl std::fmt::Debug for FlightRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.inner {
+        match self.armed() {
             None => f.write_str("FlightRecorder(disabled)"),
-            Some(inner) => {
-                let state = inner.state.lock();
-                f.debug_struct("FlightRecorder")
-                    .field("capacity", &inner.config.capacity)
-                    .field("events", &state.ring.len())
-                    .field("overwritten", &state.overwritten)
-                    .field("incidents", &state.incidents.len())
-                    .finish()
-            }
+            Some((_, inner)) => inner.fmt(f),
         }
     }
 }
@@ -537,6 +542,11 @@ impl std::fmt::Debug for FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Telemetry;
+
+    fn recorder(config: FlightConfig) -> FlightRecorder {
+        Telemetry::enabled().with_flight(config).flight()
+    }
 
     fn batch_event(i: u64) -> FlightEventKind {
         FlightEventKind::BatchReceived {
@@ -548,7 +558,7 @@ mod tests {
 
     #[test]
     fn disabled_recorder_is_free_and_empty() {
-        let f = FlightRecorder::disabled();
+        let f = Telemetry::enabled().flight();
         assert!(!f.is_enabled());
         f.record(TraceContext::replay(1), batch_event(1));
         f.incident(
@@ -556,7 +566,6 @@ mod tests {
             None,
             IncidentTrigger::DropSpike { dropped: 1 },
         );
-        assert_eq!(f.incident_count(), 0);
         let dump = f.dump();
         assert!(dump.events.is_empty() && dump.incidents.is_empty());
         assert_eq!(dump.schema, FLIGHT_SCHEMA);
@@ -564,7 +573,7 @@ mod tests {
 
     #[test]
     fn ring_stays_bounded_and_counts_overwrites() {
-        let f = FlightRecorder::new(FlightConfig {
+        let f = recorder(FlightConfig {
             capacity: 8,
             ..FlightConfig::default()
         });
@@ -582,7 +591,7 @@ mod tests {
 
     #[test]
     fn incidents_survive_ring_overwrite() {
-        let f = FlightRecorder::new(FlightConfig {
+        let f = recorder(FlightConfig {
             capacity: 4,
             ..FlightConfig::default()
         });
@@ -610,7 +619,7 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("dsspy-flight-autodump-{}.json", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let f = FlightRecorder::new(FlightConfig::default().with_dump_path(&path));
+        let f = recorder(FlightConfig::default().with_dump_path(&path));
         f.record(TraceContext::new(3, 1), batch_event(5));
         assert!(!path.exists(), "plain events do not dump");
         f.incident(
@@ -629,7 +638,7 @@ mod tests {
 
     #[test]
     fn dump_round_trips_and_rejects_bad_schema() {
-        let f = FlightRecorder::new(FlightConfig::default());
+        let f = recorder(FlightConfig::default());
         f.record_for(
             TraceContext::new(2, 1),
             Some("analyzer"),
@@ -652,7 +661,7 @@ mod tests {
 
     #[test]
     fn chain_filters_one_batch_across_the_fanout() {
-        let f = FlightRecorder::new(FlightConfig::default());
+        let f = recorder(FlightConfig::default());
         let ctx = TraceContext::new(1, 7);
         f.record(ctx, batch_event(64));
         for label in ["analyzer", "sampler", "recorder"] {
@@ -675,14 +684,11 @@ mod tests {
 
     #[test]
     fn flight_metrics_reach_telemetry() {
-        let telemetry = Telemetry::enabled();
-        let f = FlightRecorder::with_telemetry(
-            FlightConfig {
-                capacity: 2,
-                ..FlightConfig::default()
-            },
-            &telemetry,
-        );
+        let telemetry = Telemetry::enabled().with_flight(FlightConfig {
+            capacity: 2,
+            ..FlightConfig::default()
+        });
+        let f = telemetry.flight();
         for i in 0..5 {
             f.record(TraceContext::new(1, i + 1), batch_event(i));
         }
@@ -701,7 +707,7 @@ mod tests {
 
     #[test]
     fn concurrent_recording_keeps_sequences_unique() {
-        let f = FlightRecorder::new(FlightConfig {
+        let f = recorder(FlightConfig {
             capacity: 10_000,
             ..FlightConfig::default()
         });

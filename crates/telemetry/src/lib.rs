@@ -13,7 +13,13 @@
 //!   order-independent shard merging;
 //! * [`overhead`] — the Table IV-style slowdown accountant;
 //! * [`export`] — human summary, JSON, Prometheus text format, and Chrome
-//!   `trace_event` JSON.
+//!   `trace_event` JSON;
+//! * [`flight`] — the always-on causal flight recorder, armed on a handle
+//!   with [`Telemetry::with_flight`] and read back with
+//!   [`Telemetry::flight`].
+//!
+//! One handle observes a whole pipeline: metrics, spans and flight events
+//! share its registry and its clock, so they land on one timeline.
 //!
 //! The cardinal rule is **zero cost when disabled**: [`Telemetry::disabled`]
 //! is a `None` behind a cheap clone, every handle resolved from it is a
@@ -60,6 +66,9 @@ pub(crate) struct TelemetryInner {
     pub(crate) clock: ClockSource,
     registry: MetricRegistry,
     pub(crate) spans: Mutex<Vec<SpanRecord>>,
+    /// The armed flight recorder's ring; `None` unless
+    /// [`Telemetry::with_flight`] armed one.
+    pub(crate) flight: Option<flight::FlightInner>,
 }
 
 /// Handle to one telemetry domain. Clones share the same registry; the
@@ -83,7 +92,35 @@ impl Telemetry {
                 clock,
                 registry: MetricRegistry::default(),
                 spans: Mutex::new(Vec::new()),
+                flight: None,
             })),
+        }
+    }
+
+    /// Arm a flight recorder inside this handle, chaining. The recorder
+    /// stamps its events from this handle's clock and publishes its
+    /// `flight.*` instruments into this handle's registry; read it back
+    /// with [`Telemetry::flight`]. On a disabled handle this is a no-op.
+    ///
+    /// # Panics
+    ///
+    /// When the handle was already cloned: arm the recorder where the
+    /// handle is built, before it is shared.
+    pub fn with_flight(mut self, config: FlightConfig) -> Telemetry {
+        if let Some(inner) = self.inner.as_mut() {
+            let inner = Arc::get_mut(inner)
+                .expect("Telemetry::with_flight must be called before the handle is cloned");
+            inner.flight = Some(flight::FlightInner::new(config, &inner.registry));
+        }
+        self
+    }
+
+    /// The flight recorder armed by [`Telemetry::with_flight`], or the
+    /// disabled recorder (every operation one branch) when none was armed
+    /// or the handle itself is disabled.
+    pub fn flight(&self) -> FlightRecorder {
+        FlightRecorder {
+            inner: self.inner.as_ref().filter(|i| i.flight.is_some()).cloned(),
         }
     }
 
@@ -194,6 +231,25 @@ mod tests {
         t.histogram("h").record(1);
         drop(t.span("cat", "s"));
         assert!(t.snapshot().is_empty());
+        let armed = Telemetry::disabled().with_flight(FlightConfig::default());
+        assert!(!armed.is_enabled() && !armed.flight().is_enabled());
+        assert!(!Telemetry::enabled().flight().is_enabled(), "not armed");
+    }
+
+    #[test]
+    fn flight_events_and_spans_share_one_clock() {
+        let (hand, source) = ManualClock::new();
+        let t = Telemetry::with_clock(source).with_flight(FlightConfig::default());
+        hand.advance(4321);
+        {
+            let _s = t.span("cat", "step");
+            t.flight()
+                .record(TraceContext::new(1, 1), FlightEventKind::SessionStart);
+            hand.advance(10);
+        }
+        let event = &t.flight().dump().events[0];
+        assert_eq!(event.nanos, 4321);
+        assert_eq!(t.snapshot().spans[0].start_nanos, event.nanos);
     }
 
     #[test]

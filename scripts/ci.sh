@@ -6,7 +6,8 @@
 #               must be identical at every analysis width — this varies how
 #               it is computed, never what comes out), then explicit
 #               --threads CLI runs, the bad-input cell (malformed numeric
-#               flags exit 2), the live-scrape smoke
+#               flags exit 2), the closed-pipe cell (`analyze --json | head`
+#               exits 0 quietly), the live-scrape smoke
 #               (`telemetry serve --live --self-check`) and the follow
 #               smoke (`watch --follow`), then every Criterion bench once.
 #   matrix      only the 2x3 debug/release x threads test matrix.
@@ -123,6 +124,21 @@ if [[ "$MODE" == "full" ]]; then
             [[ "$code" -eq 2 ]] || { echo "watch --follow --frames x: exit $code, want 2"; exit 1; }
             echo "malformed numeric flags exit 2 with usage"
         ' bad-input "$SMOKE"
+    # A reader that closes the pipe early ends the output quietly: the
+    # Gpdotnet report (~97 KB of JSON) overflows the pipe buffer, so
+    # `analyze` is still writing when `head` exits. Exit 0, empty stderr.
+    PIPED="$LOG_DIR/ci-pipe.dsspycap"
+    run_cell closed-pipe '"kind":"smoke",' \
+        bash -c '
+            set -uo pipefail
+            cap="$1" err="$2"
+            ./target/release/dsspy demo "$cap" --workload Gpdotnet >/dev/null || exit 1
+            ./target/release/dsspy analyze "$cap" --json 2>"$err" | head -c 1 >/dev/null
+            codes=("${PIPESTATUS[@]}")
+            [[ "${codes[0]}" -eq 0 ]] || { echo "analyze exit ${codes[0]}, want 0"; cat "$err"; exit 1; }
+            [[ ! -s "$err" ]] || { echo "analyze wrote to stderr:"; cat "$err"; exit 1; }
+            echo "analyze --json into a closed pipe exits 0 with an empty stderr"
+        ' closed-pipe "$PIPED" "$LOG_DIR/ci-pipe.err"
     # The scrape endpoint attached to a *running* session: re-collects the
     # capture live, serves a fresh validated exposition per scrape, scrapes
     # itself over TCP, and fails unless the streaming analyzer on the
@@ -130,7 +146,7 @@ if [[ "$MODE" == "full" ]]; then
     run_cell live-scrape-smoke '"kind":"smoke",' \
         ./target/release/dsspy telemetry serve "$SMOKE" --live \
         --addr 127.0.0.1:0 --requests 1 --self-check
-    # Follow a live workload session through the same live rig.
+    # Follow a live workload session through the same attached analyzer.
     run_cell watch-follow-smoke '"kind":"smoke",' \
         ./target/release/dsspy watch --follow --frames 3
     # Flight-recorder + doctor smoke: a clean live demo with the recorder

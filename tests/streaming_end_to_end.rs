@@ -20,7 +20,7 @@ fn every_suite7_workload_streams_to_the_post_mortem_verdicts() {
     let dsspy = Dsspy::new().with_threads(1);
     for w in suite7() {
         let streaming = StreamingAnalyzer::new(dsspy, StreamConfig::default());
-        let session = streaming.attach();
+        let session = streaming.attach(Vec::new());
         w.run(Scale::Test, Mode::Instrumented(&session));
         let capture = session.finish();
         let live = streaming
@@ -173,7 +173,7 @@ fn long_session_streaming_memory_stays_within_the_window() {
         snapshots: SnapshotPolicy::default(),
     };
     let streaming = StreamingAnalyzer::new(dsspy, config);
-    let session = streaming.attach();
+    let session = streaming.attach(Vec::new());
     let instances = 4usize;
     {
         let mut handles: Vec<_> = (0..instances)
