@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dsspy_collect::{Session, SessionConfig};
 use dsspy_collections::{site, SpyVec};
-use dsspy_patterns::{analyze, mine_patterns, MinerConfig};
+use dsspy_patterns::{analyze, MinerConfig};
 use dsspy_usecases::{classify, Thresholds};
 use dsspy_workloads::traces::TraceBuilder;
 
@@ -36,7 +36,7 @@ fn bench_min_run_len(c: &mut Criterion) {
             &min_run_len,
             |b, &m| {
                 let config = MinerConfig { min_run_len: m };
-                b.iter(|| std::hint::black_box(mine_patterns(&profile, &config).len()))
+                b.iter(|| std::hint::black_box(analyze(&profile, &config).patterns.len()))
             },
         );
     }

@@ -1,9 +1,9 @@
-//! Post-mortem analysis throughput: pattern mining and use-case
-//! classification over profiles of increasing size. This is the phase the
+//! Post-mortem analysis throughput: the pattern/metric fold alone, then
+//! the fold plus use-case classification, over profiles of increasing size. This is the phase the
 //! paper runs "within several minutes" on whole programs (§I).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dsspy_patterns::{analyze, mine_patterns, MinerConfig};
+use dsspy_patterns::{analyze, MinerConfig};
 use dsspy_usecases::{classify, Thresholds};
 use dsspy_workloads::traces::TraceBuilder;
 
@@ -28,14 +28,16 @@ fn profile_of(events: u32) -> dsspy_events::RuntimeProfile {
 }
 
 fn bench_mining(c: &mut Criterion) {
-    let mut group = c.benchmark_group("analysis/mine_patterns");
+    let mut group = c.benchmark_group("analysis/analyze");
     for size in [1_000u32, 10_000, 100_000] {
         let profile = profile_of(size);
         group.throughput(Throughput::Elements(profile.len() as u64));
         group.bench_with_input(
             BenchmarkId::from_parameter(profile.len()),
             &profile,
-            |b, p| b.iter(|| std::hint::black_box(mine_patterns(p, &MinerConfig::default()).len())),
+            |b, p| {
+                b.iter(|| std::hint::black_box(analyze(p, &MinerConfig::default()).patterns.len()))
+            },
         );
     }
     group.finish();

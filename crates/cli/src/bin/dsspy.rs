@@ -21,8 +21,8 @@ fn usage() -> ! {
          dsspy telemetry <capture> [--threads N] [--format summary|json|prometheus|trace] [--check]\n  \
          dsspy telemetry serve <capture> [--live] [--addr HOST:PORT] [--requests N] [--self-check] [--threads N] [--flight-recorder PATH]\n  \
          dsspy demo     <out.dsspycap> [--workload NAME] [--live] [--flight-recorder PATH] [--inject-panic]\n  \
-         dsspy watch    <capture> [--batch N] [--window N] [--every N] [--frames N]\n  \
-         dsspy watch    --follow [--workload NAME] [--batch N] [--window N] [--every N] [--frames N] [--flight-recorder PATH]\n  \
+         dsspy watch    <capture> [--batch N] [--every N] [--frames N]\n  \
+         dsspy watch    --follow [--workload NAME] [--batch N] [--every N] [--frames N] [--flight-recorder PATH]\n  \
          dsspy doctor   <flight-dump.json|capture> [--events N] [--trace PATH]\n\
          \n--threads: analysis workers (0 = one per core, 1 = sequential)\n\
          --telemetry PATH: self-observe the run; write the snapshot to PATH as JSON\n\
@@ -30,8 +30,8 @@ fn usage() -> ! {
          --flight-recorder PATH: arm a causal flight recorder on the live session;\n\
          \u{20}      incidents (subscriber panic, drops, queue watermark) auto-dump to PATH\n\
          --inject-panic: (demo --live) add a deliberately faulty fan-out subscriber\n\
-         watch: --batch events per replayed batch, --window retained events per instance,\n\
-         \u{20}       --every snapshot cadence in batches, --frames max frames printed;\n\
+         watch: --batch events per replayed batch, --every snapshot cadence in batches,\n\
+         \u{20}       --frames max frames printed;\n\
          \u{20}       --follow runs a suite7 workload live and follows its fan-out tap\n\
          serve: --addr listen address (port 0 = ephemeral), --requests scrapes before exit\n\
          \u{20}      (default: forever), --self-check scrape yourself and validate;\n\
@@ -43,6 +43,57 @@ fn usage() -> ! {
          \u{20}       --events N timeline tail length, --trace PATH Chrome trace_event JSON"
     );
     std::process::exit(2)
+}
+
+/// Flags that take a value (`--flag VALUE`).
+const VALUE_FLAGS: &[&str] = &[
+    "--instance",
+    "--svg",
+    "--out",
+    "--threads",
+    "--telemetry",
+    "--format",
+    "--workload",
+    "--addr",
+    "--requests",
+    "--batch",
+    "--every",
+    "--frames",
+    "--flight-recorder",
+    "--events",
+    "--trace",
+];
+
+/// Flags that stand alone.
+const BOOL_FLAGS: &[&str] = &[
+    "--json",
+    "--selective",
+    "--check",
+    "--live",
+    "--self-check",
+    "--inject-panic",
+    "--follow",
+];
+
+/// The positional arguments after the command: everything that is neither
+/// a flag nor the value of a [`VALUE_FLAGS`] flag. A `--flag` in neither
+/// list prints usage naming it and exits 2.
+fn positionals(args: &[String]) -> Vec<&String> {
+    let mut out = Vec::new();
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            rest.next();
+        } else if arg.starts_with("--") {
+            if !BOOL_FLAGS.contains(&arg.as_str()) {
+                eprintln!("dsspy: unknown flag {arg}");
+                usage()
+            }
+        } else {
+            out.push(arg);
+        }
+    }
+    out
 }
 
 /// The numeric value of flag `name` (`raw`, as found on the command line):
@@ -84,35 +135,7 @@ fn main() {
             .and_then(|i| args.get(i + 1))
             .cloned()
     };
-    let positional: Vec<&String> = args
-        .iter()
-        .skip(1)
-        .filter(|a| !a.starts_with("--"))
-        .filter(|a| {
-            // Drop values that belong to a --flag VALUE pair.
-            let idx = args.iter().position(|x| x == *a).unwrap_or(0);
-            idx == 0
-                || !matches!(
-                    args[idx - 1].as_str(),
-                    "--instance"
-                        | "--svg"
-                        | "--out"
-                        | "--threads"
-                        | "--telemetry"
-                        | "--format"
-                        | "--workload"
-                        | "--addr"
-                        | "--requests"
-                        | "--batch"
-                        | "--window"
-                        | "--every"
-                        | "--frames"
-                        | "--flight-recorder"
-                        | "--events"
-                        | "--trace"
-                )
-        })
-        .collect();
+    let positional = positionals(&args);
 
     let num = |name: &str| number(name, value(name));
     let instance = num("--instance").unwrap_or(0);
@@ -240,14 +263,12 @@ fn main() {
         }
         "watch" => {
             let batch = num("--batch").unwrap_or(512);
-            let window = num("--window").unwrap_or(1024);
             let every = num("--every").unwrap_or(4) as u64;
             let frames = num("--frames").unwrap_or(12);
             if flag("--follow") {
                 cmd_watch_follow(
                     value("--workload").as_deref(),
                     batch,
-                    window,
                     every,
                     frames,
                     flight_recorder.as_deref(),
@@ -256,7 +277,7 @@ fn main() {
                 let Some(path) = positional.first() else {
                     usage()
                 };
-                cmd_watch(Path::new(path), batch, window, every, frames)
+                cmd_watch(Path::new(path), batch, every, frames)
             }
         }
         _ => usage(),

@@ -15,7 +15,7 @@
 //! dsspy telemetry capture.dsspycap [--format summary|json|prometheus|trace] [--check]
 //! dsspy telemetry serve capture.dsspycap [--live] --addr 127.0.0.1:9464 [--requests N] [--self-check]
 //! dsspy demo     out.dsspycap [--workload NAME] [--live] [--flight-recorder PATH] [--inject-panic]
-//! dsspy watch    capture.dsspycap [--batch N] [--window N] [--every N] [--frames N]
+//! dsspy watch    capture.dsspycap [--batch N] [--every N] [--frames N]
 //! dsspy watch    --follow [--workload NAME] [...] [--flight-recorder PATH]
 //! dsspy doctor   <flight-dump.json|capture.dsspycap> [--events N] [--trace out.json]
 //! ```
@@ -442,12 +442,10 @@ fn converged(
     Ok(live)
 }
 
-/// The stream configuration behind `watch`'s flags: `window` retained
-/// events per instance, a snapshot every `every` folded batches.
-fn watch_config(window: usize, every: u64) -> StreamConfig {
+/// The stream configuration behind `watch`'s `--every` flag: a snapshot
+/// every `every` folded batches.
+fn watch_config(every: u64) -> StreamConfig {
     StreamConfig {
-        window_events: window,
-        max_retained_patterns: 0,
         snapshots: SnapshotPolicy {
             every_batches: every.max(1),
             ..SnapshotPolicy::default()
@@ -489,16 +487,13 @@ impl Frames {
         };
         self.printed += 1;
         self.out.push_str(&format!(
-            "frame {}: {} events in {} batches | {}/{} instances flagged, \
-             {} use cases | window {} (peak {})\n",
+            "frame {}: {} events in {} batches | {}/{} instances flagged, {} use cases\n",
             self.printed,
             stats.events,
             stats.batches,
             report.flagged_instance_count(),
             report.instance_count(),
             report.all_use_cases().len(),
-            stats.window_events,
-            stats.window_peak,
         ));
     }
 
@@ -519,20 +514,18 @@ impl Frames {
 /// if its session were still running — a frame per published snapshot —
 /// then prove the stream converged to the post-mortem verdicts.
 ///
-/// `batch` is the replayed batch size in events, `window` the per-instance
-/// retained-event cap, `every` the snapshot cadence in batches, and
-/// `max_frames` bounds how many frames are rendered (later snapshots still
-/// happen; they just aren't printed).
+/// `batch` is the replayed batch size in events, `every` the snapshot
+/// cadence in batches, and `max_frames` bounds how many frames are
+/// rendered (later snapshots still happen; they just aren't printed).
 pub fn cmd_watch(
     path: &Path,
     batch: usize,
-    window: usize,
     every: u64,
     max_frames: usize,
 ) -> Result<String, CliError> {
     let capture = load_capture(path)?;
     let dsspy = Dsspy::new().with_threads(1);
-    let streaming = StreamingAnalyzer::new(dsspy, watch_config(window, every));
+    let streaming = StreamingAnalyzer::new(dsspy, watch_config(every));
     for profile in &capture.profiles {
         streaming.register_instance(profile.instance.clone());
     }
@@ -828,7 +821,6 @@ pub fn cmd_telemetry_serve_live(
 pub fn cmd_watch_follow(
     workload: Option<&str>,
     batch: usize,
-    window: usize,
     every: u64,
     max_frames: usize,
     flight_out: Option<&Path>,
@@ -837,7 +829,7 @@ pub fn cmd_watch_follow(
     let dsspy = live_dsspy(batch.max(1), 1);
     let telemetry = observer(flight_out);
     let streaming =
-        StreamingAnalyzer::with_telemetry(dsspy, watch_config(window, every), telemetry.clone());
+        StreamingAnalyzer::with_telemetry(dsspy, watch_config(every), telemetry.clone());
     let session = streaming.attach(Vec::new());
     let driver = std::thread::spawn(move || {
         suite7()[w_idx].run(Scale::Test, Mode::Instrumented(&session));
@@ -1211,7 +1203,7 @@ mod tests {
     #[test]
     fn watch_replays_frames_and_converges() {
         let path = temp_capture(true, "watch.dsspycap");
-        let out = cmd_watch(&path, 32, 64, 1, 8).unwrap();
+        let out = cmd_watch(&path, 32, 1, 8).unwrap();
         assert!(out.contains("frame 1:"), "{out}");
         assert!(
             out.contains("streaming verdicts match post-mortem analysis: yes"),
@@ -1223,7 +1215,7 @@ mod tests {
     #[test]
     fn watch_frame_cap_still_converges() {
         let path = temp_capture(true, "watchcap.dsspycap");
-        let out = cmd_watch(&path, 8, 4, 1, 2).unwrap();
+        let out = cmd_watch(&path, 8, 1, 2).unwrap();
         // Only two frames printed, but the final verdict section is intact.
         assert!(out.contains("frame 2:"), "{out}");
         assert!(!out.contains("frame 3:"), "{out}");
@@ -1331,8 +1323,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dsspy-cli-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let dump_path = dir.join("follow-flight.json");
-        let out =
-            cmd_watch_follow(Some("wordwheelsolver"), 32, 64, 1, 4, Some(&dump_path)).unwrap();
+        let out = cmd_watch_follow(Some("wordwheelsolver"), 32, 1, 4, Some(&dump_path)).unwrap();
         assert!(out.contains("flight recorder:"), "{out}");
         let (report, incidents) = cmd_doctor(&dump_path, 32, None).unwrap();
         assert_eq!(incidents, 0, "{report}");

@@ -1,5 +1,6 @@
-//! The `dsspy` binary parses numeric flags strictly: a malformed value
-//! prints usage and exits 2 instead of silently falling back to a default.
+//! The `dsspy` binary parses flags strictly: a malformed numeric value or an
+//! unknown flag prints usage and exits 2 instead of silently falling back to
+//! a default.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -48,7 +49,7 @@ fn malformed_threads_exits_2_with_usage() {
 #[test]
 fn malformed_watch_flags_exit_2_before_any_work() {
     assert_usage_exit(&dsspy(&["watch", "--follow", "--frames", "x"]), "--frames");
-    for flag in ["--batch", "--window", "--every"] {
+    for flag in ["--batch", "--every"] {
         assert_usage_exit(&dsspy(&["watch", "--follow", flag, "-1"]), flag);
     }
     assert_usage_exit(
@@ -60,4 +61,19 @@ fn malformed_watch_flags_exit_2_before_any_work() {
         &dsspy(&["chart", "c.dsspycap", "--instance", "two"]),
         "--instance",
     );
+}
+
+#[test]
+fn unknown_flags_exit_2_before_any_work() {
+    // A misspelt flag is rejected wherever it stands; before the capture,
+    // its value must not be taken for the capture path.
+    assert_usage_exit(
+        &dsspy(&["analyze", "c.dsspycap", "--thread", "2"]),
+        "--thread",
+    );
+    assert_usage_exit(
+        &dsspy(&["analyze", "--thread", "2", "c.dsspycap"]),
+        "--thread",
+    );
+    assert_usage_exit(&dsspy(&["watch", "--follow", "--window", "8"]), "--window");
 }

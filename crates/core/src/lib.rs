@@ -29,6 +29,7 @@
 pub mod diff;
 pub mod evaluation;
 pub mod export;
+pub mod fold;
 pub mod pipeline;
 pub mod report;
 pub mod transform;
@@ -38,6 +39,7 @@ pub use evaluation::{
     measure_avg_nanos, RuntimeFractions, SearchSpaceReduction, Slowdown, Speedup,
 };
 pub use export::{instances_csv, use_cases_csv};
+pub use fold::InstanceFold;
 pub use pipeline::{AnalysisConfig, Dsspy};
 pub use report::{AnalysisTimings, InstanceReport, InstanceTiming, Report};
 pub use transform::{sketch_for, sketches, TransformSketch};

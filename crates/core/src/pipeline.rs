@@ -1,21 +1,23 @@
 //! The analysis pipeline: capture → patterns → use cases → report.
 //!
-//! Each instance's analysis (mine → regularity gate → classify → advisories)
-//! is independent of every other instance's, so the pipeline dogfoods its
-//! own substrate: [`Dsspy::analyze_capture`] fans the per-instance work out
-//! over [`dsspy_parallel::par_map`], which preserves registration order —
-//! the resulting [`Report`] is byte-for-byte identical no matter how many
-//! worker threads ran it.
+//! Each instance's analysis (fold every event once into an
+//! [`InstanceFold`], then snapshot → regularity gate → classify →
+//! advisories) is independent of every other instance's, so the pipeline
+//! dogfoods its own substrate: [`Dsspy::analyze_capture`] fans the
+//! per-instance work out over [`dsspy_parallel::par_map`], which preserves
+//! registration order — the resulting [`Report`] is byte-for-byte identical
+//! no matter how many worker threads ran it.
 
 use std::time::Instant;
 
 use dsspy_collect::{Capture, Session, SessionConfig};
-use dsspy_events::RuntimeProfile;
-use dsspy_patterns::{analyze, regularity, MinerConfig, RegularityConfig};
+use dsspy_events::{InstanceInfo, Origin, RuntimeProfile};
+use dsspy_patterns::{MinerConfig, RegularityConfig};
 use dsspy_telemetry::{overhead::signals, OverheadReport, Telemetry};
-use dsspy_usecases::{advisories, classify, AdvisoryConfig, Thresholds};
+use dsspy_usecases::{AdvisoryConfig, Thresholds};
 use serde::{Deserialize, Serialize};
 
+use crate::fold::InstanceFold;
 use crate::report::{AnalysisTimings, InstanceReport, InstanceTiming, Report};
 
 /// Configuration of the post-mortem analysis phases.
@@ -62,6 +64,12 @@ impl AnalysisConfig {
             return n;
         }
         dsspy_parallel::default_threads()
+    }
+
+    /// Whether an instance is analyzed and reported: every instance, or in
+    /// selective mode only the manually instrumented ones.
+    pub fn includes(&self, info: &InstanceInfo) -> bool {
+        !self.selective || info.origin == Origin::Manual
     }
 }
 
@@ -147,7 +155,7 @@ impl Dsspy {
 
     /// [`Dsspy::analyze_capture`] under observation.
     ///
-    /// Each instance's mining and classification phases are recorded as
+    /// Each instance's fold and report phases are recorded as
     /// `mine#i` / `classify#i` spans (category `analysis`, attributed to the
     /// worker thread that ran them — worker utilization and load imbalance
     /// of the fan-out fall out of those), the whole pass as an
@@ -161,9 +169,7 @@ impl Dsspy {
         let profiles: Vec<(usize, &RuntimeProfile)> = capture
             .profiles
             .iter()
-            .filter(|profile| {
-                !self.analysis.selective || profile.instance.origin == dsspy_events::Origin::Manual
-            })
+            .filter(|profile| self.analysis.includes(&profile.instance))
             .enumerate()
             .collect();
         let threads = self.analysis.resolved_threads();
@@ -212,9 +218,9 @@ impl Dsspy {
         report
     }
 
-    /// The per-instance unit of work: mine, gate, classify, advise — with
-    /// each phase timed (and recorded as `mine#idx` / `classify#idx` spans
-    /// when observed).
+    /// The per-instance unit of work: fold every event once, then report
+    /// from the fold — with each phase timed (and recorded as `mine#idx` /
+    /// `classify#idx` spans when observed).
     fn analyze_one(
         &self,
         idx: usize,
@@ -223,27 +229,21 @@ impl Dsspy {
     ) -> (InstanceReport, InstanceTiming) {
         let mining = Instant::now();
         let span = telemetry.span_lazy(signals::ANALYSIS_CAT, || format!("mine#{idx}"));
-        let analysis = analyze(profile, &self.analysis.miner);
-        let verdict = regularity(&analysis, &self.analysis.regularity);
+        let mut fold = InstanceFold::new(&self.analysis);
+        for e in &profile.events {
+            fold.fold(e);
+        }
         drop(span);
         let mining_nanos = mining.elapsed().as_nanos() as u64;
 
         let classify_started = Instant::now();
         let span = telemetry.span_lazy(signals::ANALYSIS_CAT, || format!("classify#{idx}"));
-        let use_cases = classify(&profile.instance, &analysis, &self.analysis.thresholds);
-        let advisories = advisories(profile, &self.analysis.advisories);
+        let report = fold.report(&profile.instance, &self.analysis);
         drop(span);
         let classify_nanos = classify_started.elapsed().as_nanos() as u64;
 
         (
-            InstanceReport {
-                instance: profile.instance.clone(),
-                events: profile.len(),
-                analysis,
-                regularity: verdict,
-                use_cases,
-                advisories,
-            },
+            report,
             InstanceTiming {
                 mining_nanos,
                 classify_nanos,

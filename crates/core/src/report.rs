@@ -45,9 +45,10 @@ impl InstanceReport {
 /// and thread counts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct InstanceTiming {
-    /// Pattern mining + the regularity gate, nanoseconds.
+    /// Folding every event (mining, metrics, advisories), nanoseconds.
     pub mining_nanos: u64,
-    /// Use-case classification + the advisory scan, nanoseconds.
+    /// Reporting from the fold (snapshot, regularity gate, classification,
+    /// advisories), nanoseconds.
     pub classify_nanos: u64,
 }
 

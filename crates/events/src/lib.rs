@@ -35,4 +35,4 @@ pub mod series;
 pub use event::{AccessClass, AccessEvent, AccessKind, Target, ThreadTag};
 pub use instance::{AllocationSite, DsKind, InstanceId, InstanceInfo, Origin};
 pub use profile::{ProfileStats, RuntimeProfile};
-pub use series::{rate_series, size_series, Series};
+pub use series::{size_series, Series};

@@ -56,16 +56,6 @@ impl RuntimeProfile {
         t
     }
 
-    /// Events raised by one specific thread, preserving order — the
-    /// per-thread untangling step that precedes pattern mining (§IV).
-    pub fn thread_slice(&self, thread: ThreadTag) -> Vec<AccessEvent> {
-        self.events
-            .iter()
-            .copied()
-            .filter(|e| e.thread == thread)
-            .collect()
-    }
-
     /// Aggregate statistics over the profile.
     pub fn stats(&self) -> ProfileStats {
         let mut s = ProfileStats {
@@ -212,7 +202,7 @@ mod tests {
     }
 
     #[test]
-    fn thread_slice_filters_and_preserves_order() {
+    fn threads_are_distinct_and_ascending() {
         let mut e1 = ev(1, AccessKind::Insert, 0, 1);
         e1.thread = ThreadTag(1);
         let mut e2 = ev(2, AccessKind::Insert, 1, 2);
@@ -221,10 +211,6 @@ mod tests {
         e3.thread = ThreadTag(1);
         let p = RuntimeProfile::new(info(), vec![e1, e2, e3]);
         assert_eq!(p.threads(), vec![ThreadTag(1), ThreadTag(2)]);
-        let t1 = p.thread_slice(ThreadTag(1));
-        assert_eq!(t1.len(), 2);
-        assert_eq!(t1[0].seq, 1);
-        assert_eq!(t1[1].seq, 3);
     }
 
     #[test]

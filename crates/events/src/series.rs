@@ -1,9 +1,8 @@
 //! Time-series extraction from profiles.
 //!
 //! The grey backdrop of the paper's Figs. 2/3 is the *size evolution* of a
-//! structure over its lifetime; reports also want *event rates* ("how hot
-//! was this instance over time"). Both are downsampled series over the
-//! event stream, bucketed on the logical-time axis.
+//! structure over its lifetime: a downsampled series over the event stream,
+//! bucketed on the logical-time axis.
 
 use serde::{Deserialize, Serialize};
 
@@ -68,33 +67,6 @@ impl Series {
 /// assert_eq!(series.sparkline().chars().count(), 4);
 /// ```
 pub fn size_series(profile: &RuntimeProfile, buckets: usize) -> Series {
-    sample(profile, buckets, |chunk| {
-        f64::from(chunk.last().map(|e| e.len).unwrap_or(0))
-    })
-}
-
-/// Event rate per bucket: events divided by the bucket's wall-clock span
-/// (events per microsecond; buckets with zero span report their raw count).
-pub fn rate_series(profile: &RuntimeProfile, buckets: usize) -> Series {
-    sample(profile, buckets, |chunk| {
-        let span = chunk
-            .last()
-            .zip(chunk.first())
-            .map(|(b, a)| b.nanos.saturating_sub(a.nanos))
-            .unwrap_or(0);
-        if span == 0 {
-            chunk.len() as f64
-        } else {
-            chunk.len() as f64 * 1_000.0 / span as f64
-        }
-    })
-}
-
-fn sample(
-    profile: &RuntimeProfile,
-    buckets: usize,
-    f: impl Fn(&[crate::event::AccessEvent]) -> f64,
-) -> Series {
     let buckets = buckets.max(1);
     if profile.is_empty() {
         return Series::default();
@@ -104,7 +76,10 @@ fn sample(
         points: profile
             .events
             .chunks(chunk_size)
-            .map(|chunk| (chunk.last().expect("non-empty chunk").seq, f(chunk)))
+            .map(|chunk| {
+                let last = chunk.last().expect("non-empty chunk");
+                (last.seq, f64::from(last.len))
+            })
             .collect(),
     }
 }
@@ -153,16 +128,6 @@ mod tests {
         assert!(s.last() < 25.0, "{s:?}");
         // Monotone growth across the first buckets.
         assert!(s.points[0].1 < s.points[5].1);
-    }
-
-    #[test]
-    fn rate_series_with_uniform_costs() {
-        // Trace events use nanos == seq: rate = len * 1000 / span.
-        let s = rate_series(&fill_clear(), 6);
-        assert_eq!(s.points.len(), 6);
-        for (_, v) in &s.points {
-            assert!(*v > 0.0);
-        }
     }
 
     #[test]

@@ -5,17 +5,17 @@
 //! smaller chunks and search them in parallel*. The paper's evaluation
 //! executes those transformations with .NET's Task Parallel Library; this
 //! crate is our equivalent substrate, built from scratch on scoped threads
-//! and crossbeam so the reproduction does not lean on an external
+//! and `parking_lot` so the reproduction does not lean on an external
 //! data-parallelism framework:
 //!
-//! * [`ops`] — chunked `par_map` / `par_for_init` / `par_fill` over slices
-//!   (the Long-Insert and array-initialization actions);
+//! * [`ops`] — chunked `par_map` / `par_for_init` over slices (the
+//!   Long-Insert and array-initialization actions);
 //! * [`search`] — parallel `find_first` (early exit), `find_all`,
 //!   `max_by_key` (the Frequent-Search / Frequent-Long-Read actions, incl.
 //!   the priority-queue-on-a-list search of the paper's Algorithmia case);
 //! * [`sort`] — parallel merge sort (the Sort-After-Insert action);
-//! * [`queue`] — a blocking MPMC queue (the Implement-Queue action);
-//! * [`pool`] — a plain worker thread pool for fire-and-forget jobs.
+//! * [`queue`] — a blocking MPMC queue (the Implement-Queue action), and
+//!   [`pipeline`]'s producer/consumer pattern over it.
 //!
 //! All entry points take an explicit thread count so benches can sweep it;
 //! [`default_threads`] mirrors the machine's available parallelism (the
@@ -25,17 +25,13 @@
 
 pub mod ops;
 pub mod pipeline;
-pub mod pool;
 pub mod queue;
-pub mod scan;
 pub mod search;
 pub mod sort;
 
-pub use ops::{par_fill, par_fold, par_for_init, par_map};
-pub use pipeline::{pipeline3, produce_consume};
-pub use pool::ThreadPool;
+pub use ops::{par_for_init, par_map};
+pub use pipeline::produce_consume;
 pub use queue::BlockingQueue;
-pub use scan::{par_prefix_scan, par_prefix_sum, par_prefix_sum_exact};
 pub use search::{par_find_all, par_find_first, par_max_by_key};
 pub use sort::{par_merge_sort, par_merge_sort_by_key};
 

@@ -76,72 +76,6 @@ pub fn par_for_init<U: Send>(len: usize, threads: usize, f: impl Fn(usize) -> U 
     out
 }
 
-/// Parallel in-place fill: `out[i] = f(i)` for every index, chunked across
-/// `threads` workers. The in-place counterpart of [`par_for_init`] for
-/// pre-allocated arrays (the Mandelbrot row-initialization case).
-pub fn par_fill<T: Send + Sync>(out: &mut [T], threads: usize, f: impl Fn(usize) -> T + Sync) {
-    let len = out.len();
-    let ranges = chunk_ranges(len, threads);
-    if ranges.len() <= 1 {
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = f(i);
-        }
-        return;
-    }
-    std::thread::scope(|s| {
-        let mut rest = out;
-        let mut offset = 0usize;
-        for &(a, b) in &ranges {
-            let (chunk, tail) = rest.split_at_mut(b - a);
-            rest = tail;
-            let f = &f;
-            let base = offset;
-            s.spawn(move || {
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    *slot = f(base + i);
-                }
-            });
-            offset = b;
-        }
-    });
-}
-
-/// Parallel fold: combine per-chunk partial results with `merge`.
-///
-/// `f` maps one element to an accumulator contribution; `identity` seeds
-/// each chunk. Used by aggregate loops (the gpdotnet use-case-1 shape).
-pub fn par_fold<T: Sync, A: Send>(
-    input: &[T],
-    threads: usize,
-    identity: impl Fn() -> A + Sync,
-    f: impl Fn(A, &T) -> A + Sync,
-    mut merge: impl FnMut(A, A) -> A,
-) -> A {
-    let ranges = chunk_ranges(input.len(), threads);
-    if ranges.len() <= 1 {
-        return input.iter().fold(identity(), f);
-    }
-    let mut parts: Vec<A> = Vec::with_capacity(ranges.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(a, b)| {
-                let f = &f;
-                let identity = &identity;
-                s.spawn(move || input[a..b].iter().fold(identity(), f))
-            })
-            .collect();
-        for h in handles {
-            parts.push(h.join().expect("par_fold worker panicked"));
-        }
-    });
-    let mut acc = identity();
-    for p in parts {
-        acc = merge(acc, p);
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,34 +101,6 @@ mod tests {
         let seq: Vec<usize> = (0..5000).map(|i| i * 3 + 1).collect();
         for threads in [1, 4, 16] {
             assert_eq!(par_for_init(5000, threads, |i| i * 3 + 1), seq);
-        }
-    }
-
-    #[test]
-    fn par_fill_matches_sequential() {
-        let mut a = vec![0u64; 4097];
-        par_fill(&mut a, 8, |i| (i as u64).wrapping_mul(2654435761));
-        for (i, v) in a.iter().enumerate() {
-            assert_eq!(*v, (i as u64).wrapping_mul(2654435761));
-        }
-    }
-
-    #[test]
-    fn par_fill_single_thread_and_empty() {
-        let mut a: Vec<i32> = vec![];
-        par_fill(&mut a, 8, |i| i as i32);
-        let mut b = vec![0; 3];
-        par_fill(&mut b, 1, |i| i as i32 + 1);
-        assert_eq!(b, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn par_fold_sums() {
-        let input: Vec<u64> = (1..=100_000).collect();
-        let expected: u64 = input.iter().sum();
-        for threads in [1, 2, 7, 8] {
-            let got = par_fold(&input, threads, || 0u64, |a, v| a + v, |a, b| a + b);
-            assert_eq!(got, expected);
         }
     }
 

@@ -1,11 +1,11 @@
-//! Staged pipelines over blocking queues.
+//! A producer/consumer pipeline over a blocking queue.
 //!
 //! The Implement-Queue recommendation ("employ a parallel queue as data
 //! container", §III-B) usually lands in producer/consumer code; this module
-//! provides the full pattern: a fixed chain of stages connected by
-//! [`BlockingQueue`]s, each stage running on its own worker(s), with clean
-//! shutdown propagation. It also mirrors the pipeline-parallelism line of
-//! related work the paper positions itself against (§VI).
+//! provides that pattern: a producer feeding a pool of consumers through a
+//! bounded [`BlockingQueue`], with clean shutdown propagation. It also
+//! mirrors the pipeline-parallelism line of related work the paper
+//! positions itself against (§VI).
 
 use crate::queue::BlockingQueue;
 
@@ -52,69 +52,6 @@ where
     })
 }
 
-/// A three-stage map pipeline: source items flow through `stage1` then
-/// `stage2`, each stage on its own worker pool, order NOT preserved across
-/// workers (attach your own sequence numbers if order matters).
-pub fn pipeline3<A, B, C>(
-    items: Vec<A>,
-    stage1_workers: usize,
-    stage2_workers: usize,
-    capacity: usize,
-    stage1: impl Fn(A) -> B + Sync,
-    stage2: impl Fn(B) -> C + Sync,
-) -> Vec<C>
-where
-    A: Send,
-    B: Send,
-    C: Send,
-{
-    let q1: BlockingQueue<A> = BlockingQueue::bounded(capacity.max(1));
-    let q2: BlockingQueue<B> = BlockingQueue::bounded(capacity.max(1));
-    std::thread::scope(|s| {
-        // Stage 2 consumers.
-        let consumers: Vec<_> = (0..stage2_workers.max(1))
-            .map(|_| {
-                let q2 = q2.clone();
-                let stage2 = &stage2;
-                s.spawn(move || {
-                    let mut out = Vec::new();
-                    while let Some(b) = q2.pop() {
-                        out.push(stage2(b));
-                    }
-                    out
-                })
-            })
-            .collect();
-        // Stage 1 workers.
-        let stage1_handles: Vec<_> = (0..stage1_workers.max(1))
-            .map(|_| {
-                let q1 = q1.clone();
-                let q2 = q2.clone();
-                let stage1 = &stage1;
-                s.spawn(move || {
-                    while let Some(a) = q1.pop() {
-                        let _ = q2.push(stage1(a));
-                    }
-                })
-            })
-            .collect();
-        // Source.
-        for item in items {
-            let _ = q1.push(item);
-        }
-        q1.close();
-        for h in stage1_handles {
-            h.join().expect("stage1 worker panicked");
-        }
-        q2.close();
-        let mut out = Vec::new();
-        for h in consumers {
-            out.extend(h.join().expect("stage2 worker panicked"));
-        }
-        out
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,39 +81,5 @@ mod tests {
     fn produce_consume_with_zero_items() {
         let ((), outputs) = produce_consume(2, 4, |_push| {}, |v: u32| v);
         assert!(outputs.is_empty());
-    }
-
-    #[test]
-    fn pipeline3_preserves_multiset() {
-        let items: Vec<u32> = (0..500).collect();
-        let mut out = pipeline3(items, 3, 2, 8, |a| u64::from(a) + 1, |b| b * 10);
-        out.sort_unstable();
-        let mut expect: Vec<u64> = (0..500u64).map(|a| (a + 1) * 10).collect();
-        expect.sort_unstable();
-        assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn pipeline3_single_workers_behave() {
-        let out = pipeline3(vec![1u8, 2, 3], 1, 1, 1, |a| a + 1, |b| b * 2);
-        let mut sorted = out;
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![4, 6, 8]);
-    }
-
-    #[test]
-    fn ordered_pipeline_via_sequence_numbers() {
-        // The documented pattern for order-sensitive pipelines.
-        let items: Vec<(usize, u32)> = (0..200u32)
-            .map(|v| (v as usize, v))
-            .enumerate()
-            .map(|(i, (_, v))| (i, v))
-            .collect();
-        let mut out = pipeline3(items, 4, 4, 8, |(i, v)| (i, v * 3), |(i, v)| (i, v + 1));
-        out.sort_by_key(|(i, _)| *i);
-        for (i, (idx, v)) in out.iter().enumerate() {
-            assert_eq!(*idx, i);
-            assert_eq!(*v, i as u32 * 3 + 1);
-        }
     }
 }

@@ -5,16 +5,18 @@
 //! defined over aggregates of a profile — "insertion phases take > 30 % of
 //! runtime", "> 60 % of accesses affect two different ends", "the profile
 //! ends with writes that are never read" — rather than over single pattern
-//! instances. [`analyze`] computes all of those aggregates once, in a single
-//! pass over the mined patterns and the raw events.
+//! instances. [`analyze`] computes all of those aggregates in one pass over
+//! the raw events, through the same [`IncrementalAnalyzer`] the streaming
+//! analyzer keeps per instance.
 
 use dsspy_events::{AccessKind, RuntimeProfile};
 use serde::{Deserialize, Serialize};
 
-use crate::incremental::{MetricsFold, PatternAggregates};
+use crate::incremental::IncrementalAnalyzer;
 use crate::kind::PatternKind;
-use crate::run::{mine_patterns, MinerConfig, PatternInstance};
-use crate::threads::{thread_profile, ThreadProfile};
+use crate::regularity::RegularityConfig;
+use crate::run::{MinerConfig, PatternInstance};
+use crate::threads::ThreadProfile;
 
 /// Everything the classifier needs to know about one profile.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -104,37 +106,19 @@ pub struct Metrics {
     pub trailing_unread_writes: usize,
 }
 
-/// Mine patterns and compute the derived metrics for one profile.
+/// Mine patterns and compute the derived metrics for one profile: fold
+/// every event through an [`IncrementalAnalyzer`] and take its snapshot.
 pub fn analyze(profile: &RuntimeProfile, config: &MinerConfig) -> ProfileAnalysis {
-    let patterns = mine_patterns(profile, config);
-    let metrics = compute_metrics(profile, &patterns);
-    let threads = thread_profile(profile);
-    ProfileAnalysis {
-        patterns,
-        metrics,
-        threads,
+    let mut fold = IncrementalAnalyzer::new(config);
+    for e in &profile.events {
+        fold.fold(e);
     }
+    fold.snapshot(&RegularityConfig::default()).0
 }
 
 /// FLR's per-pattern coverage requirement: "read at least 50 % of the data
 /// structure".
 pub const LONG_READ_COVERAGE: f64 = 0.5;
-
-fn compute_metrics(profile: &RuntimeProfile, patterns: &[PatternInstance]) -> Metrics {
-    // All per-event and per-pattern derivations live in the incremental
-    // folds (see `crate::incremental`); the batch pass just folds the whole
-    // profile in one sweep. The streaming analyzer folds the same state one
-    // event at a time, so both produce identical metrics by construction.
-    let mut fold = MetricsFold::default();
-    for e in &profile.events {
-        fold.fold(e);
-    }
-    let mut aggs = PatternAggregates::default();
-    for p in patterns {
-        aggs.add(p);
-    }
-    fold.finish(&aggs)
-}
 
 impl Metrics {
     /// Count of events of one kind.

@@ -1,23 +1,23 @@
 //! Incremental (streaming) mining and metric aggregation.
 //!
-//! The post-mortem pipeline scans a complete [`RuntimeProfile`]
-//! (`mine_patterns` → `compute_metrics` → `thread_profile` → `regularity`).
-//! Every quantity those passes produce is in fact *foldable*: it can be
-//! maintained one event at a time with O(1) state per (thread, track) plus
-//! the list of finalized pattern instances. This module provides those folds
-//! — and the batch passes in [`crate::run`], [`crate::analysis`] and
-//! [`crate::threads`] are re-expressed *in terms of them*, so streaming and
-//! post-mortem analysis agree by construction, not by parallel maintenance
-//! of two copies of the same logic.
+//! Every quantity the analysis produces — pattern instances, [`Metrics`],
+//! [`ThreadProfile`] and the regularity gate's inputs — is *foldable*: it
+//! can be maintained one event at a time with O(1) state per (thread,
+//! track) plus the list of finalized pattern instances. This module holds
+//! those folds, and [`IncrementalAnalyzer`] bundles them. It is the only
+//! analysis path: [`crate::analysis::analyze`] folds a complete
+//! [`RuntimeProfile`] through it, and the streaming analyzer folds the same
+//! state one batch at a time, so post-mortem and streaming analysis agree by
+//! construction.
 //!
-//! The only state that grows with the profile is the finalized-pattern list
-//! (optionally capped, see [`IncrementalAnalyzer::with_pattern_cap`]) and
+//! The state that grows with the profile is the finalized-pattern list and
 //! the sequence numbers of `Sort` events (needed for the Sort-After-Insert
-//! metric; sorts are rare). Raw events are never retained.
+//! metric; sorts are rare). Memory is therefore O(patterns), with no cap.
+//! Raw events are never retained.
 //!
 //! [`RuntimeProfile`]: dsspy_events::RuntimeProfile
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use dsspy_events::{AccessClass, AccessEvent, AccessKind, ThreadTag};
 
@@ -163,10 +163,9 @@ impl TrackAcc {
 
 /// The per-thread four-track run state machine.
 ///
-/// This *is* the miner: [`crate::run::mine_patterns`] drives one
-/// `ThreadMiner` per thread over the complete per-thread slices, the
-/// streaming analyzer drives the same machine one event at a time. Both see
-/// identical emissions because they are the same code.
+/// This *is* the miner. [`IncrementalAnalyzer`] keeps one per thread and
+/// routes each event to its thread's machine, so interleaved threads are
+/// untangled without copying per-thread slices.
 #[derive(Clone, Debug)]
 pub struct ThreadMiner {
     thread: ThreadTag,
@@ -367,7 +366,7 @@ impl ThreadMiner {
 
 /// Foldable aggregates over finalized [`PatternInstance`]s: everything the
 /// metric and regularity passes need from the pattern list, maintained O(1)
-/// per emission so the pattern list itself may be capped or dropped.
+/// per emission.
 #[derive(Clone, Debug, Default)]
 pub struct PatternAggregates {
     /// Instances per pattern kind, indexed by [`PatternKind::ALL`] position.
@@ -683,16 +682,13 @@ impl ThreadFold {
 /// Fold events with [`IncrementalAnalyzer::fold`]; take an exact
 /// [`ProfileAnalysis`] + regularity verdict at any point with
 /// [`IncrementalAnalyzer::snapshot`] — open runs are *virtually* flushed
-/// (on clones of the compact accumulators), mirroring the batch miner's
-/// end-of-profile flush, so a snapshot after the last event equals the
-/// post-mortem analysis of the same events exactly.
+/// (on clones of the compact accumulators), as at the end of a profile, so
+/// a snapshot after any prefix equals the analysis of exactly that prefix.
 #[derive(Clone, Debug)]
 pub struct IncrementalAnalyzer {
     min_len: usize,
     miners: HashMap<ThreadTag, ThreadMiner>,
-    finalized: VecDeque<PatternInstance>,
-    retain_cap: usize,
-    dropped_patterns: u64,
+    finalized: Vec<PatternInstance>,
     aggs: PatternAggregates,
     metrics: MetricsFold,
     threads: ThreadFold,
@@ -701,30 +697,18 @@ pub struct IncrementalAnalyzer {
 }
 
 impl IncrementalAnalyzer {
-    /// Fresh state with the given miner configuration and unlimited pattern
-    /// retention (required for byte-for-byte pattern-list equality).
+    /// Fresh state with the given miner configuration.
     pub fn new(config: &MinerConfig) -> IncrementalAnalyzer {
         IncrementalAnalyzer {
             min_len: config.min_run_len.max(2),
             miners: HashMap::new(),
-            finalized: VecDeque::new(),
-            retain_cap: usize::MAX,
-            dropped_patterns: 0,
+            finalized: Vec::new(),
             aggs: PatternAggregates::default(),
             metrics: MetricsFold::default(),
             threads: ThreadFold::default(),
             last_seq: None,
             out_of_order: 0,
         }
-    }
-
-    /// Cap the retained finalized-pattern list at `cap` instances (`0` =
-    /// unlimited), dropping the *oldest* beyond it. Metrics, regularity and
-    /// classification stay exact (they read the aggregates); only the
-    /// pattern list in snapshots is truncated.
-    pub fn with_pattern_cap(mut self, cap: usize) -> IncrementalAnalyzer {
-        self.retain_cap = if cap == 0 { usize::MAX } else { cap };
-        self
     }
 
     /// Fold one event. Events must arrive in profile (sequence) order;
@@ -744,15 +728,9 @@ impl IncrementalAnalyzer {
             .or_insert_with(|| ThreadMiner::new(e.thread));
         let aggs = &mut self.aggs;
         let finalized = &mut self.finalized;
-        let cap = self.retain_cap;
-        let dropped = &mut self.dropped_patterns;
         miner.push(e, self.min_len, &mut |p| {
             aggs.add(&p);
-            finalized.push_back(p);
-            if finalized.len() > cap {
-                finalized.pop_front();
-                *dropped += 1;
-            }
+            finalized.push(p);
         });
     }
 
@@ -766,24 +744,16 @@ impl IncrementalAnalyzer {
         self.out_of_order
     }
 
-    /// Finalized patterns evicted by the retention cap.
-    pub fn dropped_patterns(&self) -> u64 {
-        self.dropped_patterns
-    }
-
     /// Exact analysis of everything folded so far.
     ///
     /// Open runs are flushed on clones (the live accumulators keep
-    /// extending), mirroring the batch miner's end-of-profile flush: a
-    /// snapshot taken after the final event is equal to
-    /// [`crate::analysis::analyze`] over the same events — including the
-    /// pattern list, provided no retention cap dropped instances and
-    /// sequence numbers are unique (always true for session captures).
+    /// extending), as at the end of a profile. Patterns are ordered by
+    /// `first_seq`; with unique sequence numbers (always true for session
+    /// captures) that order does not depend on how events were batched.
     pub fn snapshot(&self, regularity: &RegularityConfig) -> (ProfileAnalysis, RegularityVerdict) {
-        let mut patterns: Vec<PatternInstance> = self.finalized.iter().copied().collect();
+        let mut patterns = self.finalized.clone();
         let mut aggs = self.aggs.clone();
-        // Virtual end-of-stream flush, threads ascending like the batch
-        // miner.
+        // Virtual end-of-stream flush, threads ascending.
         let mut tags: Vec<ThreadTag> = self.miners.keys().copied().collect();
         tags.sort_unstable();
         for tag in tags {
@@ -811,42 +781,66 @@ impl IncrementalAnalyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::analyze;
     use crate::regularity::regularity;
-    use dsspy_events::{AllocationSite, DsKind, InstanceId, InstanceInfo, RuntimeProfile, Target};
+    use dsspy_events::Target;
 
-    fn profile(events: Vec<AccessEvent>) -> RuntimeProfile {
-        RuntimeProfile::new(
-            InstanceInfo::new(
-                InstanceId(0),
-                AllocationSite::new("T", "m", 1),
-                DsKind::List,
-                "i32",
-            ),
-            events,
-        )
+    /// The reference the fold is checked against: untangle the
+    /// events by thread, run each thread's slice through its own
+    /// [`ThreadMiner`] and flush it, then order the patterns by start.
+    /// Metrics and thread facts come from their folds over the whole
+    /// stream.
+    fn reference(events: &[AccessEvent], config: &MinerConfig) -> ProfileAnalysis {
+        let min_len = config.min_run_len.max(2);
+        let mut threads: Vec<ThreadTag> = events.iter().map(|e| e.thread).collect();
+        threads.sort_unstable();
+        threads.dedup();
+        let mut patterns = Vec::new();
+        for thread in threads {
+            let mut miner = ThreadMiner::new(thread);
+            let mut sink = |p: PatternInstance| patterns.push(p);
+            for e in events.iter().filter(|e| e.thread == thread) {
+                miner.push(e, min_len, &mut sink);
+            }
+            miner.flush(min_len, &mut sink);
+        }
+        patterns.sort_by_key(|p| p.first_seq);
+
+        let mut metrics = MetricsFold::default();
+        let mut thread_fold = ThreadFold::default();
+        for e in events {
+            metrics.fold(e);
+            thread_fold.fold(e);
+        }
+        let mut aggs = PatternAggregates::default();
+        for p in &patterns {
+            aggs.add(p);
+        }
+        ProfileAnalysis {
+            metrics: metrics.finish(&aggs),
+            threads: thread_fold.snapshot(),
+            patterns,
+        }
     }
 
     fn assert_converges(events: Vec<AccessEvent>) {
-        let p = profile(events);
         let miner_cfg = MinerConfig::default();
         let reg_cfg = RegularityConfig::default();
-        let batch = analyze(&p, &miner_cfg);
-        let batch_verdict = regularity(&batch, &reg_cfg);
+        let expected = reference(&events, &miner_cfg);
+        let expected_verdict = regularity(&expected, &reg_cfg);
 
         let mut inc = IncrementalAnalyzer::new(&miner_cfg);
-        for e in &p.events {
+        for e in &events {
             inc.fold(e);
         }
         let (streamed, verdict) = inc.snapshot(&reg_cfg);
 
-        assert_eq!(streamed.patterns, batch.patterns);
+        assert_eq!(streamed.patterns, expected.patterns);
         assert_eq!(
             serde_json::to_string(&streamed.metrics).unwrap(),
-            serde_json::to_string(&batch.metrics).unwrap()
+            serde_json::to_string(&expected.metrics).unwrap()
         );
-        assert_eq!(streamed.threads, batch.threads);
-        assert_eq!(verdict, batch_verdict);
+        assert_eq!(streamed.threads, expected.threads);
+        assert_eq!(verdict, expected_verdict);
     }
 
     fn ev(seq: u64, kind: AccessKind, idx: u32, len: u32) -> AccessEvent {
@@ -946,8 +940,8 @@ mod tests {
 
     #[test]
     fn mid_stream_snapshot_equals_batch_prefix_analysis() {
-        // Snapshot after k events == batch analysis of the first k events,
-        // for every k — the virtual flush makes prefixes exact too.
+        // Snapshot after k events == batch analysis of the first k
+        // events, for every k — the virtual flush makes prefixes exact too.
         let mut events = Vec::new();
         let mut seq = 0u64;
         for i in 0..30u32 {
@@ -962,36 +956,9 @@ mod tests {
         for k in 0..events.len() {
             inc.fold(&events[k]);
             let (streamed, _) = inc.snapshot(&reg_cfg);
-            let batch = analyze(&profile(events[..=k].to_vec()), &miner_cfg);
-            assert_eq!(streamed.patterns, batch.patterns, "prefix len {}", k + 1);
+            let expected = reference(&events[..=k], &miner_cfg);
+            assert_eq!(streamed.patterns, expected.patterns, "prefix len {}", k + 1);
         }
-    }
-
-    #[test]
-    fn pattern_cap_truncates_list_but_not_aggregates() {
-        // 5 refill phases of 30 appends each -> 5 InsertBack patterns.
-        let mut events = Vec::new();
-        let mut seq = 0u64;
-        for _ in 0..5 {
-            for i in 0..30u32 {
-                events.push(ev(seq, AccessKind::Insert, i, i + 1));
-                seq += 1;
-            }
-            events.push(AccessEvent::whole(seq, AccessKind::Clear, 30));
-            seq += 1;
-        }
-        let cfg = MinerConfig::default();
-        let mut inc = IncrementalAnalyzer::new(&cfg).with_pattern_cap(2);
-        for e in &events {
-            inc.fold(e);
-        }
-        let (analysis, verdict) = inc.snapshot(&RegularityConfig::default());
-        assert!(analysis.patterns.len() <= 3, "2 retained + <=1 open run");
-        assert!(inc.dropped_patterns() >= 2);
-        // Aggregates are exact despite the cap.
-        assert_eq!(analysis.metrics.insert_pattern_count, 5);
-        assert_eq!(analysis.metrics.longest_insert_run, 30);
-        assert!(verdict.is_regular());
     }
 
     #[test]

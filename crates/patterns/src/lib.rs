@@ -40,6 +40,6 @@ pub use phases::{
     detect_cycle, lifecycle, segment_phases, Cycle, Lifecycle, Phase, PhaseConfig, PhaseKind,
 };
 pub use regularity::{regularity, RegularityConfig, RegularityVerdict};
-pub use run::{mine_patterns, MinerConfig, PatternInstance};
+pub use run::{MinerConfig, PatternInstance};
 pub use stats::{PatternStats, Summary};
-pub use threads::{thread_profile, ThreadProfile};
+pub use threads::ThreadProfile;

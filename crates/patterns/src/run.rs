@@ -1,15 +1,16 @@
 //! Run segmentation: locating maximal pattern instances in a profile.
 //!
-//! The miner untangles events by thread, then splits each per-thread stream
-//! into four *tracks* — reads, writes, inserts, deletes — before looking for
-//! monotone runs. Interleaved patterns of different kinds (the paper's
+//! The miner ([`crate::incremental::ThreadMiner`], driven by
+//! [`crate::incremental::IncrementalAnalyzer`]) untangles events by thread,
+//! then splits each per-thread stream into four *tracks* — reads, writes,
+//! inserts, deletes — before looking for monotone runs. Interleaved patterns of different kinds (the paper's
 //! Fig. 3 shows Insert-Back and Read-Forward overlapping in time) therefore
 //! do not break each other, while a positional discontinuity *within* a
 //! track ends the current run and starts a new one. This is what makes a
 //! cleared-and-refilled list show *repeated* Insert-Back phases instead of
 //! one long one.
 
-use dsspy_events::{AccessEvent, RuntimeProfile, ThreadTag};
+use dsspy_events::ThreadTag;
 use serde::{Deserialize, Serialize};
 
 use crate::kind::PatternKind;
@@ -73,44 +74,14 @@ impl PatternInstance {
     }
 }
 
-/// Mine all pattern instances from one profile.
-///
-/// Returns instances ordered by `first_seq`.
-///
-/// The run state machine itself lives in [`crate::incremental::ThreadMiner`]
-/// — this batch entry point drives one miner per thread over the complete
-/// per-thread slices, while the streaming analyzer drives the same machine
-/// one event at a time. Both paths produce identical instances because they
-/// *are* the same code.
-pub fn mine_patterns(profile: &RuntimeProfile, config: &MinerConfig) -> Vec<PatternInstance> {
-    let mut out = Vec::new();
-    let min_len = config.min_run_len.max(2);
-    for thread in profile.threads() {
-        let events = profile.thread_slice(thread);
-        mine_thread(&events, thread, min_len, &mut out);
-    }
-    out.sort_by_key(|p| p.first_seq);
-    out
-}
-
-fn mine_thread(
-    events: &[AccessEvent],
-    thread: ThreadTag,
-    min_len: usize,
-    out: &mut Vec<PatternInstance>,
-) {
-    let mut miner = crate::incremental::ThreadMiner::new(thread);
-    let mut sink = |p: PatternInstance| out.push(p);
-    for e in events {
-        miner.push(e, min_len, &mut sink);
-    }
-    miner.flush(min_len, &mut sink);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsspy_events::{AccessKind, AllocationSite, DsKind, InstanceId, InstanceInfo, Target};
+    use crate::analysis::analyze;
+    use dsspy_events::{
+        AccessEvent, AccessKind, AllocationSite, DsKind, InstanceId, InstanceInfo, RuntimeProfile,
+        Target,
+    };
 
     fn profile(events: Vec<AccessEvent>) -> RuntimeProfile {
         RuntimeProfile::new(
@@ -125,7 +96,7 @@ mod tests {
     }
 
     fn mine(events: Vec<AccessEvent>) -> Vec<PatternInstance> {
-        mine_patterns(&profile(events), &MinerConfig::default())
+        analyze(&profile(events), &MinerConfig::default()).patterns
     }
 
     /// n appends: Insert at growing back positions.

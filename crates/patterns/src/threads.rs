@@ -8,8 +8,11 @@
 //! needs: *is this instance already accessed in parallel?* Recommending
 //! "parallelize the insert" for a structure that several threads already
 //! hammer concurrently would be advice the engineer has already taken.
+//!
+//! [`crate::incremental::ThreadFold`] maintains a [`ThreadProfile`] one
+//! event at a time; [`crate::analysis::analyze`] reports it.
 
-use dsspy_events::{RuntimeProfile, ThreadTag};
+use dsspy_events::ThreadTag;
 use serde::{Deserialize, Serialize};
 
 /// Thread-level facts about one profile.
@@ -40,22 +43,18 @@ impl ThreadProfile {
     }
 }
 
-/// Compute the thread profile of one runtime profile.
-///
-/// Folds the whole profile through [`crate::incremental::ThreadFold`] — the
-/// same state the streaming analyzer maintains event by event.
-pub fn thread_profile(profile: &RuntimeProfile) -> ThreadProfile {
-    let mut fold = crate::incremental::ThreadFold::default();
-    for e in &profile.events {
-        fold.fold(e);
-    }
-    fold.snapshot()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsspy_events::{AccessEvent, AccessKind, AllocationSite, DsKind, InstanceId, InstanceInfo};
+    use crate::analysis::analyze;
+    use crate::run::MinerConfig;
+    use dsspy_events::{
+        AccessEvent, AccessKind, AllocationSite, DsKind, InstanceId, InstanceInfo, RuntimeProfile,
+    };
+
+    fn threads_of(profile: &RuntimeProfile) -> ThreadProfile {
+        analyze(profile, &MinerConfig::default()).threads
+    }
 
     fn profile(events: Vec<AccessEvent>) -> RuntimeProfile {
         RuntimeProfile::new(
@@ -77,7 +76,7 @@ mod tests {
 
     #[test]
     fn single_thread_profile() {
-        let tp = thread_profile(&profile((0..20).map(|s| ev(s, 0)).collect()));
+        let tp = threads_of(&profile((0..20).map(|s| ev(s, 0)).collect()));
         assert_eq!(tp.thread_count, 1);
         assert_eq!(tp.switches, 0);
         assert_eq!(tp.dominant_share, 1.0);
@@ -88,7 +87,7 @@ mod tests {
     #[test]
     fn interleaved_threads_are_shared() {
         let events: Vec<_> = (0..40).map(|s| ev(s, (s % 2) as u32)).collect();
-        let tp = thread_profile(&profile(events));
+        let tp = threads_of(&profile(events));
         assert_eq!(tp.thread_count, 2);
         assert_eq!(tp.switches, 39);
         assert!((tp.dominant_share - 0.5).abs() < 1e-12);
@@ -101,7 +100,7 @@ mod tests {
         // Thread 0 builds, thread 1 consumes: exactly one switch.
         let mut events: Vec<_> = (0..50).map(|s| ev(s, 0)).collect();
         events.extend((50..60).map(|s| ev(s, 1)));
-        let tp = thread_profile(&profile(events));
+        let tp = threads_of(&profile(events));
         assert_eq!(tp.thread_count, 2);
         assert_eq!(tp.switches, 1);
         assert!(tp.dominant_share > 0.8);
@@ -111,7 +110,7 @@ mod tests {
 
     #[test]
     fn empty_profile_thread_stats() {
-        let tp = thread_profile(&profile(vec![]));
+        let tp = threads_of(&profile(vec![]));
         assert_eq!(tp.thread_count, 0);
         assert_eq!(tp.dominant_share, 0.0);
         assert!(tp.effectively_single_threaded(0.9));
@@ -122,7 +121,7 @@ mod tests {
         let mut events: Vec<_> = (0..30).map(|s| ev(s, 1)).collect();
         events.extend((30..40).map(|s| ev(s, 2)));
         events.extend((40..45).map(|s| ev(s, 3)));
-        let tp = thread_profile(&profile(events));
+        let tp = threads_of(&profile(events));
         let counts: Vec<usize> = tp.events_per_thread.iter().map(|(_, n)| *n).collect();
         assert_eq!(counts, vec![30, 10, 5]);
     }

@@ -11,7 +11,7 @@ use dsspy_events::{
     AccessEvent, AccessKind, AllocationSite, DsKind, InstanceId, InstanceInfo, RuntimeProfile,
     Target, ThreadTag,
 };
-use dsspy_patterns::{mine_patterns, MinerConfig, PatternKind};
+use dsspy_patterns::{analyze, MinerConfig, PatternKind};
 use proptest::prelude::*;
 
 fn arb_positional_kind() -> impl Strategy<Value = AccessKind> {
@@ -135,10 +135,10 @@ proptest! {
     fn miner_invariants(events in arb_stream()) {
         let p = profile(events);
         let config = MinerConfig::default();
-        let pats = mine_patterns(&p, &config);
+        let pats = analyze(&p, &config).patterns;
 
         // Determinism.
-        prop_assert_eq!(&pats, &mine_patterns(&p, &config));
+        prop_assert_eq!(&pats, &analyze(&p, &config).patterns);
 
         for pat in &pats {
             prop_assert!(pat.len >= config.min_run_len);
@@ -216,8 +216,8 @@ proptest! {
     fn min_run_len_monotone(events in arb_stream(), extra in 2usize..8) {
         // Raising the minimum run length can only reduce the instance count.
         let p = profile(events);
-        let small = mine_patterns(&p, &MinerConfig { min_run_len: 2 });
-        let large = mine_patterns(&p, &MinerConfig { min_run_len: 2 + extra });
+        let small = analyze(&p, &MinerConfig { min_run_len: 2 }).patterns;
+        let large = analyze(&p, &MinerConfig { min_run_len: 2 + extra }).patterns;
         prop_assert!(large.len() <= small.len());
     }
 }

@@ -4,25 +4,20 @@
 //! collected during execution and analyzed afterwards. This crate closes the
 //! loop *while the program is still running*: a [`StreamingAnalyzer`]
 //! subscribes to the collector thread's batch path through the
-//! [`CollectorTap`] API and folds every batch into per-instance incremental
-//! mining state ([`dsspy_patterns::IncrementalAnalyzer`] +
-//! [`dsspy_usecases::AdvisoryFold`]) instead of re-scanning history.
+//! [`CollectorTap`] API and folds every batch into one
+//! [`dsspy_core::InstanceFold`] per instance instead of re-scanning history.
 //!
-//! Because the post-mortem passes themselves delegate to the very same folds
-//! (`mine_patterns`, `compute_metrics`, `thread_profile`, `regularity` and
-//! `advisories` are all thin wrappers over the incremental state machines),
-//! the streaming classification of a drained session is **equal by
-//! construction** to [`dsspy_core::Dsspy::analyze_capture`] — the convergence
-//! property the proptests in this crate and the `streaming_end_to_end`
-//! integration suite pin down byte-for-byte.
+//! That fold is the only analysis path: [`dsspy_core::Dsspy::analyze_capture`]
+//! feeds each saved profile through the same fold, and both turn a fold into
+//! an instance report with [`dsspy_core::InstanceFold::report`]. The
+//! streaming classification of a drained session is therefore **equal by
+//! construction** to the post-mortem one — the convergence property the
+//! proptests in this crate and the `streaming_end_to_end` integration suite
+//! pin down byte-for-byte.
 //!
-//! Memory is bounded:
-//!
-//! * analysis state is a constant-size fold per `(instance, thread, track)`
-//!   plus the finalized pattern list, which [`StreamConfig::max_retained_patterns`]
-//!   can cap (aggregate metrics stay exact even when the list is truncated);
-//! * raw events are retained only in a per-instance display window of at most
-//!   [`StreamConfig::window_events`] events, evicted FIFO.
+//! Memory is O(patterns) with no cap: per instance, a constant-size fold per
+//! `(thread, track)` plus the finalized pattern list. Raw events are not
+//! kept.
 //!
 //! Snapshot cadence applies backpressure: the collector's queue depth behind
 //! each batch, read from its channel at receipt (the value the collector
@@ -32,21 +27,19 @@
 //! events, not re-classifying them.
 //!
 //! All stream internals report into `dsspy-telemetry` under the `stream.*`
-//! namespace: `stream.events/batches/snapshots/evicted/out_of_order`
-//! counters, `stream.fold_nanos`/`stream.snapshot_nanos` histograms, and
-//! `stream.window_events/window_peak/instances/snapshot_interval` gauges.
+//! namespace: `stream.events/batches/snapshots/out_of_order` counters,
+//! `stream.fold_nanos`/`stream.snapshot_nanos` histograms, and
+//! `stream.instances/snapshot_interval` gauges.
 
 #![warn(missing_docs)]
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use dsspy_collect::{Capture, CollectorStats, CollectorTap, Registry, Session, TapFanout};
-use dsspy_core::{AnalysisTimings, Dsspy, InstanceReport, Report};
-use dsspy_events::{AccessEvent, InstanceId, InstanceInfo, Origin};
-use dsspy_patterns::IncrementalAnalyzer;
+use dsspy_core::{AnalysisTimings, Dsspy, InstanceFold, Report};
+use dsspy_events::{AccessEvent, InstanceId, InstanceInfo};
 use dsspy_telemetry::{Counter, FlightEventKind, Gauge, Histogram, Telemetry, TraceContext};
-use dsspy_usecases::{classify, AdvisoryFold};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
@@ -93,31 +86,11 @@ impl SnapshotPolicy {
     }
 }
 
-/// Tunables of the streaming analyzer's memory/cadence behavior.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+/// Tunables of the streaming analyzer's cadence behavior.
+#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
 pub struct StreamConfig {
-    /// Per-instance cap on *retained raw events* (the display window shown
-    /// by `dsspy watch`). Analysis state is folded, so eviction never
-    /// changes classifications; `0` retains nothing.
-    pub window_events: usize,
-    /// Cap on finalized pattern instances each analyzer keeps (`0` =
-    /// unlimited). Aggregate counts, metrics, regularity and classifications
-    /// stay exact when the list is truncated; only the pattern *listing* in
-    /// snapshots shortens. Leave at `0` when byte-for-byte convergence with
-    /// post-mortem reports matters.
-    pub max_retained_patterns: usize,
     /// Snapshot cadence and backpressure.
     pub snapshots: SnapshotPolicy,
-}
-
-impl Default for StreamConfig {
-    fn default() -> Self {
-        StreamConfig {
-            window_events: 1024,
-            max_retained_patterns: 0,
-            snapshots: SnapshotPolicy::default(),
-        }
-    }
 }
 
 /// Progress counters of one streaming analyzer, for status lines and tests.
@@ -129,16 +102,10 @@ pub struct StreamStats {
     pub batches: u64,
     /// Report snapshots published so far.
     pub snapshots: u64,
-    /// Raw events evicted from display windows.
-    pub evicted: u64,
     /// Events that arrived out of sequence order (folded anyway; counted).
     pub out_of_order: u64,
     /// Instances with live mining state.
     pub instances: usize,
-    /// Raw events currently retained across all display windows.
-    pub window_events: usize,
-    /// Peak of `window_events` over the session.
-    pub window_peak: usize,
     /// The snapshot interval currently in effect (after backoff).
     pub current_interval: u64,
 }
@@ -149,12 +116,9 @@ struct Instruments {
     events: Counter,
     batches: Counter,
     snapshots: Counter,
-    evicted: Counter,
     out_of_order: Counter,
     fold_nanos: Histogram,
     snapshot_nanos: Histogram,
-    window_events: Gauge,
-    window_peak: Gauge,
     instances: Gauge,
     snapshot_interval: Gauge,
 }
@@ -165,39 +129,21 @@ impl Instruments {
             events: telemetry.counter("stream.events"),
             batches: telemetry.counter("stream.batches"),
             snapshots: telemetry.counter("stream.snapshots"),
-            evicted: telemetry.counter("stream.evicted"),
             out_of_order: telemetry.counter("stream.out_of_order"),
             fold_nanos: telemetry.histogram("stream.fold_nanos"),
             snapshot_nanos: telemetry.histogram("stream.snapshot_nanos"),
-            window_events: telemetry.gauge("stream.window_events"),
-            window_peak: telemetry.gauge("stream.window_peak"),
             instances: telemetry.gauge("stream.instances"),
             snapshot_interval: telemetry.gauge("stream.snapshot_interval"),
         }
     }
 }
 
-/// Live mining state of one instance.
+/// Live analysis state of one instance: the shared fold plus its
+/// out-of-order bookkeeping.
 struct InstanceState {
-    analyzer: IncrementalAnalyzer,
-    advisory: AdvisoryFold,
-    window: VecDeque<AccessEvent>,
-    evicted: u64,
-    /// Last observed `analyzer.out_of_order()`, for delta accounting.
+    fold: InstanceFold,
+    /// Last observed `fold.out_of_order()`, for delta accounting.
     seen_out_of_order: u64,
-}
-
-impl InstanceState {
-    fn new(dsspy: &Dsspy, config: &StreamConfig) -> InstanceState {
-        InstanceState {
-            analyzer: IncrementalAnalyzer::new(&dsspy.analysis.miner)
-                .with_pattern_cap(config.max_retained_patterns),
-            advisory: AdvisoryFold::default(),
-            window: VecDeque::new(),
-            evicted: 0,
-            seen_out_of_order: 0,
-        }
-    }
 }
 
 /// Everything behind the mutex: fold state, cadence bookkeeping, and the
@@ -221,8 +167,6 @@ struct Shared {
     batches_since_snapshot: u64,
     snapshots: u64,
     events_total: u64,
-    window_total: usize,
-    window_peak: usize,
     current_interval: u64,
     /// Collector stats as of `on_stop`; synthesized from fold counters for
     /// mid-session snapshots.
@@ -248,8 +192,6 @@ impl Shared {
             batches_since_snapshot: 0,
             snapshots: 0,
             events_total: 0,
-            window_total: 0,
-            window_peak: 0,
             current_interval,
             final_stats: None,
             session_nanos: 0,
@@ -266,43 +208,27 @@ impl Shared {
     ) {
         let started = self.telemetry.now_nanos();
         self.last_ctx = ctx;
-        let state = match self.states.entry(id) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(InstanceState::new(&self.dsspy, &self.config))
-            }
-        };
+        let analysis = &self.dsspy.analysis;
+        let state = self.states.entry(id).or_insert_with(|| InstanceState {
+            fold: InstanceFold::new(analysis),
+            seen_out_of_order: 0,
+        });
         for e in events {
-            state.analyzer.fold(e);
-            state.advisory.fold(e);
-            state.window.push_back(*e);
+            state.fold.fold(e);
         }
-        let mut evicted_now = 0u64;
-        while state.window.len() > self.config.window_events {
-            state.window.pop_front();
-            evicted_now += 1;
-        }
-        state.evicted += evicted_now;
-        let ooo = state.analyzer.out_of_order();
+        let ooo = state.fold.out_of_order();
         let ooo_delta = ooo - state.seen_out_of_order;
         state.seen_out_of_order = ooo;
 
         self.events_total += events.len() as u64;
         self.batches += 1;
         self.batches_since_snapshot += 1;
-        self.window_total = self.window_total + events.len() - evicted_now as usize;
-        self.window_peak = self.window_peak.max(self.window_total);
 
         self.ins.events.add(events.len() as u64);
         self.ins.batches.inc();
-        if evicted_now > 0 {
-            self.ins.evicted.add(evicted_now);
-        }
         if ooo_delta > 0 {
             self.ins.out_of_order.add(ooo_delta);
         }
-        self.ins.window_events.set(self.window_total as u64);
-        self.ins.window_peak.set_max(self.window_total as u64);
         self.ins.instances.set(self.states.len() as u64);
         self.ins
             .fold_nanos
@@ -341,45 +267,24 @@ impl Shared {
         );
     }
 
-    /// Classify everything folded so far, mirroring
-    /// [`Dsspy::analyze_capture`]'s per-instance sequence exactly:
-    /// registration order, the selective-origin filter, then
-    /// mine → regularity gate → classify → advisories per instance.
+    /// Report everything folded so far the way [`Dsspy::analyze_capture`]
+    /// does: registration order, the selective-origin filter, then
+    /// [`InstanceFold::report`] per instance.
     fn build_report(&self) -> Report {
         let analysis = &self.dsspy.analysis;
         let infos: Vec<InstanceInfo> = match &self.registry {
             Some(r) => r.snapshot(),
             None => self.local.clone(),
         };
-        let mut instances = Vec::new();
-        for info in infos
+        let instances = infos
             .iter()
-            .filter(|i| !analysis.selective || i.origin == Origin::Manual)
-        {
-            let (profile_analysis, verdict, events, advisories) =
-                if let Some(state) = self.states.get(&info.id) {
-                    let (a, v) = state.analyzer.snapshot(&analysis.regularity);
-                    let advs = state
-                        .advisory
-                        .finish(info.kind.is_linear(), &analysis.advisories);
-                    (a, v, state.analyzer.event_count(), advs)
-                } else {
-                    // Registered but never touched: identical to analyzing
-                    // an empty profile.
-                    let (a, v) =
-                        IncrementalAnalyzer::new(&analysis.miner).snapshot(&analysis.regularity);
-                    (a, v, 0, Vec::new())
-                };
-            let use_cases = classify(info, &profile_analysis, &analysis.thresholds);
-            instances.push(InstanceReport {
-                instance: info.clone(),
-                events,
-                analysis: profile_analysis,
-                regularity: verdict,
-                use_cases,
-                advisories,
-            });
-        }
+            .filter(|info| analysis.includes(info))
+            .map(|info| match self.states.get(&info.id) {
+                Some(state) => state.fold.report(info, analysis),
+                // Registered but never touched: the report of an empty fold.
+                None => InstanceFold::new(analysis).report(info, analysis),
+            })
+            .collect();
         let stats = self.final_stats.unwrap_or(CollectorStats {
             events: self.events_total,
             batches: self.batches,
@@ -399,11 +304,8 @@ impl Shared {
             events: self.events_total,
             batches: self.batches,
             snapshots: self.snapshots,
-            evicted: self.states.values().map(|s| s.evicted).sum(),
             out_of_order: self.states.values().map(|s| s.seen_out_of_order).sum(),
             instances: self.states.len(),
-            window_events: self.window_total,
-            window_peak: self.window_peak,
             current_interval: self.current_interval,
         }
     }
@@ -810,27 +712,6 @@ mod tests {
     }
 
     #[test]
-    fn window_eviction_bounds_memory_without_changing_results() {
-        let dsspy = Dsspy::new().with_threads(1);
-        let session = Session::new();
-        run_workload(&session);
-        let capture = session.finish();
-
-        let tight = StreamConfig {
-            window_events: 16,
-            ..StreamConfig::default()
-        };
-        let streaming = StreamingAnalyzer::new(dsspy, tight);
-        streaming.replay_capture(&capture, 64);
-        let stats = streaming.stats();
-        assert!(stats.window_peak <= 16 * capture.instance_count());
-        assert!(stats.evicted > 0, "{stats:?}");
-        let live = streaming.latest_report().unwrap();
-        let post = dsspy.analyze_capture(&capture);
-        assert_eq!(instances_json(&live), instances_json(&post));
-    }
-
-    #[test]
     fn snapshot_cadence_follows_policy() {
         let dsspy = Dsspy::new();
         let config = StreamConfig {
@@ -839,7 +720,6 @@ mod tests {
                 backoff_queue_depth: 64,
                 max_backoff_shifts: 4,
             },
-            ..StreamConfig::default()
         };
         let streaming = StreamingAnalyzer::new(dsspy, config);
         let info = InstanceInfo::new(
@@ -889,7 +769,6 @@ mod tests {
                 backoff_queue_depth: 0,
                 max_backoff_shifts: 0,
             },
-            ..StreamConfig::default()
         };
         let streaming = StreamingAnalyzer::new(dsspy, config);
         let info = InstanceInfo::new(
@@ -998,34 +877,6 @@ mod tests {
             .any(|e| e.kind.tag() == "snapshot" && e.subscriber.as_deref() == Some("analyzer")));
         assert_eq!(dump.events.last().unwrap().kind.tag(), "session-stop");
         assert!(dump.incidents.is_empty(), "healthy session, no incidents");
-    }
-
-    #[test]
-    fn pattern_cap_keeps_classifications_exact() {
-        let dsspy = Dsspy::new().with_threads(1);
-        let session = Session::new();
-        run_workload(&session);
-        let capture = session.finish();
-        let capped = StreamConfig {
-            max_retained_patterns: 2,
-            ..StreamConfig::default()
-        };
-        let streaming = StreamingAnalyzer::new(dsspy, capped);
-        streaming.replay_capture(&capture, 32);
-        let live = streaming.latest_report().unwrap();
-        let post = dsspy.analyze_capture(&capture);
-        for (l, p) in live.instances.iter().zip(&post.instances) {
-            assert!(l.analysis.patterns.len() <= 2);
-            assert_eq!(
-                serde_json::to_string(&l.use_cases).unwrap(),
-                serde_json::to_string(&p.use_cases).unwrap()
-            );
-            assert_eq!(l.regularity, p.regularity);
-            assert_eq!(
-                serde_json::to_string(&l.analysis.metrics).unwrap(),
-                serde_json::to_string(&p.analysis.metrics).unwrap()
-            );
-        }
     }
 
     #[test]

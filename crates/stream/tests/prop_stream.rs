@@ -5,8 +5,8 @@
 //! Two routes into the fold path are exercised:
 //!
 //! * **replay** — a synthetic multi-instance capture streamed through
-//!   [`StreamingAnalyzer::replay_capture`] at arbitrary batch sizes and
-//!   window caps must serialize byte-for-byte like the post-mortem report;
+//!   [`StreamingAnalyzer::replay_capture`] at arbitrary batch sizes must
+//!   serialize byte-for-byte like the post-mortem report;
 //! * **live** — the same operation sequences recorded through a real
 //!   [`Session`] with the analyzer attached as a collector tap, compared on
 //!   the serialized instance reports (classifications, metrics, patterns,
@@ -18,7 +18,7 @@ use dsspy_events::{
     AccessEvent, AccessKind, AllocationSite, DsKind, InstanceId, InstanceInfo, RuntimeProfile,
     Target, ThreadTag,
 };
-use dsspy_stream::{SnapshotPolicy, StreamConfig, StreamingAnalyzer};
+use dsspy_stream::{StreamConfig, StreamingAnalyzer};
 use proptest::prelude::*;
 
 const INSTANCES: usize = 3;
@@ -180,16 +180,10 @@ proptest! {
     fn replayed_stream_equals_post_mortem_byte_for_byte(
         ops in arb_ops(),
         batch in 1usize..128,
-        window in 0usize..64,
     ) {
         let capture = synthetic_capture(&resolve(&ops));
         let dsspy = Dsspy::new().with_threads(1);
-        let config = StreamConfig {
-            window_events: window,
-            max_retained_patterns: 0,
-            snapshots: SnapshotPolicy::default(),
-        };
-        let streaming = StreamingAnalyzer::new(dsspy, config);
+        let streaming = StreamingAnalyzer::new(dsspy, StreamConfig::default());
         streaming.replay_capture(&capture, batch);
         let live = streaming.latest_report().expect("final snapshot on finish");
         let post = dsspy.analyze_capture(&capture);

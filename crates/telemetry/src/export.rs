@@ -200,14 +200,23 @@ pub fn summary(snapshot: &TelemetrySnapshot) -> String {
     if !snapshot.histograms.is_empty() {
         out.push_str("  histograms:\n");
         for h in &snapshot.histograms {
+            // Only `*_nanos` histograms hold durations; the others hold
+            // plain quantities (`collector.batch_events` counts events).
+            let fmt = |v: u64| {
+                if h.name.ends_with("_nanos") {
+                    fmt_nanos(v)
+                } else {
+                    v.to_string()
+                }
+            };
             let _ = writeln!(
                 out,
                 "    {:<36} n={} mean={} min={} max={}",
                 h.name,
                 h.count,
-                fmt_nanos(h.mean() as u64),
-                fmt_nanos(h.min),
-                fmt_nanos(h.max),
+                fmt(h.mean() as u64),
+                fmt(h.min),
+                fmt(h.max),
             );
         }
     }
@@ -349,6 +358,23 @@ mod tests {
         let json = to_json(&snap);
         let back: TelemetrySnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);
+    }
+
+    #[test]
+    fn summary_prints_non_time_histograms_without_time_units() {
+        let telemetry = Telemetry::enabled();
+        let h = telemetry.histogram("collector.batch_events");
+        h.record(12);
+        h.record(1_024);
+        let text = summary(&telemetry.snapshot());
+        let line = text
+            .lines()
+            .find(|l| l.contains("collector.batch_events"))
+            .expect("histogram line");
+        assert!(line.contains("min=12 max=1024"), "{line}");
+        assert!(!line.contains("ns") && !line.contains("µs"), "{line}");
+        // Duration histograms keep their units.
+        assert!(summary(&sample()).contains("max=5.00µs"));
     }
 
     #[test]

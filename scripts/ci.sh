@@ -6,10 +6,12 @@
 #               must be identical at every analysis width — this varies how
 #               it is computed, never what comes out), then explicit
 #               --threads CLI runs, the bad-input cell (malformed numeric
-#               flags exit 2), the closed-pipe cell (`analyze --json | head`
+#               values and unknown flags exit 2), the closed-pipe cell (`analyze --json | head`
 #               exits 0 quietly), the live-scrape smoke
 #               (`telemetry serve --live --self-check`) and the follow
-#               smoke (`watch --follow`), then every Criterion bench once.
+#               smoke (`watch --follow`), the perfbench-tests cell (the
+#               benchmark's own tests against the changed crates), then
+#               every Criterion bench once.
 #   matrix      only the 2x3 debug/release x threads test matrix.
 #   bench-smoke only the Criterion benches, one pass each (`-- --test`).
 #
@@ -110,8 +112,8 @@ if [[ "$MODE" == "full" ]]; then
             "$(printf '"kind":"smoke","threads":%s,' "$t")" \
             ./target/release/dsspy analyze "$SMOKE" --threads "$t"
     done
-    # Malformed numeric flags are rejected with usage and exit 2, never
-    # silently replaced by a default.
+    # Malformed numeric values and unknown flags are rejected with usage and
+    # exit 2, never silently replaced by a default.
     run_cell bad-input '"kind":"smoke",' \
         bash -c '
             set -uo pipefail
@@ -122,7 +124,13 @@ if [[ "$MODE" == "full" ]]; then
             ./target/release/dsspy watch --follow --frames x
             code=$?
             [[ "$code" -eq 2 ]] || { echo "watch --follow --frames x: exit $code, want 2"; exit 1; }
-            echo "malformed numeric flags exit 2 with usage"
+            ./target/release/dsspy analyze "$smoke" --thread 2
+            code=$?
+            [[ "$code" -eq 2 ]] || { echo "analyze --thread 2: exit $code, want 2"; exit 1; }
+            ./target/release/dsspy watch --follow --window 8
+            code=$?
+            [[ "$code" -eq 2 ]] || { echo "watch --follow --window 8: exit $code, want 2"; exit 1; }
+            echo "malformed numeric values and unknown flags exit 2 with usage"
         ' bad-input "$SMOKE"
     # A reader that closes the pipe early ends the output quietly: the
     # Gpdotnet report (~97 KB of JSON) overflows the pipe buffer, so
@@ -173,6 +181,10 @@ if [[ "$MODE" == "full" ]]; then
             grep -q "subscriber bomb" <<<"$out" || { echo "panicking subscriber not named"; exit 1; }
             echo "doctor reconstructed the injected incident (exit 1 as required)"
         ' doctor-incident "$SMOKE" "$FLIGHT"
+    # The benchmark is a workspace of its own that builds against these
+    # crates by path: its tests catch a change to any public API it uses.
+    run_cell perfbench-tests '"kind":"test",' \
+        cargo test --release --offline --manifest-path perfbench/Cargo.toml
 fi
 
 if [[ "$MODE" == "full" || "$MODE" == "bench-smoke" ]]; then

@@ -2,12 +2,12 @@
 //! every suite7 workload, run under a live tapped session, must produce a
 //! streaming report whose per-instance verdicts serialize byte-for-byte
 //! like the post-mortem `analyze_capture` of the drained capture — with
-//! matching recommended actions — and a long session must keep the
-//! streaming window within its configured bound.
+//! matching recommended actions — including a long session streamed in
+//! small batches.
 
 use dsspy::collect::{CaptureRecorder, Session, SessionConfig, TapFanout};
 use dsspy::core::Dsspy;
-use dsspy::stream::{SnapshotPolicy, StreamConfig, StreamingAnalyzer, TelemetrySampler};
+use dsspy::stream::{StreamConfig, StreamingAnalyzer, TelemetrySampler};
 use dsspy::telemetry::Telemetry;
 use dsspy_workloads::{suite7, Mode, Scale};
 
@@ -154,11 +154,9 @@ fn replaying_a_suite7_capture_matches_whole_report_serialization() {
 }
 
 #[test]
-fn long_session_streaming_memory_stays_within_the_window() {
-    // A session far larger than the window: millions of would-be retained
-    // events must collapse to at most `window_events` per instance, while
-    // the verdicts still converge.
-    let window = 256usize;
+fn long_session_streaming_converges_to_the_post_mortem_verdicts() {
+    // A long session in small batches: the analyzer keeps only its folds,
+    // and the verdicts still converge.
     let dsspy = Dsspy {
         session: SessionConfig {
             batch_size: 128,
@@ -167,12 +165,7 @@ fn long_session_streaming_memory_stays_within_the_window() {
         ..Dsspy::new()
     }
     .with_threads(1);
-    let config = StreamConfig {
-        window_events: window,
-        max_retained_patterns: 0,
-        snapshots: SnapshotPolicy::default(),
-    };
-    let streaming = StreamingAnalyzer::new(dsspy, config);
+    let streaming = StreamingAnalyzer::new(dsspy, StreamConfig::default());
     let session = streaming.attach(Vec::new());
     let instances = 4usize;
     {
@@ -199,16 +192,7 @@ fn long_session_streaming_memory_stays_within_the_window() {
 
     let stats = streaming.stats();
     assert_eq!(stats.events, 50_000);
-    assert!(
-        stats.window_peak <= window * instances,
-        "retained {} events, bound is {}",
-        stats.window_peak,
-        window * instances
-    );
-    assert!(
-        stats.evicted >= stats.events - (window * instances) as u64,
-        "{stats:?}"
-    );
+    assert_eq!(stats.instances, instances);
 
     let live = streaming.latest_report().expect("final snapshot");
     let post = dsspy.analyze_capture(&capture);
