@@ -6,7 +6,7 @@ use std::path::{Path, PathBuf};
 use dsspy_cli::{
     cmd_analyze, cmd_chart, cmd_csv, cmd_demo, cmd_diff, cmd_doctor, cmd_report, cmd_sketch,
     cmd_telemetry, cmd_telemetry_serve, cmd_telemetry_serve_live, cmd_timeline, cmd_watch,
-    cmd_watch_follow,
+    cmd_watch_follow, CliError,
 };
 
 fn usage() -> ! {
@@ -185,7 +185,7 @@ fn main() {
             let (Some(path), Some(what)) = (positional.first(), positional.get(1)) else {
                 usage()
             };
-            cmd_csv(Path::new(path), what)
+            what.parse().and_then(|what| cmd_csv(Path::new(path), what))
         }
         "report" => {
             let Some(path) = positional.first() else {
@@ -229,7 +229,9 @@ fn main() {
                     usage()
                 };
                 let format = value("--format").unwrap_or_else(|| "summary".to_string());
-                cmd_telemetry(Path::new(path), threads, &format, flag("--check"))
+                format.parse().and_then(|format| {
+                    cmd_telemetry(Path::new(path), threads, format, flag("--check"))
+                })
             }
         }
         "demo" => {
@@ -287,6 +289,11 @@ fn main() {
         Ok(out) => emit(&out),
         Err(e) => {
             eprintln!("dsspy: {e}");
+            // A value outside its choices is caught before any work, like a
+            // malformed number: usage and exit 2.
+            if matches!(e, CliError::Usage(_)) {
+                usage()
+            }
             std::process::exit(1);
         }
     }

@@ -93,6 +93,10 @@ pub enum CliError {
     /// The streaming analyzer misbehaved (no snapshot, or divergence from
     /// the post-mortem verdicts).
     Stream(String),
+    /// An argument is not one of its command's choices (a csv kind, a
+    /// telemetry format, a workload name). Raised before any work; the
+    /// binary prints usage and exits 2.
+    Usage(String),
 }
 
 impl std::fmt::Display for CliError {
@@ -106,6 +110,7 @@ impl std::fmt::Display for CliError {
             CliError::Io(e) => write!(f, "cannot write output: {e}"),
             CliError::Telemetry(e) => write!(f, "telemetry export: {e}"),
             CliError::Stream(e) => write!(f, "streaming analysis: {e}"),
+            CliError::Usage(e) => f.write_str(e),
         }
     }
 }
@@ -258,17 +263,36 @@ pub fn cmd_diff(before: &Path, after: &Path, threads: usize) -> Result<String, C
     Ok(out)
 }
 
+/// What `dsspy csv` exports.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CsvKind {
+    /// One row per instance.
+    Instances,
+    /// One row per detected use case.
+    UseCases,
+}
+
+impl std::str::FromStr for CsvKind {
+    type Err = CliError;
+    fn from_str(s: &str) -> Result<CsvKind, CliError> {
+        match s {
+            "instances" => Ok(CsvKind::Instances),
+            "usecases" => Ok(CsvKind::UseCases),
+            other => Err(CliError::Usage(format!(
+                "unknown csv kind {other:?} (instances|usecases)"
+            ))),
+        }
+    }
+}
+
 /// `dsspy csv`: machine-readable exports (instances + use cases).
-pub fn cmd_csv(path: &Path, what: &str) -> Result<String, CliError> {
+pub fn cmd_csv(path: &Path, what: CsvKind) -> Result<String, CliError> {
     let capture = load_capture(path)?;
     let report = Dsspy::new().analyze_capture(&capture);
-    match what {
-        "instances" => Ok(instances_csv(&report)),
-        "usecases" => Ok(use_cases_csv(&report)),
-        other => Err(CliError::Json(format!(
-            "unknown csv kind {other:?} (instances|usecases)"
-        ))),
-    }
+    Ok(match what {
+        CsvKind::Instances => instances_csv(&report),
+        CsvKind::UseCases => use_cases_csv(&report),
+    })
 }
 
 /// `dsspy report`: self-contained HTML report with embedded charts. With
@@ -298,6 +322,34 @@ pub fn cmd_report(
     ))
 }
 
+/// The export formats of `dsspy telemetry`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TelemetryFormat {
+    /// Human-readable summary.
+    Summary,
+    /// The snapshot as JSON.
+    Json,
+    /// Prometheus text exposition.
+    Prometheus,
+    /// Chrome `trace_event` JSON.
+    Trace,
+}
+
+impl std::str::FromStr for TelemetryFormat {
+    type Err = CliError;
+    fn from_str(s: &str) -> Result<TelemetryFormat, CliError> {
+        match s {
+            "summary" => Ok(TelemetryFormat::Summary),
+            "json" => Ok(TelemetryFormat::Json),
+            "prometheus" => Ok(TelemetryFormat::Prometheus),
+            "trace" => Ok(TelemetryFormat::Trace),
+            other => Err(CliError::Usage(format!(
+                "unknown format {other:?} (summary|json|prometheus|trace)"
+            ))),
+        }
+    }
+}
+
 /// `dsspy telemetry`: self-observe a full analysis of the capture and render
 /// the snapshot in one of the export formats. `check` validates the
 /// Prometheus exposition (any format may be combined with it; the check
@@ -305,7 +357,7 @@ pub fn cmd_report(
 pub fn cmd_telemetry(
     path: &Path,
     threads: usize,
-    format: &str,
+    format: TelemetryFormat,
     check: bool,
 ) -> Result<String, CliError> {
     let telemetry = Telemetry::enabled();
@@ -317,15 +369,12 @@ pub fn cmd_telemetry(
     if check {
         validate_prometheus(&export::prometheus(snapshot)).map_err(CliError::Telemetry)?;
     }
-    match format {
-        "summary" => Ok(export::summary(snapshot)),
-        "json" => Ok(export::to_json(snapshot)),
-        "prometheus" => Ok(export::prometheus(snapshot)),
-        "trace" => Ok(export::chrome_trace(snapshot)),
-        other => Err(CliError::Telemetry(format!(
-            "unknown format {other:?} (summary|json|prometheus|trace)"
-        ))),
-    }
+    Ok(match format {
+        TelemetryFormat::Summary => export::summary(snapshot),
+        TelemetryFormat::Json => export::to_json(snapshot),
+        TelemetryFormat::Prometheus => export::prometheus(snapshot),
+        TelemetryFormat::Trace => export::chrome_trace(snapshot),
+    })
 }
 
 /// `dsspy demo`: record one of the paper's seven evaluation workloads at
@@ -407,7 +456,7 @@ fn find_workload(name: Option<&str>) -> Result<usize, CliError> {
         .iter()
         .position(|w| w.spec().name.eq_ignore_ascii_case(name))
         .ok_or_else(|| {
-            CliError::Telemetry(format!(
+            CliError::Usage(format!(
                 "unknown workload {name:?} (one of: {})",
                 suite
                     .iter()
@@ -558,7 +607,7 @@ pub fn cmd_telemetry_serve(
     requests: Option<u64>,
     self_check: bool,
 ) -> Result<String, CliError> {
-    let body = cmd_telemetry(path, threads, "prometheus", true)?;
+    let body = cmd_telemetry(path, threads, TelemetryFormat::Prometheus, true)?;
     let (served, local, scraped) = serve_metrics(addr, requests, self_check, || Ok(body.clone()))?;
     let mut msg = format!(
         "served {served} scrape(s) of {} bytes from http://{local}/metrics",
@@ -1176,11 +1225,13 @@ mod tests {
     #[test]
     fn csv_exports() {
         let path = temp_capture(true, "csv.dsspycap");
-        let instances = cmd_csv(&path, "instances").unwrap();
+        let instances = cmd_csv(&path, CsvKind::Instances).unwrap();
         assert!(instances.lines().count() >= 3);
-        let cases = cmd_csv(&path, "usecases").unwrap();
+        let cases = cmd_csv(&path, CsvKind::UseCases).unwrap();
         assert!(cases.contains("Long-Insert"));
-        assert!(cmd_csv(&path, "bogus").is_err());
+        let err = "bogus".parse::<CsvKind>().unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)));
+        assert!(err.to_string().contains("\"bogus\""), "{err}");
     }
 
     #[test]

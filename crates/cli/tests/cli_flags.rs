@@ -1,6 +1,6 @@
-//! The `dsspy` binary parses flags strictly: a malformed numeric value or an
-//! unknown flag prints usage and exits 2 instead of silently falling back to
-//! a default.
+//! The `dsspy` binary parses flags strictly: a malformed numeric value, an
+//! unknown flag or a value outside its choices prints usage and exits 2
+//! instead of silently falling back to a default or failing after the work.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -14,10 +14,11 @@ fn dsspy(args: &[&str]) -> Output {
         .expect("run dsspy")
 }
 
-fn demo_capture() -> PathBuf {
+/// A fresh demo capture; `name` keeps concurrently running tests apart.
+fn demo_capture(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dsspy-flags-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
-    let path = dir.join("flags.dsspycap");
+    let path = dir.join(name);
     cmd_demo(&path, None, false, None, false).expect("demo capture");
     path
 }
@@ -31,7 +32,7 @@ fn assert_usage_exit(out: &Output, flag: &str) {
 
 #[test]
 fn malformed_threads_exits_2_with_usage() {
-    let capture = demo_capture();
+    let capture = demo_capture("threads.dsspycap");
     let capture = capture.to_str().expect("utf-8 temp path");
     assert_usage_exit(
         &dsspy(&["analyze", capture, "--threads", "abc"]),
@@ -76,4 +77,38 @@ fn unknown_flags_exit_2_before_any_work() {
         "--thread",
     );
     assert_usage_exit(&dsspy(&["watch", "--follow", "--window", "8"]), "--window");
+}
+
+#[test]
+fn bad_enumerated_values_exit_2_before_any_work() {
+    // The capture does not exist: a value checked after loading it would
+    // exit 1 with "cannot read capture" instead.
+    let missing = "missing.dsspycap";
+    assert_usage_exit(&dsspy(&["csv", missing, "nope"]), "\"nope\"");
+    assert_usage_exit(
+        &dsspy(&["telemetry", missing, "--format", "nope"]),
+        "\"nope\"",
+    );
+    let out = std::env::temp_dir().join(format!("dsspy-flags-{}-x.dsspycap", std::process::id()));
+    let out = out.to_str().expect("utf-8 temp path");
+    assert_usage_exit(&dsspy(&["demo", out, "--workload", "Nope"]), "\"Nope\"");
+    assert!(!std::path::Path::new(out).exists(), "demo recorded nothing");
+    assert_usage_exit(
+        &dsspy(&["watch", "--follow", "--workload", "Nope"]),
+        "\"Nope\"",
+    );
+    // Valid choices still run.
+    let capture = demo_capture("choices.dsspycap");
+    let capture = capture.to_str().expect("utf-8 temp path");
+    for args in [
+        vec!["csv", capture, "usecases"],
+        vec!["telemetry", capture, "--format", "json"],
+    ] {
+        let ok = dsspy(&args);
+        assert!(
+            ok.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&ok.stderr)
+        );
+    }
 }

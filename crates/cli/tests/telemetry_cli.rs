@@ -4,7 +4,10 @@
 
 use std::path::PathBuf;
 
-use dsspy_cli::{cmd_analyze, cmd_demo, cmd_report, cmd_telemetry, validate_prometheus, CliError};
+use dsspy_cli::{
+    cmd_analyze, cmd_demo, cmd_report, cmd_telemetry, validate_prometheus, CliError,
+    TelemetryFormat,
+};
 use dsspy_telemetry::TelemetrySnapshot;
 
 fn temp_dir() -> PathBuf {
@@ -74,7 +77,7 @@ fn demo_overhead_share_stays_below_the_whole_session() {
     // the collector's in-session busy time may be charged to the session.
     let path = temp_dir().join("overhead.dsspycap");
     cmd_demo(&path, Some("Mandelbrot"), false, None, false).unwrap();
-    let json = cmd_telemetry(&path, 1, "json", false).unwrap();
+    let json = cmd_telemetry(&path, 1, TelemetryFormat::Json, false).unwrap();
     let snapshot: TelemetrySnapshot = serde_json::from_str(&json).unwrap();
     let overhead = snapshot.overhead.expect("accounted");
     assert_eq!(
@@ -113,30 +116,31 @@ fn report_with_telemetry_writes_both_artifacts() {
 #[test]
 fn telemetry_subcommand_renders_every_format() {
     let capture = demo_capture("formats.dsspycap");
-    let summary = cmd_telemetry(&capture, 2, "summary", false).unwrap();
+    let summary = cmd_telemetry(&capture, 2, TelemetryFormat::Summary, false).unwrap();
     assert!(summary.contains("overhead:"), "{summary}");
     assert!(summary.contains("counters:"));
 
-    let json = cmd_telemetry(&capture, 2, "json", false).unwrap();
+    let json = cmd_telemetry(&capture, 2, TelemetryFormat::Json, false).unwrap();
     let snapshot: TelemetrySnapshot = serde_json::from_str(&json).unwrap();
     assert!(snapshot.counter("persist.bodies_decoded").unwrap_or(0) > 0);
 
-    let prom = cmd_telemetry(&capture, 2, "prometheus", true).unwrap();
+    let prom = cmd_telemetry(&capture, 2, TelemetryFormat::Prometheus, true).unwrap();
     assert!(prom.contains("dsspy_persist_decode_bytes_total"), "{prom}");
     validate_prometheus(&prom).unwrap();
 
-    let trace = cmd_telemetry(&capture, 2, "trace", false).unwrap();
+    let trace = cmd_telemetry(&capture, 2, TelemetryFormat::Trace, false).unwrap();
     let doc: serde_json::Value = serde_json::from_str(&trace).unwrap();
     assert!(!doc["traceEvents"].as_array().unwrap().is_empty());
 
-    let err = cmd_telemetry(&capture, 2, "yaml", false).unwrap_err();
-    assert!(matches!(err, CliError::Telemetry(_)));
+    let err = "yaml".parse::<TelemetryFormat>().unwrap_err();
+    assert!(matches!(err, CliError::Usage(_)));
+    assert!(err.to_string().contains("\"yaml\""), "{err}");
 }
 
 #[test]
 fn validator_accepts_the_real_exposition_and_rejects_corruptions() {
     let capture = demo_capture("validator.dsspycap");
-    let good = cmd_telemetry(&capture, 1, "prometheus", false).unwrap();
+    let good = cmd_telemetry(&capture, 1, TelemetryFormat::Prometheus, false).unwrap();
     validate_prometheus(&good).unwrap();
 
     // Sample with no preceding # TYPE declaration.

@@ -1,10 +1,11 @@
-//! Session time: a global logical clock plus monotonic wall time.
+//! Session time: a global logical clock plus the session's wall-clock start.
 //!
-//! Every access event needs a *time stamp* (paper §IV). Pattern mining only
-//! needs a total order, which the atomic sequence number provides cheaply;
-//! the use-case thresholds that talk about *runtime shares* (e.g.
-//! Long-Insert's ">30 % of runtime") additionally need wall-clock time, which
-//! we take from a monotonic [`Instant`] anchored at session start.
+//! Every access event needs a *time stamp* (paper §IV). The atomic sequence
+//! number is that stamp: a logical tick that totally orders the session's
+//! events, and the clock the use-case thresholds that talk about *runtime
+//! shares* (e.g. Long-Insert's ">30 % of runtime") measure spans on, so a
+//! verdict does not move with host load. Wall time is read per session
+//! (the collector stamps the duration at shutdown), never per event.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -44,6 +45,11 @@ impl SessionClock {
     #[inline]
     pub fn nanos(&self) -> u64 {
         self.start.elapsed().as_nanos() as u64
+    }
+
+    /// The instant the session started.
+    pub(crate) fn started(&self) -> Instant {
+        self.start
     }
 }
 

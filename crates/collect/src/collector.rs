@@ -9,6 +9,7 @@
 
 use std::collections::HashMap;
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 use crossbeam::channel::Receiver;
 use dsspy_events::{AccessEvent, InstanceId, InstanceInfo, RuntimeProfile};
@@ -25,15 +26,15 @@ pub(crate) enum Msg {
     /// field is the telemetry-clock time the batch was shipped (0 when
     /// telemetry is disabled), so the collector can report queue wait.
     Batch(InstanceId, Vec<AccessEvent>, u64),
-    /// Session shutdown: drain whatever is already queued, then stop. Carries
-    /// the session's wall-clock duration so taps can finalize with the same
-    /// `session_nanos` the capture reports (0 when the senders simply
-    /// dropped without `Session::finish`).
-    Stop {
-        /// Session duration at shutdown, nanoseconds.
-        session_nanos: u64,
-    },
+    /// Session shutdown: drain whatever is already queued, then stop. The
+    /// collector stamps the session's wall-clock duration when it takes this
+    /// marker, so every batch shipped before shutdown is stored by then.
+    Stop,
 }
+
+/// What the collector thread hands back when it exits: the stored events
+/// per instance, its counters, and the session duration it stamped.
+pub(crate) type Collected = (HashMap<InstanceId, Vec<AccessEvent>>, CollectorStats, u64);
 
 /// Observer of the collector's batch path — the subscription point for
 /// streaming consumers (`dsspy-stream`'s `StreamingAnalyzer` attaches here).
@@ -66,8 +67,9 @@ pub trait CollectorTap: Send {
 
     /// Session shutdown, after the post-stop drain. `ctx.batch_seq` carries
     /// the sequence of the *last* stored batch (0 when the session stored
-    /// none); `session_nanos` is the session duration from [`Msg::Stop`]
-    /// (0 when senders dropped without a `finish`).
+    /// none); `session_nanos` is the session duration the collector stamped
+    /// on taking [`Msg::Stop`] (or on the senders disconnecting), the same
+    /// value the session's [`Capture`] carries.
     fn on_stop(&mut self, ctx: TraceContext, stats: &CollectorStats, session_nanos: u64);
 }
 
@@ -83,11 +85,13 @@ pub struct CollectorStats {
     pub dropped: u64,
 }
 
-/// Spawn the collector thread on `rx`.
+/// Spawn the collector thread on `rx` for a session that began at `started`.
 ///
 /// The thread accumulates events until it sees [`Msg::Stop`] (or all senders
-/// disconnect). The channel is FIFO, so every batch flushed before shutdown
-/// is received — and stored — before the `Stop` marker. Anything still
+/// disconnect), then stamps the session duration — it is the one writer of
+/// `session_nanos`, so the collector's busy time can never exceed it. The
+/// channel is FIFO, so every batch flushed before shutdown is received — and
+/// stored — before the `Stop` marker. Anything still
 /// arriving *after* the marker was recorded after session shutdown; those
 /// events are drained so senders never block, but only counted, into
 /// [`CollectorStats::dropped`].
@@ -103,10 +107,11 @@ pub struct CollectorStats {
 /// queue-watermark crossings are recorded into it.
 pub(crate) fn spawn(
     rx: Receiver<Msg>,
+    started: Instant,
     telemetry: Telemetry,
     session_id: u64,
     mut tap: Option<Box<TapFanout>>,
-) -> JoinHandle<(HashMap<InstanceId, Vec<AccessEvent>>, CollectorStats)> {
+) -> JoinHandle<Collected> {
     std::thread::Builder::new()
         .name("dsspy-collector".into())
         .spawn(move || {
@@ -132,7 +137,6 @@ pub(crate) fn spawn(
 
             let mut map: HashMap<InstanceId, Vec<AccessEvent>> = HashMap::new();
             let mut stats = CollectorStats::default();
-            let mut session_nanos = 0u64;
             // Phase 1: normal operation until Stop (or all senders gone).
             while let Ok(msg) = rx.recv() {
                 match msg {
@@ -199,12 +203,10 @@ pub(crate) fn spawn(
                             batches_stored.inc();
                         }
                     }
-                    Msg::Stop { session_nanos: n } => {
-                        session_nanos = n;
-                        break;
-                    }
+                    Msg::Stop => break,
                 }
             }
+            let session_nanos = started.elapsed().as_nanos() as u64;
             // Phase 2: drain post-shutdown stragglers without storing them.
             // Dropped batches are *not* tapped: a tap mirrors the capture,
             // and the capture excludes them too.
@@ -240,7 +242,7 @@ pub(crate) fn spawn(
             // and publish the post-stop drops alongside `CollectorStats`.
             queue_depth.set(0);
             telemetry.counter("collector.dropped").add(stats.dropped);
-            (map, stats)
+            (map, stats, session_nanos)
         })
         .expect("failed to spawn dsspy collector thread")
 }
@@ -379,17 +381,17 @@ mod tests {
     #[test]
     fn collector_thread_drains_after_stop() {
         let (tx, rx) = crossbeam::channel::unbounded();
-        let join = spawn(rx, Telemetry::disabled(), 1, None);
+        let join = spawn(rx, Instant::now(), Telemetry::disabled(), 1, None);
         tx.send(Msg::Batch(
             InstanceId(0),
             vec![AccessEvent::at(0, AccessKind::Insert, 0, 1)],
             0,
         ))
         .unwrap();
-        tx.send(Msg::Stop { session_nanos: 42 }).unwrap();
+        tx.send(Msg::Stop).unwrap();
         // Queued before the collector exits its drain loop is not guaranteed
         // for sends *after* Stop, but sends before Stop must be stored.
-        let (map, stats) = join.join().unwrap();
+        let (map, stats, _) = join.join().unwrap();
         assert_eq!(stats.events, 1);
         assert_eq!(stats.batches, 1);
         assert_eq!(map[&InstanceId(0)].len(), 1);
@@ -401,7 +403,7 @@ mod tests {
         // Queue Stop and then a late batch *before* the collector starts:
         // FIFO delivery then guarantees the batch is seen after the Stop
         // marker, i.e. in the post-shutdown drain.
-        tx.send(Msg::Stop { session_nanos: 0 }).unwrap();
+        tx.send(Msg::Stop).unwrap();
         tx.send(Msg::Batch(
             InstanceId(9),
             vec![
@@ -411,7 +413,9 @@ mod tests {
             0,
         ))
         .unwrap();
-        let (map, stats) = spawn(rx, Telemetry::disabled(), 1, None).join().unwrap();
+        let (map, stats, _) = spawn(rx, Instant::now(), Telemetry::disabled(), 1, None)
+            .join()
+            .unwrap();
         assert!(map.is_empty(), "post-shutdown events must not be stored");
         assert_eq!(stats.dropped, 2);
         assert_eq!(stats.events, 0);
@@ -421,7 +425,7 @@ mod tests {
     #[test]
     fn collector_thread_stops_when_senders_drop() {
         let (tx, rx) = crossbeam::channel::unbounded();
-        let join = spawn(rx, Telemetry::disabled(), 1, None);
+        let join = spawn(rx, Instant::now(), Telemetry::disabled(), 1, None);
         tx.send(Msg::Batch(
             InstanceId(3),
             vec![AccessEvent::at(0, AccessKind::Read, 0, 1)],
@@ -429,7 +433,7 @@ mod tests {
         ))
         .unwrap();
         drop(tx);
-        let (map, stats) = join.join().unwrap();
+        let (map, stats, _) = join.join().unwrap();
         assert_eq!(stats.events, 1);
         assert!(map.contains_key(&InstanceId(3)));
     }
@@ -487,7 +491,7 @@ mod tests {
             0,
         ))
         .unwrap();
-        tx.send(Msg::Stop { session_nanos: 777 }).unwrap();
+        tx.send(Msg::Stop).unwrap();
         // Post-stop straggler: dropped, must not reach the tap.
         tx.send(Msg::Batch(
             InstanceId(3),
@@ -496,8 +500,11 @@ mod tests {
         ))
         .unwrap();
         drop(tx);
-        let (_, stats) = spawn(
+        // A session that began 5 ms ago: the stamp taken at Stop covers it.
+        let started = Instant::now() - std::time::Duration::from_millis(5);
+        let (_, stats, session_nanos) = spawn(
             rx,
+            started,
             Telemetry::disabled(),
             7,
             Some(Box::new(TapFanout::new().with_subscriber(
@@ -514,7 +521,8 @@ mod tests {
             "tap sees stored batches in arrival order with 1-based seqs, and only those"
         );
         let (tap_stats, nanos) = seen.stopped.expect("on_stop fired");
-        assert_eq!(nanos, 777);
+        assert!(session_nanos >= 5_000_000, "stamped from the session start");
+        assert_eq!(nanos, session_nanos, "the tap sees the capture's stamp");
         assert_eq!(tap_stats, stats);
         assert_eq!(stats.dropped, 1);
     }

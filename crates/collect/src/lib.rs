@@ -27,10 +27,12 @@
 //! * One [`dsspy_telemetry::Telemetry`] handle observes the whole session:
 //!   metrics, spans and, when armed, the flight recorder, all on one clock.
 //!
-//! Timestamps combine a session-global atomic sequence number (total order)
-//! with wall-clock nanoseconds from a monotonic [`SessionClock`], and every
-//! event carries the [`dsspy_events::ThreadTag`] of the thread that raised
-//! it so that multi-threaded programs can be profiled (§IV).
+//! Each event's one timestamp is a logical tick, the session-global atomic
+//! sequence number of the [`SessionClock`]: recording reads no clock. Wall
+//! time is kept per session (the collector stamps `session_nanos` at
+//! shutdown) and per batch (telemetry). Every event carries the
+//! [`dsspy_events::ThreadTag`] of the thread that raised it so that
+//! multi-threaded programs can be profiled (§IV).
 
 #![warn(missing_docs)]
 

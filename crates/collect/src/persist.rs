@@ -8,7 +8,7 @@
 //! Format (version-tagged):
 //!
 //! ```text
-//! magic   := "DSSPYCAP" version:u32(=1)
+//! magic   := "DSSPYCAP" version:u32(=2)
 //! header  := json(CaptureHeader) length-prefixed (u64 LE)
 //! bodies  := per instance: event batch (dsspy_events::encode)
 //!            length-prefixed (u64 LE), in header order
@@ -16,7 +16,10 @@
 //!
 //! The header (instances, stats, session duration) is JSON for
 //! debuggability; the event bodies use the compact wire codec because they
-//! dominate the size.
+//! dominate the size. Version 2 events carry one timestamp, the logical
+//! tick `seq`; version 1 files (which also stored a per-event wall-clock
+//! offset) are rejected with [`PersistError::BadVersion`] and must be
+//! re-recorded.
 
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -29,7 +32,7 @@ use serde::{Deserialize, Serialize};
 use crate::collector::{Capture, CollectorStats};
 
 const MAGIC: &[u8; 8] = b"DSSPYCAP";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// JSON header of a persisted capture.
 #[derive(Serialize, Deserialize)]
@@ -40,8 +43,7 @@ struct CaptureHeader {
     event_counts: Vec<u64>,
     /// Collection-time telemetry (collector histograms, queue pressure,
     /// encode volume) recorded by an observed session — `None` for captures
-    /// from unobserved sessions and for files written before this field
-    /// existed (`default` keeps version 1 readable both ways).
+    /// from unobserved sessions.
     #[serde(default)]
     telemetry: Option<TelemetrySnapshot>,
 }
@@ -66,7 +68,11 @@ impl std::fmt::Display for PersistError {
         match self {
             PersistError::Io(e) => write!(f, "i/o error: {e}"),
             PersistError::BadMagic => write!(f, "not a DSspy capture file"),
-            PersistError::BadVersion(v) => write!(f, "unsupported capture version {v}"),
+            PersistError::BadVersion(v) => write!(
+                f,
+                "unsupported capture version {v} (this build reads version {VERSION}); \
+                 re-record the capture"
+            ),
             PersistError::BadHeader(e) => write!(f, "corrupt capture header: {e}"),
             PersistError::BadBody(e) => write!(f, "corrupt event body: {e}"),
         }
@@ -350,6 +356,17 @@ mod tests {
     fn rejects_wrong_magic() {
         let err = read_capture(&b"NOTACAPXXXX"[..]).unwrap_err();
         assert!(matches!(err, PersistError::BadMagic));
+    }
+
+    #[test]
+    fn rejects_version_1_and_asks_for_a_rerecording() {
+        let capture = sample_capture();
+        let mut buf = Vec::new();
+        write_capture(&capture, &mut buf).unwrap();
+        buf[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let err = read_capture(buf.as_slice()).unwrap_err();
+        assert!(matches!(err, PersistError::BadVersion(1)));
+        assert!(err.to_string().contains("re-record"), "{err}");
     }
 
     #[test]

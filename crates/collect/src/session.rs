@@ -16,7 +16,7 @@ use dsspy_events::{AccessEvent, AccessKind, AllocationSite, DsKind, InstanceId, 
 use dsspy_telemetry::{next_session_id, IncidentTrigger, Telemetry, TraceContext};
 
 use crate::clock::{current_thread_tag, SessionClock};
-use crate::collector::{spawn, Capture, CollectorStats, Msg};
+use crate::collector::{spawn, Capture, Collected, Msg};
 use crate::fanout::TapFanout;
 use crate::registry::Registry;
 
@@ -64,10 +64,7 @@ pub(crate) struct SessionInner {
 pub struct Session {
     inner: Arc<SessionInner>,
     sender: Sender<Msg>,
-    join: JoinHandle<(
-        std::collections::HashMap<InstanceId, Vec<AccessEvent>>,
-        CollectorStats,
-    )>,
+    join: JoinHandle<Collected>,
     batch_size: usize,
 }
 
@@ -159,13 +156,14 @@ impl Session {
     ///
     /// All instrumented structures should be dropped (or explicitly flushed)
     /// before calling this; events recorded afterwards are counted in
-    /// [`CollectorStats::dropped`] rather than silently lost.
+    /// [`CollectorStats::dropped`](crate::CollectorStats::dropped) rather
+    /// than silently lost. The session duration is stamped by the collector
+    /// once it has stored every pre-shutdown batch.
     pub fn finish(self) -> Capture {
         self.inner.closed.store(true, Ordering::SeqCst);
-        let session_nanos = self.inner.clock.nanos();
-        let _ = self.sender.send(Msg::Stop { session_nanos });
+        let _ = self.sender.send(Msg::Stop);
         drop(self.sender);
-        let (map, mut stats) = self.join.join().expect("collector thread panicked");
+        let (map, mut stats, session_nanos) = self.join.join().expect("collector thread panicked");
         stats.dropped += self.inner.dropped.load(Ordering::Relaxed);
         self.inner
             .telemetry
@@ -235,10 +233,17 @@ impl SessionBuilder {
             None => unbounded(),
         };
         let session_id = next_session_id();
-        let join = spawn(rx, self.telemetry.clone(), session_id, self.tap);
+        let clock = SessionClock::new();
+        let join = spawn(
+            rx,
+            clock.started(),
+            self.telemetry.clone(),
+            session_id,
+            self.tap,
+        );
         Session {
             inner: Arc::new(SessionInner {
-                clock: SessionClock::new(),
+                clock,
                 registry: Arc::new(Registry::new()),
                 telemetry: self.telemetry,
                 session_id,
@@ -260,9 +265,10 @@ impl Default for Session {
 
 /// Per-instance recording handle held by an instrumented collection.
 ///
-/// `record` is the hot path: it stamps the event from the session clock and
-/// appends to a local, unsynchronized buffer; only every `batch_size` events
-/// does it touch the channel. The handle flushes its tail on drop.
+/// `record` is the hot path: it stamps the event with the session's next
+/// logical tick (no clock read) and appends to a local, unsynchronized
+/// buffer; only every `batch_size` events does it touch the channel. The
+/// handle flushes its tail on drop.
 pub struct InstanceHandle {
     inner: Arc<SessionInner>,
     sender: Sender<Msg>,
@@ -300,7 +306,6 @@ impl InstanceHandle {
         }
         let event = AccessEvent {
             seq: self.inner.clock.next_seq(),
-            nanos: self.inner.clock.nanos(),
             kind,
             target,
             len,

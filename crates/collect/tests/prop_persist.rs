@@ -23,7 +23,6 @@ fn arb_event() -> impl Strategy<Value = AccessEvent> {
     )
         .prop_map(|(seq, kind, idx, len, thread)| AccessEvent {
             seq: u64::from(seq),
-            nanos: u64::from(seq) * 3,
             kind,
             target: Target::Index(idx),
             len,

@@ -189,6 +189,72 @@ fn queue_depth_hwm_is_the_deepest_queue_the_tap_was_handed() {
     );
 }
 
+/// A tap that spends `delay` on every batch, so the collector falls behind
+/// the producer and is still draining when `Session::finish` is called.
+struct SlowTap {
+    delay: Duration,
+    stop_nanos: Arc<AtomicUsize>,
+}
+
+impl CollectorTap for SlowTap {
+    fn on_batch(
+        &mut self,
+        _ctx: TraceContext,
+        _id: InstanceId,
+        _events: &[AccessEvent],
+        _queue_depth: usize,
+    ) {
+        std::thread::sleep(self.delay);
+    }
+    fn on_stop(&mut self, _ctx: TraceContext, _stats: &CollectorStats, session_nanos: u64) {
+        self.stop_nanos
+            .store(session_nanos as usize, Ordering::Relaxed);
+    }
+}
+
+#[test]
+fn session_duration_covers_a_lagging_collectors_busy_time() {
+    let telemetry = Telemetry::enabled();
+    let stop_nanos = Arc::new(AtomicUsize::new(0));
+    let session = Session::builder()
+        .config(SessionConfig {
+            batch_size: 4,
+            channel_capacity: None,
+        })
+        .telemetry(telemetry.clone())
+        .tap(Box::new(TapFanout::new().with_subscriber(
+            "slow",
+            Box::new(SlowTap {
+                delay: Duration::from_millis(2),
+                stop_nanos: Arc::clone(&stop_nanos),
+            }),
+        )))
+        .start();
+    let mut h = session.register(site(1), DsKind::List, "i32");
+    // 40 batches ship in microseconds; the tap needs ≥ 80 ms to take them.
+    for i in 0..160u32 {
+        h.record(AccessKind::Insert, Target::Index(i), i + 1);
+    }
+    drop(h);
+    let capture = session.finish();
+    assert_eq!(capture.stats.batches, 40);
+    let busy = telemetry
+        .snapshot()
+        .counter(signals::COLLECTOR_BUSY)
+        .unwrap();
+    assert!(busy >= 80_000_000, "the tap's sleeps are busy time: {busy}");
+    assert!(
+        busy <= capture.session_nanos,
+        "collector busy {busy} ns exceeds the session's {} ns",
+        capture.session_nanos
+    );
+    assert_eq!(
+        stop_nanos.load(Ordering::Relaxed) as u64,
+        capture.session_nanos,
+        "on_stop and the capture carry the same stamp"
+    );
+}
+
 #[test]
 fn handle_side_drops_reach_the_telemetry_counter() {
     let telemetry = Telemetry::enabled();

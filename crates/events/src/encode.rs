@@ -6,10 +6,11 @@
 //! transport and for persisting captured profiles to disk.
 //!
 //! Layout (little-endian, fixed-width except for the target which is
-//! tag-prefixed):
+//! tag-prefixed). `seq` is the event's only timestamp (a logical tick), so
+//! an index-targeted event takes 22 bytes:
 //!
 //! ```text
-//! event   := seq:u64 nanos:u64 kind:u8 thread:u32 len:u32 target
+//! event   := seq:u64 kind:u8 thread:u32 len:u32 target
 //! target  := 0x00 idx:u32            (Index)
 //!          | 0x01 start:u32 end:u32  (Range)
 //!          | 0x02                    (Whole)
@@ -46,7 +47,6 @@ impl std::error::Error for DecodeError {}
 /// Append one event to `buf` in wire format.
 pub fn encode_event(e: &AccessEvent, buf: &mut BytesMut) {
     buf.put_u64_le(e.seq);
-    buf.put_u64_le(e.nanos);
     buf.put_u8(e.kind as u8);
     buf.put_u32_le(e.thread.0);
     buf.put_u32_le(e.len);
@@ -67,12 +67,11 @@ pub fn encode_event(e: &AccessEvent, buf: &mut BytesMut) {
 
 /// Decode one event from the front of `buf`, advancing it.
 pub fn decode_event(buf: &mut Bytes) -> Result<AccessEvent, DecodeError> {
-    // Fixed header: 8 + 8 + 1 + 4 + 4 + 1 (target tag) = 26 bytes minimum.
-    if buf.remaining() < 26 {
+    // Fixed header: 8 + 1 + 4 + 4 + 1 (target tag) = 18 bytes minimum.
+    if buf.remaining() < 18 {
         return Err(DecodeError::Truncated);
     }
     let seq = buf.get_u64_le();
-    let nanos = buf.get_u64_le();
     let kind_raw = buf.get_u8();
     let kind = AccessKind::from_u8(kind_raw).ok_or(DecodeError::BadKind(kind_raw))?;
     let thread = ThreadTag(buf.get_u32_le());
@@ -99,7 +98,6 @@ pub fn decode_event(buf: &mut Bytes) -> Result<AccessEvent, DecodeError> {
     };
     Ok(AccessEvent {
         seq,
-        nanos,
         kind,
         target,
         len,
@@ -109,7 +107,7 @@ pub fn decode_event(buf: &mut Bytes) -> Result<AccessEvent, DecodeError> {
 
 /// Encode a batch of events with a count prefix.
 pub fn encode_batch(events: &[AccessEvent]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(4 + events.len() * 34);
+    let mut buf = BytesMut::with_capacity(4 + events.len() * 26);
     buf.put_u32_le(events.len() as u32);
     for e in events {
         encode_event(e, &mut buf);
@@ -138,7 +136,6 @@ mod tests {
         vec![
             AccessEvent {
                 seq: 0,
-                nanos: 100,
                 kind: AccessKind::Insert,
                 target: Target::Index(0),
                 len: 1,
@@ -146,7 +143,6 @@ mod tests {
             },
             AccessEvent {
                 seq: 1,
-                nanos: 250,
                 kind: AccessKind::Search,
                 target: Target::Range { start: 0, end: 17 },
                 len: 40,
@@ -154,7 +150,6 @@ mod tests {
             },
             AccessEvent {
                 seq: u64::MAX,
-                nanos: u64::MAX,
                 kind: AccessKind::Clear,
                 target: Target::Whole,
                 len: u32::MAX,
@@ -162,7 +157,6 @@ mod tests {
             },
             AccessEvent {
                 seq: 2,
-                nanos: 0,
                 kind: AccessKind::Search,
                 target: Target::None,
                 len: 0,
@@ -213,7 +207,7 @@ mod tests {
         let mut buf = BytesMut::new();
         encode_event(&sample_events()[0], &mut buf);
         let mut raw = buf.to_vec();
-        raw[16] = 200; // kind byte
+        raw[8] = 200; // kind byte
         let mut b = Bytes::from(raw);
         assert_eq!(decode_event(&mut b), Err(DecodeError::BadKind(200)));
     }
@@ -223,7 +217,7 @@ mod tests {
         let mut buf = BytesMut::new();
         encode_event(&sample_events()[0], &mut buf);
         let mut raw = buf.to_vec();
-        raw[25] = 9; // target tag byte
+        raw[17] = 9; // target tag byte
         let mut b = Bytes::from(raw);
         assert_eq!(decode_event(&mut b), Err(DecodeError::BadTarget(9)));
     }

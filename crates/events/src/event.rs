@@ -206,15 +206,15 @@ impl std::fmt::Display for ThreadTag {
 
 /// One access to an instrumented data structure.
 ///
-/// Events are totally ordered *within a session* by `seq`; `nanos` carries
-/// the wall-clock offset from session start so that use cases defined over
-/// *runtime shares* (e.g. Long-Insert's ">30 % of runtime") can be computed.
+/// `seq` is the event's only timestamp: a logical tick that totally orders
+/// events *within a session*. Live sessions draw it from the session-global
+/// counter; synthetic traces advance it by a per-event cost. Use cases
+/// defined over *runtime shares* (e.g. Long-Insert's ">30 % of runtime")
+/// measure spans of ticks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AccessEvent {
-    /// Logical timestamp: session-global, strictly increasing sequence number.
+    /// Logical timestamp: session-global, strictly increasing tick.
     pub seq: u64,
-    /// Wall-clock offset from session start, in nanoseconds.
-    pub nanos: u64,
     /// The access type.
     pub kind: AccessKind,
     /// The accessed position within the structure.
@@ -232,7 +232,6 @@ impl AccessEvent {
     pub fn at(seq: u64, kind: AccessKind, index: u32, len: u32) -> AccessEvent {
         AccessEvent {
             seq,
-            nanos: seq, // trace builders reuse the logical clock
             kind,
             target: Target::Index(index),
             len,
@@ -244,7 +243,6 @@ impl AccessEvent {
     pub fn whole(seq: u64, kind: AccessKind, len: u32) -> AccessEvent {
         AccessEvent {
             seq,
-            nanos: seq,
             kind,
             target: Target::Whole,
             len,

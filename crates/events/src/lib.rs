@@ -8,9 +8,9 @@
 //! The model follows §IV of the paper (Molitorisz et al., IPDPS 2014). For
 //! each access event DSspy records:
 //!
-//! * **Time stamp** — when did the event occur? We keep both a logical
-//!   sequence number (total order across all instances of a session) and a
-//!   wall-clock offset in nanoseconds.
+//! * **Time stamp** — when did the event occur? One logical tick, `seq`,
+//!   totally orders the events of all instances of a session; runtime
+//!   shares are spans of ticks.
 //! * **Read/Write** — did the event read or write the data structure?
 //! * **Position** — what location of the data structure was accessed?
 //! * **Size** — what was the size of the structure at the moment of access?

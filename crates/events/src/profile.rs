@@ -40,10 +40,10 @@ impl RuntimeProfile {
         self.events.is_empty()
     }
 
-    /// Wall-clock duration covered by the profile, in nanoseconds.
-    pub fn duration_nanos(&self) -> u64 {
+    /// Logical time covered by the profile, in ticks of `seq`.
+    pub fn duration_ticks(&self) -> u64 {
         match (self.events.first(), self.events.last()) {
-            (Some(a), Some(b)) => b.nanos.saturating_sub(a.nanos),
+            (Some(a), Some(b)) => b.seq.saturating_sub(a.seq),
             _ => 0,
         }
     }
@@ -70,7 +70,7 @@ impl RuntimeProfile {
             }
             s.max_len = s.max_len.max(e.len);
         }
-        s.duration_nanos = self.duration_nanos();
+        s.duration_ticks = self.duration_ticks();
         s
     }
 
@@ -93,8 +93,8 @@ pub struct ProfileStats {
     pub writes: usize,
     /// Largest structure length observed.
     pub max_len: u32,
-    /// Wall-clock span of the profile.
-    pub duration_nanos: u64,
+    /// Logical span of the profile, in ticks of `seq`.
+    pub duration_ticks: u64,
 }
 
 impl ProfileStats {
@@ -174,9 +174,9 @@ mod tests {
                 ev(95, AccessKind::Read, 0, 2),
             ],
         );
-        assert_eq!(p.duration_nanos(), 85);
+        assert_eq!(p.duration_ticks(), 85);
         assert_eq!(p.max_len(), 2);
-        assert_eq!(RuntimeProfile::new(info(), vec![]).duration_nanos(), 0);
+        assert_eq!(RuntimeProfile::new(info(), vec![]).duration_ticks(), 0);
     }
 
     #[test]

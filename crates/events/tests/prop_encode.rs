@@ -24,15 +24,13 @@ fn arb_target() -> impl Strategy<Value = Target> {
 fn arb_event() -> impl Strategy<Value = AccessEvent> {
     (
         any::<u64>(),
-        any::<u64>(),
         arb_kind(),
         arb_target(),
         any::<u32>(),
         any::<u32>(),
     )
-        .prop_map(|(seq, nanos, kind, target, len, thread)| AccessEvent {
+        .prop_map(|(seq, kind, target, len, thread)| AccessEvent {
             seq,
-            nanos,
             kind,
             target,
             len,

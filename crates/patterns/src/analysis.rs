@@ -43,12 +43,13 @@ pub struct Metrics {
     pub writes: usize,
     /// Largest structure length observed.
     pub max_struct_len: u32,
-    /// Profile wall-clock duration, nanoseconds.
-    pub duration_nanos: u64,
+    /// Profile duration on the session's logical clock, in ticks of `seq`.
+    pub duration_ticks: u64,
 
-    /// Fraction of profile runtime spent inside insertion patterns
-    /// (Long-Insert: "> 30 % of runtime"). Falls back to the event-count
-    /// share when the profile has zero wall-clock extent (trace profiles).
+    /// Fraction of the profile's logical time spent inside insertion
+    /// patterns (Long-Insert: "> 30 % of runtime"), measured in ticks of
+    /// `seq`. Falls back to the event-count share when the profile spans
+    /// zero ticks.
     pub insert_phase_share: f64,
     /// Length (events) of the longest insertion pattern
     /// (Long-Insert: "at least 100 consecutive access events").
@@ -197,8 +198,8 @@ mod tests {
         assert_eq!(a.metrics.insert_pattern_count, 1);
         assert_eq!(a.metrics.read_pattern_count, 1);
         assert_eq!(a.metrics.long_read_pattern_count, 1);
-        // Half the events are inserts; trace profiles use seq as nanos so
-        // the runtime share is ~0.5.
+        // Half the events are inserts, one tick each, so the runtime share
+        // is ~0.5.
         assert!((a.metrics.insert_phase_share - 0.5).abs() < 0.02);
         assert!((a.metrics.read_or_search_share - 0.5).abs() < 1e-9);
     }
@@ -317,7 +318,6 @@ mod tests {
         for i in 0..1200u64 {
             events.push(AccessEvent {
                 seq: i,
-                nanos: i,
                 kind: AccessKind::Search,
                 target: Target::Range { start: 0, end: 50 },
                 len: 100,

@@ -82,9 +82,7 @@ enum Dir {
 struct TrackAcc {
     len: usize,
     first_seq: u64,
-    first_nanos: u64,
     last_seq: u64,
-    last_nanos: u64,
     lo: u32,
     hi: u32,
     max_struct_len: u32,
@@ -100,9 +98,7 @@ impl TrackAcc {
         TrackAcc {
             len: 0,
             first_seq: 0,
-            first_nanos: 0,
             last_seq: 0,
-            last_nanos: 0,
             lo: u32::MAX,
             hi: 0,
             max_struct_len: 0,
@@ -123,11 +119,9 @@ impl TrackAcc {
     fn push(&mut self, e: &AccessEvent, idx: u32) {
         if self.len == 0 {
             self.first_seq = e.seq;
-            self.first_nanos = e.nanos;
         }
         self.len += 1;
         self.last_seq = e.seq;
-        self.last_nanos = e.nanos;
         self.lo = self.lo.min(idx);
         self.hi = self.hi.max(idx);
         self.max_struct_len = self.max_struct_len.max(e.len);
@@ -148,8 +142,6 @@ impl TrackAcc {
                     thread,
                     first_seq: self.first_seq,
                     last_seq: self.last_seq,
-                    first_nanos: self.first_nanos,
-                    last_nanos: self.last_nanos,
                     len: self.len,
                     lo: if self.lo == u32::MAX { 0 } else { self.lo },
                     hi: self.hi,
@@ -375,7 +367,7 @@ pub struct PatternAggregates {
     max_run_len: [usize; 8],
     insert_pattern_count: usize,
     longest_insert_run: usize,
-    insert_runtime: u64,
+    insert_ticks: u64,
     insert_events: usize,
     read_pattern_count: usize,
     long_read_pattern_count: usize,
@@ -395,7 +387,7 @@ impl PatternAggregates {
         if p.kind.is_insert() {
             self.insert_pattern_count += 1;
             self.longest_insert_run = self.longest_insert_run.max(p.len);
-            self.insert_runtime += p.duration_nanos();
+            self.insert_ticks += p.duration_ticks();
             self.insert_events += p.len;
             self.min_insert_last_seq = Some(
                 self.min_insert_last_seq
@@ -440,8 +432,8 @@ pub struct MetricsFold {
     reads: usize,
     writes: usize,
     max_struct_len: u32,
-    first_nanos: Option<u64>,
-    last_nanos: u64,
+    first_seq: Option<u64>,
+    last_seq: u64,
     read_or_search: usize,
     positional: usize,
     front: usize,
@@ -471,10 +463,10 @@ impl MetricsFold {
     /// Fold one event (events must arrive in profile order).
     pub fn fold(&mut self, e: &AccessEvent) {
         self.total_events += 1;
-        if self.first_nanos.is_none() {
-            self.first_nanos = Some(e.nanos);
+        if self.first_seq.is_none() {
+            self.first_seq = Some(e.seq);
         }
-        self.last_nanos = e.nanos;
+        self.last_seq = e.seq;
         self.by_kind[e.kind as usize] += 1;
         match e.class() {
             AccessClass::Read => self.reads += 1,
@@ -559,9 +551,9 @@ impl MetricsFold {
     pub fn finish(&self, patterns: &PatternAggregates) -> Metrics {
         let mut m = Metrics {
             total_events: self.total_events,
-            duration_nanos: self
-                .first_nanos
-                .map_or(0, |first| self.last_nanos.saturating_sub(first)),
+            duration_ticks: self
+                .first_seq
+                .map_or(0, |first| self.last_seq.saturating_sub(first)),
             ..Metrics::default()
         };
         m.by_kind = self.by_kind;
@@ -617,8 +609,8 @@ impl MetricsFold {
             m.read_pattern_event_share =
                 patterns.events_in_read_patterns as f64 / m.total_events as f64;
         }
-        m.insert_phase_share = if m.duration_nanos > 0 {
-            (patterns.insert_runtime as f64 / m.duration_nanos as f64).min(1.0)
+        m.insert_phase_share = if m.duration_ticks > 0 {
+            (patterns.insert_ticks as f64 / m.duration_ticks as f64).min(1.0)
         } else if m.total_events > 0 {
             patterns.insert_events as f64 / m.total_events as f64
         } else {
@@ -881,7 +873,6 @@ mod tests {
                 seq += 1;
                 events.push(AccessEvent {
                     seq: seq + 1,
-                    nanos: seq + 1,
                     kind: AccessKind::Search,
                     target: Target::Range { start: 0, end: len },
                     len,

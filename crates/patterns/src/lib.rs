@@ -36,9 +36,7 @@ pub use incremental::{
     IncrementalAnalyzer, MetricsFold, PatternAggregates, ThreadFold, ThreadMiner,
 };
 pub use kind::PatternKind;
-pub use phases::{
-    detect_cycle, lifecycle, segment_phases, Cycle, Lifecycle, Phase, PhaseConfig, PhaseKind,
-};
+pub use phases::{segment_phases, Phase, PhaseConfig, PhaseKind};
 pub use regularity::{regularity, RegularityConfig, RegularityVerdict};
 pub use run::{MinerConfig, PatternInstance};
 pub use stats::{PatternStats, Summary};

@@ -1,12 +1,11 @@
-//! Temporal phase segmentation and life-cycle structure.
+//! Temporal phase segmentation.
 //!
 //! The use-case definitions of §III-B speak in terms of *phases*:
 //! "insertion phases (>30 % of runtime)", "a sort pattern follows an
 //! insertion pattern", "profiles often end with write patterns". This
 //! module makes phases first-class: it splits a profile's timeline into
-//! maximal stretches dominated by one kind of activity, and detects the
-//! cyclic structure (the fill–scan–clear loops of Fig. 3) that the paper's
-//! screenshots show.
+//! maximal stretches dominated by one kind of activity — the fill–scan–clear
+//! loops of Fig. 3 show up as alternating phases on the timeline views.
 
 use dsspy_events::{AccessKind, RuntimeProfile};
 use serde::{Deserialize, Serialize};
@@ -47,18 +46,14 @@ pub struct Phase {
     pub first_seq: u64,
     /// Logical timestamp of the last event.
     pub last_seq: u64,
-    /// Wall-clock offset of the first event, nanoseconds.
-    pub first_nanos: u64,
-    /// Wall-clock offset of the last event, nanoseconds.
-    pub last_nanos: u64,
     /// Number of events in the phase.
     pub events: usize,
 }
 
 impl Phase {
-    /// Wall-clock duration, nanoseconds.
-    pub fn duration_nanos(&self) -> u64 {
-        self.last_nanos.saturating_sub(self.first_nanos)
+    /// Duration on the session's logical clock, in ticks.
+    pub fn duration_ticks(&self) -> u64 {
+        self.last_seq.saturating_sub(self.first_seq)
     }
 }
 
@@ -134,87 +129,17 @@ pub fn segment_phases(profile: &RuntimeProfile, config: &PhaseConfig) -> Vec<Pha
         match out.last_mut() {
             Some(prev) if prev.kind == kind => {
                 prev.last_seq = last.seq;
-                prev.last_nanos = last.nanos;
                 prev.events += chunk.len();
             }
             _ => out.push(Phase {
                 kind,
                 first_seq: first.seq,
                 last_seq: last.seq,
-                first_nanos: first.nanos,
-                last_nanos: last.nanos,
                 events: chunk.len(),
             }),
         }
     }
     out
-}
-
-/// A repeating phase-kind cycle, e.g. `[Growth, Scan, Maintenance] × 6`
-/// for the paper's Fig. 3 profile.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct Cycle {
-    /// The repeating unit of phase kinds.
-    pub unit: Vec<PhaseKind>,
-    /// How many full repetitions occur.
-    pub repetitions: usize,
-}
-
-/// Detect the dominant cycle in a phase sequence: the shortest unit whose
-/// repetition covers the sequence (ignoring a partial trailing unit).
-/// Returns `None` when the sequence repeats nothing (fewer than 2 reps).
-pub fn detect_cycle(phases: &[Phase]) -> Option<Cycle> {
-    let kinds: Vec<PhaseKind> = phases.iter().map(|p| p.kind).collect();
-    let n = kinds.len();
-    if n < 2 {
-        return None;
-    }
-    for unit_len in 1..=n / 2 {
-        let unit = &kinds[..unit_len];
-        let mut reps = 1;
-        let mut ok = true;
-        let mut i = unit_len;
-        while i + unit_len <= n {
-            if &kinds[i..i + unit_len] != unit {
-                ok = false;
-                break;
-            }
-            reps += 1;
-            i += unit_len;
-        }
-        // A trailing partial unit is allowed if it is a prefix of the unit.
-        if ok && kinds[i..].iter().zip(unit).all(|(a, b)| a == b) && reps >= 2 {
-            return Some(Cycle {
-                unit: unit.to_vec(),
-                repetitions: reps,
-            });
-        }
-    }
-    None
-}
-
-/// Life-cycle summary: the paper's narrative phases of one instance.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct Lifecycle {
-    /// Whether the profile starts with a growth phase (initialization).
-    pub initialized_by_growth: bool,
-    /// Whether the profile ends with mutation (the WWR smell territory).
-    pub ends_in_mutation: bool,
-    /// The detected cycle, if any.
-    pub cycle: Option<Cycle>,
-    /// All phases.
-    pub phases: Vec<Phase>,
-}
-
-/// Compute the life-cycle summary for a profile.
-pub fn lifecycle(profile: &RuntimeProfile, config: &PhaseConfig) -> Lifecycle {
-    let phases = segment_phases(profile, config);
-    Lifecycle {
-        initialized_by_growth: phases.first().is_some_and(|p| p.kind == PhaseKind::Growth),
-        ends_in_mutation: phases.last().is_some_and(|p| p.kind == PhaseKind::Mutation),
-        cycle: detect_cycle(&phases),
-        phases,
-    }
 }
 
 #[cfg(test)]
@@ -272,48 +197,20 @@ mod tests {
     }
 
     #[test]
-    fn cycles_detected_in_fill_scan_loops() {
-        let mut events = Vec::new();
-        let mut seq = 0;
-        for _ in 0..5 {
-            fill(&mut events, &mut seq, AccessKind::Insert, 64);
-            fill(&mut events, &mut seq, AccessKind::Read, 64);
-        }
-        let lc = lifecycle(&profile(events), &PhaseConfig::default());
-        assert!(lc.initialized_by_growth);
-        let cycle = lc.cycle.expect("cycle found");
-        assert_eq!(cycle.unit, vec![PhaseKind::Growth, PhaseKind::Scan]);
-        assert_eq!(cycle.repetitions, 5);
-    }
-
-    #[test]
-    fn no_cycle_in_one_shot_profiles() {
-        let mut events = Vec::new();
-        let mut seq = 0;
-        fill(&mut events, &mut seq, AccessKind::Insert, 64);
-        fill(&mut events, &mut seq, AccessKind::Read, 256);
-        let lc = lifecycle(&profile(events), &PhaseConfig::default());
-        assert!(lc.cycle.is_none());
-    }
-
-    #[test]
     fn cleanup_writes_end_in_mutation() {
         let mut events = Vec::new();
         let mut seq = 0;
         fill(&mut events, &mut seq, AccessKind::Insert, 64);
         fill(&mut events, &mut seq, AccessKind::Read, 64);
         fill(&mut events, &mut seq, AccessKind::Write, 64);
-        let lc = lifecycle(&profile(events), &PhaseConfig::default());
-        assert!(lc.ends_in_mutation);
+        let phases = segment_phases(&profile(events), &PhaseConfig::default());
+        assert_eq!(phases.first().unwrap().kind, PhaseKind::Growth);
+        assert_eq!(phases.last().unwrap().kind, PhaseKind::Mutation);
     }
 
     #[test]
     fn empty_profile_has_no_phases() {
-        let lc = lifecycle(&profile(vec![]), &PhaseConfig::default());
-        assert!(lc.phases.is_empty());
-        assert!(!lc.initialized_by_growth);
-        assert!(!lc.ends_in_mutation);
-        assert!(lc.cycle.is_none());
+        assert!(segment_phases(&profile(vec![]), &PhaseConfig::default()).is_empty());
     }
 
     #[test]
@@ -326,10 +223,12 @@ mod tests {
         let phases = segment_phases(&p, &PhaseConfig::default());
         let total: usize = phases.iter().map(|ph| ph.events).sum();
         assert_eq!(total, p.len());
-        // Ordered and non-overlapping.
+        // Ordered and non-overlapping; one tick per event here.
         for w in phases.windows(2) {
             assert!(w[0].last_seq < w[1].first_seq);
         }
+        let ticks: u64 = phases.iter().map(|ph| ph.duration_ticks() + 1).sum();
+        assert_eq!(ticks, p.len() as u64);
     }
 
     #[test]

@@ -41,10 +41,6 @@ pub struct PatternInstance {
     pub first_seq: u64,
     /// Logical timestamp of the last event.
     pub last_seq: u64,
-    /// Wall-clock offset of the first event, nanoseconds.
-    pub first_nanos: u64,
-    /// Wall-clock offset of the last event, nanoseconds.
-    pub last_nanos: u64,
     /// Number of events in the run.
     pub len: usize,
     /// Smallest index touched.
@@ -68,9 +64,9 @@ impl PatternInstance {
         (self.len as f64 / f64::from(self.max_struct_len)).min(1.0)
     }
 
-    /// Wall-clock duration of the run, nanoseconds.
-    pub fn duration_nanos(&self) -> u64 {
-        self.last_nanos.saturating_sub(self.first_nanos)
+    /// Duration of the run on the session's logical clock, in ticks.
+    pub fn duration_ticks(&self) -> u64 {
+        self.last_seq.saturating_sub(self.first_seq)
     }
 }
 
@@ -340,7 +336,6 @@ mod tests {
             if i % 3 == 0 {
                 events.push(AccessEvent {
                     seq,
-                    nanos: seq,
                     kind: AccessKind::Search,
                     target: Target::Range {
                         start: 0,

@@ -131,8 +131,6 @@ mod tests {
             thread: ThreadTag::MAIN,
             first_seq: 0,
             last_seq: len as u64,
-            first_nanos: 0,
-            last_nanos: len as u64,
             len,
             lo: 0,
             hi: len as u32,

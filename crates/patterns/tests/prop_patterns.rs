@@ -41,7 +41,6 @@ fn arb_stream() -> impl Strategy<Value = Vec<AccessEvent>> {
                         len += 1;
                         events.push(AccessEvent {
                             seq,
-                            nanos: seq,
                             kind,
                             target: Target::Index(idx),
                             len,
@@ -54,7 +53,6 @@ fn arb_stream() -> impl Strategy<Value = Vec<AccessEvent>> {
                             len -= 1;
                             events.push(AccessEvent {
                                 seq,
-                                nanos: seq,
                                 kind,
                                 target: Target::Index(idx),
                                 len,
@@ -66,7 +64,6 @@ fn arb_stream() -> impl Strategy<Value = Vec<AccessEvent>> {
                         if len > 0 {
                             events.push(AccessEvent {
                                 seq,
-                                nanos: seq,
                                 kind,
                                 target: Target::Index(pick % len),
                                 len,
@@ -77,7 +74,6 @@ fn arb_stream() -> impl Strategy<Value = Vec<AccessEvent>> {
                     AccessKind::Search => {
                         events.push(AccessEvent {
                             seq,
-                            nanos: seq,
                             kind,
                             target: Target::Range {
                                 start: 0,
@@ -90,7 +86,6 @@ fn arb_stream() -> impl Strategy<Value = Vec<AccessEvent>> {
                     AccessKind::Clear => {
                         events.push(AccessEvent {
                             seq,
-                            nanos: seq,
                             kind,
                             target: Target::Whole,
                             len,

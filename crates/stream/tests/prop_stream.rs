@@ -113,7 +113,6 @@ fn synthetic_capture(per_instance: &[Vec<(AccessKind, Target, u32)>]) -> Capture
         let (kind, target, len) = per_instance[inst][i];
         events[inst].push(AccessEvent {
             seq,
-            nanos: seq,
             kind,
             target,
             len,

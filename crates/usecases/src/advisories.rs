@@ -227,7 +227,6 @@ mod tests {
         for _ in 0..200 {
             events.push(AccessEvent {
                 seq,
-                nanos: seq,
                 kind: AccessKind::Search,
                 target: Target::Range { start: 0, end: 10 },
                 len: 20,

@@ -423,7 +423,6 @@ mod tests {
         for _ in 0..1100 {
             events.push(AccessEvent {
                 seq,
-                nanos: seq,
                 kind: AccessKind::Search,
                 target: Target::Range { start: 0, end: 25 },
                 len: 50,
@@ -451,7 +450,6 @@ mod tests {
         for _ in 0..1100 {
             events.push(AccessEvent {
                 seq,
-                nanos: seq,
                 kind: AccessKind::Search,
                 target: Target::Range { start: 0, end: 25 },
                 len: 2000,

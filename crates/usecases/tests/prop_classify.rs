@@ -32,7 +32,6 @@ fn arb_events() -> impl Strategy<Value = Vec<AccessEvent>> {
             let push = |events: &mut Vec<AccessEvent>, kind, target, len| {
                 events.push(AccessEvent {
                     seq,
-                    nanos: seq * 7,
                     kind,
                     target,
                     len,

@@ -4,9 +4,11 @@
 //! The empirical study's long tail of programs (Tables II and III) cannot be
 //! re-executed here, but their *mined artifacts* — runtime profiles — can be
 //! generated directly with the exact choreography the paper describes. Each
-//! builder method appends one access phase; per-event nanosecond costs are
-//! explicit so runtime-share thresholds (e.g. Long-Insert's ">30 % of
-//! runtime") are exercised honestly rather than through event counts.
+//! builder method appends one access phase with an explicit per-event cost,
+//! and each event's `seq` — its one timestamp, a logical tick — is the
+//! running cost before it. Runtime-share thresholds (e.g. Long-Insert's
+//! ">30 % of runtime") are therefore exercised through costs, with inserts
+//! dearer than reads, rather than through event counts.
 
 use dsspy_events::{
     AccessEvent, AccessKind, AllocationSite, DsKind, InstanceId, InstanceInfo, RuntimeProfile,
@@ -14,16 +16,15 @@ use dsspy_events::{
 };
 use dsspy_usecases::UseCaseKind;
 
-/// Default per-event cost of a mutation, nanoseconds.
+/// Default per-event cost of a mutation, in ticks.
 pub const COST_MUTATE: u64 = 120;
-/// Default per-event cost of a read, nanoseconds.
+/// Default per-event cost of a read, in ticks.
 pub const COST_READ: u64 = 25;
 
 /// Builds the event stream of one synthetic instance.
 #[derive(Debug)]
 pub struct TraceBuilder {
     seq: u64,
-    nanos: u64,
     len: u32,
     events: Vec<AccessEvent>,
 }
@@ -33,7 +34,6 @@ impl TraceBuilder {
     pub fn new() -> TraceBuilder {
         TraceBuilder {
             seq: 0,
-            nanos: 0,
             len: 0,
             events: Vec::new(),
         }
@@ -52,14 +52,12 @@ impl TraceBuilder {
     fn push(&mut self, kind: AccessKind, target: Target, cost: u64) {
         self.events.push(AccessEvent {
             seq: self.seq,
-            nanos: self.nanos,
             kind,
             target,
             len: self.len,
             thread: ThreadTag::MAIN,
         });
-        self.seq += 1;
-        self.nanos += cost.max(1);
+        self.seq += cost.max(1);
     }
 
     /// Append `n` elements at the back (Insert-Back phase).

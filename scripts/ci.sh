@@ -6,8 +6,10 @@
 #               must be identical at every analysis width — this varies how
 #               it is computed, never what comes out), then explicit
 #               --threads CLI runs, the bad-input cell (malformed numeric
-#               values and unknown flags exit 2), the closed-pipe cell (`analyze --json | head`
-#               exits 0 quietly), the live-scrape smoke
+#               values, unknown flags and values outside their choices exit
+#               2), the table4-drift cell (Table IV detection columns
+#               identical in 30 runs under two busy loops), the closed-pipe
+#               cell (`analyze --json | head` exits 0 quietly), the live-scrape smoke
 #               (`telemetry serve --live --self-check`) and the follow
 #               smoke (`watch --follow`), the perfbench-tests cell (the
 #               benchmark's own tests against the changed crates), then
@@ -112,8 +114,9 @@ if [[ "$MODE" == "full" ]]; then
             "$(printf '"kind":"smoke","threads":%s,' "$t")" \
             ./target/release/dsspy analyze "$SMOKE" --threads "$t"
     done
-    # Malformed numeric values and unknown flags are rejected with usage and
-    # exit 2, never silently replaced by a default.
+    # Malformed numeric values, unknown flags and enumerated values outside
+    # their choices are rejected with usage and exit 2 before any work,
+    # never silently replaced by a default.
     run_cell bad-input '"kind":"smoke",' \
         bash -c '
             set -uo pipefail
@@ -130,8 +133,47 @@ if [[ "$MODE" == "full" ]]; then
             ./target/release/dsspy watch --follow --window 8
             code=$?
             [[ "$code" -eq 2 ]] || { echo "watch --follow --window 8: exit $code, want 2"; exit 1; }
-            echo "malformed numeric values and unknown flags exit 2 with usage"
+            ./target/release/dsspy csv "$smoke" nope
+            code=$?
+            [[ "$code" -eq 2 ]] || { echo "csv nope: exit $code, want 2"; exit 1; }
+            ./target/release/dsspy telemetry "$smoke" --format nope
+            code=$?
+            [[ "$code" -eq 2 ]] || { echo "telemetry --format nope: exit $code, want 2"; exit 1; }
+            ./target/release/dsspy demo "$smoke.nope" --workload Nope
+            code=$?
+            [[ "$code" -eq 2 ]] || { echo "demo --workload Nope: exit $code, want 2"; exit 1; }
+            ./target/release/dsspy watch --follow --workload Nope
+            code=$?
+            [[ "$code" -eq 2 ]] || { echo "watch --follow --workload Nope: exit $code, want 2"; exit 1; }
+            echo "malformed numeric values, unknown flags and bad choices exit 2 with usage"
         ' bad-input "$SMOKE"
+    # Event time is the session's logical clock, so CPU contention cannot
+    # move a verdict: under two busy loops, 30 test-scale Table IV runs
+    # must print identical #DS / Cases / Reduction columns, and the paper's
+    # 104 / 24 / 76.92% total.
+    run_cell table4-drift '"kind":"smoke",' \
+        bash -c '
+            set -uo pipefail
+            pids=()
+            for _ in 1 2; do
+                (while :; do :; done) &
+                pids+=("$!")
+            done
+            trap "kill ${pids[*]} 2>/dev/null" EXIT
+            columns() {
+                ./target/release/repro --table 4 --scale test --runs 1 |
+                    grep -oE "[0-9]+ +[0-9]+ +[0-9.]+%" | tr -s " "
+            }
+            want="$(columns)" || exit 1
+            [[ "$(tail -n 1 <<<"$want")" == "104 24 76.92%" ]] ||
+                { echo "run 1 totals are not 104 / 24 / 76.92%:"; echo "$want"; exit 1; }
+            for run in $(seq 2 30); do
+                got="$(columns)" || exit 1
+                [[ "$got" == "$want" ]] ||
+                    { echo "run $run drifted:"; diff <(echo "$want") <(echo "$got"); exit 1; }
+            done
+            echo "Table IV #DS / Cases / Reduction identical in 30 of 30 runs under two busy loops"
+        ' table4-drift
     # A reader that closes the pipe early ends the output quietly: the
     # Gpdotnet report (~97 KB of JSON) overflows the pipe buffer, so
     # `analyze` is still writing when `head` exits. Exit 0, empty stderr.
