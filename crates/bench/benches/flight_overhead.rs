@@ -1,11 +1,10 @@
 //! Flight-recorder cost benches: what causal tracing adds to collection.
 //!
-//! The acceptance bar mirrors `streaming_overhead`: the *recorder-disabled*
-//! path — a plain session built through `Session::builder()` with the
-//! default disabled telemetry handle, whose flight recorder is therefore
-//! disabled too — must track the pre-recorder collector throughput
-//! (`stream/session/tap_disabled`) within noise, since the disabled
-//! recorder is one branch on a pointer-sized option per edge.
+//! The acceptance bar: the *recorder-disabled* path — a plain session built
+//! through `Session::builder()` with the default disabled telemetry handle,
+//! whose flight recorder is therefore disabled too — must track the plain
+//! collector throughput (`telemetry/session/disabled`) within noise, since
+//! the disabled recorder is one branch on a pointer-sized option per edge.
 //!
 //! The recorder lives inside a [`Telemetry`] handle
 //! ([`Telemetry::with_flight`]), so `recorder_enabled` also enables
@@ -20,7 +19,7 @@ use dsspy_collect::Session;
 use dsspy_collections::{site, SpyVec};
 use dsspy_core::Dsspy;
 use dsspy_stream::{StreamConfig, StreamingAnalyzer};
-use dsspy_telemetry::{FlightConfig, Telemetry};
+use dsspy_telemetry::Telemetry;
 
 fn fill(session: &Session, n: u64) -> u64 {
     let mut v = SpyVec::register_with_capacity(session, site!("bench"), n as usize);
@@ -36,7 +35,7 @@ fn bench_flight(c: &mut Criterion) {
     let n = 10_000u64;
     group.throughput(Throughput::Elements(n));
 
-    // Pin: identical to stream/session/tap_disabled — the recorder's
+    // Pin: identical to telemetry/session/disabled — the recorder's
     // disabled handle must not move collector throughput.
     group.bench_function("recorder_disabled", |b| {
         b.iter(|| {
@@ -50,7 +49,7 @@ fn bench_flight(c: &mut Criterion) {
     // installed.
     group.bench_function("recorder_enabled", |b| {
         b.iter(|| {
-            let telemetry = Telemetry::enabled().with_flight(FlightConfig::default());
+            let telemetry = Telemetry::enabled().with_flight(None);
             let session = Session::builder().telemetry(telemetry.clone()).start();
             fill(&session, n);
             let count = session.finish().event_count();
@@ -62,7 +61,7 @@ fn bench_flight(c: &mut Criterion) {
     // every dispatch edge recorded.
     group.bench_function("recorder_enabled_fanout", |b| {
         b.iter(|| {
-            let telemetry = Telemetry::enabled().with_flight(FlightConfig::default());
+            let telemetry = Telemetry::enabled().with_flight(None);
             let streaming = StreamingAnalyzer::with_telemetry(
                 Dsspy::new().with_threads(1),
                 StreamConfig::default(),

@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use dsspy_collect::persist::{read_capture, write_capture};
 use dsspy_collect::Session;
 use dsspy_events::{AccessKind, AllocationSite, DsKind, Target};
-use dsspy_patterns::{segment_phases, PhaseConfig};
+use dsspy_patterns::segment_phases;
 use dsspy_workloads::traces::TraceBuilder;
 
 fn capture_with(events_per_instance: u32, instances: u32) -> dsspy_collect::Capture {
@@ -61,9 +61,7 @@ fn bench_phases(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(profile.len()),
             &profile,
-            |bch, p| {
-                bch.iter(|| std::hint::black_box(segment_phases(p, &PhaseConfig::default()).len()))
-            },
+            |bch, p| bch.iter(|| std::hint::black_box(segment_phases(p).len())),
         );
     }
     group.finish();

@@ -1,8 +1,8 @@
 //! # dsspy-bench — regenerating every table and figure of the paper
 //!
 //! One function per experiment artifact; the `repro` binary is a thin CLI
-//! over them, and the Criterion benches measure the quantities behind the
-//! numbers (profiling slowdown, mining throughput, parallel-op speedups).
+//! over them, and the Criterion benches measure the primitive costs behind
+//! the numbers (collector batching, parallel-op speedups, ablations).
 //!
 //! | Paper artifact | Function |
 //! |---|---|

@@ -14,8 +14,7 @@ use dsspy_patterns::{analyze, regularity, MinerConfig, RegularityConfig};
 use dsspy_study::{domain_rows, occurrence_rows};
 use dsspy_usecases::{classify, Thresholds};
 use dsspy_viz::{
-    occurrence_svg, occurrence_table, profile_chart_svg, profile_chart_text, ChartConfig,
-    OccurrenceRow,
+    occurrence_svg, occurrence_table, profile_chart_svg, profile_chart_text, OccurrenceRow,
 };
 use dsspy_workloads::traces::figure3_profile;
 use dsspy_workloads::{suite15, suite23, suite7, Mode, Scale, Workload};
@@ -102,16 +101,13 @@ fn figure2_profile() -> dsspy_events::RuntimeProfile {
 /// Fig. 2 — the fill-then-reverse-read profile chart (terminal form).
 pub fn figure2() -> String {
     let mut out = String::from("Figure 2 — Runtime profile of the paper's list snippet\n");
-    out.push_str(&profile_chart_text(
-        &figure2_profile(),
-        &ChartConfig::default(),
-    ));
+    out.push_str(&profile_chart_text(&figure2_profile()));
     out
 }
 
 /// Fig. 2 as SVG.
 pub fn figure2_svg() -> String {
-    profile_chart_svg(&figure2_profile(), &ChartConfig::default())
+    profile_chart_svg(&figure2_profile())
 }
 
 /// Fig. 3 — repeated Insert-Back + Read-Forward + Clear cycles.
@@ -119,7 +115,7 @@ pub fn figure3() -> String {
     let profile = figure3_profile(6, 40);
     let mut out =
         String::from("Figure 3 — Index-sequential inserts and reads (fill/scan/clear cycles)\n");
-    out.push_str(&profile_chart_text(&profile, &ChartConfig::default()));
+    out.push_str(&profile_chart_text(&profile));
     let analysis = analyze(&profile, &MinerConfig::default());
     let _ = writeln!(out, "mined patterns:");
     for p in &analysis.patterns {
@@ -138,7 +134,7 @@ pub fn figure3() -> String {
 
 /// Fig. 3 as SVG.
 pub fn figure3_svg() -> String {
-    profile_chart_svg(&figure3_profile(6, 40), &ChartConfig::default())
+    profile_chart_svg(&figure3_profile(6, 40))
 }
 
 /// Table II — recurring regularities in the 15-program corpus.

@@ -65,13 +65,13 @@ use dsspy_collect::{
 };
 use dsspy_core::{diff_reports, instances_csv, sketches, use_cases_csv, Dsspy, Report};
 use dsspy_events::{AccessEvent, InstanceId, Origin};
-use dsspy_patterns::{analyze, segment_phases, MinerConfig, PhaseConfig};
+use dsspy_patterns::{analyze, segment_phases, MinerConfig};
 use dsspy_stream::{SnapshotPolicy, StreamConfig, StreamingAnalyzer};
-use dsspy_telemetry::{export, FlightConfig, FlightDump, OverheadReport, Telemetry, TraceContext};
+use dsspy_telemetry::{export, FlightDump, OverheadReport, Telemetry, TraceContext};
 use dsspy_viz::html_report;
 use dsspy_viz::{
     flight_incidents_text, flight_lag_text, flight_timeline_text, profile_chart_svg,
-    profile_chart_text, timeline_svg, timeline_text, ChartConfig,
+    profile_chart_text, timeline_svg, timeline_text,
 };
 use dsspy_workloads::{suite7, Mode, Scale};
 use std::path::Path;
@@ -217,11 +217,10 @@ pub fn cmd_chart(path: &Path, instance: usize, svg_out: Option<&Path>) -> Result
         .profiles
         .get(instance)
         .ok_or(CliError::NoSuchInstance(instance, capture.profiles.len()))?;
-    let config = ChartConfig::default();
     if let Some(out) = svg_out {
-        std::fs::write(out, profile_chart_svg(profile, &config))?;
+        std::fs::write(out, profile_chart_svg(profile))?;
     }
-    Ok(profile_chart_text(profile, &config))
+    Ok(profile_chart_text(profile))
 }
 
 /// `dsspy timeline`: the mined-pattern/phase timeline of one instance.
@@ -236,7 +235,7 @@ pub fn cmd_timeline(
         .get(instance)
         .ok_or(CliError::NoSuchInstance(instance, capture.profiles.len()))?;
     let analysis = analyze(profile, &MinerConfig::default());
-    let phases = segment_phases(profile, &PhaseConfig::default());
+    let phases = segment_phases(profile);
     if let Some(out) = svg_out {
         std::fs::write(out, timeline_svg(profile, &analysis.patterns, &phases))?;
     }
@@ -497,7 +496,6 @@ fn watch_config(every: u64) -> StreamConfig {
     StreamConfig {
         snapshots: SnapshotPolicy {
             every_batches: every.max(1),
-            ..SnapshotPolicy::default()
         },
     }
 }
@@ -742,14 +740,12 @@ fn live_dsspy(batch_size: usize, threads: usize) -> Dsspy {
 }
 
 /// The enabled telemetry handle a live command observes its session with.
-/// A `--flight-recorder PATH` flag arms the default flight ring inside it,
+/// A `--flight-recorder PATH` flag arms the flight ring inside it,
 /// auto-dumping to `path` on every incident (and flushed once more when
 /// the session finishes); no flag leaves the recorder disabled.
 fn observer(flight_out: Option<&Path>) -> Telemetry {
     match flight_out {
-        Some(path) => {
-            Telemetry::enabled().with_flight(FlightConfig::default().with_dump_path(path))
-        }
+        Some(path) => Telemetry::enabled().with_flight(Some(path.to_path_buf())),
         None => Telemetry::enabled(),
     }
 }
@@ -939,7 +935,7 @@ pub fn cmd_doctor(
             // Not a dump: treat as a capture and re-collect it live under
             // full observation.
             let source = load_capture(path)?;
-            let telemetry = Telemetry::enabled().with_flight(FlightConfig::default());
+            let telemetry = Telemetry::enabled().with_flight(None);
             let session = StreamingAnalyzer::with_telemetry(
                 live_dsspy(64, 1),
                 StreamConfig::default(),
@@ -1394,7 +1390,7 @@ mod tests {
 
     #[test]
     fn flight_metric_families_reach_the_exposition() {
-        let telemetry = Telemetry::enabled().with_flight(FlightConfig::default());
+        let telemetry = Telemetry::enabled().with_flight(None);
         telemetry.flight().record(
             TraceContext::new(1, 1),
             dsspy_telemetry::FlightEventKind::SessionStart,

@@ -20,6 +20,10 @@ use serde::{Deserialize, Serialize};
 
 use crate::fanout::TapFanout;
 
+/// Queue depth behind a batch above which an armed flight recorder logs a
+/// `QueueWatermark` incident (once per upward crossing).
+const QUEUE_WATERMARK: u64 = 4096;
+
 /// Messages from instrumented code to the collector thread.
 pub(crate) enum Msg {
     /// A batch of events for one instance, in per-thread order. The last
@@ -126,7 +130,6 @@ pub(crate) fn spawn(
             let batches_stored = telemetry.counter("collector.batches");
             let enabled = telemetry.is_enabled();
             let flight = telemetry.flight();
-            let watermark = flight.queue_watermark();
             // Latched so a sustained breach is one incident, not one per
             // batch; re-arms once the queue falls back under the watermark.
             let mut above_watermark = false;
@@ -170,22 +173,20 @@ pub(crate) fn spawn(
                                     queue_depth: depth as u64,
                                 },
                             );
-                            if watermark > 0 {
-                                if depth as u64 > watermark {
-                                    if !above_watermark {
-                                        above_watermark = true;
-                                        flight.incident(
-                                            ctx,
-                                            None,
-                                            IncidentTrigger::QueueWatermark {
-                                                queue_depth: depth as u64,
-                                                watermark,
-                                            },
-                                        );
-                                    }
-                                } else {
-                                    above_watermark = false;
+                            if depth as u64 > QUEUE_WATERMARK {
+                                if !above_watermark {
+                                    above_watermark = true;
+                                    flight.incident(
+                                        ctx,
+                                        None,
+                                        IncidentTrigger::QueueWatermark {
+                                            queue_depth: depth as u64,
+                                            watermark: QUEUE_WATERMARK,
+                                        },
+                                    );
                                 }
+                            } else {
+                                above_watermark = false;
                             }
                         }
                         if let Some(tap) = tap.as_deref_mut() {
@@ -420,6 +421,45 @@ mod tests {
         assert_eq!(stats.dropped, 2);
         assert_eq!(stats.events, 0);
         assert_eq!(stats.batches, 0);
+    }
+
+    #[test]
+    fn queue_watermark_crossing_is_one_incident() {
+        // Queue the batches and Stop before the collector starts, so the
+        // depth behind each of the first batches is above the watermark.
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let batches = QUEUE_WATERMARK + 8;
+        for i in 0..batches {
+            tx.send(Msg::Batch(
+                InstanceId(0),
+                vec![AccessEvent::at(
+                    i,
+                    AccessKind::Insert,
+                    i as u32,
+                    i as u32 + 1,
+                )],
+                0,
+            ))
+            .unwrap();
+        }
+        tx.send(Msg::Stop).unwrap();
+        let telemetry = Telemetry::enabled().with_flight(None);
+        let (_, stats, _) = spawn(rx, Instant::now(), telemetry.clone(), 1, None)
+            .join()
+            .unwrap();
+        assert_eq!(stats.batches, batches);
+        let incidents = telemetry.flight().dump().incidents;
+        assert_eq!(incidents.len(), 1, "{incidents:?}");
+        assert_eq!(incidents[0].trigger.tag(), "queue-watermark");
+        let IncidentTrigger::QueueWatermark {
+            queue_depth,
+            watermark,
+        } = incidents[0].trigger
+        else {
+            unreachable!()
+        };
+        assert_eq!(watermark, QUEUE_WATERMARK);
+        assert!(queue_depth > QUEUE_WATERMARK, "depth {queue_depth}");
     }
 
     #[test]

@@ -603,7 +603,7 @@ mod tests {
 
     #[test]
     fn fanout_records_flight_dispatches_and_panic_incidents() {
-        let telemetry = Telemetry::enabled().with_flight(dsspy_telemetry::FlightConfig::default());
+        let telemetry = Telemetry::enabled().with_flight(None);
         let r = CaptureRecorder::new();
         let mut fanout = TapFanout::with_telemetry(telemetry.clone())
             .with_subscriber("analyzer", r.tap())

@@ -239,8 +239,7 @@ pub fn read_capture_with(mut r: impl Read, opts: &ReadOptions) -> Result<Capture
     let body_decode = telemetry.histogram("persist.body_decode_nanos");
     let decode_one = |(info, expect, body): &(InstanceInfo, u64, Vec<u8>)| {
         let body_start = telemetry.now_nanos();
-        let events =
-            decode_batch(body.clone().into()).map_err(|e| PersistError::BadBody(e.to_string()))?;
+        let events = decode_batch(body).map_err(|e| PersistError::BadBody(e.to_string()))?;
         if events.len() as u64 != *expect {
             return Err(PersistError::BadBody(format!(
                 "instance {} expected {expect} events, body has {}",

@@ -37,33 +37,20 @@ pub struct AnalysisConfig {
     #[serde(default = "AdvisoryConfig::default")]
     pub advisories: AdvisoryConfig,
     /// Worker threads for the per-instance analysis fan-out: `0` (the
-    /// default) resolves to the `DSSPY_TEST_THREADS` environment variable
-    /// if set, else [`dsspy_parallel::default_threads`]; `1` runs the
-    /// plain sequential loop on the calling thread.
+    /// default) resolves to [`dsspy_parallel::default_threads`]; `1` runs
+    /// the plain sequential loop on the calling thread.
     #[serde(default)]
     pub threads: usize,
 }
 
 impl AnalysisConfig {
-    /// The worker count the analysis will actually use.
-    ///
-    /// An explicit `threads` setting always wins. `0` defers first to the
-    /// `DSSPY_TEST_THREADS` environment variable — how the CI matrix pins
-    /// every default-width run in the suite to 1/2/4 workers without
-    /// touching call sites (the report is identical at any width, so this
-    /// only varies *how* it is computed) — and then to one worker per core.
+    /// The worker count the analysis will actually use: an explicit
+    /// `threads` setting, or one worker per core for `0`.
     pub fn resolved_threads(&self) -> usize {
-        if self.threads != 0 {
-            return self.threads;
+        match self.threads {
+            0 => dsspy_parallel::default_threads(),
+            n => n,
         }
-        if let Some(n) = std::env::var("DSSPY_TEST_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-        {
-            return n;
-        }
-        dsspy_parallel::default_threads()
     }
 
     /// Whether an instance is analyzed and reported: every instance, or in
@@ -91,12 +78,6 @@ impl Dsspy {
     /// Replace the use-case thresholds.
     pub fn with_thresholds(mut self, thresholds: Thresholds) -> Dsspy {
         self.analysis.thresholds = thresholds;
-        self
-    }
-
-    /// Replace the miner configuration.
-    pub fn with_miner(mut self, miner: MinerConfig) -> Dsspy {
-        self.analysis.miner = miner;
         self
     }
 
@@ -317,8 +298,8 @@ mod tests {
 
     #[test]
     fn profile_with_an_armed_recorder_records_a_clean_flight_chain() {
-        use dsspy_telemetry::{FlightConfig, FlightEventKind};
-        let telemetry = Telemetry::enabled().with_flight(FlightConfig::default());
+        use dsspy_telemetry::FlightEventKind;
+        let telemetry = Telemetry::enabled().with_flight(None);
         let report = Dsspy::new().profile_with(
             |session| {
                 let mut list = SpyVec::register(session, site!("observed"));

@@ -1,9 +1,10 @@
 //! Compact binary encoding for access events and profiles.
 //!
-//! The paper's collector ships events over asynchronous intra-process
-//! communication to avoid file I/O and unbounded in-memory logs (§IV).
-//! This module provides the wire format our collector uses for batched
-//! transport and for persisting captured profiles to disk.
+//! This is the on-disk event format of a persisted capture: each
+//! instance's events are one count-prefixed batch body. (The collector's
+//! channel carries `Vec<AccessEvent>` batches and never encodes them.)
+//! Decoding reads straight from the bytes already in memory, without
+//! copying them first.
 //!
 //! Layout (little-endian, fixed-width except for the target which is
 //! tag-prefixed). `seq` is the event's only timestamp (a logical tick), so
@@ -19,7 +20,7 @@
 //! ```
 
 use crate::event::{AccessEvent, AccessKind, Target, ThreadTag};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 /// Error produced when decoding malformed event bytes.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -65,31 +66,30 @@ pub fn encode_event(e: &AccessEvent, buf: &mut BytesMut) {
     }
 }
 
-/// Decode one event from the front of `buf`, advancing it.
-pub fn decode_event(buf: &mut Bytes) -> Result<AccessEvent, DecodeError> {
+/// Take the next `N` bytes off the front of `buf`.
+fn take<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], DecodeError> {
+    let (head, rest) = buf.split_first_chunk::<N>().ok_or(DecodeError::Truncated)?;
+    *buf = rest;
+    Ok(*head)
+}
+
+/// Decode one event from the front of `buf`, advancing it past the event.
+pub fn decode_event(buf: &mut &[u8]) -> Result<AccessEvent, DecodeError> {
     // Fixed header: 8 + 1 + 4 + 4 + 1 (target tag) = 18 bytes minimum.
-    if buf.remaining() < 18 {
+    if buf.len() < 18 {
         return Err(DecodeError::Truncated);
     }
-    let seq = buf.get_u64_le();
-    let kind_raw = buf.get_u8();
+    let seq = u64::from_le_bytes(take(buf)?);
+    let [kind_raw] = take(buf)?;
     let kind = AccessKind::from_u8(kind_raw).ok_or(DecodeError::BadKind(kind_raw))?;
-    let thread = ThreadTag(buf.get_u32_le());
-    let len = buf.get_u32_le();
-    let tag = buf.get_u8();
+    let thread = ThreadTag(u32::from_le_bytes(take(buf)?));
+    let len = u32::from_le_bytes(take(buf)?);
+    let [tag] = take(buf)?;
     let target = match tag {
-        0 => {
-            if buf.remaining() < 4 {
-                return Err(DecodeError::Truncated);
-            }
-            Target::Index(buf.get_u32_le())
-        }
+        0 => Target::Index(u32::from_le_bytes(take(buf)?)),
         1 => {
-            if buf.remaining() < 8 {
-                return Err(DecodeError::Truncated);
-            }
-            let start = buf.get_u32_le();
-            let end = buf.get_u32_le();
+            let start = u32::from_le_bytes(take(buf)?);
+            let end = u32::from_le_bytes(take(buf)?);
             Target::Range { start, end }
         }
         2 => Target::Whole,
@@ -115,12 +115,9 @@ pub fn encode_batch(events: &[AccessEvent]) -> Bytes {
     buf.freeze()
 }
 
-/// Decode a count-prefixed batch of events.
-pub fn decode_batch(mut bytes: Bytes) -> Result<Vec<AccessEvent>, DecodeError> {
-    if bytes.remaining() < 4 {
-        return Err(DecodeError::Truncated);
-    }
-    let count = bytes.get_u32_le() as usize;
+/// Decode a count-prefixed batch of events from `bytes`.
+pub fn decode_batch(mut bytes: &[u8]) -> Result<Vec<AccessEvent>, DecodeError> {
+    let count = u32::from_le_bytes(take(&mut bytes)?) as usize;
     let mut out = Vec::with_capacity(count.min(1 << 20));
     for _ in 0..count {
         out.push(decode_event(&mut bytes)?);
@@ -170,9 +167,9 @@ mod tests {
         for e in sample_events() {
             let mut buf = BytesMut::new();
             encode_event(&e, &mut buf);
-            let mut b = buf.freeze();
+            let mut b = &buf[..];
             assert_eq!(decode_event(&mut b).unwrap(), e);
-            assert_eq!(b.remaining(), 0, "decoder must consume the event exactly");
+            assert!(b.is_empty(), "decoder must consume the event exactly");
         }
     }
 
@@ -180,13 +177,13 @@ mod tests {
     fn batch_roundtrip() {
         let events = sample_events();
         let encoded = encode_batch(&events);
-        assert_eq!(decode_batch(encoded).unwrap(), events);
+        assert_eq!(decode_batch(&encoded).unwrap(), events);
     }
 
     #[test]
     fn empty_batch_roundtrip() {
         let encoded = encode_batch(&[]);
-        assert_eq!(decode_batch(encoded).unwrap(), vec![]);
+        assert_eq!(decode_batch(&encoded).unwrap(), vec![]);
     }
 
     #[test]
@@ -194,9 +191,8 @@ mod tests {
         let events = sample_events();
         let encoded = encode_batch(&events);
         for cut in [0usize, 3, 4, 10, encoded.len() - 1] {
-            let sliced = encoded.slice(0..cut);
             assert!(
-                decode_batch(sliced).is_err(),
+                decode_batch(&encoded[..cut]).is_err(),
                 "cut at {cut} should fail to decode"
             );
         }
@@ -208,8 +204,7 @@ mod tests {
         encode_event(&sample_events()[0], &mut buf);
         let mut raw = buf.to_vec();
         raw[8] = 200; // kind byte
-        let mut b = Bytes::from(raw);
-        assert_eq!(decode_event(&mut b), Err(DecodeError::BadKind(200)));
+        assert_eq!(decode_event(&mut &raw[..]), Err(DecodeError::BadKind(200)));
     }
 
     #[test]
@@ -218,7 +213,6 @@ mod tests {
         encode_event(&sample_events()[0], &mut buf);
         let mut raw = buf.to_vec();
         raw[17] = 9; // target tag byte
-        let mut b = Bytes::from(raw);
-        assert_eq!(decode_event(&mut b), Err(DecodeError::BadTarget(9)));
+        assert_eq!(decode_event(&mut &raw[..]), Err(DecodeError::BadTarget(9)));
     }
 }

@@ -34,5 +34,5 @@ pub mod series;
 
 pub use event::{AccessClass, AccessEvent, AccessKind, Target, ThreadTag};
 pub use instance::{AllocationSite, DsKind, InstanceId, InstanceInfo, Origin};
-pub use profile::{ProfileStats, RuntimeProfile};
+pub use profile::RuntimeProfile;
 pub use series::{size_series, Series};

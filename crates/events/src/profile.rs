@@ -5,7 +5,7 @@
 //! (paper §II-B). It is the unit the pattern miner and the use-case
 //! classifier operate on, and the thing the visualizer draws (Figs. 2, 3).
 
-use crate::event::{AccessClass, AccessEvent, AccessKind, ThreadTag};
+use crate::event::{AccessEvent, ThreadTag};
 use crate::instance::InstanceInfo;
 use serde::{Deserialize, Serialize};
 
@@ -56,75 +56,16 @@ impl RuntimeProfile {
         t
     }
 
-    /// Aggregate statistics over the profile.
-    pub fn stats(&self) -> ProfileStats {
-        let mut s = ProfileStats {
-            total: self.events.len(),
-            ..ProfileStats::default()
-        };
-        for e in &self.events {
-            s.by_kind[e.kind as usize] += 1;
-            match e.class() {
-                AccessClass::Read => s.reads += 1,
-                AccessClass::Write => s.writes += 1,
-            }
-            s.max_len = s.max_len.max(e.len);
-        }
-        s.duration_ticks = self.duration_ticks();
-        s
-    }
-
     /// Maximum length the structure reached during its lifetime.
     pub fn max_len(&self) -> u32 {
         self.events.iter().map(|e| e.len).max().unwrap_or(0)
     }
 }
 
-/// Aggregate event counts over one profile.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ProfileStats {
-    /// Total number of events.
-    pub total: usize,
-    /// Events per [`AccessKind`], indexed by discriminant.
-    pub by_kind: [usize; 11],
-    /// Events whose [`AccessClass`] is `Read`.
-    pub reads: usize,
-    /// Events whose [`AccessClass`] is `Write`.
-    pub writes: usize,
-    /// Largest structure length observed.
-    pub max_len: u32,
-    /// Logical span of the profile, in ticks of `seq`.
-    pub duration_ticks: u64,
-}
-
-impl ProfileStats {
-    /// Count of events of one kind.
-    pub fn count(&self, kind: AccessKind) -> usize {
-        self.by_kind[kind as usize]
-    }
-
-    /// Fraction of events of one kind, in `[0, 1]` (0 for empty profiles).
-    pub fn share(&self, kind: AccessKind) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.count(kind) as f64 / self.total as f64
-        }
-    }
-
-    /// Fraction of read-class events (0 for empty profiles).
-    pub fn read_share(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.reads as f64 / self.total as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::AccessKind;
     use crate::instance::{AllocationSite, DsKind, InstanceId};
 
     fn info() -> InstanceInfo {
@@ -180,28 +121,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_count_kinds_and_classes() {
-        let p = RuntimeProfile::new(
-            info(),
-            vec![
-                ev(1, AccessKind::Insert, 0, 1),
-                ev(2, AccessKind::Insert, 1, 2),
-                ev(3, AccessKind::Read, 0, 2),
-                AccessEvent::whole(4, AccessKind::Sort, 2),
-            ],
-        );
-        let s = p.stats();
-        assert_eq!(s.total, 4);
-        assert_eq!(s.count(AccessKind::Insert), 2);
-        assert_eq!(s.count(AccessKind::Read), 1);
-        assert_eq!(s.count(AccessKind::Sort), 1);
-        assert_eq!(s.reads, 1);
-        assert_eq!(s.writes, 3);
-        assert!((s.read_share() - 0.25).abs() < 1e-12);
-        assert!((s.share(AccessKind::Insert) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn threads_are_distinct_and_ascending() {
         let mut e1 = ev(1, AccessKind::Insert, 0, 1);
         e1.thread = ThreadTag(1);
@@ -211,13 +130,5 @@ mod tests {
         e3.thread = ThreadTag(1);
         let p = RuntimeProfile::new(info(), vec![e1, e2, e3]);
         assert_eq!(p.threads(), vec![ThreadTag(1), ThreadTag(2)]);
-    }
-
-    #[test]
-    fn empty_profile_stats_are_zero() {
-        let s = RuntimeProfile::new(info(), vec![]).stats();
-        assert_eq!(s.total, 0);
-        assert_eq!(s.read_share(), 0.0);
-        assert_eq!(s.share(AccessKind::Read), 0.0);
     }
 }

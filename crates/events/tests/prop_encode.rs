@@ -43,7 +43,7 @@ proptest! {
     fn event_roundtrip(e in arb_event()) {
         let mut buf = BytesMut::new();
         encode_event(&e, &mut buf);
-        let mut bytes = buf.freeze();
+        let mut bytes = &buf[..];
         let back = decode_event(&mut bytes).unwrap();
         prop_assert_eq!(back, e);
         prop_assert_eq!(bytes.len(), 0);
@@ -52,7 +52,7 @@ proptest! {
     #[test]
     fn batch_roundtrip(events in proptest::collection::vec(arb_event(), 0..200)) {
         let encoded = encode_batch(&events);
-        let back = decode_batch(encoded).unwrap();
+        let back = decode_batch(&encoded).unwrap();
         prop_assert_eq!(back, events);
     }
 
@@ -60,8 +60,7 @@ proptest! {
     fn truncation_never_panics(events in proptest::collection::vec(arb_event(), 1..20), cut_frac in 0.0f64..1.0) {
         let encoded = encode_batch(&events);
         let cut = ((encoded.len() as f64) * cut_frac) as usize;
-        let sliced = encoded.slice(0..cut);
         // Either decodes a (possibly different-length) prefix or errors; never panics.
-        let _ = decode_batch(sliced);
+        let _ = decode_batch(&encoded[..cut]);
     }
 }

@@ -28,7 +28,6 @@ pub mod kind;
 pub mod phases;
 pub mod regularity;
 pub mod run;
-pub mod stats;
 pub mod threads;
 
 pub use analysis::{analyze, Metrics, ProfileAnalysis};
@@ -36,8 +35,7 @@ pub use incremental::{
     IncrementalAnalyzer, MetricsFold, PatternAggregates, ThreadFold, ThreadMiner,
 };
 pub use kind::PatternKind;
-pub use phases::{segment_phases, Phase, PhaseConfig, PhaseKind};
+pub use phases::{segment_phases, Phase, PhaseKind};
 pub use regularity::{regularity, RegularityConfig, RegularityVerdict};
 pub use run::{MinerConfig, PatternInstance};
-pub use stats::{PatternStats, Summary};
 pub use threads::ThreadProfile;

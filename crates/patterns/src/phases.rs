@@ -57,23 +57,10 @@ impl Phase {
     }
 }
 
-/// Tunables for the phase segmenter.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct PhaseConfig {
-    /// Window size in events for the dominance vote.
-    pub window: usize,
-    /// Fraction a class must reach inside a window to claim it.
-    pub dominance: f64,
-}
-
-impl Default for PhaseConfig {
-    fn default() -> Self {
-        PhaseConfig {
-            window: 32,
-            dominance: 0.6,
-        }
-    }
-}
+/// Window size in events for the dominance vote.
+const WINDOW: usize = 32;
+/// Fraction a class must reach inside a window to claim it.
+const DOMINANCE: f64 = 0.6;
 
 fn class_of(kind: AccessKind) -> PhaseKind {
     match kind {
@@ -90,14 +77,13 @@ fn class_of(kind: AccessKind) -> PhaseKind {
 
 /// Segment a profile into phases.
 ///
-/// The timeline is cut into `config.window`-event windows; each window votes
-/// for the class holding at least `config.dominance` of its events (`Mixed`
-/// otherwise), and adjacent windows with the same verdict merge into one
-/// phase. The tail window may be shorter.
-pub fn segment_phases(profile: &RuntimeProfile, config: &PhaseConfig) -> Vec<Phase> {
-    let window = config.window.max(1);
+/// The timeline is cut into 32-event windows; each window votes for the
+/// class holding at least 60 % of its events (`Mixed` otherwise), and
+/// adjacent windows with the same verdict merge into one phase. The tail
+/// window may be shorter.
+pub fn segment_phases(profile: &RuntimeProfile) -> Vec<Phase> {
     let mut out: Vec<Phase> = Vec::new();
-    for chunk in profile.events.chunks(window) {
+    for chunk in profile.events.chunks(WINDOW) {
         let mut counts = [0usize; 5];
         for e in chunk {
             let idx = match class_of(e.kind) {
@@ -114,7 +100,7 @@ pub fn segment_phases(profile: &RuntimeProfile, config: &PhaseConfig) -> Vec<Pha
             .enumerate()
             .max_by_key(|(_, c)| **c)
             .expect("non-empty counts");
-        let kind = if *best as f64 >= config.dominance * chunk.len() as f64 {
+        let kind = if *best as f64 >= DOMINANCE * chunk.len() as f64 {
             match best_idx {
                 0 => PhaseKind::Growth,
                 1 => PhaseKind::Scan,
@@ -172,7 +158,7 @@ mod tests {
         let mut seq = 0;
         fill(&mut events, &mut seq, AccessKind::Insert, 128);
         fill(&mut events, &mut seq, AccessKind::Read, 128);
-        let phases = segment_phases(&profile(events), &PhaseConfig::default());
+        let phases = segment_phases(&profile(events));
         assert_eq!(phases.len(), 2);
         assert_eq!(phases[0].kind, PhaseKind::Growth);
         assert_eq!(phases[0].events, 128);
@@ -191,7 +177,7 @@ mod tests {
             };
             events.push(AccessEvent::at(i, kind, (i / 2) as u32, 100));
         }
-        let phases = segment_phases(&profile(events), &PhaseConfig::default());
+        let phases = segment_phases(&profile(events));
         assert_eq!(phases.len(), 1);
         assert_eq!(phases[0].kind, PhaseKind::Mixed);
     }
@@ -203,14 +189,14 @@ mod tests {
         fill(&mut events, &mut seq, AccessKind::Insert, 64);
         fill(&mut events, &mut seq, AccessKind::Read, 64);
         fill(&mut events, &mut seq, AccessKind::Write, 64);
-        let phases = segment_phases(&profile(events), &PhaseConfig::default());
+        let phases = segment_phases(&profile(events));
         assert_eq!(phases.first().unwrap().kind, PhaseKind::Growth);
         assert_eq!(phases.last().unwrap().kind, PhaseKind::Mutation);
     }
 
     #[test]
     fn empty_profile_has_no_phases() {
-        assert!(segment_phases(&profile(vec![]), &PhaseConfig::default()).is_empty());
+        assert!(segment_phases(&profile(vec![])).is_empty());
     }
 
     #[test]
@@ -220,7 +206,7 @@ mod tests {
         fill(&mut events, &mut seq, AccessKind::Insert, 100);
         fill(&mut events, &mut seq, AccessKind::Read, 100);
         let p = profile(events);
-        let phases = segment_phases(&p, &PhaseConfig::default());
+        let phases = segment_phases(&p);
         let total: usize = phases.iter().map(|ph| ph.events).sum();
         assert_eq!(total, p.len());
         // Ordered and non-overlapping; one tick per event here.
@@ -240,7 +226,7 @@ mod tests {
             events.push(AccessEvent::whole(seq, AccessKind::Sort, 100));
             seq += 1;
         }
-        let phases = segment_phases(&profile(events), &PhaseConfig::default());
+        let phases = segment_phases(&profile(events));
         assert_eq!(phases.last().unwrap().kind, PhaseKind::Maintenance);
     }
 }

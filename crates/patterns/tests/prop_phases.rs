@@ -1,12 +1,11 @@
 //! Property tests for phase segmentation: phases partition the profile, in
-//! order, without overlap, deterministically — for arbitrary event streams
-//! and window configurations.
+//! order, without overlap, deterministically — for arbitrary event streams.
 
 use dsspy_events::{
     AccessEvent, AccessKind, AllocationSite, DsKind, InstanceId, InstanceInfo, RuntimeProfile,
     Target, ThreadTag,
 };
-use dsspy_patterns::{segment_phases, PhaseConfig};
+use dsspy_patterns::segment_phases;
 use proptest::prelude::*;
 
 fn arb_events() -> impl Strategy<Value = Vec<AccessEvent>> {
@@ -40,17 +39,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn phases_partition_the_profile(
-        events in arb_events(),
-        window in 1usize..64,
-        dominance in 0.3f64..1.0,
-    ) {
+    fn phases_partition_the_profile(events in arb_events()) {
         let p = profile(events);
-        let config = PhaseConfig { window, dominance };
-        let phases = segment_phases(&p, &config);
+        let phases = segment_phases(&p);
 
         // Determinism.
-        prop_assert_eq!(&phases, &segment_phases(&p, &config));
+        prop_assert_eq!(&phases, &segment_phases(&p));
 
         // Event counts partition exactly.
         let total: usize = phases.iter().map(|ph| ph.events).sum();

@@ -43,6 +43,11 @@ use dsspy_telemetry::{Counter, FlightEventKind, Gauge, Histogram, Telemetry, Tra
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
+/// Collector queue depth per doubling of the snapshot interval.
+const BACKOFF_QUEUE_DEPTH: usize = 64;
+/// Cap on the number of doublings.
+const MAX_BACKOFF_SHIFTS: u32 = 4;
+
 /// When the streaming analyzer re-classifies and publishes a snapshot.
 ///
 /// Cadence is measured in *batches folded*, not wall clock, so replays and
@@ -50,27 +55,19 @@ use serde::{Deserialize, Serialize};
 /// `queue_depth` the collector hands the tap with each batch — its channel
 /// length read at receipt, the same value it writes to the
 /// `collector.queue_depth` gauge — stretches the interval: every
-/// `backoff_queue_depth` queued messages doubles it, up to
-/// `max_backoff_shifts` doublings. An idle collector snapshots every
+/// `BACKOFF_QUEUE_DEPTH` (64) queued messages doubles it, up to
+/// `MAX_BACKOFF_SHIFTS` (4) doublings. An idle collector snapshots every
 /// `every_batches` batches; a flooded one backs off to
-/// `every_batches << max_backoff_shifts`.
+/// `every_batches << MAX_BACKOFF_SHIFTS`.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct SnapshotPolicy {
     /// Base interval: publish a snapshot every this many folded batches.
     pub every_batches: u64,
-    /// Queue depth per doubling of the interval; `0` disables backoff.
-    pub backoff_queue_depth: usize,
-    /// Cap on the number of doublings.
-    pub max_backoff_shifts: u32,
 }
 
 impl Default for SnapshotPolicy {
     fn default() -> Self {
-        SnapshotPolicy {
-            every_batches: 8,
-            backoff_queue_depth: 64,
-            max_backoff_shifts: 4,
-        }
+        SnapshotPolicy { every_batches: 8 }
     }
 }
 
@@ -78,10 +75,7 @@ impl SnapshotPolicy {
     /// The snapshot interval in batches at the given collector queue depth.
     pub fn effective_interval(&self, queue_depth: usize) -> u64 {
         let every = self.every_batches.max(1);
-        if self.backoff_queue_depth == 0 {
-            return every;
-        }
-        let shifts = ((queue_depth / self.backoff_queue_depth) as u32).min(self.max_backoff_shifts);
+        let shifts = ((queue_depth / BACKOFF_QUEUE_DEPTH) as u32).min(MAX_BACKOFF_SHIFTS);
         every.checked_shl(shifts).unwrap_or(u64::MAX)
     }
 }
@@ -715,11 +709,7 @@ mod tests {
     fn snapshot_cadence_follows_policy() {
         let dsspy = Dsspy::new();
         let config = StreamConfig {
-            snapshots: SnapshotPolicy {
-                every_batches: 4,
-                backoff_queue_depth: 64,
-                max_backoff_shifts: 4,
-            },
+            snapshots: SnapshotPolicy { every_batches: 4 },
         };
         let streaming = StreamingAnalyzer::new(dsspy, config);
         let info = InstanceInfo::new(
@@ -743,32 +733,19 @@ mod tests {
 
     #[test]
     fn queue_pressure_stretches_the_interval() {
-        let policy = SnapshotPolicy {
-            every_batches: 8,
-            backoff_queue_depth: 64,
-            max_backoff_shifts: 4,
-        };
+        let policy = SnapshotPolicy { every_batches: 8 };
         assert_eq!(policy.effective_interval(0), 8);
         assert_eq!(policy.effective_interval(63), 8);
         assert_eq!(policy.effective_interval(64), 16);
         assert_eq!(policy.effective_interval(200), 64);
         assert_eq!(policy.effective_interval(1_000_000), 8 << 4);
-        let off = SnapshotPolicy {
-            backoff_queue_depth: 0,
-            ..policy
-        };
-        assert_eq!(off.effective_interval(1_000_000), 8);
     }
 
     #[test]
     fn mid_session_snapshot_counts_only_what_arrived() {
         let dsspy = Dsspy::new();
         let config = StreamConfig {
-            snapshots: SnapshotPolicy {
-                every_batches: 1,
-                backoff_queue_depth: 0,
-                max_backoff_shifts: 0,
-            },
+            snapshots: SnapshotPolicy { every_batches: 1 },
         };
         let streaming = StreamingAnalyzer::new(dsspy, config);
         let info = InstanceInfo::new(
@@ -844,9 +821,7 @@ mod tests {
 
     #[test]
     fn live_session_records_a_causal_flight_chain() {
-        use dsspy_telemetry::FlightConfig;
-
-        let telemetry = Telemetry::enabled().with_flight(FlightConfig::default());
+        let telemetry = Telemetry::enabled().with_flight(None);
         let dsspy = Dsspy::new().with_threads(1);
         let streaming =
             StreamingAnalyzer::with_telemetry(dsspy, StreamConfig::default(), telemetry.clone());

@@ -307,12 +307,10 @@ mod tests {
 
     #[test]
     fn flight_chrome_trace_tracks_subscribers_and_marks_incidents() {
-        use crate::flight::{FlightConfig, FlightEventKind, IncidentTrigger};
+        use crate::flight::{FlightEventKind, IncidentTrigger};
         use crate::trace::TraceContext;
 
-        let f = crate::Telemetry::enabled()
-            .with_flight(FlightConfig::default())
-            .flight();
+        let f = crate::Telemetry::enabled().with_flight(None).flight();
         let ctx = TraceContext::new(1, 1);
         f.record(
             ctx,

@@ -4,7 +4,7 @@
 //! Aggregate counters tell you *that* something went wrong (a drop spike, a
 //! poisoned subscriber); they cannot tell you *which batch* of *which
 //! session* hit *which subscriber* on the way down. The flight recorder
-//! keeps the last [`FlightConfig::capacity`] structured events — batch
+//! keeps the last [`FLIGHT_CAPACITY`] structured events — batch
 //! receipts, per-subscriber tap dispatches, snapshot publications, drops,
 //! panics, queue-watermark breaches — each stamped with a
 //! [`TraceContext`], so the causal chain of any recent batch is
@@ -30,8 +30,8 @@
 //!
 //! **Incidents** are the trigger layer: a subscriber panic, a drop-counter
 //! increase, or a queue-depth watermark breach records an [`Incident`]
-//! (kept outside the ring, never overwritten) and — when
-//! [`FlightConfig::dump_path`] is set — auto-dumps the whole recorder state
+//! (kept outside the ring, never overwritten) and — when the recorder was
+//! armed with a dump path — auto-dumps the whole recorder state
 //! to disk as a [`FlightDump`] (schema [`FLIGHT_SCHEMA`]), the file
 //! `dsspy doctor` reads.
 
@@ -50,39 +50,8 @@ use crate::TelemetryInner;
 /// Schema identifier written into every [`FlightDump`].
 pub const FLIGHT_SCHEMA: &str = "dsspy-flight/1";
 
-/// Tunables of a flight recorder.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FlightConfig {
-    /// Ring capacity in events; the oldest event is overwritten past this.
-    pub capacity: usize,
-    /// Queue-depth incident threshold: a collector queue deeper than this
-    /// at batch receipt records a [`WatermarkBreach`](FlightEventKind) and
-    /// triggers an incident on the upward crossing. `0` disables the
-    /// trigger.
-    pub queue_watermark: u64,
-    /// Auto-dump destination: every incident rewrites this file with the
-    /// current [`FlightDump`]. `None` keeps the recorder in-memory only
-    /// (read it with [`FlightRecorder::dump`]).
-    pub dump_path: Option<PathBuf>,
-}
-
-impl Default for FlightConfig {
-    fn default() -> Self {
-        FlightConfig {
-            capacity: 4096,
-            queue_watermark: 4096,
-            dump_path: None,
-        }
-    }
-}
-
-impl FlightConfig {
-    /// Set the auto-dump path, chaining.
-    pub fn with_dump_path(mut self, path: impl Into<PathBuf>) -> FlightConfig {
-        self.dump_path = Some(path.into());
-        self
-    }
-}
+/// Ring capacity in events; the oldest event is overwritten past this.
+pub const FLIGHT_CAPACITY: usize = 4096;
 
 /// What happened, structurally. One variant per pipeline edge the recorder
 /// watches.
@@ -127,11 +96,11 @@ pub enum FlightEventKind {
         /// The panic payload, if it was a string.
         payload: String,
     },
-    /// The collector queue crossed the configured watermark.
+    /// The collector queue crossed its high watermark.
     WatermarkBreach {
         /// Observed depth.
         queue_depth: u64,
-        /// The configured threshold.
+        /// The watermark that was crossed.
         watermark: u64,
     },
     /// The session drained and stopped.
@@ -194,11 +163,11 @@ pub enum IncidentTrigger {
         /// Events covered by the observation that tripped the trigger.
         dropped: u64,
     },
-    /// The collector queue crossed the configured high watermark.
+    /// The collector queue crossed its high watermark.
     QueueWatermark {
         /// Observed depth.
         queue_depth: u64,
-        /// The configured threshold.
+        /// The watermark that was crossed.
         watermark: u64,
     },
 }
@@ -330,7 +299,9 @@ struct FlightState {
 /// telemetry clock, so they share one timeline with the handle's spans and
 /// histograms.
 pub(crate) struct FlightInner {
-    config: FlightConfig,
+    /// Auto-dump destination: every incident rewrites this file with the
+    /// current [`FlightDump`]; `None` keeps the recorder in memory only.
+    dump_path: Option<PathBuf>,
     state: Mutex<FlightState>,
     events: Counter,
     incidents: Counter,
@@ -342,15 +313,14 @@ impl FlightInner {
     /// A fresh ring publishing `flight.events` / `flight.incidents` /
     /// `flight.overwritten` counters and `flight.ring_len` /
     /// `flight.capacity` gauges into `registry`.
-    pub(crate) fn new(config: FlightConfig, registry: &MetricRegistry) -> FlightInner {
-        let capacity = config.capacity.max(1);
-        Gauge(Some(registry.gauge("flight.capacity"))).set(capacity as u64);
+    pub(crate) fn new(dump_path: Option<PathBuf>, registry: &MetricRegistry) -> FlightInner {
+        Gauge(Some(registry.gauge("flight.capacity"))).set(FLIGHT_CAPACITY as u64);
         FlightInner {
-            config: FlightConfig { capacity, ..config },
+            dump_path,
             state: Mutex::new(FlightState {
                 next_seq: 0,
                 overwritten: 0,
-                ring: VecDeque::with_capacity(capacity.min(1024)),
+                ring: VecDeque::with_capacity(1024),
                 incidents: Vec::new(),
             }),
             events: Counter(Some(registry.counter("flight.events"))),
@@ -365,7 +335,7 @@ impl std::fmt::Debug for FlightInner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let state = self.state.lock();
         f.debug_struct("FlightRecorder")
-            .field("capacity", &self.config.capacity)
+            .field("capacity", &FLIGHT_CAPACITY)
             .field("events", &state.ring.len())
             .field("overwritten", &state.overwritten)
             .field("incidents", &state.incidents.len())
@@ -397,13 +367,6 @@ impl FlightRecorder {
         self.inner.is_some()
     }
 
-    /// The configured queue-depth incident threshold (`0` when disabled —
-    /// callers use this to skip the depth comparison entirely).
-    #[inline]
-    pub fn queue_watermark(&self) -> u64 {
-        self.armed().map_or(0, |(_, f)| f.config.queue_watermark)
-    }
-
     /// Record one collector-level event (no subscriber attribution).
     #[inline]
     pub fn record(&self, ctx: TraceContext, kind: FlightEventKind) {
@@ -421,8 +384,8 @@ impl FlightRecorder {
     }
 
     /// Record an incident: the trigger joins the incident log (outside the
-    /// ring), a matching event joins the ring, and — when configured — the
-    /// whole recorder state is re-dumped to [`FlightConfig::dump_path`].
+    /// ring), a matching event joins the ring, and — when the recorder has a
+    /// dump path — the whole recorder state is re-dumped there.
     pub fn incident(&self, ctx: TraceContext, subscriber: Option<&str>, trigger: IncidentTrigger) {
         let Some((clock, inner)) = self.armed() else {
             return;
@@ -447,10 +410,9 @@ impl FlightRecorder {
             });
             inner.incidents.inc();
             inner
-                .config
                 .dump_path
                 .as_ref()
-                .map(|path| (path.clone(), dump_locked(inner, &state)))
+                .map(|path| (path.clone(), dump_locked(&state)))
         };
         // I/O happens outside the lock; an unwritable dump path must not
         // take the pipeline down, so the failure is reported, not raised.
@@ -467,7 +429,7 @@ impl FlightRecorder {
     /// Freeze the recorder into a serializable dump.
     pub fn dump(&self) -> FlightDump {
         match self.armed() {
-            Some((_, inner)) => dump_locked(inner, &inner.state.lock()),
+            Some((_, inner)) => dump_locked(&inner.state.lock()),
             None => FlightDump {
                 schema: FLIGHT_SCHEMA.to_string(),
                 capacity: 0,
@@ -478,12 +440,12 @@ impl FlightRecorder {
         }
     }
 
-    /// Write the current dump to the configured
-    /// [`FlightConfig::dump_path`], if any. Returns whether a file was
+    /// Write the current dump to the recorder's dump path, if it has one.
+    /// Returns whether a file was
     /// written. This is the end-of-session flush: incident auto-dumps keep
     /// the file fresh mid-flight, this call captures the final tail.
     pub fn flush_dump(&self) -> std::io::Result<bool> {
-        let Some(path) = self.armed().and_then(|(_, f)| f.config.dump_path.clone()) else {
+        let Some(path) = self.armed().and_then(|(_, f)| f.dump_path.clone()) else {
             return Ok(false);
         };
         std::fs::write(path, self.dump().to_json())?;
@@ -510,7 +472,7 @@ fn push_event(
         subscriber: subscriber.map(str::to_string),
         kind,
     });
-    while state.ring.len() > inner.config.capacity {
+    while state.ring.len() > FLIGHT_CAPACITY {
         state.ring.pop_front();
         state.overwritten += 1;
         inner.overwritten.inc();
@@ -520,10 +482,10 @@ fn push_event(
     seq
 }
 
-fn dump_locked(inner: &FlightInner, state: &FlightState) -> FlightDump {
+fn dump_locked(state: &FlightState) -> FlightDump {
     FlightDump {
         schema: FLIGHT_SCHEMA.to_string(),
-        capacity: inner.config.capacity,
+        capacity: FLIGHT_CAPACITY,
         overwritten: state.overwritten,
         events: state.ring.iter().cloned().collect(),
         incidents: state.incidents.clone(),
@@ -544,8 +506,8 @@ mod tests {
     use super::*;
     use crate::Telemetry;
 
-    fn recorder(config: FlightConfig) -> FlightRecorder {
-        Telemetry::enabled().with_flight(config).flight()
+    fn recorder() -> FlightRecorder {
+        Telemetry::enabled().with_flight(None).flight()
     }
 
     fn batch_event(i: u64) -> FlightEventKind {
@@ -573,28 +535,24 @@ mod tests {
 
     #[test]
     fn ring_stays_bounded_and_counts_overwrites() {
-        let f = recorder(FlightConfig {
-            capacity: 8,
-            ..FlightConfig::default()
-        });
-        for i in 0..100 {
+        let f = recorder();
+        let total = FLIGHT_CAPACITY as u64 + 92;
+        for i in 0..total {
             f.record(TraceContext::new(1, i + 1), batch_event(i));
         }
         let dump = f.dump();
-        assert_eq!(dump.events.len(), 8);
+        assert_eq!(dump.capacity, FLIGHT_CAPACITY);
+        assert_eq!(dump.events.len(), FLIGHT_CAPACITY);
         assert_eq!(dump.overwritten, 92);
-        // The retained tail is the newest 8 events, in order, with their
-        // original (never reused) sequence numbers.
+        // The retained tail is the newest FLIGHT_CAPACITY events, in order,
+        // with their original (never reused) sequence numbers.
         let seqs: Vec<u64> = dump.events.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, (92..100).collect::<Vec<_>>());
+        assert_eq!(seqs, (92..total).collect::<Vec<_>>());
     }
 
     #[test]
     fn incidents_survive_ring_overwrite() {
-        let f = recorder(FlightConfig {
-            capacity: 4,
-            ..FlightConfig::default()
-        });
+        let f = recorder();
         f.incident(
             TraceContext::new(1, 1),
             Some("bomb"),
@@ -602,11 +560,12 @@ mod tests {
                 payload: "boom".into(),
             },
         );
-        for i in 0..50 {
+        for i in 0..FLIGHT_CAPACITY as u64 + 50 {
             f.record(TraceContext::new(1, i + 2), batch_event(i));
         }
         let dump = f.dump();
-        assert_eq!(dump.events.len(), 4, "ring bounded");
+        assert_eq!(dump.events.len(), FLIGHT_CAPACITY, "ring bounded");
+        assert!(dump.events.iter().all(|e| e.kind.tag() == "batch"));
         assert_eq!(dump.incidents.len(), 1, "incident log is not a ring");
         let inc = &dump.incidents[0];
         assert_eq!(inc.subscriber.as_deref(), Some("bomb"));
@@ -619,7 +578,9 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("dsspy-flight-autodump-{}.json", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let f = recorder(FlightConfig::default().with_dump_path(&path));
+        let f = Telemetry::enabled()
+            .with_flight(Some(path.clone()))
+            .flight();
         f.record(TraceContext::new(3, 1), batch_event(5));
         assert!(!path.exists(), "plain events do not dump");
         f.incident(
@@ -638,7 +599,7 @@ mod tests {
 
     #[test]
     fn dump_round_trips_and_rejects_bad_schema() {
-        let f = recorder(FlightConfig::default());
+        let f = recorder();
         f.record_for(
             TraceContext::new(2, 1),
             Some("analyzer"),
@@ -661,7 +622,7 @@ mod tests {
 
     #[test]
     fn chain_filters_one_batch_across_the_fanout() {
-        let f = recorder(FlightConfig::default());
+        let f = recorder();
         let ctx = TraceContext::new(1, 7);
         f.record(ctx, batch_event(64));
         for label in ["analyzer", "sampler", "recorder"] {
@@ -684,12 +645,10 @@ mod tests {
 
     #[test]
     fn flight_metrics_reach_telemetry() {
-        let telemetry = Telemetry::enabled().with_flight(FlightConfig {
-            capacity: 2,
-            ..FlightConfig::default()
-        });
+        let telemetry = Telemetry::enabled().with_flight(None);
         let f = telemetry.flight();
-        for i in 0..5 {
+        let recorded = FLIGHT_CAPACITY as u64 + 3;
+        for i in 0..recorded {
             f.record(TraceContext::new(1, i + 1), batch_event(i));
         }
         f.incident(
@@ -698,19 +657,16 @@ mod tests {
             IncidentTrigger::DropSpike { dropped: 3 },
         );
         let snap = telemetry.snapshot();
-        assert_eq!(snap.counter("flight.events"), Some(6));
+        assert_eq!(snap.counter("flight.events"), Some(recorded + 1));
         assert_eq!(snap.counter("flight.incidents"), Some(1));
         assert_eq!(snap.counter("flight.overwritten"), Some(4));
-        assert_eq!(snap.gauge("flight.capacity"), Some(2));
-        assert_eq!(snap.gauge("flight.ring_len"), Some(2));
+        assert_eq!(snap.gauge("flight.capacity"), Some(FLIGHT_CAPACITY as u64));
+        assert_eq!(snap.gauge("flight.ring_len"), Some(FLIGHT_CAPACITY as u64));
     }
 
     #[test]
     fn concurrent_recording_keeps_sequences_unique() {
-        let f = recorder(FlightConfig {
-            capacity: 10_000,
-            ..FlightConfig::default()
-        });
+        let f = recorder();
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 let f = f.clone();

@@ -40,14 +40,15 @@ pub mod snapshot;
 pub mod span;
 pub mod trace;
 
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 pub use clock::{ClockSource, ManualClock};
 pub use flight::{
-    FlightConfig, FlightDump, FlightEvent, FlightEventKind, FlightRecorder, Incident,
-    IncidentTrigger, FLIGHT_SCHEMA,
+    FlightDump, FlightEvent, FlightEventKind, FlightRecorder, Incident, IncidentTrigger,
+    FLIGHT_CAPACITY, FLIGHT_SCHEMA,
 };
 pub use metrics::{
     bucket_index, bucket_upper_bound, Counter, CounterSnapshot, Gauge, GaugeSnapshot, Histogram,
@@ -100,17 +101,20 @@ impl Telemetry {
     /// Arm a flight recorder inside this handle, chaining. The recorder
     /// stamps its events from this handle's clock and publishes its
     /// `flight.*` instruments into this handle's registry; read it back
-    /// with [`Telemetry::flight`]. On a disabled handle this is a no-op.
+    /// with [`Telemetry::flight`]. The ring keeps the last
+    /// [`FLIGHT_CAPACITY`] events. With a `dump_path`, every incident
+    /// rewrites that file with the current [`FlightDump`]; `None` keeps
+    /// the recorder in memory only. On a disabled handle this is a no-op.
     ///
     /// # Panics
     ///
     /// When the handle was already cloned: arm the recorder where the
     /// handle is built, before it is shared.
-    pub fn with_flight(mut self, config: FlightConfig) -> Telemetry {
+    pub fn with_flight(mut self, dump_path: Option<PathBuf>) -> Telemetry {
         if let Some(inner) = self.inner.as_mut() {
             let inner = Arc::get_mut(inner)
                 .expect("Telemetry::with_flight must be called before the handle is cloned");
-            inner.flight = Some(flight::FlightInner::new(config, &inner.registry));
+            inner.flight = Some(flight::FlightInner::new(dump_path, &inner.registry));
         }
         self
     }
@@ -231,7 +235,7 @@ mod tests {
         t.histogram("h").record(1);
         drop(t.span("cat", "s"));
         assert!(t.snapshot().is_empty());
-        let armed = Telemetry::disabled().with_flight(FlightConfig::default());
+        let armed = Telemetry::disabled().with_flight(None);
         assert!(!armed.is_enabled() && !armed.flight().is_enabled());
         assert!(!Telemetry::enabled().flight().is_enabled(), "not armed");
     }
@@ -239,7 +243,7 @@ mod tests {
     #[test]
     fn flight_events_and_spans_share_one_clock() {
         let (hand, source) = ManualClock::new();
-        let t = Telemetry::with_clock(source).with_flight(FlightConfig::default());
+        let t = Telemetry::with_clock(source).with_flight(None);
         hand.advance(4321);
         {
             let _s = t.span("cat", "step");

@@ -12,10 +12,10 @@
 
 use dsspy_core::Report;
 use dsspy_events::{size_series, RuntimeProfile};
-use dsspy_patterns::{segment_phases, PhaseConfig};
+use dsspy_patterns::segment_phases;
 
 use crate::palette;
-use crate::profile_chart::{profile_chart_svg, ChartConfig};
+use crate::profile_chart::profile_chart_svg;
 use crate::svg::escape;
 use crate::timeline::timeline_svg;
 
@@ -127,8 +127,8 @@ pub fn html_report(report: &Report, profiles: &[RuntimeProfile]) -> String {
         let Some(profile) = profiles.iter().find(|p| p.instance.id == inst.instance.id) else {
             continue;
         };
-        let chart = profile_chart_svg(profile, &ChartConfig::default());
-        let phases = segment_phases(profile, &PhaseConfig::default());
+        let chart = profile_chart_svg(profile);
+        let phases = segment_phases(profile);
         let timeline = timeline_svg(profile, &inst.analysis.patterns, &phases);
         out.push_str(&format!(
             "<figure>{chart}<figcaption>Runtime profile — {}</figcaption></figure>\n\

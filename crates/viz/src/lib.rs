@@ -6,7 +6,7 @@
 //!
 //! * **Profile charts** (the paper's Figs. 2 and 3): every access event as a
 //!   bar on a chronological x-axis, its target index on the y-axis, the
-//!   structure length as a grey backdrop — as plain-text/ANSI for terminals
+//!   structure length as a grey backdrop — as plain text for terminals
 //!   and as standalone SVG for reports.
 //! * **Occurrence charts** (Fig. 1): stacked per-program bars of data
 //!   structure counts by kind.
@@ -38,5 +38,5 @@ pub use flight::{
 pub use hotspots::{index_histogram, IndexHistogram};
 pub use html::html_report;
 pub use occurrence::{occurrence_svg, occurrence_table, OccurrenceRow};
-pub use profile_chart::{profile_chart_svg, profile_chart_text, ChartConfig};
+pub use profile_chart::{profile_chart_svg, profile_chart_text};
 pub use timeline::{timeline_svg, timeline_text};

@@ -6,7 +6,7 @@
 //! surface `#fcfcfb`. Slots with sub-3:1 surface contrast (aqua, yellow) are
 //! legal because every chart ships visible text labels and a table twin.
 
-use dsspy_events::{AccessClass, AccessKind, DsKind};
+use dsspy_events::{AccessKind, DsKind};
 
 /// Chart surface (light mode).
 pub const SURFACE: &str = "#fcfcfb";
@@ -69,18 +69,6 @@ pub fn event_glyph(kind: AccessKind) -> char {
         AccessKind::Resize => 'z',
     }
 }
-
-/// ANSI foreground escape for one access class (reads blue, writes orange-ish
-/// yellow — terminals lack orange; the glyph remains the primary encoding).
-pub fn ansi_color(class: AccessClass) -> &'static str {
-    match class {
-        AccessClass::Read => "\x1b[34m",
-        AccessClass::Write => "\x1b[33m",
-    }
-}
-
-/// ANSI reset.
-pub const ANSI_RESET: &str = "\x1b[0m";
 
 /// The occurrence-chart slot (name, color) for a data-structure kind;
 /// infrequent kinds fold into the fixed "Rest" slot, exactly as the paper's

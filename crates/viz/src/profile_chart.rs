@@ -5,46 +5,27 @@
 //! structure length at that moment. Whole-structure events (Sort, Clear, ...)
 //! span the full height.
 //!
-//! Two renderers share one geometry: a plain-text/ANSI grid for terminals
-//! (glyphs carry identity, color is an optional reinforcement) and a
-//! standalone SVG for reports (legend with visible text labels).
+//! Two renderers share one geometry: a plain-text grid for terminals
+//! (glyphs carry identity) and a standalone SVG for reports (legend with
+//! visible text labels).
 
 use dsspy_events::{AccessKind, RuntimeProfile, Target};
 
 use crate::palette;
 use crate::svg::SvgDoc;
 
-/// Rendering options shared by the text and SVG profile charts.
-#[derive(Clone, Copy, Debug)]
-pub struct ChartConfig {
-    /// Maximum number of event columns; longer profiles are downsampled by
-    /// taking every k-th event (the paper's charts do the same implicitly).
-    pub max_columns: usize,
-    /// Number of index rows in the text chart grid.
-    pub text_rows: usize,
-    /// Emit ANSI color codes in the text chart (glyphs stay regardless).
-    pub ansi_colors: bool,
-}
+/// Maximum number of event columns; longer profiles are downsampled by
+/// taking every k-th event (the paper's charts do the same implicitly).
+const MAX_COLUMNS: usize = 120;
+/// Number of index rows in the text chart grid.
+const TEXT_ROWS: usize = 16;
 
-impl Default for ChartConfig {
-    fn default() -> Self {
-        ChartConfig {
-            max_columns: 120,
-            text_rows: 16,
-            ansi_colors: false,
-        }
-    }
-}
-
-/// Pick at most `max` evenly spaced event indices from `0..len`.
-fn sample_indices(len: usize, max: usize) -> Vec<usize> {
-    if len == 0 || max == 0 {
-        return Vec::new();
-    }
-    if len <= max {
+/// Pick at most [`MAX_COLUMNS`] evenly spaced event indices from `0..len`.
+fn sample_indices(len: usize) -> Vec<usize> {
+    if len <= MAX_COLUMNS {
         return (0..len).collect();
     }
-    (0..max).map(|c| c * len / max).collect()
+    (0..MAX_COLUMNS).map(|c| c * len / MAX_COLUMNS).collect()
 }
 
 /// The plotted y-extent of one event: `(index, span_top)` in element units.
@@ -73,12 +54,11 @@ impl ClampExt for (u32, u32) {
 /// Row 0 (top) is the highest index; `░` marks the structure-length
 /// silhouette, event glyphs (`R`, `W`, `I`, `D`, ...) mark accesses. A
 /// legend line and a caption with the instance identity follow the grid.
-pub fn profile_chart_text(profile: &RuntimeProfile, config: &ChartConfig) -> String {
-    let cols = sample_indices(profile.len(), config.max_columns);
-    let rows = config.text_rows.max(2);
+pub fn profile_chart_text(profile: &RuntimeProfile) -> String {
+    let cols = sample_indices(profile.len());
+    let rows = TEXT_ROWS;
     let max_len = profile.max_len().max(1);
     let mut grid = vec![vec![' '; cols.len()]; rows];
-    let mut colors: Vec<Option<&'static str>> = vec![None; cols.len()];
 
     for (c, &ei) in cols.iter().enumerate() {
         let e = &profile.events[ei];
@@ -98,7 +78,6 @@ pub fn profile_chart_text(profile: &RuntimeProfile, config: &ChartConfig) -> Str
                     grid[rows - 1 - row][c] = glyph;
                 }
             }
-            colors[c] = Some(palette::ansi_color(e.class()));
         }
     }
 
@@ -112,17 +91,7 @@ pub fn profile_chart_text(profile: &RuntimeProfile, config: &ChartConfig) -> Str
     ));
     for row in &grid {
         out.push('|');
-        for (c, &ch) in row.iter().enumerate() {
-            if config.ansi_colors && ch.is_ascii_alphabetic() {
-                if let Some(color) = colors[c] {
-                    out.push_str(color);
-                    out.push(ch);
-                    out.push_str(palette::ANSI_RESET);
-                    continue;
-                }
-            }
-            out.push(ch);
-        }
+        out.extend(row);
         out.push('\n');
     }
     out.push('+');
@@ -136,14 +105,14 @@ pub fn profile_chart_text(profile: &RuntimeProfile, config: &ChartConfig) -> Str
 }
 
 /// Render the profile as a standalone SVG chart (the Fig. 2/3 form).
-pub fn profile_chart_svg(profile: &RuntimeProfile, config: &ChartConfig) -> String {
+pub fn profile_chart_svg(profile: &RuntimeProfile) -> String {
     const MARGIN_L: f64 = 46.0;
     const MARGIN_R: f64 = 12.0;
     const MARGIN_T: f64 = 34.0;
     const MARGIN_B: f64 = 54.0;
     const PLOT_H: f64 = 220.0;
 
-    let cols = sample_indices(profile.len(), config.max_columns);
+    let cols = sample_indices(profile.len());
     let n = cols.len().max(1);
     let bar_w: f64 = (760.0 / n as f64).clamp(2.0, 14.0);
     let gap = if bar_w >= 4.0 { 2.0 } else { 0.5 };
@@ -284,7 +253,7 @@ mod tests {
 
     #[test]
     fn text_chart_contains_glyphs_and_legend() {
-        let chart = profile_chart_text(&fig2_profile(), &ChartConfig::default());
+        let chart = profile_chart_text(&fig2_profile());
         assert!(chart.contains('I'), "insert glyphs present:\n{chart}");
         assert!(chart.contains('R'), "read glyphs present");
         assert!(chart.contains('\u{2591}'), "silhouette present");
@@ -299,36 +268,19 @@ mod tests {
             events.push(AccessEvent::at(u64::from(i), AccessKind::Insert, i, i + 1));
         }
         let p = RuntimeProfile::new(fig2_profile().instance, events);
-        let config = ChartConfig {
-            max_columns: 50,
-            ..ChartConfig::default()
-        };
-        let chart = profile_chart_text(&p, &config);
+        let chart = profile_chart_text(&p);
         let grid_line = chart.lines().nth(1).unwrap();
-        assert!(
-            grid_line.len() <= 52,
-            "50 columns plus border: {grid_line:?}"
+        assert_eq!(
+            grid_line.chars().count(),
+            MAX_COLUMNS + 1,
+            "MAX_COLUMNS columns plus border: {grid_line:?}"
         );
-    }
-
-    #[test]
-    fn ansi_colors_only_when_enabled() {
-        let plain = profile_chart_text(&fig2_profile(), &ChartConfig::default());
-        assert!(!plain.contains("\x1b["));
-        let colored = profile_chart_text(
-            &fig2_profile(),
-            &ChartConfig {
-                ansi_colors: true,
-                ..ChartConfig::default()
-            },
-        );
-        assert!(colored.contains("\x1b[34m"), "read color present");
-        assert!(colored.contains(palette::ANSI_RESET));
+        assert!(!chart.contains("\x1b["), "no ANSI escapes");
     }
 
     #[test]
     fn svg_chart_structure() {
-        let svg = profile_chart_svg(&fig2_profile(), &ChartConfig::default());
+        let svg = profile_chart_svg(&fig2_profile());
         assert!(svg.starts_with("<svg"));
         // 1 surface + 4 grid-ish + 20 backdrops + 20 marks + 6 legend swatches:
         // count rects loosely.
@@ -343,9 +295,9 @@ mod tests {
     #[test]
     fn empty_profile_renders_without_panic() {
         let p = RuntimeProfile::new(fig2_profile().instance, vec![]);
-        let text = profile_chart_text(&p, &ChartConfig::default());
+        let text = profile_chart_text(&p);
         assert!(text.contains("0 events"));
-        let svg = profile_chart_svg(&p, &ChartConfig::default());
+        let svg = profile_chart_svg(&p);
         assert!(svg.starts_with("<svg"));
     }
 
@@ -357,7 +309,7 @@ mod tests {
         }
         events.push(AccessEvent::whole(5, AccessKind::Sort, 5));
         let p = RuntimeProfile::new(fig2_profile().instance, events);
-        let text = profile_chart_text(&p, &ChartConfig::default());
+        let text = profile_chart_text(&p);
         // The sort column is a full column of 'o' glyphs inside the grid
         // (grid rows start with '|'); the legend/title 'o's don't count.
         let sorts: usize = text
@@ -365,9 +317,6 @@ mod tests {
             .filter(|l| l.starts_with('|'))
             .map(|l| l.matches('o').count())
             .sum();
-        assert!(
-            sorts >= ChartConfig::default().text_rows,
-            "sort spans all rows: {text}"
-        );
+        assert!(sorts >= TEXT_ROWS, "sort spans all rows: {text}");
     }
 }

@@ -179,7 +179,7 @@ pub fn timeline_svg(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsspy_patterns::{analyze, segment_phases, MinerConfig, PhaseConfig};
+    use dsspy_patterns::{analyze, segment_phases, MinerConfig};
     use dsspy_workloads_testsupport::*;
 
     // A local mini trace builder to avoid a dev-dependency cycle.
@@ -217,7 +217,7 @@ mod tests {
     fn text_timeline_shows_lanes_and_counts() {
         let profile = fill_scan_profile();
         let analysis = analyze(&profile, &MinerConfig::default());
-        let phases = segment_phases(&profile, &PhaseConfig::default());
+        let phases = segment_phases(&profile);
         let text = timeline_text(&profile, &analysis.patterns, &phases, 100);
         assert!(text.contains("Insert-Back"), "{text}");
         assert!(text.contains("Read-Forward"));
@@ -230,7 +230,7 @@ mod tests {
     fn svg_timeline_has_lanes_and_legend_labels() {
         let profile = fill_scan_profile();
         let analysis = analyze(&profile, &MinerConfig::default());
-        let phases = segment_phases(&profile, &PhaseConfig::default());
+        let phases = segment_phases(&profile);
         let svg = timeline_svg(&profile, &analysis.patterns, &phases);
         assert!(svg.starts_with("<svg"));
         assert!(svg.contains("Insert-Back"));

@@ -12,7 +12,7 @@ use std::time::Instant;
 use dsspy::collect::Session;
 use dsspy::core::Dsspy;
 use dsspy::parallel::default_threads;
-use dsspy::viz::{profile_chart_text, ChartConfig};
+use dsspy::viz::profile_chart_text;
 use dsspy::workloads::programs::mandelbrot::Mandelbrot;
 use dsspy::workloads::{Mode, Scale, Workload};
 
@@ -50,17 +50,7 @@ fn main() {
         .iter()
         .find(|p| p.instance.site.method == "InitAxes")
     {
-        println!(
-            "{}",
-            profile_chart_text(
-                profile,
-                &ChartConfig {
-                    max_columns: 80,
-                    text_rows: 10,
-                    ansi_colors: false,
-                }
-            )
-        );
+        println!("{}", profile_chart_text(profile));
     }
 
     // --- 2. Sequential vs recommendation-following parallel ---------------

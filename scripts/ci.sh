@@ -1,10 +1,8 @@
 #!/usr/bin/env bash
-# CI gate: the tier-1 gate plus the matrix tier-1 cannot see.
+# CI gate: the tier-1 gate plus the cells tier-1 does not run.
 #
-#   full        scripts/tier1.sh, then the whole test suite re-run at
-#               DSSPY_TEST_THREADS=1/2/4 in debug AND release (the report
-#               must be identical at every analysis width — this varies how
-#               it is computed, never what comes out), then explicit
+#   full        scripts/tier1.sh (which runs the debug test suite), then
+#               the whole test suite once more in release, then explicit
 #               --threads CLI runs, the bad-input cell (malformed numeric
 #               values, unknown flags and values outside their choices exit
 #               2), the table4-drift cell (Table IV detection columns
@@ -14,14 +12,13 @@
 #               smoke (`watch --follow`), the perfbench-tests cell (the
 #               benchmark's own tests against the changed crates), then
 #               every Criterion bench once.
-#   matrix      only the 2x3 debug/release x threads test matrix.
 #   bench-smoke only the Criterion benches, one pass each (`-- --test`).
 #
 # Everything runs against the vendored in-tree dependencies; no network.
 # A machine-readable summary (schema: DESIGN.md, "ci-summary.json") is
 # written to --out; the exit code is 0 iff every cell passed.
 #
-#   scripts/ci.sh [--mode full|matrix|bench-smoke] [--out PATH]
+#   scripts/ci.sh [--mode full|bench-smoke] [--out PATH]
 set -uo pipefail # deliberately not -e: later cells still run after a failure
 cd "$(dirname "$0")/.."
 
@@ -38,12 +35,12 @@ while [[ $# -gt 0 ]]; do
         shift 2
         ;;
     *)
-        echo "usage: scripts/ci.sh [--mode full|matrix|bench-smoke] [--out PATH]" >&2
+        echo "usage: scripts/ci.sh [--mode full|bench-smoke] [--out PATH]" >&2
         exit 2
         ;;
     esac
 done
-case "$MODE" in full | matrix | bench-smoke) ;; *)
+case "$MODE" in full | bench-smoke) ;; *)
     echo "ci: unknown mode '$MODE'" >&2
     exit 2
     ;;
@@ -86,27 +83,12 @@ run_cell() {
 
 if [[ "$MODE" == "full" ]]; then
     run_cell tier1 '"kind":"gate",' ./scripts/tier1.sh
-fi
-
-if [[ "$MODE" == "full" || "$MODE" == "matrix" ]]; then
-    # The library-level matrix: DSSPY_TEST_THREADS pins every default-width
-    # analysis in the suite to N workers (crates/core resolved_threads).
-    for profile in debug release; do
-        for t in 1 2 4; do
-            extra="$(printf '"kind":"test","profile":"%s","threads":%s,' "$profile" "$t")"
-            if [[ "$profile" == release ]]; then
-                run_cell "test-$profile-threads$t" "$extra" \
-                    env DSSPY_TEST_THREADS="$t" cargo test -q --release
-            else
-                run_cell "test-$profile-threads$t" "$extra" \
-                    env DSSPY_TEST_THREADS="$t" cargo test -q
-            fi
-        done
-    done
-fi
-
-if [[ "$MODE" == "full" ]]; then
-    # CLI-level matrix + live smokes against the release binary tier1 built.
+    # tier1 ran the suite in debug; this run catches release-only failures.
+    # Width independence is a test of its own (tests/parallel_analysis.rs
+    # decodes and analyzes every suite7 capture at 1, 2, 4 and 0 threads).
+    run_cell test-release '"kind":"test","profile":"release",' \
+        cargo test -q --release
+    # CLI --threads runs + live smokes against the release binary tier1 built.
     SMOKE="$LOG_DIR/ci-smoke.dsspycap"
     run_cell demo-capture '"kind":"smoke",' ./target/release/dsspy demo "$SMOKE"
     for t in 1 2 4; do

@@ -4,7 +4,7 @@
 
 use dsspy::collect::{load_capture, save_capture, Session};
 use dsspy::core::{instances_csv, use_cases_csv, Dsspy};
-use dsspy::viz::{html_report, index_histogram, profile_chart_svg, timeline_svg, ChartConfig};
+use dsspy::viz::{html_report, index_histogram, profile_chart_svg, timeline_svg};
 use dsspy_workloads::programs::gpdotnet::GpDotNet;
 use dsspy_workloads::{Mode, Scale, Workload};
 
@@ -51,11 +51,10 @@ fn gpdotnet_artifact_chain() {
         .iter()
         .find(|p| p.instance.site.method == ".ctor")
         .expect("population profile");
-    let chart = profile_chart_svg(population, &ChartConfig::default());
+    let chart = profile_chart_svg(population);
     assert!(chart.contains("<svg"));
     let analysis = dsspy::patterns::analyze(population, &dsspy::patterns::MinerConfig::default());
-    let phases =
-        dsspy::patterns::segment_phases(population, &dsspy::patterns::PhaseConfig::default());
+    let phases = dsspy::patterns::segment_phases(population);
     assert!(
         analysis.patterns.len() >= 24,
         "12 generations × (insert + reads)"

@@ -1,11 +1,13 @@
-//! The parallel analysis fan-out: `analyze_capture` must produce the same
-//! report on one thread, two threads, or one worker per core — and `0`
-//! must resolve to the machine's parallelism.
+//! The parallel fan-outs: capture decode and `analyze_capture` must
+//! produce the same report on one thread, two threads, or one worker per
+//! core — and `0` must resolve to the machine's parallelism.
 
-use dsspy::collect::{Capture, Session};
+use dsspy::collect::{read_capture_with, write_capture, Capture, ReadOptions, Session};
 use dsspy::collections::{site, SpyQueue, SpyVec};
 use dsspy::core::{AnalysisConfig, Dsspy};
 use dsspy::parallel::default_threads;
+use dsspy::telemetry::Telemetry;
+use dsspy::workloads::{suite7, Mode, Scale};
 use proptest::prelude::*;
 
 /// A capture with a configurable mix of instance shapes, so the analysis
@@ -31,53 +33,43 @@ fn capture_with(shapes: &[(u16, bool)]) -> Capture {
     session.finish()
 }
 
-/// `DSSPY_TEST_THREADS` is process-global: every test that reads or writes
-/// it serializes on this lock so one test's mutation can't race another's
-/// read.
-static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn restore_env(saved: Option<String>) {
-    match saved {
-        Some(v) => std::env::set_var("DSSPY_TEST_THREADS", v),
-        None => std::env::remove_var("DSSPY_TEST_THREADS"),
-    }
-}
-
 #[test]
 fn zero_threads_resolves_to_default_threads() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let saved = std::env::var("DSSPY_TEST_THREADS").ok();
-    std::env::remove_var("DSSPY_TEST_THREADS");
     let config = AnalysisConfig::default();
     assert_eq!(config.threads, 0, "parallel analysis is the default");
     assert_eq!(config.resolved_threads(), default_threads());
     let pinned = Dsspy::new().with_threads(3);
     assert_eq!(pinned.analysis.resolved_threads(), 3);
-    restore_env(saved);
 }
 
+/// Both fan-outs on real traffic: every suite7 capture is written, read
+/// back with its bodies decoded at `threads` workers, and analyzed at the
+/// same width; the serialized report must equal the width-1 report.
 #[test]
-fn dsspy_test_threads_env_pins_default_width_runs() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let saved = std::env::var("DSSPY_TEST_THREADS").ok();
-    std::env::set_var("DSSPY_TEST_THREADS", "3");
-    assert_eq!(AnalysisConfig::default().resolved_threads(), 3);
-    assert_eq!(
-        Dsspy::new().with_threads(2).analysis.resolved_threads(),
-        2,
-        "an explicit width beats the environment"
-    );
-    std::env::set_var("DSSPY_TEST_THREADS", "not-a-width");
-    assert_eq!(
-        AnalysisConfig::default().resolved_threads(),
-        default_threads()
-    );
-    std::env::set_var("DSSPY_TEST_THREADS", "0");
-    assert_eq!(
-        AnalysisConfig::default().resolved_threads(),
-        default_threads()
-    );
-    restore_env(saved);
+fn suite7_reports_are_identical_at_any_decode_and_analysis_width() {
+    for w in suite7() {
+        let name = w.spec().name;
+        let session = Session::new();
+        std::hint::black_box(w.run(Scale::Test, Mode::Instrumented(&session)));
+        let mut bytes = Vec::new();
+        write_capture(&session.finish(), &mut bytes).expect("write capture");
+        let report_at = |threads: usize| {
+            let opts = ReadOptions {
+                threads,
+                telemetry: Telemetry::disabled(),
+            };
+            let capture = read_capture_with(&bytes[..], &opts).expect("read capture");
+            let report = Dsspy::new().with_threads(threads).analyze_capture(&capture);
+            serde_json::to_string(&report).expect("serialize report")
+        };
+        let baseline = report_at(1);
+        for threads in [2, 4, 0] {
+            assert!(
+                report_at(threads) == baseline,
+                "{name}: report at threads={threads} differs from threads=1"
+            );
+        }
+    }
 }
 
 #[test]

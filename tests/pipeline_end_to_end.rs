@@ -155,6 +155,6 @@ fn capture_event_encoding_round_trip() {
     let capture = session.finish();
     let events = &capture.profiles[0].events;
     let encoded = dsspy::events::encode::encode_batch(events);
-    let decoded = dsspy::events::encode::decode_batch(encoded).expect("decode");
+    let decoded = dsspy::events::encode::decode_batch(&encoded).expect("decode");
     assert_eq!(&decoded, events);
 }
