@@ -82,6 +82,8 @@ use std::sync::Arc;
 pub enum CliError {
     /// Capture file could not be read.
     Capture(PersistError),
+    /// Capture file could not be written.
+    Save(PersistError),
     /// The requested instance index does not exist.
     NoSuchInstance(usize, usize),
     /// Report serialization failed.
@@ -103,6 +105,7 @@ impl std::fmt::Display for CliError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CliError::Capture(e) => write!(f, "cannot read capture: {e}"),
+            CliError::Save(e) => write!(f, "cannot write capture: {e}"),
             CliError::NoSuchInstance(want, have) => {
                 write!(f, "no instance #{want} (capture has {have})")
             }
@@ -131,7 +134,7 @@ impl From<std::io::Error> for CliError {
 
 /// Load `path` and run the full pipeline, observed or not. When observed,
 /// the returned report embeds the [`dsspy_telemetry::TelemetrySnapshot`]
-/// covering the parallel body decode and the analysis fan-out — and, when
+/// covering the parallel chunk decode and the analysis fan-out — and, when
 /// the capture was recorded by an observed session, the collection-time
 /// signals (collector histograms, queue pressure) merged back in, with the
 /// overhead figure re-accounted over the combined view.
@@ -434,7 +437,7 @@ pub fn cmd_demo(
         }
         None => String::new(),
     };
-    save_capture_with(&capture, out, &telemetry)?;
+    save_capture_with(&capture, out, &telemetry).map_err(CliError::Save)?;
     Ok(format!(
         "wrote {} ({} instances, {} events) from workload {}{streamed}{}",
         out.display(),

@@ -112,3 +112,13 @@ fn bad_enumerated_values_exit_2_before_any_work() {
         );
     }
 }
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_failed_save_is_reported_as_a_write_failure() {
+    let out = dsspy(&["demo", "/dev/full"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("cannot write capture"), "{stderr}");
+    assert!(!stderr.contains("cannot read capture"), "{stderr}");
+}

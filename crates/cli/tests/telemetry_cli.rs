@@ -52,7 +52,7 @@ fn analyze_with_telemetry_writes_a_loadable_snapshot() {
     cmd_analyze(&capture, false, false, 2, Some(&out)).unwrap();
     let snapshot: TelemetrySnapshot =
         serde_json::from_str(&std::fs::read_to_string(&out).unwrap()).unwrap();
-    // The snapshot covers the whole observed run: parallel body decode,
+    // The snapshot covers the whole observed run: parallel chunk decode,
     // per-instance analysis spans, and the overhead accountant.
     assert!(snapshot.counter("persist.decode_bytes").unwrap_or(0) > 0);
     assert!(snapshot.counter("persist.bodies_decoded").unwrap_or(0) > 0);

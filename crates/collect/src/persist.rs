@@ -8,23 +8,25 @@
 //! Format (version-tagged):
 //!
 //! ```text
-//! magic   := "DSSPYCAP" version:u32(=2)
-//! header  := json(CaptureHeader) length-prefixed (u64 LE)
-//! bodies  := per instance: event batch (dsspy_events::encode)
-//!            length-prefixed (u64 LE), in header order
+//! magic   := "DSSPYCAP" version:u32(=3)
+//! header  := json(CaptureHeader), u64-LE length-prefixed
+//! bodies  := per instance, in header order:
+//!            u64-LE byte length, then chunk* (dsspy_events::encode)
 //! ```
 //!
-//! The header (instances, stats, session duration) is JSON for
-//! debuggability; the event bodies use the compact wire codec because they
-//! dominate the size. Version 2 events carry one timestamp, the logical
-//! tick `seq`; version 1 files (which also stored a per-event wall-clock
-//! offset) are rejected with [`PersistError::BadVersion`] and must be
-//! re-recorded.
+//! The header (instances, stats, session duration, per-instance event
+//! counts, collection telemetry) is JSON for debuggability; the event
+//! bodies use the delta-varint chunk codec of [`dsspy_events::encode`]
+//! because they dominate the size (about 4 bytes per event). This module
+//! owns the container: magic, version, header, body order, error mapping
+//! and telemetry. Files of any other version — including version 2, whose
+//! bodies were fixed-width — are rejected with [`PersistError::BadVersion`]
+//! and must be re-recorded.
 
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-use dsspy_events::encode::{decode_batch, encode_batch};
+use dsspy_events::encode::{decode_bodies, encode_body, Body, DecodeError};
 use dsspy_events::{InstanceInfo, RuntimeProfile};
 use dsspy_telemetry::{overhead::signals, Telemetry, TelemetrySnapshot};
 use serde::{Deserialize, Serialize};
@@ -32,7 +34,7 @@ use serde::{Deserialize, Serialize};
 use crate::collector::{Capture, CollectorStats};
 
 const MAGIC: &[u8; 8] = b"DSSPYCAP";
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 /// JSON header of a persisted capture.
 #[derive(Serialize, Deserialize)]
@@ -131,12 +133,17 @@ pub fn write_capture_with(
     w.write_all(&(header_json.len() as u64).to_le_bytes())?;
     w.write_all(&header_json)?;
     written += 8 + 4 + 8 + header_json.len() as u64;
+    let mut body = Vec::new();
     for profile in &capture.profiles {
-        let body = encode_batch(&profile.events);
+        body.clear();
+        encode_body(&profile.events, &mut body);
         w.write_all(&(body.len() as u64).to_le_bytes())?;
         w.write_all(&body)?;
         written += 8 + body.len() as u64;
     }
+    // A buffered writer may still hold the tail of the file: a failed final
+    // write must surface here, not be dropped with the writer.
+    w.flush()?;
     if telemetry.is_enabled() {
         telemetry.counter("persist.encode_bytes").add(written);
         telemetry
@@ -153,11 +160,11 @@ pub fn write_capture_with(
 #[derive(Clone, Debug)]
 pub struct ReadOptions {
     /// Worker threads for decoding event bodies. `1` (the default) decodes
-    /// inline; more threads fan the per-instance bodies out over
-    /// `dsspy_parallel::par_map`, which pays off once captures carry many
-    /// instances with large event lists. `0` means one worker per core.
+    /// inline; more threads split the chunks of all bodies into that many
+    /// runs of near-equal event count, so one large instance decodes on
+    /// several cores. `0` means one worker per core.
     pub threads: usize,
-    /// Where to report decode volume and per-body decode time.
+    /// Where to report decode volume and time.
     pub telemetry: Telemetry,
 }
 
@@ -179,7 +186,7 @@ pub fn read_capture(r: impl Read) -> Result<Capture, PersistError> {
 /// parallel and reporting into telemetry.
 ///
 /// I/O stays sequential (the format is a stream of length-prefixed bodies),
-/// but body decode — the CPU-bound part — fans out over `opts.threads`.
+/// but chunk decode — the CPU-bound part — fans out over `opts.threads`.
 /// Profiles come back in header order regardless of thread count.
 pub fn read_capture_with(mut r: impl Read, opts: &ReadOptions) -> Result<Capture, PersistError> {
     let telemetry = &opts.telemetry;
@@ -215,51 +222,55 @@ pub fn read_capture_with(mut r: impl Read, opts: &ReadOptions) -> Result<Capture
     }
     let header: CaptureHeader =
         serde_json::from_slice(&header_json).map_err(|e| PersistError::BadHeader(e.to_string()))?;
+    if header.event_counts.len() != header.instances.len() {
+        return Err(PersistError::BadHeader(format!(
+            "{} instances but {} event counts",
+            header.instances.len(),
+            header.event_counts.len()
+        )));
+    }
 
     // Pass 1 (sequential): pull every length-prefixed body off the stream.
     let mut total_bytes = 8 + 4 + 8 + header_len as u64;
-    let mut bodies = Vec::with_capacity(header.instances.len());
-    for (info, expect) in header.instances.into_iter().zip(header.event_counts) {
+    let mut raw = Vec::with_capacity(header.instances.len());
+    for _ in &header.instances {
         r.read_exact(&mut len8)?;
-        let body_len = u64::from_le_bytes(len8) as usize;
+        let body_len = u64::from_le_bytes(len8);
         let mut body = Vec::new();
-        r.by_ref().take(body_len as u64).read_to_end(&mut body)?;
-        if body.len() != body_len {
+        r.by_ref().take(body_len).read_to_end(&mut body)?;
+        if body.len() as u64 != body_len {
             return Err(PersistError::Io(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "truncated event body",
             )));
         }
-        total_bytes += 8 + body_len as u64;
-        bodies.push((info, expect, body));
+        total_bytes += 8 + body_len;
+        raw.push(body);
     }
 
-    // Pass 2 (parallel): decode the bodies, preserving header order. Each
-    // body's decode time lands in a histogram so skewed instances show up.
-    let body_decode = telemetry.histogram("persist.body_decode_nanos");
-    let decode_one = |(info, expect, body): &(InstanceInfo, u64, Vec<u8>)| {
-        let body_start = telemetry.now_nanos();
-        let events = decode_batch(body).map_err(|e| PersistError::BadBody(e.to_string()))?;
-        if events.len() as u64 != *expect {
-            return Err(PersistError::BadBody(format!(
-                "instance {} expected {expect} events, body has {}",
-                info.id,
-                events.len()
-            )));
-        }
-        if telemetry.is_enabled() {
-            body_decode.record(telemetry.now_nanos().saturating_sub(body_start));
-        }
-        Ok(RuntimeProfile::new(info.clone(), events))
+    // Pass 2: validate every body's chunk framing against its header event
+    // count, then decode all chunks of all bodies on `threads` workers.
+    let bad_body = |i: usize, e: DecodeError| {
+        PersistError::BadBody(format!("instance {}: {e}", header.instances[i].id))
     };
+    let bodies = raw
+        .iter()
+        .zip(&header.event_counts)
+        .enumerate()
+        .map(|(i, (body, &expect))| Body::parse(body, expect).map_err(|e| bad_body(i, e)))
+        .collect::<Result<Vec<_>, _>>()?;
     let threads = if opts.threads == 0 {
         dsspy_parallel::default_threads()
     } else {
         opts.threads
     };
-    let profiles: Vec<RuntimeProfile> = dsspy_parallel::par_map(&bodies, threads, decode_one)
+    let events = decode_bodies(&bodies, threads).map_err(|e| bad_body(e.body, e.error))?;
+    let profiles: Vec<RuntimeProfile> = header
+        .instances
         .into_iter()
-        .collect::<Result<_, _>>()?;
+        .zip(events)
+        .map(|(info, events)| RuntimeProfile::new(info, events))
+        .collect();
 
     if telemetry.is_enabled() {
         telemetry.counter("persist.decode_bytes").add(total_bytes);
@@ -295,7 +306,7 @@ pub fn load_capture(path: impl AsRef<Path>) -> Result<Capture, PersistError> {
     load_capture_with(path, &ReadOptions::default())
 }
 
-/// Load a capture from a file with parallel body decode and telemetry
+/// Load a capture from a file with parallel chunk decode and telemetry
 /// (see [`read_capture_with`]).
 pub fn load_capture_with(
     path: impl AsRef<Path>,
@@ -358,14 +369,72 @@ mod tests {
     }
 
     #[test]
-    fn rejects_version_1_and_asks_for_a_rerecording() {
+    fn rejects_version_2_and_asks_for_a_rerecording() {
         let capture = sample_capture();
         let mut buf = Vec::new();
         write_capture(&capture, &mut buf).unwrap();
-        buf[8..12].copy_from_slice(&1u32.to_le_bytes());
+        buf[8..12].copy_from_slice(&2u32.to_le_bytes());
         let err = read_capture(buf.as_slice()).unwrap_err();
-        assert!(matches!(err, PersistError::BadVersion(1)));
+        assert!(matches!(err, PersistError::BadVersion(2)));
         assert!(err.to_string().contains("re-record"), "{err}");
+    }
+
+    /// `buf` with its JSON header passed through `edit`.
+    fn with_header(buf: &[u8], edit: impl Fn(&str) -> String) -> Vec<u8> {
+        let len = u64::from_le_bytes(buf[12..20].try_into().unwrap()) as usize;
+        let json = edit(std::str::from_utf8(&buf[20..20 + len]).unwrap());
+        let mut out = buf[..12].to_vec();
+        out.extend_from_slice(&(json.len() as u64).to_le_bytes());
+        out.extend_from_slice(json.as_bytes());
+        out.extend_from_slice(&buf[20 + len..]);
+        out
+    }
+
+    #[test]
+    fn rejects_event_counts_that_do_not_match_the_instances() {
+        let capture = sample_capture();
+        let mut buf = Vec::new();
+        write_capture(&capture, &mut buf).unwrap();
+        for (counts, want) in [
+            ("[500]", "2 instances but 1 event counts"),
+            ("[500,0,0]", "2 instances but 3 event counts"),
+        ] {
+            let edited = with_header(&buf, |h| {
+                h.replace(
+                    "\"event_counts\":[500,0]",
+                    &format!("\"event_counts\":{counts}"),
+                )
+            });
+            let err = read_capture(edited.as_slice()).unwrap_err();
+            assert!(matches!(err, PersistError::BadHeader(_)), "{err}");
+            assert!(err.to_string().contains(want), "{err}");
+        }
+    }
+
+    #[test]
+    fn rejects_a_body_whose_chunks_disagree_with_the_header_count() {
+        let capture = sample_capture();
+        let mut buf = Vec::new();
+        write_capture(&capture, &mut buf).unwrap();
+        let edited = with_header(&buf, |h| {
+            h.replace("\"event_counts\":[500,0]", "\"event_counts\":[499,0]")
+        });
+        let err = read_capture(edited.as_slice()).unwrap_err();
+        assert!(matches!(err, PersistError::BadBody(_)), "{err}");
+        assert!(
+            err.to_string()
+                .contains("expected 499 events, chunks hold 500"),
+            "{err}"
+        );
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_final_write_is_an_error() {
+        // The whole file fits in the writer's buffer, so only the flush
+        // reaches the full device.
+        let err = save_capture(&Session::new().finish(), "/dev/full").unwrap_err();
+        assert!(matches!(err, PersistError::Io(_)), "{err}");
     }
 
     #[test]

@@ -13,18 +13,27 @@ fn arb_kind() -> impl Strategy<Value = AccessKind> {
     (0u8..11).prop_map(|v| AccessKind::from_u8(v).unwrap())
 }
 
+fn arb_target() -> impl Strategy<Value = Target> {
+    prop_oneof![
+        any::<u32>().prop_map(Target::Index),
+        (any::<u32>(), any::<u32>()).prop_map(|(start, end)| Target::Range { start, end }),
+        Just(Target::Whole),
+        Just(Target::None),
+    ]
+}
+
 fn arb_event() -> impl Strategy<Value = AccessEvent> {
     (
-        any::<u32>(),
+        any::<u64>(),
         arb_kind(),
+        arb_target(),
         any::<u32>(),
-        any::<u32>(),
-        0u32..4,
+        prop_oneof![0u32..4, any::<u32>()],
     )
-        .prop_map(|(seq, kind, idx, len, thread)| AccessEvent {
-            seq: u64::from(seq),
+        .prop_map(|(seq, kind, target, len, thread)| AccessEvent {
+            seq,
             kind,
-            target: Target::Index(idx),
+            target,
             len,
             thread: ThreadTag(thread),
         })

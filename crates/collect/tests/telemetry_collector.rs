@@ -311,11 +311,6 @@ fn persistence_round_trip_reports_volume_and_decodes_in_parallel() {
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("persist.decode_bytes"), Some(buf.len() as u64));
         assert_eq!(snap.counter("persist.bodies_decoded"), Some(6));
-        assert_eq!(
-            snap.histogram("persist.body_decode_nanos").unwrap().count,
-            6,
-            "every body's decode time is observed at {threads} thread(s)"
-        );
         assert!(snap.counter(signals::PERSIST_DECODE).unwrap_or(0) > 0);
     }
 }

@@ -1,126 +1,503 @@
-//! Compact binary encoding for access events and profiles.
+//! Compact binary encoding of event bodies, and their parallel decode.
 //!
-//! This is the on-disk event format of a persisted capture: each
-//! instance's events are one count-prefixed batch body. (The collector's
-//! channel carries `Vec<AccessEvent>` batches and never encodes them.)
-//! Decoding reads straight from the bytes already in memory, without
-//! copying them first.
-//!
-//! Layout (little-endian, fixed-width except for the target which is
-//! tag-prefixed). `seq` is the event's only timestamp (a logical tick), so
-//! an index-targeted event takes 22 bytes:
+//! This is the on-disk event format of a persisted capture (format
+//! version 3): each instance's events are one *body*, a run of
+//! independently decodable chunks of at most [`CHUNK_EVENTS`] events.
+//! (The collector's channel carries `Vec<AccessEvent>` batches and never
+//! encodes them.) Every field is coded against the row before it, so the
+//! common row — the next tick, same thread and length, a neighbouring
+//! index — takes 4 bytes.
 //!
 //! ```text
-//! event   := seq:u64 kind:u8 thread:u32 len:u32 target
-//! target  := 0x00 idx:u32            (Index)
-//!          | 0x01 start:u32 end:u32  (Range)
-//!          | 0x02                    (Whole)
-//!          | 0x03                    (None)
-//! batch   := count:u32 event*
+//! body    := chunk*
+//! chunk   := count:u32 (1..=CHUNK_EVENTS) bytes:u32 row{count}
+//! row     := head:u8 dseq:var [thread:var] dlen:zvar [target]
+//! head    := kind (bits 0-3) | target tag (bits 4-5: Index, Range, Whole, None)
+//!            | thread-changed (bit 6); bit 7 must be 0
+//! target  := Index: zvar(idx - prev_idx) | Range: zvar(start - prev_idx) zvar(end - start)
 //! ```
+//!
+//! `var` is LEB128 `u64`; `zvar` is zigzag LEB128 of the `i64` difference;
+//! `dseq = seq - prev_seq` (wrapping). A Range moves `prev_idx` to its
+//! start. `prev_seq`, thread, len and `prev_idx` start at 0 in every chunk,
+//! so chunks decode independently: [`decode_bodies`] spreads the chunks of
+//! all bodies over worker threads and writes each one straight into its
+//! slot of the body's pre-sized event vector.
+//!
+//! Decoding validates before it allocates: [`Body::parse`] checks every
+//! chunk's framing and that the counts sum to the expected event count, and
+//! only then are the event vectors sized from those validated counts.
+
+use std::mem::MaybeUninit;
 
 use crate::event::{AccessEvent, AccessKind, Target, ThreadTag};
-use bytes::{BufMut, Bytes, BytesMut};
 
-/// Error produced when decoding malformed event bytes.
+/// Most events one chunk holds; a body of `n` events has `⌈n / CHUNK_EVENTS⌉`
+/// chunks.
+pub const CHUNK_EVENTS: usize = 65_536;
+
+/// The largest row: head, a 10-byte `dseq`, a 5-byte thread, a 5-byte
+/// `dlen` and two 5-byte range fields.
+const MAX_ROW_BYTES: usize = 31;
+
+/// The smallest row: head, `dseq` and `dlen` of one byte each.
+const MIN_ROW_BYTES: usize = 3;
+
+/// Longest LEB128 encoding of a `u64`.
+const MAX_VARINT_BYTES: usize = 10;
+
+const THREAD_CHANGED: u8 = 0x40;
+const HEAD_RESERVED: u8 = 0x80;
+
+const TAG_INDEX: u8 = 0;
+const TAG_RANGE: u8 = 1;
+const TAG_WHOLE: u8 = 2;
+const TAG_NONE: u8 = 3;
+
+/// Error produced when decoding a malformed body.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DecodeError {
-    /// The buffer ended in the middle of an event.
+    /// The body ended inside a chunk header or before a chunk's rows.
     Truncated,
+    /// A chunk declared 0 events or more than [`CHUNK_EVENTS`].
+    BadChunkCount(u32),
+    /// A chunk declared a byte length its event count cannot fill (each row
+    /// takes 3 to 31 bytes).
+    BadChunkBytes {
+        /// The chunk's declared event count.
+        count: u32,
+        /// The chunk's declared byte length.
+        bytes: u32,
+    },
+    /// A varint ran over 10 bytes.
+    VarintTooLong,
+    /// A 10-byte varint does not fit in a `u64`.
+    VarintOverflow,
     /// An unknown [`AccessKind`] discriminant was encountered.
     BadKind(u8),
-    /// An unknown target tag was encountered.
-    BadTarget(u8),
+    /// A row head had its reserved bit 7 set.
+    BadHead(u8),
+    /// A decoded field (len, index, start, end or thread) lies outside `u32`.
+    OutOfRange(&'static str),
+    /// A chunk's rows did not consume exactly its declared byte length.
+    RowBytes,
+    /// The chunk counts do not sum to the expected number of events.
+    EventCount {
+        /// Events the caller expects the body to hold.
+        expected: u64,
+        /// Events the body's chunks declare.
+        found: u64,
+    },
 }
 
 impl std::fmt::Display for DecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DecodeError::Truncated => write!(f, "event buffer truncated"),
+            DecodeError::Truncated => write!(f, "event body truncated"),
+            DecodeError::BadChunkCount(n) => {
+                write!(f, "chunk declares {n} events (must be 1..={CHUNK_EVENTS})")
+            }
+            DecodeError::BadChunkBytes { count, bytes } => write!(
+                f,
+                "chunk of {count} events declares {bytes} bytes \
+                 (rows take {MIN_ROW_BYTES} to {MAX_ROW_BYTES} bytes)"
+            ),
+            DecodeError::VarintTooLong => write!(f, "varint longer than {MAX_VARINT_BYTES} bytes"),
+            DecodeError::VarintOverflow => write!(f, "varint overflows u64"),
             DecodeError::BadKind(k) => write!(f, "unknown access kind discriminant {k}"),
-            DecodeError::BadTarget(t) => write!(f, "unknown target tag {t}"),
+            DecodeError::BadHead(h) => write!(f, "row head {h:#04x} has reserved bit 7 set"),
+            DecodeError::OutOfRange(field) => write!(f, "{field} lies outside u32"),
+            DecodeError::RowBytes => {
+                write!(f, "chunk rows do not fill exactly its declared bytes")
+            }
+            DecodeError::EventCount { expected, found } => {
+                write!(f, "expected {expected} events, chunks hold {found}")
+            }
         }
     }
 }
 
 impl std::error::Error for DecodeError {}
 
-/// Append one event to `buf` in wire format.
-pub fn encode_event(e: &AccessEvent, buf: &mut BytesMut) {
-    buf.put_u64_le(e.seq);
-    buf.put_u8(e.kind as u8);
-    buf.put_u32_le(e.thread.0);
-    buf.put_u32_le(e.len);
+/// The running values every row is coded against; reset per chunk.
+#[derive(Default)]
+struct Prev {
+    seq: u64,
+    thread: u32,
+    len: u32,
+    idx: u32,
+}
+
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+fn unzigzag(u: u64) -> i64 {
+    ((u >> 1) as i64) ^ -((u & 1) as i64)
+}
+
+fn put_var(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+fn put_delta(out: &mut Vec<u8>, from: u32, to: u32) {
+    put_var(out, zigzag(i64::from(to) - i64::from(from)));
+}
+
+fn encode_row(e: &AccessEvent, prev: &mut Prev, out: &mut Vec<u8>) {
+    // The common row — an Index target on the same thread, every field one
+    // byte — is written in one go.
+    if let (Target::Index(i), true) = (e.target, e.thread.0 == prev.thread) {
+        let dseq = e.seq.wrapping_sub(prev.seq);
+        let dlen = zigzag(i64::from(e.len) - i64::from(prev.len));
+        let didx = zigzag(i64::from(i) - i64::from(prev.idx));
+        if (dseq | dlen | didx) < 0x80 {
+            out.extend_from_slice(&[e.kind as u8, dseq as u8, dlen as u8, didx as u8]);
+            prev.seq = e.seq;
+            prev.len = e.len;
+            prev.idx = i;
+            return;
+        }
+    }
+    let tag = match e.target {
+        Target::Index(_) => TAG_INDEX,
+        Target::Range { .. } => TAG_RANGE,
+        Target::Whole => TAG_WHOLE,
+        Target::None => TAG_NONE,
+    };
+    let thread_changed = e.thread.0 != prev.thread;
+    let mut head = e.kind as u8 | tag << 4;
+    if thread_changed {
+        head |= THREAD_CHANGED;
+    }
+    out.push(head);
+    put_var(out, e.seq.wrapping_sub(prev.seq));
+    if thread_changed {
+        put_var(out, u64::from(e.thread.0));
+    }
+    put_delta(out, prev.len, e.len);
     match e.target {
         Target::Index(i) => {
-            buf.put_u8(0);
-            buf.put_u32_le(i);
+            put_delta(out, prev.idx, i);
+            prev.idx = i;
         }
         Target::Range { start, end } => {
-            buf.put_u8(1);
-            buf.put_u32_le(start);
-            buf.put_u32_le(end);
+            put_delta(out, prev.idx, start);
+            put_delta(out, start, end);
+            prev.idx = start;
         }
-        Target::Whole => buf.put_u8(2),
-        Target::None => buf.put_u8(3),
+        Target::Whole | Target::None => {}
+    }
+    prev.seq = e.seq;
+    prev.thread = e.thread.0;
+    prev.len = e.len;
+}
+
+/// Append `events` to `out` as one body: chunks of at most
+/// [`CHUNK_EVENTS`] rows, in order. An empty slice appends nothing.
+pub fn encode_body(events: &[AccessEvent], out: &mut Vec<u8>) {
+    for chunk in events.chunks(CHUNK_EVENTS) {
+        let frame = out.len();
+        out.reserve(8 + chunk.len() * MAX_ROW_BYTES);
+        out.extend_from_slice(&[0; 8]);
+        let mut prev = Prev::default();
+        for e in chunk {
+            encode_row(e, &mut prev, out);
+        }
+        let bytes = (out.len() - frame - 8) as u32;
+        out[frame..frame + 4].copy_from_slice(&(chunk.len() as u32).to_le_bytes());
+        out[frame + 4..frame + 8].copy_from_slice(&bytes.to_le_bytes());
     }
 }
 
-/// Take the next `N` bytes off the front of `buf`.
-fn take<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], DecodeError> {
-    let (head, rest) = buf.split_first_chunk::<N>().ok_or(DecodeError::Truncated)?;
-    *buf = rest;
-    Ok(*head)
+/// One chunk of a parsed [`Body`]: its declared event count and row bytes.
+struct Chunk<'a> {
+    count: usize,
+    rows: &'a [u8],
 }
 
-/// Decode one event from the front of `buf`, advancing it past the event.
-pub fn decode_event(buf: &mut &[u8]) -> Result<AccessEvent, DecodeError> {
-    // Fixed header: 8 + 1 + 4 + 4 + 1 (target tag) = 18 bytes minimum.
-    if buf.len() < 18 {
-        return Err(DecodeError::Truncated);
+/// A body whose chunk framing has been validated but not yet decoded.
+pub struct Body<'a> {
+    chunks: Vec<Chunk<'a>>,
+    events: usize,
+}
+
+impl<'a> Body<'a> {
+    /// Split `bytes` into chunks, checking each chunk's count and byte
+    /// length and that the counts sum to `expected_events`. Rows are not
+    /// read until [`decode_bodies`].
+    pub fn parse(mut bytes: &'a [u8], expected_events: u64) -> Result<Body<'a>, DecodeError> {
+        let mut chunks = Vec::new();
+        let mut events = 0u64;
+        while !bytes.is_empty() {
+            let (frame, rest) = bytes
+                .split_first_chunk::<8>()
+                .ok_or(DecodeError::Truncated)?;
+            let [c0, c1, c2, c3, b0, b1, b2, b3] = *frame;
+            let count = u32::from_le_bytes([c0, c1, c2, c3]);
+            let len = u32::from_le_bytes([b0, b1, b2, b3]);
+            if count == 0 || count as usize > CHUNK_EVENTS {
+                return Err(DecodeError::BadChunkCount(count));
+            }
+            let (n, len_bytes) = (count as usize, len as usize);
+            if len_bytes < n * MIN_ROW_BYTES || len_bytes > n * MAX_ROW_BYTES {
+                return Err(DecodeError::BadChunkBytes { count, bytes: len });
+            }
+            if rest.len() < len_bytes {
+                return Err(DecodeError::Truncated);
+            }
+            let (rows, rest) = rest.split_at(len_bytes);
+            chunks.push(Chunk { count: n, rows });
+            events += u64::from(count);
+            bytes = rest;
+        }
+        if events != expected_events {
+            return Err(DecodeError::EventCount {
+                expected: expected_events,
+                found: events,
+            });
+        }
+        Ok(Body {
+            chunks,
+            events: events as usize,
+        })
     }
-    let seq = u64::from_le_bytes(take(buf)?);
-    let [kind_raw] = take(buf)?;
-    let kind = AccessKind::from_u8(kind_raw).ok_or(DecodeError::BadKind(kind_raw))?;
-    let thread = ThreadTag(u32::from_le_bytes(take(buf)?));
-    let len = u32::from_le_bytes(take(buf)?);
-    let [tag] = take(buf)?;
-    let target = match tag {
-        0 => Target::Index(u32::from_le_bytes(take(buf)?)),
-        1 => {
-            let start = u32::from_le_bytes(take(buf)?);
-            let end = u32::from_le_bytes(take(buf)?);
+}
+
+/// A decode failure inside [`decode_bodies`], naming the failing body.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BodyError {
+    /// Index of the body in the slice passed to [`decode_bodies`].
+    pub body: usize,
+    /// What was wrong with it.
+    pub error: DecodeError,
+}
+
+fn byte(rows: &mut &[u8]) -> Result<u8, DecodeError> {
+    let (&b, rest) = rows.split_first().ok_or(DecodeError::RowBytes)?;
+    *rows = rest;
+    Ok(b)
+}
+
+fn var(rows: &mut &[u8]) -> Result<u64, DecodeError> {
+    let b = byte(rows)?;
+    if b < 0x80 {
+        return Ok(u64::from(b));
+    }
+    let mut v = u64::from(b & 0x7f);
+    for shift in (7..64).step_by(7) {
+        let b = byte(rows)?;
+        if shift == 63 {
+            if b & 0x80 != 0 {
+                return Err(DecodeError::VarintTooLong);
+            }
+            if b > 1 {
+                return Err(DecodeError::VarintOverflow);
+            }
+        }
+        v |= u64::from(b & 0x7f) << shift;
+        if b < 0x80 {
+            return Ok(v);
+        }
+    }
+    unreachable!("the tenth byte always returns")
+}
+
+/// `from` moved by the zigzag-coded difference `z`, which must land in `u32`.
+fn step(from: u32, z: u64, field: &'static str) -> Result<u32, DecodeError> {
+    i64::from(from)
+        .checked_add(unzigzag(z))
+        .and_then(|v| u32::try_from(v).ok())
+        .ok_or(DecodeError::OutOfRange(field))
+}
+
+fn delta(rows: &mut &[u8], from: u32, field: &'static str) -> Result<u32, DecodeError> {
+    step(from, var(rows)?, field)
+}
+
+fn kind_of(head: u8) -> Result<AccessKind, DecodeError> {
+    if head & HEAD_RESERVED != 0 {
+        return Err(DecodeError::BadHead(head));
+    }
+    AccessKind::from_u8(head & 0x0f).ok_or(DecodeError::BadKind(head & 0x0f))
+}
+
+fn decode_row(rows: &mut &[u8], prev: &mut Prev) -> Result<AccessEvent, DecodeError> {
+    // The common row — an Index target on the same thread, every field one
+    // byte — decodes from one bounds check.
+    if let Some((&[head, dseq, dlen, didx], rest)) = rows.split_first_chunk::<4>() {
+        if head & (THREAD_CHANGED | 0x30) == 0 && (dseq | dlen | didx) < 0x80 {
+            let kind = kind_of(head)?;
+            prev.seq = prev.seq.wrapping_add(u64::from(dseq));
+            prev.len = step(prev.len, u64::from(dlen), "len")?;
+            prev.idx = step(prev.idx, u64::from(didx), "index")?;
+            *rows = rest;
+            return Ok(AccessEvent {
+                seq: prev.seq,
+                kind,
+                target: Target::Index(prev.idx),
+                len: prev.len,
+                thread: ThreadTag(prev.thread),
+            });
+        }
+    }
+    let head = byte(rows)?;
+    let kind = kind_of(head)?;
+    prev.seq = prev.seq.wrapping_add(var(rows)?);
+    if head & THREAD_CHANGED != 0 {
+        prev.thread = u32::try_from(var(rows)?).map_err(|_| DecodeError::OutOfRange("thread"))?;
+    }
+    prev.len = delta(rows, prev.len, "len")?;
+    let target = match (head >> 4) & 0x03 {
+        TAG_INDEX => {
+            prev.idx = delta(rows, prev.idx, "index")?;
+            Target::Index(prev.idx)
+        }
+        TAG_RANGE => {
+            let start = delta(rows, prev.idx, "start")?;
+            let end = delta(rows, start, "end")?;
+            prev.idx = start;
             Target::Range { start, end }
         }
-        2 => Target::Whole,
-        3 => Target::None,
-        t => return Err(DecodeError::BadTarget(t)),
+        TAG_WHOLE => Target::Whole,
+        _ => Target::None,
     };
     Ok(AccessEvent {
-        seq,
+        seq: prev.seq,
         kind,
         target,
-        len,
-        thread,
+        len: prev.len,
+        thread: ThreadTag(prev.thread),
     })
 }
 
-/// Encode a batch of events with a count prefix.
-pub fn encode_batch(events: &[AccessEvent]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(4 + events.len() * 26);
-    buf.put_u32_le(events.len() as u32);
-    for e in events {
-        encode_event(e, &mut buf);
+/// Decode one chunk into `dst`, which has exactly the chunk's count of
+/// slots. Returns the number of slots written: all of them, or an error.
+fn decode_chunk(
+    mut rows: &[u8],
+    dst: &mut [MaybeUninit<AccessEvent>],
+) -> Result<usize, DecodeError> {
+    let mut prev = Prev::default();
+    for slot in dst.iter_mut() {
+        slot.write(decode_row(&mut rows, &mut prev)?);
     }
-    buf.freeze()
+    if !rows.is_empty() {
+        return Err(DecodeError::RowBytes);
+    }
+    Ok(dst.len())
 }
 
-/// Decode a count-prefixed batch of events from `bytes`.
-pub fn decode_batch(mut bytes: &[u8]) -> Result<Vec<AccessEvent>, DecodeError> {
-    let count = u32::from_le_bytes(take(&mut bytes)?) as usize;
-    let mut out = Vec::with_capacity(count.min(1 << 20));
-    for _ in 0..count {
-        out.push(decode_event(&mut bytes)?);
+/// One chunk and the slots of its body's vector it decodes into.
+struct Job<'a, 'b> {
+    body: usize,
+    rows: &'a [u8],
+    dst: &'b mut [MaybeUninit<AccessEvent>],
+}
+
+/// Decode a run of jobs in order, stopping at the first error. Returns the
+/// slots written per job.
+fn decode_run(run: &mut [Job<'_, '_>]) -> Result<Vec<(usize, usize)>, BodyError> {
+    run.iter_mut()
+        .map(|job| {
+            decode_chunk(job.rows, job.dst)
+                .map(|written| (job.body, written))
+                .map_err(|error| BodyError {
+                    body: job.body,
+                    error,
+                })
+        })
+        .collect()
+}
+
+/// Decode every chunk of every body on `threads` workers (`0` and `1` both
+/// decode inline) and return each body's events, in body order.
+///
+/// The flat list of chunks, in body order, is split into `threads`
+/// contiguous runs of near-equal event count, so one large body decodes on
+/// several cores. Each chunk is written straight into its own slots of its
+/// body's vector, which is sized from the validated chunk counts. On error
+/// the first failing chunk in body order is reported, whatever the thread
+/// count.
+pub fn decode_bodies(
+    bodies: &[Body<'_>],
+    threads: usize,
+) -> Result<Vec<Vec<AccessEvent>>, BodyError> {
+    let mut out: Vec<Vec<AccessEvent>> = bodies
+        .iter()
+        .map(|b| Vec::with_capacity(b.events))
+        .collect();
+    let total: usize = bodies.iter().map(|b| b.events).sum();
+    let mut jobs = Vec::new();
+    for (i, (body, events)) in bodies.iter().zip(out.iter_mut()).enumerate() {
+        let mut spare = &mut events.spare_capacity_mut()[..body.events];
+        for chunk in &body.chunks {
+            let (dst, rest) = std::mem::take(&mut spare).split_at_mut(chunk.count);
+            spare = rest;
+            jobs.push(Job {
+                body: i,
+                rows: chunk.rows,
+                dst,
+            });
+        }
+    }
+
+    let threads = threads.clamp(1, jobs.len().max(1));
+    let written = if threads == 1 {
+        decode_run(&mut jobs)?
+    } else {
+        // Cut the job list where the running event count passes each
+        // k/threads share of the total.
+        let mut runs = Vec::with_capacity(threads);
+        let mut rest = jobs.as_mut_slice();
+        let mut seen = 0;
+        for k in 1..threads {
+            let goal = total * k / threads;
+            let mut cut = 0;
+            while cut < rest.len() && seen < goal {
+                seen += rest[cut].dst.len();
+                cut += 1;
+            }
+            let (run, tail) = rest.split_at_mut(cut);
+            runs.push(run);
+            rest = tail;
+        }
+        runs.push(rest);
+        let results: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = runs
+                .into_iter()
+                .map(|run| s.spawn(move || decode_run(run)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        });
+        let mut written = Vec::with_capacity(jobs.len());
+        for run in results {
+            written.extend(run?);
+        }
+        written
+    };
+
+    let mut filled = vec![0usize; bodies.len()];
+    for (body, n) in written {
+        filled[body] += n;
+    }
+    for ((events, body), filled) in out.iter_mut().zip(bodies).zip(filled) {
+        assert_eq!(filled, body.events, "every slot of the body was decoded");
+        // SAFETY: the capacity is at least `body.events`. The body's chunks
+        // were handed disjoint, consecutive slot ranges of the spare
+        // capacity that together cover `0..body.events` (`Body::parse` sets
+        // `events` to the sum of the chunk counts), and a successful
+        // `decode_chunk` has written every slot of its range. The assert
+        // above checks that every chunk of this body succeeded, so all
+        // `body.events` slots are initialized. `AccessEvent: Copy`, so the
+        // vectors dropped on an earlier error own nothing to drop.
+        unsafe { events.set_len(body.events) };
     }
     Ok(out)
 }
@@ -159,60 +536,232 @@ mod tests {
                 len: 0,
                 thread: ThreadTag(1),
             },
+            AccessEvent {
+                seq: 3,
+                kind: AccessKind::Resize,
+                target: Target::Range {
+                    start: u32::MAX,
+                    end: 0,
+                },
+                len: 7,
+                thread: ThreadTag(1),
+            },
         ]
     }
 
+    fn encode(events: &[AccessEvent]) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_body(events, &mut out);
+        out
+    }
+
+    fn decode(bytes: &[u8], expected: u64) -> Result<Vec<AccessEvent>, DecodeError> {
+        let body = Body::parse(bytes, expected)?;
+        let mut bodies = decode_bodies(&[body], 1).map_err(|e| e.error)?;
+        Ok(bodies.remove(0))
+    }
+
+    /// A one-chunk body holding `rows` verbatim as its `count` rows.
+    fn chunk(count: u32, rows: &[u8]) -> Vec<u8> {
+        let mut out = count.to_le_bytes().to_vec();
+        out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+        out.extend_from_slice(rows);
+        out
+    }
+
     #[test]
-    fn single_event_roundtrip() {
-        for e in sample_events() {
-            let mut buf = BytesMut::new();
-            encode_event(&e, &mut buf);
-            let mut b = &buf[..];
-            assert_eq!(decode_event(&mut b).unwrap(), e);
-            assert!(b.is_empty(), "decoder must consume the event exactly");
+    fn body_roundtrip() {
+        let events = sample_events();
+        assert_eq!(decode(&encode(&events), 5).unwrap(), events);
+    }
+
+    #[test]
+    fn empty_body_roundtrip() {
+        assert!(encode(&[]).is_empty());
+        assert_eq!(decode(&[], 0).unwrap(), vec![]);
+    }
+
+    #[test]
+    fn a_sequential_fill_takes_four_bytes_per_event() {
+        let events: Vec<_> = (0..1000u32)
+            .map(|i| AccessEvent::at(u64::from(i), AccessKind::Insert, i, i + 1))
+            .collect();
+        // One 8-byte chunk frame; the first row's deltas are all small too.
+        assert_eq!(encode(&events).len(), 8 + 4 * 1000);
+    }
+
+    #[test]
+    fn bodies_split_into_full_chunks() {
+        let events: Vec<_> = (0..CHUNK_EVENTS as u64 + 1)
+            .map(|i| AccessEvent::whole(i, AccessKind::Read, 3))
+            .collect();
+        let bytes = encode(&events);
+        let body = Body::parse(&bytes, events.len() as u64).unwrap();
+        let counts: Vec<_> = body.chunks.iter().map(|c| c.count).collect();
+        assert_eq!(counts, vec![CHUNK_EVENTS, 1]);
+        for threads in [1, 2, 3] {
+            let back = decode_bodies(
+                &[Body::parse(&bytes, events.len() as u64).unwrap()],
+                threads,
+            )
+            .unwrap();
+            assert_eq!(back, vec![events.clone()], "{threads} threads");
         }
     }
 
     #[test]
-    fn batch_roundtrip() {
-        let events = sample_events();
-        let encoded = encode_batch(&events);
-        assert_eq!(decode_batch(&encoded).unwrap(), events);
+    fn every_truncation_is_an_error() {
+        let bytes = encode(&sample_events());
+        for cut in 0..bytes.len() {
+            assert!(decode(&bytes[..cut], 5).is_err(), "cut at {cut}");
+        }
     }
 
     #[test]
-    fn empty_batch_roundtrip() {
-        let encoded = encode_batch(&[]);
-        assert_eq!(decode_batch(&encoded).unwrap(), vec![]);
+    fn truncated_frame_is_an_error() {
+        assert_eq!(decode(&[1, 0, 0], 1), Err(DecodeError::Truncated));
+        let mut bytes = chunk(1, &[0, 0, 0]);
+        bytes.pop();
+        assert_eq!(decode(&bytes, 1), Err(DecodeError::Truncated));
     }
 
     #[test]
-    fn truncated_buffer_is_an_error() {
-        let events = sample_events();
-        let encoded = encode_batch(&events);
-        for cut in [0usize, 3, 4, 10, encoded.len() - 1] {
-            assert!(
-                decode_batch(&encoded[..cut]).is_err(),
-                "cut at {cut} should fail to decode"
+    fn zero_or_oversized_chunk_count_is_an_error() {
+        assert_eq!(
+            decode(&chunk(0, &[]), 0),
+            Err(DecodeError::BadChunkCount(0))
+        );
+        let over = CHUNK_EVENTS as u32 + 1;
+        assert_eq!(
+            decode(&chunk(over, &[]), u64::from(over)),
+            Err(DecodeError::BadChunkCount(over))
+        );
+    }
+
+    #[test]
+    fn implausible_chunk_bytes_are_an_error() {
+        // Above 31 bytes per row ...
+        assert_eq!(
+            decode(&chunk(1, &[0; 32]), 1),
+            Err(DecodeError::BadChunkBytes {
+                count: 1,
+                bytes: 32
+            })
+        );
+        // ... or below 3: checked before anything is sized from the count.
+        assert_eq!(
+            decode(&chunk(1000, &[0; 8]), 1000),
+            Err(DecodeError::BadChunkBytes {
+                count: 1000,
+                bytes: 8
+            })
+        );
+    }
+
+    #[test]
+    fn varint_over_ten_bytes_is_an_error() {
+        let mut rows = vec![0x00];
+        rows.extend([0xff; 10]);
+        rows.extend([0x00; 2]);
+        assert_eq!(decode(&chunk(1, &rows), 1), Err(DecodeError::VarintTooLong));
+    }
+
+    #[test]
+    fn overflowing_varint_is_an_error() {
+        let mut rows = vec![0x00];
+        rows.extend([0xff; 9]);
+        rows.extend([0x02, 0x00, 0x00]);
+        assert_eq!(
+            decode(&chunk(1, &rows), 1),
+            Err(DecodeError::VarintOverflow)
+        );
+        // The largest u64 itself decodes.
+        let mut rows = vec![0x02 << 4];
+        rows.extend([0xff; 9]);
+        rows.extend([0x01, 0x00]);
+        assert_eq!(decode(&chunk(1, &rows), 1).unwrap()[0].seq, u64::MAX);
+    }
+
+    #[test]
+    fn kind_above_ten_is_an_error() {
+        assert_eq!(
+            decode(&chunk(1, &[0x0b, 0, 0, 0]), 1),
+            Err(DecodeError::BadKind(11))
+        );
+    }
+
+    #[test]
+    fn reserved_head_bit_is_an_error() {
+        assert_eq!(
+            decode(&chunk(1, &[0x80, 0, 0, 0]), 1),
+            Err(DecodeError::BadHead(0x80))
+        );
+    }
+
+    #[test]
+    fn fields_outside_u32_are_errors() {
+        // A zigzag of -1 from 0 (0x01), and a thread of 2^32 (0x80 0x80 0x80 0x80 0x10).
+        let big = [0x80, 0x80, 0x80, 0x80, 0x10];
+        let whole = TAG_WHOLE << 4;
+        let range = TAG_RANGE << 4;
+        let cases: [(Vec<u8>, &str); 5] = [
+            (vec![whole, 0, 0x01], "len"),
+            (vec![0, 0, 0, 0x01], "index"),
+            (vec![range, 0, 0, 0x01, 0], "start"),
+            (vec![range, 0, 0, 0, 0x01], "end"),
+            ([&[whole | 0x40, 0][..], &big, &[0]].concat(), "thread"),
+        ];
+        for (rows, field) in cases {
+            assert_eq!(
+                decode(&chunk(1, &rows), 1),
+                Err(DecodeError::OutOfRange(field)),
+                "{field}"
             );
         }
     }
 
     #[test]
-    fn bad_kind_is_an_error() {
-        let mut buf = BytesMut::new();
-        encode_event(&sample_events()[0], &mut buf);
-        let mut raw = buf.to_vec();
-        raw[8] = 200; // kind byte
-        assert_eq!(decode_event(&mut &raw[..]), Err(DecodeError::BadKind(200)));
+    fn rows_must_fill_exactly_the_chunk() {
+        // Three Whole rows of 3 bytes declared as 1 ...
+        let whole = TAG_WHOLE << 4;
+        assert_eq!(
+            decode(&chunk(1, &[whole, 0, 0, whole, 0, 0]), 1),
+            Err(DecodeError::RowBytes)
+        );
+        // ... and an Index row cut short by its chunk.
+        assert_eq!(decode(&chunk(1, &[0, 0, 0]), 1), Err(DecodeError::RowBytes));
     }
 
     #[test]
-    fn bad_target_is_an_error() {
-        let mut buf = BytesMut::new();
-        encode_event(&sample_events()[0], &mut buf);
-        let mut raw = buf.to_vec();
-        raw[17] = 9; // target tag byte
-        assert_eq!(decode_event(&mut &raw[..]), Err(DecodeError::BadTarget(9)));
+    fn chunk_counts_must_sum_to_the_expected_events() {
+        let bytes = encode(&sample_events());
+        assert_eq!(
+            decode(&bytes, 4),
+            Err(DecodeError::EventCount {
+                expected: 4,
+                found: 5
+            })
+        );
+    }
+
+    #[test]
+    fn the_first_failing_body_is_named_at_any_width() {
+        let good = encode(&sample_events());
+        let bad = chunk(1, &[0x0b, 0, 0, 0]);
+        for threads in [1, 2, 4] {
+            let bodies = vec![
+                Body::parse(&good, 5).unwrap(),
+                Body::parse(&bad, 1).unwrap(),
+                Body::parse(&bad, 1).unwrap(),
+            ];
+            let err = decode_bodies(&bodies, threads).unwrap_err();
+            assert_eq!(
+                err,
+                BodyError {
+                    body: 1,
+                    error: DecodeError::BadKind(11)
+                }
+            );
+        }
     }
 }

@@ -1,7 +1,8 @@
-//! Property tests: the wire encoding is a lossless bijection on events.
+//! Property tests: the chunked body codec is lossless for events in any
+//! order and of any width, at any decode width, and malformed bodies are
+//! errors, never panics.
 
-use bytes::BytesMut;
-use dsspy_events::encode::{decode_batch, decode_event, encode_batch, encode_event};
+use dsspy_events::encode::{decode_bodies, encode_body, Body, DecodeError, CHUNK_EVENTS};
 use dsspy_events::{AccessEvent, AccessKind, Target, ThreadTag};
 use proptest::prelude::*;
 
@@ -12,10 +13,7 @@ fn arb_kind() -> impl Strategy<Value = AccessKind> {
 fn arb_target() -> impl Strategy<Value = Target> {
     prop_oneof![
         any::<u32>().prop_map(Target::Index),
-        (any::<u32>(), any::<u32>()).prop_map(|(a, b)| Target::Range {
-            start: a.min(b),
-            end: a.max(b)
-        }),
+        (any::<u32>(), any::<u32>()).prop_map(|(start, end)| Target::Range { start, end }),
         Just(Target::Whole),
         Just(Target::None),
     ]
@@ -27,7 +25,7 @@ fn arb_event() -> impl Strategy<Value = AccessEvent> {
         arb_kind(),
         arb_target(),
         any::<u32>(),
-        any::<u32>(),
+        prop_oneof![0u32..4, any::<u32>()],
     )
         .prop_map(|(seq, kind, target, len, thread)| AccessEvent {
             seq,
@@ -38,29 +36,117 @@ fn arb_event() -> impl Strategy<Value = AccessEvent> {
         })
 }
 
+fn encode(events: &[AccessEvent]) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_body(events, &mut out);
+    out
+}
+
+fn decode(bytes: &[u8], expected: u64, threads: usize) -> Result<Vec<AccessEvent>, DecodeError> {
+    let body = Body::parse(bytes, expected)?;
+    let mut bodies = decode_bodies(&[body], threads).map_err(|e| e.error)?;
+    Ok(bodies.remove(0))
+}
+
 proptest! {
     #[test]
-    fn event_roundtrip(e in arb_event()) {
-        let mut buf = BytesMut::new();
-        encode_event(&e, &mut buf);
-        let mut bytes = &buf[..];
-        let back = decode_event(&mut bytes).unwrap();
-        prop_assert_eq!(back, e);
-        prop_assert_eq!(bytes.len(), 0);
+    fn body_roundtrip(events in proptest::collection::vec(arb_event(), 0..300)) {
+        let bytes = encode(&events);
+        prop_assert_eq!(decode(&bytes, events.len() as u64, 1).unwrap(), events);
     }
 
     #[test]
-    fn batch_roundtrip(events in proptest::collection::vec(arb_event(), 0..200)) {
-        let encoded = encode_batch(&events);
-        let back = decode_batch(&encoded).unwrap();
-        prop_assert_eq!(back, events);
+    fn many_bodies_roundtrip_at_any_width(
+        profiles in proptest::collection::vec(proptest::collection::vec(arb_event(), 0..100), 0..6),
+        threads in 0usize..5,
+    ) {
+        let encoded: Vec<Vec<u8>> = profiles.iter().map(|p| encode(p)).collect();
+        let bodies: Vec<Body> = encoded
+            .iter()
+            .zip(&profiles)
+            .map(|(bytes, p)| Body::parse(bytes, p.len() as u64).unwrap())
+            .collect();
+        prop_assert_eq!(decode_bodies(&bodies, threads).unwrap(), profiles);
     }
 
     #[test]
-    fn truncation_never_panics(events in proptest::collection::vec(arb_event(), 1..20), cut_frac in 0.0f64..1.0) {
-        let encoded = encode_batch(&events);
-        let cut = ((encoded.len() as f64) * cut_frac) as usize;
-        // Either decodes a (possibly different-length) prefix or errors; never panics.
-        let _ = decode_batch(&encoded[..cut]);
+    fn every_truncation_is_an_error(
+        events in proptest::collection::vec(arb_event(), 1..100),
+        cut_frac in 0.0f64..1.0,
+    ) {
+        let bytes = encode(&events);
+        let cut = ((bytes.len() as f64) * cut_frac) as usize;
+        prop_assert!(decode(&bytes[..cut], events.len() as u64, 1).is_err());
     }
+
+    #[test]
+    fn byte_flips_never_panic(
+        events in proptest::collection::vec(arb_event(), 1..100),
+        pos_frac in 0.0f64..1.0,
+        flip in 1u8..=255,
+        threads in 1usize..3,
+    ) {
+        let mut bytes = encode(&events);
+        let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
+        bytes[pos] ^= flip;
+        match decode(&bytes, events.len() as u64, threads) {
+            // A flip in the chunk frame (count, byte length) always fails.
+            Ok(_) if pos < 8 => prop_assert!(false, "frame flip at {} decoded", pos),
+            // The format has no checksum: a flipped row byte may still
+            // decode, to the declared number of events.
+            Ok(back) => prop_assert_eq!(back.len(), events.len()),
+            Err(_) => {}
+        }
+    }
+}
+
+/// One profile spanning three chunks, mixing every target and several
+/// thread switches, round-trips at every decode width.
+#[test]
+fn a_profile_of_three_chunks_roundtrips_at_widths_1_2_4() {
+    let n = 2 * CHUNK_EVENTS + 1;
+    let events: Vec<AccessEvent> = (0..n as u64)
+        .map(|i| {
+            let k = i as u32;
+            let target = match i % 4 {
+                0 => Target::Index(k % 1000),
+                1 => Target::Range {
+                    start: k % 1000,
+                    end: k % 1000 + 7,
+                },
+                2 => Target::Whole,
+                _ => Target::None,
+            };
+            AccessEvent {
+                seq: 3 * i,
+                kind: AccessKind::from_u8((i % 11) as u8).unwrap(),
+                target,
+                len: 1000 + (k % 13),
+                thread: ThreadTag((i / 10_000) as u32 % 3),
+            }
+        })
+        .collect();
+    let bytes = encode(&events);
+    for threads in [1, 2, 4] {
+        assert_eq!(
+            decode(&bytes, n as u64, threads).unwrap(),
+            events,
+            "{threads} threads"
+        );
+    }
+    // The second chunk's frame is guarded like the first.
+    let first_bytes = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
+    let second = 8 + first_bytes;
+    for pos in second..second + 8 {
+        let mut bad = bytes.clone();
+        bad[pos] ^= 0x01;
+        assert!(decode(&bad, n as u64, 2).is_err(), "frame flip at {pos}");
+    }
+    assert_eq!(
+        decode(&bytes[..second], n as u64, 2),
+        Err(DecodeError::EventCount {
+            expected: n as u64,
+            found: CHUNK_EVENTS as u64
+        })
+    );
 }

@@ -5,9 +5,11 @@
 #               the whole test suite once more in release, then explicit
 #               --threads CLI runs, the bad-input cell (malformed numeric
 #               values, unknown flags and values outside their choices exit
-#               2), the table4-drift cell (Table IV detection columns
-#               identical in 30 runs under two busy loops), the closed-pipe
-#               cell (`analyze --json | head` exits 0 quietly), the live-scrape smoke
+#               2), the capture-write-error cell (`demo /dev/full` exits 1
+#               with "cannot write capture"), the table4-drift cell (Table
+#               IV detection columns identical in 30 runs under two busy
+#               loops), the closed-pipe cell (`analyze --json | head` exits
+#               0 quietly), the live-scrape smoke
 #               (`telemetry serve --live --self-check`) and the follow
 #               smoke (`watch --follow`), the perfbench-tests cell (the
 #               benchmark's own tests against the changed crates), then
@@ -129,6 +131,18 @@ if [[ "$MODE" == "full" ]]; then
             [[ "$code" -eq 2 ]] || { echo "watch --follow --workload Nope: exit $code, want 2"; exit 1; }
             echo "malformed numeric values, unknown flags and bad choices exit 2 with usage"
         ' bad-input "$SMOKE"
+    # A save that fails is reported as a write failure with exit 1: /dev/full
+    # accepts the open and fails the writes (or the final flush).
+    run_cell capture-write-error '"kind":"smoke",' \
+        bash -c '
+            set -uo pipefail
+            err="$(./target/release/dsspy demo /dev/full 2>&1 >/dev/null)"
+            code=$?
+            [[ "$code" -eq 1 ]] || { echo "demo /dev/full: exit $code, want 1"; exit 1; }
+            grep -q "cannot write capture" <<<"$err" ||
+                { echo "stderr lacks \"cannot write capture\": $err"; exit 1; }
+            echo "demo into a full device exits 1 with \"cannot write capture\""
+        ' capture-write-error
     # Event time is the session's logical clock, so CPU contention cannot
     # move a verdict: under two busy loops, 30 test-scale Table IV runs
     # must print identical #DS / Cases / Reduction columns, and the paper's

@@ -4,6 +4,7 @@
 
 use dsspy::collections::{site, SpyArray, SpyDeque, SpyMap, SpyQueue, SpyStack, SpyVec};
 use dsspy::core::Dsspy;
+use dsspy::events::encode;
 use dsspy::prelude::*;
 use dsspy::usecases::UseCaseKind;
 
@@ -154,7 +155,35 @@ fn capture_event_encoding_round_trip() {
     }
     let capture = session.finish();
     let events = &capture.profiles[0].events;
-    let encoded = dsspy::events::encode::encode_batch(events);
-    let decoded = dsspy::events::encode::decode_batch(&encoded).expect("decode");
-    assert_eq!(&decoded, events);
+    let mut encoded = Vec::new();
+    encode::encode_body(events, &mut encoded);
+    let body = encode::Body::parse(&encoded, events.len() as u64).expect("framing");
+    let decoded = encode::decode_bodies(&[body], 1).expect("decode");
+    assert_eq!(&decoded[0], events);
+}
+
+#[test]
+fn every_suite7_capture_round_trips_event_for_event() {
+    use dsspy::collect::{read_capture_with, write_capture, ReadOptions};
+    use dsspy::workloads::{suite7, Mode, Scale};
+    for w in suite7() {
+        let name = w.spec().name;
+        let session = Session::new();
+        std::hint::black_box(w.run(Scale::Test, Mode::Instrumented(&session)));
+        let capture = session.finish();
+        let mut bytes = Vec::new();
+        write_capture(&capture, &mut bytes).expect("write capture");
+        let opts = ReadOptions {
+            threads: 2,
+            ..ReadOptions::default()
+        };
+        let back = read_capture_with(&bytes[..], &opts).expect("read capture");
+        assert_eq!(back.profiles.len(), capture.profiles.len(), "{name}");
+        for (a, b) in back.profiles.iter().zip(&capture.profiles) {
+            assert_eq!(a.instance, b.instance, "{name}");
+            assert!(a.events == b.events, "{name}: {} differs", a.instance.id);
+        }
+        assert_eq!(back.stats, capture.stats, "{name}");
+        assert_eq!(back.session_nanos, capture.session_nanos, "{name}");
+    }
 }
