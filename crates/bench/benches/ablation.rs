@@ -3,12 +3,16 @@
 //! * miner `min_run_len` — how much does the run filter cost/save?
 //! * classifier thresholds — detection cost across strict/default/lenient
 //!   settings (the paper tuned its thresholds on the 23-program set);
-//! * collector channel mode — unbounded (paper's design) vs bounded.
+//! * collector channel mode — unbounded (paper's design) vs bounded;
+//! * thread interleaving in the analysis fold — the fold caches the current
+//!   thread's slot, so its cost should not depend on how often the thread
+//!   changes.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dsspy_collect::{Session, SessionConfig};
 use dsspy_collections::{site, SpyVec};
-use dsspy_patterns::{analyze, MinerConfig};
+use dsspy_events::ThreadTag;
+use dsspy_patterns::{analyze, IncrementalAnalyzer, MinerConfig};
 use dsspy_usecases::{classify, Thresholds};
 use dsspy_workloads::traces::TraceBuilder;
 
@@ -97,10 +101,38 @@ fn bench_channel_mode(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_fold_threads(c: &mut Criterion) {
+    let events = mixed_profile().events;
+    let mut group = c.benchmark_group("ablation/fold_threads");
+    group.throughput(Throughput::Elements(events.len() as u64));
+    // Event k runs on thread (k / burst) % threads.
+    for (name, threads, burst) in [
+        ("one_thread", 1, 1),
+        ("two_switch_every_event", 2, 1),
+        ("eight_bursts_of_64", 8, 64),
+    ] {
+        let mut events = events.clone();
+        for (k, e) in events.iter_mut().enumerate() {
+            e.thread = ThreadTag((k / burst % threads) as u32);
+        }
+        group.bench_with_input(BenchmarkId::from_parameter(name), &events, |b, events| {
+            b.iter(|| {
+                let mut fold = IncrementalAnalyzer::new(&MinerConfig::default());
+                for e in events {
+                    fold.fold(e);
+                }
+                std::hint::black_box(fold.event_count())
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_min_run_len,
     bench_threshold_settings,
-    bench_channel_mode
+    bench_channel_mode,
+    bench_fold_threads
 );
 criterion_main!(benches);

@@ -10,6 +10,14 @@
 //! state one batch at a time, so post-mortem and streaming analysis agree by
 //! construction.
 //!
+//! Per event the fold does no hashing. [`IncrementalAnalyzer`] keeps one
+//! slot per thread (its [`ThreadMiner`] and event count) and remembers the
+//! slot in use, so an event of the same thread as the last one costs a tag
+//! comparison; only a thread switch looks its slot up in a map.
+//! [`MetricsFold`] bumps one per-kind histogram and steps the few state
+//! machines that depend on event order or position; every per-kind count
+//! `Metrics` reports is derived from the histogram at snapshot time.
+//!
 //! The state that grows with the profile is the finalized-pattern list and
 //! the sequence numbers of `Sort` events (needed for the Sort-After-Insert
 //! metric; sorts are rare). Memory is therefore O(patterns), with no cap.
@@ -38,29 +46,14 @@ pub(crate) fn track_of(kind: AccessKind) -> Option<usize> {
     }
 }
 
-/// Whether an insert event landed at the front of the structure.
-fn insert_at_front(e: &AccessEvent) -> bool {
-    e.index() == Some(0)
-}
-
-/// Whether an insert event was appended at the back. At insert time `len`
-/// is the *new* length, so an append has `index == len - 1`.
-fn insert_at_back(e: &AccessEvent) -> bool {
-    match e.index() {
-        Some(i) => e.len > 0 && i == e.len - 1,
-        None => false,
+/// Whether positional index `i` is the back of the structure. `len` is the
+/// length *after* the operation, so an append (or any non-delete access to
+/// the last element) has `i == len - 1` and a back-removal has `i == len`.
+fn at_back(kind: AccessKind, i: u32, len: u32) -> bool {
+    match kind {
+        AccessKind::Delete => i == len,
+        _ => len > 0 && i == len - 1,
     }
-}
-
-/// Whether a delete event removed the front element.
-fn delete_at_front(e: &AccessEvent) -> bool {
-    e.index() == Some(0)
-}
-
-/// Whether a delete event removed the back element. At delete time `len` is
-/// the *new* (shrunk) length, so a back-removal has `index == len`.
-fn delete_at_back(e: &AccessEvent) -> bool {
-    e.index() == Some(e.len)
 }
 
 /// Direction state of a read/write run.
@@ -247,104 +240,56 @@ impl ThreadMiner {
             return;
         };
 
-        match track {
-            0 | 1 => {
-                // Read/Write tracks: adjacent monotone indices.
-                let acc = &self.accs[track];
-                let extend = match acc.last_index() {
-                    None => true,
-                    Some(prev) => match acc.dir {
-                        Dir::Unknown => idx == prev + 1 || (prev > 0 && idx == prev - 1),
-                        Dir::Forward => idx == prev + 1,
-                        Dir::Backward => prev > 0 && idx == prev - 1,
-                    },
-                };
-                if !extend {
-                    // Runs are disjoint: the breaker starts a fresh run, it
-                    // does not chain with the old run's tail.
-                    self.emit_track(track, min_len, sink);
-                }
-                let acc = &mut self.accs[track];
-                if let Some(prev) = acc.last_index() {
-                    if acc.dir == Dir::Unknown {
-                        acc.dir = if idx == prev + 1 {
-                            Dir::Forward
-                        } else {
-                            Dir::Backward
-                        };
-                    }
-                }
-                acc.push(e, idx);
-            }
-            2 => {
-                let front = insert_at_front(e);
-                let back = insert_at_back(e);
-                let acc = &self.accs[2];
-                let new_front = acc.front_ok && front;
-                let new_back = acc.back_ok && back;
-                let compatible = (new_front || new_back) && (front || back);
-                // Additionally, a back-run must be *contiguous*: each append
-                // lands one past the previous one. A Clear between appends
-                // resets the index to 0, which (by front/back flags alone)
-                // could still look front-compatible; require monotone growth
-                // for back runs so refill phases separate.
-                let contiguous = match acc.last_index() {
-                    // Front inserts always land at 0, so only back runs are
-                    // constrained.
-                    Some(prev) if new_back => idx == prev + 1,
-                    _ => true,
-                };
-                if acc.len == 0 {
-                    if front || back {
-                        let acc = &mut self.accs[2];
-                        acc.front_ok = front;
-                        acc.back_ok = back;
-                        acc.push(e, idx);
-                    }
-                    // Middle inserts never start a run.
-                } else if compatible && contiguous {
-                    let acc = &mut self.accs[2];
-                    acc.front_ok = new_front;
-                    acc.back_ok = new_back;
-                    acc.push(e, idx);
+        if track < 2 {
+            // Read/Write tracks: adjacent monotone indices. `step` is the
+            // direction of the move from the previous index, `Unknown` when
+            // the two are not adjacent.
+            let acc = &self.accs[track];
+            let step = acc.last_index().map(|prev| {
+                if prev.checked_add(1) == Some(idx) {
+                    Dir::Forward
+                } else if prev.checked_sub(1) == Some(idx) {
+                    Dir::Backward
                 } else {
-                    self.emit_track(2, min_len, sink);
-                    if front || back {
-                        let acc = &mut self.accs[2];
-                        acc.front_ok = front;
-                        acc.back_ok = back;
-                        acc.push(e, idx);
-                    }
+                    Dir::Unknown
                 }
-            }
-            _ => {
-                let front = delete_at_front(e);
-                let back = delete_at_back(e);
-                let acc = &self.accs[3];
-                let new_front = acc.front_ok && front;
-                let new_back = acc.back_ok && back;
-                if acc.len == 0 {
-                    if front || back {
-                        let acc = &mut self.accs[3];
-                        acc.front_ok = front;
-                        acc.back_ok = back;
-                        acc.push(e, idx);
-                    }
-                } else if new_front || new_back {
-                    let acc = &mut self.accs[3];
-                    acc.front_ok = new_front;
-                    acc.back_ok = new_back;
-                    acc.push(e, idx);
-                } else {
-                    self.emit_track(3, min_len, sink);
-                    if front || back {
-                        let acc = &mut self.accs[3];
-                        acc.front_ok = front;
-                        acc.back_ok = back;
-                        acc.push(e, idx);
-                    }
+            });
+            match step {
+                None => {}
+                // Runs are disjoint: the breaker starts a fresh run, it does
+                // not chain with the old run's tail.
+                Some(Dir::Unknown) => self.emit_track(track, min_len, sink),
+                Some(dir) if acc.dir == Dir::Unknown || acc.dir == dir => {
+                    self.accs[track].dir = dir;
                 }
+                Some(_) => self.emit_track(track, min_len, sink),
             }
+            self.accs[track].push(e, idx);
+            return;
+        }
+        // Insert/Delete tracks: runs anchored at one end.
+        let (front, back) = (idx == 0, at_back(e.kind, idx, e.len));
+        let acc = &self.accs[track];
+        let mut ends = (acc.front_ok && front, acc.back_ok && back);
+        // A back-insert run must also be *contiguous*: each append lands one
+        // past the previous one. A Clear between appends resets the index to
+        // 0, which (by front/back flags alone) could still look
+        // front-compatible; require monotone growth for back runs so refill
+        // phases separate. Front inserts always land at 0.
+        let contiguous = track == 3
+            || !ends.1
+            || acc
+                .last_index()
+                .is_none_or(|prev| prev.checked_add(1) == Some(idx));
+        if !(ends.0 || ends.1) || !contiguous {
+            self.emit_track(track, min_len, sink);
+            ends = (front, back);
+        }
+        // Middle inserts and deletes never start a run.
+        if ends.0 || ends.1 {
+            let acc = &mut self.accs[track];
+            (acc.front_ok, acc.back_ok) = ends;
+            acc.push(e, idx);
         }
     }
 
@@ -361,7 +306,8 @@ impl ThreadMiner {
 /// per emission.
 #[derive(Clone, Debug, Default)]
 pub struct PatternAggregates {
-    /// Instances per pattern kind, indexed by [`PatternKind::ALL`] position.
+    /// Instances per pattern kind, indexed by discriminant (which is the
+    /// kind's [`PatternKind::ALL`] position).
     counts: [usize; 8],
     /// Longest run per pattern kind (events).
     max_run_len: [usize; 8],
@@ -378,10 +324,7 @@ pub struct PatternAggregates {
 impl PatternAggregates {
     /// Fold one finalized pattern instance.
     pub fn add(&mut self, p: &PatternInstance) {
-        let slot = PatternKind::ALL
-            .iter()
-            .position(|k| *k == p.kind)
-            .expect("PatternKind::ALL covers every kind");
+        let slot = p.kind as usize;
         self.counts[slot] += 1;
         self.max_run_len[slot] = self.max_run_len[slot].max(p.len);
         if p.kind.is_insert() {
@@ -425,16 +368,17 @@ impl PatternAggregates {
 /// Foldable raw-event aggregates: one `fold` call per event maintains every
 /// per-event quantity of [`Metrics`]; [`MetricsFold::finish`] combines them
 /// with [`PatternAggregates`] into the exact batch metrics.
+///
+/// Every per-kind count `Metrics` reports (totals, reads, writes, inserts,
+/// searches, ...) is derived from the `by_kind` histogram at finish time;
+/// per event the fold only bumps the histogram and steps the state
+/// machines that depend on event order or position.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsFold {
-    total_events: usize,
     by_kind: [usize; 11],
-    reads: usize,
-    writes: usize,
     max_struct_len: u32,
     first_seq: Option<u64>,
     last_seq: u64,
-    read_or_search: usize,
     positional: usize,
     front: usize,
     back: usize,
@@ -442,11 +386,6 @@ pub struct MetricsFold {
     insert_back: usize,
     delete_front: usize,
     delete_back: usize,
-    insert_ops: usize,
-    delete_ops: usize,
-    resize_ops: usize,
-    sort_ops: usize,
-    search_ops: usize,
     insert_delete_alternations: usize,
     last_mut_was_insert: Option<bool>,
     // Trailing-unread-writes state machine: Writes since the last event that
@@ -462,54 +401,33 @@ pub struct MetricsFold {
 impl MetricsFold {
     /// Fold one event (events must arrive in profile order).
     pub fn fold(&mut self, e: &AccessEvent) {
-        self.total_events += 1;
         if self.first_seq.is_none() {
             self.first_seq = Some(e.seq);
         }
         self.last_seq = e.seq;
         self.by_kind[e.kind as usize] += 1;
-        match e.class() {
-            AccessClass::Read => self.reads += 1,
-            AccessClass::Write => self.writes += 1,
-        }
         self.max_struct_len = self.max_struct_len.max(e.len);
-        if matches!(e.kind, AccessKind::Read | AccessKind::Search) {
-            self.read_or_search += 1;
-        }
         match e.kind {
             AccessKind::Insert => {
-                self.insert_ops += 1;
                 if self.last_mut_was_insert == Some(false) {
                     self.insert_delete_alternations += 1;
                 }
                 self.last_mut_was_insert = Some(true);
             }
             AccessKind::Delete => {
-                self.delete_ops += 1;
                 if self.last_mut_was_insert == Some(true) {
                     self.insert_delete_alternations += 1;
                 }
                 self.last_mut_was_insert = Some(false);
             }
-            AccessKind::Resize => self.resize_ops += 1,
-            AccessKind::Sort => {
-                self.sort_ops += 1;
-                self.sort_seqs.push(e.seq);
-            }
-            AccessKind::Search => self.search_ops += 1,
+            AccessKind::Sort => self.sort_seqs.push(e.seq),
             _ => {}
         }
         if e.kind.is_positional() {
             if let Some(i) = e.index() {
                 self.positional += 1;
-                // "Front" is index 0. "Back" is the last position, whose
-                // encoding depends on the operation: appends have
-                // i == len - 1, back-deletes have i == len (post-shrink).
                 let at_front = i == 0;
-                let at_back = match e.kind {
-                    AccessKind::Delete => i == e.len,
-                    _ => e.len > 0 && i == e.len - 1,
-                };
+                let at_back = at_back(e.kind, i, e.len);
                 if at_front {
                     self.front += 1;
                 }
@@ -546,30 +464,47 @@ impl MetricsFold {
         }
     }
 
+    /// Events folded so far.
+    fn total_events(&self) -> usize {
+        self.by_kind.iter().sum()
+    }
+
+    /// Events folded so far of one kind.
+    fn count(&self, kind: AccessKind) -> usize {
+        self.by_kind[kind as usize]
+    }
+
     /// Combine the per-event aggregates with the pattern aggregates into
     /// the exact [`Metrics`] the batch pass computes.
     pub fn finish(&self, patterns: &PatternAggregates) -> Metrics {
+        let total_events = self.total_events();
+        let reads = AccessKind::ALL
+            .iter()
+            .filter(|k| k.class() == AccessClass::Read)
+            .map(|&k| self.count(k))
+            .sum();
         let mut m = Metrics {
-            total_events: self.total_events,
+            total_events,
+            by_kind: self.by_kind,
+            reads,
+            writes: total_events - reads,
+            max_struct_len: self.max_struct_len,
             duration_ticks: self
                 .first_seq
                 .map_or(0, |first| self.last_seq.saturating_sub(first)),
+            insert_ops: self.count(AccessKind::Insert),
+            delete_ops: self.count(AccessKind::Delete),
+            resize_ops: self.count(AccessKind::Resize),
+            sort_ops: self.count(AccessKind::Sort),
+            search_ops: self.count(AccessKind::Search),
+            insert_delete_alternations: self.insert_delete_alternations,
+            trailing_unread_writes: self.trailing_unread_writes,
             ..Metrics::default()
         };
-        m.by_kind = self.by_kind;
-        m.reads = self.reads;
-        m.writes = self.writes;
-        m.max_struct_len = self.max_struct_len;
-        m.insert_ops = self.insert_ops;
-        m.delete_ops = self.delete_ops;
-        m.resize_ops = self.resize_ops;
-        m.sort_ops = self.sort_ops;
-        m.search_ops = self.search_ops;
-        m.insert_delete_alternations = self.insert_delete_alternations;
-        m.trailing_unread_writes = self.trailing_unread_writes;
 
-        if m.total_events > 0 {
-            m.read_or_search_share = self.read_or_search as f64 / m.total_events as f64;
+        if total_events > 0 {
+            let read_or_search = self.count(AccessKind::Read) + self.count(AccessKind::Search);
+            m.read_or_search_share = read_or_search as f64 / total_events as f64;
         }
         if self.positional > 0 {
             m.front_share = self.front as f64 / self.positional as f64;
@@ -629,62 +564,38 @@ impl MetricsFold {
     }
 }
 
-/// Foldable thread-interaction facts ([`ThreadProfile`]).
-#[derive(Clone, Debug, Default)]
-pub struct ThreadFold {
-    per_thread: HashMap<ThreadTag, usize>,
-    switches: usize,
-    prev: Option<ThreadTag>,
+/// One thread's share of an [`IncrementalAnalyzer`]: its run state machine
+/// and how many events it has folded.
+#[derive(Clone, Debug)]
+struct ThreadSlot {
+    miner: ThreadMiner,
+    events: usize,
 }
 
-impl ThreadFold {
-    /// Fold one event (events must arrive in profile order).
-    pub fn fold(&mut self, e: &AccessEvent) {
-        *self.per_thread.entry(e.thread).or_default() += 1;
-        if let Some(p) = self.prev {
-            if p != e.thread {
-                self.switches += 1;
-            }
-        }
-        self.prev = Some(e.thread);
-    }
-
-    /// The [`ThreadProfile`] of everything folded so far.
-    pub fn snapshot(&self) -> ThreadProfile {
-        let mut events_per_thread: Vec<(ThreadTag, usize)> =
-            self.per_thread.iter().map(|(t, n)| (*t, *n)).collect();
-        events_per_thread.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let total: usize = events_per_thread.iter().map(|(_, n)| n).sum();
-        let dominant_share = events_per_thread
-            .first()
-            .map(|(_, n)| *n as f64 / total.max(1) as f64)
-            .unwrap_or(0.0);
-        ThreadProfile {
-            thread_count: events_per_thread.len(),
-            events_per_thread,
-            switches: self.switches,
-            dominant_share,
-        }
-    }
-}
-
-/// One instance's complete incremental analysis state: per-thread miners,
-/// finalized patterns (+ aggregates), metric and thread folds.
+/// One instance's complete incremental analysis state: one slot per
+/// thread (its miner and event count), finalized patterns (+ aggregates)
+/// and the metric fold.
 ///
 /// Fold events with [`IncrementalAnalyzer::fold`]; take an exact
 /// [`ProfileAnalysis`] + regularity verdict at any point with
 /// [`IncrementalAnalyzer::snapshot`] — open runs are *virtually* flushed
 /// (on clones of the compact accumulators), as at the end of a profile, so
 /// a snapshot after any prefix equals the analysis of exactly that prefix.
+///
+/// Threads change rarely inside a profile, so the slot in use is cached:
+/// an event of the current thread costs one tag comparison, and only a
+/// thread switch looks the slot up in `slot_of`.
 #[derive(Clone, Debug)]
 pub struct IncrementalAnalyzer {
     min_len: usize,
-    miners: HashMap<ThreadTag, ThreadMiner>,
+    slots: Vec<ThreadSlot>,
+    slot_of: HashMap<ThreadTag, usize>,
+    /// Index into `slots` of the last event's thread (0 while empty).
+    current: usize,
+    switches: usize,
     finalized: Vec<PatternInstance>,
     aggs: PatternAggregates,
     metrics: MetricsFold,
-    threads: ThreadFold,
-    last_seq: Option<u64>,
     out_of_order: u64,
 }
 
@@ -693,12 +604,13 @@ impl IncrementalAnalyzer {
     pub fn new(config: &MinerConfig) -> IncrementalAnalyzer {
         IncrementalAnalyzer {
             min_len: config.min_run_len.max(2),
-            miners: HashMap::new(),
+            slots: Vec::new(),
+            slot_of: HashMap::new(),
+            current: 0,
+            switches: 0,
             finalized: Vec::new(),
             aggs: PatternAggregates::default(),
             metrics: MetricsFold::default(),
-            threads: ThreadFold::default(),
-            last_seq: None,
             out_of_order: 0,
         }
     }
@@ -706,29 +618,46 @@ impl IncrementalAnalyzer {
     /// Fold one event. Events must arrive in profile (sequence) order;
     /// inversions are counted, not repaired.
     pub fn fold(&mut self, e: &AccessEvent) {
-        if let Some(prev) = self.last_seq {
-            if e.seq < prev {
-                self.out_of_order += 1;
-            }
+        if self.metrics.first_seq.is_some() && e.seq < self.metrics.last_seq {
+            self.out_of_order += 1;
         }
-        self.last_seq = Some(e.seq);
         self.metrics.fold(e);
-        self.threads.fold(e);
-        let miner = self
-            .miners
-            .entry(e.thread)
-            .or_insert_with(|| ThreadMiner::new(e.thread));
+        if self
+            .slots
+            .get(self.current)
+            .is_none_or(|slot| slot.miner.thread != e.thread)
+        {
+            self.switch_to(e.thread);
+        }
+        let slot = &mut self.slots[self.current];
+        slot.events += 1;
         let aggs = &mut self.aggs;
         let finalized = &mut self.finalized;
-        miner.push(e, self.min_len, &mut |p| {
+        slot.miner.push(e, self.min_len, &mut |p| {
             aggs.add(&p);
             finalized.push(p);
         });
     }
 
+    /// Make `thread`'s slot current, creating it on first sight; every
+    /// change of thread after the first event counts as a switch.
+    fn switch_to(&mut self, thread: ThreadTag) {
+        if !self.slots.is_empty() {
+            self.switches += 1;
+        }
+        let fresh = self.slots.len();
+        self.current = *self.slot_of.entry(thread).or_insert(fresh);
+        if self.current == fresh {
+            self.slots.push(ThreadSlot {
+                miner: ThreadMiner::new(thread),
+                events: 0,
+            });
+        }
+    }
+
     /// Events folded so far.
     pub fn event_count(&self) -> usize {
-        self.metrics.total_events
+        self.metrics.total_events()
     }
 
     /// Sequence-order inversions observed (0 for any collector-fed stream).
@@ -746,11 +675,10 @@ impl IncrementalAnalyzer {
         let mut patterns = self.finalized.clone();
         let mut aggs = self.aggs.clone();
         // Virtual end-of-stream flush, threads ascending.
-        let mut tags: Vec<ThreadTag> = self.miners.keys().copied().collect();
-        tags.sort_unstable();
-        for tag in tags {
-            let mut miner = self.miners[&tag].clone();
-            miner.flush(self.min_len, &mut |p| {
+        let mut slots: Vec<&ThreadSlot> = self.slots.iter().collect();
+        slots.sort_unstable_by_key(|slot| slot.miner.thread);
+        for slot in slots {
+            slot.miner.clone().flush(self.min_len, &mut |p| {
                 aggs.add(&p);
                 patterns.push(p);
             });
@@ -758,15 +686,35 @@ impl IncrementalAnalyzer {
         patterns.sort_by_key(|p| p.first_seq);
         let verdict = aggs.regularity(regularity);
         let metrics = self.metrics.finish(&aggs);
-        let threads = self.threads.snapshot();
         (
             ProfileAnalysis {
                 patterns,
                 metrics,
-                threads,
+                threads: self.thread_profile(),
             },
             verdict,
         )
+    }
+
+    /// The [`ThreadProfile`] of everything folded so far.
+    fn thread_profile(&self) -> ThreadProfile {
+        let mut events_per_thread: Vec<(ThreadTag, usize)> = self
+            .slots
+            .iter()
+            .map(|slot| (slot.miner.thread, slot.events))
+            .collect();
+        events_per_thread.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let total: usize = events_per_thread.iter().map(|(_, n)| n).sum();
+        let dominant_share = events_per_thread
+            .first()
+            .map(|(_, n)| *n as f64 / total.max(1) as f64)
+            .unwrap_or(0.0);
+        ThreadProfile {
+            thread_count: events_per_thread.len(),
+            events_per_thread,
+            switches: self.switches,
+            dominant_share,
+        }
     }
 }
 
@@ -779,13 +727,29 @@ mod tests {
     /// The reference the fold is checked against: untangle the
     /// events by thread, run each thread's slice through its own
     /// [`ThreadMiner`] and flush it, then order the patterns by start.
-    /// Metrics and thread facts come from their folds over the whole
-    /// stream.
+    /// Metrics come from their fold over the whole stream; thread facts
+    /// from counting each thread's slice and each adjacent pair.
     fn reference(events: &[AccessEvent], config: &MinerConfig) -> ProfileAnalysis {
         let min_len = config.min_run_len.max(2);
         let mut threads: Vec<ThreadTag> = events.iter().map(|e| e.thread).collect();
         threads.sort_unstable();
         threads.dedup();
+        let mut events_per_thread: Vec<(ThreadTag, usize)> = threads
+            .iter()
+            .map(|&t| (t, events.iter().filter(|e| e.thread == t).count()))
+            .collect();
+        events_per_thread.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let thread_profile = ThreadProfile {
+            thread_count: threads.len(),
+            switches: events
+                .windows(2)
+                .filter(|w| w[0].thread != w[1].thread)
+                .count(),
+            dominant_share: events_per_thread
+                .first()
+                .map_or(0.0, |(_, n)| *n as f64 / events.len() as f64),
+            events_per_thread,
+        };
         let mut patterns = Vec::new();
         for thread in threads {
             let mut miner = ThreadMiner::new(thread);
@@ -798,10 +762,8 @@ mod tests {
         patterns.sort_by_key(|p| p.first_seq);
 
         let mut metrics = MetricsFold::default();
-        let mut thread_fold = ThreadFold::default();
         for e in events {
             metrics.fold(e);
-            thread_fold.fold(e);
         }
         let mut aggs = PatternAggregates::default();
         for p in &patterns {
@@ -809,7 +771,7 @@ mod tests {
         }
         ProfileAnalysis {
             metrics: metrics.finish(&aggs),
-            threads: thread_fold.snapshot(),
+            threads: thread_profile,
             patterns,
         }
     }
@@ -950,6 +912,52 @@ mod tests {
             let expected = reference(&events[..=k], &miner_cfg);
             assert_eq!(streamed.patterns, expected.patterns, "prefix len {}", k + 1);
         }
+    }
+
+    /// Reads at `indices` on the main thread, one per tick.
+    fn reads_at(indices: &[u32]) -> Vec<AccessEvent> {
+        indices
+            .iter()
+            .zip(0u64..)
+            .map(|(&i, seq)| ev(seq, AccessKind::Read, i, u32::MAX))
+            .collect()
+    }
+
+    #[test]
+    fn index_at_u32_max_neither_panics_nor_chains_to_zero() {
+        // u32::MAX + 1 must not wrap to 0: the read at the top index ends
+        // its own one-event run, and 0..=7 is a run of its own.
+        let mut indices = vec![u32::MAX];
+        indices.extend(0..8);
+        let mut inc = IncrementalAnalyzer::new(&MinerConfig::default());
+        for e in reads_at(&indices) {
+            inc.fold(&e);
+        }
+        let (a, _) = inc.snapshot(&RegularityConfig::default());
+        assert_eq!(a.patterns.len(), 1, "{:?}", a.patterns);
+        let p = &a.patterns[0];
+        assert_eq!(
+            (p.kind, p.lo, p.hi, p.len),
+            (PatternKind::ReadForward, 0, 7, 8)
+        );
+        // A backward run down from the top index stays exact.
+        assert_converges(reads_at(&[u32::MAX, u32::MAX - 1, u32::MAX - 2, 0]));
+    }
+
+    #[test]
+    fn runs_across_2_pow_31_are_one_run() {
+        let mid = 1u32 << 31;
+        let mut inc = IncrementalAnalyzer::new(&MinerConfig::default());
+        for e in reads_at(&[mid - 2, mid - 1, mid, mid + 1, mid + 2]) {
+            inc.fold(&e);
+        }
+        let (a, _) = inc.snapshot(&RegularityConfig::default());
+        assert_eq!(a.patterns.len(), 1, "{:?}", a.patterns);
+        let p = &a.patterns[0];
+        assert_eq!(
+            (p.kind, p.lo, p.hi, p.len),
+            (PatternKind::ReadForward, mid - 2, mid + 2, 5)
+        );
     }
 
     #[test]

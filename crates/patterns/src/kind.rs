@@ -107,6 +107,15 @@ mod tests {
     }
 
     #[test]
+    fn all_is_in_discriminant_order() {
+        // `PatternAggregates` indexes its per-kind arrays by discriminant
+        // and reports them in `ALL` order.
+        for (i, k) in PatternKind::ALL.into_iter().enumerate() {
+            assert_eq!(k as usize, i, "{k}");
+        }
+    }
+
+    #[test]
     fn short_names_unique() {
         let mut seen = std::collections::HashSet::new();
         for k in PatternKind::ALL {

@@ -31,9 +31,7 @@ pub mod run;
 pub mod threads;
 
 pub use analysis::{analyze, Metrics, ProfileAnalysis};
-pub use incremental::{
-    IncrementalAnalyzer, MetricsFold, PatternAggregates, ThreadFold, ThreadMiner,
-};
+pub use incremental::{IncrementalAnalyzer, MetricsFold, PatternAggregates, ThreadMiner};
 pub use kind::PatternKind;
 pub use phases::{segment_phases, Phase, PhaseKind};
 pub use regularity::{regularity, RegularityConfig, RegularityVerdict};

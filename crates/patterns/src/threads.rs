@@ -9,8 +9,9 @@
 //! "parallelize the insert" for a structure that several threads already
 //! hammer concurrently would be advice the engineer has already taken.
 //!
-//! [`crate::incremental::ThreadFold`] maintains a [`ThreadProfile`] one
-//! event at a time; [`crate::analysis::analyze`] reports it.
+//! [`crate::incremental::IncrementalAnalyzer`] maintains a [`ThreadProfile`]
+//! one event at a time from its per-thread slots, counting a switch each
+//! time the thread changes; [`crate::analysis::analyze`] reports it.
 
 use dsspy_events::ThreadTag;
 use serde::{Deserialize, Serialize};

@@ -111,6 +111,8 @@ impl AdvisoryFold {
         let Some(i) = e.index() else { return };
         if let Some(p) = self.prev {
             self.hops += 1;
+            // Child indices of a node past 2^31 exceed u32: compare in u64.
+            let (i, p) = (u64::from(i), u64::from(p));
             let down = i == 2 * p + 1 || i == 2 * p + 2;
             let up = p > 0 && i == (p - 1) / 2;
             if down || up {
@@ -261,6 +263,30 @@ mod tests {
             &AdvisoryConfig::default(),
         );
         assert!(advs.is_empty(), "{advs:?}");
+    }
+
+    /// Fold reads at `indices` and return (hops, tree hops).
+    fn hops_of(indices: &[u32]) -> (usize, usize) {
+        let mut fold = AdvisoryFold::default();
+        for (seq, &i) in (0u64..).zip(indices) {
+            fold.fold(&AccessEvent::at(seq, AccessKind::Read, i, u32::MAX));
+        }
+        (fold.hops, fold.tree_hops)
+    }
+
+    #[test]
+    fn heap_edges_past_2_pow_31_do_not_wrap() {
+        let mid = 1u32 << 31;
+        // 2 * 2^31 + 1 wraps to 1 in u32; 2 * u32::MAX + 2 wraps to 0.
+        assert_eq!(hops_of(&[mid, 1]), (1, 0));
+        assert_eq!(hops_of(&[mid, 2]), (1, 0));
+        assert_eq!(hops_of(&[u32::MAX, 0]), (1, 0));
+        assert_eq!(hops_of(&[u32::MAX, u32::MAX]), (1, 0));
+        // Real edges at the boundary still count, both ways: the children
+        // of 2^30 - 1 are 2^31 - 1 and 2^31.
+        let parent = (mid >> 1) - 1;
+        assert_eq!(hops_of(&[parent, mid - 1, parent, mid]), (3, 3));
+        assert_eq!(hops_of(&[u32::MAX, u32::MAX / 2]), (1, 1));
     }
 
     #[test]
