@@ -6,12 +6,21 @@
 //! * collector channel mode — unbounded (paper's design) vs bounded;
 //! * thread interleaving in the analysis fold — the fold caches the current
 //!   thread's slot, so its cost should not depend on how often the thread
-//!   changes.
+//!   changes;
+//! * chunked folds and their merge — analysis folds `CHUNK_EVENTS`-event
+//!   units apart and merges them; a merge replays a track only while the
+//!   track's state still depends on the events before the unit, so the
+//!   worst case (a read track that never re-syncs) costs at most one more
+//!   pass of the miner over the unit.
+
+use std::borrow::Cow;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dsspy_collect::{Session, SessionConfig};
 use dsspy_collections::{site, SpyVec};
-use dsspy_events::ThreadTag;
+use dsspy_core::{AnalysisConfig, InstanceFold};
+use dsspy_events::encode::CHUNK_EVENTS;
+use dsspy_events::{AccessEvent, AccessKind, ThreadTag};
 use dsspy_patterns::{analyze, IncrementalAnalyzer, MinerConfig};
 use dsspy_usecases::{classify, Thresholds};
 use dsspy_workloads::traces::TraceBuilder;
@@ -128,11 +137,104 @@ fn bench_fold_threads(c: &mut Criterion) {
     group.finish();
 }
 
+/// Fold `events` straight through one [`InstanceFold`].
+fn straight_fold(events: &[AccessEvent], config: &AnalysisConfig) -> InstanceFold {
+    let mut fold = InstanceFold::new(config);
+    for e in events {
+        fold.fold(e);
+    }
+    fold
+}
+
+/// Fold `events` the way analysis does: `CHUNK_EVENTS`-event units folded
+/// on `threads` workers, then merged left to right. Returns the fold and
+/// the events the merges replayed.
+fn chunked_fold(
+    events: &[AccessEvent],
+    config: &AnalysisConfig,
+    threads: usize,
+) -> (InstanceFold, usize) {
+    let units: Vec<&[AccessEvent]> = events.chunks(CHUNK_EVENTS).collect();
+    let folds = dsspy_parallel::par_map_weighted(
+        &units,
+        threads,
+        |unit| unit.len(),
+        || (),
+        |_, unit| straight_fold(unit, config),
+    );
+    let mut folds = folds.into_iter().zip(&units);
+    let (mut fold, _) = folds.next().expect("at least one unit");
+    let mut replayed = 0;
+    for (next, unit) in folds {
+        replayed += fold.merge(next, || Cow::Borrowed(*unit));
+    }
+    (fold, replayed)
+}
+
+fn bench_merge(c: &mut Criterion) {
+    let n = 4 * CHUNK_EVENTS + 1;
+    let read = |k: usize, index: u32, thread: u32| AccessEvent {
+        thread: ThreadTag(thread),
+        ..AccessEvent::at(k as u64, AccessKind::Read, index, 1 << 20)
+    };
+    let streams: [(&str, Vec<AccessEvent>); 3] = [
+        // The common case: one long forward scan across every boundary.
+        ("scan", (0..n).map(|k| read(k, k as u32, 0)).collect()),
+        // 9, 4, 5, 4, 5, ...: read pairs whose cut depends on where the
+        // stream started. Every unit boundary falls inside a pair, so no
+        // track ever re-syncs and every merge replays its whole unit.
+        (
+            "never_syncing",
+            (0..n)
+                .map(|k| read(k, if k == 0 { 9 } else { 4 + (k % 2 == 0) as u32 }, 0))
+                .collect(),
+        ),
+        // A thread switch on every event, eight threads round robin, each
+        // scanning its own range.
+        (
+            "switch_every_event",
+            (0..n)
+                .map(|k| read(k, (k / 8) as u32, (k % 8) as u32))
+                .collect(),
+        ),
+    ];
+    let config = AnalysisConfig::default();
+    let mut group = c.benchmark_group("ablation/merge");
+    group.throughput(Throughput::Elements(n as u64));
+    for (name, events) in &streams {
+        let report = |fold: &InstanceFold| {
+            let info =
+                dsspy_workloads::traces::synth_instance("merge", 0, dsspy_events::DsKind::List);
+            format!("{:?}", fold.report(&info, &config))
+        };
+        let want = report(&straight_fold(events, &config));
+        for threads in [1, 2] {
+            assert_eq!(
+                report(&chunked_fold(events, &config, threads).0),
+                want,
+                "{name}"
+            );
+        }
+        group.bench_with_input(BenchmarkId::new("straight", name), events, |b, events| {
+            b.iter(|| straight_fold(events, &config).out_of_order())
+        });
+        for threads in [1, 2] {
+            group.bench_with_input(
+                BenchmarkId::new(format!("chunked_w{threads}"), name),
+                events,
+                |b, events| b.iter(|| chunked_fold(events, &config, threads).1),
+            );
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_min_run_len,
     bench_threshold_settings,
     bench_channel_mode,
-    bench_fold_threads
+    bench_fold_threads,
+    bench_merge
 );
 criterion_main!(benches);

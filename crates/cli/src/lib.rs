@@ -35,9 +35,12 @@
 //! capture in real time and rendering a fresh, validated snapshot per
 //! scrape, in which the per-batch `collector.*` counters show its pulse.
 //!
-//! `--threads` controls the analysis fan-out of the commands that run the
-//! full pipeline (`0` = one worker per core, `1` = sequential); the output
-//! is identical for every value.
+//! `--threads` sets the workers that decode and fold the capture's chunks
+//! in the commands that run the full pipeline (`0` = one worker per core,
+//! `1` = the calling thread); the output is identical for every value.
+//! `analyze`, `telemetry`, `diff`, `csv` and `sketch` analyze the file's
+//! encoded chunks directly and never build the profiles; `report`, `chart`,
+//! `timeline` and `watch` draw or replay the events, so they load them.
 //!
 //! `--flight-recorder PATH` arms a [`dsspy_telemetry::FlightRecorder`]
 //! inside the live-session commands' telemetry handle
@@ -60,14 +63,16 @@
 //! spawning processes; the binary is a thin argv switch.
 
 use dsspy_collect::{
-    load_capture, load_capture_with, save_capture_with, Capture, CollectorStats, CollectorTap,
-    PersistError, ReadOptions, Session, SessionConfig,
+    load_capture, load_capture_with, load_encoded_with, save_capture_with, Capture, CollectorStats,
+    CollectorTap, PersistError, ReadOptions, Session, SessionConfig,
 };
 use dsspy_core::{diff_reports, instances_csv, sketches, use_cases_csv, Dsspy, Report};
 use dsspy_events::{AccessEvent, InstanceId, Origin};
 use dsspy_patterns::{analyze, segment_phases, MinerConfig};
 use dsspy_stream::{SnapshotPolicy, StreamConfig, StreamingAnalyzer};
-use dsspy_telemetry::{export, FlightDump, OverheadReport, Telemetry, TraceContext};
+use dsspy_telemetry::{
+    export, FlightDump, OverheadReport, Telemetry, TelemetrySnapshot, TraceContext,
+};
 use dsspy_viz::html_report;
 use dsspy_viz::{
     flight_incidents_text, flight_lag_text, flight_timeline_text, profile_chart_svg,
@@ -132,42 +137,29 @@ impl From<std::io::Error> for CliError {
     }
 }
 
-/// Load `path` and run the full pipeline, observed or not. When observed,
-/// the returned report embeds the [`dsspy_telemetry::TelemetrySnapshot`]
-/// covering the parallel chunk decode and the analysis fan-out — and, when
-/// the capture was recorded by an observed session, the collection-time
-/// signals (collector histograms, queue pressure) merged back in, with the
-/// overhead figure re-accounted over the combined view.
-fn analyze_capture_file(
-    path: &Path,
-    selective: bool,
-    threads: usize,
-    telemetry: &Telemetry,
-) -> Result<(dsspy_collect::Capture, Report), CliError> {
-    let opts = ReadOptions {
-        threads,
-        telemetry: telemetry.clone(),
-    };
-    let capture = load_capture_with(path, &opts)?;
-    let dsspy = if selective {
-        Dsspy::new().selective()
-    } else {
-        Dsspy::new()
-    };
-    let mut report = dsspy
-        .with_threads(threads)
-        .analyze_capture_with(&capture, telemetry);
-    // The CLI's telemetry handle is always freshly created per command, so
-    // merging the stored collection-time snapshot cannot double-count.
-    if let (Some(snapshot), Some(stored)) = (
-        report.telemetry.as_mut(),
-        capture.collection_telemetry.as_ref(),
-    ) {
+/// Analyze the capture at `path` straight from its encoded bodies
+/// ([`Dsspy::analyze_encoded_with`]: each chunk is decoded on a worker and
+/// folded there, and no profile is built), observed or not. When observed,
+/// the report embeds the [`TelemetrySnapshot`] covering the file read, the
+/// chunk decode and the analysis — and, when the capture was recorded by
+/// an observed session, the collection-time signals merged back in.
+fn analyze_file(path: &Path, dsspy: Dsspy, telemetry: &Telemetry) -> Result<Report, CliError> {
+    let encoded = load_encoded_with(path, telemetry)?;
+    let mut report = dsspy.analyze_encoded_with(&encoded, telemetry)?;
+    merge_collection_telemetry(&mut report, encoded.collection_telemetry.as_ref());
+    Ok(report)
+}
+
+/// Merge the collection-time snapshot a capture carries into the report's
+/// snapshot, re-accounting the overhead over the combined view. The CLI's
+/// telemetry handle is always freshly created per command, so the merge
+/// cannot double-count.
+fn merge_collection_telemetry(report: &mut Report, stored: Option<&TelemetrySnapshot>) {
+    if let (Some(snapshot), Some(stored)) = (report.telemetry.as_mut(), stored) {
         snapshot.merge(stored);
-        let overhead = OverheadReport::account(snapshot, capture.session_nanos);
+        let overhead = OverheadReport::account(snapshot, report.session_nanos);
         snapshot.overhead = Some(overhead);
     }
-    Ok((capture, report))
 }
 
 /// Write the snapshot a report carries to `out` as JSON.
@@ -194,7 +186,12 @@ pub fn cmd_analyze(
     } else {
         Telemetry::disabled()
     };
-    let (_, report) = analyze_capture_file(path, selective, threads, &telemetry)?;
+    let dsspy = if selective {
+        Dsspy::new().selective()
+    } else {
+        Dsspy::new()
+    };
+    let report = analyze_file(path, dsspy.with_threads(threads), &telemetry)?;
     if let Some(out) = telemetry_out {
         write_snapshot(&report, out)?;
     }
@@ -248,8 +245,8 @@ pub fn cmd_timeline(
 /// `dsspy diff`: compare the verdicts of two captures.
 pub fn cmd_diff(before: &Path, after: &Path, threads: usize) -> Result<String, CliError> {
     let dsspy = Dsspy::new().with_threads(threads);
-    let before_report = dsspy.analyze_capture(&load_capture(before)?);
-    let after_report = dsspy.analyze_capture(&load_capture(after)?);
+    let before_report = analyze_file(before, dsspy, &Telemetry::disabled())?;
+    let after_report = analyze_file(after, dsspy, &Telemetry::disabled())?;
     let diff = diff_reports(&before_report, &after_report);
     let mut out = diff.summary();
     out.push('\n');
@@ -289,8 +286,7 @@ impl std::str::FromStr for CsvKind {
 
 /// `dsspy csv`: machine-readable exports (instances + use cases).
 pub fn cmd_csv(path: &Path, what: CsvKind) -> Result<String, CliError> {
-    let capture = load_capture(path)?;
-    let report = Dsspy::new().analyze_capture(&capture);
+    let report = analyze_file(path, Dsspy::new(), &Telemetry::disabled())?;
     Ok(match what {
         CsvKind::Instances => instances_csv(&report),
         CsvKind::UseCases => use_cases_csv(&report),
@@ -310,7 +306,16 @@ pub fn cmd_report(
     } else {
         Telemetry::disabled()
     };
-    let (capture, report) = analyze_capture_file(path, false, threads, &telemetry)?;
+    // The HTML report draws every profile, so it loads them.
+    let opts = ReadOptions {
+        threads,
+        telemetry: telemetry.clone(),
+    };
+    let capture = load_capture_with(path, &opts)?;
+    let mut report = Dsspy::new()
+        .with_threads(threads)
+        .analyze_capture_with(&capture, &telemetry);
+    merge_collection_telemetry(&mut report, capture.collection_telemetry.as_ref());
     if let Some(tout) = telemetry_out {
         write_snapshot(&report, tout)?;
     }
@@ -363,7 +368,7 @@ pub fn cmd_telemetry(
     check: bool,
 ) -> Result<String, CliError> {
     let telemetry = Telemetry::enabled();
-    let (_, report) = analyze_capture_file(path, false, threads, &telemetry)?;
+    let report = analyze_file(path, Dsspy::new().with_threads(threads), &telemetry)?;
     let snapshot = report
         .telemetry
         .as_ref()
@@ -1115,8 +1120,7 @@ pub fn validate_prometheus(text: &str) -> Result<(), String> {
 
 /// `dsspy sketch`: transformation sketches for every detection.
 pub fn cmd_sketch(path: &Path) -> Result<String, CliError> {
-    let capture = load_capture(path)?;
-    let report = Dsspy::new().analyze_capture(&capture);
+    let report = analyze_file(path, Dsspy::new(), &Telemetry::disabled())?;
     let sketches = sketches(&report);
     if sketches.is_empty() {
         return Ok("No use cases detected — nothing to transform.\n".into());
@@ -1241,6 +1245,24 @@ mod tests {
         assert!(msg.contains("bytes"));
         let html = std::fs::read_to_string(&out).unwrap();
         assert!(html.contains("Long-Insert"));
+    }
+
+    #[test]
+    fn a_flipped_row_byte_fails_analysis_naming_instance_and_checksum() {
+        let path = temp_capture(true, "flipped.dsspycap");
+        let mut bytes = std::fs::read(&path).unwrap();
+        // The last body (the manual list's one event) takes 24 bytes, so 40
+        // bytes from the end lie in the hot list's rows.
+        let at = bytes.len() - 40;
+        bytes[at] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = cmd_analyze(&path, true, false, 2, None).unwrap_err();
+        let msg = err.to_string();
+        assert!(matches!(err, CliError::Capture(_)), "{msg}");
+        assert!(
+            msg.contains("instance ds#") && msg.contains("checksum"),
+            "{msg}"
+        );
     }
 
     #[test]

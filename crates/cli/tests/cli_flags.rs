@@ -122,3 +122,26 @@ fn a_failed_save_is_reported_as_a_write_failure() {
     assert!(stderr.contains("cannot write capture"), "{stderr}");
     assert!(!stderr.contains("cannot read capture"), "{stderr}");
 }
+
+#[test]
+fn diff_output_does_not_depend_on_threads() {
+    let dir = std::env::temp_dir().join(format!("dsspy-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let before = dir.join("diff-before.dsspycap");
+    let after = dir.join("diff-after.dsspycap");
+    cmd_demo(&before, Some("WordWheelSolver"), false, None, false).expect("demo capture");
+    cmd_demo(&after, Some("Mandelbrot"), false, None, false).expect("demo capture");
+    let (before, after) = (before.to_str().unwrap(), after.to_str().unwrap());
+    let run = |threads: &str| {
+        let out = dsspy(&["diff", before, after, "--threads", threads]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    let one = run("1");
+    assert!(!one.is_empty());
+    assert_eq!(one, run("2"), "diff --threads 1 and 2 differ");
+}

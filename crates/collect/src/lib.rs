@@ -48,8 +48,9 @@ pub use clock::SessionClock;
 pub use collector::{Capture, CollectorStats, CollectorTap};
 pub use fanout::{CaptureRecorder, TapFanout};
 pub use persist::{
-    load_capture, load_capture_with, read_capture, read_capture_with, save_capture,
-    save_capture_with, write_capture, write_capture_with, PersistError, ReadOptions,
+    load_capture, load_capture_with, load_encoded_with, read_capture, read_capture_with,
+    read_encoded_with, save_capture, save_capture_with, write_capture, write_capture_with,
+    EncodedCapture, PersistError, ReadOptions,
 };
 pub use recorder::Recorder;
 pub use registry::Registry;

@@ -8,7 +8,7 @@
 //! Format (version-tagged):
 //!
 //! ```text
-//! magic   := "DSSPYCAP" version:u32(=3)
+//! magic   := "DSSPYCAP" version:u32(=4)
 //! header  := json(CaptureHeader), u64-LE length-prefixed
 //! bodies  := per instance, in header order:
 //!            u64-LE byte length, then chunk* (dsspy_events::encode)
@@ -17,11 +17,15 @@
 //! The header (instances, stats, session duration, per-instance event
 //! counts, collection telemetry) is JSON for debuggability; the event
 //! bodies use the delta-varint chunk codec of [`dsspy_events::encode`]
-//! because they dominate the size (about 4 bytes per event). This module
-//! owns the container: magic, version, header, body order, error mapping
-//! and telemetry. Files of any other version — including version 2, whose
-//! bodies were fixed-width — are rejected with [`PersistError::BadVersion`]
-//! and must be re-recorded.
+//! because they dominate the size (about 4 bytes per event), each chunk
+//! guarded by a checksum of its rows. This module owns the container:
+//! magic, version, header, body order, error mapping and telemetry.
+//! [`read_encoded_with`] reads a file into an [`EncodedCapture`] whose
+//! bodies are still encoded; [`read_capture_with`] decodes those into
+//! profiles, and analysis can instead decode them chunk by chunk. Files of
+//! any other version — including version 3, whose chunks carried no
+//! checksum — are rejected with [`PersistError::BadVersion`] and must be
+//! re-recorded.
 
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -34,7 +38,10 @@ use serde::{Deserialize, Serialize};
 use crate::collector::{Capture, CollectorStats};
 
 const MAGIC: &[u8; 8] = b"DSSPYCAP";
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
+
+/// Most bytes reserved for one body before any of it is read (64 MiB).
+const MAX_BODY_RESERVE: u64 = 1 << 26;
 
 /// JSON header of a persisted capture.
 #[derive(Serialize, Deserialize)]
@@ -177,19 +184,54 @@ impl Default for ReadOptions {
     }
 }
 
-/// Deserialize a capture from a reader (sequential, unobserved).
-pub fn read_capture(r: impl Read) -> Result<Capture, PersistError> {
-    read_capture_with(r, &ReadOptions::default())
+/// A capture read into memory with its event bodies still encoded.
+///
+/// [`read_capture_with`] decodes the bodies into [`RuntimeProfile`]s;
+/// analysis can instead decode one chunk at a time with
+/// [`EncodedCapture::bodies`] and never build the profiles.
+pub struct EncodedCapture {
+    /// The registered instances, in header order.
+    pub instances: Vec<InstanceInfo>,
+    /// Collector statistics of the recording session.
+    pub stats: CollectorStats,
+    /// Wall-clock duration of the recording session, nanoseconds.
+    pub session_nanos: u64,
+    /// Collection-time telemetry of an observed recording session.
+    pub collection_telemetry: Option<TelemetrySnapshot>,
+    event_counts: Vec<u64>,
+    bodies: Vec<Vec<u8>>,
 }
 
-/// Deserialize a capture from a reader, optionally decoding event bodies in
-/// parallel and reporting into telemetry.
-///
-/// I/O stays sequential (the format is a stream of length-prefixed bodies),
-/// but chunk decode — the CPU-bound part — fans out over `opts.threads`.
-/// Profiles come back in header order regardless of thread count.
-pub fn read_capture_with(mut r: impl Read, opts: &ReadOptions) -> Result<Capture, PersistError> {
-    let telemetry = &opts.telemetry;
+impl EncodedCapture {
+    /// Every body with its chunk framing validated against its instance's
+    /// header event count, in header order. Rows are decoded later, chunk
+    /// by chunk.
+    pub fn bodies(&self) -> Result<Vec<Body<'_>>, PersistError> {
+        self.bodies
+            .iter()
+            .zip(&self.event_counts)
+            .enumerate()
+            .map(|(i, (body, &expect))| {
+                Body::parse(body, expect).map_err(|e| self.body_error(i, e))
+            })
+            .collect()
+    }
+
+    /// The error for body `body` failing to decode: names the instance.
+    pub fn body_error(&self, body: usize, error: DecodeError) -> PersistError {
+        PersistError::BadBody(format!("instance {}: {error}", self.instances[body].id))
+    }
+}
+
+/// Read a capture's header and encoded bodies from a reader, decoding no
+/// event. With an enabled `telemetry`, the bytes read count into
+/// `persist.decode_bytes` and the time into the `persist.decode_nanos`
+/// signal; whoever decodes the bodies adds `persist.bodies_decoded` and the
+/// decode time.
+pub fn read_encoded_with(
+    mut r: impl Read,
+    telemetry: &Telemetry,
+) -> Result<EncodedCapture, PersistError> {
     let start_nanos = telemetry.now_nanos();
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
@@ -230,13 +272,15 @@ pub fn read_capture_with(mut r: impl Read, opts: &ReadOptions) -> Result<Capture
         )));
     }
 
-    // Pass 1 (sequential): pull every length-prefixed body off the stream.
+    // The format is a stream of length-prefixed bodies: pull each one off.
     let mut total_bytes = 8 + 4 + 8 + header_len as u64;
-    let mut raw = Vec::with_capacity(header.instances.len());
+    let mut bodies = Vec::with_capacity(header.instances.len());
     for _ in &header.instances {
         r.read_exact(&mut len8)?;
         let body_len = u64::from_le_bytes(len8);
-        let mut body = Vec::new();
+        // Sized up front (reading into a growing vector copies it at every
+        // doubling), but capped, so a corrupt length cannot reserve more.
+        let mut body = Vec::with_capacity(body_len.min(MAX_BODY_RESERVE) as usize);
         r.by_ref().take(body_len).read_to_end(&mut body)?;
         if body.len() as u64 != body_len {
             return Err(PersistError::Io(io::Error::new(
@@ -245,44 +289,84 @@ pub fn read_capture_with(mut r: impl Read, opts: &ReadOptions) -> Result<Capture
             )));
         }
         total_bytes += 8 + body_len;
-        raw.push(body);
+        bodies.push(body);
     }
+    if telemetry.is_enabled() {
+        telemetry.counter("persist.decode_bytes").add(total_bytes);
+        telemetry
+            .counter(signals::PERSIST_DECODE)
+            .add(telemetry.now_nanos().saturating_sub(start_nanos));
+    }
+    Ok(EncodedCapture {
+        instances: header.instances,
+        stats: header.stats,
+        session_nanos: header.session_nanos,
+        collection_telemetry: header.telemetry,
+        event_counts: header.event_counts,
+        bodies,
+    })
+}
 
-    // Pass 2: validate every body's chunk framing against its header event
-    // count, then decode all chunks of all bodies on `threads` workers.
-    let bad_body = |i: usize, e: DecodeError| {
-        PersistError::BadBody(format!("instance {}: {e}", header.instances[i].id))
-    };
-    let bodies = raw
-        .iter()
-        .zip(&header.event_counts)
-        .enumerate()
-        .map(|(i, (body, &expect))| Body::parse(body, expect).map_err(|e| bad_body(i, e)))
-        .collect::<Result<Vec<_>, _>>()?;
+/// Load a capture file without decoding its bodies (see
+/// [`read_encoded_with`]).
+pub fn load_encoded_with(
+    path: impl AsRef<Path>,
+    telemetry: &Telemetry,
+) -> Result<EncodedCapture, PersistError> {
+    let file = std::fs::File::open(path)?;
+    read_encoded_with(io::BufReader::new(file), telemetry)
+}
+
+/// Deserialize a capture from a reader (sequential, unobserved).
+pub fn read_capture(r: impl Read) -> Result<Capture, PersistError> {
+    read_capture_with(r, &ReadOptions::default())
+}
+
+/// Deserialize a capture from a reader, optionally decoding event bodies in
+/// parallel and reporting into telemetry.
+///
+/// I/O stays sequential (the format is a stream of length-prefixed bodies),
+/// but chunk decode — the CPU-bound part — fans out over `opts.threads`.
+/// Profiles come back in header order regardless of thread count.
+pub fn read_capture_with(r: impl Read, opts: &ReadOptions) -> Result<Capture, PersistError> {
+    let telemetry = &opts.telemetry;
+    let encoded = read_encoded_with(r, telemetry)?;
+    let start_nanos = telemetry.now_nanos();
+    // Validate every body's chunk framing against its header event count,
+    // then decode all chunks of all bodies on `threads` workers.
+    let bodies = encoded.bodies()?;
     let threads = if opts.threads == 0 {
         dsspy_parallel::default_threads()
     } else {
         opts.threads
     };
-    let events = decode_bodies(&bodies, threads).map_err(|e| bad_body(e.body, e.error))?;
-    let profiles: Vec<RuntimeProfile> = header
-        .instances
-        .into_iter()
-        .zip(events)
-        .map(|(info, events)| RuntimeProfile::new(info, events))
-        .collect();
-
+    let decoded =
+        decode_bodies(&bodies, threads).map_err(|e| encoded.body_error(e.body, e.error))?;
+    drop(bodies);
     if telemetry.is_enabled() {
-        telemetry.counter("persist.decode_bytes").add(total_bytes);
         telemetry
             .counter("persist.bodies_decoded")
-            .add(profiles.len() as u64);
+            .add(decoded.len() as u64);
         telemetry
             .counter(signals::PERSIST_DECODE)
             .add(telemetry.now_nanos().saturating_sub(start_nanos));
     }
-    let mut capture = Capture::new(profiles, header.stats, header.session_nanos);
-    capture.collection_telemetry = header.telemetry;
+    // The decoder checked the order on its workers: only a body found out
+    // of order goes through the sorting constructor.
+    let profiles: Vec<RuntimeProfile> = encoded
+        .instances
+        .into_iter()
+        .zip(decoded)
+        .map(|(instance, body)| match body.in_order {
+            true => RuntimeProfile {
+                instance,
+                events: body.events,
+            },
+            false => RuntimeProfile::new(instance, body.events),
+        })
+        .collect();
+    let mut capture = Capture::new(profiles, encoded.stats, encoded.session_nanos);
+    capture.collection_telemetry = encoded.collection_telemetry;
     Ok(capture)
 }
 
@@ -369,13 +453,13 @@ mod tests {
     }
 
     #[test]
-    fn rejects_version_2_and_asks_for_a_rerecording() {
+    fn rejects_version_3_and_asks_for_a_rerecording() {
         let capture = sample_capture();
         let mut buf = Vec::new();
         write_capture(&capture, &mut buf).unwrap();
-        buf[8..12].copy_from_slice(&2u32.to_le_bytes());
+        buf[8..12].copy_from_slice(&3u32.to_le_bytes());
         let err = read_capture(buf.as_slice()).unwrap_err();
-        assert!(matches!(err, PersistError::BadVersion(2)));
+        assert!(matches!(err, PersistError::BadVersion(3)));
         assert!(err.to_string().contains("re-record"), "{err}");
     }
 
@@ -426,6 +510,30 @@ mod tests {
                 .contains("expected 499 events, chunks hold 500"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn a_flipped_row_byte_names_the_instance_and_the_checksum() {
+        let capture = sample_capture();
+        let mut buf = Vec::new();
+        write_capture(&capture, &mut buf).unwrap();
+        // The last body is empty; the first one's rows end 8 bytes before
+        // it: flip a byte well inside them.
+        let at = buf.len() - 8 - 100;
+        buf[at] ^= 0x10;
+        for threads in [1, 2] {
+            let opts = ReadOptions {
+                threads,
+                ..ReadOptions::default()
+            };
+            let err = read_capture_with(buf.as_slice(), &opts).unwrap_err();
+            assert!(matches!(err, PersistError::BadBody(_)), "{err}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains("instance ds#0") && msg.contains("checksum"),
+                "{msg}"
+            );
+        }
     }
 
     #[cfg(target_os = "linux")]

@@ -3,10 +3,19 @@
 //! Post-mortem and streaming analysis run the same code: every event of an
 //! instance is folded once into an [`InstanceFold`], and
 //! [`InstanceFold::report`] turns the fold into that instance's
-//! [`InstanceReport`]. [`crate::Dsspy::analyze_capture`] feeds each saved
-//! profile through a fresh fold; the streaming analyzer keeps one fold per
-//! live instance and reports from it at every snapshot. The two reports are
-//! therefore equal by construction.
+//! [`InstanceReport`]. The streaming analyzer keeps one fold per live
+//! instance, folds every event into it in order and reports from it at
+//! every snapshot. [`crate::Dsspy::analyze_capture`] cuts each saved
+//! profile into chunks, folds each chunk into a fresh fold on some worker
+//! and merges the chunk folds left to right with [`InstanceFold::merge`].
+//!
+//! The merge law makes the two agree: merging the fold of `a` with the
+//! fold of `b` gives the fold of `a ++ b`, for any split point (see
+//! [`dsspy_patterns::incremental`] for how the state carried across a split
+//! is settled). So a report does not depend on where the events were cut,
+//! nor on how many workers folded them.
+
+use std::borrow::Cow;
 
 use dsspy_events::{AccessEvent, InstanceInfo};
 use dsspy_patterns::IncrementalAnalyzer;
@@ -37,6 +46,21 @@ impl InstanceFold {
     pub fn fold(&mut self, e: &AccessEvent) {
         self.analyzer.fold(e);
         self.advisory.fold(e);
+    }
+
+    /// Merge `right`, the fold of the events that directly follow this
+    /// fold's, into `self`: afterwards `self` is the fold of both runs of
+    /// events in order. `right_events` yields the events `right` folded;
+    /// it is called only when some run must be replayed (see
+    /// [`IncrementalAnalyzer::merge`]). Returns the number of events
+    /// replayed.
+    pub fn merge<'e>(
+        &mut self,
+        right: InstanceFold,
+        right_events: impl FnOnce() -> Cow<'e, [AccessEvent]>,
+    ) -> usize {
+        self.advisory.merge(&right.advisory);
+        self.analyzer.merge(right.analyzer, right_events)
     }
 
     /// Sequence-order inversions seen so far (0 for any collector-fed

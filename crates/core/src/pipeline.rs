@@ -1,24 +1,44 @@
 //! The analysis pipeline: capture → patterns → use cases → report.
 //!
-//! Each instance's analysis (fold every event once into an
-//! [`InstanceFold`], then snapshot → regularity gate → classify →
-//! advisories) is independent of every other instance's, so the pipeline
-//! dogfoods its own substrate: [`Dsspy::analyze_capture`] fans the
-//! per-instance work out over [`dsspy_parallel::par_map`], which preserves
-//! registration order — the resulting [`Report`] is byte-for-byte identical
-//! no matter how many worker threads ran it.
+//! Analysis is chunk-parallel. Every analyzed instance's events are cut
+//! into *units* of at most [`CHUNK_EVENTS`] consecutive events (the capture
+//! codec's chunk, so a unit is exactly one chunk of the instance's body on
+//! disk). The units of all instances, in order, are split into
+//! [`AnalysisConfig::resolved_threads`] contiguous runs of near-equal event
+//! count ([`dsspy_parallel::par_map_weighted`], the way capture decode
+//! splits chunks), and each worker folds each of its units into a fresh
+//! [`InstanceFold`]. Each instance's unit folds are then merged left to
+//! right ([`InstanceFold::merge`]) and reported (snapshot → regularity gate
+//! → classify → advisories). One instance that holds most of the events is
+//! thus spread over every core, where a per-instance fan-out would leave
+//! all but one idle.
+//!
+//! The units and the merge order are the same at every width, including 1,
+//! so the [`Report`] is byte-for-byte identical no matter how many workers
+//! ran it; the merge law (the merged fold of `a` and `b` is the fold of
+//! `a ++ b`) makes it equal to one straight fold of each instance, which is
+//! what the streaming analyzer computes.
+//!
+//! [`Dsspy::analyze_capture`] cuts loaded profiles;
+//! [`Dsspy::analyze_encoded_with`] works on a capture file's encoded bodies and
+//! decodes each chunk into a worker-local buffer right before folding it,
+//! so no profile is ever built.
 
+use std::borrow::Cow;
 use std::time::Instant;
 
-use dsspy_collect::{Capture, Session, SessionConfig};
-use dsspy_events::{InstanceInfo, Origin, RuntimeProfile};
+use dsspy_collect::{
+    Capture, CollectorStats, EncodedCapture, PersistError, Session, SessionConfig,
+};
+use dsspy_events::encode::{Chunk, CHUNK_EVENTS};
+use dsspy_events::{AccessEvent, InstanceInfo, Origin};
 use dsspy_patterns::{MinerConfig, RegularityConfig};
 use dsspy_telemetry::{overhead::signals, OverheadReport, Telemetry};
 use dsspy_usecases::{AdvisoryConfig, Thresholds};
 use serde::{Deserialize, Serialize};
 
 use crate::fold::InstanceFold;
-use crate::report::{AnalysisTimings, InstanceReport, InstanceTiming, Report};
+use crate::report::{AnalysisTimings, InstanceTiming, Report};
 
 /// Configuration of the post-mortem analysis phases.
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
@@ -36,9 +56,9 @@ pub struct AnalysisConfig {
     /// Misuse-advisory tunables (§II-A structural findings).
     #[serde(default = "AdvisoryConfig::default")]
     pub advisories: AdvisoryConfig,
-    /// Worker threads for the per-instance analysis fan-out: `0` (the
-    /// default) resolves to [`dsspy_parallel::default_threads`]; `1` runs
-    /// the plain sequential loop on the calling thread.
+    /// Worker threads that fold the analysis units: `0` (the default)
+    /// resolves to [`dsspy_parallel::default_threads`]; `1` folds every
+    /// unit on the calling thread.
     #[serde(default)]
     pub threads: usize,
 }
@@ -126,111 +146,284 @@ impl Dsspy {
     /// Post-mortem analysis of an existing capture (e.g. one loaded from
     /// disk or produced by a long-running session managed by the caller).
     ///
-    /// Instances are analyzed independently on
-    /// [`AnalysisConfig::resolved_threads`] workers; results are
-    /// reassembled in registration order, so the report does not depend on
-    /// the thread count.
+    /// Each instance's events are folded in chunks on
+    /// [`AnalysisConfig::resolved_threads`] workers and the chunk folds
+    /// merged in order (see the module docs), so the report does not depend
+    /// on the thread count.
     pub fn analyze_capture(&self, capture: &Capture) -> Report {
         self.analyze_capture_with(capture, &Telemetry::disabled())
     }
 
     /// [`Dsspy::analyze_capture`] under observation.
     ///
-    /// Each instance's fold and report phases are recorded as
-    /// `mine#i` / `classify#i` spans (category `analysis`, attributed to the
-    /// worker thread that ran them — worker utilization and load imbalance
-    /// of the fan-out fall out of those), the whole pass as an
-    /// `analyze_capture` span (category `pipeline`). The report embeds the
-    /// snapshot, with [`OverheadReport::account`] run against the capture's
-    /// session duration. With a disabled handle this is exactly
+    /// Each unit's fold is recorded as a `mine#i` span (category
+    /// `analysis`, `i` the instance's index in the report, attributed to the
+    /// worker thread that folded it — worker utilization and load balance
+    /// fall out of those); an instance of more than one unit adds one more
+    /// `mine#i` span for merging its unit folds, and its report step is a
+    /// `classify#i` span. The whole pass is an `analyze_capture` span
+    /// (category `pipeline`); counters `analysis.units` and
+    /// `analysis.replayed_events` count the units and the events merges
+    /// replayed. The report embeds the snapshot, with
+    /// [`OverheadReport::account`] run against the capture's session
+    /// duration. With a disabled handle this is exactly
     /// [`Dsspy::analyze_capture`]: no spans, no snapshot, `telemetry: None`.
     pub fn analyze_capture_with(&self, capture: &Capture, telemetry: &Telemetry) -> Report {
         let started = Instant::now();
         let pass_start_nanos = telemetry.now_nanos();
-        let profiles: Vec<(usize, &RuntimeProfile)> = capture
+        let profiles: Vec<_> = capture
             .profiles
             .iter()
             .filter(|profile| self.analysis.includes(&profile.instance))
+            .collect();
+        let units: Vec<Unit<&[AccessEvent]>> = profiles
+            .iter()
             .enumerate()
+            .flat_map(|(instance, profile)| {
+                let events = &profile.events;
+                let chunks = events.chunks(CHUNK_EVENTS);
+                // An instance with no events still gets one (empty) unit.
+                let empty = events.is_empty().then_some(&events[..]);
+                chunks.chain(empty).map(move |source| Unit {
+                    instance,
+                    events: source.len(),
+                    source,
+                })
+            })
             .collect();
         let threads = self.analysis.resolved_threads();
-        telemetry.gauge("analysis.threads").set(threads as u64);
+        let folded = dsspy_parallel::par_map_weighted(
+            &units,
+            threads,
+            |unit| unit.events,
+            || (),
+            |_, unit| self.fold_unit(unit.instance, unit.source, telemetry),
+        );
+        let infos: Vec<&InstanceInfo> = profiles.iter().map(|p| &p.instance).collect();
+        self.assemble(
+            Pass {
+                infos,
+                stats: capture.stats,
+                session_nanos: capture.session_nanos,
+                started,
+                pass_start_nanos,
+                threads,
+            },
+            &units,
+            folded,
+            |unit| Cow::Borrowed(unit.source),
+            telemetry,
+        )
+    }
+
+    /// The report [`Dsspy::analyze_capture_with`] gives for the decoded
+    /// capture, computed from its encoded bodies: each worker decodes each
+    /// of its chunks into a buffer of its own, checking the chunk's checksum
+    /// in the same pass, and folds it there. No [`Capture`] or profile is
+    /// built, so memory stays at the encoded bytes plus one chunk buffer per
+    /// worker. A merge that must replay a chunk decodes it again.
+    ///
+    /// Bodies of instances the selective filter leaves out are checked for
+    /// framing but not decoded. The first chunk that fails to decode, in
+    /// instance order, is the error, whatever the thread count. Observed,
+    /// the run also adds the decoded bodies to `persist.bodies_decoded` and
+    /// the chunk decode time, summed over workers, to `persist.decode_nanos`.
+    pub fn analyze_encoded_with(
+        &self,
+        encoded: &EncodedCapture,
+        telemetry: &Telemetry,
+    ) -> Result<Report, PersistError> {
+        let started = Instant::now();
+        let pass_start_nanos = telemetry.now_nanos();
+        let bodies = encoded.bodies()?;
+        let included: Vec<usize> = (0..bodies.len())
+            .filter(|&body| self.analysis.includes(&encoded.instances[body]))
+            .collect();
+        let units: Vec<Unit<(usize, Option<&Chunk<'_>>)>> = included
+            .iter()
+            .enumerate()
+            .flat_map(|(instance, &body)| {
+                let chunks = bodies[body].chunks();
+                let empty = chunks.is_empty().then_some(None);
+                chunks.iter().map(Some).chain(empty).map(move |chunk| Unit {
+                    instance,
+                    events: chunk.map_or(0, |c| c.len()),
+                    source: (body, chunk),
+                })
+            })
+            .collect();
+        let threads = self.analysis.resolved_threads();
+        let folded = dsspy_parallel::par_map_weighted(
+            &units,
+            threads,
+            |unit| unit.events,
+            || Vec::with_capacity(CHUNK_EVENTS),
+            |buffer, unit| {
+                let decoding = Instant::now();
+                match unit.source.1 {
+                    Some(chunk) => chunk.decode_into(buffer)?,
+                    None => buffer.clear(),
+                }
+                let decode_nanos = decoding.elapsed().as_nanos() as u64;
+                Ok((
+                    self.fold_unit(unit.instance, buffer, telemetry),
+                    decode_nanos,
+                ))
+            },
+        );
+        let mut folds = Vec::with_capacity(units.len());
+        let mut decode_nanos = 0;
+        for (unit, result) in units.iter().zip(folded) {
+            let (fold, nanos) = result.map_err(|e| encoded.body_error(unit.source.0, e))?;
+            folds.push(fold);
+            decode_nanos += nanos;
+        }
+        if telemetry.is_enabled() {
+            telemetry
+                .counter("persist.bodies_decoded")
+                .add(included.len() as u64);
+            telemetry.counter(signals::PERSIST_DECODE).add(decode_nanos);
+        }
+        let infos = included.iter().map(|&i| &encoded.instances[i]).collect();
+        Ok(self.assemble(
+            Pass {
+                infos,
+                stats: encoded.stats,
+                session_nanos: encoded.session_nanos,
+                started,
+                pass_start_nanos,
+                threads,
+            },
+            &units,
+            folds,
+            |unit| {
+                let mut events = Vec::new();
+                if let Some(chunk) = unit.source.1 {
+                    chunk
+                        .decode_into(&mut events)
+                        .expect("a chunk that decoded once decodes again");
+                }
+                Cow::Owned(events)
+            },
+            telemetry,
+        ))
+    }
+
+    /// Fold one unit's events into a fresh fold, timed (and recorded as a
+    /// `mine#instance` span when observed).
+    fn fold_unit(&self, instance: usize, events: &[AccessEvent], telemetry: &Telemetry) -> Folded {
+        let folding = Instant::now();
+        let span = telemetry.span_lazy(signals::ANALYSIS_CAT, || format!("mine#{instance}"));
+        let mut fold = InstanceFold::new(&self.analysis);
+        for e in events {
+            fold.fold(e);
+        }
+        drop(span);
+        Folded {
+            fold,
+            nanos: folding.elapsed().as_nanos() as u64,
+        }
+    }
+
+    /// Merge each instance's unit folds left to right, report every
+    /// instance, and assemble the [`Report`]. `units` and `folded` are in
+    /// the same order; `events_of` yields a unit's events for a merge that
+    /// replays them.
+    fn assemble<'u, S>(
+        &self,
+        pass: Pass<'_>,
+        units: &'u [Unit<S>],
+        folded: Vec<Folded>,
+        events_of: impl Fn(&'u Unit<S>) -> Cow<'u, [AccessEvent]>,
+        telemetry: &Telemetry,
+    ) -> Report {
+        telemetry.gauge("analysis.threads").set(pass.threads as u64);
         telemetry
             .counter("analysis.instances")
-            .add(profiles.len() as u64);
-        let analyze_indexed =
-            |&(idx, profile): &(usize, &RuntimeProfile)| self.analyze_one(idx, profile, telemetry);
-        let analyzed = if threads <= 1 {
-            profiles.iter().map(analyze_indexed).collect()
-        } else {
-            dsspy_parallel::par_map(&profiles, threads, analyze_indexed)
-        };
-        let mut instances = Vec::with_capacity(analyzed.len());
-        let mut per_instance = Vec::with_capacity(analyzed.len());
-        for (report, timing) in analyzed {
-            instances.push(report);
-            per_instance.push(timing);
+            .add(pass.infos.len() as u64);
+        telemetry.counter("analysis.units").add(units.len() as u64);
+        let mut instances = Vec::with_capacity(pass.infos.len());
+        let mut per_instance = Vec::with_capacity(pass.infos.len());
+        let mut replayed = 0;
+        let mut folded = units.iter().zip(folded).peekable();
+        for (idx, info) in pass.infos.iter().enumerate() {
+            let (_, first) = folded.next().expect("every instance has a unit");
+            let mut fold = first.fold;
+            let mut mining_nanos = first.nanos;
+            if folded.peek().is_some_and(|(unit, _)| unit.instance == idx) {
+                let merging = Instant::now();
+                let span = telemetry.span_lazy(signals::ANALYSIS_CAT, || format!("mine#{idx}"));
+                while let Some((unit, next)) = folded.next_if(|(unit, _)| unit.instance == idx) {
+                    mining_nanos += next.nanos;
+                    replayed += fold.merge(next.fold, || events_of(unit));
+                }
+                drop(span);
+                mining_nanos += merging.elapsed().as_nanos() as u64;
+            }
+
+            let classify_started = Instant::now();
+            let span = telemetry.span_lazy(signals::ANALYSIS_CAT, || format!("classify#{idx}"));
+            instances.push(fold.report(info, &self.analysis));
+            drop(span);
+            per_instance.push(InstanceTiming {
+                mining_nanos,
+                classify_nanos: classify_started.elapsed().as_nanos() as u64,
+            });
         }
         let mut report = Report {
             instances,
-            stats: capture.stats,
-            session_nanos: capture.session_nanos,
+            stats: pass.stats,
+            session_nanos: pass.session_nanos,
             timings: AnalysisTimings {
                 per_instance,
-                wall_nanos: started.elapsed().as_nanos() as u64,
-                threads,
+                wall_nanos: pass.started.elapsed().as_nanos() as u64,
+                threads: pass.threads,
             },
             telemetry: None,
         };
         if telemetry.is_enabled() {
+            telemetry
+                .counter("analysis.replayed_events")
+                .add(replayed as u64);
             // Recorded directly (not as a guard) so the workers' per-
-            // instance spans stay at depth 0 — the wall-clock span of the
+            // unit spans stay at depth 0 — the wall-clock span of the
             // pass lives in its own category.
             telemetry.record_span(
                 signals::PIPELINE_CAT,
                 "analyze_capture",
-                pass_start_nanos,
-                telemetry.now_nanos().saturating_sub(pass_start_nanos),
+                pass.pass_start_nanos,
+                telemetry.now_nanos().saturating_sub(pass.pass_start_nanos),
             );
             let mut snapshot = telemetry.snapshot();
-            snapshot.overhead = Some(OverheadReport::account(&snapshot, capture.session_nanos));
+            snapshot.overhead = Some(OverheadReport::account(&snapshot, pass.session_nanos));
             report.telemetry = Some(snapshot);
         }
         report
     }
+}
 
-    /// The per-instance unit of work: fold every event once, then report
-    /// from the fold — with each phase timed (and recorded as `mine#idx` /
-    /// `classify#idx` spans when observed).
-    fn analyze_one(
-        &self,
-        idx: usize,
-        profile: &RuntimeProfile,
-        telemetry: &Telemetry,
-    ) -> (InstanceReport, InstanceTiming) {
-        let mining = Instant::now();
-        let span = telemetry.span_lazy(signals::ANALYSIS_CAT, || format!("mine#{idx}"));
-        let mut fold = InstanceFold::new(&self.analysis);
-        for e in &profile.events {
-            fold.fold(e);
-        }
-        drop(span);
-        let mining_nanos = mining.elapsed().as_nanos() as u64;
+/// One unit of fold work: up to [`CHUNK_EVENTS`] consecutive events of the
+/// analyzed instance `instance`, read from `source`.
+struct Unit<S> {
+    instance: usize,
+    events: usize,
+    source: S,
+}
 
-        let classify_started = Instant::now();
-        let span = telemetry.span_lazy(signals::ANALYSIS_CAT, || format!("classify#{idx}"));
-        let report = fold.report(&profile.instance, &self.analysis);
-        drop(span);
-        let classify_nanos = classify_started.elapsed().as_nanos() as u64;
+/// A unit's fold and how long folding it took.
+struct Folded {
+    fold: InstanceFold,
+    nanos: u64,
+}
 
-        (
-            report,
-            InstanceTiming {
-                mining_nanos,
-                classify_nanos,
-            },
-        )
-    }
+/// What one analysis pass reports besides its instances.
+struct Pass<'a> {
+    infos: Vec<&'a InstanceInfo>,
+    stats: CollectorStats,
+    session_nanos: u64,
+    started: Instant,
+    pass_start_nanos: u64,
+    threads: usize,
 }
 
 #[cfg(test)]

@@ -37,15 +37,18 @@ impl InstanceReport {
     }
 }
 
-/// Wall-clock cost of analyzing one instance, split into the two analysis
-/// phases of Fig. 4 (pattern mining vs. use-case classification).
+/// Cost of analyzing one instance, split into the two analysis phases of
+/// Fig. 4 (pattern mining vs. use-case classification).
 ///
 /// Diagnostic only: timings vary run to run, so they are excluded from
 /// serialization to keep serialized [`Report`]s byte-identical across runs
 /// and thread counts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct InstanceTiming {
-    /// Folding every event (mining, metrics, advisories), nanoseconds.
+    /// Folding every event (mining, metrics, advisories), nanoseconds: the
+    /// instance's chunk folds plus the merges of their folds, summed over
+    /// the workers that ran them. A CPU cost, not a wall-clock span: an
+    /// instance folded on two workers at once can take half of it.
     pub mining_nanos: u64,
     /// Reporting from the fold (snapshot, regularity gate, classification,
     /// advisories), nanoseconds.
@@ -261,7 +264,8 @@ impl Report {
     /// with empty timings even though the analysis that produced it measured
     /// them. When the analysis ran with telemetry, the same measurements
     /// travel as `mine#i`/`classify#i` spans (per-instance phases, indexed
-    /// in [`Report::instances`] order) plus the `analyze_capture` pipeline
+    /// in [`Report::instances`] order; an instance's chunk folds and merge
+    /// are several `mine#i` spans, summed here) plus the `analyze_capture` pipeline
     /// span (wall clock) and the `analysis.threads` gauge. This restores
     /// the field from those. Returns `false` — leaving `timings` untouched
     /// — when there is no snapshot or it carries no analysis spans.
@@ -282,10 +286,12 @@ impl Report {
             let Some(i) = slot.filter(|&i| i < per_instance.len()) else {
                 continue;
             };
+            // An instance's fold is one `mine#i` span per unit plus one
+            // for merging them: the sum is its mining time.
             if is_mining {
-                per_instance[i].mining_nanos = span.dur_nanos;
+                per_instance[i].mining_nanos += span.dur_nanos;
             } else {
-                per_instance[i].classify_nanos = span.dur_nanos;
+                per_instance[i].classify_nanos += span.dur_nanos;
             }
             found = true;
         }

@@ -1,6 +1,6 @@
 //! Property tests: the chunked body codec is lossless for events in any
 //! order and of any width, at any decode width, and malformed bodies are
-//! errors, never panics.
+//! errors, never panics: every single-byte flip anywhere in a body fails.
 
 use dsspy_events::encode::{decode_bodies, encode_body, Body, DecodeError, CHUNK_EVENTS};
 use dsspy_events::{AccessEvent, AccessKind, Target, ThreadTag};
@@ -45,7 +45,7 @@ fn encode(events: &[AccessEvent]) -> Vec<u8> {
 fn decode(bytes: &[u8], expected: u64, threads: usize) -> Result<Vec<AccessEvent>, DecodeError> {
     let body = Body::parse(bytes, expected)?;
     let mut bodies = decode_bodies(&[body], threads).map_err(|e| e.error)?;
-    Ok(bodies.remove(0))
+    Ok(bodies.remove(0).events)
 }
 
 proptest! {
@@ -66,7 +66,13 @@ proptest! {
             .zip(&profiles)
             .map(|(bytes, p)| Body::parse(bytes, p.len() as u64).unwrap())
             .collect();
-        prop_assert_eq!(decode_bodies(&bodies, threads).unwrap(), profiles);
+        let decoded = decode_bodies(&bodies, threads).unwrap();
+        for (body, events) in decoded.iter().zip(&profiles) {
+            prop_assert_eq!(&body.events, events);
+            let ordered = events.windows(2).all(|w| w[0].seq <= w[1].seq);
+            prop_assert_eq!(body.in_order, ordered);
+        }
+        prop_assert_eq!(decoded.len(), profiles.len());
     }
 
     #[test]
@@ -80,7 +86,7 @@ proptest! {
     }
 
     #[test]
-    fn byte_flips_never_panic(
+    fn every_single_byte_flip_is_an_error(
         events in proptest::collection::vec(arb_event(), 1..100),
         pos_frac in 0.0f64..1.0,
         flip in 1u8..=255,
@@ -89,13 +95,15 @@ proptest! {
         let mut bytes = encode(&events);
         let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
         bytes[pos] ^= flip;
-        match decode(&bytes, events.len() as u64, threads) {
-            // A flip in the chunk frame (count, byte length) always fails.
-            Ok(_) if pos < 8 => prop_assert!(false, "frame flip at {} decoded", pos),
-            // The format has no checksum: a flipped row byte may still
-            // decode, to the declared number of events.
-            Ok(back) => prop_assert_eq!(back.len(), events.len()),
-            Err(_) => {}
+        // A flip in the frame breaks the count, the framing or the
+        // checksum; a flip in the rows always breaks the checksum.
+        let decoded = decode(&bytes, events.len() as u64, threads);
+        prop_assert!(decoded.is_err(), "flip {:#04x} at {} decoded", flip, pos);
+        if pos >= 12 {
+            prop_assert!(
+                matches!(decoded, Err(DecodeError::Checksum { .. })),
+                "row flip at {} gave {:?}", pos, decoded
+            );
         }
     }
 }
@@ -136,8 +144,8 @@ fn a_profile_of_three_chunks_roundtrips_at_widths_1_2_4() {
     }
     // The second chunk's frame is guarded like the first.
     let first_bytes = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
-    let second = 8 + first_bytes;
-    for pos in second..second + 8 {
+    let second = 12 + first_bytes;
+    for pos in second..second + 12 {
         let mut bad = bytes.clone();
         bad[pos] ^= 0x01;
         assert!(decode(&bad, n as u64, 2).is_err(), "frame flip at {pos}");

@@ -29,7 +29,7 @@ pub mod queue;
 pub mod search;
 pub mod sort;
 
-pub use ops::{par_for_init, par_map};
+pub use ops::{par_for_init, par_map, par_map_weighted};
 pub use pipeline::produce_consume;
 pub use queue::BlockingQueue;
 pub use search::{par_find_all, par_find_first, par_max_by_key};

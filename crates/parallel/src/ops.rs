@@ -46,6 +46,70 @@ pub fn par_map<T: Sync, U: Send>(
     out
 }
 
+/// Parallel map over runs of near-equal weight, with per-worker scratch.
+///
+/// `input` is cut into at most `threads` contiguous runs: each run ends
+/// where the running total of `weight` passes the next `k / threads` share
+/// of the whole, so a few heavy items do not leave workers idle the way an
+/// even split by count would. Each run is mapped on its own scoped worker,
+/// which first builds its scratch value with `init` and hands it to every
+/// call of `f`. The result is in input order; with one thread (or one item)
+/// everything runs on the calling thread with one scratch value.
+///
+/// ```
+/// let sizes = [5, 1, 1, 1, 1, 1];
+/// let out = dsspy_parallel::par_map_weighted(&sizes, 2, |&w| w, || 0, |calls, &w| {
+///     *calls += 1;
+///     w * 10
+/// });
+/// assert_eq!(out, vec![50, 10, 10, 10, 10, 10]);
+/// ```
+pub fn par_map_weighted<T: Sync, S, U: Send>(
+    input: &[T],
+    threads: usize,
+    weight: impl Fn(&T) -> usize,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, &T) -> U + Sync,
+) -> Vec<U> {
+    let threads = threads.clamp(1, input.len().max(1));
+    if threads == 1 {
+        let mut scratch = init();
+        return input.iter().map(|item| f(&mut scratch, item)).collect();
+    }
+    let total: usize = input.iter().map(&weight).sum();
+    let mut runs = Vec::with_capacity(threads);
+    let (mut rest, mut seen) = (input, 0);
+    for k in 1..threads {
+        let goal = total * k / threads;
+        let mut cut = 0;
+        while cut < rest.len() && seen < goal {
+            seen += weight(&rest[cut]);
+            cut += 1;
+        }
+        let (run, tail) = rest.split_at(cut);
+        runs.push(run);
+        rest = tail;
+    }
+    runs.push(rest);
+    let (init, f) = (&init, &f);
+    let parts: Vec<Vec<U>> = std::thread::scope(|s| {
+        let handles: Vec<_> = runs
+            .into_iter()
+            .map(|run| {
+                s.spawn(move || {
+                    let mut scratch = init();
+                    run.iter().map(|item| f(&mut scratch, item)).collect()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    parts.into_iter().flatten().collect()
+}
+
 /// Parallel initialization: build a `Vec` of `len` elements where element
 /// `i` is `f(i)`. This is the "parallelize the insert" transformation for
 /// the common fill loop `for i in 0..n { list.add(f(i)) }` — order is
@@ -94,6 +158,36 @@ mod tests {
         let empty: Vec<i32> = vec![];
         assert!(par_map(&empty, 8, |v| *v).is_empty());
         assert_eq!(par_map(&[7], 8, |v| v + 1), vec![8]);
+    }
+
+    #[test]
+    fn par_map_weighted_keeps_order_and_splits_by_weight() {
+        let input: Vec<usize> = (0..500).map(|i| (i * 7919) % 97).collect();
+        let seq: Vec<usize> = input.iter().map(|v| v + 1).collect();
+        for threads in [0, 1, 2, 3, 8, 1000] {
+            let out = par_map_weighted(
+                &input,
+                threads,
+                |&w| w,
+                Vec::new,
+                |seen: &mut Vec<usize>, &v| {
+                    seen.push(v);
+                    v + 1
+                },
+            );
+            assert_eq!(out, seq, "{threads} threads");
+        }
+        // One heavy item first: the second worker takes all the rest.
+        let workers = par_map_weighted(
+            &[10, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1],
+            2,
+            |&w| w,
+            || std::thread::current().id(),
+            |id, _| *id,
+        );
+        assert_ne!(workers[0], workers[1]);
+        assert!(workers[1..].iter().all(|id| *id == workers[1]));
+        assert!(par_map_weighted(&[] as &[usize], 4, |&w| w, || (), |_, &v| v).is_empty());
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! and repeated or inverted sequence numbers. Snapshots are taken at random
 //! prefixes while folding continues, so a snapshot must not disturb state.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use dsspy_events::{AccessClass, AccessEvent, AccessKind, Target, ThreadTag};
@@ -100,11 +101,11 @@ fn build(draws: &[Draw], threads: u32, bursts: &[(u32, usize)]) -> Vec<AccessEve
 fn naive_patterns(events: &[AccessEvent], min_len: usize) -> Vec<PatternInstance> {
     let mut miners: HashMap<ThreadTag, dsspy_patterns::ThreadMiner> = HashMap::new();
     let mut patterns = Vec::new();
-    for e in events {
+    for (pos, e) in (0u64..).zip(events) {
         miners
             .entry(e.thread)
             .or_insert_with(|| dsspy_patterns::ThreadMiner::new(e.thread))
-            .push(e, min_len, &mut |p| patterns.push(p));
+            .push(e, pos, min_len, &mut |p| patterns.push(p));
     }
     let mut tags: Vec<ThreadTag> = miners.keys().copied().collect();
     tags.sort_unstable();
@@ -353,4 +354,156 @@ proptest! {
         prop_assert!(events.windows(2).all(|w| w[0].thread != w[1].thread));
         fold_and_check(&events, &cuts)?;
     }
+}
+
+/// Fold `events` straight through.
+fn straight(events: &[AccessEvent], config: &MinerConfig) -> IncrementalAnalyzer {
+    let mut inc = IncrementalAnalyzer::new(config);
+    for e in events {
+        inc.fold(e);
+    }
+    inc
+}
+
+/// The pieces of `events` cut at `cuts` (taken modulo the length + 1).
+fn pieces<'a>(events: &'a [AccessEvent], cuts: &[usize]) -> Vec<&'a [AccessEvent]> {
+    let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (events.len() + 1)).collect();
+    cuts.sort_unstable();
+    let mut out = Vec::new();
+    let mut at = 0;
+    for cut in cuts {
+        out.push(&events[at..cut]);
+        at = cut;
+    }
+    out.push(&events[at..]);
+    out
+}
+
+/// Two analyzers agree on everything a report reads from them.
+fn same(a: &IncrementalAnalyzer, b: &IncrementalAnalyzer) -> Result<(), TestCaseError> {
+    let regularity = RegularityConfig::default();
+    let ((got, got_verdict), (want, want_verdict)) =
+        (a.snapshot(&regularity), b.snapshot(&regularity));
+    prop_assert_eq!(a.event_count(), b.event_count());
+    prop_assert_eq!(a.out_of_order(), b.out_of_order());
+    prop_assert_eq!(&got_verdict, &want_verdict);
+    prop_assert_eq!(&got.patterns, &want.patterns);
+    prop_assert_eq!(
+        serde_json::to_string(&got.metrics).unwrap(),
+        serde_json::to_string(&want.metrics).unwrap()
+    );
+    prop_assert_eq!(&got.threads, &want.threads);
+    Ok(())
+}
+
+/// Fold every piece on its own and merge them left to right; the result
+/// must equal the straight fold, and must keep folding like it.
+fn merge_law(events: &[AccessEvent], cuts: &[usize]) -> Result<(), TestCaseError> {
+    let config = MinerConfig::default();
+    let want = straight(events, &config);
+    let mut parts = pieces(events, cuts).into_iter();
+    let first = parts.next().expect("at least one piece");
+    let mut merged = straight(first, &config);
+    for part in parts {
+        merged.merge(straight(part, &config), || Cow::Borrowed(part));
+    }
+    same(&merged, &want)?;
+    // Merging is also associative: the same pieces merged right to left.
+    let parts = pieces(events, cuts);
+    let mut right = straight(parts[parts.len() - 1], &config);
+    let mut right_start = events.len() - parts[parts.len() - 1].len();
+    for part in parts[..parts.len() - 1].iter().rev() {
+        let mut left = straight(part, &config);
+        let right_events = &events[right_start..];
+        left.merge(right, || Cow::Borrowed(right_events));
+        right = left;
+        right_start -= part.len();
+    }
+    same(&right, &want)?;
+    // A merged analyzer folds on exactly like the straight one.
+    let (mut merged, mut want) = (merged, want);
+    for e in events.iter().take(32) {
+        merged.fold(e);
+        want.fold(e);
+    }
+    same(&merged, &want)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn merged_folds_of_bursty_threads_equal_the_straight_fold(
+        draws in proptest::collection::vec(arb_draw(), 0..400),
+        threads in 1u32..9,
+        bursts in proptest::collection::vec((0u32..8, 1usize..40), 1..12),
+        cuts in proptest::collection::vec(any::<usize>(), 1..6),
+    ) {
+        merge_law(&build(&draws, threads, &bursts), &cuts)?;
+    }
+
+    #[test]
+    fn merged_folds_of_a_switch_on_every_event_equal_the_straight_fold(
+        draws in proptest::collection::vec(arb_draw(), 0..400),
+        threads in 2u32..9,
+        cuts in proptest::collection::vec(any::<usize>(), 1..6),
+    ) {
+        merge_law(&build(&draws, threads, &[]), &cuts)?;
+    }
+
+    #[test]
+    fn merged_folds_of_runs_equal_the_straight_fold(
+        runs in proptest::collection::vec((0usize..4, 0u8..3, 1u32..40, 0u32..6), 1..30),
+        cuts in proptest::collection::vec(any::<usize>(), 1..8),
+    ) {
+        merge_law(&run_stream(&runs), &cuts)?;
+    }
+}
+
+/// Long single-thread runs on every track: forward and backward scans,
+/// indices alternating between two neighbours (a read track that never
+/// settles), and inserts or deletes at either end, so cut points land
+/// inside runs of every shape.
+fn run_stream(runs: &[(usize, u8, u32, u32)]) -> Vec<AccessEvent> {
+    let kinds = [
+        AccessKind::Read,
+        AccessKind::Write,
+        AccessKind::Insert,
+        AccessKind::Delete,
+    ];
+    let mut events = Vec::new();
+    let mut len = 8u32;
+    for &(track, shape, n, start) in runs {
+        for k in 0..n {
+            let index = match (track, shape) {
+                (0 | 1, 0) => start + k,
+                (0 | 1, 1) => start + n - k,
+                (0 | 1, _) => start + k % 2,
+                (2, 0) => {
+                    len += 1;
+                    len - 1
+                }
+                (2, _) => {
+                    len += 1;
+                    0
+                }
+                (_, 0) => {
+                    len = len.saturating_sub(1);
+                    len
+                }
+                _ => {
+                    len = len.saturating_sub(1);
+                    0
+                }
+            };
+            events.push(AccessEvent {
+                seq: events.len() as u64,
+                kind: kinds[track],
+                target: Target::Index(index),
+                len: if track == 3 { len } else { len.max(index + 1) },
+                thread: ThreadTag::MAIN,
+            });
+        }
+    }
+    events
 }

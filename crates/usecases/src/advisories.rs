@@ -92,7 +92,19 @@ pub struct AdvisoryFold {
     searches: usize,
     hops: usize,
     tree_hops: usize,
+    /// Index of the first and of the last traversal access.
+    first: Option<u32>,
     prev: Option<u32>,
+}
+
+/// Whether a move from index `p` to index `i` follows an implicit heap edge:
+/// down to a child (`2p+1`, `2p+2`) or up to the parent.
+fn is_tree_hop(p: u32, i: u32) -> bool {
+    // Child indices of a node past 2^31 exceed u32: compare in u64.
+    let (i, p) = (u64::from(i), u64::from(p));
+    let down = i == 2 * p + 1 || i == 2 * p + 2;
+    let up = p > 0 && i == (p - 1) / 2;
+    down || up
 }
 
 impl AdvisoryFold {
@@ -109,17 +121,30 @@ impl AdvisoryFold {
             return;
         }
         let Some(i) = e.index() else { return };
-        if let Some(p) = self.prev {
-            self.hops += 1;
-            // Child indices of a node past 2^31 exceed u32: compare in u64.
-            let (i, p) = (u64::from(i), u64::from(p));
-            let down = i == 2 * p + 1 || i == 2 * p + 2;
-            let up = p > 0 && i == (p - 1) / 2;
-            if down || up {
-                self.tree_hops += 1;
+        match self.prev {
+            Some(p) => {
+                self.hops += 1;
+                self.tree_hops += usize::from(is_tree_hop(p, i));
             }
+            None => self.first = Some(i),
         }
         self.prev = Some(i);
+    }
+
+    /// Merge the fold of the events right after this fold's: afterwards
+    /// `self` equals the fold of both runs of events in order. The one hop
+    /// that crosses the boundary is counted here.
+    pub fn merge(&mut self, right: &AdvisoryFold) {
+        self.total += right.total;
+        self.searches += right.searches;
+        self.hops += right.hops;
+        self.tree_hops += right.tree_hops;
+        if let (Some(p), Some(i)) = (self.prev, right.first) {
+            self.hops += 1;
+            self.tree_hops += usize::from(is_tree_hop(p, i));
+        }
+        self.first = self.first.or(right.first);
+        self.prev = right.prev.or(self.prev);
     }
 
     /// The advisories for everything folded so far. `linear` is whether the

@@ -6,7 +6,9 @@
 #               --threads CLI runs, the bad-input cell (malformed numeric
 #               values, unknown flags and values outside their choices exit
 #               2), the capture-write-error cell (`demo /dev/full` exits 1
-#               with "cannot write capture"), the table4-drift cell (Table
+#               with "cannot write capture"), the corrupt-capture cell (a
+#               flipped row byte makes `analyze` exit 1 naming the instance
+#               and the checksum), the table4-drift cell (Table
 #               IV detection columns identical in 30 runs under two busy
 #               loops), the closed-pipe cell (`analyze --json | head` exits
 #               0 quietly), the live-scrape smoke
@@ -143,6 +145,31 @@ if [[ "$MODE" == "full" ]]; then
                 { echo "stderr lacks \"cannot write capture\": $err"; exit 1; }
             echo "demo into a full device exits 1 with \"cannot write capture\""
         ' capture-write-error
+    # A flipped byte in a chunk's rows fails the chunk's checksum: analyze
+    # exits 1 naming the instance and the checksum instead of decoding the
+    # bytes into other events. The byte flipped is the first row byte of
+    # the first non-empty body (after the 20-byte preamble, the JSON header
+    # and each body's 8-byte length, then the 12-byte chunk frame).
+    CORRUPT="$LOG_DIR/ci-corrupt.dsspycap"
+    run_cell corrupt-capture '"kind":"smoke",' \
+        bash -c '
+            set -uo pipefail
+            cap="$1"
+            ./target/release/dsspy demo "$cap" >/dev/null || exit 1
+            u64_at() { od -An -t u8 -j "$1" -N 8 "$cap" | tr -d " "; }
+            off=$((20 + $(u64_at 12)))
+            while [[ "$(u64_at "$off")" -eq 0 ]]; do off=$((off + 8)); done
+            pos=$((off + 8 + 12))
+            byte="$(od -An -t u1 -j "$pos" -N 1 "$cap" | tr -d " ")"
+            printf "$(printf "\\%03o" $((byte ^ 1)))" |
+                dd of="$cap" bs=1 seek="$pos" conv=notrunc status=none || exit 1
+            err="$(./target/release/dsspy analyze "$cap" 2>&1 >/dev/null)"
+            code=$?
+            [[ "$code" -eq 1 ]] || { echo "analyze of a flipped capture: exit $code, want 1"; exit 1; }
+            grep -q "instance ds#" <<<"$err" && grep -q "checksum" <<<"$err" ||
+                { echo "stderr names no instance or checksum: $err"; exit 1; }
+            echo "a flipped row byte at offset $pos: analyze exits 1: $err"
+        ' corrupt-capture "$CORRUPT"
     # Event time is the session's logical clock, so CPU contention cannot
     # move a verdict: under two busy loops, 30 test-scale Table IV runs
     # must print identical #DS / Cases / Reduction columns, and the paper's

@@ -1,10 +1,21 @@
-//! The parallel fan-outs: capture decode and `analyze_capture` must
-//! produce the same report on one thread, two threads, or one worker per
-//! core — and `0` must resolve to the machine's parallelism.
+//! The parallel fan-outs: capture decode, `analyze_capture` and the fused
+//! `analyze_encoded_with` must produce the same report on one thread, two
+//! threads, or one worker per core — and `0` must resolve to the machine's
+//! parallelism. Instances of several chunks are folded chunk by chunk and
+//! merged, so the reports are also checked against one straight fold of
+//! each instance.
 
-use dsspy::collect::{read_capture_with, write_capture, Capture, ReadOptions, Session};
+use dsspy::collect::{
+    read_capture_with, read_encoded_with, write_capture, Capture, CollectorStats, ReadOptions,
+    Session,
+};
 use dsspy::collections::{site, SpyQueue, SpyVec};
-use dsspy::core::{AnalysisConfig, Dsspy};
+use dsspy::core::{AnalysisConfig, Dsspy, InstanceFold};
+use dsspy::events::encode::CHUNK_EVENTS;
+use dsspy::events::{
+    AccessEvent, AccessKind, AllocationSite, DsKind, InstanceId, InstanceInfo, RuntimeProfile,
+    Target, ThreadTag,
+};
 use dsspy::parallel::default_threads;
 use dsspy::telemetry::Telemetry;
 use dsspy::workloads::{suite7, Mode, Scale};
@@ -42,17 +53,25 @@ fn zero_threads_resolves_to_default_threads() {
     assert_eq!(pinned.analysis.resolved_threads(), 3);
 }
 
-/// Both fan-outs on real traffic: every suite7 capture is written, read
-/// back with its bodies decoded at `threads` workers, and analyzed at the
-/// same width; the serialized report must equal the width-1 report.
+/// Every path on real traffic: every suite7 capture is written, read back
+/// with its bodies decoded at `threads` workers and analyzed at the same
+/// width, and analyzed straight from its encoded bodies at that width; every
+/// serialized report must equal the width-1 report of the loaded capture.
 #[test]
 fn suite7_reports_are_identical_at_any_decode_and_analysis_width() {
+    let mut multi_chunk = 0;
     for w in suite7() {
         let name = w.spec().name;
         let session = Session::new();
         std::hint::black_box(w.run(Scale::Test, Mode::Instrumented(&session)));
+        let capture = session.finish();
+        multi_chunk += capture
+            .profiles
+            .iter()
+            .filter(|p| p.events.len() > CHUNK_EVENTS)
+            .count();
         let mut bytes = Vec::new();
-        write_capture(&session.finish(), &mut bytes).expect("write capture");
+        write_capture(&capture, &mut bytes).expect("write capture");
         let report_at = |threads: usize| {
             let opts = ReadOptions {
                 threads,
@@ -62,13 +81,155 @@ fn suite7_reports_are_identical_at_any_decode_and_analysis_width() {
             let report = Dsspy::new().with_threads(threads).analyze_capture(&capture);
             serde_json::to_string(&report).expect("serialize report")
         };
+        let fused_at = |threads: usize| {
+            let encoded = read_encoded_with(&bytes[..], &Telemetry::disabled()).expect("read");
+            let report = Dsspy::new()
+                .with_threads(threads)
+                .analyze_encoded_with(&encoded, &Telemetry::disabled())
+                .expect("decode");
+            serde_json::to_string(&report).expect("serialize report")
+        };
         let baseline = report_at(1);
+        assert_eq!(baseline, straight_report(&capture), "{name}: merged folds");
         for threads in [2, 4, 0] {
             assert!(
                 report_at(threads) == baseline,
                 "{name}: report at threads={threads} differs from threads=1"
             );
         }
+        for threads in [1, 2, 4, 0] {
+            assert!(
+                fused_at(threads) == baseline,
+                "{name}: fused report at threads={threads} differs"
+            );
+        }
+    }
+    // Mandelbrot's image list alone spans six chunks at test scale.
+    assert!(multi_chunk > 0, "no suite7 instance spans two chunks");
+}
+
+/// The report of `capture` with every instance folded straight through in
+/// one [`InstanceFold`], serialized: what the chunked analysis must match.
+fn straight_report(capture: &Capture) -> String {
+    let dsspy = Dsspy::new().with_threads(1);
+    let mut report = dsspy.analyze_capture(capture);
+    for (inst, profile) in report.instances.iter_mut().zip(&capture.profiles) {
+        let mut fold = InstanceFold::new(&dsspy.analysis);
+        for e in &profile.events {
+            fold.fold(e);
+        }
+        *inst = fold.report(&profile.instance, &dsspy.analysis);
+    }
+    serde_json::to_string(&report).expect("serialize report")
+}
+
+/// One synthetic instance of `3 * CHUNK_EVENTS + 1` events. Reads sweep
+/// forward and back over a structure longer than a chunk, so a read run
+/// straddles every chunk boundary; in between come appends and front
+/// inserts, deletes at both ends, writes, sorts and searches, and every
+/// thousandth event moves to another thread.
+fn synthetic_profile(id: u32, shift: u64) -> RuntimeProfile {
+    let n = 3 * CHUNK_EVENTS + 1;
+    let size = CHUNK_EVENTS as u32 + 777;
+    let mut len = size;
+    let events = (0..n as u64)
+        .map(|k| {
+            let j = k + shift;
+            let thread = ThreadTag(((j / 1000) % 3) as u32);
+            let at = |kind, index: u32, len| AccessEvent {
+                seq: j,
+                kind,
+                target: Target::Index(index),
+                len,
+                thread,
+            };
+            match j % 40_000 {
+                // Appends, then front inserts.
+                0..=99 => {
+                    len += 1;
+                    at(AccessKind::Insert, len - 1, len)
+                }
+                100..=149 => {
+                    len += 1;
+                    at(AccessKind::Insert, 0, len)
+                }
+                // Deletes from the back, then the front.
+                150..=199 => {
+                    len -= 1;
+                    at(AccessKind::Delete, len, len)
+                }
+                200..=249 => {
+                    len -= 1;
+                    at(AccessKind::Delete, 0, len)
+                }
+                250..=299 => at(AccessKind::Write, (j % 50) as u32, len),
+                300 => AccessEvent::whole(j, AccessKind::Sort, len),
+                301 => AccessEvent {
+                    target: Target::Range { start: 0, end: 9 },
+                    ..AccessEvent::whole(j, AccessKind::Search, len)
+                },
+                // A sweep forward and back over the whole structure.
+                _ => {
+                    let step = j % (2 * u64::from(size));
+                    let index = if step < u64::from(size) {
+                        step
+                    } else {
+                        2 * u64::from(size) - 1 - step
+                    };
+                    at(AccessKind::Read, index as u32, len)
+                }
+            }
+        })
+        .collect();
+    RuntimeProfile::new(
+        InstanceInfo::new(
+            InstanceId(u64::from(id)),
+            AllocationSite::new("Synthetic", "chunks", id),
+            DsKind::List,
+            "u64",
+        ),
+        events,
+    )
+}
+
+/// Instances of `3 * CHUNK_EVENTS + 1` events (four units, the last of one
+/// event) report the same at every width and through every path, and the
+/// same as one straight fold.
+#[test]
+fn multi_chunk_instances_report_the_same_at_every_width() {
+    let profiles: Vec<RuntimeProfile> = [0u64, 17, 40_150]
+        .iter()
+        .enumerate()
+        .map(|(id, &shift)| synthetic_profile(id as u32, shift))
+        .collect();
+    let events = profiles.iter().map(|p| p.events.len() as u64).sum();
+    let capture = Capture::new(
+        profiles,
+        CollectorStats {
+            events,
+            batches: 1,
+            dropped: 0,
+        },
+        1,
+    );
+    let baseline = straight_report(&capture);
+    let mut bytes = Vec::new();
+    write_capture(&capture, &mut bytes).expect("write capture");
+    let encoded = read_encoded_with(&bytes[..], &Telemetry::disabled()).expect("read");
+    for threads in [1, 2, 4, 0] {
+        let dsspy = Dsspy::new().with_threads(threads);
+        let loaded = serde_json::to_string(&dsspy.analyze_capture(&capture)).unwrap();
+        assert!(loaded == baseline, "analyze_capture at threads={threads}");
+        let fused = serde_json::to_string(
+            &dsspy
+                .analyze_encoded_with(&encoded, &Telemetry::disabled())
+                .unwrap(),
+        )
+        .unwrap();
+        assert!(
+            fused == baseline,
+            "analyze_encoded_with at threads={threads}"
+        );
     }
 }
 
