@@ -614,7 +614,9 @@ pub fn cmd_telemetry_serve(
     self_check: bool,
 ) -> Result<String, CliError> {
     let body = cmd_telemetry(path, threads, TelemetryFormat::Prometheus, true)?;
-    let (served, local, scraped) = serve_metrics(addr, requests, self_check, || Ok(body.clone()))?;
+    let listener = std::net::TcpListener::bind(addr)?;
+    let (served, local, scraped) =
+        serve_metrics(listener, requests, self_check, || Ok(body.clone()))?;
     let mut msg = format!(
         "served {served} scrape(s) of {} bytes from http://{local}/metrics",
         body.len()
@@ -630,22 +632,27 @@ pub fn cmd_telemetry_serve(
     Ok(msg)
 }
 
+/// How long `telemetry serve` waits for a connection's request before it
+/// answers it with a 404, so a client that connects and sends nothing (a
+/// TCP health check) cannot stall the scrapes queued behind it.
+const REQUEST_READ_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(2);
+
 /// The listener loop behind `telemetry serve`, with or without `--live`:
 /// answer `/` and `/metrics` with `render()`'s exposition and anything else
-/// with a 404, until `requests` connections were served (`None`: forever).
+/// (including a request not received within [`REQUEST_READ_TIMEOUT`]) with
+/// a 404, until `requests` connections were served (`None`: forever).
 /// With `self_check`, one of those scrapes comes from this process over a
 /// real TCP connection and must pass [`validate_prometheus`]. Returns the
 /// number of connections served, the bound address and the self-check
 /// body.
 fn serve_metrics(
-    addr: &str,
+    listener: std::net::TcpListener,
     requests: Option<u64>,
     self_check: bool,
     mut render: impl FnMut() -> Result<String, CliError>,
 ) -> Result<(u64, std::net::SocketAddr, Option<String>), CliError> {
     use std::io::{Read, Write};
 
-    let listener = std::net::TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
     eprintln!("serving Prometheus metrics on http://{local}/metrics");
     let checker = self_check.then(|| {
@@ -668,6 +675,7 @@ fn serve_metrics(
     let mut served = 0u64;
     for conn in listener.incoming() {
         let mut conn = conn?;
+        conn.set_read_timeout(Some(REQUEST_READ_TIMEOUT))?;
         let mut buf = [0u8; 1024];
         let n = conn.read(&mut buf).unwrap_or(0);
         let request = String::from_utf8_lossy(&buf[..n]);
@@ -810,7 +818,7 @@ fn replay_live(session: &Session, source: &Capture) {
 
 /// `dsspy telemetry serve --live`: attach the scrape endpoint to a
 /// *running* session instead of a finished analysis. The saved capture is
-/// re-collected in real time on a driver thread through [`replay_live`]
+/// re-collected in real time on a driver thread through `replay_live`
 /// while the listener renders a **fresh** snapshot of the enabled
 /// [`Telemetry`] for every scrape — `collector.*` (events and batches
 /// stored so far, queue depth), `stream.*` and `stream.tap.*` signals
@@ -838,7 +846,8 @@ pub fn cmd_telemetry_serve_live(
     });
 
     let mut last_len = 0usize;
-    let (served, local, scraped) = serve_metrics(addr, requests, self_check, || {
+    let listener = std::net::TcpListener::bind(addr)?;
+    let (served, local, scraped) = serve_metrics(listener, requests, self_check, || {
         // The point of --live: a fresh snapshot per scrape, frozen while
         // the collector may still be storing batches — and still a valid
         // exposition every single time.
@@ -1439,6 +1448,28 @@ mod tests {
         let msg = cmd_telemetry_serve(&path, 1, "127.0.0.1:0", Some(1), true).unwrap();
         assert!(msg.contains("served 1 scrape(s)"), "{msg}");
         assert!(msg.contains("self-check scrape validated"), "{msg}");
+    }
+
+    #[test]
+    fn a_silent_connection_does_not_stall_the_self_check_scrape() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        // Connected before the loop starts, so it is accepted first; it
+        // stays open and never sends a byte.
+        let _silent = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let server = std::thread::spawn(move || {
+            let served = serve_metrics(listener, Some(2), true, || {
+                Ok("# TYPE up gauge\nup 1\n".to_string())
+            });
+            let _ = tx.send(served.map(|(served, _, scraped)| (served, scraped)));
+        });
+        let (served, scraped) = rx
+            .recv_timeout(3 * REQUEST_READ_TIMEOUT)
+            .expect("the silent connection stalled the listener")
+            .unwrap();
+        server.join().unwrap();
+        assert_eq!(served, 2, "the timed-out connection counts as served");
+        assert_eq!(scraped.as_deref(), Some("# TYPE up gauge\nup 1\n"));
     }
 
     #[test]

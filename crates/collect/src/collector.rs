@@ -48,7 +48,7 @@ pub(crate) type Collected = (HashMap<InstanceId, Vec<AccessEvent>>, CollectorSta
 ///
 /// The tap runs *on the collector thread*: it sees every stored batch, in
 /// arrival order, before the batch is folded into the post-mortem event map.
-/// Batches drained after [`Msg::Stop`] — the ones counted into
+/// Batches drained after `Msg::Stop` — the ones counted into
 /// [`CollectorStats::dropped`] — are **not** tapped, so a tap observes
 /// exactly the events that end up in the session's [`Capture`].
 ///
@@ -72,7 +72,7 @@ pub trait CollectorTap: Send {
     /// Session shutdown, after the post-stop drain. `ctx.batch_seq` carries
     /// the sequence of the *last* stored batch (0 when the session stored
     /// none); `session_nanos` is the session duration the collector stamped
-    /// on taking [`Msg::Stop`] (or on the senders disconnecting), the same
+    /// on taking `Msg::Stop` (or on the senders disconnecting), the same
     /// value the session's [`Capture`] carries.
     fn on_stop(&mut self, ctx: TraceContext, stats: &CollectorStats, session_nanos: u64);
 }
@@ -337,11 +337,6 @@ impl Capture {
     pub fn profile(&self, id: InstanceId) -> Option<&RuntimeProfile> {
         self.id_index().get(&id).map(|&i| &self.profiles[i])
     }
-
-    /// Profiles that actually saw at least one access event.
-    pub fn touched_profiles(&self) -> impl Iterator<Item = &RuntimeProfile> {
-        self.profiles.iter().filter(|p| !p.is_empty())
-    }
 }
 
 #[cfg(test)]
@@ -375,7 +370,6 @@ mod tests {
         assert_eq!(cap.event_count(), 1);
         assert_eq!(cap.profile(InstanceId(0)).unwrap().len(), 1);
         assert!(cap.profile(InstanceId(1)).unwrap().is_empty());
-        assert_eq!(cap.touched_profiles().count(), 1);
         assert!(cap.profile(InstanceId(7)).is_none());
     }
 

@@ -327,7 +327,9 @@ pub fn read_capture(r: impl Read) -> Result<Capture, PersistError> {
 ///
 /// I/O stays sequential (the format is a stream of length-prefixed bodies),
 /// but chunk decode — the CPU-bound part — fans out over `opts.threads`.
-/// Profiles come back in header order regardless of thread count.
+/// Profiles come back in header order regardless of thread count, and each
+/// keeps its events in stored order, so reading back what
+/// [`write_capture`] wrote gives the same capture, profile by profile.
 pub fn read_capture_with(r: impl Read, opts: &ReadOptions) -> Result<Capture, PersistError> {
     let telemetry = &opts.telemetry;
     let encoded = read_encoded_with(r, telemetry)?;
@@ -351,19 +353,11 @@ pub fn read_capture_with(r: impl Read, opts: &ReadOptions) -> Result<Capture, Pe
             .counter(signals::PERSIST_DECODE)
             .add(telemetry.now_nanos().saturating_sub(start_nanos));
     }
-    // The decoder checked the order on its workers: only a body found out
-    // of order goes through the sorting constructor.
     let profiles: Vec<RuntimeProfile> = encoded
         .instances
         .into_iter()
         .zip(decoded)
-        .map(|(instance, body)| match body.in_order {
-            true => RuntimeProfile {
-                instance,
-                events: body.events,
-            },
-            false => RuntimeProfile::new(instance, body.events),
-        })
+        .map(|(instance, events)| RuntimeProfile { instance, events })
         .collect();
     let mut capture = Capture::new(profiles, encoded.stats, encoded.session_nanos);
     capture.collection_telemetry = encoded.collection_telemetry;

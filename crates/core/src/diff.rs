@@ -2,7 +2,7 @@
 //!
 //! The paper's intended workflow is iterative — detect, parallelize, run
 //! again (§VIII points at integrating DSspy into the refactoring process of
-//! [22]). A diff of the before/after reports shows whether the flagged
+//! \[22\]). A diff of the before/after reports shows whether the flagged
 //! locations actually went away and whether the change introduced new ones.
 
 use serde::{Deserialize, Serialize};
@@ -35,12 +35,6 @@ pub struct ReportDiff {
 }
 
 impl ReportDiff {
-    /// Whether the refactoring strictly improved the report: something was
-    /// resolved and nothing was introduced.
-    pub fn is_improvement(&self) -> bool {
-        !self.resolved.is_empty() && self.introduced.is_empty()
-    }
-
     /// Render a short human-readable summary.
     pub fn summary(&self) -> String {
         format!(
@@ -121,7 +115,6 @@ mod tests {
         assert_eq!(diff.resolved[0].kind, UseCaseKind::LongInsert);
         assert!(diff.introduced.is_empty());
         assert!(diff.unchanged.is_empty());
-        assert!(diff.is_improvement());
         assert!(diff.summary().contains("1 resolved"));
     }
 
@@ -131,7 +124,6 @@ mod tests {
         let after = report_with_hot_list(true);
         let diff = diff_reports(&before, &after);
         assert_eq!(diff.introduced.len(), 1);
-        assert!(!diff.is_improvement());
     }
 
     #[test]

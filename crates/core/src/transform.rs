@@ -3,7 +3,7 @@
 //! The paper closes with: "For now, each recommendation needs to be
 //! implemented manually; however automated transformation is possible if
 //! the recommended action is clearly specified" (§VIII, citing the
-//! AutoFutures work [21]). This module is that next step in miniature: for
+//! AutoFutures work \[21\]). This module is that next step in miniature: for
 //! every detected use case it emits a *sketch* — the concrete before/after
 //! code shape using this crate's own parallel runtime — that an engineer
 //! (or a refactoring tool) can apply.

@@ -137,27 +137,13 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// The running values every row is coded against; reset per chunk. While
-/// decoding, `stepped_back` records whether some row's `seq` was below the
-/// row before it.
+/// The running values every row is coded against; reset per chunk.
 #[derive(Default)]
 struct Prev {
     seq: u64,
     thread: u32,
     len: u32,
     idx: u32,
-    stepped_back: bool,
-}
-
-impl Prev {
-    /// Move `seq` on by the wrapping difference `dseq`. The encoder writes
-    /// `seq - prev_seq` wrapped, so the addition wraps exactly when the row
-    /// goes back in sequence order.
-    fn step_seq(&mut self, dseq: u64) {
-        let (seq, wrapped) = self.seq.overflowing_add(dseq);
-        self.seq = seq;
-        self.stepped_back |= wrapped;
-    }
 }
 
 fn zigzag(v: i64) -> u64 {
@@ -451,7 +437,7 @@ fn decode_row(rows: &mut &[u8], prev: &mut Prev) -> Result<AccessEvent, DecodeEr
     if let Some((&[head, dseq, dlen, didx], rest)) = rows.split_first_chunk::<4>() {
         if head & (THREAD_CHANGED | 0x30) == 0 && (dseq | dlen | didx) < 0x80 {
             let kind = kind_of(head)?;
-            prev.step_seq(u64::from(dseq));
+            prev.seq = prev.seq.wrapping_add(u64::from(dseq));
             prev.len = step(prev.len, u64::from(dlen), "len")?;
             prev.idx = step(prev.idx, u64::from(didx), "index")?;
             *rows = rest;
@@ -466,7 +452,7 @@ fn decode_row(rows: &mut &[u8], prev: &mut Prev) -> Result<AccessEvent, DecodeEr
     }
     let head = byte(rows)?;
     let kind = kind_of(head)?;
-    prev.step_seq(var(rows)?);
+    prev.seq = prev.seq.wrapping_add(var(rows)?);
     if head & THREAD_CHANGED != 0 {
         prev.thread = u32::try_from(var(rows)?).map_err(|_| DecodeError::OutOfRange("thread"))?;
     }
@@ -494,39 +480,22 @@ fn decode_row(rows: &mut &[u8], prev: &mut Prev) -> Result<AccessEvent, DecodeEr
     })
 }
 
-/// What decoding one chunk into its slots found: how many it wrote (all of
-/// them), the first and last `seq`, and whether the rows were in sequence
-/// order.
-struct Decoded {
-    written: usize,
-    first_seq: u64,
-    last_seq: u64,
-    in_order: bool,
-}
-
 /// Check one chunk's checksum and decode it into `dst`, which has exactly
-/// the chunk's count of slots (at least one).
+/// the chunk's count of slots. Returns how many slots it wrote: all of
+/// them.
 fn decode_chunk(
     chunk: &Chunk<'_>,
     dst: &mut [MaybeUninit<AccessEvent>],
-) -> Result<Decoded, DecodeError> {
+) -> Result<usize, DecodeError> {
     chunk.verify()?;
     let (mut rows, mut prev) = (chunk.rows, Prev::default());
-    let (first, rest) = dst.split_first_mut().ok_or(DecodeError::RowBytes)?;
-    first.write(decode_row(&mut rows, &mut prev)?);
-    let first_seq = prev.seq;
-    for slot in rest {
+    for slot in dst.iter_mut() {
         slot.write(decode_row(&mut rows, &mut prev)?);
     }
     if !rows.is_empty() {
         return Err(DecodeError::RowBytes);
     }
-    Ok(Decoded {
-        written: dst.len(),
-        first_seq,
-        last_seq: prev.seq,
-        in_order: !prev.stepped_back,
-    })
+    Ok(dst.len())
 }
 
 /// One chunk and the slots of its body's vector it decodes into.
@@ -537,12 +506,12 @@ struct Job<'a, 'b> {
 }
 
 /// Decode a run of jobs in order, stopping at the first error. Returns
-/// what each job's chunk decoded to.
-fn decode_run(run: &mut [Job<'_, '_>]) -> Result<Vec<(usize, Decoded)>, BodyError> {
+/// each job's body and the slots its chunk wrote.
+fn decode_run(run: &mut [Job<'_, '_>]) -> Result<Vec<(usize, usize)>, BodyError> {
     run.iter_mut()
         .map(|job| {
             decode_chunk(job.chunk, job.dst)
-                .map(|decoded| (job.body, decoded))
+                .map(|written| (job.body, written))
                 .map_err(|error| BodyError {
                     body: job.body,
                     error,
@@ -551,19 +520,9 @@ fn decode_run(run: &mut [Job<'_, '_>]) -> Result<Vec<(usize, Decoded)>, BodyErro
         .collect()
 }
 
-/// One decoded body: its events, and whether they are in sequence order
-/// (`seq` never decreasing). The order is checked while decoding, so a
-/// caller that needs ordered events need not read them again to check.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DecodedBody {
-    /// The body's events, in encoded order.
-    pub events: Vec<AccessEvent>,
-    /// Whether every event's `seq` is at least the one before it.
-    pub in_order: bool,
-}
-
 /// Decode every chunk of every body on `threads` workers (`0` and `1` both
-/// decode inline) and return each body's events, in body order.
+/// decode inline) and return each body's events, in body order and, within
+/// a body, in stored order.
 ///
 /// The flat list of chunks, in body order, is split into `threads`
 /// contiguous runs of near-equal event count, so one large body decodes on
@@ -571,7 +530,10 @@ pub struct DecodedBody {
 /// body's vector, which is sized from the validated chunk counts. On error
 /// the first failing chunk in body order is reported, whatever the thread
 /// count.
-pub fn decode_bodies(bodies: &[Body<'_>], threads: usize) -> Result<Vec<DecodedBody>, BodyError> {
+pub fn decode_bodies(
+    bodies: &[Body<'_>],
+    threads: usize,
+) -> Result<Vec<Vec<AccessEvent>>, BodyError> {
     let mut out: Vec<Vec<AccessEvent>> = bodies
         .iter()
         .map(|b| Vec::with_capacity(b.events))
@@ -629,16 +591,9 @@ pub fn decode_bodies(bodies: &[Body<'_>], threads: usize) -> Result<Vec<DecodedB
         written
     };
 
-    // Chunks come back in body order: a body is in order when each chunk
-    // is and no chunk starts below where the one before it ended.
     let mut filled = vec![0usize; bodies.len()];
-    let mut in_order = vec![true; bodies.len()];
-    let mut last: Option<(usize, u64)> = None;
-    for (body, chunk) in written {
-        filled[body] += chunk.written;
-        let continues = last.is_none_or(|(b, seq)| b != body || seq <= chunk.first_seq);
-        in_order[body] &= chunk.in_order && continues;
-        last = Some((body, chunk.last_seq));
+    for (body, slots) in written {
+        filled[body] += slots;
     }
     for ((events, body), filled) in out.iter_mut().zip(bodies).zip(filled) {
         assert_eq!(filled, body.events, "every slot of the body was decoded");
@@ -652,11 +607,7 @@ pub fn decode_bodies(bodies: &[Body<'_>], threads: usize) -> Result<Vec<DecodedB
         // vectors dropped on an earlier error own nothing to drop.
         unsafe { events.set_len(body.events) };
     }
-    Ok(out
-        .into_iter()
-        .zip(in_order)
-        .map(|(events, in_order)| DecodedBody { events, in_order })
-        .collect())
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -715,7 +666,7 @@ mod tests {
     fn decode(bytes: &[u8], expected: u64) -> Result<Vec<AccessEvent>, DecodeError> {
         let body = Body::parse(bytes, expected)?;
         let mut bodies = decode_bodies(&[body], 1).map_err(|e| e.error)?;
-        Ok(bodies.remove(0).events)
+        Ok(bodies.remove(0))
     }
 
     /// A one-chunk body holding `rows` verbatim as its `count` rows, with
@@ -764,8 +715,7 @@ mod tests {
                 threads,
             )
             .unwrap();
-            assert_eq!(back[0].events, events, "{threads} threads");
-            assert!(back[0].in_order);
+            assert_eq!(back[0], events, "{threads} threads");
         }
     }
 
@@ -819,7 +769,7 @@ mod tests {
     }
 
     #[test]
-    fn decoding_reports_whether_the_events_are_in_order() {
+    fn out_of_order_bodies_decode_in_stored_order() {
         let ordered: Vec<_> = (0..CHUNK_EVENTS as u64 + 3)
             .map(|i| AccessEvent::whole(i / 2, AccessKind::Read, 3))
             .collect();
@@ -831,13 +781,12 @@ mod tests {
         across[CHUNK_EVENTS].seq = 0;
         across[CHUNK_EVENTS + 1].seq = 0;
         across[CHUNK_EVENTS + 2].seq = 0;
-        for (events, want) in [(&ordered, true), (&inside, false), (&across, false)] {
+        for events in [&ordered, &inside, &across] {
             let bytes = encode(events);
             for threads in [1, 2] {
                 let body = Body::parse(&bytes, events.len() as u64).unwrap();
                 let back = decode_bodies(&[body], threads).unwrap().remove(0);
-                assert_eq!(&back.events, events);
-                assert_eq!(back.in_order, want, "{threads} threads");
+                assert_eq!(&back, events, "{threads} threads");
             }
         }
     }

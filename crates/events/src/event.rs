@@ -73,12 +73,6 @@ impl AccessKind {
         }
     }
 
-    /// Whether the kind is one of the paper's *compound* access types
-    /// (everything except the trivial `Read` / `Write`).
-    pub fn is_compound(self) -> bool {
-        !matches!(self, AccessKind::Read | AccessKind::Write)
-    }
-
     /// Whether the event conceptually touches a single element position
     /// (as opposed to the structure as a whole).
     pub fn is_positional(self) -> bool {
@@ -86,23 +80,6 @@ impl AccessKind {
             self,
             AccessKind::Read | AccessKind::Write | AccessKind::Insert | AccessKind::Delete
         )
-    }
-
-    /// Short uppercase mnemonic used in reports and charts.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            AccessKind::Read => "RD",
-            AccessKind::Write => "WR",
-            AccessKind::Insert => "INS",
-            AccessKind::Delete => "DEL",
-            AccessKind::Search => "SRCH",
-            AccessKind::Clear => "CLR",
-            AccessKind::Copy => "CPY",
-            AccessKind::Reverse => "REV",
-            AccessKind::Sort => "SORT",
-            AccessKind::ForAll => "FOR",
-            AccessKind::Resize => "RSZ",
-        }
     }
 
     /// Decode from the wire discriminant. Inverse of `self as u8`.
@@ -300,17 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn trivial_vs_compound() {
-        assert!(!AccessKind::Read.is_compound());
-        assert!(!AccessKind::Write.is_compound());
-        for k in AccessKind::ALL {
-            if k != AccessKind::Read && k != AccessKind::Write {
-                assert!(k.is_compound(), "{k} should be compound");
-            }
-        }
-    }
-
-    #[test]
     fn target_span_and_index() {
         assert_eq!(Target::Index(7).index(), Some(7));
         assert_eq!(Target::Index(7).span(100), 1);
@@ -338,17 +304,5 @@ mod tests {
         assert!(AccessKind::Insert.is_positional());
         assert!(!AccessKind::Sort.is_positional());
         assert!(!AccessKind::Clear.is_positional());
-    }
-
-    #[test]
-    fn mnemonics_are_unique() {
-        let mut seen = std::collections::HashSet::new();
-        for k in AccessKind::ALL {
-            assert!(
-                seen.insert(k.mnemonic()),
-                "duplicate mnemonic {}",
-                k.mnemonic()
-            );
-        }
     }
 }

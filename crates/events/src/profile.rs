@@ -14,7 +14,11 @@ use serde::{Deserialize, Serialize};
 pub struct RuntimeProfile {
     /// Which instance this is the history of.
     pub instance: InstanceInfo,
-    /// All access events, ordered by logical timestamp (`seq`).
+    /// All access events. [`RuntimeProfile::new`] (and so every profile a
+    /// session records) orders them by logical timestamp (`seq`); a profile
+    /// built field by field, or read back from a capture file, keeps the
+    /// order it was given, and the analysis fold counts each step back in
+    /// `seq` as an inversion (`out_of_order`).
     pub events: Vec<AccessEvent>,
 }
 

@@ -45,7 +45,7 @@ fn encode(events: &[AccessEvent]) -> Vec<u8> {
 fn decode(bytes: &[u8], expected: u64, threads: usize) -> Result<Vec<AccessEvent>, DecodeError> {
     let body = Body::parse(bytes, expected)?;
     let mut bodies = decode_bodies(&[body], threads).map_err(|e| e.error)?;
-    Ok(bodies.remove(0).events)
+    Ok(bodies.remove(0))
 }
 
 proptest! {
@@ -68,9 +68,7 @@ proptest! {
             .collect();
         let decoded = decode_bodies(&bodies, threads).unwrap();
         for (body, events) in decoded.iter().zip(&profiles) {
-            prop_assert_eq!(&body.events, events);
-            let ordered = events.windows(2).all(|w| w[0].seq <= w[1].seq);
-            prop_assert_eq!(body.in_order, ordered);
+            prop_assert_eq!(body, events);
         }
         prop_assert_eq!(decoded.len(), profiles.len());
     }

@@ -117,17 +117,6 @@ impl<T> BlockingQueue<T> {
         }
     }
 
-    /// Try to dequeue without blocking.
-    pub fn try_pop(&self) -> Option<T> {
-        let mut state = self.inner.queue.lock();
-        let item = state.items.pop_front();
-        if item.is_some() {
-            drop(state);
-            self.inner.not_full.notify_one();
-        }
-        item
-    }
-
     /// Close the queue: producers start failing, consumers drain what is
     /// left and then receive `None`.
     pub fn close(&self) {
@@ -147,11 +136,6 @@ impl<T> BlockingQueue<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Whether the queue has been closed.
-    pub fn is_closed(&self) -> bool {
-        self.inner.queue.lock().closed
-    }
 }
 
 #[cfg(test)]
@@ -167,9 +151,9 @@ mod tests {
         q.push(3).unwrap();
         assert_eq!(q.len(), 3);
         assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.try_pop(), Some(2));
+        assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.try_pop(), None);
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -177,7 +161,6 @@ mod tests {
         let q = BlockingQueue::unbounded();
         q.push(10).unwrap();
         q.close();
-        assert!(q.is_closed());
         assert_eq!(q.push(11), Err(11));
         assert_eq!(q.pop(), Some(10));
         assert_eq!(q.pop(), None);

@@ -13,7 +13,6 @@ use dsspy_events::{AccessKind, RuntimeProfile};
 use serde::{Deserialize, Serialize};
 
 use crate::incremental::IncrementalAnalyzer;
-use crate::kind::PatternKind;
 use crate::regularity::RegularityConfig;
 use crate::run::{MinerConfig, PatternInstance};
 use crate::threads::ThreadProfile;
@@ -131,26 +130,6 @@ impl Metrics {
     /// (Implement-Queue: "> 60 % in sum ... two different ends").
     pub fn end_traffic_share(&self) -> f64 {
         (self.front_share + self.back_share).min(1.0)
-    }
-}
-
-impl ProfileAnalysis {
-    /// Pattern instances of one kind.
-    pub fn of_kind(&self, kind: PatternKind) -> impl Iterator<Item = &PatternInstance> {
-        self.patterns.iter().filter(move |p| p.kind == kind)
-    }
-
-    /// Histogram of pattern instances per kind.
-    pub fn pattern_histogram(&self) -> [(PatternKind, usize); 8] {
-        let mut out = PatternKind::ALL.map(|k| (k, 0usize));
-        for p in &self.patterns {
-            let slot = out
-                .iter_mut()
-                .find(|(k, _)| *k == p.kind)
-                .expect("all kinds present");
-            slot.1 += 1;
-        }
-        out
     }
 }
 
@@ -354,22 +333,5 @@ mod tests {
         assert_eq!(a.metrics.total_events, 0);
         assert_eq!(a.metrics.insert_phase_share, 0.0);
         assert!(!a.metrics.two_ended);
-    }
-
-    #[test]
-    fn histogram_counts_by_kind() {
-        let a = run(fill_then_scan(20));
-        let h = a.pattern_histogram();
-        let ib = h
-            .iter()
-            .find(|(k, _)| *k == PatternKind::InsertBack)
-            .unwrap();
-        let rf = h
-            .iter()
-            .find(|(k, _)| *k == PatternKind::ReadForward)
-            .unwrap();
-        assert_eq!(ib.1, 1);
-        assert_eq!(rf.1, 1);
-        assert_eq!(h.iter().map(|(_, n)| n).sum::<usize>(), 2);
     }
 }

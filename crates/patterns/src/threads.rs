@@ -32,12 +32,6 @@ pub struct ThreadProfile {
 }
 
 impl ThreadProfile {
-    /// Whether the instance is effectively single-threaded (one thread, or
-    /// one thread doing ≥ `share` of the traffic with phase-wise handoff).
-    pub fn effectively_single_threaded(&self, share: f64) -> bool {
-        self.thread_count <= 1 || (self.dominant_share >= share && self.switches <= 2)
-    }
-
     /// Whether the instance is accessed concurrently in an interleaved way.
     pub fn is_shared_concurrently(&self) -> bool {
         self.thread_count > 1 && self.switches > 2
@@ -81,7 +75,6 @@ mod tests {
         assert_eq!(tp.thread_count, 1);
         assert_eq!(tp.switches, 0);
         assert_eq!(tp.dominant_share, 1.0);
-        assert!(tp.effectively_single_threaded(0.9));
         assert!(!tp.is_shared_concurrently());
     }
 
@@ -93,7 +86,6 @@ mod tests {
         assert_eq!(tp.switches, 39);
         assert!((tp.dominant_share - 0.5).abs() < 1e-12);
         assert!(tp.is_shared_concurrently());
-        assert!(!tp.effectively_single_threaded(0.9));
     }
 
     #[test]
@@ -105,7 +97,6 @@ mod tests {
         assert_eq!(tp.thread_count, 2);
         assert_eq!(tp.switches, 1);
         assert!(tp.dominant_share > 0.8);
-        assert!(tp.effectively_single_threaded(0.8));
         assert!(!tp.is_shared_concurrently());
     }
 
@@ -114,7 +105,6 @@ mod tests {
         let tp = threads_of(&profile(vec![]));
         assert_eq!(tp.thread_count, 0);
         assert_eq!(tp.dominant_share, 0.0);
-        assert!(tp.effectively_single_threaded(0.9));
     }
 
     #[test]

@@ -36,7 +36,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dsspy_collect::{Capture, CollectorStats, CollectorTap, Registry, Session, TapFanout};
+use dsspy_collect::{CollectorStats, CollectorTap, Registry, Session, TapFanout};
 use dsspy_core::{AnalysisTimings, Dsspy, InstanceFold, Report};
 use dsspy_events::{AccessEvent, InstanceId, InstanceInfo};
 use dsspy_telemetry::{Counter, FlightEventKind, Gauge, Histogram, Telemetry, TraceContext};
@@ -337,11 +337,12 @@ impl CollectorTap for StreamTap {
 ///   fan-out: [`StreamingAnalyzer::tap`] +
 ///   [`SessionBuilder::tap`](dsspy_collect::SessionBuilder::tap) +
 ///   [`StreamingAnalyzer::bind_registry`].)
-/// * **Replay mode** — [`StreamingAnalyzer::replay_capture`] (or
-///   [`StreamingAnalyzer::register_instance`] +
-///   [`StreamingAnalyzer::fold_batch`]) streams an existing capture through
-///   the same fold path, batch by batch; `dsspy watch` uses this to replay
-///   saved captures as if they were live.
+/// * **Replay mode** — [`StreamingAnalyzer::register_instance`] +
+///   [`StreamingAnalyzer::fold_batch`] + [`StreamingAnalyzer::finish_replay`]
+///   stream an existing capture through the same fold path, batch by
+///   batch; finishing with the capture's own stats makes the final report
+///   byte-for-byte comparable to [`Dsspy::analyze_capture`]. `dsspy watch`
+///   uses this to replay saved captures as if they were live.
 ///
 /// Cloning is cheap and shares state — clone it before handing the tap to a
 /// session and keep querying [`StreamingAnalyzer::latest_report`] from the
@@ -431,23 +432,6 @@ impl StreamingAnalyzer {
         // a replay are still ordered and distinguishable.
         let ctx = TraceContext::replay(shared.batches + 1);
         shared.fold_batch(ctx, id, events, queue_depth);
-    }
-
-    /// Stream a whole capture through the fold path in `batch_size`-event
-    /// batches and finish with the capture's own stats, so the final
-    /// [`StreamingAnalyzer::report`] is byte-for-byte comparable to
-    /// [`Dsspy::analyze_capture`] on the same capture.
-    pub fn replay_capture(&self, capture: &Capture, batch_size: usize) {
-        let batch_size = batch_size.max(1);
-        for profile in &capture.profiles {
-            self.register_instance(profile.instance.clone());
-        }
-        for profile in &capture.profiles {
-            for chunk in profile.events.chunks(batch_size) {
-                self.fold_batch(profile.instance.id, chunk, 0);
-            }
-        }
-        self.finish_replay(&capture.stats, capture.session_nanos);
     }
 
     /// Replay mode: end the stream with the drained session's collector
@@ -696,7 +680,15 @@ mod tests {
 
         for batch in [1usize, 7, 100, 100_000] {
             let streaming = StreamingAnalyzer::new(dsspy, StreamConfig::default());
-            streaming.replay_capture(&capture, batch);
+            for profile in &capture.profiles {
+                streaming.register_instance(profile.instance.clone());
+            }
+            for profile in &capture.profiles {
+                for chunk in profile.events.chunks(batch) {
+                    streaming.fold_batch(profile.instance.id, chunk, 0);
+                }
+            }
+            streaming.finish_replay(&capture.stats, capture.session_nanos);
             let live = streaming.latest_report().expect("final snapshot");
             let post = dsspy.analyze_capture(&capture);
             let live_json = serde_json::to_string(&*live).expect("serialize");

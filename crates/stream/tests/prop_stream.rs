@@ -5,8 +5,10 @@
 //! Two routes into the fold path are exercised:
 //!
 //! * **replay** — a synthetic multi-instance capture streamed through
-//!   [`StreamingAnalyzer::replay_capture`] at arbitrary batch sizes must
-//!   serialize byte-for-byte like the post-mortem report;
+//!   [`StreamingAnalyzer::register_instance`],
+//!   [`StreamingAnalyzer::fold_batch`] at arbitrary batch sizes and
+//!   [`StreamingAnalyzer::finish_replay`] (the calls `dsspy watch` makes)
+//!   must serialize byte-for-byte like the post-mortem report;
 //! * **live** — the same operation sequences recorded through a real
 //!   [`Session`] with the analyzer attached as a collector tap, compared on
 //!   the serialized instance reports (classifications, metrics, patterns,
@@ -183,7 +185,15 @@ proptest! {
         let capture = synthetic_capture(&resolve(&ops));
         let dsspy = Dsspy::new().with_threads(1);
         let streaming = StreamingAnalyzer::new(dsspy, StreamConfig::default());
-        streaming.replay_capture(&capture, batch);
+        for profile in &capture.profiles {
+            streaming.register_instance(profile.instance.clone());
+        }
+        for profile in &capture.profiles {
+            for chunk in profile.events.chunks(batch) {
+                streaming.fold_batch(profile.instance.id, chunk, 0);
+            }
+        }
+        streaming.finish_replay(&capture.stats, capture.session_nanos);
         let live = streaming.latest_report().expect("final snapshot on finish");
         let post = dsspy.analyze_capture(&capture);
         prop_assert_eq!(

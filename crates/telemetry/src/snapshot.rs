@@ -63,11 +63,6 @@ impl TelemetrySnapshot {
         self.spans.iter().filter(move |s| s.cat == cat)
     }
 
-    /// Summed duration of all spans in a category.
-    pub fn span_nanos_in(&self, cat: &str) -> u64 {
-        self.spans_in(cat).map(|s| s.dur_nanos).sum()
-    }
-
     /// Per-thread busy nanoseconds for the top-level (`depth == 0`) spans of
     /// one category, sorted by thread ordinal — the worker-utilization view
     /// of a parallel phase. Only depth-0 spans count so nested child spans

@@ -31,7 +31,7 @@ fn arb_shard() -> impl Strategy<Value = Shard> {
 const COUNTER_NAMES: [&str; 5] = ["c.a", "c.b", "c.c", "c.d", "c.e"];
 const GAUGE_NAMES: [&str; 3] = ["g.a", "g.b", "g.c"];
 
-fn materialize(shard: &Shard) -> TelemetrySnapshot {
+fn snapshot_of(shard: &Shard) -> TelemetrySnapshot {
     let telemetry = Telemetry::enabled();
     for (slot, value) in &shard.counters {
         telemetry
@@ -66,7 +66,7 @@ proptest! {
         shards in proptest::collection::vec(arb_shard(), 1..6),
         seed in any::<u64>(),
     ) {
-        let snaps: Vec<TelemetrySnapshot> = shards.iter().map(materialize).collect();
+        let snaps: Vec<TelemetrySnapshot> = shards.iter().map(snapshot_of).collect();
         let forward: Vec<usize> = (0..snaps.len()).collect();
         let mut shuffled = forward.clone();
         // Deterministic Fisher-Yates from the seed.

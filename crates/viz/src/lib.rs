@@ -10,6 +10,10 @@
 //!   and as standalone SVG for reports.
 //! * **Occurrence charts** (Fig. 1): stacked per-program bars of data
 //!   structure counts by kind.
+//! * **Pattern timelines** ([`timeline`]): each mined pattern instance as a
+//!   span on the sequence axis, over the segmented phases.
+//! * **HTML reports** ([`html`]): one shareable file with the use-case
+//!   listing and a profile chart and timeline per flagged instance.
 //! * **Flight timelines** ([`flight`]): the causal event timeline, the
 //!   per-subscriber lag table and the incident report `dsspy doctor`
 //!   renders from a [`dsspy_telemetry::FlightDump`].
@@ -24,7 +28,6 @@
 #![warn(missing_docs)]
 
 pub mod flight;
-pub mod hotspots;
 pub mod html;
 pub mod occurrence;
 pub mod palette;
@@ -35,7 +38,6 @@ pub mod timeline;
 pub use flight::{
     flight_incidents_text, flight_lag_text, flight_timeline_text, subscriber_lags, SubscriberLag,
 };
-pub use hotspots::{index_histogram, IndexHistogram};
 pub use html::html_report;
 pub use occurrence::{occurrence_svg, occurrence_table, OccurrenceRow};
 pub use profile_chart::{profile_chart_svg, profile_chart_text};

@@ -62,11 +62,6 @@ impl SvgDoc {
             self.width, self.height, self.width, self.height, self.body
         )
     }
-
-    /// Number of `<rect>` elements emitted so far (used by tests).
-    pub fn rect_count(&self) -> usize {
-        self.body.matches("<rect").count()
-    }
 }
 
 /// Escape the five XML-special characters.
@@ -106,9 +101,8 @@ mod tests {
     #[test]
     fn rect_count_includes_surface() {
         let mut doc = SvgDoc::new(10, 10, "#fff");
-        assert_eq!(doc.rect_count(), 1);
         doc.rect(0.0, 0.0, 1.0, 1.0, "#000", None);
-        assert_eq!(doc.rect_count(), 2);
+        assert_eq!(doc.finish().matches("<rect").count(), 2);
     }
 
     #[test]

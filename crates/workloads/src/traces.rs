@@ -69,34 +69,9 @@ impl TraceBuilder {
         self
     }
 
-    /// Insert `n` elements at the front (Insert-Front phase).
-    pub fn prepend_phase(&mut self, n: u32, cost: u64) -> &mut Self {
-        for _ in 0..n {
-            self.len += 1;
-            self.push(AccessKind::Insert, Target::Index(0), cost);
-        }
-        self
-    }
-
     /// One full forward scan (Read-Forward over the whole structure).
     pub fn scan_forward(&mut self, cost: u64) -> &mut Self {
         for i in 0..self.len {
-            self.push(AccessKind::Read, Target::Index(i), cost);
-        }
-        self
-    }
-
-    /// One full backward scan.
-    pub fn scan_backward(&mut self, cost: u64) -> &mut Self {
-        for i in (0..self.len).rev() {
-            self.push(AccessKind::Read, Target::Index(i), cost);
-        }
-        self
-    }
-
-    /// A partial forward scan over the first `n` elements.
-    pub fn scan_prefix(&mut self, n: u32, cost: u64) -> &mut Self {
-        for i in 0..n.min(self.len) {
             self.push(AccessKind::Read, Target::Index(i), cost);
         }
         self
@@ -119,14 +94,6 @@ impl TraceBuilder {
             }
             self.push(AccessKind::Read, Target::Index(idx), cost);
             last = idx;
-        }
-        self
-    }
-
-    /// Forward in-place overwrite of every element (Write-Forward).
-    pub fn overwrite_forward(&mut self, cost: u64) -> &mut Self {
-        for i in 0..self.len {
-            self.push(AccessKind::Write, Target::Index(i), cost);
         }
         self
     }
@@ -429,7 +396,7 @@ mod tests {
         assert_eq!(b.len(), 10);
         b.clear(1);
         assert_eq!(b.len(), 0);
-        b.prepend_phase(3, 1);
+        b.append_phase(3, 1);
         assert_eq!(b.len(), 3);
         assert!(!b.is_empty());
     }

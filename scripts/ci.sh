@@ -2,7 +2,9 @@
 # CI gate: the tier-1 gate plus the cells tier-1 does not run.
 #
 #   full        scripts/tier1.sh (which runs the debug test suite), then
-#               the whole test suite once more in release, then explicit
+#               the whole test suite once more in release, then the docs
+#               cell (rustdoc over the workspace with warnings denied, so a
+#               broken intra-doc link fails), then explicit
 #               --threads CLI runs, the bad-input cell (malformed numeric
 #               values, unknown flags and values outside their choices exit
 #               2), the capture-write-error cell (`demo /dev/full` exits 1
@@ -92,6 +94,10 @@ if [[ "$MODE" == "full" ]]; then
     # decodes and analyzes every suite7 capture at 1, 2, 4 and 0 threads).
     run_cell test-release '"kind":"test","profile":"release",' \
         cargo test -q --release
+    # Every crate's docs build with rustdoc warnings denied: a doc link to
+    # a private or deleted item fails here.
+    run_cell docs '"kind":"gate",' \
+        env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
     # CLI --threads runs + live smokes against the release binary tier1 built.
     SMOKE="$LOG_DIR/ci-smoke.dsspycap"
     run_cell demo-capture '"kind":"smoke",' ./target/release/dsspy demo "$SMOKE"

@@ -4,7 +4,7 @@
 
 use dsspy::collect::{load_capture, save_capture, Session};
 use dsspy::core::{instances_csv, use_cases_csv, Dsspy};
-use dsspy::viz::{html_report, index_histogram, profile_chart_svg, timeline_svg};
+use dsspy::viz::{html_report, profile_chart_svg, timeline_svg};
 use dsspy_workloads::programs::gpdotnet::GpDotNet;
 use dsspy_workloads::{Mode, Scale, Workload};
 
@@ -61,23 +61,6 @@ fn gpdotnet_artifact_chain() {
     );
     let tl = timeline_svg(population, &analysis.patterns, &phases);
     assert!(tl.contains("Insert-Back"));
-
-    // 5. The hotspot histogram of the cumulative list shows prefix-heavy
-    //    reads (roulette scans start at 0).
-    let cumulative = reloaded
-        .profiles
-        .iter()
-        .find(|p| p.instance.site.method == "FitnessProportionateSelection")
-        .expect("cumulative profile");
-    let hist = index_histogram(cumulative, 10);
-    assert!(hist.total() > 0);
-    let first_band = hist.bands[0].0 + hist.bands[0].1;
-    let last_band = hist.bands[9].0 + hist.bands[9].1;
-    assert!(
-        first_band > last_band,
-        "prefix scans load the front: {:?}",
-        hist.bands
-    );
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -3,7 +3,8 @@
 //! threads, or one worker per core — and `0` must resolve to the machine's
 //! parallelism. Instances of several chunks are folded chunk by chunk and
 //! merged, so the reports are also checked against one straight fold of
-//! each instance.
+//! each instance. A body stored out of `seq` order reports the same in
+//! memory, after a write and a read, and straight from its encoded bodies.
 
 use dsspy::collect::{
     read_capture_with, read_encoded_with, write_capture, Capture, CollectorStats, ReadOptions,
@@ -233,6 +234,83 @@ fn multi_chunk_instances_report_the_same_at_every_width() {
     }
 }
 
+/// `capture` analyzed in memory, analyzed after a write and a read at
+/// decode widths 1 and 2, and analyzed straight from its encoded bodies at
+/// widths 1 and 2 must serialize to the same report.
+fn assert_every_path_reports_alike(capture: &Capture) {
+    let baseline = serde_json::to_string(&Dsspy::new().analyze_capture(capture)).unwrap();
+    let mut bytes = Vec::new();
+    write_capture(capture, &mut bytes).expect("write capture");
+    for threads in [1, 2] {
+        let opts = ReadOptions {
+            threads,
+            telemetry: Telemetry::disabled(),
+        };
+        let loaded = read_capture_with(&bytes[..], &opts).expect("read capture");
+        let report = Dsspy::new().with_threads(threads).analyze_capture(&loaded);
+        assert!(
+            serde_json::to_string(&report).unwrap() == baseline,
+            "loaded capture at threads={threads}"
+        );
+        let encoded = read_encoded_with(&bytes[..], &Telemetry::disabled()).expect("read");
+        let report = Dsspy::new()
+            .with_threads(threads)
+            .analyze_encoded_with(&encoded, &Telemetry::disabled())
+            .expect("decode");
+        assert!(
+            serde_json::to_string(&report).unwrap() == baseline,
+            "fused analysis at threads={threads}"
+        );
+    }
+}
+
+/// A capture of one `List` per entry of `bodies`, each profile holding
+/// exactly the given events in the given order.
+fn capture_of_bodies(bodies: Vec<Vec<AccessEvent>>) -> Capture {
+    let events = bodies.iter().map(|b| b.len() as u64).sum();
+    let profiles = bodies
+        .into_iter()
+        .enumerate()
+        .map(|(id, events)| RuntimeProfile {
+            instance: InstanceInfo::new(
+                InstanceId(id as u64),
+                AllocationSite::new("Unordered", "body", id as u32),
+                DsKind::List,
+                "u32",
+            ),
+            events,
+        })
+        .collect();
+    let stats = CollectorStats {
+        events,
+        batches: 1,
+        dropped: 0,
+    };
+    Capture::new(profiles, stats, 1)
+}
+
+/// `n` events at seq `0..n`: back-inserts for the first half (rounded
+/// up), then a forward read over the front of what they filled.
+fn fill_then_read(n: u32) -> Vec<AccessEvent> {
+    let filled = n - n / 2;
+    let fill = (0..filled).map(|i| AccessEvent::at(u64::from(i), AccessKind::Insert, i, i + 1));
+    let read =
+        (0..n / 2).map(|i| AccessEvent::at(u64::from(filled + i), AccessKind::Read, i, filled));
+    fill.chain(read).collect()
+}
+
+/// A body that steps back in `seq` exactly at the chunk boundary: its first
+/// chunk holds seq `300..CHUNK_EVENTS + 300`, its second seq `0..300`.
+#[test]
+fn a_body_inverted_across_the_chunk_boundary_reports_alike_on_every_path() {
+    let n = CHUNK_EVENTS as u32 + 300;
+    let mut events: Vec<_> = (0..n)
+        .map(|i| AccessEvent::at(u64::from(i), AccessKind::Insert, i, i + 1))
+        .collect();
+    events.rotate_left(300);
+    assert_every_path_reports_alike(&capture_of_bodies(vec![events]));
+}
+
 #[test]
 fn timings_cover_every_instance() {
     let capture = capture_with(&[(200, true), (50, false), (0, false)]);
@@ -262,6 +340,24 @@ fn timings_are_not_serialized() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Bodies in any order: each instance's fill-then-read sequence is
+    /// permuted by sorting it on arbitrary keys.
+    #[test]
+    fn permuted_bodies_report_alike_on_every_path(
+        keys in proptest::collection::vec(proptest::collection::vec(any::<u64>(), 1..300), 1..4)
+    ) {
+        let bodies = keys
+            .iter()
+            .map(|keys| {
+                let events = fill_then_read(keys.len() as u32);
+                let mut keyed: Vec<_> = keys.iter().zip(events).collect();
+                keyed.sort_by_key(|(k, _)| **k);
+                keyed.into_iter().map(|(_, e)| e).collect()
+            })
+            .collect();
+        assert_every_path_reports_alike(&capture_of_bodies(bodies));
+    }
 
     #[test]
     fn report_is_identical_for_any_thread_count(

@@ -159,7 +159,7 @@ fn capture_event_encoding_round_trip() {
     encode::encode_body(events, &mut encoded);
     let body = encode::Body::parse(&encoded, events.len() as u64).expect("framing");
     let decoded = encode::decode_bodies(&[body], 1).expect("decode");
-    assert_eq!(&decoded[0].events, events);
+    assert_eq!(&decoded[0], events);
 }
 
 #[test]

@@ -144,7 +144,15 @@ fn replaying_a_suite7_capture_matches_whole_report_serialization() {
     let capture = session.finish();
 
     let streaming = StreamingAnalyzer::new(dsspy, StreamConfig::default());
-    streaming.replay_capture(&capture, 256);
+    for profile in &capture.profiles {
+        streaming.register_instance(profile.instance.clone());
+    }
+    for profile in &capture.profiles {
+        for chunk in profile.events.chunks(256) {
+            streaming.fold_batch(profile.instance.id, chunk, 0);
+        }
+    }
+    streaming.finish_replay(&capture.stats, capture.session_nanos);
     let live = streaming.latest_report().expect("final snapshot");
     let post = dsspy.analyze_capture(&capture);
     assert_eq!(
