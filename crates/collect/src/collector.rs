@@ -252,7 +252,7 @@ pub(crate) fn spawn(
 /// registered instance (instances that were never accessed get an empty
 /// profile — they still count toward the search-space denominator in §V),
 /// plus collection statistics.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Capture {
     /// Per-instance profiles in registration order.
     pub profiles: Vec<RuntimeProfile>,
@@ -263,16 +263,10 @@ pub struct Capture {
     /// Telemetry recorded while the session ran (collector histograms,
     /// queue pressure, drop counts) — `Some` only for captures produced by
     /// an observed [`Session`](crate::Session) or loaded from a file that
-    /// embedded one. Kept out of the `Capture` serde form; persistence
-    /// carries it in the capture header instead, so offline analysis can
-    /// merge collection-time signals into its own snapshot.
-    #[serde(skip)]
+    /// embedded one. Persistence carries it in the capture header, so
+    /// offline analysis can merge collection-time signals into its own
+    /// snapshot.
     pub collection_telemetry: Option<dsspy_telemetry::TelemetrySnapshot>,
-    /// Lazily-built id → `profiles` index, so [`Capture::profile`] is O(1)
-    /// however the capture was produced (assembled, deserialized, or built
-    /// field-by-field in tests). Not persisted.
-    #[serde(skip)]
-    index: std::sync::OnceLock<HashMap<InstanceId, usize>>,
 }
 
 impl Capture {
@@ -288,7 +282,6 @@ impl Capture {
             stats,
             session_nanos,
             collection_telemetry: None,
-            index: std::sync::OnceLock::new(),
         }
     }
 
@@ -306,21 +299,7 @@ impl Capture {
                 RuntimeProfile::new(info, evs)
             })
             .collect();
-        let capture = Capture::new(profiles, stats, session_nanos);
-        // The session is done growing, so pay for the index here rather than
-        // on the first lookup.
-        capture.id_index();
-        capture
-    }
-
-    fn id_index(&self) -> &HashMap<InstanceId, usize> {
-        self.index.get_or_init(|| {
-            self.profiles
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (p.instance.id, i))
-                .collect()
-        })
+        Capture::new(profiles, stats, session_nanos)
     }
 
     /// Number of registered instances (the search-space denominator).
@@ -331,11 +310,6 @@ impl Capture {
     /// Total events across all profiles.
     pub fn event_count(&self) -> usize {
         self.profiles.iter().map(|p| p.len()).sum()
-    }
-
-    /// The profile of one instance, if it exists. O(1) via the id index.
-    pub fn profile(&self, id: InstanceId) -> Option<&RuntimeProfile> {
-        self.id_index().get(&id).map(|&i| &self.profiles[i])
     }
 }
 
@@ -368,9 +342,8 @@ mod tests {
         );
         assert_eq!(cap.instance_count(), 2);
         assert_eq!(cap.event_count(), 1);
-        assert_eq!(cap.profile(InstanceId(0)).unwrap().len(), 1);
-        assert!(cap.profile(InstanceId(1)).unwrap().is_empty());
-        assert!(cap.profile(InstanceId(7)).is_none());
+        assert_eq!(cap.profiles[0].len(), 1);
+        assert!(cap.profiles[1].is_empty());
     }
 
     #[test]

@@ -40,7 +40,6 @@ pub mod clock;
 pub mod collector;
 pub mod fanout;
 pub mod persist;
-pub mod recorder;
 pub mod registry;
 pub mod session;
 
@@ -52,6 +51,5 @@ pub use persist::{
     read_encoded_with, save_capture, save_capture_with, write_capture, write_capture_with,
     EncodedCapture, PersistError, ReadOptions,
 };
-pub use recorder::Recorder;
 pub use registry::Registry;
 pub use session::{InstanceHandle, Session, SessionBuilder, SessionConfig};

@@ -6,15 +6,12 @@
 //! time: each `Spy*` collection registers itself here with its allocation
 //! site, receives an [`InstanceId`], and all its events are bound to that id.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use dsspy_events::{AllocationSite, DsKind, InstanceId, InstanceInfo, Origin};
 use parking_lot::RwLock;
 
 /// Thread-safe registry of instrumented instances for one session.
 #[derive(Debug, Default)]
 pub struct Registry {
-    next_id: AtomicU64,
     infos: RwLock<Vec<InstanceInfo>>,
 }
 
@@ -24,17 +21,10 @@ impl Registry {
         Registry::default()
     }
 
-    /// Register a new instance and return its session-unique id.
-    pub fn register(
-        &self,
-        site: AllocationSite,
-        kind: DsKind,
-        elem_type: impl Into<String>,
-    ) -> InstanceId {
-        self.register_with_origin(site, kind, elem_type, Origin::Auto)
-    }
-
-    /// Register with an explicit [`Origin`] (selective profiling, §IV).
+    /// Register a new instance with its [`Origin`] (automatic, or selective
+    /// profiling, §IV) and return its session-unique id. An instance's id is
+    /// its position in [`Registry::snapshot`]: both are taken under one
+    /// write lock.
     pub fn register_with_origin(
         &self,
         site: AllocationSite,
@@ -42,10 +32,12 @@ impl Registry {
         elem_type: impl Into<String>,
         origin: Origin,
     ) -> InstanceId {
-        let id = InstanceId(self.next_id.fetch_add(1, Ordering::Relaxed));
+        let elem_type = elem_type.into();
+        let mut infos = self.infos.write();
+        let id = InstanceId(infos.len() as u64);
         let mut info = InstanceInfo::new(id, site, kind, elem_type);
         info.origin = origin;
-        self.infos.write().push(info);
+        infos.push(info);
         id
     }
 
@@ -61,11 +53,6 @@ impl Registry {
         self.infos.read().is_empty()
     }
 
-    /// Metadata of one instance, if it exists.
-    pub fn info(&self, id: InstanceId) -> Option<InstanceInfo> {
-        self.infos.read().iter().find(|i| i.id == id).cloned()
-    }
-
     /// Snapshot of all registered instances, in registration order.
     pub fn snapshot(&self) -> Vec<InstanceInfo> {
         self.infos.read().clone()
@@ -77,29 +64,29 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    #[test]
-    fn register_assigns_distinct_ids() {
-        let r = Registry::new();
-        let a = r.register(AllocationSite::new("A", "f", 1), DsKind::List, "i32");
-        let b = r.register(AllocationSite::new("A", "g", 2), DsKind::Array, "f64");
-        assert_ne!(a, b);
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.info(a).unwrap().kind, DsKind::List);
-        assert_eq!(r.info(b).unwrap().elem_type, "f64");
+    fn register(r: &Registry, position: u32, kind: DsKind, elem_type: &str) -> InstanceId {
+        let site = AllocationSite::new("C", "m", position);
+        r.register_with_origin(site, kind, elem_type, Origin::Auto)
     }
 
     #[test]
-    fn unknown_id_is_none() {
+    fn register_assigns_distinct_ids() {
         let r = Registry::new();
-        assert!(r.info(InstanceId(99)).is_none());
         assert!(r.is_empty());
+        let a = register(&r, 1, DsKind::List, "i32");
+        let b = register(&r, 2, DsKind::Array, "f64");
+        assert_ne!(a, b);
+        assert_eq!(r.len(), 2);
+        let snap = r.snapshot();
+        assert_eq!(snap[0].kind, DsKind::List);
+        assert_eq!(snap[1].elem_type, "f64");
     }
 
     #[test]
     fn snapshot_preserves_registration_order() {
         let r = Registry::new();
         for i in 0..10 {
-            r.register(AllocationSite::new("C", "m", i), DsKind::List, "u8");
+            register(&r, i, DsKind::List, "u8");
         }
         let snap = r.snapshot();
         assert_eq!(snap.len(), 10);
@@ -111,18 +98,15 @@ mod tests {
     #[test]
     fn concurrent_registration_yields_unique_ids() {
         let r = Arc::new(Registry::new());
+        let start = Arc::new(std::sync::Barrier::new(8));
         let mut handles = Vec::new();
         for t in 0..8 {
             let r = Arc::clone(&r);
+            let start = Arc::clone(&start);
             handles.push(std::thread::spawn(move || {
+                start.wait();
                 (0..100)
-                    .map(|i| {
-                        r.register(
-                            AllocationSite::new("T", "m", t * 1000 + i),
-                            DsKind::List,
-                            "i32",
-                        )
-                    })
+                    .map(|i| register(&r, t * 1000 + i, DsKind::List, "i32"))
                     .collect::<Vec<_>>()
             }));
         }
@@ -134,5 +118,9 @@ mod tests {
         }
         assert_eq!(ids.len(), 800);
         assert_eq!(r.len(), 800);
+        // Ids are handed out in the order instances land in the snapshot.
+        for (i, info) in r.snapshot().iter().enumerate() {
+            assert_eq!(info.id, InstanceId(i as u64));
+        }
     }
 }

@@ -7,28 +7,23 @@
 //! *Insert/Delete-Front* (IDF) warns about (§III-B). `SpyArray` therefore
 //! also emits an explicit `Resize` event whenever its length changes.
 
-use std::cell::RefCell;
-
-use dsspy_collect::{Recorder, Session};
+use dsspy_collect::Session;
 use dsspy_events::{AccessKind, AllocationSite, DsKind, InstanceId, Target};
+
+use crate::probe::Probe;
 
 /// An instrumented fixed-size array, the analogue of a C# `T[]`.
 pub struct SpyArray<T> {
     data: Vec<T>,
-    rec: RefCell<Recorder>,
+    probe: Probe,
 }
 
 impl<T: Clone + Default> SpyArray<T> {
     /// Register a new array of `len` default-initialized elements.
     pub fn register(session: &Session, site: AllocationSite, len: usize) -> Self {
-        let handle = session.register(
-            site,
-            DsKind::Array,
-            dsspy_events::instance::short_type_name(std::any::type_name::<T>()),
-        );
         SpyArray {
             data: vec![T::default(); len],
-            rec: RefCell::new(Recorder::Live(handle)),
+            probe: Probe::live(session.register(site, DsKind::Array, Probe::elem::<T>())),
         }
     }
 
@@ -36,7 +31,7 @@ impl<T: Clone + Default> SpyArray<T> {
     pub fn plain(len: usize) -> Self {
         SpyArray {
             data: vec![T::default(); len],
-            rec: RefCell::new(Recorder::Off),
+            probe: Probe::plain(),
         }
     }
 
@@ -45,13 +40,13 @@ impl<T: Clone + Default> SpyArray<T> {
     /// transfer — the overhead signature IDF looks for.
     pub fn resize(&mut self, new_len: usize) {
         let old_len = self.data.len();
-        self.rec.borrow_mut().record(
+        self.probe.emit(
             AccessKind::Copy,
             Target::Range {
                 start: 0,
                 end: old_len.min(new_len) as u32,
             },
-            old_len as u32,
+            old_len,
         );
         self.data.resize(new_len, T::default());
         self.emit(AccessKind::Resize, Target::Whole);
@@ -89,14 +84,12 @@ impl<T> SpyArray<T> {
 
     /// The instance id, if instrumented.
     pub fn instance_id(&self) -> Option<InstanceId> {
-        self.rec.borrow().id()
+        self.probe.id()
     }
 
     #[inline]
     fn emit(&self, kind: AccessKind, target: Target) {
-        self.rec
-            .borrow_mut()
-            .record(kind, target, self.data.len() as u32);
+        self.probe.emit(kind, target, self.data.len());
     }
 
     /// Read the element at `index`. Emits `Read`.
@@ -191,7 +184,7 @@ impl<T> SpyArray<T> {
 
     /// Ship buffered events to the collector now.
     pub fn flush(&self) {
-        self.rec.borrow_mut().flush();
+        self.probe.flush();
     }
 }
 

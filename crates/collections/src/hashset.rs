@@ -4,30 +4,26 @@
 //! dictionaries they are non-linear, so events carry `Target::None`; DSspy
 //! profiles them for interaction counts and the search-space denominator.
 
-use std::cell::RefCell;
 use std::collections::HashSet;
 use std::hash::Hash;
 
-use dsspy_collect::{Recorder, Session};
+use dsspy_collect::Session;
 use dsspy_events::{AccessKind, AllocationSite, DsKind, InstanceId, Target};
+
+use crate::probe::Probe;
 
 /// An instrumented hash set, the analogue of .NET `HashSet<T>`.
 pub struct SpyHashSet<T> {
     data: HashSet<T>,
-    rec: RefCell<Recorder>,
+    probe: Probe,
 }
 
 impl<T: Eq + Hash> SpyHashSet<T> {
     /// Register a new, empty instrumented set in `session`.
     pub fn register(session: &Session, site: AllocationSite) -> Self {
-        let handle = session.register(
-            site,
-            DsKind::HashSet,
-            dsspy_events::instance::short_type_name(std::any::type_name::<T>()),
-        );
         SpyHashSet {
             data: HashSet::new(),
-            rec: RefCell::new(Recorder::Live(handle)),
+            probe: Probe::live(session.register(site, DsKind::HashSet, Probe::elem::<T>())),
         }
     }
 
@@ -35,15 +31,13 @@ impl<T: Eq + Hash> SpyHashSet<T> {
     pub fn plain() -> Self {
         SpyHashSet {
             data: HashSet::new(),
-            rec: RefCell::new(Recorder::Off),
+            probe: Probe::plain(),
         }
     }
 
     #[inline]
     fn emit(&self, kind: AccessKind) {
-        self.rec
-            .borrow_mut()
-            .record(kind, Target::None, self.data.len() as u32);
+        self.probe.emit(kind, Target::None, self.data.len());
     }
 
     /// Number of elements. No event.
@@ -85,17 +79,15 @@ impl<T: Eq + Hash> SpyHashSet<T> {
 
     /// Remove all elements. Emits `Clear` with the pre-clear size.
     pub fn clear(&mut self) {
-        self.rec
-            .borrow_mut()
-            .record(AccessKind::Clear, Target::Whole, self.data.len() as u32);
+        self.probe
+            .emit(AccessKind::Clear, Target::Whole, self.data.len());
         self.data.clear();
     }
 
     /// Whole-structure traversal. Emits a single `ForAll`.
     pub fn for_each(&self, mut f: impl FnMut(&T)) {
-        self.rec
-            .borrow_mut()
-            .record(AccessKind::ForAll, Target::Whole, self.data.len() as u32);
+        self.probe
+            .emit(AccessKind::ForAll, Target::Whole, self.data.len());
         for v in &self.data {
             f(v);
         }
@@ -110,7 +102,7 @@ impl<T: Eq + Hash> SpyHashSet<T> {
 impl<T> SpyHashSet<T> {
     /// The instance id, if instrumented.
     pub fn instance_id(&self) -> Option<InstanceId> {
-        self.rec.borrow().id()
+        self.probe.id()
     }
 }
 

@@ -17,10 +17,15 @@
 //! | [`SpyStack<T>`] | `Stack<T>` | `push`, `pop`, `peek` |
 //! | [`SpyQueue<T>`] | `Queue<T>` | `enqueue`, `dequeue`, `peek` |
 //! | [`SpyMap<K,V>`] | `Dictionary<K,V>` | `insert`, `get`, `remove`, `contains_key` |
+//! | [`SpyHashSet<T>`] | `HashSet<T>` | `insert`, `contains`, `remove`, `clear`, `for_each` |
+//! | [`SpyLinkedList<T>`] | `LinkedList<T>` | `add_first`/`add_last`, `remove_first`/`remove_last`, indexer, `find`, `clear` |
+//! | [`SpySortedList<K,V>`] | `SortedList<K,V>` | `insert`, `get`, `get_by_index`, `remove`, `clear` |
 //!
-//! Every type can be constructed in **ghost mode** (`plain`) where the
-//! recorder is off and the wrapper compiles down to the raw container
-//! operation — the baseline for the paper's slowdown measurements (Table IV).
+//! Every type holds one crate-private `Probe`, the only place that registers
+//! an instance, names its element type and decides between live recording
+//! and **ghost mode** (`plain`), where the wrapper compiles down to the raw
+//! container operation — the baseline for the paper's slowdown measurements
+//! (Table IV).
 
 #![warn(missing_docs)]
 
@@ -30,6 +35,7 @@ pub mod hashset;
 pub mod linked_list;
 pub mod list;
 pub mod map;
+mod probe;
 pub mod queue;
 pub mod sorted_list;
 pub mod stack;

@@ -7,31 +7,27 @@
 //! recommendation ("employ a structure optimized for searches") applies
 //! with extra force.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 
-use dsspy_collect::{Recorder, Session};
+use dsspy_collect::Session;
 use dsspy_events::{AccessKind, AllocationSite, DsKind, InstanceId, Target};
+
+use crate::probe::Probe;
 
 /// An instrumented doubly-linked list, the analogue of .NET
 /// `LinkedList<T>`. (Backed by a `VecDeque` — the *interface* is what
 /// DSspy profiles; the paper's events are agnostic to the backing store.)
 pub struct SpyLinkedList<T> {
     data: VecDeque<T>,
-    rec: RefCell<Recorder>,
+    probe: Probe,
 }
 
 impl<T> SpyLinkedList<T> {
     /// Register a new, empty instrumented linked list in `session`.
     pub fn register(session: &Session, site: AllocationSite) -> Self {
-        let handle = session.register(
-            site,
-            DsKind::LinkedList,
-            dsspy_events::instance::short_type_name(std::any::type_name::<T>()),
-        );
         SpyLinkedList {
             data: VecDeque::new(),
-            rec: RefCell::new(Recorder::Live(handle)),
+            probe: Probe::live(session.register(site, DsKind::LinkedList, Probe::elem::<T>())),
         }
     }
 
@@ -39,15 +35,13 @@ impl<T> SpyLinkedList<T> {
     pub fn plain() -> Self {
         SpyLinkedList {
             data: VecDeque::new(),
-            rec: RefCell::new(Recorder::Off),
+            probe: Probe::plain(),
         }
     }
 
     #[inline]
     fn emit(&self, kind: AccessKind, target: Target) {
-        self.rec
-            .borrow_mut()
-            .record(kind, target, self.data.len() as u32);
+        self.probe.emit(kind, target, self.data.len());
     }
 
     /// Number of elements. No event.
@@ -131,15 +125,14 @@ impl<T> SpyLinkedList<T> {
 
     /// Remove all elements. Emits `Clear` with the pre-clear size.
     pub fn clear(&mut self) {
-        self.rec
-            .borrow_mut()
-            .record(AccessKind::Clear, Target::Whole, self.data.len() as u32);
+        self.probe
+            .emit(AccessKind::Clear, Target::Whole, self.data.len());
         self.data.clear();
     }
 
     /// The instance id, if instrumented.
     pub fn instance_id(&self) -> Option<InstanceId> {
-        self.rec.borrow().id()
+        self.probe.id()
     }
 }
 

@@ -6,10 +6,10 @@
 //! exposes the `List<T>` interface-method surface and records one access
 //! event per call, bound to the instance's allocation site.
 
-use std::cell::RefCell;
-
-use dsspy_collect::{Recorder, Session};
+use dsspy_collect::Session;
 use dsspy_events::{AccessKind, AllocationSite, DsKind, InstanceId, Target};
+
+use crate::probe::Probe;
 
 /// An instrumented growable list, the analogue of .NET `List<T>`.
 ///
@@ -32,20 +32,15 @@ use dsspy_events::{AccessKind, AllocationSite, DsKind, InstanceId, Target};
 /// ```
 pub struct SpyVec<T> {
     data: Vec<T>,
-    rec: RefCell<Recorder>,
+    probe: Probe,
 }
 
 impl<T> SpyVec<T> {
     /// Register a new, empty instrumented list in `session`.
     pub fn register(session: &Session, site: AllocationSite) -> Self {
-        let handle = session.register(
-            site,
-            DsKind::List,
-            dsspy_events::instance::short_type_name(std::any::type_name::<T>()),
-        );
         SpyVec {
             data: Vec::new(),
-            rec: RefCell::new(Recorder::Live(handle)),
+            probe: Probe::live(session.register(site, DsKind::List, Probe::elem::<T>())),
         }
     }
 
@@ -53,14 +48,9 @@ impl<T> SpyVec<T> {
     /// profiler mode (§IV). With `Dsspy::selective()`, only these instances
     /// appear in the report.
     pub fn register_manual(session: &Session, site: AllocationSite) -> Self {
-        let handle = session.register_manual(
-            site,
-            DsKind::List,
-            dsspy_events::instance::short_type_name(std::any::type_name::<T>()),
-        );
         SpyVec {
             data: Vec::new(),
-            rec: RefCell::new(Recorder::Live(handle)),
+            probe: Probe::live(session.register_manual(site, DsKind::List, Probe::elem::<T>())),
         }
     }
 
@@ -71,14 +61,9 @@ impl<T> SpyVec<T> {
         site: AllocationSite,
         capacity: usize,
     ) -> Self {
-        let handle = session.register(
-            site,
-            DsKind::List,
-            dsspy_events::instance::short_type_name(std::any::type_name::<T>()),
-        );
         SpyVec {
             data: Vec::with_capacity(capacity),
-            rec: RefCell::new(Recorder::Live(handle)),
+            probe: Probe::live(session.register(site, DsKind::List, Probe::elem::<T>())),
         }
     }
 
@@ -86,7 +71,7 @@ impl<T> SpyVec<T> {
     pub fn plain() -> Self {
         SpyVec {
             data: Vec::new(),
-            rec: RefCell::new(Recorder::Off),
+            probe: Probe::plain(),
         }
     }
 
@@ -94,20 +79,18 @@ impl<T> SpyVec<T> {
     pub fn plain_with_capacity(capacity: usize) -> Self {
         SpyVec {
             data: Vec::with_capacity(capacity),
-            rec: RefCell::new(Recorder::Off),
+            probe: Probe::plain(),
         }
     }
 
     /// The instance id, if instrumented.
     pub fn instance_id(&self) -> Option<InstanceId> {
-        self.rec.borrow().id()
+        self.probe.id()
     }
 
     #[inline]
     fn emit(&self, kind: AccessKind, target: Target) {
-        self.rec
-            .borrow_mut()
-            .record(kind, target, self.data.len() as u32);
+        self.probe.emit(kind, target, self.data.len());
     }
 
     /// Number of elements. No event: size queries are not data accesses.
@@ -181,9 +164,8 @@ impl<T> SpyVec<T> {
     /// structure, recorded *before* the length drops so the profile shows
     /// what was cleared.
     pub fn clear(&mut self) {
-        self.rec
-            .borrow_mut()
-            .record(AccessKind::Clear, Target::Whole, self.data.len() as u32);
+        self.probe
+            .emit(AccessKind::Clear, Target::Whole, self.data.len());
         self.data.clear();
     }
 
@@ -423,7 +405,7 @@ impl<T> SpyVec<T> {
 
     /// Ship any buffered events to the collector now.
     pub fn flush(&self) {
-        self.rec.borrow_mut().flush();
+        self.probe.flush();
     }
 }
 

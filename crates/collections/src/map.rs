@@ -6,34 +6,26 @@
 //! `Target::None`. DSspy still profiles them to count interactions, which is
 //! what the occurrence study and the search-space denominator need.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::Hash;
 
-use dsspy_collect::{Recorder, Session};
+use dsspy_collect::Session;
 use dsspy_events::{AccessKind, AllocationSite, DsKind, InstanceId, Target};
+
+use crate::probe::Probe;
 
 /// An instrumented hash map, the analogue of .NET `Dictionary<K,V>`.
 pub struct SpyMap<K, V> {
     data: HashMap<K, V>,
-    rec: RefCell<Recorder>,
+    probe: Probe,
 }
 
 impl<K: Eq + Hash, V> SpyMap<K, V> {
     /// Register a new, empty instrumented map in `session`.
     pub fn register(session: &Session, site: AllocationSite) -> Self {
-        let handle = session.register(
-            site,
-            DsKind::Dictionary,
-            format!(
-                "{},{}",
-                dsspy_events::instance::short_type_name(std::any::type_name::<K>()),
-                dsspy_events::instance::short_type_name(std::any::type_name::<V>())
-            ),
-        );
         SpyMap {
             data: HashMap::new(),
-            rec: RefCell::new(Recorder::Live(handle)),
+            probe: Probe::live(session.register(site, DsKind::Dictionary, Probe::pair::<K, V>())),
         }
     }
 
@@ -41,15 +33,13 @@ impl<K: Eq + Hash, V> SpyMap<K, V> {
     pub fn plain() -> Self {
         SpyMap {
             data: HashMap::new(),
-            rec: RefCell::new(Recorder::Off),
+            probe: Probe::plain(),
         }
     }
 
     #[inline]
     fn emit(&self, kind: AccessKind) {
-        self.rec
-            .borrow_mut()
-            .record(kind, Target::None, self.data.len() as u32);
+        self.probe.emit(kind, Target::None, self.data.len());
     }
 
     /// Number of entries. No event.
@@ -101,17 +91,15 @@ impl<K: Eq + Hash, V> SpyMap<K, V> {
 
     /// Remove all entries. Emits `Clear` with the pre-clear size.
     pub fn clear(&mut self) {
-        self.rec
-            .borrow_mut()
-            .record(AccessKind::Clear, Target::Whole, self.data.len() as u32);
+        self.probe
+            .emit(AccessKind::Clear, Target::Whole, self.data.len());
         self.data.clear();
     }
 
     /// Whole-structure traversal. Emits a single `ForAll`.
     pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
-        self.rec
-            .borrow_mut()
-            .record(AccessKind::ForAll, Target::Whole, self.data.len() as u32);
+        self.probe
+            .emit(AccessKind::ForAll, Target::Whole, self.data.len());
         for (k, v) in &self.data {
             f(k, v);
         }
@@ -124,14 +112,14 @@ impl<K: Eq + Hash, V> SpyMap<K, V> {
 
     /// Ship buffered events to the collector now.
     pub fn flush(&self) {
-        self.rec.borrow_mut().flush();
+        self.probe.flush();
     }
 }
 
 impl<K, V> SpyMap<K, V> {
     /// The instance id, if instrumented.
     pub fn instance_id(&self) -> Option<InstanceId> {
-        self.rec.borrow().id()
+        self.probe.id()
     }
 }
 

@@ -5,29 +5,25 @@
 //! queue's instrumented sequential form: enqueue at the back, dequeue at the
 //! front, so its profile shows the canonical two-different-ends shape.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 
-use dsspy_collect::{Recorder, Session};
+use dsspy_collect::Session;
 use dsspy_events::{AccessKind, AllocationSite, DsKind, InstanceId, Target};
+
+use crate::probe::Probe;
 
 /// An instrumented FIFO queue, the analogue of .NET `Queue<T>`.
 pub struct SpyQueue<T> {
     data: VecDeque<T>,
-    rec: RefCell<Recorder>,
+    probe: Probe,
 }
 
 impl<T> SpyQueue<T> {
     /// Register a new, empty instrumented queue in `session`.
     pub fn register(session: &Session, site: AllocationSite) -> Self {
-        let handle = session.register(
-            site,
-            DsKind::Queue,
-            dsspy_events::instance::short_type_name(std::any::type_name::<T>()),
-        );
         SpyQueue {
             data: VecDeque::new(),
-            rec: RefCell::new(Recorder::Live(handle)),
+            probe: Probe::live(session.register(site, DsKind::Queue, Probe::elem::<T>())),
         }
     }
 
@@ -35,20 +31,18 @@ impl<T> SpyQueue<T> {
     pub fn plain() -> Self {
         SpyQueue {
             data: VecDeque::new(),
-            rec: RefCell::new(Recorder::Off),
+            probe: Probe::plain(),
         }
     }
 
     /// The instance id, if instrumented.
     pub fn instance_id(&self) -> Option<InstanceId> {
-        self.rec.borrow().id()
+        self.probe.id()
     }
 
     #[inline]
     fn emit(&self, kind: AccessKind, target: Target) {
-        self.rec
-            .borrow_mut()
-            .record(kind, target, self.data.len() as u32);
+        self.probe.emit(kind, target, self.data.len());
     }
 
     /// Number of elements. No event.
@@ -90,15 +84,14 @@ impl<T> SpyQueue<T> {
 
     /// Remove all elements. Emits `Clear` with the pre-clear size.
     pub fn clear(&mut self) {
-        self.rec
-            .borrow_mut()
-            .record(AccessKind::Clear, Target::Whole, self.data.len() as u32);
+        self.probe
+            .emit(AccessKind::Clear, Target::Whole, self.data.len());
         self.data.clear();
     }
 
     /// Ship buffered events to the collector now.
     pub fn flush(&self) {
-        self.rec.borrow_mut().flush();
+        self.probe.flush();
     }
 }
 

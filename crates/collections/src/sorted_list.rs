@@ -6,33 +6,25 @@
 //! stream of ascending-key inserts shows up as Insert-Back, exactly the
 //! signature a misused plain list would produce after manual sorting.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 
-use dsspy_collect::{Recorder, Session};
+use dsspy_collect::Session;
 use dsspy_events::{AccessKind, AllocationSite, DsKind, InstanceId, Target};
+
+use crate::probe::Probe;
 
 /// An instrumented key-ordered map with rank-positional events.
 pub struct SpySortedList<K, V> {
     data: BTreeMap<K, V>,
-    rec: RefCell<Recorder>,
+    probe: Probe,
 }
 
 impl<K: Ord, V> SpySortedList<K, V> {
     /// Register a new, empty instrumented sorted list in `session`.
     pub fn register(session: &Session, site: AllocationSite) -> Self {
-        let handle = session.register(
-            site,
-            DsKind::SortedList,
-            format!(
-                "{},{}",
-                dsspy_events::instance::short_type_name(std::any::type_name::<K>()),
-                dsspy_events::instance::short_type_name(std::any::type_name::<V>())
-            ),
-        );
         SpySortedList {
             data: BTreeMap::new(),
-            rec: RefCell::new(Recorder::Live(handle)),
+            probe: Probe::live(session.register(site, DsKind::SortedList, Probe::pair::<K, V>())),
         }
     }
 
@@ -40,15 +32,13 @@ impl<K: Ord, V> SpySortedList<K, V> {
     pub fn plain() -> Self {
         SpySortedList {
             data: BTreeMap::new(),
-            rec: RefCell::new(Recorder::Off),
+            probe: Probe::plain(),
         }
     }
 
     #[inline]
     fn emit(&self, kind: AccessKind, target: Target) {
-        self.rec
-            .borrow_mut()
-            .record(kind, target, self.data.len() as u32);
+        self.probe.emit(kind, target, self.data.len());
     }
 
     /// Rank (index in key order) of a key, whether present or not.
@@ -119,9 +109,8 @@ impl<K: Ord, V> SpySortedList<K, V> {
 
     /// Remove all entries. Emits `Clear` with the pre-clear size.
     pub fn clear(&mut self) {
-        self.rec
-            .borrow_mut()
-            .record(AccessKind::Clear, Target::Whole, self.data.len() as u32);
+        self.probe
+            .emit(AccessKind::Clear, Target::Whole, self.data.len());
         self.data.clear();
     }
 
@@ -134,7 +123,7 @@ impl<K: Ord, V> SpySortedList<K, V> {
 impl<K, V> SpySortedList<K, V> {
     /// The instance id, if instrumented.
     pub fn instance_id(&self) -> Option<InstanceId> {
-        self.rec.borrow().id()
+        self.probe.id()
     }
 }
 

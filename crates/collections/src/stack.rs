@@ -5,28 +5,23 @@
 //! structure such code should migrate to, and profiling it lets tests pin
 //! down the SI signature from the "correct" side as well.
 
-use std::cell::RefCell;
-
-use dsspy_collect::{Recorder, Session};
+use dsspy_collect::Session;
 use dsspy_events::{AccessKind, AllocationSite, DsKind, InstanceId, Target};
+
+use crate::probe::Probe;
 
 /// An instrumented LIFO stack, the analogue of .NET `Stack<T>`.
 pub struct SpyStack<T> {
     data: Vec<T>,
-    rec: RefCell<Recorder>,
+    probe: Probe,
 }
 
 impl<T> SpyStack<T> {
     /// Register a new, empty instrumented stack in `session`.
     pub fn register(session: &Session, site: AllocationSite) -> Self {
-        let handle = session.register(
-            site,
-            DsKind::Stack,
-            dsspy_events::instance::short_type_name(std::any::type_name::<T>()),
-        );
         SpyStack {
             data: Vec::new(),
-            rec: RefCell::new(Recorder::Live(handle)),
+            probe: Probe::live(session.register(site, DsKind::Stack, Probe::elem::<T>())),
         }
     }
 
@@ -34,20 +29,18 @@ impl<T> SpyStack<T> {
     pub fn plain() -> Self {
         SpyStack {
             data: Vec::new(),
-            rec: RefCell::new(Recorder::Off),
+            probe: Probe::plain(),
         }
     }
 
     /// The instance id, if instrumented.
     pub fn instance_id(&self) -> Option<InstanceId> {
-        self.rec.borrow().id()
+        self.probe.id()
     }
 
     #[inline]
     fn emit(&self, kind: AccessKind, target: Target) {
-        self.rec
-            .borrow_mut()
-            .record(kind, target, self.data.len() as u32);
+        self.probe.emit(kind, target, self.data.len());
     }
 
     /// Number of elements. No event.
@@ -89,15 +82,14 @@ impl<T> SpyStack<T> {
 
     /// Remove all elements. Emits `Clear` with the pre-clear size.
     pub fn clear(&mut self) {
-        self.rec
-            .borrow_mut()
-            .record(AccessKind::Clear, Target::Whole, self.data.len() as u32);
+        self.probe
+            .emit(AccessKind::Clear, Target::Whole, self.data.len());
         self.data.clear();
     }
 
     /// Ship buffered events to the collector now.
     pub fn flush(&self) {
-        self.rec.borrow_mut().flush();
+        self.probe.flush();
     }
 }
 

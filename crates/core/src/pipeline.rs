@@ -169,7 +169,6 @@ impl Dsspy {
     /// duration. With a disabled handle this is exactly
     /// [`Dsspy::analyze_capture`]: no spans, no snapshot, `telemetry: None`.
     pub fn analyze_capture_with(&self, capture: &Capture, telemetry: &Telemetry) -> Report {
-        let started = Instant::now();
         let pass_start_nanos = telemetry.now_nanos();
         let profiles: Vec<_> = capture
             .profiles
@@ -205,7 +204,6 @@ impl Dsspy {
                 infos,
                 stats: capture.stats,
                 session_nanos: capture.session_nanos,
-                started,
                 pass_start_nanos,
                 threads,
             },
@@ -233,7 +231,6 @@ impl Dsspy {
         encoded: &EncodedCapture,
         telemetry: &Telemetry,
     ) -> Result<Report, PersistError> {
-        let started = Instant::now();
         let pass_start_nanos = telemetry.now_nanos();
         let bodies = encoded.bodies()?;
         let included: Vec<usize> = (0..bodies.len())
@@ -290,7 +287,6 @@ impl Dsspy {
                 infos,
                 stats: encoded.stats,
                 session_nanos: encoded.session_nanos,
-                started,
                 pass_start_nanos,
                 threads,
             },
@@ -374,11 +370,7 @@ impl Dsspy {
             instances,
             stats: pass.stats,
             session_nanos: pass.session_nanos,
-            timings: AnalysisTimings {
-                per_instance,
-                wall_nanos: pass.started.elapsed().as_nanos() as u64,
-                threads: pass.threads,
-            },
+            timings: AnalysisTimings { per_instance },
             telemetry: None,
         };
         if telemetry.is_enabled() {
@@ -421,7 +413,6 @@ struct Pass<'a> {
     infos: Vec<&'a InstanceInfo>,
     stats: CollectorStats,
     session_nanos: u64,
-    started: Instant,
     pass_start_nanos: u64,
     threads: usize,
 }

@@ -3,8 +3,8 @@
 use dsspy_collect::CollectorStats;
 use dsspy_events::InstanceInfo;
 use dsspy_patterns::{ProfileAnalysis, RegularityVerdict};
-use dsspy_telemetry::{overhead::signals, TelemetrySnapshot};
-use dsspy_usecases::{Advisory, UseCase, UseCaseKind};
+use dsspy_telemetry::TelemetrySnapshot;
+use dsspy_usecases::{Advisory, UseCase};
 use serde::{Deserialize, Serialize};
 
 /// Everything DSspy has to say about one data-structure instance.
@@ -57,37 +57,13 @@ impl InstanceTiming {
     }
 }
 
-/// Timing of one `analyze_capture` pass: per-instance phase costs plus the
-/// wall clock of the whole (possibly parallel) pass. Not serialized.
+/// Per-instance analysis costs of one `analyze_capture` pass. Not
+/// serialized. The wall clock of the pass is the `analyze_capture` span and
+/// its width the `analysis.threads` gauge of the run's telemetry.
 #[derive(Clone, Debug, Default)]
 pub struct AnalysisTimings {
     /// One entry per entry of [`Report::instances`], same order.
     pub per_instance: Vec<InstanceTiming>,
-    /// Wall-clock duration of the whole analysis pass, nanoseconds.
-    pub wall_nanos: u64,
-    /// Worker threads the pass actually used (after resolving `0`).
-    pub threads: usize,
-}
-
-impl AnalysisTimings {
-    /// Summed per-instance analysis time — the CPU cost of the pass. With
-    /// `threads` workers the wall clock can be up to `threads`× smaller.
-    pub fn cpu_nanos(&self) -> u64 {
-        self.per_instance
-            .iter()
-            .map(InstanceTiming::total_nanos)
-            .sum()
-    }
-
-    /// Summed pattern-mining time across instances.
-    pub fn mining_nanos(&self) -> u64 {
-        self.per_instance.iter().map(|t| t.mining_nanos).sum()
-    }
-
-    /// Summed classification time across instances.
-    pub fn classify_nanos(&self) -> u64 {
-        self.per_instance.iter().map(|t| t.classify_nanos).sum()
-    }
 }
 
 /// The full session report — the *Advice* output of Fig. 4.
@@ -102,11 +78,8 @@ pub struct Report {
     /// How long the analysis itself took, per instance and phase. Skipped
     /// by serde so that two analyses of the same capture serialize
     /// identically no matter how many threads (or how much wall time) each
-    /// one used. The data is *not* lost on a round trip when the analysis
-    /// ran with telemetry: the same numbers travel as `mine#i`/`classify#i`
-    /// spans inside [`Report::telemetry`], and
-    /// [`Report::restore_timings_from_telemetry`] rebuilds this field from
-    /// them after deserialization.
+    /// one used. When the analysis ran with telemetry, the same numbers
+    /// travel as `mine#i`/`classify#i` spans inside [`Report::telemetry`].
     #[serde(skip)]
     pub timings: AnalysisTimings,
     /// Self-observation snapshot of the run that produced this report:
@@ -157,20 +130,6 @@ impl Report {
             .iter()
             .flat_map(|i| i.use_cases.iter())
             .collect()
-    }
-
-    /// Count of use cases per category, in [`UseCaseKind::ALL`] order —
-    /// the Table III row for this program.
-    pub fn use_case_histogram(&self) -> [(UseCaseKind, usize); 8] {
-        let mut out = UseCaseKind::ALL.map(|k| (k, 0usize));
-        for u in self.all_use_cases() {
-            let slot = out
-                .iter_mut()
-                .find(|(k, _)| *k == u.kind)
-                .expect("all kinds present");
-            slot.1 += 1;
-        }
-        out
     }
 
     /// All misuse advisories across instances, with the instance they refer
@@ -244,57 +203,6 @@ impl Report {
         out
     }
 
-    /// Rebuild [`Report::timings`] from the embedded telemetry snapshot.
-    ///
-    /// `timings` is `#[serde(skip)]`, so a report loaded from JSON starts
-    /// with empty timings even though the analysis that produced it measured
-    /// them. When the analysis ran with telemetry, the same measurements
-    /// travel as `mine#i`/`classify#i` spans (per-instance phases, indexed
-    /// in [`Report::instances`] order; an instance's chunk folds and merge
-    /// are several `mine#i` spans, summed here) plus the `analyze_capture` pipeline
-    /// span (wall clock) and the `analysis.threads` gauge. This restores
-    /// the field from those. Returns `false` — leaving `timings` untouched
-    /// — when there is no snapshot or it carries no analysis spans.
-    pub fn restore_timings_from_telemetry(&mut self) -> bool {
-        let Some(snapshot) = &self.telemetry else {
-            return false;
-        };
-        let mut per_instance = vec![InstanceTiming::default(); self.instances.len()];
-        let mut found = false;
-        for span in snapshot.spans_in(signals::ANALYSIS_CAT) {
-            let (slot, is_mining) = if let Some(i) = span.name.strip_prefix("mine#") {
-                (i.parse::<usize>().ok(), true)
-            } else if let Some(i) = span.name.strip_prefix("classify#") {
-                (i.parse::<usize>().ok(), false)
-            } else {
-                continue;
-            };
-            let Some(i) = slot.filter(|&i| i < per_instance.len()) else {
-                continue;
-            };
-            // An instance's fold is one `mine#i` span per unit plus one
-            // for merging them: the sum is its mining time.
-            if is_mining {
-                per_instance[i].mining_nanos += span.dur_nanos;
-            } else {
-                per_instance[i].classify_nanos += span.dur_nanos;
-            }
-            found = true;
-        }
-        if !found {
-            return false;
-        }
-        self.timings = AnalysisTimings {
-            per_instance,
-            wall_nanos: snapshot
-                .spans_in(signals::PIPELINE_CAT)
-                .find(|s| s.name == "analyze_capture")
-                .map_or(0, |s| s.dur_nanos),
-            threads: snapshot.gauge("analysis.threads").unwrap_or(0) as usize,
-        };
-        true
-    }
-
     /// One-paragraph summary with the headline numbers.
     pub fn summary(&self) -> String {
         format!(
@@ -341,16 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_sums_to_total() {
-        let r = sample_report();
-        let h = r.use_case_histogram();
-        assert_eq!(
-            h.iter().map(|(_, n)| n).sum::<usize>(),
-            r.all_use_cases().len()
-        );
-    }
-
-    #[test]
     fn render_contains_table_v_fields() {
         let r = sample_report();
         let text = r.render_use_cases();
@@ -382,51 +280,6 @@ mod tests {
         let back: Report = serde_json::from_str(&json).unwrap();
         assert_eq!(back.instance_count(), r.instance_count());
         assert_eq!(back.flagged_instance_count(), r.flagged_instance_count());
-    }
-
-    #[test]
-    fn timings_survive_a_round_trip_via_telemetry() {
-        // Regression: `timings` is serde-skipped, so it used to be lost on
-        // every save/load. With telemetry the per-instance measurements ride
-        // along as spans and can be restored.
-        let telemetry = dsspy_telemetry::Telemetry::enabled();
-        let r = Dsspy::new().with_threads(2).profile_with(
-            |session| {
-                let mut hot = SpyVec::register(session, site!("hot"));
-                for i in 0..500 {
-                    hot.add(i);
-                }
-                let mut quiet = SpyVec::register(session, site!("quiet"));
-                quiet.add(1);
-            },
-            &telemetry,
-        );
-        assert!(r.telemetry.is_some(), "observed run embeds its snapshot");
-        let json = serde_json::to_string(&r).unwrap();
-        let mut back: Report = serde_json::from_str(&json).unwrap();
-        assert!(
-            back.timings.per_instance.is_empty(),
-            "timings are still not serialized directly"
-        );
-        assert!(back.restore_timings_from_telemetry());
-        assert_eq!(back.timings.per_instance.len(), back.instances.len());
-        assert_eq!(back.timings.threads, 2);
-        assert!(back.timings.wall_nanos > 0);
-        // Every instance that has events did measurable mining work.
-        for (timing, inst) in back.timings.per_instance.iter().zip(&back.instances) {
-            if inst.events > 0 {
-                assert!(timing.total_nanos() > 0, "instance {:?}", inst.instance.id);
-            }
-        }
-    }
-
-    #[test]
-    fn restore_without_telemetry_is_a_noop() {
-        let mut r = sample_report();
-        r.telemetry = None;
-        let before = r.timings.clone();
-        assert!(!r.restore_timings_from_telemetry());
-        assert_eq!(r.timings.per_instance.len(), before.per_instance.len());
     }
 }
 

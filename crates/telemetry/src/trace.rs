@@ -54,11 +54,6 @@ impl TraceContext {
             batch_seq,
         }
     }
-
-    /// Whether this context names a live session.
-    pub fn is_live(&self) -> bool {
-        self.session != 0
-    }
 }
 
 impl std::fmt::Display for TraceContext {
@@ -80,9 +75,9 @@ mod tests {
     }
 
     #[test]
-    fn replay_contexts_are_not_live() {
-        assert!(!TraceContext::replay(4).is_live());
-        assert!(TraceContext::new(7, 1).is_live());
+    fn replay_contexts_use_session_zero() {
+        assert_eq!(TraceContext::replay(4).session, 0);
+        assert_eq!(TraceContext::replay(4).to_string(), "s0#b4");
         assert_eq!(TraceContext::new(7, 3).to_string(), "s7#b3");
     }
 

@@ -16,8 +16,9 @@
 #               0 quietly), the live-scrape smoke
 #               (`telemetry serve --live --self-check`) and the follow
 #               smoke (`watch --follow`), the perfbench-tests cell (the
-#               benchmark's own tests against the changed crates), then
-#               every Criterion bench once.
+#               benchmark's own tests against the changed crates, with
+#               `--locked`, so a dependency edit that would rewrite
+#               perfbench/Cargo.lock fails), then every Criterion bench once.
 #   bench-smoke only the Criterion benches, one pass each (`-- --test`).
 #
 # Everything runs against the vendored in-tree dependencies; no network.
@@ -253,9 +254,10 @@ if [[ "$MODE" == "full" ]]; then
             echo "doctor reconstructed the injected incident (exit 1 as required)"
         ' doctor-incident "$SMOKE" "$FLIGHT"
     # The benchmark is a workspace of its own that builds against these
-    # crates by path: its tests catch a change to any public API it uses.
+    # crates by path: its tests catch a change to any public API it uses,
+    # and `--locked` a dependency change that would rewrite its lock file.
     run_cell perfbench-tests '"kind":"test",' \
-        cargo test --release --offline --manifest-path perfbench/Cargo.toml
+        cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 fi
 
 if [[ "$MODE" == "full" || "$MODE" == "bench-smoke" ]]; then

@@ -314,15 +314,15 @@ fn a_body_inverted_across_the_chunk_boundary_reports_alike_on_every_path() {
 #[test]
 fn timings_cover_every_instance() {
     let capture = capture_with(&[(200, true), (50, false), (0, false)]);
-    let report = Dsspy::new().with_threads(2).analyze_capture(&capture);
+    let telemetry = Telemetry::enabled();
+    let report = Dsspy::new()
+        .with_threads(2)
+        .analyze_capture_with(&capture, &telemetry);
     assert_eq!(report.timings.per_instance.len(), report.instances.len());
-    assert_eq!(report.timings.threads, 2);
-    assert!(report.timings.wall_nanos > 0);
-    // The mined instances did real work; summed phase times are consistent.
-    assert_eq!(
-        report.timings.cpu_nanos(),
-        report.timings.mining_nanos() + report.timings.classify_nanos()
-    );
+    // The pass's width and wall clock travel in its telemetry.
+    let snapshot = report.telemetry.as_ref().unwrap();
+    assert_eq!(snapshot.gauge("analysis.threads"), Some(2));
+    assert!(snapshot.spans.iter().any(|s| s.name == "analyze_capture"));
 }
 
 #[test]

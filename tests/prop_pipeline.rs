@@ -84,9 +84,6 @@ proptest! {
         let u = report.use_case_reduction();
         prop_assert!((0.0..=1.0).contains(&u));
         prop_assert_eq!(report.stats.dropped, 0, "no events may be lost");
-        // Histogram sums to the case count.
-        let hist_sum: usize = report.use_case_histogram().iter().map(|(_, n)| n).sum();
-        prop_assert_eq!(hist_sum, report.all_use_cases().len());
         // Every flagged case carries evidence at/above threshold.
         for uc in report.all_use_cases() {
             prop_assert!(!uc.evidence.is_empty());

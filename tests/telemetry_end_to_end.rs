@@ -1,7 +1,7 @@
 //! The full self-observability loop, end to end: one telemetry handle
 //! watches collection (collector thread), persistence (encode + parallel
 //! decode), and analysis (per-instance spans), and the final snapshot both
-//! exports cleanly and restores the serde-skipped `Report::timings`.
+//! exports cleanly and carries the serde-skipped `Report::timings` as spans.
 
 use dsspy::collect::{load_capture_with, save_capture_with, ReadOptions, Session};
 use dsspy::collections::{site, SpyMap, SpyVec};
@@ -116,14 +116,22 @@ fn saved_report_recovers_timings_from_its_snapshot() {
         .analyze_capture_with(&capture, &telemetry);
 
     let json = serde_json::to_string(&report).unwrap();
-    let mut restored: Report = serde_json::from_str(&json).unwrap();
+    let restored: Report = serde_json::from_str(&json).unwrap();
     assert!(restored.timings.per_instance.is_empty(), "still skipped");
-    assert!(restored.restore_timings_from_telemetry());
-    assert_eq!(
-        restored.timings.per_instance.len(),
-        report.timings.per_instance.len()
-    );
-    assert_eq!(restored.timings.threads, report.timings.threads);
+    // Each instance's phase costs ride along as `mine#i`/`classify#i`.
+    let snapshot = restored.telemetry.as_ref().unwrap();
+    let spans: Vec<&str> = snapshot
+        .spans_in(signals::ANALYSIS_CAT)
+        .map(|s| s.name.as_str())
+        .collect();
+    for i in 0..restored.instances.len() {
+        assert!(spans.contains(&format!("mine#{i}").as_str()), "{spans:?}");
+        assert!(
+            spans.contains(&format!("classify#{i}").as_str()),
+            "{spans:?}"
+        );
+    }
+    assert_eq!(snapshot.gauge("analysis.threads"), Some(2));
 }
 
 #[test]
