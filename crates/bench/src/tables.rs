@@ -643,6 +643,22 @@ mod tests {
     }
 
     #[test]
+    fn speedups_prints_four_positive_ratios() {
+        let t = speedups(1);
+        let ratios: Vec<f64> = t
+            .lines()
+            .skip(1)
+            .map(|row| {
+                let (_, rest) = row.split_once(": ").expect("a ratio after the label");
+                let (ratio, _) = rest.split_once('x').expect("a ratio ending in x");
+                ratio.parse().expect("a number")
+            })
+            .collect();
+        assert_eq!(ratios.len(), 4, "{t}");
+        assert!(ratios.iter().all(|r| r.is_finite() && *r > 0.0), "{t}");
+    }
+
+    #[test]
     fn table6_lists_the_four_programs() {
         let t = table6(Scale::Test);
         for name in [

@@ -45,48 +45,66 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-/// Flags that take a value (`--flag VALUE`).
-const VALUE_FLAGS: &[&str] = &[
-    "--instance",
-    "--svg",
-    "--out",
-    "--threads",
-    "--telemetry",
-    "--format",
-    "--workload",
-    "--addr",
-    "--requests",
-    "--batch",
-    "--every",
-    "--frames",
-    "--flight-recorder",
-    "--events",
-    "--trace",
-];
-
-/// Flags that stand alone.
-const BOOL_FLAGS: &[&str] = &[
-    "--json",
-    "--selective",
-    "--check",
-    "--live",
-    "--self-check",
-    "--inject-panic",
-    "--follow",
+/// The flags each command takes: its value flags (`--flag VALUE`), then its
+/// flags that stand alone. `telemetry serve` is a command of its own.
+const FLAGS: &[(&str, &[&str], &[&str])] = &[
+    (
+        "analyze",
+        &["--threads", "--telemetry"],
+        &["--json", "--selective"],
+    ),
+    ("chart", &["--instance", "--svg"], &[]),
+    ("timeline", &["--instance", "--svg"], &[]),
+    ("diff", &["--threads"], &[]),
+    ("sketch", &[], &[]),
+    ("report", &["--out", "--threads", "--telemetry"], &[]),
+    ("csv", &[], &[]),
+    ("telemetry", &["--threads", "--format"], &["--check"]),
+    (
+        "telemetry serve",
+        &["--addr", "--requests", "--threads", "--flight-recorder"],
+        &["--live", "--self-check"],
+    ),
+    (
+        "demo",
+        &["--workload", "--flight-recorder"],
+        &["--live", "--inject-panic"],
+    ),
+    (
+        "watch",
+        &[
+            "--batch",
+            "--every",
+            "--frames",
+            "--workload",
+            "--flight-recorder",
+        ],
+        &["--follow"],
+    ),
+    ("doctor", &["--events", "--trace"], &[]),
 ];
 
 /// The positional arguments after the command: everything that is neither
-/// a flag nor the value of a [`VALUE_FLAGS`] flag. A `--flag` in neither
-/// list prints usage naming it and exits 2.
+/// a flag nor the value of one of the command's value flags (see
+/// [`FLAGS`]). An unknown command prints usage and exits 2; so does a
+/// `--flag` the command does not take, naming the flag and the command.
 fn positionals(args: &[String]) -> Vec<&String> {
+    let command = match args {
+        [telemetry, serve, ..] if telemetry == "telemetry" && serve == "serve" => "telemetry serve",
+        [command, ..] => command.as_str(),
+        [] => usage(),
+    };
+    let Some(&(_, values, bools)) = FLAGS.iter().find(|(name, ..)| *name == command) else {
+        usage()
+    };
     let mut out = Vec::new();
     let mut rest = args.iter().skip(1);
     while let Some(arg) = rest.next() {
-        if VALUE_FLAGS.contains(&arg.as_str()) {
+        if values.contains(&arg.as_str()) {
             rest.next();
         } else if arg.starts_with("--") {
-            if !BOOL_FLAGS.contains(&arg.as_str()) {
-                eprintln!("dsspy: unknown flag {arg}");
+            if !bools.contains(&arg.as_str()) {
+                eprintln!("dsspy: {command} does not take {arg}");
                 usage()
             }
         } else {

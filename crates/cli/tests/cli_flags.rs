@@ -1,6 +1,7 @@
-//! The `dsspy` binary parses flags strictly: a malformed numeric value, an
-//! unknown flag or a value outside its choices prints usage and exits 2
-//! instead of silently falling back to a default or failing after the work.
+//! The `dsspy` binary parses flags strictly: a malformed numeric value, a
+//! flag the command does not take or a value outside its choices prints
+//! usage and exits 2 instead of silently falling back to a default or
+//! failing after the work.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -77,6 +78,11 @@ fn unknown_flags_exit_2_before_any_work() {
         "--thread",
     );
     assert_usage_exit(&dsspy(&["watch", "--follow", "--window", "8"]), "--window");
+    // Another command's flag is rejected too, naming the command.
+    assert_usage_exit(
+        &dsspy(&["sketch", "c.dsspycap", "--json"]),
+        "sketch does not take --json",
+    );
 }
 
 #[test]

@@ -20,6 +20,14 @@
 //! All entry points take an explicit thread count so benches can sweep it;
 //! [`default_threads`] mirrors the machine's available parallelism (the
 //! paper used an 8-core AMD FX 8120).
+//!
+//! Every slice kernel cuts its input into at most `threads` parts (one for
+//! a count of `0` or `1`) and hands them to one private helper, `fan_out`:
+//! zero or one part runs on the calling thread, more run one scoped worker
+//! each, and the results come back in part order. A worker that panics has
+//! its panic resumed on the caller with the worker's own payload. Only
+//! [`produce_consume`] keeps its own scope, since its producer runs on the
+//! caller while the consumers drain.
 
 #![warn(missing_docs)]
 
@@ -60,6 +68,37 @@ pub fn chunk_ranges(len: usize, threads: usize) -> Vec<(usize, usize)> {
         start += size;
     }
     debug_assert_eq!(start, len);
+    out
+}
+
+/// Run `work` on every part and return the results in part order.
+///
+/// Zero or one part runs on the calling thread; otherwise each part gets its
+/// own scoped worker. A worker's panic is resumed on the caller with the
+/// worker's own payload (the first in part order, if several panic).
+fn fan_out<P: Send, U: Send>(parts: Vec<P>, work: impl Fn(P) -> U + Sync) -> Vec<U> {
+    if parts.len() <= 1 {
+        return parts.into_iter().map(work).collect();
+    }
+    let work = &work;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = parts
+            .into_iter()
+            .map(|part| s.spawn(move || work(part)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    })
+}
+
+/// The parts' items in part order, in one allocation.
+fn concat<U>(parts: Vec<Vec<U>>) -> Vec<U> {
+    let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+    for part in parts {
+        out.extend(part);
+    }
     out
 }
 

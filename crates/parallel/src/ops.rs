@@ -6,12 +6,13 @@
 //! contiguous chunk, so there is no synchronization on the hot path and the
 //! results are bit-identical to the sequential versions.
 
-use crate::chunk_ranges;
+use crate::{chunk_ranges, concat, fan_out};
 
 /// Parallel map: apply `f` to every element, preserving order.
 ///
-/// Equivalent to `input.iter().map(f).collect()`, computed on `threads`
-/// scoped workers over contiguous chunks.
+/// Equivalent to `input.iter().map(f).collect()`: [`par_map_weighted`]
+/// with every element weighing the same, so each of the `threads` scoped
+/// workers maps a contiguous run of near-equal length.
 ///
 /// ```
 /// let doubled = dsspy_parallel::par_map(&[1, 2, 3], 2, |v| v * 2);
@@ -22,28 +23,7 @@ pub fn par_map<T: Sync, U: Send>(
     threads: usize,
     f: impl Fn(&T) -> U + Sync,
 ) -> Vec<U> {
-    let ranges = chunk_ranges(input.len(), threads);
-    if ranges.len() <= 1 {
-        return input.iter().map(f).collect();
-    }
-    let mut parts: Vec<Vec<U>> = Vec::with_capacity(ranges.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(a, b)| {
-                let f = &f;
-                s.spawn(move || input[a..b].iter().map(f).collect::<Vec<U>>())
-            })
-            .collect();
-        for h in handles {
-            parts.push(h.join().expect("par_map worker panicked"));
-        }
-    });
-    let mut out = Vec::with_capacity(input.len());
-    for p in parts {
-        out.extend(p);
-    }
-    out
+    par_map_weighted(input, threads, |_| 1, || (), |(), item| f(item))
 }
 
 /// Parallel map over runs of near-equal weight, with per-worker scratch.
@@ -72,10 +52,6 @@ pub fn par_map_weighted<T: Sync, S, U: Send>(
     f: impl Fn(&mut S, &T) -> U + Sync,
 ) -> Vec<U> {
     let threads = threads.clamp(1, input.len().max(1));
-    if threads == 1 {
-        let mut scratch = init();
-        return input.iter().map(|item| f(&mut scratch, item)).collect();
-    }
     let total: usize = input.iter().map(&weight).sum();
     let mut runs = Vec::with_capacity(threads);
     let (mut rest, mut seen) = (input, 0);
@@ -91,23 +67,13 @@ pub fn par_map_weighted<T: Sync, S, U: Send>(
         rest = tail;
     }
     runs.push(rest);
-    let (init, f) = (&init, &f);
-    let parts: Vec<Vec<U>> = std::thread::scope(|s| {
-        let handles: Vec<_> = runs
-            .into_iter()
-            .map(|run| {
-                s.spawn(move || {
-                    let mut scratch = init();
-                    run.iter().map(|item| f(&mut scratch, item)).collect()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
+    let parts = fan_out(runs, |run| {
+        let mut scratch = init();
+        run.iter()
+            .map(|item| f(&mut scratch, item))
+            .collect::<Vec<U>>()
     });
-    parts.into_iter().flatten().collect()
+    concat(parts)
 }
 
 /// Parallel initialization: build a `Vec` of `len` elements where element
@@ -116,28 +82,10 @@ pub fn par_map_weighted<T: Sync, S, U: Send>(
 /// preserved, so it is only valid where the paper's recommendation applies
 /// (index-determined values).
 pub fn par_for_init<U: Send>(len: usize, threads: usize, f: impl Fn(usize) -> U + Sync) -> Vec<U> {
-    let ranges = chunk_ranges(len, threads);
-    if ranges.len() <= 1 {
-        return (0..len).map(f).collect();
-    }
-    let mut parts: Vec<Vec<U>> = Vec::with_capacity(ranges.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(a, b)| {
-                let f = &f;
-                s.spawn(move || (a..b).map(f).collect::<Vec<U>>())
-            })
-            .collect();
-        for h in handles {
-            parts.push(h.join().expect("par_for_init worker panicked"));
-        }
+    let parts = fan_out(chunk_ranges(len, threads.max(1)), |(a, b)| {
+        (a..b).map(&f).collect::<Vec<U>>()
     });
-    let mut out = Vec::with_capacity(len);
-    for p in parts {
-        out.extend(p);
-    }
-    out
+    concat(parts)
 }
 
 #[cfg(test)]

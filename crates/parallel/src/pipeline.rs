@@ -46,7 +46,7 @@ where
         queue.close();
         let mut outputs = Vec::new();
         for h in handles {
-            outputs.extend(h.join().expect("pipeline worker panicked"));
+            outputs.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
         }
         (produced, outputs)
     })

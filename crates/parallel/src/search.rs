@@ -5,7 +5,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::chunk_ranges;
+use crate::{chunk_ranges, concat, fan_out};
 
 /// Find the index of the *first* element matching `pred`, searching chunks
 /// in parallel with cooperative early exit: once a worker finds a match, all
@@ -17,37 +17,23 @@ pub fn par_find_first<T: Sync>(
     threads: usize,
     pred: impl Fn(&T) -> bool + Sync,
 ) -> Option<usize> {
-    let ranges = chunk_ranges(input.len(), threads);
-    if ranges.len() <= 1 {
-        return input.iter().position(pred);
-    }
     // Best (smallest) match index found so far; MAX means "none".
     let best = AtomicUsize::new(usize::MAX);
-    std::thread::scope(|s| {
-        for &(a, b) in &ranges {
-            let pred = &pred;
-            let best = &best;
-            s.spawn(move || {
-                // A chunk whose start is already past the best match can
-                // never improve the answer.
-                if best.load(Ordering::Relaxed) <= a {
-                    return;
-                }
-                for (off, v) in input[a..b].iter().enumerate() {
-                    let i = a + off;
-                    // Periodic early-exit check to bound wasted work.
-                    if off % 1024 == 0 && best.load(Ordering::Relaxed) <= a {
-                        return;
-                    }
-                    if pred(v) {
-                        best.fetch_min(i, Ordering::Relaxed);
-                        return;
-                    }
-                }
-            });
+    fan_out(chunk_ranges(input.len(), threads.max(1)), |(a, b)| {
+        for (off, v) in input[a..b].iter().enumerate() {
+            // A chunk whose start is already past the best match can never
+            // improve the answer; checking every 1024 items bounds the
+            // wasted work.
+            if off % 1024 == 0 && best.load(Ordering::Relaxed) <= a {
+                return;
+            }
+            if pred(v) {
+                best.fetch_min(a + off, Ordering::Relaxed);
+                return;
+            }
         }
     });
-    match best.load(Ordering::Relaxed) {
+    match best.into_inner() {
         usize::MAX => None,
         i => Some(i),
     }
@@ -59,40 +45,15 @@ pub fn par_find_all<T: Sync>(
     threads: usize,
     pred: impl Fn(&T) -> bool + Sync,
 ) -> Vec<usize> {
-    let ranges = chunk_ranges(input.len(), threads);
-    if ranges.len() <= 1 {
-        return input
+    let parts = fan_out(chunk_ranges(input.len(), threads.max(1)), |(a, b)| {
+        input[a..b]
             .iter()
             .enumerate()
             .filter(|(_, v)| pred(v))
-            .map(|(i, _)| i)
-            .collect();
-    }
-    let mut parts: Vec<Vec<usize>> = Vec::with_capacity(ranges.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(a, b)| {
-                let pred = &pred;
-                s.spawn(move || {
-                    input[a..b]
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, v)| pred(v))
-                        .map(|(off, _)| a + off)
-                        .collect::<Vec<usize>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            parts.push(h.join().expect("par_find_all worker panicked"));
-        }
+            .map(|(off, _)| a + off)
+            .collect::<Vec<usize>>()
     });
-    let mut out = Vec::new();
-    for p in parts {
-        out.extend(p); // chunks are in ascending range order
-    }
-    out
+    concat(parts)
 }
 
 /// Find the index of the element with the maximum key, chunked in parallel.
@@ -106,44 +67,21 @@ pub fn par_max_by_key<T: Sync, K: Ord + Send>(
     threads: usize,
     key: impl Fn(&T) -> K + Sync,
 ) -> Option<usize> {
-    fn seq_max<T, K: Ord>(slice: &[T], base: usize, key: impl Fn(&T) -> K) -> Option<(usize, K)> {
-        let mut best: Option<(usize, K)> = None;
-        for (off, v) in slice.iter().enumerate() {
-            let k = key(v);
-            match &best {
-                Some((_, bk)) if *bk >= k => {}
-                _ => best = Some((base + off, k)),
-            }
-        }
-        best
-    }
-
-    let ranges = chunk_ranges(input.len(), threads);
-    if ranges.len() <= 1 {
-        return seq_max(input, 0, key).map(|(i, _)| i);
-    }
-    let mut parts: Vec<Option<(usize, K)>> = Vec::with_capacity(ranges.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = ranges
+    // The first of two equal keys wins, in a chunk and across chunks, which
+    // come back in index order.
+    let first_max = |best: (usize, K), next: (usize, K)| if best.1 >= next.1 { best } else { next };
+    let parts = fan_out(chunk_ranges(input.len(), threads.max(1)), |(a, b)| {
+        input[a..b]
             .iter()
-            .map(|&(a, b)| {
-                let key = &key;
-                s.spawn(move || seq_max(&input[a..b], a, key))
-            })
-            .collect();
-        for h in handles {
-            parts.push(h.join().expect("par_max_by_key worker panicked"));
-        }
+            .enumerate()
+            .map(|(off, v)| (a + off, key(v)))
+            .reduce(first_max)
     });
-    let mut best: Option<(usize, K)> = None;
-    for p in parts.into_iter().flatten() {
-        match &best {
-            // Chunks come in index order, so >= keeps the earliest index.
-            Some((_, bk)) if *bk >= p.1 => {}
-            _ => best = Some(p),
-        }
-    }
-    best.map(|(i, _)| i)
+    parts
+        .into_iter()
+        .flatten()
+        .reduce(first_max)
+        .map(|(i, _)| i)
 }
 
 #[cfg(test)]

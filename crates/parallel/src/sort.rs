@@ -4,9 +4,11 @@
 //! (paper §III-B, SAI): the insert can be parallelized and the sort itself
 //! can run in parallel. This module provides a chunked merge sort: each
 //! worker sorts a contiguous chunk with the (pattern-defeating, O(n log n))
-//! std unstable sort, then chunks are merged pairwise in parallel rounds.
+//! std unstable sort, then adjacent chunks are merged pairwise in parallel
+//! rounds. std's stable sort merges a pair: it finds the two sorted runs and
+//! merges them in linear time.
 
-use crate::chunk_ranges;
+use crate::{chunk_ranges, fan_out};
 
 /// Sort `data` ascending using up to `threads` workers.
 ///
@@ -23,108 +25,35 @@ pub fn par_merge_sort_by_key<T: Send, K: Ord>(
     threads: usize,
     key: impl Fn(&T) -> K + Sync,
 ) {
-    let len = data.len();
-    let ranges = chunk_ranges(len, threads);
-    if ranges.len() <= 1 {
-        data.sort_unstable_by_key(|a| key(a));
-        return;
-    }
-
-    // Phase 1: sort each chunk in parallel.
-    std::thread::scope(|s| {
-        let mut rest = &mut *data;
-        for &(a, b) in &ranges {
-            let (chunk, tail) = rest.split_at_mut(b - a);
-            rest = tail;
-            let key = &key;
-            s.spawn(move || chunk.sort_unstable_by_key(|a| key(a)));
-        }
+    // The end of every sorted run; the last is `data.len()`.
+    let mut ends: Vec<usize> = chunk_ranges(data.len(), threads.max(1))
+        .into_iter()
+        .map(|(_, end)| end)
+        .collect();
+    fan_out(split_at_ends(data, &ends), |run| {
+        run.sort_unstable_by_key(&key)
     });
-
-    // Phase 2: merge sorted runs pairwise until one run remains. Each round
-    // merges adjacent run pairs concurrently.
-    let mut bounds: Vec<usize> = ranges.iter().map(|&(a, _)| a).collect();
-    bounds.push(len);
-    while bounds.len() > 2 {
-        let mut next_bounds = Vec::with_capacity(bounds.len() / 2 + 1);
-        std::thread::scope(|s| {
-            let mut rest = &mut *data;
-            let mut consumed = 0usize;
-            let mut i = 0;
-            while i + 1 < bounds.len() {
-                let lo = bounds[i];
-                let mid = bounds[i + 1];
-                let hi = if i + 2 < bounds.len() {
-                    bounds[i + 2]
-                } else {
-                    mid
-                };
-                let (region, tail) = rest.split_at_mut(hi - consumed);
-                rest = tail;
-                consumed = hi;
-                next_bounds.push(lo);
-                if hi > mid {
-                    let split = mid - lo;
-                    let key = &key;
-                    s.spawn(move || merge_in_place(region, split, key));
-                    i += 2;
-                } else {
-                    // Odd run out: carried to the next round unmerged.
-                    i += 1;
-                }
-            }
+    while ends.len() > 1 {
+        // Each region is a pair of adjacent runs; an odd last run is a
+        // region of its own, already sorted.
+        ends = ends.chunks(2).map(|pair| pair[pair.len() - 1]).collect();
+        fan_out(split_at_ends(data, &ends), |region| {
+            region.sort_by_key(&key)
         });
-        next_bounds.push(len);
-        bounds = next_bounds;
     }
 }
 
-/// Merge the two sorted halves `[0, split)` and `[split, len)` of `region`.
-fn merge_in_place<T, K: Ord>(region: &mut [T], split: usize, key: &impl Fn(&T) -> K) {
-    // Out-of-place merge through an index permutation to avoid requiring
-    // T: Clone/Default. We compute the merged order of indices, then apply
-    // the permutation with swaps (cycle decomposition).
-    let len = region.len();
-    let mut order = Vec::with_capacity(len);
-    let (mut i, mut j) = (0usize, split);
-    while i < split && j < len {
-        if key(&region[i]) <= key(&region[j]) {
-            order.push(i);
-            i += 1;
-        } else {
-            order.push(j);
-            j += 1;
-        }
-    }
-    order.extend(i..split);
-    order.extend(j..len);
-
-    // Apply permutation: position p should receive element order[p].
-    let mut visited = vec![false; len];
-    for start in 0..len {
-        if visited[start] || order[start] == start {
-            visited[start] = true;
-            continue;
-        }
-        // Walk the cycle.
-        let mut pos = start;
-        loop {
-            visited[pos] = true;
-            let src = order[pos];
-            if src == start {
-                break;
-            }
-            region.swap(pos, src);
-            // After the swap, the element originally wanted from `src` now
-            // sits at `pos`... the standard trick: follow where the element
-            // that was at `pos` must go. We instead walk by repeatedly
-            // swapping `pos` with `order[pos]` until the cycle closes.
-            pos = src;
-            if visited[pos] {
-                break;
-            }
-        }
-    }
+/// Cut `data` into the regions that end at each of `ends` (ascending, the
+/// last being `data.len()`).
+fn split_at_ends<'a, T>(mut data: &'a mut [T], ends: &[usize]) -> Vec<&'a mut [T]> {
+    let mut start = 0;
+    ends.iter()
+        .map(|&end| {
+            let (region, rest) = std::mem::take(&mut data).split_at_mut(end - start);
+            (data, start) = (rest, end);
+            region
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -6,8 +6,9 @@
 #               cell (rustdoc over the workspace with warnings denied, so a
 #               broken intra-doc link fails), then explicit
 #               --threads CLI runs, the bad-input cell (malformed numeric
-#               values, unknown flags and values outside their choices exit
-#               2), the capture-write-error cell (`demo /dev/full` exits 1
+#               values, unknown flags, flags the command does not take and
+#               values outside their choices exit 2), the
+#               capture-write-error cell (`demo /dev/full` exits 1
 #               with "cannot write capture"), the corrupt-capture cell (a
 #               flipped row byte makes `analyze` exit 1 naming the instance
 #               and the checksum), the table4-drift cell (Table
@@ -126,6 +127,9 @@ if [[ "$MODE" == "full" ]]; then
             ./target/release/dsspy watch --follow --window 8
             code=$?
             [[ "$code" -eq 2 ]] || { echo "watch --follow --window 8: exit $code, want 2"; exit 1; }
+            ./target/release/dsspy sketch "$smoke" --json
+            code=$?
+            [[ "$code" -eq 2 ]] || { echo "sketch --json: exit $code, want 2"; exit 1; }
             ./target/release/dsspy csv "$smoke" nope
             code=$?
             [[ "$code" -eq 2 ]] || { echo "csv nope: exit $code, want 2"; exit 1; }
@@ -138,7 +142,7 @@ if [[ "$MODE" == "full" ]]; then
             ./target/release/dsspy watch --follow --workload Nope
             code=$?
             [[ "$code" -eq 2 ]] || { echo "watch --follow --workload Nope: exit $code, want 2"; exit 1; }
-            echo "malformed numeric values, unknown flags and bad choices exit 2 with usage"
+            echo "malformed numeric values, unknown or misplaced flags and bad choices exit 2 with usage"
         ' bad-input "$SMOKE"
     # A save that fails is reported as a write failure with exit 1: /dev/full
     # accepts the open and fails the writes (or the final flush).
