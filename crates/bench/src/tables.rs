@@ -12,6 +12,7 @@ use dsspy_parallel::{
 };
 use dsspy_patterns::{analyze, regularity, MinerConfig, RegularityConfig};
 use dsspy_study::{domain_rows, occurrence_rows};
+use dsspy_telemetry::OverheadReport;
 use dsspy_usecases::{classify, Thresholds};
 use dsspy_viz::{
     occurrence_svg, occurrence_table, profile_chart_svg, profile_chart_text, OccurrenceRow,
@@ -322,7 +323,7 @@ fn evaluate_one(w: &dyn Workload, scale: Scale, runs: usize, threads: usize) -> 
         loc: spec.paper_loc,
         runtime_s: plain as f64 / 1e9,
         profiling_s: instrumented as f64 / 1e9,
-        slowdown: instrumented as f64 / plain.max(1) as f64,
+        slowdown: OverheadReport::from_measurement(plain, instrumented).slowdown,
         instances: report.instance_count(),
         use_cases: report.all_use_cases().len(),
         reduction: report.use_case_reduction(),

@@ -7,7 +7,6 @@
 //! the growing per-instance event lists so the profiled code never touches a
 //! shared log under a lock.
 
-use std::collections::HashMap;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -36,10 +35,6 @@ pub(crate) enum Msg {
     Stop,
 }
 
-/// What the collector thread hands back when it exits: the stored events
-/// per instance, its counters, and the session duration it stamped.
-pub(crate) type Collected = (HashMap<InstanceId, Vec<AccessEvent>>, CollectorStats, u64);
-
 /// Observer of the collector's batch path — the subscription point for
 /// streaming consumers (`dsspy-stream`'s `StreamingAnalyzer` attaches here).
 /// A tap is always a subscriber of a [`TapFanout`]: the collector drives
@@ -47,7 +42,7 @@ pub(crate) type Collected = (HashMap<InstanceId, Vec<AccessEvent>>, CollectorSta
 /// `catch_unwind`, so a panicking tap cannot take the collector down.
 ///
 /// The tap runs *on the collector thread*: it sees every stored batch, in
-/// arrival order, before the batch is folded into the post-mortem event map.
+/// arrival order, before the batch is stored with its instance's events.
 /// Batches drained after `Msg::Stop` — the ones counted into
 /// [`CollectorStats::dropped`] — are **not** tapped, so a tap observes
 /// exactly the events that end up in the session's [`Capture`].
@@ -89,13 +84,25 @@ pub struct CollectorStats {
     pub dropped: u64,
 }
 
+/// Append `batch` to instance `id`'s events in a store indexed by id (an
+/// instance's id is its registry position), growing the store to reach it.
+pub(crate) fn store(events: &mut Vec<Vec<AccessEvent>>, id: InstanceId, batch: &[AccessEvent]) {
+    let slot = id.0 as usize;
+    if events.len() <= slot {
+        events.resize_with(slot + 1, Vec::new);
+    }
+    events[slot].extend_from_slice(batch);
+}
+
 /// Spawn the collector thread on `rx` for a session that began at `started`.
 ///
-/// The thread accumulates events until it sees [`Msg::Stop`] (or all senders
-/// disconnect), then stamps the session duration — it is the one writer of
-/// `session_nanos`, so the collector's busy time can never exceed it. The
-/// channel is FIFO, so every batch flushed before shutdown is received — and
-/// stored — before the `Stop` marker. Anything still
+/// The thread hands back the stored events, indexed by instance id, its
+/// counters and the session duration it stamped. It accumulates events
+/// until it sees [`Msg::Stop`] (or all senders disconnect), then stamps the
+/// session duration — it is the one writer of `session_nanos`, so the
+/// collector's busy time can never exceed it. The channel is FIFO, so every
+/// batch flushed before shutdown is received — and stored — before the
+/// `Stop` marker. Anything still
 /// arriving *after* the marker was recorded after session shutdown; those
 /// events are drained so senders never block, but only counted, into
 /// [`CollectorStats::dropped`].
@@ -115,7 +122,7 @@ pub(crate) fn spawn(
     telemetry: Telemetry,
     session_id: u64,
     mut tap: Option<Box<TapFanout>>,
-) -> JoinHandle<Collected> {
+) -> JoinHandle<(Vec<Vec<AccessEvent>>, CollectorStats, u64)> {
     std::thread::Builder::new()
         .name("dsspy-collector".into())
         .spawn(move || {
@@ -138,7 +145,7 @@ pub(crate) fn spawn(
                 FlightEventKind::SessionStart,
             );
 
-            let mut map: HashMap<InstanceId, Vec<AccessEvent>> = HashMap::new();
+            let mut stored: Vec<Vec<AccessEvent>> = Vec::new();
             let mut stats = CollectorStats::default();
             // Phase 1: normal operation until Stop (or all senders gone).
             while let Ok(msg) = rx.recv() {
@@ -195,7 +202,7 @@ pub(crate) fn spawn(
                         let events = batch.len() as u64;
                         stats.events += events;
                         stats.batches += 1;
-                        map.entry(id).or_default().extend(batch);
+                        store(&mut stored, id, &batch);
                         if enabled {
                             let spent = telemetry.now_nanos().saturating_sub(start_nanos);
                             batch_handle.record(spent);
@@ -243,7 +250,7 @@ pub(crate) fn spawn(
             // and publish the post-stop drops alongside `CollectorStats`.
             queue_depth.set(0);
             telemetry.counter("collector.dropped").add(stats.dropped);
-            (map, stats, session_nanos)
+            (stored, stats, session_nanos)
         })
         .expect("failed to spawn dsspy collector thread")
 }
@@ -285,19 +292,20 @@ impl Capture {
         }
     }
 
-    /// Assemble a capture from the registry snapshot and the event map.
+    /// Assemble a capture from the registry snapshot and the events stored
+    /// by instance id: instance `i` of the snapshot gets `events[i]`, or no
+    /// events past its end.
     pub(crate) fn assemble(
         instances: Vec<InstanceInfo>,
-        mut events: HashMap<InstanceId, Vec<AccessEvent>>,
+        events: Vec<Vec<AccessEvent>>,
         stats: CollectorStats,
         session_nanos: u64,
     ) -> Capture {
+        let events = events.into_iter().chain(std::iter::repeat_with(Vec::new));
         let profiles: Vec<RuntimeProfile> = instances
             .into_iter()
-            .map(|info| {
-                let evs = events.remove(&info.id).unwrap_or_default();
-                RuntimeProfile::new(info, evs)
-            })
+            .zip(events)
+            .map(|(info, events)| RuntimeProfile::new(info, events))
             .collect();
         Capture::new(profiles, stats, session_nanos)
     }
@@ -329,11 +337,7 @@ mod tests {
 
     #[test]
     fn assemble_pairs_instances_with_events() {
-        let mut events = HashMap::new();
-        events.insert(
-            InstanceId(0),
-            vec![AccessEvent::at(0, AccessKind::Insert, 0, 1)],
-        );
+        let events = vec![vec![AccessEvent::at(0, AccessKind::Insert, 0, 1)]];
         let cap = Capture::assemble(
             vec![info(0), info(1)],
             events,
@@ -359,10 +363,10 @@ mod tests {
         tx.send(Msg::Stop).unwrap();
         // Queued before the collector exits its drain loop is not guaranteed
         // for sends *after* Stop, but sends before Stop must be stored.
-        let (map, stats, _) = join.join().unwrap();
+        let (stored, stats, _) = join.join().unwrap();
         assert_eq!(stats.events, 1);
         assert_eq!(stats.batches, 1);
-        assert_eq!(map[&InstanceId(0)].len(), 1);
+        assert_eq!(stored[0].len(), 1);
     }
 
     #[test]
@@ -381,10 +385,10 @@ mod tests {
             0,
         ))
         .unwrap();
-        let (map, stats, _) = spawn(rx, Instant::now(), Telemetry::disabled(), 1, None)
+        let (stored, stats, _) = spawn(rx, Instant::now(), Telemetry::disabled(), 1, None)
             .join()
             .unwrap();
-        assert!(map.is_empty(), "post-shutdown events must not be stored");
+        assert!(stored.is_empty(), "post-shutdown events must not be stored");
         assert_eq!(stats.dropped, 2);
         assert_eq!(stats.events, 0);
         assert_eq!(stats.batches, 0);
@@ -440,9 +444,10 @@ mod tests {
         ))
         .unwrap();
         drop(tx);
-        let (map, stats, _) = join.join().unwrap();
+        let (stored, stats, _) = join.join().unwrap();
         assert_eq!(stats.events, 1);
-        assert!(map.contains_key(&InstanceId(3)));
+        let lens: Vec<usize> = stored.iter().map(Vec::len).collect();
+        assert_eq!(lens, [0, 0, 0, 1]);
     }
 
     #[test]

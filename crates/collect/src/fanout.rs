@@ -28,7 +28,6 @@
 //! incident is recorded into it, on the same timeline as the collector's
 //! batch receipts.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -38,7 +37,7 @@ use dsspy_telemetry::{
 };
 use parking_lot::Mutex;
 
-use crate::collector::{Capture, CollectorStats, CollectorTap};
+use crate::collector::{store, Capture, CollectorStats, CollectorTap};
 
 /// Turn a per-subscriber metric name into the `&'static str` the telemetry
 /// registry requires. Leaks one small string per (subscriber, instrument) —
@@ -269,7 +268,8 @@ impl std::fmt::Debug for TapFanout {
 /// What a [`CaptureRecorder`] has seen so far.
 #[derive(Default)]
 struct RecorderState {
-    events: HashMap<InstanceId, Vec<AccessEvent>>,
+    /// Delivered events, indexed by instance id.
+    events: Vec<Vec<AccessEvent>>,
     /// `(instance, batch length)` per delivered batch, in delivery order —
     /// the ordering evidence the fanout tests assert on.
     batch_log: Vec<(InstanceId, usize)>,
@@ -314,22 +314,19 @@ impl CaptureRecorder {
     }
 
     /// Rebuild the capture from everything recorded, pairing the events
-    /// with `instances` (registration order — e.g. a registry snapshot, or
-    /// the profiles of the session's own capture). `None` until the session
-    /// stopped.
+    /// with `instances`, which must be in registration order from the first
+    /// (e.g. a registry snapshot, or the profiles of the session's own
+    /// capture): the `i`-th gets the events of id `i`. `None` until the
+    /// session stopped.
     pub fn capture(&self, instances: Vec<InstanceInfo>) -> Option<Capture> {
-        let mut state = self.shared.lock();
+        let state = self.shared.lock();
         let (stats, session_nanos) = state.finished?;
-        let events = std::mem::take(&mut state.events);
-        let capture = Capture::assemble(instances, events, stats, session_nanos);
-        // Put the map back so `capture` can be called again.
-        state.events = capture
-            .profiles
-            .iter()
-            .filter(|p| !p.is_empty())
-            .map(|p| (p.instance.id, p.events.clone()))
-            .collect();
-        Some(capture)
+        Some(Capture::assemble(
+            instances,
+            state.events.clone(),
+            stats,
+            session_nanos,
+        ))
     }
 }
 
@@ -337,7 +334,10 @@ impl std::fmt::Debug for CaptureRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let state = self.shared.lock();
         f.debug_struct("CaptureRecorder")
-            .field("instances", &state.events.len())
+            .field(
+                "instances",
+                &state.events.iter().filter(|e| !e.is_empty()).count(),
+            )
             .field("batches", &state.batch_log.len())
             .field("stopped", &state.finished.is_some())
             .finish()
@@ -357,11 +357,7 @@ impl CollectorTap for RecorderTap {
         _queue_depth: usize,
     ) {
         let mut state = self.shared.lock();
-        state
-            .events
-            .entry(id)
-            .or_default()
-            .extend_from_slice(events);
+        store(&mut state.events, id, events);
         state.batch_log.push((id, events.len()));
     }
 

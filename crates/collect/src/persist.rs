@@ -30,9 +30,10 @@
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-use dsspy_events::encode::{decode_bodies, encode_body, Body, DecodeError};
-use dsspy_events::{InstanceInfo, RuntimeProfile};
+use dsspy_events::encode::{encode_body, Body, DecodeError};
+use dsspy_events::{AccessEvent, InstanceInfo, RuntimeProfile};
 use dsspy_telemetry::{overhead::signals, Telemetry, TelemetrySnapshot};
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::collector::{Capture, CollectorStats};
@@ -342,8 +343,7 @@ pub fn read_capture_with(r: impl Read, opts: &ReadOptions) -> Result<Capture, Pe
     } else {
         opts.threads
     };
-    let decoded =
-        decode_bodies(&bodies, threads).map_err(|e| encoded.body_error(e.body, e.error))?;
+    let decoded = decode_events(&encoded, &bodies, threads)?;
     drop(bodies);
     if telemetry.is_enabled() {
         telemetry
@@ -362,6 +362,58 @@ pub fn read_capture_with(r: impl Read, opts: &ReadOptions) -> Result<Capture, Pe
     let mut capture = Capture::new(profiles, encoded.stats, encoded.session_nanos);
     capture.collection_telemetry = encoded.collection_telemetry;
     Ok(capture)
+}
+
+/// Decode the chunks of all bodies on `threads` workers of
+/// [`dsspy_parallel::par_map_weighted`], weighted by event count, and return
+/// each body's events in body order and, within a body, in stored order.
+///
+/// Each chunk writes straight into its own slots of its body's vector, sized
+/// from the validated chunk counts. A chunk's slots sit behind a lock only
+/// so that the shared job list can hand them out; its one decoder takes the
+/// lock once. On error the first failing chunk in body order is reported,
+/// whatever the thread count.
+fn decode_events(
+    encoded: &EncodedCapture,
+    bodies: &[Body<'_>],
+    threads: usize,
+) -> Result<Vec<Vec<AccessEvent>>, PersistError> {
+    let mut out: Vec<_> = bodies.iter().map(|b| Vec::with_capacity(b.len())).collect();
+    let mut jobs = Vec::new();
+    for (i, (body, events)) in bodies.iter().zip(out.iter_mut()).enumerate() {
+        let mut spare = &mut events.spare_capacity_mut()[..body.len()];
+        for chunk in body.chunks() {
+            let (dst, rest) = std::mem::take(&mut spare).split_at_mut(chunk.len());
+            spare = rest;
+            jobs.push((i, chunk, Mutex::new(dst)));
+        }
+    }
+    let results = dsspy_parallel::par_map_weighted(
+        &jobs,
+        threads,
+        |(_, chunk, _)| chunk.len(),
+        || (),
+        |(), (_, chunk, dst)| chunk.decode_to(&mut dst.lock()),
+    );
+    let mut filled = vec![0usize; bodies.len()];
+    for ((body, chunk, _), result) in jobs.iter().zip(results) {
+        result.map_err(|e| encoded.body_error(*body, e))?;
+        filled[*body] += chunk.len();
+    }
+    drop(jobs);
+    for ((events, body), filled) in out.iter_mut().zip(bodies).zip(filled) {
+        assert_eq!(filled, body.len(), "every slot of the body was decoded");
+        // SAFETY: the capacity is at least `body.len()`. The body's chunks
+        // were handed disjoint, consecutive slot ranges of the spare
+        // capacity that together cover `0..body.len()` (`Body::parse` makes
+        // `len` the sum of the chunk counts), and a successful
+        // `Chunk::decode_to` has written every slot of its range. The assert
+        // above checks that every chunk of this body succeeded, so all
+        // `body.len()` slots are initialized. `AccessEvent: Copy`, so the
+        // vectors dropped on an earlier error own nothing to drop.
+        unsafe { events.set_len(body.len()) };
+    }
+    Ok(out)
 }
 
 /// Save a capture to a file.
@@ -398,7 +450,8 @@ pub fn load_capture_with(
 mod tests {
     use super::*;
     use crate::session::Session;
-    use dsspy_events::{AccessKind, AllocationSite, DsKind, Target};
+    use dsspy_events::encode::CHUNK_EVENTS;
+    use dsspy_events::{AccessKind, AllocationSite, DsKind, InstanceId, Target};
 
     fn sample_capture() -> Capture {
         let session = Session::new();
@@ -515,19 +568,93 @@ mod tests {
         // it: flip a byte well inside them.
         let at = buf.len() - 8 - 100;
         buf[at] ^= 0x10;
-        for threads in [1, 2] {
+        assert_checksum_error_names(&buf, "ds#0", &[1, 2]);
+    }
+
+    /// A capture of one profile per entry of `counts`, holding that many
+    /// events.
+    fn capture_of(counts: &[usize]) -> Capture {
+        let profiles = counts
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| RuntimeProfile {
+                instance: InstanceInfo::new(
+                    InstanceId(i as u64),
+                    AllocationSite::new("C", "m", i as u32),
+                    DsKind::List,
+                    "i32",
+                ),
+                events: (0..n as u64)
+                    .map(|s| AccessEvent::at(s, AccessKind::Read, (s % 300) as u32, 300))
+                    .collect(),
+            })
+            .collect();
+        Capture::new(profiles, CollectorStats::default(), 0)
+    }
+
+    /// Where each body's bytes start in a written capture, after its length
+    /// prefix, in header order.
+    fn body_starts(buf: &[u8]) -> Vec<usize> {
+        let u64_at = |at: usize| u64::from_le_bytes(buf[at..at + 8].try_into().unwrap()) as usize;
+        let (mut at, mut starts) = (20 + u64_at(12), Vec::new());
+        while at < buf.len() {
+            starts.push(at + 8);
+            at += 8 + u64_at(at);
+        }
+        starts
+    }
+
+    /// Where the rows of chunk `k` of the body starting at `body` begin.
+    fn chunk_rows(buf: &[u8], body: usize, k: usize) -> usize {
+        let mut at = body;
+        for _ in 0..k {
+            at += 12 + u32::from_le_bytes(buf[at + 4..at + 8].try_into().unwrap()) as usize;
+        }
+        at + 12
+    }
+
+    /// Reading `buf` fails at every width in `widths` with a corrupt body
+    /// whose message names `instance` and the checksum.
+    fn assert_checksum_error_names(buf: &[u8], instance: &str, widths: &[usize]) {
+        for &threads in widths {
             let opts = ReadOptions {
                 threads,
                 ..ReadOptions::default()
             };
-            let err = read_capture_with(buf.as_slice(), &opts).unwrap_err();
+            let err = read_capture_with(buf, &opts).unwrap_err();
             assert!(matches!(err, PersistError::BadBody(_)), "{err}");
             let msg = err.to_string();
-            assert!(
-                msg.contains("instance ds#0") && msg.contains("checksum"),
-                "{msg}"
-            );
+            let named = msg.contains(&format!("instance {instance}:"));
+            assert!(named && msg.contains("checksum"), "{threads}: {msg}");
         }
+    }
+
+    #[test]
+    fn the_first_failing_body_is_named_at_any_width() {
+        let mut buf = Vec::new();
+        write_capture(&capture_of(&[500, 1, 1]), &mut buf).unwrap();
+        let starts = body_starts(&buf);
+        for &body in &starts[1..] {
+            let at = chunk_rows(&buf, body, 0) + 1;
+            buf[at] ^= 0x01;
+        }
+        assert_checksum_error_names(&buf, "ds#1", &[0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn a_flipped_byte_in_a_later_chunk_is_named_before_a_later_body() {
+        // At 2 and 4 threads instance 0's third chunk decodes on another
+        // worker than its first two; at 4, instance 1 on another still.
+        let mut buf = Vec::new();
+        write_capture(&capture_of(&[3 * CHUNK_EVENTS + 1, 500]), &mut buf).unwrap();
+        let starts = body_starts(&buf);
+        for at in [
+            chunk_rows(&buf, starts[0], 2),
+            chunk_rows(&buf, starts[1], 0),
+        ] {
+            buf[at + 5] ^= 0x01;
+        }
+        assert_checksum_error_names(&buf, "ds#0", &[1, 2, 4, 0]);
     }
 
     #[cfg(target_os = "linux")]

@@ -16,7 +16,7 @@ use dsspy_events::{AccessEvent, AccessKind, AllocationSite, DsKind, InstanceId, 
 use dsspy_telemetry::{next_session_id, IncidentTrigger, Telemetry, TraceContext};
 
 use crate::clock::{current_thread_tag, SessionClock};
-use crate::collector::{spawn, Capture, Collected, Msg};
+use crate::collector::{spawn, Capture, CollectorStats, Msg};
 use crate::fanout::TapFanout;
 use crate::registry::Registry;
 
@@ -64,7 +64,7 @@ pub(crate) struct SessionInner {
 pub struct Session {
     inner: Arc<SessionInner>,
     sender: Sender<Msg>,
-    join: JoinHandle<Collected>,
+    join: JoinHandle<(Vec<Vec<AccessEvent>>, CollectorStats, u64)>,
     batch_size: usize,
 }
 
@@ -163,14 +163,15 @@ impl Session {
         self.inner.closed.store(true, Ordering::SeqCst);
         let _ = self.sender.send(Msg::Stop);
         drop(self.sender);
-        let (map, mut stats, session_nanos) = self.join.join().expect("collector thread panicked");
+        let (events, mut stats, session_nanos) =
+            self.join.join().expect("collector thread panicked");
         stats.dropped += self.inner.dropped.load(Ordering::Relaxed);
         self.inner
             .telemetry
             .counter("session.session_nanos")
             .add(session_nanos);
         let mut capture =
-            Capture::assemble(self.inner.registry.snapshot(), map, stats, session_nanos);
+            Capture::assemble(self.inner.registry.snapshot(), events, stats, session_nanos);
         // An observed session stamps its capture with everything the
         // telemetry saw, so the collection-time signals survive persistence
         // and reach offline analysis (which merges them into its snapshot).

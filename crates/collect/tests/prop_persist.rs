@@ -1,7 +1,7 @@
 //! Property tests: capture persistence is lossless for arbitrary captures,
 //! and corrupted files never panic the loader.
 
-use dsspy_collect::persist::{read_capture, write_capture};
+use dsspy_collect::persist::{read_capture, read_capture_with, write_capture, ReadOptions};
 use dsspy_collect::{Capture, CollectorStats};
 use dsspy_events::{
     AccessEvent, AccessKind, AllocationSite, DsKind, InstanceId, InstanceInfo, RuntimeProfile,
@@ -92,6 +92,17 @@ proptest! {
         let back = read_capture(buf.as_slice()).unwrap();
         prop_assert_eq!(back.stats, capture.stats);
         prop_assert_eq!(back.session_nanos, capture.session_nanos);
+        prop_assert_eq!(back.profiles, capture.profiles);
+    }
+
+    /// Every body reads back as itself at any decode width (0 is one
+    /// worker per core).
+    #[test]
+    fn many_bodies_roundtrip_at_any_width(capture in arb_capture(), threads in 0usize..5) {
+        let mut buf = Vec::new();
+        write_capture(&capture, &mut buf).unwrap();
+        let opts = ReadOptions { threads, ..ReadOptions::default() };
+        let back = read_capture_with(buf.as_slice(), &opts).unwrap();
         prop_assert_eq!(back.profiles, capture.profiles);
     }
 

@@ -1,5 +1,6 @@
 //! Measurement helpers for the evaluation (paper §V, Tables IV and VI):
-//! slowdown factors, averaged timings, and search-space bookkeeping.
+//! averaged timings and sequential-fraction bookkeeping. The paired-run
+//! slowdown factor is `dsspy_telemetry::OverheadReport::from_measurement`.
 
 use serde::{Deserialize, Serialize};
 
@@ -14,91 +15,6 @@ pub fn measure_avg_nanos(runs: usize, mut f: impl FnMut()) -> u64 {
         f();
     }
     (start.elapsed().as_nanos() / runs as u128) as u64
-}
-
-/// One slowdown measurement: plain vs. instrumented execution.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct Slowdown {
-    /// Average runtime of the plain (ghost-mode) program, nanoseconds.
-    pub plain_nanos: u64,
-    /// Average runtime of the instrumented program, nanoseconds.
-    pub instrumented_nanos: u64,
-}
-
-impl Slowdown {
-    /// Measure both variants, `runs` times each.
-    pub fn measure(runs: usize, mut plain: impl FnMut(), mut instrumented: impl FnMut()) -> Self {
-        Slowdown {
-            plain_nanos: measure_avg_nanos(runs, &mut plain),
-            instrumented_nanos: measure_avg_nanos(runs, &mut instrumented),
-        }
-    }
-
-    /// The slowdown factor (Table IV's "Profiling Slowdown" column).
-    pub fn factor(&self) -> f64 {
-        if self.plain_nanos == 0 {
-            return 0.0;
-        }
-        self.instrumented_nanos as f64 / self.plain_nanos as f64
-    }
-}
-
-/// Search-space bookkeeping for one program (Table IV's "Data Structures"
-/// and "Search Space Reduction" columns).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct SearchSpaceReduction {
-    /// Instances in the program (what the engineer faces without DSspy).
-    pub total_instances: usize,
-    /// Instances DSspy's use cases reference.
-    pub flagged_instances: usize,
-}
-
-impl SearchSpaceReduction {
-    /// The reduction fraction, e.g. 0.7692 for 104 → 24.
-    pub fn reduction(&self) -> f64 {
-        if self.total_instances == 0 {
-            return 0.0;
-        }
-        1.0 - self.flagged_instances as f64 / self.total_instances as f64
-    }
-
-    /// Render as the paper does, e.g. `"4 of 16 (75.00%)"`.
-    pub fn render(&self) -> String {
-        format!(
-            "{} of {} ({:.2}%)",
-            self.flagged_instances,
-            self.total_instances,
-            self.reduction() * 100.0
-        )
-    }
-}
-
-/// A sequential-vs-parallel speedup observation (Table IV's "Total Speedup"
-/// and the per-use-case speedups of §V).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct Speedup {
-    /// Sequential runtime, nanoseconds.
-    pub sequential_nanos: u64,
-    /// Parallel (recommendation-following) runtime, nanoseconds.
-    pub parallel_nanos: u64,
-}
-
-impl Speedup {
-    /// Measure both variants, `runs` times each.
-    pub fn measure(runs: usize, mut sequential: impl FnMut(), mut parallel: impl FnMut()) -> Self {
-        Speedup {
-            sequential_nanos: measure_avg_nanos(runs, &mut sequential),
-            parallel_nanos: measure_avg_nanos(runs, &mut parallel),
-        }
-    }
-
-    /// The speedup factor (sequential / parallel).
-    pub fn factor(&self) -> f64 {
-        if self.parallel_nanos == 0 {
-            return 0.0;
-        }
-        self.sequential_nanos as f64 / self.parallel_nanos as f64
-    }
 }
 
 /// Sequential-fraction bookkeeping for Table VI: how much of a program's
@@ -135,46 +51,6 @@ impl RuntimeFractions {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn slowdown_factor() {
-        let s = Slowdown {
-            plain_nanos: 100,
-            instrumented_nanos: 4_713,
-        };
-        assert!((s.factor() - 47.13).abs() < 1e-9);
-        let zero = Slowdown {
-            plain_nanos: 0,
-            instrumented_nanos: 10,
-        };
-        assert_eq!(zero.factor(), 0.0);
-    }
-
-    #[test]
-    fn reduction_matches_paper_numbers() {
-        // Table IV bottom line: 104 instances, 24 flagged → 76.92 %.
-        let r = SearchSpaceReduction {
-            total_instances: 104,
-            flagged_instances: 24,
-        };
-        assert!((r.reduction() - 0.7692).abs() < 1e-4);
-        assert_eq!(r.render(), "24 of 104 (76.92%)");
-        // Algorithmia row: 16 → 4 = 75.00 %.
-        let a = SearchSpaceReduction {
-            total_instances: 16,
-            flagged_instances: 4,
-        };
-        assert!((a.reduction() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn speedup_factor() {
-        let s = Speedup {
-            sequential_nanos: 490,
-            parallel_nanos: 170,
-        };
-        assert!((s.factor() - 2.882).abs() < 0.01);
-    }
 
     #[test]
     fn fractions_and_amdahl() {

@@ -35,9 +35,7 @@ pub mod report;
 pub mod transform;
 
 pub use diff::{diff_reports, DetectionKey, ReportDiff};
-pub use evaluation::{
-    measure_avg_nanos, RuntimeFractions, SearchSpaceReduction, Slowdown, Speedup,
-};
+pub use evaluation::{measure_avg_nanos, RuntimeFractions};
 pub use export::{instances_csv, use_cases_csv};
 pub use fold::InstanceFold;
 pub use pipeline::{AnalysisConfig, Dsspy};

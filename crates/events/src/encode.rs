@@ -1,4 +1,4 @@
-//! Compact binary encoding of event bodies, and their parallel decode.
+//! Compact binary encoding of event bodies, and their chunk-by-chunk decode.
 //!
 //! This is the on-disk event format of a persisted capture (format
 //! version 4): each instance's events are one *body*, a run of
@@ -21,10 +21,10 @@
 //! `var` is LEB128 `u64`; `zvar` is zigzag LEB128 of the `i64` difference;
 //! `dseq = seq - prev_seq` (wrapping). A Range moves `prev_idx` to its
 //! start. `prev_seq`, thread, len and `prev_idx` start at 0 in every chunk,
-//! so chunks decode independently: [`decode_bodies`] spreads the chunks of
-//! all bodies over worker threads and writes each one straight into its
-//! slot of the body's pre-sized event vector, and [`Chunk::decode_into`]
-//! decodes one chunk into a caller's buffer.
+//! so chunks decode independently: [`Chunk::decode_to`] writes one chunk
+//! straight into its slots of a pre-sized event vector, which lets a reader
+//! spread the chunks of all bodies over worker threads, and
+//! [`Chunk::decode_into`] decodes one chunk into a caller's buffer.
 //!
 //! `sum` is a Fletcher-style checksum of the chunk's row bytes. Decoding a chunk checks
 //! it first, in the same pass, so a flipped byte in the rows fails as
@@ -299,6 +299,25 @@ impl Chunk<'_> {
         Ok(())
     }
 
+    /// Check the chunk's checksum, then decode its events into `dst`, one
+    /// per slot, in stored order.
+    ///
+    /// On `Ok`, every slot of `dst` has been written. On error, a prefix of
+    /// the slots may have been. Panics if `dst` does not have exactly
+    /// [`Chunk::len`] slots.
+    pub fn decode_to(&self, dst: &mut [MaybeUninit<AccessEvent>]) -> Result<(), DecodeError> {
+        assert_eq!(dst.len(), self.count, "one slot per event of the chunk");
+        self.verify()?;
+        let (mut rows, mut prev) = (self.rows, Prev::default());
+        for slot in dst.iter_mut() {
+            slot.write(decode_row(&mut rows, &mut prev)?);
+        }
+        if !rows.is_empty() {
+            return Err(DecodeError::RowBytes);
+        }
+        Ok(())
+    }
+
     fn verify(&self) -> Result<(), DecodeError> {
         let computed = checksum(self.rows);
         if computed != self.sum {
@@ -320,7 +339,7 @@ pub struct Body<'a> {
 impl<'a> Body<'a> {
     /// Split `bytes` into chunks, checking each chunk's count and byte
     /// length and that the counts sum to `expected_events`. Rows are not
-    /// read until [`decode_bodies`].
+    /// read until a chunk is decoded.
     pub fn parse(mut bytes: &'a [u8], expected_events: u64) -> Result<Body<'a>, DecodeError> {
         let mut chunks = Vec::new();
         let mut events = 0u64;
@@ -367,15 +386,16 @@ impl<'a> Body<'a> {
     pub fn chunks(&self) -> &[Chunk<'a>] {
         &self.chunks
     }
-}
 
-/// A decode failure inside [`decode_bodies`], naming the failing body.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BodyError {
-    /// Index of the body in the slice passed to [`decode_bodies`].
-    pub body: usize,
-    /// What was wrong with it.
-    pub error: DecodeError,
+    /// The number of events the body holds: the sum of its chunk counts.
+    pub fn len(&self) -> usize {
+        self.events
+    }
+
+    /// Whether the body holds no events.
+    pub fn is_empty(&self) -> bool {
+        self.events == 0
+    }
 }
 
 fn byte(rows: &mut &[u8]) -> Result<u8, DecodeError> {
@@ -480,136 +500,6 @@ fn decode_row(rows: &mut &[u8], prev: &mut Prev) -> Result<AccessEvent, DecodeEr
     })
 }
 
-/// Check one chunk's checksum and decode it into `dst`, which has exactly
-/// the chunk's count of slots. Returns how many slots it wrote: all of
-/// them.
-fn decode_chunk(
-    chunk: &Chunk<'_>,
-    dst: &mut [MaybeUninit<AccessEvent>],
-) -> Result<usize, DecodeError> {
-    chunk.verify()?;
-    let (mut rows, mut prev) = (chunk.rows, Prev::default());
-    for slot in dst.iter_mut() {
-        slot.write(decode_row(&mut rows, &mut prev)?);
-    }
-    if !rows.is_empty() {
-        return Err(DecodeError::RowBytes);
-    }
-    Ok(dst.len())
-}
-
-/// One chunk and the slots of its body's vector it decodes into.
-struct Job<'a, 'b> {
-    body: usize,
-    chunk: &'a Chunk<'a>,
-    dst: &'b mut [MaybeUninit<AccessEvent>],
-}
-
-/// Decode a run of jobs in order, stopping at the first error. Returns
-/// each job's body and the slots its chunk wrote.
-fn decode_run(run: &mut [Job<'_, '_>]) -> Result<Vec<(usize, usize)>, BodyError> {
-    run.iter_mut()
-        .map(|job| {
-            decode_chunk(job.chunk, job.dst)
-                .map(|written| (job.body, written))
-                .map_err(|error| BodyError {
-                    body: job.body,
-                    error,
-                })
-        })
-        .collect()
-}
-
-/// Decode every chunk of every body on `threads` workers (`0` and `1` both
-/// decode inline) and return each body's events, in body order and, within
-/// a body, in stored order.
-///
-/// The flat list of chunks, in body order, is split into `threads`
-/// contiguous runs of near-equal event count, so one large body decodes on
-/// several cores. Each chunk is written straight into its own slots of its
-/// body's vector, which is sized from the validated chunk counts. On error
-/// the first failing chunk in body order is reported, whatever the thread
-/// count.
-pub fn decode_bodies(
-    bodies: &[Body<'_>],
-    threads: usize,
-) -> Result<Vec<Vec<AccessEvent>>, BodyError> {
-    let mut out: Vec<Vec<AccessEvent>> = bodies
-        .iter()
-        .map(|b| Vec::with_capacity(b.events))
-        .collect();
-    let total: usize = bodies.iter().map(|b| b.events).sum();
-    let mut jobs = Vec::new();
-    for (i, (body, events)) in bodies.iter().zip(out.iter_mut()).enumerate() {
-        let mut spare = &mut events.spare_capacity_mut()[..body.events];
-        for chunk in &body.chunks {
-            let (dst, rest) = std::mem::take(&mut spare).split_at_mut(chunk.count);
-            spare = rest;
-            jobs.push(Job {
-                body: i,
-                chunk,
-                dst,
-            });
-        }
-    }
-
-    let threads = threads.clamp(1, jobs.len().max(1));
-    let written = if threads == 1 {
-        decode_run(&mut jobs)?
-    } else {
-        // Cut the job list where the running event count passes each
-        // k/threads share of the total.
-        let mut runs = Vec::with_capacity(threads);
-        let mut rest = jobs.as_mut_slice();
-        let mut seen = 0;
-        for k in 1..threads {
-            let goal = total * k / threads;
-            let mut cut = 0;
-            while cut < rest.len() && seen < goal {
-                seen += rest[cut].dst.len();
-                cut += 1;
-            }
-            let (run, tail) = rest.split_at_mut(cut);
-            runs.push(run);
-            rest = tail;
-        }
-        runs.push(rest);
-        let results: Vec<_> = std::thread::scope(|s| {
-            let handles: Vec<_> = runs
-                .into_iter()
-                .map(|run| s.spawn(move || decode_run(run)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        });
-        let mut written = Vec::with_capacity(jobs.len());
-        for run in results {
-            written.extend(run?);
-        }
-        written
-    };
-
-    let mut filled = vec![0usize; bodies.len()];
-    for (body, slots) in written {
-        filled[body] += slots;
-    }
-    for ((events, body), filled) in out.iter_mut().zip(bodies).zip(filled) {
-        assert_eq!(filled, body.events, "every slot of the body was decoded");
-        // SAFETY: the capacity is at least `body.events`. The body's chunks
-        // were handed disjoint, consecutive slot ranges of the spare
-        // capacity that together cover `0..body.events` (`Body::parse` sets
-        // `events` to the sum of the chunk counts), and a successful
-        // `decode_chunk` has written every slot of its range. The assert
-        // above checks that every chunk of this body succeeded, so all
-        // `body.events` slots are initialized. `AccessEvent: Copy`, so the
-        // vectors dropped on an earlier error own nothing to drop.
-        unsafe { events.set_len(body.events) };
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -665,8 +555,12 @@ mod tests {
 
     fn decode(bytes: &[u8], expected: u64) -> Result<Vec<AccessEvent>, DecodeError> {
         let body = Body::parse(bytes, expected)?;
-        let mut bodies = decode_bodies(&[body], 1).map_err(|e| e.error)?;
-        Ok(bodies.remove(0))
+        let (mut events, mut chunk_events) = (Vec::new(), Vec::new());
+        for chunk in body.chunks() {
+            chunk.decode_into(&mut chunk_events)?;
+            events.extend_from_slice(&chunk_events);
+        }
+        Ok(events)
     }
 
     /// A one-chunk body holding `rows` verbatim as its `count` rows, with
@@ -709,14 +603,17 @@ mod tests {
         let body = Body::parse(&bytes, events.len() as u64).unwrap();
         let counts: Vec<_> = body.chunks.iter().map(|c| c.count).collect();
         assert_eq!(counts, vec![CHUNK_EVENTS, 1]);
-        for threads in [1, 2, 3] {
-            let back = decode_bodies(
-                &[Body::parse(&bytes, events.len() as u64).unwrap()],
-                threads,
-            )
-            .unwrap();
-            assert_eq!(back[0], events, "{threads} threads");
-        }
+        assert_eq!((body.len(), body.is_empty()), (events.len(), false));
+        assert_eq!(decode(&bytes, events.len() as u64).unwrap(), events);
+    }
+
+    #[test]
+    #[should_panic(expected = "one slot per event")]
+    fn decode_to_wants_one_slot_per_event() {
+        let bytes = encode(&sample_events());
+        let body = Body::parse(&bytes, 5).unwrap();
+        let mut slots = [MaybeUninit::uninit(); 4];
+        let _ = body.chunks()[0].decode_to(&mut slots);
     }
 
     #[test]
@@ -752,7 +649,7 @@ mod tests {
     }
 
     #[test]
-    fn decode_into_reuses_the_buffer_and_matches_decode_bodies() {
+    fn decode_into_reuses_the_buffer_chunk_by_chunk() {
         let events: Vec<_> = (0..CHUNK_EVENTS as u64 + 7)
             .map(|i| AccessEvent::at(i, AccessKind::Read, (i % 300) as u32, 300))
             .collect();
@@ -782,12 +679,8 @@ mod tests {
         across[CHUNK_EVENTS + 1].seq = 0;
         across[CHUNK_EVENTS + 2].seq = 0;
         for events in [&ordered, &inside, &across] {
-            let bytes = encode(events);
-            for threads in [1, 2] {
-                let body = Body::parse(&bytes, events.len() as u64).unwrap();
-                let back = decode_bodies(&[body], threads).unwrap().remove(0);
-                assert_eq!(&back, events, "{threads} threads");
-            }
+            let back = decode(&encode(events), events.len() as u64).unwrap();
+            assert_eq!(&back, events);
         }
     }
 
@@ -927,26 +820,5 @@ mod tests {
                 found: 5
             })
         );
-    }
-
-    #[test]
-    fn the_first_failing_body_is_named_at_any_width() {
-        let good = encode(&sample_events());
-        let bad = chunk(1, &[0x0b, 0, 0, 0]);
-        for threads in [1, 2, 4] {
-            let bodies = vec![
-                Body::parse(&good, 5).unwrap(),
-                Body::parse(&bad, 1).unwrap(),
-                Body::parse(&bad, 1).unwrap(),
-            ];
-            let err = decode_bodies(&bodies, threads).unwrap_err();
-            assert_eq!(
-                err,
-                BodyError {
-                    body: 1,
-                    error: DecodeError::BadKind(11)
-                }
-            );
-        }
     }
 }

@@ -1,8 +1,10 @@
 //! Property tests: the chunked body codec is lossless for events in any
-//! order and of any width, at any decode width, and malformed bodies are
-//! errors, never panics: every single-byte flip anywhere in a body fails.
+//! order and of any width, and malformed bodies are errors, never panics:
+//! every single-byte flip anywhere in a body fails. (Decoding many bodies
+//! at once, on several workers, is tested with the capture reader in
+//! dsspy-collect.)
 
-use dsspy_events::encode::{decode_bodies, encode_body, Body, DecodeError, CHUNK_EVENTS};
+use dsspy_events::encode::{encode_body, Body, DecodeError, CHUNK_EVENTS};
 use dsspy_events::{AccessEvent, AccessKind, Target, ThreadTag};
 use proptest::prelude::*;
 
@@ -42,35 +44,24 @@ fn encode(events: &[AccessEvent]) -> Vec<u8> {
     out
 }
 
-fn decode(bytes: &[u8], expected: u64, threads: usize) -> Result<Vec<AccessEvent>, DecodeError> {
+/// Decode a body chunk by chunk through [`Chunk::decode_into`].
+///
+/// [`Chunk::decode_into`]: dsspy_events::encode::Chunk::decode_into
+fn decode(bytes: &[u8], expected: u64) -> Result<Vec<AccessEvent>, DecodeError> {
     let body = Body::parse(bytes, expected)?;
-    let mut bodies = decode_bodies(&[body], threads).map_err(|e| e.error)?;
-    Ok(bodies.remove(0))
+    let (mut events, mut chunk_events) = (Vec::new(), Vec::new());
+    for chunk in body.chunks() {
+        chunk.decode_into(&mut chunk_events)?;
+        events.extend_from_slice(&chunk_events);
+    }
+    Ok(events)
 }
 
 proptest! {
     #[test]
     fn body_roundtrip(events in proptest::collection::vec(arb_event(), 0..300)) {
         let bytes = encode(&events);
-        prop_assert_eq!(decode(&bytes, events.len() as u64, 1).unwrap(), events);
-    }
-
-    #[test]
-    fn many_bodies_roundtrip_at_any_width(
-        profiles in proptest::collection::vec(proptest::collection::vec(arb_event(), 0..100), 0..6),
-        threads in 0usize..5,
-    ) {
-        let encoded: Vec<Vec<u8>> = profiles.iter().map(|p| encode(p)).collect();
-        let bodies: Vec<Body> = encoded
-            .iter()
-            .zip(&profiles)
-            .map(|(bytes, p)| Body::parse(bytes, p.len() as u64).unwrap())
-            .collect();
-        let decoded = decode_bodies(&bodies, threads).unwrap();
-        for (body, events) in decoded.iter().zip(&profiles) {
-            prop_assert_eq!(body, events);
-        }
-        prop_assert_eq!(decoded.len(), profiles.len());
+        prop_assert_eq!(decode(&bytes, events.len() as u64).unwrap(), events);
     }
 
     #[test]
@@ -80,7 +71,7 @@ proptest! {
     ) {
         let bytes = encode(&events);
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
-        prop_assert!(decode(&bytes[..cut], events.len() as u64, 1).is_err());
+        prop_assert!(decode(&bytes[..cut], events.len() as u64).is_err());
     }
 
     #[test]
@@ -88,14 +79,13 @@ proptest! {
         events in proptest::collection::vec(arb_event(), 1..100),
         pos_frac in 0.0f64..1.0,
         flip in 1u8..=255,
-        threads in 1usize..3,
     ) {
         let mut bytes = encode(&events);
         let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
         bytes[pos] ^= flip;
         // A flip in the frame breaks the count, the framing or the
         // checksum; a flip in the rows always breaks the checksum.
-        let decoded = decode(&bytes, events.len() as u64, threads);
+        let decoded = decode(&bytes, events.len() as u64);
         prop_assert!(decoded.is_err(), "flip {:#04x} at {} decoded", flip, pos);
         if pos >= 12 {
             prop_assert!(
@@ -107,9 +97,9 @@ proptest! {
 }
 
 /// One profile spanning three chunks, mixing every target and several
-/// thread switches, round-trips at every decode width.
+/// thread switches, round-trips.
 #[test]
-fn a_profile_of_three_chunks_roundtrips_at_widths_1_2_4() {
+fn a_profile_of_three_chunks_roundtrips() {
     let n = 2 * CHUNK_EVENTS + 1;
     let events: Vec<AccessEvent> = (0..n as u64)
         .map(|i| {
@@ -133,23 +123,17 @@ fn a_profile_of_three_chunks_roundtrips_at_widths_1_2_4() {
         })
         .collect();
     let bytes = encode(&events);
-    for threads in [1, 2, 4] {
-        assert_eq!(
-            decode(&bytes, n as u64, threads).unwrap(),
-            events,
-            "{threads} threads"
-        );
-    }
+    assert_eq!(decode(&bytes, n as u64).unwrap(), events);
     // The second chunk's frame is guarded like the first.
     let first_bytes = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
     let second = 12 + first_bytes;
     for pos in second..second + 12 {
         let mut bad = bytes.clone();
         bad[pos] ^= 0x01;
-        assert!(decode(&bad, n as u64, 2).is_err(), "frame flip at {pos}");
+        assert!(decode(&bad, n as u64).is_err(), "frame flip at {pos}");
     }
     assert_eq!(
-        decode(&bytes[..second], n as u64, 2),
+        decode(&bytes[..second], n as u64),
         Err(DecodeError::EventCount {
             expected: n as u64,
             found: CHUNK_EVENTS as u64

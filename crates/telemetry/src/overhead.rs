@@ -4,8 +4,9 @@
 //! plain wall time, measured with two runs. This module produces the same
 //! figure two ways:
 //!
-//! * [`OverheadReport::from_measurement`] — the exact paired-run form
-//!   (what `dsspy_core::evaluation::Slowdown` measures);
+//! * [`OverheadReport::from_measurement`] — the exact paired-run form, the
+//!   one definition of Table IV's slowdown (`repro --table 4` takes it from
+//!   here);
 //! * [`OverheadReport::account`] — the single-run estimate computed directly
 //!   from telemetry: the collector's on-thread busy time is the profiling
 //!   work performed inside the session window, so

@@ -4,7 +4,10 @@
 #   full        scripts/tier1.sh (which runs the debug test suite), then
 #               the whole test suite once more in release, then the docs
 #               cell (rustdoc over the workspace with warnings denied, so a
-#               broken intra-doc link fails), then explicit
+#               broken intra-doc link fails), the one-fan-out cell (no
+#               `thread::scope` in non-test code outside
+#               crates/parallel/src; it names each offending file), then
+#               explicit
 #               --threads CLI runs, the bad-input cell (malformed numeric
 #               values, unknown flags, flags the command does not take and
 #               values outside their choices exit 2), the
@@ -100,6 +103,22 @@ if [[ "$MODE" == "full" ]]; then
     # a private or deleted item fails here.
     run_cell docs '"kind":"gate",' \
         env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+    # Parallel work goes through dsspy-parallel's one fan-out: outside
+    # crates/parallel/src, no crate's non-test code (a file's lines before
+    # its first `#[cfg(test)]`) opens a thread scope of its own.
+    run_cell one-fan-out '"kind":"gate",' \
+        bash -c '
+            set -uo pipefail
+            bad=0
+            for f in $(find crates/*/src -name "*.rs" -not -path "crates/parallel/src/*" | sort); do
+                if awk "/#\[cfg\(test\)\]/ { exit } /thread::scope/ { found = 1 } END { exit !found }" "$f"; then
+                    echo "$f: thread::scope in non-test code outside crates/parallel/src"
+                    bad=1
+                fi
+            done
+            [[ "$bad" -eq 0 ]] || exit 1
+            echo "no thread::scope in non-test code outside crates/parallel/src"
+        ' one-fan-out
     # CLI --threads runs + live smokes against the release binary tier1 built.
     SMOKE="$LOG_DIR/ci-smoke.dsspycap"
     run_cell demo-capture '"kind":"smoke",' ./target/release/dsspy demo "$SMOKE"
