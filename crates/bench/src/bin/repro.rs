@@ -9,110 +9,81 @@
 //! ```
 
 use dsspy_bench::tables;
+use dsspy_cli::args::{parse_env, Command};
 use dsspy_parallel::default_threads;
 use dsspy_telemetry::{export, Telemetry};
 use dsspy_workloads::Scale;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: repro [--all] [--table N] [--figure N] [--speedups] [--findings] [--ablation] \
-         [--scale test|full] [--runs N] [--threads N] [--svg PATH] [--telemetry PATH]"
-    );
-    std::process::exit(2)
+/// `--all`, or the artifacts named one by one.
+const COMMANDS: &[Command] = &[
+    Command {
+        words: &["--all"],
+        positionals: &[],
+        flags: &[
+            "--scale test|full",
+            "--runs N",
+            "--threads N",
+            "--telemetry PATH",
+        ],
+        help: "Tables I–VI, Figures 2–3, the study's findings and the §V speedups (the default)",
+    },
+    Command {
+        words: &[],
+        positionals: &[],
+        flags: &[
+            "--table N",
+            "--figure N",
+            "--svg PATH",
+            "--scale test|full",
+            "--runs N",
+            "--threads N",
+            "--telemetry PATH",
+            "--speedups",
+            "--findings",
+            "--ablation",
+        ],
+        help: "Table N, Figure N (--svg writes its chart), the speedups, findings and ablations",
+    },
+];
+
+/// Write `contents` to `path`, or exit 1 naming the path and the error.
+fn write(path: &str, contents: String) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("repro: cannot write {path}: {e}");
+        std::process::exit(1);
+    }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut table: Option<u32> = None;
-    let mut figure: Option<u32> = None;
-    let mut all = false;
-    let mut want_speedups = false;
-    let mut want_findings = false;
-    let mut want_ablation = false;
-    let mut scale = Scale::Test;
-    let mut runs = 3usize;
-    let mut threads = default_threads();
-    let mut svg_path: Option<String> = None;
-    let mut telemetry_path: Option<String> = None;
-
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--all" => all = true,
-            "--speedups" => want_speedups = true,
-            "--findings" => want_findings = true,
-            "--ablation" => want_ablation = true,
-            "--table" => {
-                i += 1;
-                table = args.get(i).and_then(|v| v.parse().ok());
-                if table.is_none() {
-                    usage();
-                }
-            }
-            "--figure" => {
-                i += 1;
-                figure = args.get(i).and_then(|v| v.parse().ok());
-                if figure.is_none() {
-                    usage();
-                }
-            }
-            "--scale" => {
-                i += 1;
-                scale = match args.get(i).map(String::as_str) {
-                    Some("test") => Scale::Test,
-                    Some("full") => Scale::Full,
-                    _ => usage(),
-                };
-            }
-            "--runs" => {
-                i += 1;
-                runs = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--threads" => {
-                i += 1;
-                threads = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--svg" => {
-                i += 1;
-                svg_path = args.get(i).cloned();
-                if svg_path.is_none() {
-                    usage();
-                }
-            }
-            "--telemetry" => {
-                i += 1;
-                telemetry_path = args.get(i).cloned();
-                if telemetry_path.is_none() {
-                    usage();
-                }
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument: {other}");
-                usage();
-            }
+    let args = parse_env("repro", COMMANDS);
+    let scale = match args.value("--scale") {
+        None | Some("test") => Scale::Test,
+        Some("full") => Scale::Full,
+        Some(other) => args.fail(format!("--scale {other:?}: not test or full")),
+    };
+    let runs = args.parse("--runs").unwrap_or(3);
+    let threads = args.parse("--threads").unwrap_or_else(default_threads);
+    let numbered = |flag: &str, what: &str, last: u32| {
+        let n = args.parse(flag)?;
+        if !(1..=last).contains(&n) {
+            args.fail(format!("no {what} {n} in the paper (1–{last})"));
         }
-        i += 1;
+        Some(n)
+    };
+    let table = numbered("--table", "table", 6);
+    let figure = numbered("--figure", "figure", 3);
+    let svg = args.value("--svg");
+    if svg.is_some() && figure.is_none() {
+        args.fail("--svg writes a figure's chart: add --figure N");
     }
-
-    if !all
-        && table.is_none()
-        && figure.is_none()
-        && !want_speedups
-        && !want_findings
-        && !want_ablation
-    {
-        all = true;
-    }
+    let [speedups, findings, ablation] =
+        ["--speedups", "--findings", "--ablation"].map(|f| args.switch(f));
+    let all = args.switch("--all")
+        || !(table.is_some() || figure.is_some() || speedups || findings || ablation);
 
     // With --telemetry, each reproduced artifact runs under its own span so
     // the export shows where a full `repro --all` spends its time.
+    let telemetry_path = args.value("--telemetry");
     let telemetry = if telemetry_path.is_some() {
         Telemetry::enabled()
     } else {
@@ -127,28 +98,20 @@ fn main() {
             3 => println!("{}", tables::table3_with_threads(threads)),
             4 => println!("{}", tables::table4(scale, runs, threads)),
             5 => println!("{}", tables::table5(scale)),
-            6 => println!("{}", tables::table6(scale)),
-            _ => {
-                eprintln!("no table {n} in the paper (1–6)");
-                std::process::exit(2);
-            }
+            _ => println!("{}", tables::table6(scale)),
         }
     };
 
     if let Some(n) = figure {
         let _span = telemetry.span_lazy("repro", || format!("figure{n}"));
-        let (text, svg) = match n {
+        let (text, chart) = match n {
             1 => (tables::figure1_text(), tables::figure1_svg()),
             2 => (tables::figure2(), tables::figure2_svg()),
-            3 => (tables::figure3(), tables::figure3_svg()),
-            _ => {
-                eprintln!("no figure {n} in the paper (1–3)");
-                std::process::exit(2);
-            }
+            _ => (tables::figure3(), tables::figure3_svg()),
         };
         println!("{text}");
-        if let Some(path) = &svg_path {
-            std::fs::write(path, svg).expect("write SVG");
+        if let Some(path) = svg {
+            write(path, chart);
             println!("(SVG written to {path})");
         }
     }
@@ -167,31 +130,22 @@ fn main() {
             println!("{}", tables::figure2());
             println!("{}", tables::figure3());
         }
-        {
-            let _span = telemetry.span("repro", "findings");
-            println!("{}", dsspy_study::study_findings().render());
-        }
-        {
-            let _span = telemetry.span("repro", "speedups");
-            println!("{}", tables::speedups(runs));
-        }
-    } else {
-        if want_findings {
-            let _span = telemetry.span("repro", "findings");
-            println!("{}", dsspy_study::study_findings().render());
-        }
-        if want_speedups {
-            let _span = telemetry.span("repro", "speedups");
-            println!("{}", tables::speedups(runs));
-        }
-        if want_ablation {
-            let _span = telemetry.span("repro", "ablation");
-            println!("{}", tables::ablation_table());
-        }
+    }
+    if all || findings {
+        let _span = telemetry.span("repro", "findings");
+        println!("{}", dsspy_study::study_findings().render());
+    }
+    if all || speedups {
+        let _span = telemetry.span("repro", "speedups");
+        println!("{}", tables::speedups(runs));
+    }
+    if ablation {
+        let _span = telemetry.span("repro", "ablation");
+        println!("{}", tables::ablation_table());
     }
 
-    if let Some(path) = &telemetry_path {
-        std::fs::write(path, export::to_json(&telemetry.snapshot())).expect("write telemetry");
+    if let Some(path) = telemetry_path {
+        write(path, export::to_json(&telemetry.snapshot()));
         eprintln!("(telemetry written to {path})");
     }
 }

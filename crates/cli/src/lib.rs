@@ -1,66 +1,20 @@
 //! # dsspy-cli — command-line front end over saved captures
 //!
-//! The paper's workflow separates collection from analysis (§IV); the
-//! natural CLI follows: programs save a capture
-//! (`dsspy_collect::save_capture`), and this tool analyzes, charts, diffs
-//! and sketches it offline.
+//! The paper's workflow separates collection from analysis (§IV): programs
+//! save a capture (`dsspy_collect::save_capture`), and this tool analyzes,
+//! charts, diffs and sketches it offline. Every command is a library
+//! function here, testable without spawning processes; the `dsspy` binary
+//! is a switch over one table of [`args::Command`] rows, which `dsspy`
+//! without arguments prints as usage.
 //!
-//! ```text
-//! dsspy analyze  capture.dsspycap [--json] [--selective] [--threads N] [--telemetry t.json]
-//! dsspy chart    capture.dsspycap --instance 0 [--svg out.svg]
-//! dsspy timeline capture.dsspycap --instance 0 [--svg out.svg]
-//! dsspy diff     before.dsspycap after.dsspycap [--threads N]
-//! dsspy sketch   capture.dsspycap
-//! dsspy report   capture.dsspycap --out report.html [--threads N] [--telemetry t.json]
-//! dsspy telemetry capture.dsspycap [--format summary|json|prometheus|trace] [--check]
-//! dsspy telemetry serve capture.dsspycap [--live] --addr 127.0.0.1:9464 [--requests N] [--self-check]
-//! dsspy demo     out.dsspycap [--workload NAME] [--live] [--flight-recorder PATH] [--inject-panic]
-//! dsspy watch    capture.dsspycap [--batch N] [--every N] [--frames N]
-//! dsspy watch    --follow [--workload NAME] [...] [--flight-recorder PATH]
-//! dsspy doctor   <flight-dump.json|capture.dsspycap> [--events N] [--trace out.json]
-//! ```
-//!
-//! `dsspy watch` replays a capture through `dsspy-stream`'s
-//! [`StreamingAnalyzer`] — the same incremental fold the live collector tap
-//! runs — printing a frame per published snapshot and proving on exit that
-//! the streamed verdicts equal the post-mortem analysis. `dsspy demo
-//! --live` does the same against a genuinely live session, and `dsspy
-//! watch --follow` goes one further: it drives a suite7 workload on its own
-//! thread and follows the analyzer on the session's fan-out tap while it
-//! runs. Every live command wires its analyzer into the session through
-//! [`StreamingAnalyzer::attach`] and ends with one convergence check. `dsspy
-//! telemetry serve` exposes the self-observed analysis as a Prometheus
-//! scrape endpoint over a plain-stdlib TCP listener; with `--live` the same
-//! listener attaches to a *running* session instead, re-collecting the
-//! capture in real time and rendering a fresh, validated snapshot per
-//! scrape, in which the per-batch `collector.*` counters show its pulse.
-//!
-//! `--threads` sets the workers that decode and fold the capture's chunks
-//! in the commands that run the full pipeline (`0` = one worker per core,
-//! `1` = the calling thread); the output is identical for every value.
-//! `analyze`, `telemetry`, `diff`, `csv` and `sketch` analyze the file's
-//! encoded chunks directly and never build the profiles; `report`, `chart`,
-//! `timeline` and `watch` draw or replay the events, so they load them.
-//!
-//! `--flight-recorder PATH` arms a [`dsspy_telemetry::FlightRecorder`]
-//! inside the live-session commands' telemetry handle
-//! ([`Telemetry::with_flight`]): a fixed-capacity causal ring of structured
-//! pipeline events (batch receipts, fan-out dispatches, snapshots, drops,
-//! panics, queue-watermark crossings), auto-dumped to `PATH` on every
-//! incident and flushed once more when the session finishes. `dsspy doctor`
-//! reads a dump back (or re-collects a capture under a fresh recorder) and
-//! renders the causal timeline, per-subscriber lag and incident report,
-//! exiting non-zero when incidents were recorded.
-//!
-//! `--telemetry PATH` runs the same pipeline under an enabled
-//! [`dsspy_telemetry::Telemetry`] and writes the resulting snapshot —
-//! decode volume, per-instance analysis spans, Table IV-style overhead
-//! accounting — to `PATH` as JSON. `dsspy telemetry` renders that same
-//! instrumented run directly in any of the four export formats, and
-//! `--check` validates the Prometheus exposition before printing it.
-//!
-//! Every command is a library function here so it is testable without
-//! spawning processes; the binary is a thin argv switch.
+//! The live commands — `demo --live`, `watch --follow`, `telemetry serve
+//! --live` and `doctor` on a capture — run a session with the
+//! [`StreamingAnalyzer`] attached to its fan-out tap and end with one check
+//! that its verdicts equal the post-mortem analysis. `--flight-recorder
+//! PATH` arms the flight recorder in the session's telemetry
+//! ([`Telemetry::with_flight`]); `dsspy doctor` reads its dump back.
+
+pub mod args;
 
 use dsspy_collect::{
     load_capture, load_capture_with, load_encoded_with, save_capture_with, Capture, CollectorStats,
@@ -79,7 +33,7 @@ use dsspy_viz::{
     profile_chart_text, timeline_svg, timeline_text,
 };
 use dsspy_workloads::{suite7, Mode, Scale};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// CLI-level errors.
@@ -93,7 +47,8 @@ pub enum CliError {
     NoSuchInstance(usize, usize),
     /// Report serialization failed.
     Json(String),
-    /// Output file could not be written.
+    /// A file or socket operation failed; the message names the operation
+    /// and what it was on (`cannot read PATH`, `cannot listen on ADDR`).
     Io(std::io::Error),
     /// A telemetry export failed validation or could not be produced.
     Telemetry(String),
@@ -101,8 +56,9 @@ pub enum CliError {
     /// the post-mortem verdicts).
     Stream(String),
     /// An argument is not one of its command's choices (a csv kind, a
-    /// telemetry format, a workload name). Raised before any work; the
-    /// binary prints usage and exits 2.
+    /// telemetry format, a workload name), or `--inject-panic` comes
+    /// without `--live`. Raised before any work; the binary prints usage
+    /// and exits 2.
     Usage(String),
 }
 
@@ -115,7 +71,7 @@ impl std::fmt::Display for CliError {
                 write!(f, "no instance #{want} (capture has {have})")
             }
             CliError::Json(e) => write!(f, "cannot serialize report: {e}"),
-            CliError::Io(e) => write!(f, "cannot write output: {e}"),
+            CliError::Io(e) => write!(f, "{e}"),
             CliError::Telemetry(e) => write!(f, "telemetry export: {e}"),
             CliError::Stream(e) => write!(f, "streaming analysis: {e}"),
             CliError::Usage(e) => f.write_str(e),
@@ -131,10 +87,10 @@ impl From<PersistError> for CliError {
     }
 }
 
-impl From<std::io::Error> for CliError {
-    fn from(e: std::io::Error) -> Self {
-        CliError::Io(e)
-    }
+/// The [`CliError::Io`] of a failed `op` (read, listen on, write) on `target`.
+fn io_error(op: &str, target: impl std::fmt::Display) -> impl FnOnce(std::io::Error) -> CliError {
+    let context = format!("cannot {op} {target}");
+    move |e| CliError::Io(std::io::Error::new(e.kind(), format!("{context}: {e}")))
 }
 
 /// Analyze the capture at `path` straight from its encoded bodies
@@ -168,8 +124,7 @@ fn write_snapshot(report: &Report, out: &Path) -> Result<(), CliError> {
         .telemetry
         .as_ref()
         .ok_or_else(|| CliError::Telemetry("run produced no snapshot".into()))?;
-    std::fs::write(out, export::to_json(snapshot))?;
-    Ok(())
+    std::fs::write(out, export::to_json(snapshot)).map_err(io_error("write", out.display()))
 }
 
 /// `dsspy analyze`: full report for a capture, as text or JSON. With
@@ -218,7 +173,8 @@ pub fn cmd_chart(path: &Path, instance: usize, svg_out: Option<&Path>) -> Result
         .get(instance)
         .ok_or(CliError::NoSuchInstance(instance, capture.profiles.len()))?;
     if let Some(out) = svg_out {
-        std::fs::write(out, profile_chart_svg(profile))?;
+        std::fs::write(out, profile_chart_svg(profile))
+            .map_err(io_error("write", out.display()))?;
     }
     Ok(profile_chart_text(profile))
 }
@@ -237,7 +193,8 @@ pub fn cmd_timeline(
     let analysis = analyze(profile, &MinerConfig::default());
     let phases = segment_phases(profile);
     if let Some(out) = svg_out {
-        std::fs::write(out, timeline_svg(profile, &analysis.patterns, &phases))?;
+        let svg = timeline_svg(profile, &analysis.patterns, &phases);
+        std::fs::write(out, svg).map_err(io_error("write", out.display()))?;
     }
     Ok(timeline_text(profile, &analysis.patterns, &phases, 100))
 }
@@ -320,7 +277,7 @@ pub fn cmd_report(
         write_snapshot(&report, tout)?;
     }
     let html = html_report(&report, &capture.profiles);
-    std::fs::write(out, &html)?;
+    std::fs::write(out, &html).map_err(io_error("write", out.display()))?;
     Ok(format!(
         "wrote {} ({} bytes): {}",
         out.display(),
@@ -406,7 +363,7 @@ pub fn cmd_demo(
     inject_panic: bool,
 ) -> Result<String, CliError> {
     if inject_panic && !live {
-        return Err(CliError::Stream(
+        return Err(CliError::Usage(
             "--inject-panic needs a live fan-out to poison (add --live)".into(),
         ));
     }
@@ -414,42 +371,42 @@ pub fn cmd_demo(
     let w = &suite[find_workload(workload)?];
     // Record under an observed session so the capture carries collection-time
     // telemetry (collector histograms, queue pressure) into offline analysis.
-    let telemetry = observer(flight_out);
-    let dsspy = Dsspy::new().with_threads(1);
-    let (streaming, session) = if live {
-        let streaming =
-            StreamingAnalyzer::with_telemetry(dsspy, StreamConfig::default(), telemetry.clone());
+    let observer = Observer::new(flight_out);
+    let (capture, streamed, note) = if live {
         let mut extra: Vec<(&str, Box<dyn CollectorTap>)> = Vec::new();
         if inject_panic {
             extra.push(("bomb", Box::new(PanicBomb)));
         }
-        let session = streaming.attach(extra);
-        (Some(streaming), session)
+        let batch_size = SessionConfig::default().batch_size;
+        let (live, session) = Live::start(
+            observer.clone(),
+            batch_size,
+            1,
+            StreamConfig::default(),
+            extra,
+        );
+        w.run(Scale::Test, Mode::Instrumented(&session));
+        let (capture, _, note) = live.end(session)?;
+        let stats = live.streaming.stats();
+        let streamed = format!(
+            "; live stream folded {} events in {} batches into {} snapshot(s), verdicts match post-mortem: yes",
+            stats.events, stats.batches, stats.snapshots,
+        );
+        (capture, streamed, note)
     } else {
-        let session = Session::builder().telemetry(telemetry.clone()).start();
-        (None, session)
+        let session = Session::builder()
+            .telemetry(observer.telemetry.clone())
+            .start();
+        w.run(Scale::Test, Mode::Instrumented(&session));
+        (session.finish(), String::new(), observer.note())
     };
-    w.run(Scale::Test, Mode::Instrumented(&session));
-    let capture = session.finish();
-    let streamed = match &streaming {
-        Some(streaming) => {
-            converged(&dsspy, streaming, &capture)?;
-            let stats = streaming.stats();
-            format!(
-                "; live stream folded {} events in {} batches into {} snapshot(s), verdicts match post-mortem: yes",
-                stats.events, stats.batches, stats.snapshots,
-            )
-        }
-        None => String::new(),
-    };
-    save_capture_with(&capture, out, &telemetry).map_err(CliError::Save)?;
+    save_capture_with(&capture, out, &observer.telemetry).map_err(CliError::Save)?;
     Ok(format!(
-        "wrote {} ({} instances, {} events) from workload {}{streamed}{}",
+        "wrote {} ({} instances, {} events) from workload {}{streamed}{note}",
         out.display(),
         capture.profiles.len(),
         capture.event_count(),
         w.spec().name,
-        flight_summary(&telemetry, flight_out),
     ))
 }
 
@@ -613,8 +570,8 @@ pub fn cmd_telemetry_serve(
     requests: Option<u64>,
     self_check: bool,
 ) -> Result<String, CliError> {
+    let listener = std::net::TcpListener::bind(addr).map_err(io_error("listen on", addr))?;
     let body = cmd_telemetry(path, threads, TelemetryFormat::Prometheus, true)?;
-    let listener = std::net::TcpListener::bind(addr)?;
     let (served, local, scraped) =
         serve_metrics(listener, requests, self_check, || Ok(body.clone()))?;
     let mut msg = format!(
@@ -653,7 +610,9 @@ fn serve_metrics(
 ) -> Result<(u64, std::net::SocketAddr, Option<String>), CliError> {
     use std::io::{Read, Write};
 
-    let local = listener.local_addr()?;
+    let local = listener
+        .local_addr()
+        .map_err(io_error("listen on", "the bound address"))?;
     eprintln!("serving Prometheus metrics on http://{local}/metrics");
     let checker = self_check.then(|| {
         std::thread::spawn(move || -> Result<String, String> {
@@ -674,8 +633,9 @@ fn serve_metrics(
 
     let mut served = 0u64;
     for conn in listener.incoming() {
-        let mut conn = conn?;
-        conn.set_read_timeout(Some(REQUEST_READ_TIMEOUT))?;
+        let mut conn = conn.map_err(io_error("accept a scrape on", local))?;
+        conn.set_read_timeout(Some(REQUEST_READ_TIMEOUT))
+            .map_err(io_error("read a scrape on", local))?;
         let mut buf = [0u8; 1024];
         let n = conn.read(&mut buf).unwrap_or(0);
         let request = String::from_utf8_lossy(&buf[..n]);
@@ -742,51 +702,99 @@ impl CollectorTap for PanicBomb {
     fn on_stop(&mut self, _ctx: TraceContext, _stats: &CollectorStats, _session_nanos: u64) {}
 }
 
-/// The pipeline a live command drives: sessions shipping
-/// `batch_size`-event batches, analysis on `threads` workers.
-fn live_dsspy(batch_size: usize, threads: usize) -> Dsspy {
-    Dsspy {
-        session: SessionConfig {
-            batch_size,
-            channel_capacity: None,
-        },
-        ..Dsspy::new()
-    }
-    .with_threads(threads)
+/// The enabled telemetry a recording command observes its session with.
+/// `--flight-recorder PATH` arms the flight ring inside it, auto-dumping to
+/// `PATH` on every incident (and once more when the session finishes).
+#[derive(Clone)]
+struct Observer {
+    telemetry: Telemetry,
+    flight_out: Option<PathBuf>,
 }
 
-/// The enabled telemetry handle a live command observes its session with.
-/// A `--flight-recorder PATH` flag arms the flight ring inside it,
-/// auto-dumping to `path` on every incident (and flushed once more when
-/// the session finishes); no flag leaves the recorder disabled.
-fn observer(flight_out: Option<&Path>) -> Telemetry {
-    match flight_out {
-        Some(path) => Telemetry::enabled().with_flight(Some(path.to_path_buf())),
-        None => Telemetry::enabled(),
+impl Observer {
+    fn new(flight_out: Option<&Path>) -> Observer {
+        let flight_out = flight_out.map(Path::to_path_buf);
+        let mut telemetry = Telemetry::enabled();
+        if flight_out.is_some() {
+            telemetry = telemetry.with_flight(flight_out.clone());
+        }
+        Observer {
+            telemetry,
+            flight_out,
+        }
+    }
+
+    /// The one-line flight summary a command appends to its output when the
+    /// recorder dumps to a path.
+    fn note(&self) -> String {
+        let Some(path) = &self.flight_out else {
+            return String::new();
+        };
+        let dump = self.telemetry.flight().dump();
+        format!(
+            "; flight recorder: {} event(s) retained ({} overwritten), {} incident(s), dump at {}",
+            dump.events.len(),
+            dump.overwritten,
+            dump.incidents.len(),
+            path.display()
+        )
     }
 }
 
-/// The one-line flight summary appended to command output when the
-/// recorder was armed.
-fn flight_summary(telemetry: &Telemetry, path: Option<&Path>) -> String {
-    let Some(path) = path else {
-        return String::new();
-    };
-    let dump = telemetry.flight().dump();
-    format!(
-        "; flight recorder: {} event(s) retained ({} overwritten), {} incident(s), dump at {}",
-        dump.events.len(),
-        dump.overwritten,
-        dump.incidents.len(),
-        path.display()
-    )
+/// A live session: the streaming analyzer attached to it, started and ended
+/// the one way every live command does it. A clone ends the session on the
+/// thread that drives it.
+#[derive(Clone)]
+struct Live {
+    dsspy: Dsspy,
+    observer: Observer,
+    streaming: StreamingAnalyzer,
+}
+
+impl Live {
+    /// Start a session shipping `batch_size`-event batches to an analyzer on
+    /// `observer`'s telemetry (analysis on `threads` workers), with `extra`
+    /// subscribers beside it on the fan-out.
+    fn start(
+        observer: Observer,
+        batch_size: usize,
+        threads: usize,
+        config: StreamConfig,
+        extra: Vec<(&str, Box<dyn CollectorTap>)>,
+    ) -> (Live, Session) {
+        let mut dsspy = Dsspy::new().with_threads(threads);
+        dsspy.session.batch_size = batch_size;
+        let streaming =
+            StreamingAnalyzer::with_telemetry(dsspy, config, observer.telemetry.clone());
+        let session = streaming.attach(extra);
+        (
+            Live {
+                dsspy,
+                observer,
+                streaming,
+            },
+            session,
+        )
+    }
+
+    /// End the session: its capture, the analyzer's final report (checked
+    /// against the post-mortem analysis of that capture, see [`converged`])
+    /// and the flight note.
+    fn end(&self, session: Session) -> Result<(Capture, Arc<Report>, String), CliError> {
+        let capture = session.finish();
+        let report = converged(&self.dsspy, &self.streaming, &capture)?;
+        Ok((capture, report, self.observer.note()))
+    }
 }
 
 /// Re-collect a saved capture through real instance handles on the calling
 /// thread, in the original global event order. The session genuinely runs:
 /// events flow through the batch channel, the collector thread stores them
 /// and the tap fans them out. Brief sleeps between chunks keep the session
-/// in flight long enough for concurrent scrapes to observe it mid-collection.
+/// in flight long enough for concurrent scrapes to observe it
+/// mid-collection, and keep the replay from outrunning the collector: at
+/// full speed a full-scale capture queues past the 4096-batch watermark,
+/// an incident the replay itself would cause.
 fn replay_live(session: &Session, source: &Capture) {
     let mut handles: Vec<_> = source
         .profiles
@@ -835,23 +843,26 @@ pub fn cmd_telemetry_serve_live(
     flight_out: Option<&Path>,
 ) -> Result<String, CliError> {
     let source = load_capture(path)?;
-    let dsspy = live_dsspy(64, threads);
-    let telemetry = observer(flight_out);
-    let streaming =
-        StreamingAnalyzer::with_telemetry(dsspy, StreamConfig::default(), telemetry.clone());
-    let session = streaming.attach(Vec::new());
+    let listener = std::net::TcpListener::bind(addr).map_err(io_error("listen on", addr))?;
+    let observer = Observer::new(flight_out);
+    let (live, session) = Live::start(
+        observer.clone(),
+        64,
+        threads,
+        StreamConfig::default(),
+        Vec::new(),
+    );
     let driver = std::thread::spawn(move || {
         replay_live(&session, &source);
-        session.finish()
+        live.end(session)
     });
 
     let mut last_len = 0usize;
-    let listener = std::net::TcpListener::bind(addr)?;
     let (served, local, scraped) = serve_metrics(listener, requests, self_check, || {
         // The point of --live: a fresh snapshot per scrape, frozen while
         // the collector may still be storing batches — and still a valid
         // exposition every single time.
-        let body = export::prometheus(&telemetry.snapshot());
+        let body = export::prometheus(&observer.telemetry.snapshot());
         validate_prometheus(&body).map_err(|e| {
             CliError::Telemetry(format!("mid-session scrape failed validation: {e}"))
         })?;
@@ -859,10 +870,9 @@ pub fn cmd_telemetry_serve_live(
         Ok(body)
     })?;
 
-    let capture = driver
+    let (capture, _, note) = driver
         .join()
-        .map_err(|_| CliError::Stream("live replay driver panicked".into()))?;
-    converged(&dsspy, &streaming, &capture)?;
+        .map_err(|_| CliError::Stream("live replay driver panicked".into()))??;
     let mut msg = format!(
         "served {served} live scrape(s) (last {last_len} bytes) from http://{local}/metrics; \
          re-collected {} events in {} batches; streaming verdicts converged with post-mortem",
@@ -871,7 +881,7 @@ pub fn cmd_telemetry_serve_live(
     if scraped.is_some() {
         msg.push_str("; self-check scrape validated");
     }
-    msg.push_str(&flight_summary(&telemetry, flight_out));
+    msg.push_str(&note);
     Ok(msg)
 }
 
@@ -888,14 +898,17 @@ pub fn cmd_watch_follow(
     flight_out: Option<&Path>,
 ) -> Result<String, CliError> {
     let w_idx = find_workload(workload)?;
-    let dsspy = live_dsspy(batch.max(1), 1);
-    let telemetry = observer(flight_out);
-    let streaming =
-        StreamingAnalyzer::with_telemetry(dsspy, watch_config(every), telemetry.clone());
-    let session = streaming.attach(Vec::new());
+    let (live, session) = Live::start(
+        Observer::new(flight_out),
+        batch.max(1),
+        1,
+        watch_config(every),
+        Vec::new(),
+    );
+    let streaming = live.streaming.clone();
     let driver = std::thread::spawn(move || {
         suite7()[w_idx].run(Scale::Test, Mode::Instrumented(&session));
-        session.finish()
+        live.end(session)
     });
 
     let mut frames = Frames::new(max_frames);
@@ -903,19 +916,17 @@ pub fn cmd_watch_follow(
         frames.poll(&streaming);
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
-    let capture = driver
+    let (capture, report, flight_note) = driver
         .join()
-        .map_err(|_| CliError::Stream("workload driver panicked".into()))?;
+        .map_err(|_| CliError::Stream("workload driver panicked".into()))??;
     // The drain published a final snapshot; catch it even if the loop
     // exited first.
     frames.poll(&streaming);
-    let live = converged(&dsspy, &streaming, &capture)?;
     let note = format!(
         "followed live session: {} events in {} batches, {} frame(s) printed\n",
         capture.stats.events, capture.stats.batches, frames.printed
     );
-    let mut out = frames.finish(&live, &note);
-    let flight_note = flight_summary(&telemetry, flight_out);
+    let mut out = frames.finish(&report, &note);
     if !flight_note.is_empty() {
         out.push_str(flight_note.trim_start_matches("; "));
         out.push('\n');
@@ -929,7 +940,8 @@ pub fn cmd_watch_follow(
 ///
 /// `path` is either a flight dump (the JSON a `--flight-recorder PATH` run
 /// wrote) or a saved capture: a capture is re-collected through the full
-/// live fan-out under a fresh flight recorder first, so `dsspy doctor
+/// live fan-out under a fresh flight recorder first, and the streamed
+/// verdicts must equal the post-mortem analysis, so `dsspy doctor
 /// capture.dsspycap` is a one-command health check of the whole pipeline
 /// against known traffic.
 ///
@@ -942,7 +954,7 @@ pub fn cmd_doctor(
     max_events: usize,
     trace_out: Option<&Path>,
 ) -> Result<(String, usize), CliError> {
-    let bytes = std::fs::read(path)?;
+    let bytes = std::fs::read(path).map_err(io_error("read", path.display()))?;
     let (dump, provenance) = match std::str::from_utf8(&bytes)
         .ok()
         .and_then(|text| FlightDump::from_json(text).ok())
@@ -952,17 +964,16 @@ pub fn cmd_doctor(
             // Not a dump: treat as a capture and re-collect it live under
             // full observation.
             let source = load_capture(path)?;
-            let telemetry = Telemetry::enabled().with_flight(None);
-            let session = StreamingAnalyzer::with_telemetry(
-                live_dsspy(64, 1),
-                StreamConfig::default(),
-                telemetry.clone(),
-            )
-            .attach(Vec::new());
+            let observer = Observer {
+                telemetry: Telemetry::enabled().with_flight(None),
+                flight_out: None,
+            };
+            let (live, session) =
+                Live::start(observer.clone(), 64, 1, StreamConfig::default(), Vec::new());
             replay_live(&session, &source);
-            session.finish();
+            live.end(session)?;
             (
-                telemetry.flight().dump(),
+                observer.telemetry.flight().dump(),
                 format!("re-collected capture {}", path.display()),
             )
         }
@@ -1003,7 +1014,8 @@ pub fn cmd_doctor(
     out.push('\n');
     out.push_str(&flight_incidents_text(&dump));
     if let Some(tout) = trace_out {
-        std::fs::write(tout, export::flight_chrome_trace(&dump))?;
+        std::fs::write(tout, export::flight_chrome_trace(&dump))
+            .map_err(io_error("write", tout.display()))?;
         out.push_str(&format!("\nwrote Chrome trace to {}\n", tout.display()));
     }
     let incidents = dump.incidents.len();
@@ -1375,7 +1387,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dsspy-cli-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let err = cmd_demo(&dir.join("x.dsspycap"), None, false, None, true).unwrap_err();
-        assert!(matches!(err, CliError::Stream(_)), "{err}");
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
     }
 
     #[test]

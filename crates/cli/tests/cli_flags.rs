@@ -1,7 +1,8 @@
-//! The `dsspy` binary parses flags strictly: a malformed numeric value, a
-//! flag the command does not take or a value outside its choices prints
-//! usage and exits 2 instead of silently falling back to a default or
-//! failing after the work.
+//! The `dsspy` binary parses its arguments strictly against its command
+//! table: a malformed numeric value, a flag the command's mode does not
+//! take, a missing or extra positional or a value outside its choices
+//! prints usage naming the argument and the command, and exits 2 instead of
+//! silently falling back to a default or failing after the work.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -117,6 +118,92 @@ fn bad_enumerated_values_exit_2_before_any_work() {
             String::from_utf8_lossy(&ok.stderr)
         );
     }
+}
+
+#[test]
+fn arguments_a_mode_does_not_declare_exit_2_before_any_work() {
+    // The capture does not exist: an argument checked after loading it
+    // would exit 1 with "cannot read capture" instead.
+    let missing = "missing.dsspycap";
+    for (args, names) in [
+        // A flag only another mode of the command takes.
+        (
+            &["demo", "x.dsspycap", "--inject-panic"][..],
+            "dsspy demo does not take --inject-panic",
+        ),
+        (
+            &["watch", missing, "--workload", "Mandelbrot"],
+            "dsspy watch does not take --workload",
+        ),
+        (
+            &["telemetry", "serve", missing, "--flight-recorder", "f.json"],
+            "dsspy telemetry serve does not take --flight-recorder",
+        ),
+        // An extra or a missing positional.
+        (
+            &["analyze", missing, "extra"],
+            "dsspy analyze: unexpected argument \"extra\"",
+        ),
+        (
+            &["watch", "--follow", missing],
+            "dsspy watch --follow: unexpected argument",
+        ),
+        (&["diff", missing], "dsspy diff: missing <after>"),
+        (
+            &["report", missing],
+            "dsspy report: missing --out <report.html>",
+        ),
+        // A scrape bound that would serve nothing, a flag given twice, a
+        // value flag with no value.
+        (
+            &[
+                "telemetry",
+                "serve",
+                missing,
+                "--requests",
+                "0",
+                "--self-check",
+            ],
+            "dsspy telemetry serve: --requests \"0\"",
+        ),
+        (
+            &["analyze", missing, "--threads", "1", "--threads", "2"],
+            "--threads given twice",
+        ),
+        (
+            &["analyze", missing, "--threads"],
+            "dsspy analyze: --threads needs a value N",
+        ),
+    ] {
+        let out = dsspy(args);
+        assert_usage_exit(&out, names);
+        assert!(out.stdout.is_empty(), "{args:?} did work");
+    }
+    assert!(
+        !std::path::Path::new("x.dsspycap").exists(),
+        "demo recorded nothing"
+    );
+}
+
+#[test]
+fn failed_reads_and_listens_name_the_operation() {
+    let out = dsspy(&["doctor", "missing.json"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("cannot read missing.json: "), "{stderr}");
+
+    // 192.0.2.1 (TEST-NET-1) is on no local interface: the bind fails
+    // without a name lookup.
+    let capture = demo_capture("listen.dsspycap");
+    let capture = capture.to_str().expect("utf-8 temp path");
+    let out = dsspy(&["telemetry", "serve", capture, "--addr", "192.0.2.1:9464"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("cannot listen on 192.0.2.1:9464: "),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("cannot write"), "{stderr}");
 }
 
 #[cfg(target_os = "linux")]

@@ -8,9 +8,13 @@
 #               `thread::scope` in non-test code outside
 #               crates/parallel/src; it names each offending file), then
 #               explicit
-#               --threads CLI runs, the bad-input cell (malformed numeric
-#               values, unknown flags, flags the command does not take and
-#               values outside their choices exit 2), the
+#               --threads CLI runs, the bad-input cell (one table of
+#               `args -> exit code` rows: malformed numeric values, unknown
+#               flags, flags the command's mode does not take, extra
+#               positionals, values outside their choices, `--requests 0`,
+#               `--inject-panic` without `--live`, and repro's `--svg`
+#               without `--figure` and `--all` with another artifact all
+#               exit 2), the
 #               capture-write-error cell (`demo /dev/full` exits 1
 #               with "cannot write capture"), the corrupt-capture cell (a
 #               flipped row byte makes `analyze` exit 1 naming the instance
@@ -127,41 +131,42 @@ if [[ "$MODE" == "full" ]]; then
             "$(printf '"kind":"smoke","threads":%s,' "$t")" \
             ./target/release/dsspy analyze "$SMOKE" --threads "$t"
     done
-    # Malformed numeric values, unknown flags and enumerated values outside
-    # their choices are rejected with usage and exit 2 before any work,
-    # never silently replaced by a default.
+    # Malformed numeric values, unknown flags, flags the command's mode does
+    # not take, extra positionals, enumerated values outside their choices
+    # and artifact requests repro would drop or repeat are rejected with
+    # usage and exit 2 before any work, never silently replaced by a
+    # default or ignored. One row per case: `args -> wanted exit code`, the
+    # first word naming the binary and SMOKE standing for the capture.
     run_cell bad-input '"kind":"smoke",' \
         bash -c '
             set -uo pipefail
-            smoke="$1"
-            ./target/release/dsspy analyze "$smoke" --threads abc
-            code=$?
-            [[ "$code" -eq 2 ]] || { echo "analyze --threads abc: exit $code, want 2"; exit 1; }
-            ./target/release/dsspy watch --follow --frames x
-            code=$?
-            [[ "$code" -eq 2 ]] || { echo "watch --follow --frames x: exit $code, want 2"; exit 1; }
-            ./target/release/dsspy analyze "$smoke" --thread 2
-            code=$?
-            [[ "$code" -eq 2 ]] || { echo "analyze --thread 2: exit $code, want 2"; exit 1; }
-            ./target/release/dsspy watch --follow --window 8
-            code=$?
-            [[ "$code" -eq 2 ]] || { echo "watch --follow --window 8: exit $code, want 2"; exit 1; }
-            ./target/release/dsspy sketch "$smoke" --json
-            code=$?
-            [[ "$code" -eq 2 ]] || { echo "sketch --json: exit $code, want 2"; exit 1; }
-            ./target/release/dsspy csv "$smoke" nope
-            code=$?
-            [[ "$code" -eq 2 ]] || { echo "csv nope: exit $code, want 2"; exit 1; }
-            ./target/release/dsspy telemetry "$smoke" --format nope
-            code=$?
-            [[ "$code" -eq 2 ]] || { echo "telemetry --format nope: exit $code, want 2"; exit 1; }
-            ./target/release/dsspy demo "$smoke.nope" --workload Nope
-            code=$?
-            [[ "$code" -eq 2 ]] || { echo "demo --workload Nope: exit $code, want 2"; exit 1; }
-            ./target/release/dsspy watch --follow --workload Nope
-            code=$?
-            [[ "$code" -eq 2 ]] || { echo "watch --follow --workload Nope: exit $code, want 2"; exit 1; }
-            echo "malformed numeric values, unknown or misplaced flags and bad choices exit 2 with usage"
+            smoke="$1" bad=0
+            while IFS= read -r row; do
+                want="${row##*-> }"
+                read -ra argv <<<"${row% -> *}"
+                argv=("${argv[@]//SMOKE/$smoke}")
+                "./target/release/${argv[0]}" "${argv[@]:1}" >/dev/null 2>&1
+                code=$?
+                [[ "$code" -eq "$want" ]] || { echo "${argv[*]}: exit $code, want $want"; bad=1; }
+            done <<"ROWS"
+dsspy analyze SMOKE --threads abc -> 2
+dsspy watch --follow --frames x -> 2
+dsspy analyze SMOKE --thread 2 -> 2
+dsspy watch --follow --window 8 -> 2
+dsspy sketch SMOKE --json -> 2
+dsspy csv SMOKE nope -> 2
+dsspy telemetry SMOKE --format nope -> 2
+dsspy demo SMOKE.nope --workload Nope -> 2
+dsspy watch --follow --workload Nope -> 2
+dsspy watch SMOKE --flight-recorder SMOKE.flight.json -> 2
+dsspy analyze SMOKE extra -> 2
+dsspy telemetry serve SMOKE --addr 127.0.0.1:0 --requests 0 --self-check -> 2
+dsspy demo SMOKE.nope --inject-panic -> 2
+repro --table 1 --svg SMOKE.svg -> 2
+repro --all --table 4 -> 2
+ROWS
+            [[ "$bad" -eq 0 ]] || exit 1
+            echo "bad values, undeclared flags and positionals, and dropped or repeated artifacts exit 2 with usage"
         ' bad-input "$SMOKE"
     # A save that fails is reported as a write failure with exit 1: /dev/full
     # accepts the open and fails the writes (or the final flush).
