@@ -7,9 +7,12 @@
 //! repro --speedups                   # §V per-use-case speedups
 //! repro --all --telemetry t.json     # self-observe: one span per artifact
 //! ```
+//!
+//! Each artifact is a row of [`dsspy_bench::ARTIFACTS`], which names the
+//! flags it reads: a flag that no selected artifact reads exits 2.
 
-use dsspy_bench::tables;
-use dsspy_cli::args::{parse_env, Command};
+use dsspy_bench::{Artifact, Settings, ARTIFACTS};
+use dsspy_cli::args::{emit, parse_or_exit, Command};
 use dsspy_parallel::default_threads;
 use dsspy_telemetry::{export, Telemetry};
 use dsspy_workloads::Scale;
@@ -46,106 +49,70 @@ const COMMANDS: &[Command] = &[
     },
 ];
 
-/// Write `contents` to `path`, or exit 1 naming the path and the error.
-fn write(path: &str, contents: String) {
-    if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("repro: cannot write {path}: {e}");
-        std::process::exit(1);
-    }
+/// Exit 1 naming what failed.
+fn fail(message: impl std::fmt::Display) -> ! {
+    eprintln!("repro: {message}");
+    std::process::exit(1)
 }
 
 fn main() {
-    let args = parse_env("repro", COMMANDS);
-    let scale = match args.value("--scale") {
-        None | Some("test") => Scale::Test,
-        Some("full") => Scale::Full,
-        Some(other) => args.fail(format!("--scale {other:?}: not test or full")),
-    };
-    let runs = args.parse("--runs").unwrap_or(3);
-    let threads = args.parse("--threads").unwrap_or_else(default_threads);
-    let numbered = |flag: &str, what: &str, last: u32| {
-        let n = args.parse(flag)?;
-        if !(1..=last).contains(&n) {
-            args.fail(format!("no {what} {n} in the paper (1–{last})"));
-        }
-        Some(n)
-    };
-    let table = numbered("--table", "table", 6);
-    let figure = numbered("--figure", "figure", 3);
-    let svg = args.value("--svg");
-    if svg.is_some() && figure.is_none() {
-        args.fail("--svg writes a figure's chart: add --figure N");
-    }
-    let [speedups, findings, ablation] =
-        ["--speedups", "--findings", "--ablation"].map(|f| args.switch(f));
-    let all = args.switch("--all")
-        || !(table.is_some() || figure.is_some() || speedups || findings || ablation);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = parse_or_exit("repro", COMMANDS, argv.clone());
 
-    // With --telemetry, each reproduced artifact runs under its own span so
-    // the export shows where a full `repro --all` spends its time.
+    // 1. The selected artifacts: those named, or every `--all` row.
+    let named: Vec<_> = ARTIFACTS.iter().filter(|a| a.given(&args)).collect();
+    for (flag, _) in ARTIFACTS.iter().filter_map(|a| a.selector.split_once(' ')) {
+        let numbered = |a: &&Artifact| a.selector.starts_with(flag);
+        if let Some(n) = args.value(flag).filter(|_| !named.iter().any(numbered)) {
+            let last = ARTIFACTS.iter().filter(numbered).count();
+            args.fail(format!("no {} {n} in the paper (1–{last})", &flag[2..]));
+        }
+    }
+    let all = named.is_empty();
+    if all && !args.switch("--all") {
+        // No artifact named means `--all`, which takes only its row's flags.
+        args = parse_or_exit("repro", COMMANDS, [vec!["--all".into()], argv].concat());
+    }
+    let in_all = ARTIFACTS.iter().filter(|a| a.all.is_some());
+    let selected = if all { in_all.collect() } else { named };
+    let settings = Settings {
+        scale: match args.value("--scale") {
+            None | Some("test") => Scale::Test,
+            Some("full") => Scale::Full,
+            Some(other) => args.fail(format!("--scale {other:?}: not test or full")),
+        },
+        runs: args
+            .parse("--runs")
+            .unwrap_or(3.try_into().expect("non-zero")),
+        threads: args.parse("--threads").unwrap_or_else(default_threads),
+        svg: args.value("--svg").map(String::from),
+    };
+
+    // 2. A flag is an error unless a selected artifact reads it.
+    for flag in ARTIFACTS.iter().flat_map(|a| a.reads) {
+        if args.value(flag).is_some() && !selected.iter().any(|a| a.reads.contains(flag)) {
+            let names: Vec<_> = selected.iter().map(|a| a.selector).collect();
+            let names = names.join(", ");
+            args.fail(format!("no selected artifact ({names}) reads {flag}"));
+        }
+    }
+
+    // 3. Each artifact under its own telemetry span, so the export shows
+    // where a full `repro --all` spends its time; 4. printed as it is done.
     let telemetry_path = args.value("--telemetry");
-    let telemetry = if telemetry_path.is_some() {
-        Telemetry::enabled()
-    } else {
-        Telemetry::disabled()
-    };
-
-    let print_table = |n: u32| {
-        let _span = telemetry.span_lazy("repro", || format!("table{n}"));
-        match n {
-            1 => println!("{}", tables::table1()),
-            2 => println!("{}", tables::table2_with_threads(threads)),
-            3 => println!("{}", tables::table3_with_threads(threads)),
-            4 => println!("{}", tables::table4(scale, runs, threads)),
-            5 => println!("{}", tables::table5(scale)),
-            _ => println!("{}", tables::table6(scale)),
+    let telemetry = telemetry_path.map_or_else(Telemetry::disabled, |_| Telemetry::enabled());
+    for artifact in selected {
+        let _span = telemetry.span_lazy("repro", || artifact.selector.replace(['-', ' '], ""));
+        let text = (artifact.render)(&settings).unwrap_or_else(|e| fail(e));
+        let gap = artifact.all.filter(|_| all).unwrap_or("");
+        if !emit("repro", &format!("{text}{gap}")) {
+            return;
         }
-    };
-
-    if let Some(n) = figure {
-        let _span = telemetry.span_lazy("repro", || format!("figure{n}"));
-        let (text, chart) = match n {
-            1 => (tables::figure1_text(), tables::figure1_svg()),
-            2 => (tables::figure2(), tables::figure2_svg()),
-            _ => (tables::figure3(), tables::figure3_svg()),
-        };
-        println!("{text}");
-        if let Some(path) = svg {
-            write(path, chart);
-            println!("(SVG written to {path})");
-        }
-    }
-
-    if let Some(n) = table {
-        print_table(n);
-    }
-
-    if all {
-        for n in 1..=6 {
-            print_table(n);
-            println!();
-        }
-        {
-            let _span = telemetry.span("repro", "figures");
-            println!("{}", tables::figure2());
-            println!("{}", tables::figure3());
-        }
-    }
-    if all || findings {
-        let _span = telemetry.span("repro", "findings");
-        println!("{}", dsspy_study::study_findings().render());
-    }
-    if all || speedups {
-        let _span = telemetry.span("repro", "speedups");
-        println!("{}", tables::speedups(runs));
-    }
-    if ablation {
-        let _span = telemetry.span("repro", "ablation");
-        println!("{}", tables::ablation_table());
     }
 
     if let Some(path) = telemetry_path {
-        write(path, export::to_json(&telemetry.snapshot()));
+        let json = export::to_json(&telemetry.snapshot());
+        std::fs::write(path, json).unwrap_or_else(|e| fail(format!("cannot write {path}: {e}")));
         eprintln!("(telemetry written to {path})");
     }
 }

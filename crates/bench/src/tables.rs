@@ -1,19 +1,20 @@
 //! The per-artifact regeneration functions.
 
-use std::fmt::Write;
+use std::fmt::{Display, Write};
+use std::hint::black_box;
+use std::num::NonZeroUsize;
 use std::time::Instant;
 
-use dsspy_collect::Session;
+use dsspy_collect::{Capture, CollectorStats, Session};
 use dsspy_collections::SpyVec;
-use dsspy_core::{measure_avg_nanos, Dsspy};
-use dsspy_events::AllocationSite;
+use dsspy_core::{measure_avg_nanos, Dsspy, Report};
+use dsspy_events::{AllocationSite, RuntimeProfile};
 use dsspy_parallel::{
     default_threads, par_find_all, par_for_init, par_map, par_max_by_key, par_merge_sort,
 };
-use dsspy_patterns::{analyze, regularity, MinerConfig, RegularityConfig};
+use dsspy_patterns::{analyze, MinerConfig};
 use dsspy_study::{domain_rows, occurrence_rows};
 use dsspy_telemetry::OverheadReport;
-use dsspy_usecases::{classify, Thresholds};
 use dsspy_viz::{
     occurrence_svg, occurrence_table, profile_chart_svg, profile_chart_text, OccurrenceRow,
 };
@@ -34,19 +35,16 @@ pub fn table1() -> String {
         "{:<40} {:>6} {:>11} {:>9}",
         "Application Domain", "#Prog", "#Instances", "LOC"
     );
-    let mut progs = 0;
-    let mut instances = 0;
-    let mut loc = 0;
     for d in &domains {
         let _ = writeln!(
             out,
             "{:<40} {:>6} {:>11} {:>9}",
             d.name, d.programs, d.instances, d.loc
         );
-        progs += d.programs;
-        instances += d.instances;
-        loc += d.loc;
     }
+    let progs: usize = domains.iter().map(|d| d.programs).sum();
+    let instances: usize = domains.iter().map(|d| d.instances).sum();
+    let loc: usize = domains.iter().map(|d| d.loc).sum();
     let _ = writeln!(out, "{:<40} {:>6} {:>11} {:>9}", "Σ", progs, instances, loc);
     let _ = writeln!(
         out,
@@ -138,15 +136,18 @@ pub fn figure3_svg() -> String {
     profile_chart_svg(&figure3_profile(6, 40))
 }
 
-/// Table II — recurring regularities in the 15-program corpus.
-pub fn table2() -> String {
-    table2_with_threads(default_threads())
+/// The paper's own pipeline over generated profiles: one capture,
+/// analyzed on the calling thread ([`table2`] and [`table3`] fan out over
+/// programs instead).
+fn analyze_profiles(profiles: Vec<RuntimeProfile>) -> Report {
+    let capture = Capture::new(profiles, CollectorStats::default(), 0);
+    Dsspy::new().with_threads(1).analyze_capture(&capture)
 }
 
-/// [`table2`] with an explicit analysis-worker count: the per-program
-/// generate-and-mine batches run on `threads` workers (`par_map` keeps row
-/// order, so the rendered table is identical for every count).
-pub fn table2_with_threads(threads: usize) -> String {
+/// Table II — recurring regularities in the 15-program corpus. The
+/// per-program generate-and-analyze batches run on `threads` workers
+/// (`par_map` keeps row order, so the table is identical for every count).
+pub fn table2(threads: usize) -> String {
     let mut out = String::from(
         "Table II — Access pattern predominance: recurring regularities in 15 programs\n",
     );
@@ -155,24 +156,16 @@ pub fn table2_with_threads(threads: usize) -> String {
         "{:<20} {:<12} {:>7} {:>12} {:>10}",
         "Application", "Domain", "LOC", "Regularities", "Par. Cases"
     );
-    let mut total_r = 0;
-    let mut total_u = 0;
     let rows = par_map(&suite15::TABLE2_ROWS, threads.max(1), |program| {
-        let profiles = suite15::generate(program);
-        let mut regular = 0usize;
-        let mut cases = 0usize;
-        for p in &profiles {
-            let analysis = analyze(p, &MinerConfig::default());
-            if regularity(&analysis, &RegularityConfig::default()).is_regular() {
-                regular += 1;
-            }
-            cases += classify(&p.instance, &analysis, &Thresholds::default())
-                .iter()
-                .filter(|u| u.kind.is_parallel())
-                .count();
+        let (mut regular, mut cases) = (0, 0);
+        for i in analyze_profiles(suite15::generate(program)).instances {
+            regular += usize::from(i.regularity.is_regular());
+            cases += i.use_cases.iter().filter(|u| u.kind.is_parallel()).count();
         }
         (regular, cases)
     });
+    let mut total_r = 0;
+    let mut total_u = 0;
     for (program, (regular, cases)) in suite15::TABLE2_ROWS.iter().zip(rows) {
         let _ = writeln!(
             out,
@@ -194,61 +187,42 @@ pub fn table2_with_threads(threads: usize) -> String {
     out
 }
 
-/// Table III — 66 use cases in the evaluation corpus, by category.
-pub fn table3() -> String {
-    table3_with_threads(default_threads())
-}
-
-/// [`table3`] with an explicit analysis-worker count (see
-/// [`table2_with_threads`]).
-pub fn table3_with_threads(threads: usize) -> String {
+/// Table III — 66 use cases in the evaluation corpus, by category, on
+/// `threads` workers (see [`table2`]).
+pub fn table3(threads: usize) -> String {
     let mut out = String::from("Table III — use cases by category\n");
-    let _ = writeln!(
-        out,
-        "{:<20} {:>5} {:>5} {:>6} {:>5} {:>6} {:>6}",
-        "Application", "# LI", "# IQ", "# SAI", "# FS", "# FLR", "Σ"
+    let mut line = |name: &str, cells: [&dyn Display; 6]| {
+        let [li, iq, sai, fs, flr, sum] = cells;
+        let _ = writeln!(
+            out,
+            "{name:<20} {li:>5} {iq:>5} {sai:>6} {fs:>5} {flr:>6} {sum:>6}"
+        );
+    };
+    line(
+        "Application",
+        [&"# LI", &"# IQ", &"# SAI", &"# FS", &"# FLR", &"Σ"],
     );
-    let mut totals = [0usize; 5];
+    let mut counts = |name, got: &[usize; 5]| {
+        let [li, iq, sai, fs, flr] = got;
+        line(name, [li, iq, sai, fs, flr, &got.iter().sum::<usize>()]);
+    };
     let rows = par_map(&suite23::TABLE3_ROWS, threads.max(1), |row| {
-        let profiles = suite23::generate(row);
         let mut got = [0usize; 5];
-        for p in &profiles {
-            let analysis = analyze(p, &MinerConfig::default());
-            for uc in classify(&p.instance, &analysis, &Thresholds::default()) {
-                if let Some(col) = suite23::CATEGORY_ORDER.iter().position(|k| *k == uc.kind) {
-                    got[col] += 1;
-                }
+        for uc in analyze_profiles(suite23::generate(row)).all_use_cases() {
+            if let Some(col) = suite23::CATEGORY_ORDER.iter().position(|k| *k == uc.kind) {
+                got[col] += 1;
             }
         }
         got
     });
+    let mut totals = [0usize; 5];
     for (row, got) in suite23::TABLE3_ROWS.iter().zip(rows) {
-        let _ = writeln!(
-            out,
-            "{:<20} {:>5} {:>5} {:>6} {:>5} {:>6} {:>6}",
-            row.name,
-            got[0],
-            got[1],
-            got[2],
-            got[3],
-            got[4],
-            got.iter().sum::<usize>()
-        );
+        counts(row.name, &got);
         for (i, g) in got.iter().enumerate() {
             totals[i] += g;
         }
     }
-    let _ = writeln!(
-        out,
-        "{:<20} {:>5} {:>5} {:>6} {:>5} {:>6} {:>6}",
-        "Σ",
-        totals[0],
-        totals[1],
-        totals[2],
-        totals[3],
-        totals[4],
-        totals.iter().sum::<usize>()
-    );
+    counts("Σ", &totals);
     let _ = writeln!(out, "\n(paper: LI 49, IQ 3, SAI 1, FS 3, FLR 10 — Σ 66)");
     out
 }
@@ -283,17 +257,23 @@ pub struct EvaluationRow {
 
 /// Run the full Table IV evaluation: every workload measured plain,
 /// instrumented and parallel, `runs` times each.
-pub fn evaluate(scale: Scale, runs: usize, threads: usize) -> Vec<EvaluationRow> {
+pub fn evaluate(scale: Scale, runs: NonZeroUsize, threads: usize) -> Vec<EvaluationRow> {
     suite7()
         .iter()
         .map(|w| evaluate_one(w.as_ref(), scale, runs, threads))
         .collect()
 }
 
-fn evaluate_one(w: &dyn Workload, scale: Scale, runs: usize, threads: usize) -> EvaluationRow {
+fn evaluate_one(
+    w: &dyn Workload,
+    scale: Scale,
+    runs: NonZeroUsize,
+    threads: usize,
+) -> EvaluationRow {
     let spec = w.spec();
+    let runs = runs.get();
     let plain = measure_avg_nanos(runs, || {
-        std::hint::black_box(w.run(scale, Mode::Plain));
+        black_box(w.run(scale, Mode::Plain));
     });
     // The analysis fan-out dogfoods the same thread budget the parallel
     // workload variants get.
@@ -301,21 +281,20 @@ fn evaluate_one(w: &dyn Workload, scale: Scale, runs: usize, threads: usize) -> 
     // Instrumented runs time session start → workload → `finish()`: the
     // paper's "data collection" phase. Analysis and the previous run's
     // capture teardown stay outside the clock.
-    let runs = runs.max(1);
     let mut collect_nanos = 0u128;
     let mut capture = None;
     for _ in 0..runs {
         drop(capture.take());
         let started = Instant::now();
         let session = Session::builder().config(dsspy.session).start();
-        std::hint::black_box(w.run(scale, Mode::Instrumented(&session)));
+        black_box(w.run(scale, Mode::Instrumented(&session)));
         capture = Some(session.finish());
         collect_nanos += started.elapsed().as_nanos();
     }
     let instrumented = (collect_nanos / runs as u128) as u64;
     let report = dsspy.analyze_capture(&capture.expect("at least one run"));
     let parallel = measure_avg_nanos(runs, || {
-        std::hint::black_box(w.run(scale, Mode::Parallel(threads)));
+        black_box(w.run(scale, Mode::Parallel(threads)));
     });
     let projected_8core = w.fractions(scale).map(|f| f.amdahl_bound(8));
     EvaluationRow {
@@ -333,7 +312,7 @@ fn evaluate_one(w: &dyn Workload, scale: Scale, runs: usize, threads: usize) -> 
 }
 
 /// Table IV — the full evaluation, formatted.
-pub fn table4(scale: Scale, runs: usize, threads: usize) -> String {
+pub fn table4(scale: Scale, runs: NonZeroUsize, threads: usize) -> String {
     let rows = evaluate(scale, runs, threads);
     let mut out =
         String::from("Table IV — Evaluation of DSspy: slowdown, search-space reduction, speedup\n");
@@ -351,10 +330,6 @@ pub fn table4(scale: Scale, runs: usize, threads: usize) -> String {
         "Speedup",
         "Proj(8)"
     );
-    let mut sum_instances = 0;
-    let mut sum_cases = 0;
-    let mut slowdowns = Vec::new();
-    let mut speedups = Vec::new();
     for r in &rows {
         let _ = writeln!(
             out,
@@ -372,13 +347,11 @@ pub fn table4(scale: Scale, runs: usize, threads: usize) -> String {
                 .map(|p| format!("{p:.2}"))
                 .unwrap_or_else(|| "-".into())
         );
-        sum_instances += r.instances;
-        sum_cases += r.use_cases;
-        slowdowns.push(r.slowdown);
-        speedups.push(r.speedup);
     }
-    let avg_slow = slowdowns.iter().sum::<f64>() / slowdowns.len().max(1) as f64;
-    let avg_speed = speedups.iter().sum::<f64>() / speedups.len().max(1) as f64;
+    let avg = |f: fn(&EvaluationRow) -> f64| rows.iter().map(f).sum::<f64>() / rows.len() as f64;
+    let (avg_slow, avg_speed) = (avg(|r| r.slowdown), avg(|r| r.speedup));
+    let sum_instances: usize = rows.iter().map(|r| r.instances).sum();
+    let sum_cases: usize = rows.iter().map(|r| r.use_cases).sum();
     let total_reduction = 1.0 - sum_cases as f64 / sum_instances.max(1) as f64;
     let _ = writeln!(
         out,
@@ -441,86 +414,70 @@ pub fn table6(scale: Scale) -> String {
     out
 }
 
-/// §V per-use-case speedups: the recommended actions measured directly.
-pub fn speedups(runs: usize) -> String {
+/// §V per-use-case speedups: the recommended actions measured directly,
+/// each kernel sequentially and on every core, `runs` times each.
+pub fn speedups(runs: NonZeroUsize) -> String {
     let threads = default_threads();
-    let mut out = format!("§V per-use-case speedups ({threads} threads)\n");
     let n = 100_000usize;
-
-    // Algorithmia use case two: priority-queue max-search on 100k elements
-    // (paper: 2.30).
     let data: Vec<u64> = (0..n as u64)
         .map(|i| i.wrapping_mul(0x9E3779B9) % 1_000_003)
         .collect();
-    let seq = measure_avg_nanos(runs, || {
-        let mut best = 0usize;
-        for (i, v) in data.iter().enumerate() {
-            if *v > data[best] {
-                best = i;
-            }
-        }
-        std::hint::black_box(best);
-    });
-    let par = measure_avg_nanos(runs, || {
-        std::hint::black_box(par_max_by_key(&data, threads, |v| *v));
-    });
-    let _ = writeln!(
-        out,
-        "priority-queue linear max-search, {n} elems: {:.2}x (paper 2.30)",
-        seq as f64 / par.max(1) as f64
-    );
-
-    // Long-Insert: parallel initialization (paper: 1.35 / 1.77).
-    let seq = measure_avg_nanos(runs, || {
-        let v: Vec<f64> = (0..n).map(|i| (i as f64 * 0.001).sin()).collect();
-        std::hint::black_box(&v);
-    });
-    let par = measure_avg_nanos(runs, || {
-        let v = par_for_init(n, threads, |i| (i as f64 * 0.001).sin());
-        std::hint::black_box(&v);
-    });
-    let _ = writeln!(
-        out,
-        "list initialization, {n} elems: {:.2}x (paper 1.35–1.77)",
-        seq as f64 / par.max(1) as f64
-    );
-
-    // Frequent-Search: chunked parallel search (paper FS/FLR actions).
-    let seq = measure_avg_nanos(runs, || {
-        let hits: Vec<usize> = data
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| **v % 1009 == 0)
-            .map(|(i, _)| i)
-            .collect();
-        std::hint::black_box(hits.len());
-    });
-    let par = measure_avg_nanos(runs, || {
-        let hits = par_find_all(&data, threads, |v| *v % 1009 == 0);
-        std::hint::black_box(hits.len());
-    });
-    let _ = writeln!(
-        out,
-        "chunked parallel search, {n} elems: {:.2}x",
-        seq as f64 / par.max(1) as f64
-    );
-
-    // Sort-After-Insert: parallel merge sort.
-    let seq = measure_avg_nanos(runs, || {
+    let sin = |i: usize| (i as f64 * 0.001).sin();
+    let hit = |v: &u64| v.is_multiple_of(1009);
+    let sorted = |sort: &dyn Fn(&mut [u64])| {
         let mut d = data.clone();
-        d.sort_unstable();
-        std::hint::black_box(d.len());
-    });
-    let par = measure_avg_nanos(runs, || {
-        let mut d = data.clone();
-        par_merge_sort(&mut d, threads);
-        std::hint::black_box(d.len());
-    });
-    let _ = writeln!(
-        out,
-        "sort after bulk insert, {n} elems: {:.2}x",
-        seq as f64 / par.max(1) as f64
-    );
+        sort(&mut d);
+        black_box(d).len()
+    };
+    // Label, the paper's figure, the sequential and the parallel kernel,
+    // each passing what it built through `black_box` so it is not elided:
+    // Algorithmia's priority-queue max-search (use case two), Long-Insert's
+    // parallel initialization, the chunked search of the Frequent-Search
+    // actions and Sort-After-Insert's parallel merge sort.
+    type Kernel<'a> = &'a dyn Fn() -> usize;
+    let kernels: [(&str, &str, Kernel, Kernel); 4] = [
+        (
+            "priority-queue linear max-search",
+            " (paper 2.30)",
+            &|| {
+                data.iter()
+                    .enumerate()
+                    .fold(0, |m, (i, v)| if *v > data[m] { i } else { m })
+            },
+            &|| par_max_by_key(&data, threads, |v| *v).unwrap_or(0),
+        ),
+        (
+            "list initialization",
+            " (paper 1.35–1.77)",
+            &|| black_box((0..n).map(sin).collect::<Vec<f64>>()).len(),
+            &|| black_box(par_for_init(n, threads, sin)).len(),
+        ),
+        (
+            "chunked parallel search",
+            "",
+            &|| {
+                let hits = data.iter().enumerate().filter(|(_, v)| hit(v));
+                black_box(hits.map(|(i, _)| i).collect::<Vec<usize>>()).len()
+            },
+            &|| black_box(par_find_all(&data, threads, hit)).len(),
+        ),
+        (
+            "sort after bulk insert",
+            "",
+            &|| sorted(&|d| d.sort_unstable()),
+            &|| sorted(&|d| par_merge_sort(d, threads)),
+        ),
+    ];
+    let mut out = format!("§V per-use-case speedups ({threads} threads)\n");
+    let time = |kernel: Kernel| {
+        measure_avg_nanos(runs.get(), || {
+            black_box(kernel());
+        })
+    };
+    for (label, paper, sequential, parallel) in kernels {
+        let ratio = time(sequential) as f64 / time(parallel).max(1) as f64;
+        let _ = writeln!(out, "{label}, {n} elems: {ratio:.2}x{paper}");
+    }
     out
 }
 
@@ -532,18 +489,14 @@ pub fn speedups(runs: usize) -> String {
 pub fn ablation_table() -> String {
     use dsspy_usecases::{best_by_f1, sweep_grid, LabeledProfile};
 
-    // Label the Table III corpus with its generated ground truth.
+    // Label the Table III corpus with its generated ground truth: one
+    // profile per assigned use case, in column order, then the noise.
     let mut corpus = Vec::new();
     for row in &suite23::TABLE3_ROWS {
-        let profiles = suite23::generate(row);
-        let mut expected_stream = Vec::new();
-        for (col, &count) in row.cases.iter().enumerate() {
-            for _ in 0..count {
-                expected_stream.push(suite23::CATEGORY_ORDER[col]);
-            }
-        }
-        for (i, profile) in profiles.into_iter().enumerate() {
-            let expected = expected_stream.get(i).map(|k| vec![*k]).unwrap_or_default();
+        let cases = row.cases.iter().zip(suite23::CATEGORY_ORDER);
+        let mut kinds = cases.flat_map(|(&n, kind)| std::iter::repeat_n(kind, n));
+        for profile in suite23::generate(row) {
+            let expected = kinds.next().into_iter().collect();
             corpus.push(LabeledProfile { profile, expected });
         }
     }
@@ -614,10 +567,10 @@ mod tests {
 
     #[test]
     fn table2_and_table3_reach_paper_totals() {
-        let t2 = table2();
+        let t2 = table2(2);
         assert!(t2.contains("81"), "{t2}");
         assert!(t2.contains("41"), "{t2}");
-        let t3 = table3();
+        let t3 = table3(2);
         assert!(t3.lines().last().is_some());
         assert!(t3.contains("49"), "{t3}");
         assert!(t3.contains("66"), "{t3}");
@@ -625,7 +578,7 @@ mod tests {
 
     #[test]
     fn table4_runs_at_test_scale() {
-        let t = table4(Scale::Test, 1, 2);
+        let t = table4(Scale::Test, NonZeroUsize::MIN, 2);
         assert!(t.contains("Mandelbrot"));
         assert!(t.contains("104"), "104 instances total: {t}");
         assert!(t.contains("24"), "24 use cases total: {t}");
@@ -645,7 +598,7 @@ mod tests {
 
     #[test]
     fn speedups_prints_four_positive_ratios() {
-        let t = speedups(1);
+        let t = speedups(NonZeroUsize::MIN);
         let ratios: Vec<f64> = t
             .lines()
             .skip(1)

@@ -5,8 +5,10 @@
 //! does not declare — a flag the mode does not use, a missing or extra
 //! positional, a repeated flag, a value that does not parse — print usage
 //! naming the argument and the command, and exit 2 before any work.
+//! [`emit`] is the one stdout writer both binaries print through.
 
 use std::fmt::Display;
+use std::io::{ErrorKind, Write};
 use std::str::FromStr;
 
 /// One command's interface: a row of a binary's argument table.
@@ -75,10 +77,10 @@ pub struct Args {
     switches: Vec<&'static str>,
 }
 
-/// Parse this process's arguments against `rows`; on any mismatch print
-/// the reason and the usage, and exit 2.
-pub fn parse_env(bin: &str, rows: &'static [Command]) -> Args {
-    parse(bin, rows, std::env::args().skip(1).collect()).unwrap_or_else(|e| {
+/// Parse `argv` against `rows` ([`parse`]); on any mismatch print the
+/// reason and the usage, and exit 2.
+pub fn parse_or_exit(bin: &str, rows: &'static [Command], argv: Vec<String>) -> Args {
+    parse(bin, rows, argv).unwrap_or_else(|e| {
         eprintln!("{e}\n{}", usage(bin, rows));
         std::process::exit(2)
     })
@@ -178,6 +180,23 @@ impl Args {
     pub fn fail(&self, message: impl Display) -> ! {
         eprintln!("{}: {message}\n{}", self.name, self.usage);
         std::process::exit(2)
+    }
+}
+
+/// Write `out` and a newline to stdout for the binary `bin`. A reader that
+/// stops early (`dsspy analyze c.dsspycap --json | head`, `repro --all |
+/// head`) closes the pipe: that ends the output quietly, and `false` tells
+/// the caller to stop, with no panic and nothing on stderr. Any other write
+/// failure is an error: exit 1.
+pub fn emit(bin: &str, out: &str) -> bool {
+    let mut stdout = std::io::stdout().lock();
+    match writeln!(stdout, "{out}").and_then(|()| stdout.flush()) {
+        Ok(()) => true,
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => false,
+        Err(e) => {
+            eprintln!("{bin}: cannot write output: {e}");
+            std::process::exit(1)
+        }
     }
 }
 

@@ -1,10 +1,9 @@
 //! The `dsspy` binary: analyze, chart, diff and sketch saved captures.
 
-use std::io::{ErrorKind, Write};
 use std::num::NonZeroU64;
 use std::path::Path;
 
-use dsspy_cli::args::{parse_env, Command};
+use dsspy_cli::args::{emit, parse_or_exit, Command};
 use dsspy_cli::{
     cmd_analyze, cmd_chart, cmd_csv, cmd_demo, cmd_diff, cmd_doctor, cmd_report, cmd_sketch,
     cmd_telemetry, cmd_telemetry_serve, cmd_telemetry_serve_live, cmd_timeline, cmd_watch,
@@ -130,23 +129,8 @@ const COMMANDS: &[Command] = &[
     },
 ];
 
-/// Write `out` and a newline to stdout. A reader that stops early
-/// (`dsspy analyze c.dsspycap --json | head`) closes the pipe; that ends
-/// the output quietly instead of panicking. Any other write failure is an
-/// error: exit 1.
-fn emit(out: &str) {
-    let mut stdout = std::io::stdout().lock();
-    let written = stdout.write_all(format!("{out}\n").as_bytes());
-    if let Err(e) = written.and_then(|()| stdout.flush()) {
-        if e.kind() != ErrorKind::BrokenPipe {
-            eprintln!("dsspy: cannot write output: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 fn main() {
-    let args = parse_env("dsspy", COMMANDS);
+    let args = parse_or_exit("dsspy", COMMANDS, std::env::args().skip(1).collect());
     let capture = || Path::new(args.positional(0));
     let threads = || args.parse("--threads").unwrap_or(0);
     let result = match args.command.words {
@@ -209,8 +193,12 @@ fn main() {
             args.switch("--inject-panic"),
         ),
         ["watch", follow @ ..] => {
-            let batch = args.parse("--batch").unwrap_or(512);
-            let every = args.parse("--every").unwrap_or(4);
+            let batch = args
+                .parse("--batch")
+                .unwrap_or(512.try_into().expect("non-zero"));
+            let every = args
+                .parse("--every")
+                .unwrap_or(4.try_into().expect("non-zero"));
             let frames = args.parse("--frames").unwrap_or(12);
             match follow {
                 [] => cmd_watch(capture(), batch, every, frames),
@@ -227,7 +215,7 @@ fn main() {
             let events = args.parse("--events").unwrap_or(48);
             match cmd_doctor(capture(), events, args.value("--trace").map(Path::new)) {
                 Ok((out, incidents)) => {
-                    emit(&out);
+                    emit("dsspy", &out);
                     std::process::exit(if incidents > 0 { 1 } else { 0 });
                 }
                 Err(e) => Err(e),
@@ -236,7 +224,9 @@ fn main() {
         words => unreachable!("no dispatch for the row {words:?}"),
     };
     match result {
-        Ok(out) => emit(&out),
+        Ok(out) => {
+            emit("dsspy", &out);
+        }
         // A value outside its choices is caught before any work, like a
         // malformed number: usage and exit 2.
         Err(CliError::Usage(e)) => args.fail(e),

@@ -17,11 +17,12 @@
 pub mod args;
 
 use dsspy_collect::{
-    load_capture, load_capture_with, load_encoded_with, save_capture_with, Capture, CollectorStats,
-    CollectorTap, PersistError, ReadOptions, Session, SessionConfig,
+    load_capture, load_capture_with, load_encoded_with, read_capture, save_capture_with, Capture,
+    CollectorStats, CollectorTap, PersistError, ReadOptions, Session, SessionConfig,
+    QUEUE_WATERMARK,
 };
 use dsspy_core::{diff_reports, instances_csv, sketches, use_cases_csv, Dsspy, Report};
-use dsspy_events::{AccessEvent, InstanceId, Origin};
+use dsspy_events::{AccessEvent, InstanceId, Origin, RuntimeProfile};
 use dsspy_patterns::{analyze, segment_phases, MinerConfig};
 use dsspy_stream::{SnapshotPolicy, StreamConfig, StreamingAnalyzer};
 use dsspy_telemetry::{
@@ -33,6 +34,7 @@ use dsspy_viz::{
     profile_chart_text, timeline_svg, timeline_text,
 };
 use dsspy_workloads::{suite7, Mode, Scale};
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -136,17 +138,10 @@ pub fn cmd_analyze(
     threads: usize,
     telemetry_out: Option<&Path>,
 ) -> Result<String, CliError> {
-    let telemetry = if telemetry_out.is_some() {
-        Telemetry::enabled()
-    } else {
-        Telemetry::disabled()
-    };
-    let dsspy = if selective {
-        Dsspy::new().selective()
-    } else {
-        Dsspy::new()
-    };
-    let report = analyze_file(path, dsspy.with_threads(threads), &telemetry)?;
+    let telemetry = telemetry_out.map_or_else(Telemetry::disabled, |_| Telemetry::enabled());
+    let mut dsspy = Dsspy::new().with_threads(threads);
+    dsspy.analysis.selective = selective;
+    let report = analyze_file(path, dsspy, &telemetry)?;
     if let Some(out) = telemetry_out {
         write_snapshot(&report, out)?;
     }
@@ -165,18 +160,22 @@ pub fn cmd_analyze(
     }
 }
 
+/// Instance `instance`'s profile in the capture at `path`.
+fn load_profile(path: &Path, instance: usize) -> Result<RuntimeProfile, CliError> {
+    let capture = load_capture(path)?;
+    let count = capture.profiles.len();
+    let profile = capture.profiles.into_iter().nth(instance);
+    profile.ok_or(CliError::NoSuchInstance(instance, count))
+}
+
 /// `dsspy chart`: the Fig. 2/3-style profile chart of one instance.
 pub fn cmd_chart(path: &Path, instance: usize, svg_out: Option<&Path>) -> Result<String, CliError> {
-    let capture = load_capture(path)?;
-    let profile = capture
-        .profiles
-        .get(instance)
-        .ok_or(CliError::NoSuchInstance(instance, capture.profiles.len()))?;
+    let profile = load_profile(path, instance)?;
     if let Some(out) = svg_out {
-        std::fs::write(out, profile_chart_svg(profile))
+        std::fs::write(out, profile_chart_svg(&profile))
             .map_err(io_error("write", out.display()))?;
     }
-    Ok(profile_chart_text(profile))
+    Ok(profile_chart_text(&profile))
 }
 
 /// `dsspy timeline`: the mined-pattern/phase timeline of one instance.
@@ -185,18 +184,14 @@ pub fn cmd_timeline(
     instance: usize,
     svg_out: Option<&Path>,
 ) -> Result<String, CliError> {
-    let capture = load_capture(path)?;
-    let profile = capture
-        .profiles
-        .get(instance)
-        .ok_or(CliError::NoSuchInstance(instance, capture.profiles.len()))?;
-    let analysis = analyze(profile, &MinerConfig::default());
-    let phases = segment_phases(profile);
+    let profile = load_profile(path, instance)?;
+    let analysis = analyze(&profile, &MinerConfig::default());
+    let phases = segment_phases(&profile);
     if let Some(out) = svg_out {
-        let svg = timeline_svg(profile, &analysis.patterns, &phases);
+        let svg = timeline_svg(&profile, &analysis.patterns, &phases);
         std::fs::write(out, svg).map_err(io_error("write", out.display()))?;
     }
-    Ok(timeline_text(profile, &analysis.patterns, &phases, 100))
+    Ok(timeline_text(&profile, &analysis.patterns, &phases, 100))
 }
 
 /// `dsspy diff`: compare the verdicts of two captures.
@@ -258,11 +253,7 @@ pub fn cmd_report(
     threads: usize,
     telemetry_out: Option<&Path>,
 ) -> Result<String, CliError> {
-    let telemetry = if telemetry_out.is_some() {
-        Telemetry::enabled()
-    } else {
-        Telemetry::disabled()
-    };
+    let telemetry = telemetry_out.map_or_else(Telemetry::disabled, |_| Telemetry::enabled());
     // The HTML report draws every profile, so it loads them.
     let opts = ReadOptions {
         threads,
@@ -377,10 +368,9 @@ pub fn cmd_demo(
         if inject_panic {
             extra.push(("bomb", Box::new(PanicBomb)));
         }
-        let batch_size = SessionConfig::default().batch_size;
         let (live, session) = Live::start(
             observer.clone(),
-            batch_size,
+            SessionConfig::default(),
             1,
             StreamConfig::default(),
             extra,
@@ -457,10 +447,10 @@ fn converged(
 
 /// The stream configuration behind `watch`'s `--every` flag: a snapshot
 /// every `every` folded batches.
-fn watch_config(every: u64) -> StreamConfig {
+fn watch_config(every: NonZeroU64) -> StreamConfig {
     StreamConfig {
         snapshots: SnapshotPolicy {
-            every_batches: every.max(1),
+            every_batches: every.get(),
         },
     }
 }
@@ -468,6 +458,7 @@ fn watch_config(every: u64) -> StreamConfig {
 /// `watch`'s frame printer, shared by replay and `--follow`: one line per
 /// snapshot the analyzer published since the last poll, up to `max` lines
 /// (later snapshots still happen; they just aren't printed).
+#[derive(Default)]
 struct Frames {
     out: String,
     printed: usize,
@@ -476,15 +467,6 @@ struct Frames {
 }
 
 impl Frames {
-    fn new(max: usize) -> Frames {
-        Frames {
-            out: String::new(),
-            printed: 0,
-            seen: 0,
-            max,
-        }
-    }
-
     fn poll(&mut self, streaming: &StreamingAnalyzer) {
         let stats = streaming.stats();
         if stats.snapshots <= self.seen {
@@ -531,8 +513,8 @@ impl Frames {
 /// rendered (later snapshots still happen; they just aren't printed).
 pub fn cmd_watch(
     path: &Path,
-    batch: usize,
-    every: u64,
+    batch: NonZeroUsize,
+    every: NonZeroU64,
     max_frames: usize,
 ) -> Result<String, CliError> {
     let capture = load_capture(path)?;
@@ -541,9 +523,12 @@ pub fn cmd_watch(
     for profile in &capture.profiles {
         streaming.register_instance(profile.instance.clone());
     }
-    let mut frames = Frames::new(max_frames);
+    let mut frames = Frames {
+        max: max_frames,
+        ..Frames::default()
+    };
     for profile in &capture.profiles {
-        for chunk in profile.events.chunks(batch.max(1)) {
+        for chunk in profile.events.chunks(batch.get()) {
             streaming.fold_batch(profile.instance.id, chunk, 0);
             frames.poll(&streaming);
         }
@@ -752,18 +737,18 @@ struct Live {
 }
 
 impl Live {
-    /// Start a session shipping `batch_size`-event batches to an analyzer on
-    /// `observer`'s telemetry (analysis on `threads` workers), with `extra`
-    /// subscribers beside it on the fan-out.
+    /// Start a session configured by `session` that ships its batches to an
+    /// analyzer on `observer`'s telemetry (analysis on `threads` workers),
+    /// with `extra` subscribers beside it on the fan-out.
     fn start(
         observer: Observer,
-        batch_size: usize,
+        session: SessionConfig,
         threads: usize,
         config: StreamConfig,
         extra: Vec<(&str, Box<dyn CollectorTap>)>,
     ) -> (Live, Session) {
         let mut dsspy = Dsspy::new().with_threads(threads);
-        dsspy.session.batch_size = batch_size;
+        dsspy.session = session;
         let streaming =
             StreamingAnalyzer::with_telemetry(dsspy, config, observer.telemetry.clone());
         let session = streaming.attach(extra);
@@ -788,14 +773,24 @@ impl Live {
 }
 
 /// Re-collect a saved capture through real instance handles on the calling
-/// thread, in the original global event order. The session genuinely runs:
-/// events flow through the batch channel, the collector thread stores them
-/// and the tap fans them out. Brief sleeps between chunks keep the session
-/// in flight long enough for concurrent scrapes to observe it
-/// mid-collection, and keep the replay from outrunning the collector: at
-/// full speed a full-scale capture queues past the 4096-batch watermark,
-/// an incident the replay itself would cause.
-fn replay_live(session: &Session, source: &Capture) {
+/// thread, in the original global event order, into a live session on
+/// `observer`'s telemetry (analysis on `threads` workers), and end it the
+/// way [`Live::end`] does. The session's channel is bounded below the
+/// collector's [`QUEUE_WATERMARK`], so a replay that outruns the collector
+/// waits for it instead of queueing past the watermark, an incident the
+/// replay itself would cause. With `pace`, the replay also sleeps 1 ms per
+/// 512 events, so that concurrent scrapes observe it mid-collection.
+fn replay(
+    observer: Observer,
+    threads: usize,
+    source: &Capture,
+    pace: bool,
+) -> Result<(Capture, Arc<Report>, String), CliError> {
+    let config = SessionConfig {
+        batch_size: 64,
+        channel_capacity: Some(QUEUE_WATERMARK as usize / 2),
+    };
+    let (live, session) = Live::start(observer, config, threads, StreamConfig::default(), vec![]);
     let mut handles: Vec<_> = source
         .profiles
         .iter()
@@ -818,17 +813,20 @@ fn replay_live(session: &Session, source: &Capture) {
     for (n, &(_, pi, ei)) in order.iter().enumerate() {
         let e = &source.profiles[pi].events[ei];
         handles[pi].record(e.kind, e.target, e.len);
-        if n % 512 == 511 {
+        if pace && n % 512 == 511 {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
     }
+    drop(handles); // flushes each handle's last batch before the session ends
+    live.end(session)
 }
 
 /// `dsspy telemetry serve --live`: attach the scrape endpoint to a
 /// *running* session instead of a finished analysis. The saved capture is
-/// re-collected in real time on a driver thread through `replay_live`
-/// while the listener renders a **fresh** snapshot of the enabled
-/// [`Telemetry`] for every scrape — `collector.*` (events and batches
+/// re-collected on a driver thread through `replay`, paced: this is the
+/// one command that wants the session slowed down, so that scrapes land
+/// mid-flight. Meanwhile the listener renders a **fresh** snapshot of the
+/// enabled [`Telemetry`] for every scrape — `collector.*` (events and batches
 /// stored so far, queue depth), `stream.*` and `stream.tap.*` signals
 /// observed mid-collection, each exposition validated before it is served.
 ///
@@ -845,17 +843,8 @@ pub fn cmd_telemetry_serve_live(
     let source = load_capture(path)?;
     let listener = std::net::TcpListener::bind(addr).map_err(io_error("listen on", addr))?;
     let observer = Observer::new(flight_out);
-    let (live, session) = Live::start(
-        observer.clone(),
-        64,
-        threads,
-        StreamConfig::default(),
-        Vec::new(),
-    );
-    let driver = std::thread::spawn(move || {
-        replay_live(&session, &source);
-        live.end(session)
-    });
+    let replayed = observer.clone();
+    let driver = std::thread::spawn(move || replay(replayed, threads, &source, true));
 
     let mut last_len = 0usize;
     let (served, local, scraped) = serve_metrics(listener, requests, self_check, || {
@@ -892,15 +881,19 @@ pub fn cmd_telemetry_serve_live(
 /// post-mortem analysis.
 pub fn cmd_watch_follow(
     workload: Option<&str>,
-    batch: usize,
-    every: u64,
+    batch: NonZeroUsize,
+    every: NonZeroU64,
     max_frames: usize,
     flight_out: Option<&Path>,
 ) -> Result<String, CliError> {
     let w_idx = find_workload(workload)?;
+    let session = SessionConfig {
+        batch_size: batch.get(),
+        ..SessionConfig::default()
+    };
     let (live, session) = Live::start(
         Observer::new(flight_out),
-        batch.max(1),
+        session,
         1,
         watch_config(every),
         Vec::new(),
@@ -911,7 +904,10 @@ pub fn cmd_watch_follow(
         live.end(session)
     });
 
-    let mut frames = Frames::new(max_frames);
+    let mut frames = Frames {
+        max: max_frames,
+        ..Frames::default()
+    };
     while !driver.is_finished() {
         frames.poll(&streaming);
         std::thread::sleep(std::time::Duration::from_millis(1));
@@ -940,7 +936,8 @@ pub fn cmd_watch_follow(
 ///
 /// `path` is either a flight dump (the JSON a `--flight-recorder PATH` run
 /// wrote) or a saved capture: a capture is re-collected through the full
-/// live fan-out under a fresh flight recorder first, and the streamed
+/// live fan-out under a fresh flight recorder first, unpaced (the bounded
+/// replay channel makes it wait for the collector), and the streamed
 /// verdicts must equal the post-mortem analysis, so `dsspy doctor
 /// capture.dsspycap` is a one-command health check of the whole pipeline
 /// against known traffic.
@@ -963,15 +960,12 @@ pub fn cmd_doctor(
         None => {
             // Not a dump: treat as a capture and re-collect it live under
             // full observation.
-            let source = load_capture(path)?;
+            let source = read_capture(bytes.as_slice())?;
             let observer = Observer {
                 telemetry: Telemetry::enabled().with_flight(None),
                 flight_out: None,
             };
-            let (live, session) =
-                Live::start(observer.clone(), 64, 1, StreamConfig::default(), Vec::new());
-            replay_live(&session, &source);
-            live.end(session)?;
+            replay(observer.clone(), 1, &source, false)?;
             (
                 observer.telemetry.flight().dump(),
                 format!("re-collected capture {}", path.display()),
@@ -987,26 +981,20 @@ pub fn cmd_doctor(
         dump.events.len(),
         dump.overwritten,
     );
+    let list = |names: Vec<String>, none: &str| {
+        if names.is_empty() {
+            none.to_string()
+        } else {
+            names.join(", ")
+        }
+    };
+    let sessions = sessions.iter().map(|s| format!("s{s}")).collect();
+    let subscribers = subscribers.iter().map(|s| s.to_string()).collect();
     out.push_str(&format!(
         "sessions: {}\n",
-        if sessions.is_empty() {
-            "none (replay only)".to_string()
-        } else {
-            sessions
-                .iter()
-                .map(|s| format!("s{s}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        }
+        list(sessions, "none (replay only)")
     ));
-    out.push_str(&format!(
-        "subscribers: {}\n",
-        if subscribers.is_empty() {
-            "none".to_string()
-        } else {
-            subscribers.join(", ")
-        }
-    ));
+    out.push_str(&format!("subscribers: {}\n", list(subscribers, "none")));
     out.push_str("\ncausal timeline:\n");
     out.push_str(&flight_timeline_text(&dump, max_events));
     out.push_str("\nper-subscriber lag:\n");
@@ -1296,7 +1284,7 @@ mod tests {
     #[test]
     fn watch_replays_frames_and_converges() {
         let path = temp_capture(true, "watch.dsspycap");
-        let out = cmd_watch(&path, 32, 1, 8).unwrap();
+        let out = cmd_watch(&path, 32.try_into().unwrap(), 1.try_into().unwrap(), 8).unwrap();
         assert!(out.contains("frame 1:"), "{out}");
         assert!(
             out.contains("streaming verdicts match post-mortem analysis: yes"),
@@ -1308,7 +1296,7 @@ mod tests {
     #[test]
     fn watch_frame_cap_still_converges() {
         let path = temp_capture(true, "watchcap.dsspycap");
-        let out = cmd_watch(&path, 8, 1, 2).unwrap();
+        let out = cmd_watch(&path, 8.try_into().unwrap(), 1.try_into().unwrap(), 2).unwrap();
         // Only two frames printed, but the final verdict section is intact.
         assert!(out.contains("frame 2:"), "{out}");
         assert!(!out.contains("frame 3:"), "{out}");
@@ -1401,6 +1389,32 @@ mod tests {
     }
 
     #[test]
+    fn doctor_recollects_a_capture_past_the_watermark_without_incidents() {
+        use dsspy_events::{AccessKind, AllocationSite, DsKind, Target};
+        // Four times the events QUEUE_WATERMARK replayed 64-event batches
+        // hold, as scattered reads (no long runs, so the collector's fold
+        // is slow): an unbounded, unpaced replay queues past the watermark.
+        let events = QUEUE_WATERMARK as u32 * 64 * 4;
+        let session = Session::new();
+        let mut list = session.register(AllocationSite::new("W", "scan", 1), DsKind::List, "u32");
+        for i in 0..events {
+            list.record(
+                AccessKind::Read,
+                Target::Index(i.wrapping_mul(7919) % 4096),
+                4096,
+            );
+        }
+        drop(list);
+        let dir = std::env::temp_dir().join(format!("dsspy-cli-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("doctor-big.dsspycap");
+        save_capture(&session.finish(), &path).unwrap();
+        let (out, incidents) = cmd_doctor(&path, 8, None).unwrap();
+        assert_eq!(incidents, 0, "{out}");
+        assert!(out.contains("healthy"), "{out}");
+    }
+
+    #[test]
     fn doctor_rejects_garbage() {
         let dir = std::env::temp_dir().join(format!("dsspy-cli-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1416,7 +1430,14 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dsspy-cli-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let dump_path = dir.join("follow-flight.json");
-        let out = cmd_watch_follow(Some("wordwheelsolver"), 32, 1, 4, Some(&dump_path)).unwrap();
+        let out = cmd_watch_follow(
+            Some("wordwheelsolver"),
+            32.try_into().unwrap(),
+            1.try_into().unwrap(),
+            4,
+            Some(&dump_path),
+        )
+        .unwrap();
         assert!(out.contains("flight recorder:"), "{out}");
         let (report, incidents) = cmd_doctor(&dump_path, 32, None).unwrap();
         assert_eq!(incidents, 0, "{report}");

@@ -67,6 +67,14 @@ fn malformed_watch_flags_exit_2_before_any_work() {
 }
 
 #[test]
+fn zero_counts_exit_2_before_any_work() {
+    for flag in ["--batch", "--every"] {
+        assert_usage_exit(&dsspy(&["watch", "c.dsspycap", flag, "0"]), flag);
+        assert_usage_exit(&dsspy(&["watch", "--follow", flag, "0"]), flag);
+    }
+}
+
+#[test]
 fn unknown_flags_exit_2_before_any_work() {
     // A misspelt flag is rejected wherever it stands; before the capture,
     // its value must not be taken for the capture path.

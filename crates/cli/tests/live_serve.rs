@@ -155,7 +155,14 @@ fn live_serve_survives_external_scrapes_racing_the_replay() {
 
 #[test]
 fn watch_follow_converges_on_a_live_workload() {
-    let out = cmd_watch_follow(Some("WordWheelSolver"), 64, 2, 8, None).expect("follow");
+    let out = cmd_watch_follow(
+        Some("WordWheelSolver"),
+        64.try_into().unwrap(),
+        2.try_into().unwrap(),
+        8,
+        None,
+    )
+    .expect("follow");
     assert!(out.contains("frame 1:"), "no frames printed:\n{out}");
     assert!(
         out.contains("streaming verdicts match post-mortem analysis: yes"),
@@ -166,6 +173,13 @@ fn watch_follow_converges_on_a_live_workload() {
 
 #[test]
 fn watch_follow_rejects_unknown_workloads() {
-    let err = cmd_watch_follow(Some("NoSuchWorkload"), 64, 2, 8, None).unwrap_err();
+    let err = cmd_watch_follow(
+        Some("NoSuchWorkload"),
+        64.try_into().unwrap(),
+        2.try_into().unwrap(),
+        8,
+        None,
+    )
+    .unwrap_err();
     assert!(err.to_string().contains("unknown workload"), "{err}");
 }

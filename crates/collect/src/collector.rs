@@ -21,7 +21,7 @@ use crate::fanout::TapFanout;
 
 /// Queue depth behind a batch above which an armed flight recorder logs a
 /// `QueueWatermark` incident (once per upward crossing).
-const QUEUE_WATERMARK: u64 = 4096;
+pub const QUEUE_WATERMARK: u64 = 4096;
 
 /// Messages from instrumented code to the collector thread.
 pub(crate) enum Msg {

@@ -44,7 +44,7 @@ pub mod registry;
 pub mod session;
 
 pub use clock::SessionClock;
-pub use collector::{Capture, CollectorStats, CollectorTap};
+pub use collector::{Capture, CollectorStats, CollectorTap, QUEUE_WATERMARK};
 pub use fanout::{CaptureRecorder, TapFanout};
 pub use persist::{
     load_capture, load_capture_with, load_encoded_with, read_capture, read_capture_with,

@@ -224,6 +224,24 @@ impl EncodedCapture {
     }
 }
 
+/// The error for a file that ends inside `field`.
+fn truncated(field: &str) -> PersistError {
+    PersistError::Io(io::Error::new(
+        io::ErrorKind::UnexpectedEof,
+        format!("truncated capture: ends inside {field}"),
+    ))
+}
+
+/// The next `N` bytes of `r`, the fixed-size `field`; a reader that ends
+/// first is a [`truncated`] capture.
+fn read_field<const N: usize>(r: &mut impl Read, field: &str) -> Result<[u8; N], PersistError> {
+    let mut bytes = [0u8; N];
+    match r.read_exact(&mut bytes) {
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Err(truncated(field)),
+        read => read.map(|()| bytes).map_err(PersistError::Io),
+    }
+}
+
 /// Read a capture's header and encoded bodies from a reader, decoding no
 /// event. With an enabled `telemetry`, the bytes read count into
 /// `persist.decode_bytes` and the time into the `persist.decode_nanos`
@@ -234,20 +252,14 @@ pub fn read_encoded_with(
     telemetry: &Telemetry,
 ) -> Result<EncodedCapture, PersistError> {
     let start_nanos = telemetry.now_nanos();
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
+    if &read_field::<8>(&mut r, "the magic")? != MAGIC {
         return Err(PersistError::BadMagic);
     }
-    let mut v4 = [0u8; 4];
-    r.read_exact(&mut v4)?;
-    let version = u32::from_le_bytes(v4);
+    let version = u32::from_le_bytes(read_field(&mut r, "the version")?);
     if version != VERSION {
         return Err(PersistError::BadVersion(version));
     }
-    let mut len8 = [0u8; 8];
-    r.read_exact(&mut len8)?;
-    let header_len = u64::from_le_bytes(len8) as usize;
+    let header_len = u64::from_le_bytes(read_field(&mut r, "the header length")?) as usize;
     if header_len > 1 << 30 {
         return Err(PersistError::BadHeader("implausible header size".into()));
     }
@@ -258,10 +270,7 @@ pub fn read_encoded_with(
         .take(header_len as u64)
         .read_to_end(&mut header_json)?;
     if header_json.len() != header_len {
-        return Err(PersistError::Io(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "truncated header",
-        )));
+        return Err(truncated("the header"));
     }
     let header: CaptureHeader =
         serde_json::from_slice(&header_json).map_err(|e| PersistError::BadHeader(e.to_string()))?;
@@ -277,17 +286,13 @@ pub fn read_encoded_with(
     let mut total_bytes = 8 + 4 + 8 + header_len as u64;
     let mut bodies = Vec::with_capacity(header.instances.len());
     for _ in &header.instances {
-        r.read_exact(&mut len8)?;
-        let body_len = u64::from_le_bytes(len8);
+        let body_len = u64::from_le_bytes(read_field(&mut r, "an event body length")?);
         // Sized up front (reading into a growing vector copies it at every
         // doubling), but capped, so a corrupt length cannot reserve more.
         let mut body = Vec::with_capacity(body_len.min(MAX_BODY_RESERVE) as usize);
         r.by_ref().take(body_len).read_to_end(&mut body)?;
         if body.len() as u64 != body_len {
-            return Err(PersistError::Io(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "truncated event body",
-            )));
+            return Err(truncated("an event body"));
         }
         total_bytes += 8 + body_len;
         bodies.push(body);
@@ -508,6 +513,18 @@ mod tests {
         let err = read_capture(buf.as_slice()).unwrap_err();
         assert!(matches!(err, PersistError::BadVersion(3)));
         assert!(err.to_string().contains("re-record"), "{err}");
+    }
+
+    #[test]
+    fn every_strict_prefix_is_a_truncated_capture() {
+        let mut buf = Vec::new();
+        write_capture(&sample_capture(), &mut buf).unwrap();
+        for end in 0..buf.len() {
+            let err = read_capture(&buf[..end]).unwrap_err();
+            assert!(err.to_string().contains("truncated"), "prefix {end}: {err}");
+        }
+        let err = read_capture(&buf[..10]).unwrap_err();
+        assert!(err.to_string().contains("ends inside the version"), "{err}");
     }
 
     /// `buf` with its JSON header passed through `edit`.

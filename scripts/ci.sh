@@ -11,17 +11,21 @@
 #               --threads CLI runs, the bad-input cell (one table of
 #               `args -> exit code` rows: malformed numeric values, unknown
 #               flags, flags the command's mode does not take, extra
-#               positionals, values outside their choices, `--requests 0`,
-#               `--inject-panic` without `--live`, and repro's `--svg`
-#               without `--figure` and `--all` with another artifact all
-#               exit 2), the
+#               positionals, values outside their choices, zero counts
+#               (`--requests 0`, `watch --batch 0`, `watch --every 0`,
+#               `repro --runs 0`), `--inject-panic` without `--live`, a
+#               repro flag no selected artifact reads (`--svg` without
+#               `--figure`, `--table 1 --runs 9`) and `--all` with another
+#               artifact all exit 2), the
 #               capture-write-error cell (`demo /dev/full` exits 1
 #               with "cannot write capture"), the corrupt-capture cell (a
 #               flipped row byte makes `analyze` exit 1 naming the instance
 #               and the checksum), the table4-drift cell (Table
 #               IV detection columns identical in 30 runs under two busy
-#               loops), the closed-pipe cell (`analyze --json | head` exits
-#               0 quietly), the live-scrape smoke
+#               loops), the closed-pipe cell (`analyze --json | head` and
+#               `repro --all | head` exit 0 quietly), the doctor-capture
+#               smoke (`doctor` on a plain capture is healthy), the
+#               live-scrape smoke
 #               (`telemetry serve --live --self-check`) and the follow
 #               smoke (`watch --follow`), the perfbench-tests cell (the
 #               benchmark's own tests against the changed crates, with
@@ -131,11 +135,12 @@ if [[ "$MODE" == "full" ]]; then
             "$(printf '"kind":"smoke","threads":%s,' "$t")" \
             ./target/release/dsspy analyze "$SMOKE" --threads "$t"
     done
-    # Malformed numeric values, unknown flags, flags the command's mode does
-    # not take, extra positionals, enumerated values outside their choices
-    # and artifact requests repro would drop or repeat are rejected with
-    # usage and exit 2 before any work, never silently replaced by a
-    # default or ignored. One row per case: `args -> wanted exit code`, the
+    # Malformed numeric values, zero counts, unknown flags, flags the
+    # command's mode does not take, flags no selected repro artifact reads,
+    # extra positionals, enumerated values outside their choices and
+    # artifact requests repro would drop or repeat are rejected with usage
+    # and exit 2 before any work, never silently replaced by a default or
+    # ignored. One row per case: `args -> wanted exit code`, the
     # first word naming the binary and SMOKE standing for the capture.
     run_cell bad-input '"kind":"smoke",' \
         bash -c '
@@ -164,9 +169,15 @@ dsspy telemetry serve SMOKE --addr 127.0.0.1:0 --requests 0 --self-check -> 2
 dsspy demo SMOKE.nope --inject-panic -> 2
 repro --table 1 --svg SMOKE.svg -> 2
 repro --all --table 4 -> 2
+repro --table 1 --runs 9 -> 2
+repro --figure 2 --scale full -> 2
+repro --speedups --threads 2 -> 2
+repro --runs 0 -> 2
+dsspy watch SMOKE --batch 0 -> 2
+dsspy watch --follow --every 0 -> 2
 ROWS
             [[ "$bad" -eq 0 ]] || exit 1
-            echo "bad values, undeclared flags and positionals, and dropped or repeated artifacts exit 2 with usage"
+            echo "bad values, zero counts, undeclared or unread flags and positionals, and dropped or repeated artifacts exit 2 with usage"
         ' bad-input "$SMOKE"
     # A save that fails is reported as a write failure with exit 1: /dev/full
     # accepts the open and fails the writes (or the final flush).
@@ -234,7 +245,8 @@ ROWS
         ' table4-drift
     # A reader that closes the pipe early ends the output quietly: the
     # Gpdotnet report (~97 KB of JSON) overflows the pipe buffer, so
-    # `analyze` is still writing when `head` exits. Exit 0, empty stderr.
+    # `analyze` is still writing when `head` exits; `repro --all` is still
+    # computing its next artifact. Exit 0, empty stderr, for both.
     PIPED="$LOG_DIR/ci-pipe.dsspycap"
     run_cell closed-pipe '"kind":"smoke",' \
         bash -c '
@@ -245,7 +257,11 @@ ROWS
             codes=("${PIPESTATUS[@]}")
             [[ "${codes[0]}" -eq 0 ]] || { echo "analyze exit ${codes[0]}, want 0"; cat "$err"; exit 1; }
             [[ ! -s "$err" ]] || { echo "analyze wrote to stderr:"; cat "$err"; exit 1; }
-            echo "analyze --json into a closed pipe exits 0 with an empty stderr"
+            ./target/release/repro --all 2>"$err" | head -c 1 >/dev/null
+            codes=("${PIPESTATUS[@]}")
+            [[ "${codes[0]}" -eq 0 ]] || { echo "repro exit ${codes[0]}, want 0"; cat "$err"; exit 1; }
+            [[ ! -s "$err" ]] || { echo "repro wrote to stderr:"; cat "$err"; exit 1; }
+            echo "analyze --json and repro --all into a closed pipe exit 0 with an empty stderr"
         ' closed-pipe "$PIPED" "$LOG_DIR/ci-pipe.err"
     # The scrape endpoint attached to a *running* session: re-collects the
     # capture live, serves a fresh validated exposition per scrape, scrapes
@@ -257,6 +273,15 @@ ROWS
     # Follow a live workload session through the same attached analyzer.
     run_cell watch-follow-smoke '"kind":"smoke",' \
         ./target/release/dsspy watch --follow --frames 3
+    # doctor on a plain capture re-collects it through the live fan-out
+    # (bounded replay channel, no pacing) and must find it healthy.
+    run_cell doctor-capture '"kind":"smoke",' \
+        bash -c '
+            set -uo pipefail
+            out="$(./target/release/dsspy doctor "$1")" || { echo "doctor exit $?, want 0"; exit 1; }
+            grep -q "verdict: healthy" <<<"$out" || { echo "no healthy verdict:"; echo "$out"; exit 1; }
+            echo "doctor re-collected the smoke capture: healthy, exit 0"
+        ' doctor-capture "$SMOKE"
     # Flight-recorder + doctor smoke: a clean live demo with the recorder
     # armed must produce a dump `doctor` reads back with zero incidents
     # (exit 0) ...

@@ -2,6 +2,8 @@
 //! through the public regeneration functions (the same code the `repro`
 //! binary runs).
 
+use std::num::NonZeroUsize;
+
 use dsspy_bench::tables;
 use dsspy_workloads::{Mode, Scale};
 
@@ -32,7 +34,7 @@ fn figure3_contains_overlapping_patterns() {
 
 #[test]
 fn table2_totals_81_regularities_41_use_cases() {
-    let t2 = tables::table2();
+    let t2 = tables::table2(2);
     let total_line = t2.lines().rev().find(|l| l.starts_with('Σ')).unwrap();
     assert!(total_line.contains("81"), "{total_line}");
     assert!(total_line.contains("41"), "{total_line}");
@@ -40,7 +42,7 @@ fn table2_totals_81_regularities_41_use_cases() {
 
 #[test]
 fn table3_totals_match_category_counts() {
-    let t3 = tables::table3();
+    let t3 = tables::table3(2);
     let total_line = t3.lines().rev().find(|l| l.starts_with('Σ')).unwrap();
     for expect in ["49", "3", "1", "10", "66"] {
         assert!(total_line.contains(expect), "{total_line}");
@@ -49,7 +51,7 @@ fn table3_totals_match_category_counts() {
 
 #[test]
 fn table4_search_space_reduction_is_the_papers() {
-    let rows = tables::evaluate(Scale::Test, 1, 2);
+    let rows = tables::evaluate(Scale::Test, NonZeroUsize::MIN, 2);
     let instances: usize = rows.iter().map(|r| r.instances).sum();
     let cases: usize = rows.iter().map(|r| r.use_cases).sum();
     assert_eq!(instances, 104, "Table IV instance total");
