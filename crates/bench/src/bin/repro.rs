@@ -12,7 +12,7 @@
 //! flags it reads: a flag that no selected artifact reads exits 2.
 
 use dsspy_bench::{Artifact, Settings, ARTIFACTS};
-use dsspy_cli::args::{emit, parse_or_exit, Command};
+use dsspy_cli::args::{emit, note, parse_or_exit, Command};
 use dsspy_parallel::default_threads;
 use dsspy_telemetry::{export, Telemetry};
 use dsspy_workloads::Scale;
@@ -51,7 +51,7 @@ const COMMANDS: &[Command] = &[
 
 /// Exit 1 naming what failed.
 fn fail(message: impl std::fmt::Display) -> ! {
-    eprintln!("repro: {message}");
+    note(format_args!("repro: {message}"));
     std::process::exit(1)
 }
 
@@ -113,6 +113,6 @@ fn main() {
     if let Some(path) = telemetry_path {
         let json = export::to_json(&telemetry.snapshot());
         std::fs::write(path, json).unwrap_or_else(|e| fail(format!("cannot write {path}: {e}")));
-        eprintln!("(telemetry written to {path})");
+        note(format_args!("(telemetry written to {path})"));
     }
 }

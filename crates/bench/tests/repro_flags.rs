@@ -1,8 +1,9 @@
 //! `repro` checks every artifact request before it runs one: a request it
 //! would drop or repeat, a flag no selected artifact reads and a zero
 //! count print usage and exit 2 with nothing reproduced; a chart or
-//! telemetry file it cannot write exits 1 naming the path; and a reader
-//! that closes the pipe ends the run quietly.
+//! telemetry file it cannot write exits 1 naming the path; a reader that
+//! closes the pipe ends the run quietly; and a closed stderr keeps the exit
+//! code.
 
 use std::io::Read;
 use std::process::{Command, Output, Stdio};
@@ -106,6 +107,21 @@ fn a_closed_pipe_ends_the_run_quietly() {
     // The run stopped at the failed write: the telemetry export that
     // follows the last artifact never happened.
     assert!(!telemetry.exists(), "repro ran on after the pipe closed");
+}
+
+#[test]
+fn a_closed_stderr_keeps_the_exit_code() {
+    // The read end is gone before repro starts, so its usage message meets
+    // a broken pipe.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let status = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--table", "1", "--svg", "x.svg"])
+        .stdout(Stdio::null())
+        .stderr(writer)
+        .status()
+        .expect("run repro");
+    assert_eq!(status.code(), Some(2), "usage error, not a panic");
 }
 
 #[test]

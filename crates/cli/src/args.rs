@@ -5,7 +5,8 @@
 //! does not declare — a flag the mode does not use, a missing or extra
 //! positional, a repeated flag, a value that does not parse — print usage
 //! naming the argument and the command, and exit 2 before any work.
-//! [`emit`] is the one stdout writer both binaries print through.
+//! [`emit`] is the one stdout writer both binaries print through, and
+//! [`note`] the one stderr writer.
 
 use std::fmt::Display;
 use std::io::{ErrorKind, Write};
@@ -81,7 +82,7 @@ pub struct Args {
 /// reason and the usage, and exit 2.
 pub fn parse_or_exit(bin: &str, rows: &'static [Command], argv: Vec<String>) -> Args {
     parse(bin, rows, argv).unwrap_or_else(|e| {
-        eprintln!("{e}\n{}", usage(bin, rows));
+        note(format_args!("{e}\n{}", usage(bin, rows)));
         std::process::exit(2)
     })
 }
@@ -178,7 +179,7 @@ impl Args {
     /// Reject the arguments: print `message` after the command's name,
     /// then the usage, and exit 2.
     pub fn fail(&self, message: impl Display) -> ! {
-        eprintln!("{}: {message}\n{}", self.name, self.usage);
+        note(format_args!("{}: {message}\n{}", self.name, self.usage));
         std::process::exit(2)
     }
 }
@@ -194,10 +195,18 @@ pub fn emit(bin: &str, out: &str) -> bool {
         Ok(()) => true,
         Err(e) if e.kind() == ErrorKind::BrokenPipe => false,
         Err(e) => {
-            eprintln!("{bin}: cannot write output: {e}");
+            note(format_args!("{bin}: cannot write output: {e}"));
             std::process::exit(1)
         }
     }
+}
+
+/// Write `message` and a newline to stderr. A closed or failing stderr
+/// (`dsspy analyze 2>&1 | head -c 0`) loses the message but never panics,
+/// as `eprintln!` would with exit 101, so the caller's own exit code
+/// stands.
+pub fn note(message: impl Display) {
+    let _ = writeln!(std::io::stderr().lock(), "{message}");
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 use std::num::NonZeroU64;
 use std::path::Path;
 
-use dsspy_cli::args::{emit, parse_or_exit, Command};
+use dsspy_cli::args::{emit, note, parse_or_exit, Command};
 use dsspy_cli::{
     cmd_analyze, cmd_chart, cmd_csv, cmd_demo, cmd_diff, cmd_doctor, cmd_report, cmd_sketch,
     cmd_telemetry, cmd_telemetry_serve, cmd_telemetry_serve_live, cmd_timeline, cmd_watch,
@@ -231,7 +231,7 @@ fn main() {
         // malformed number: usage and exit 2.
         Err(CliError::Usage(e)) => args.fail(e),
         Err(e) => {
-            eprintln!("dsspy: {e}");
+            note(format_args!("dsspy: {e}"));
             std::process::exit(1);
         }
     }

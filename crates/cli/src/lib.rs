@@ -394,7 +394,7 @@ pub fn cmd_demo(
     Ok(format!(
         "wrote {} ({} instances, {} events) from workload {}{streamed}{note}",
         out.display(),
-        capture.profiles.len(),
+        capture.instance_count(),
         capture.event_count(),
         w.spec().name,
     ))
@@ -598,7 +598,9 @@ fn serve_metrics(
     let local = listener
         .local_addr()
         .map_err(io_error("listen on", "the bound address"))?;
-    eprintln!("serving Prometheus metrics on http://{local}/metrics");
+    args::note(format_args!(
+        "serving Prometheus metrics on http://{local}/metrics"
+    ));
     let checker = self_check.then(|| {
         std::thread::spawn(move || -> Result<String, String> {
             let mut stream = std::net::TcpStream::connect(local).map_err(|e| e.to_string())?;

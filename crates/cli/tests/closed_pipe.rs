@@ -1,5 +1,6 @@
 //! A reader that closes the pipe early (`dsspy analyze ... | head -c 1`)
-//! ends `dsspy`'s output quietly: exit 0, no panic, nothing on stderr.
+//! ends `dsspy`'s output quietly: exit 0, no panic, nothing on stderr. A
+//! closed stderr keeps the exit code of the error it could not print.
 
 use std::io::Read;
 use std::process::{Command, Stdio};
@@ -33,4 +34,24 @@ fn analyze_json_into_a_closed_pipe_exits_quietly() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert!(stderr.is_empty(), "stderr must stay quiet: {stderr}");
+}
+
+#[test]
+fn a_closed_stderr_keeps_the_exit_code() {
+    for (args, code) in [
+        (&["analyze"][..], 2),
+        (&["analyze", "missing.dsspycap"][..], 1),
+    ] {
+        // The read end is gone before dsspy starts, so its error message
+        // meets a broken pipe.
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let status = Command::new(env!("CARGO_BIN_EXE_dsspy"))
+            .args(args)
+            .stdout(Stdio::null())
+            .stderr(writer)
+            .status()
+            .expect("run dsspy");
+        assert_eq!(status.code(), Some(code), "dsspy {args:?}");
+    }
 }

@@ -3,21 +3,24 @@
 //! DSspy "keeps the execution slowdown low by only recording the access
 //! events at runtime and analyzing them post-mortem", running the analysis
 //! module concurrently and feeding it "via asynchronous intra-process
-//! communication" (§IV). The collector thread here plays that role: it owns
-//! the growing per-instance event lists so the profiled code never touches a
-//! shared log under a lock.
+//! communication" (§IV). The collector thread here plays that role: it
+//! encodes every batch on arrival into its instance's v4 body (about 4 bytes
+//! per event, see [`crate::store`]), so the profiled code never touches a
+//! shared log under a lock and the capture is ready to save when the
+//! session ends.
 
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crossbeam::channel::Receiver;
-use dsspy_events::{AccessEvent, InstanceId, InstanceInfo, RuntimeProfile};
+use dsspy_events::{AccessEvent, InstanceId, RuntimeProfile};
 use dsspy_telemetry::{
     overhead::signals, FlightEventKind, IncidentTrigger, Telemetry, TraceContext,
 };
 use serde::{Deserialize, Serialize};
 
 use crate::fanout::TapFanout;
+use crate::store::{Profiles, Store};
 
 /// Queue depth behind a batch above which an armed flight recorder logs a
 /// `QueueWatermark` incident (once per upward crossing).
@@ -84,20 +87,10 @@ pub struct CollectorStats {
     pub dropped: u64,
 }
 
-/// Append `batch` to instance `id`'s events in a store indexed by id (an
-/// instance's id is its registry position), growing the store to reach it.
-pub(crate) fn store(events: &mut Vec<Vec<AccessEvent>>, id: InstanceId, batch: &[AccessEvent]) {
-    let slot = id.0 as usize;
-    if events.len() <= slot {
-        events.resize_with(slot + 1, Vec::new);
-    }
-    events[slot].extend_from_slice(batch);
-}
-
 /// Spawn the collector thread on `rx` for a session that began at `started`.
 ///
-/// The thread hands back the stored events, indexed by instance id, its
-/// counters and the session duration it stamped. It accumulates events
+/// The thread hands back the store of encoded events, its counters and the
+/// session duration it stamped. It accumulates events
 /// until it sees [`Msg::Stop`] (or all senders disconnect), then stamps the
 /// session duration — it is the one writer of `session_nanos`, so the
 /// collector's busy time can never exceed it. The channel is FIFO, so every
@@ -122,7 +115,7 @@ pub(crate) fn spawn(
     telemetry: Telemetry,
     session_id: u64,
     mut tap: Option<Box<TapFanout>>,
-) -> JoinHandle<(Vec<Vec<AccessEvent>>, CollectorStats, u64)> {
+) -> JoinHandle<(Store, CollectorStats, u64)> {
     std::thread::Builder::new()
         .name("dsspy-collector".into())
         .spawn(move || {
@@ -145,7 +138,7 @@ pub(crate) fn spawn(
                 FlightEventKind::SessionStart,
             );
 
-            let mut stored: Vec<Vec<AccessEvent>> = Vec::new();
+            let mut stored = Store::default();
             let mut stats = CollectorStats::default();
             // Phase 1: normal operation until Stop (or all senders gone).
             while let Ok(msg) = rx.recv() {
@@ -202,7 +195,7 @@ pub(crate) fn spawn(
                         let events = batch.len() as u64;
                         stats.events += events;
                         stats.batches += 1;
-                        store(&mut stored, id, &batch);
+                        stored.store(id, &batch);
                         if enabled {
                             let spent = telemetry.now_nanos().saturating_sub(start_nanos);
                             batch_handle.record(spent);
@@ -261,8 +254,10 @@ pub(crate) fn spawn(
 /// plus collection statistics.
 #[derive(Clone, Debug)]
 pub struct Capture {
-    /// Per-instance profiles in registration order.
-    pub profiles: Vec<RuntimeProfile>,
+    /// Per-instance profiles in registration order. A session's capture
+    /// holds them as sealed v4 bodies and decodes them on first read (see
+    /// [`Profiles`]).
+    pub profiles: Profiles,
     /// What the collector saw.
     pub stats: CollectorStats,
     /// Wall-clock duration of the session, in nanoseconds.
@@ -277,7 +272,7 @@ pub struct Capture {
 }
 
 impl Capture {
-    /// Build a capture from already-assembled profiles (persistence decode,
+    /// Build a capture that holds `profiles` decoded (persistence decode,
     /// synthetic captures in tests).
     pub fn new(
         profiles: Vec<RuntimeProfile>,
@@ -285,46 +280,28 @@ impl Capture {
         session_nanos: u64,
     ) -> Capture {
         Capture {
-            profiles,
+            profiles: profiles.into(),
             stats,
             session_nanos,
             collection_telemetry: None,
         }
     }
 
-    /// Assemble a capture from the registry snapshot and the events stored
-    /// by instance id: instance `i` of the snapshot gets `events[i]`, or no
-    /// events past its end.
-    pub(crate) fn assemble(
-        instances: Vec<InstanceInfo>,
-        events: Vec<Vec<AccessEvent>>,
-        stats: CollectorStats,
-        session_nanos: u64,
-    ) -> Capture {
-        let events = events.into_iter().chain(std::iter::repeat_with(Vec::new));
-        let profiles: Vec<RuntimeProfile> = instances
-            .into_iter()
-            .zip(events)
-            .map(|(info, events)| RuntimeProfile::new(info, events))
-            .collect();
-        Capture::new(profiles, stats, session_nanos)
-    }
-
     /// Number of registered instances (the search-space denominator).
     pub fn instance_count(&self) -> usize {
-        self.profiles.len()
+        self.profiles.instance_count()
     }
 
     /// Total events across all profiles.
     pub fn event_count(&self) -> usize {
-        self.profiles.iter().map(|p| p.len()).sum()
+        self.profiles.event_count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsspy_events::{AccessKind, AllocationSite, DsKind};
+    use dsspy_events::{AccessKind, AllocationSite, DsKind, InstanceInfo};
 
     fn info(id: u64) -> InstanceInfo {
         InstanceInfo::new(
@@ -333,21 +310,6 @@ mod tests {
             DsKind::List,
             "i32",
         )
-    }
-
-    #[test]
-    fn assemble_pairs_instances_with_events() {
-        let events = vec![vec![AccessEvent::at(0, AccessKind::Insert, 0, 1)]];
-        let cap = Capture::assemble(
-            vec![info(0), info(1)],
-            events,
-            CollectorStats::default(),
-            1000,
-        );
-        assert_eq!(cap.instance_count(), 2);
-        assert_eq!(cap.event_count(), 1);
-        assert_eq!(cap.profiles[0].len(), 1);
-        assert!(cap.profiles[1].is_empty());
     }
 
     #[test]
@@ -366,7 +328,7 @@ mod tests {
         let (stored, stats, _) = join.join().unwrap();
         assert_eq!(stats.events, 1);
         assert_eq!(stats.batches, 1);
-        assert_eq!(stored[0].len(), 1);
+        assert_eq!(stored.seal(vec![info(0)])[0].len(), 1);
     }
 
     #[test]
@@ -388,7 +350,11 @@ mod tests {
         let (stored, stats, _) = spawn(rx, Instant::now(), Telemetry::disabled(), 1, None)
             .join()
             .unwrap();
-        assert!(stored.is_empty(), "post-shutdown events must not be stored");
+        assert_eq!(
+            stored.instances_with_events(),
+            0,
+            "post-shutdown events must not be stored"
+        );
         assert_eq!(stats.dropped, 2);
         assert_eq!(stats.events, 0);
         assert_eq!(stats.batches, 0);
@@ -446,7 +412,8 @@ mod tests {
         drop(tx);
         let (stored, stats, _) = join.join().unwrap();
         assert_eq!(stats.events, 1);
-        let lens: Vec<usize> = stored.iter().map(Vec::len).collect();
+        let profiles = stored.seal((0..4).map(info).collect());
+        let lens: Vec<usize> = profiles.iter().map(|p| p.len()).collect();
         assert_eq!(lens, [0, 0, 0, 1]);
     }
 

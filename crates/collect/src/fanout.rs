@@ -37,7 +37,8 @@ use dsspy_telemetry::{
 };
 use parking_lot::Mutex;
 
-use crate::collector::{store, Capture, CollectorStats, CollectorTap};
+use crate::collector::{Capture, CollectorStats, CollectorTap};
+use crate::store::Store;
 
 /// Turn a per-subscriber metric name into the `&'static str` the telemetry
 /// registry requires. Leaks one small string per (subscriber, instrument) —
@@ -268,8 +269,8 @@ impl std::fmt::Debug for TapFanout {
 /// What a [`CaptureRecorder`] has seen so far.
 #[derive(Default)]
 struct RecorderState {
-    /// Delivered events, indexed by instance id.
-    events: Vec<Vec<AccessEvent>>,
+    /// Delivered events, encoded the way the collector stores them.
+    store: Store,
     /// `(instance, batch length)` per delivered batch, in delivery order —
     /// the ordering evidence the fanout tests assert on.
     batch_log: Vec<(InstanceId, usize)>,
@@ -321,12 +322,12 @@ impl CaptureRecorder {
     pub fn capture(&self, instances: Vec<InstanceInfo>) -> Option<Capture> {
         let state = self.shared.lock();
         let (stats, session_nanos) = state.finished?;
-        Some(Capture::assemble(
-            instances,
-            state.events.clone(),
+        Some(Capture {
+            profiles: state.store.clone().seal(instances),
             stats,
             session_nanos,
-        ))
+            collection_telemetry: None,
+        })
     }
 }
 
@@ -334,10 +335,7 @@ impl std::fmt::Debug for CaptureRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let state = self.shared.lock();
         f.debug_struct("CaptureRecorder")
-            .field(
-                "instances",
-                &state.events.iter().filter(|e| !e.is_empty()).count(),
-            )
+            .field("instances", &state.store.instances_with_events())
             .field("batches", &state.batch_log.len())
             .field("stopped", &state.finished.is_some())
             .finish()
@@ -357,7 +355,7 @@ impl CollectorTap for RecorderTap {
         _queue_depth: usize,
     ) {
         let mut state = self.shared.lock();
-        store(&mut state.events, id, events);
+        state.store.store(id, events);
         state.batch_log.push((id, events.len()));
     }
 
@@ -529,10 +527,7 @@ mod tests {
         assert_eq!(capture.session_nanos, 77);
         // Calling again yields the same capture (state is preserved).
         let again = recorder.capture(infos).expect("still stopped");
-        assert_eq!(
-            serde_json::to_string(&again.profiles).unwrap(),
-            serde_json::to_string(&capture.profiles).unwrap()
-        );
+        assert_eq!(again.profiles, capture.profiles);
     }
 
     #[test]

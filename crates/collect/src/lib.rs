@@ -12,12 +12,15 @@
 //! * Every instrumented data structure owns an [`InstanceHandle`] that
 //!   buffers events locally (no locking on the hot path) and ships them in
 //!   batches over a crossbeam channel.
-//! * A dedicated **collector thread** receives the batches and assembles the
-//!   per-instance chronological event lists, off the application's critical
-//!   path.
-//! * When the [`Session`] is finished, the collector drains, joins, and the
-//!   per-instance [`dsspy_events::RuntimeProfile`]s are handed to
-//!   post-mortem analysis.
+//! * A dedicated **collector thread** receives the batches and encodes each
+//!   one on arrival into its instance's capture body (the v4 chunk format
+//!   of [`dsspy_events::encode`], about 4 bytes per event), off the
+//!   application's critical path.
+//! * When the [`Session`] is finished, the collector drains and joins, and
+//!   the sealed bodies are handed to post-mortem analysis as a [`Capture`]:
+//!   saved unchanged, folded chunk by chunk, and decoded into
+//!   [`dsspy_events::RuntimeProfile`]s only when a caller reads them
+//!   ([`Profiles`]).
 //! * Live consumers implement the [`CollectorTap`] hook and subscribe to a
 //!   [`TapFanout`], the only tap the collector drives: it multiplexes one
 //!   session to any number of subscribers with per-subscriber panic
@@ -42,6 +45,7 @@ pub mod fanout;
 pub mod persist;
 pub mod registry;
 pub mod session;
+pub mod store;
 
 pub use clock::SessionClock;
 pub use collector::{Capture, CollectorStats, CollectorTap, QUEUE_WATERMARK};
@@ -53,3 +57,4 @@ pub use persist::{
 };
 pub use registry::Registry;
 pub use session::{InstanceHandle, Session, SessionBuilder, SessionConfig};
+pub use store::{CaptureEvents, Profiles};

@@ -20,6 +20,8 @@
 //! because they dominate the size (about 4 bytes per event), each chunk
 //! guarded by a checksum of its rows. This module owns the container:
 //! magic, version, header, body order, error mapping and telemetry.
+//! A session's capture holds its bodies already encoded, and
+//! [`write_capture`] writes them unchanged.
 //! [`read_encoded_with`] reads a file into an [`EncodedCapture`] whose
 //! bodies are still encoded; [`read_capture_with`] decodes those into
 //! profiles, and analysis can instead decode them chunk by chunk. Files of
@@ -31,7 +33,7 @@ use std::io::{self, Read, Write};
 use std::path::Path;
 
 use dsspy_events::encode::{encode_body, Body, DecodeError};
-use dsspy_events::{AccessEvent, InstanceInfo, RuntimeProfile};
+use dsspy_events::{InstanceInfo, RuntimeProfile};
 use dsspy_telemetry::{overhead::signals, Telemetry, TelemetrySnapshot};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -112,10 +114,13 @@ pub fn write_capture(capture: &Capture, w: impl Write) -> Result<(), PersistErro
     write_capture_with(capture, w, &Telemetry::disabled())
 }
 
-/// [`write_capture`] that also reports encode volume and time: counters
+/// [`write_capture`] that also reports write volume and time: counters
 /// `persist.encode_bytes`, `persist.bodies_encoded`, and the
-/// `persist.encode_nanos` signal the overhead accountant charges to
-/// profiling.
+/// `persist.encode_nanos` signal.
+///
+/// A session's capture already holds its bodies encoded, and they are
+/// written unchanged; a capture of decoded profiles is encoded here, one
+/// body at a time.
 pub fn write_capture_with(
     capture: &Capture,
     mut w: impl Write,
@@ -125,15 +130,12 @@ pub fn write_capture_with(
     let mut written = 0u64;
     w.write_all(MAGIC)?;
     w.write_all(&VERSION.to_le_bytes())?;
+    let counted = capture.profiles.counted();
     let header = CaptureHeader {
-        instances: capture
-            .profiles
-            .iter()
-            .map(|p| p.instance.clone())
-            .collect(),
+        instances: counted.iter().map(|(i, _)| (*i).clone()).collect(),
         stats: capture.stats,
         session_nanos: capture.session_nanos,
-        event_counts: capture.profiles.iter().map(|p| p.len() as u64).collect(),
+        event_counts: counted.iter().map(|(_, n)| *n).collect(),
         telemetry: capture.collection_telemetry.clone(),
     };
     let header_json =
@@ -141,13 +143,22 @@ pub fn write_capture_with(
     w.write_all(&(header_json.len() as u64).to_le_bytes())?;
     w.write_all(&header_json)?;
     written += 8 + 4 + 8 + header_json.len() as u64;
-    let mut body = Vec::new();
-    for profile in &capture.profiles {
-        body.clear();
-        encode_body(&profile.events, &mut body);
+    let mut write_body = |body: &[u8]| {
         w.write_all(&(body.len() as u64).to_le_bytes())?;
-        w.write_all(&body)?;
+        w.write_all(body)?;
         written += 8 + body.len() as u64;
+        Ok::<(), io::Error>(())
+    };
+    match capture.profiles.sealed_bytes() {
+        Some(mut bodies) => bodies.try_for_each(&mut write_body)?,
+        None => {
+            let mut body = Vec::new();
+            for profile in capture.profiles.iter() {
+                body.clear();
+                encode_body(&profile.events, &mut body);
+                write_body(&body)?;
+            }
+        }
     }
     // A buffered writer may still hold the tail of the file: a failed final
     // write must surface here, not be dropped with the writer.
@@ -156,7 +167,7 @@ pub fn write_capture_with(
         telemetry.counter("persist.encode_bytes").add(written);
         telemetry
             .counter("persist.bodies_encoded")
-            .add(capture.profiles.len() as u64);
+            .add(counted.len() as u64);
         telemetry
             .counter(signals::PERSIST_ENCODE)
             .add(telemetry.now_nanos().saturating_sub(start_nanos));
@@ -348,22 +359,17 @@ pub fn read_capture_with(r: impl Read, opts: &ReadOptions) -> Result<Capture, Pe
     } else {
         opts.threads
     };
-    let decoded = decode_events(&encoded, &bodies, threads)?;
+    let profiles = decode_profiles(&encoded.instances, &bodies, threads)
+        .map_err(|(body, e)| encoded.body_error(body, e))?;
     drop(bodies);
     if telemetry.is_enabled() {
         telemetry
             .counter("persist.bodies_decoded")
-            .add(decoded.len() as u64);
+            .add(profiles.len() as u64);
         telemetry
             .counter(signals::PERSIST_DECODE)
             .add(telemetry.now_nanos().saturating_sub(start_nanos));
     }
-    let profiles: Vec<RuntimeProfile> = encoded
-        .instances
-        .into_iter()
-        .zip(decoded)
-        .map(|(instance, events)| RuntimeProfile { instance, events })
-        .collect();
     let mut capture = Capture::new(profiles, encoded.stats, encoded.session_nanos);
     capture.collection_telemetry = encoded.collection_telemetry;
     Ok(capture)
@@ -371,18 +377,19 @@ pub fn read_capture_with(r: impl Read, opts: &ReadOptions) -> Result<Capture, Pe
 
 /// Decode the chunks of all bodies on `threads` workers of
 /// [`dsspy_parallel::par_map_weighted`], weighted by event count, and return
-/// each body's events in body order and, within a body, in stored order.
+/// the profile of each of `instances` with its body's events, in stored
+/// order.
 ///
 /// Each chunk writes straight into its own slots of its body's vector, sized
 /// from the validated chunk counts. A chunk's slots sit behind a lock only
 /// so that the shared job list can hand them out; its one decoder takes the
 /// lock once. On error the first failing chunk in body order is reported,
-/// whatever the thread count.
-fn decode_events(
-    encoded: &EncodedCapture,
+/// with its body's index, whatever the thread count.
+pub(crate) fn decode_profiles(
+    instances: &[InstanceInfo],
     bodies: &[Body<'_>],
     threads: usize,
-) -> Result<Vec<Vec<AccessEvent>>, PersistError> {
+) -> Result<Vec<RuntimeProfile>, (usize, DecodeError)> {
     let mut out: Vec<_> = bodies.iter().map(|b| Vec::with_capacity(b.len())).collect();
     let mut jobs = Vec::new();
     for (i, (body, events)) in bodies.iter().zip(out.iter_mut()).enumerate() {
@@ -402,7 +409,7 @@ fn decode_events(
     );
     let mut filled = vec![0usize; bodies.len()];
     for ((body, chunk, _), result) in jobs.iter().zip(results) {
-        result.map_err(|e| encoded.body_error(*body, e))?;
+        result.map_err(|e| (*body, e))?;
         filled[*body] += chunk.len();
     }
     drop(jobs);
@@ -418,7 +425,11 @@ fn decode_events(
         // vectors dropped on an earlier error own nothing to drop.
         unsafe { events.set_len(body.len()) };
     }
-    Ok(out)
+    let instances = instances.iter().cloned();
+    Ok(instances
+        .zip(out)
+        .map(|(instance, events)| RuntimeProfile { instance, events })
+        .collect())
 }
 
 /// Save a capture to a file.
@@ -456,7 +467,7 @@ mod tests {
     use super::*;
     use crate::session::Session;
     use dsspy_events::encode::CHUNK_EVENTS;
-    use dsspy_events::{AccessKind, AllocationSite, DsKind, InstanceId, Target};
+    use dsspy_events::{AccessEvent, AccessKind, AllocationSite, DsKind, InstanceId, Target};
 
     fn sample_capture() -> Capture {
         let session = Session::new();

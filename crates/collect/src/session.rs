@@ -3,10 +3,12 @@
 //! A [`Session`] corresponds to one instrumented program execution in the
 //! paper's pipeline (Fig. 4: *Instrumentation → Execution → ... profiles*).
 //! Instrumented collections obtain an [`InstanceHandle`] at construction
-//! time and record one event per interface-method call; when the session is
-//! finished, the per-instance [`dsspy_events::RuntimeProfile`]s are returned
-//! as a [`Capture`] for post-mortem analysis.
+//! time and record one event per interface-method call; the collector
+//! encodes each shipped batch on arrival, and when the session is finished
+//! the sealed per-instance bodies are returned as a [`Capture`] for
+//! post-mortem analysis.
 
+use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -19,6 +21,7 @@ use crate::clock::{current_thread_tag, SessionClock};
 use crate::collector::{spawn, Capture, CollectorStats, Msg};
 use crate::fanout::TapFanout;
 use crate::registry::Registry;
+use crate::store::Store;
 
 /// Tunables for a profiling session.
 #[derive(Clone, Copy, Debug)]
@@ -64,7 +67,7 @@ pub(crate) struct SessionInner {
 pub struct Session {
     inner: Arc<SessionInner>,
     sender: Sender<Msg>,
-    join: JoinHandle<(Vec<Vec<AccessEvent>>, CollectorStats, u64)>,
+    join: JoinHandle<(Store, CollectorStats, u64)>,
     batch_size: usize,
 }
 
@@ -152,7 +155,9 @@ impl Session {
         self.inner.registry.len()
     }
 
-    /// End the session and assemble the capture.
+    /// End the session: seal every instance's open chunk and return the
+    /// capture, which holds the sealed bodies (see
+    /// [`Profiles`](crate::Profiles)).
     ///
     /// All instrumented structures should be dropped (or explicitly flushed)
     /// before calling this; events recorded afterwards are counted in
@@ -163,15 +168,19 @@ impl Session {
         self.inner.closed.store(true, Ordering::SeqCst);
         let _ = self.sender.send(Msg::Stop);
         drop(self.sender);
-        let (events, mut stats, session_nanos) =
+        let (store, mut stats, session_nanos) =
             self.join.join().expect("collector thread panicked");
         stats.dropped += self.inner.dropped.load(Ordering::Relaxed);
         self.inner
             .telemetry
             .counter("session.session_nanos")
             .add(session_nanos);
-        let mut capture =
-            Capture::assemble(self.inner.registry.snapshot(), events, stats, session_nanos);
+        let mut capture = Capture {
+            profiles: store.seal(self.inner.registry.snapshot()),
+            stats,
+            session_nanos,
+            collection_telemetry: None,
+        };
         // An observed session stamps its capture with everything the
         // telemetry saw, so the collection-time signals survive persistence
         // and reach offline analysis (which merges them into its snapshot).
@@ -182,7 +191,11 @@ impl Session {
         // this final flush captures the session's full tail (including the
         // SessionStop event the collector just recorded).
         if let Err(err) = self.inner.telemetry.flight().flush_dump() {
-            eprintln!("dsspy: final flight-recorder dump failed: {err}");
+            // A closed stderr loses the note; it must not panic the caller.
+            let _ = writeln!(
+                std::io::stderr(),
+                "dsspy: final flight-recorder dump failed: {err}"
+            );
         }
         capture
     }
@@ -490,7 +503,7 @@ mod tests {
         let p = &cap.profiles[0];
         assert_eq!(p.len(), 150);
         assert_eq!(p.threads().len(), 3);
-        // Global order restored by profile assembly.
+        // One handle ships its batches in record order.
         assert!(p.events.windows(2).all(|w| w[0].seq < w[1].seq));
     }
 

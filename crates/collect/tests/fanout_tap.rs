@@ -42,7 +42,7 @@ fn three_recorders_rebuild_identical_captures() {
     let capture = session.finish();
     assert!(capture.stats.batches > 1, "workload spans several batches");
 
-    let session_json = serde_json::to_string(&capture.profiles).unwrap();
+    let session_json = serde_json::to_string(&capture.profiles[..]).unwrap();
     let infos: Vec<_> = capture
         .profiles
         .iter()
@@ -52,7 +52,7 @@ fn three_recorders_rebuild_identical_captures() {
     for r in &recorders {
         let rebuilt = r.capture(infos.clone()).expect("session stopped");
         assert_eq!(
-            serde_json::to_string(&rebuilt.profiles).unwrap(),
+            serde_json::to_string(&rebuilt.profiles[..]).unwrap(),
             session_json,
             "recorder mirrors the session capture"
         );
@@ -133,8 +133,8 @@ fn subscriber_panic_on_collector_thread_does_not_poison_the_session() {
         .collect();
     let rebuilt = survivor.capture(infos).expect("on_stop delivered");
     assert_eq!(
-        serde_json::to_string(&rebuilt.profiles).unwrap(),
-        serde_json::to_string(&capture.profiles).unwrap()
+        serde_json::to_string(&rebuilt.profiles[..]).unwrap(),
+        serde_json::to_string(&capture.profiles[..]).unwrap()
     );
     let snap = telemetry.snapshot();
     assert_eq!(snap.counter("stream.tap.panics"), Some(1));

@@ -19,19 +19,20 @@
 //! `a ++ b`) makes it equal to one straight fold of each instance, which is
 //! what the streaming analyzer computes.
 //!
-//! [`Dsspy::analyze_capture`] cuts loaded profiles;
-//! [`Dsspy::analyze_encoded_with`] works on a capture file's encoded bodies and
-//! decodes each chunk into a worker-local buffer right before folding it,
-//! so no profile is ever built.
+//! [`Dsspy::analyze_capture`] cuts decoded profiles into units, and folds a
+//! session's sealed bodies chunk by chunk; [`Dsspy::analyze_encoded_with`]
+//! folds a capture file's encoded bodies the same way. A chunk is decoded
+//! into a worker-local buffer right before it is folded, so no profile is
+//! ever built.
 
 use std::borrow::Cow;
 use std::time::Instant;
 
 use dsspy_collect::{
-    Capture, CollectorStats, EncodedCapture, PersistError, Session, SessionConfig,
+    Capture, CaptureEvents, CollectorStats, EncodedCapture, PersistError, Session, SessionConfig,
 };
-use dsspy_events::encode::{Chunk, CHUNK_EVENTS};
-use dsspy_events::{AccessEvent, InstanceInfo, Origin};
+use dsspy_events::encode::{Body, Chunk, DecodeError, CHUNK_EVENTS};
+use dsspy_events::{AccessEvent, InstanceInfo, Origin, RuntimeProfile};
 use dsspy_patterns::{MinerConfig, RegularityConfig};
 use dsspy_telemetry::{overhead::signals, OverheadReport, Telemetry};
 use dsspy_usecases::{AdvisoryConfig, Thresholds};
@@ -168,50 +169,29 @@ impl Dsspy {
     /// [`OverheadReport::account`] run against the capture's session
     /// duration. With a disabled handle this is exactly
     /// [`Dsspy::analyze_capture`]: no spans, no snapshot, `telemetry: None`.
+    ///
+    /// The capture is folded in the form it holds and never converted: a
+    /// session's sealed bodies chunk by chunk, as
+    /// [`Dsspy::analyze_encoded_with`] folds a file's, and decoded profiles
+    /// in slices of [`CHUNK_EVENTS`].
     pub fn analyze_capture_with(&self, capture: &Capture, telemetry: &Telemetry) -> Report {
         let pass_start_nanos = telemetry.now_nanos();
-        let profiles: Vec<_> = capture
-            .profiles
-            .iter()
-            .filter(|profile| self.analysis.includes(&profile.instance))
-            .collect();
-        let units: Vec<Unit<&[AccessEvent]>> = profiles
-            .iter()
-            .enumerate()
-            .flat_map(|(instance, profile)| {
-                let events = &profile.events;
-                let chunks = events.chunks(CHUNK_EVENTS);
-                // An instance with no events still gets one (empty) unit.
-                let empty = events.is_empty().then_some(&events[..]);
-                chunks.chain(empty).map(move |source| Unit {
-                    instance,
-                    events: source.len(),
-                    source,
-                })
-            })
-            .collect();
-        let threads = self.analysis.resolved_threads();
-        let folded = dsspy_parallel::par_map_weighted(
-            &units,
-            threads,
-            |unit| unit.events,
-            || (),
-            |_, unit| self.fold_unit(unit.instance, unit.source, telemetry),
-        );
-        let infos: Vec<&InstanceInfo> = profiles.iter().map(|p| &p.instance).collect();
-        self.assemble(
-            Pass {
-                infos,
-                stats: capture.stats,
-                session_nanos: capture.session_nanos,
-                pass_start_nanos,
-                threads,
-            },
-            &units,
-            folded,
-            |unit| Cow::Borrowed(unit.source),
-            telemetry,
-        )
+        let events = capture.profiles.events();
+        let (infos, units) = match &events {
+            CaptureEvents::Decoded(profiles) => self.profile_units(profiles),
+            CaptureEvents::Sealed(instances, bodies) => {
+                self.body_units(instances, bodies, telemetry)
+            }
+        };
+        let pass = Pass {
+            infos,
+            stats: capture.stats,
+            session_nanos: capture.session_nanos,
+            pass_start_nanos,
+            threads: self.analysis.resolved_threads(),
+        };
+        self.fold_units(pass, units, telemetry)
+            .expect("a session's own chunks decode")
     }
 
     /// The report [`Dsspy::analyze_capture_with`] gives for the decoded
@@ -233,73 +213,130 @@ impl Dsspy {
     ) -> Result<Report, PersistError> {
         let pass_start_nanos = telemetry.now_nanos();
         let bodies = encoded.bodies()?;
-        let included: Vec<usize> = (0..bodies.len())
-            .filter(|&body| self.analysis.includes(&encoded.instances[body]))
+        let (infos, units) = self.body_units(&encoded.instances, &bodies, telemetry);
+        let pass = Pass {
+            infos,
+            stats: encoded.stats,
+            session_nanos: encoded.session_nanos,
+            pass_start_nanos,
+            threads: self.analysis.resolved_threads(),
+        };
+        self.fold_units(pass, units, telemetry)
+            .map_err(|(body, e)| encoded.body_error(body, e))
+    }
+
+    /// The analyzed instances of decoded `profiles` and their units: each
+    /// profile's events in slices of [`CHUNK_EVENTS`].
+    fn profile_units<'a>(
+        &self,
+        profiles: &'a [RuntimeProfile],
+    ) -> (Vec<&'a InstanceInfo>, Vec<Unit<Source<'a>>>) {
+        let profiles: Vec<_> = profiles
+            .iter()
+            .filter(|profile| self.analysis.includes(&profile.instance))
             .collect();
-        let units: Vec<Unit<(usize, Option<&Chunk<'_>>)>> = included
+        let units = profiles
             .iter()
             .enumerate()
-            .flat_map(|(instance, &body)| {
-                let chunks = bodies[body].chunks();
-                let empty = chunks.is_empty().then_some(None);
-                chunks.iter().map(Some).chain(empty).map(move |chunk| Unit {
+            .flat_map(|(instance, profile)| {
+                let events = &profile.events;
+                let chunks = events.chunks(CHUNK_EVENTS);
+                // An instance with no events still gets one (empty) unit.
+                let empty = events.is_empty().then_some(&events[..]);
+                chunks.chain(empty).map(move |events| Unit {
                     instance,
-                    events: chunk.map_or(0, |c| c.len()),
-                    source: (body, chunk),
+                    events: events.len(),
+                    source: Source::Events(events),
                 })
             })
             .collect();
-        let threads = self.analysis.resolved_threads();
+        (profiles.iter().map(|p| &p.instance).collect(), units)
+    }
+
+    /// The analyzed instances of encoded `bodies` and their units: each
+    /// body's chunks. Observed, the analyzed bodies count into
+    /// `persist.bodies_decoded`.
+    fn body_units<'a>(
+        &self,
+        instances: &'a [InstanceInfo],
+        bodies: &'a [Body<'a>],
+        telemetry: &Telemetry,
+    ) -> (Vec<&'a InstanceInfo>, Vec<Unit<Source<'a>>>) {
+        let included: Vec<usize> = (0..bodies.len())
+            .filter(|&body| self.analysis.includes(&instances[body]))
+            .collect();
+        let units = included
+            .iter()
+            .enumerate()
+            .flat_map(|(instance, &body)| {
+                let chunks = bodies[body].chunks().iter();
+                let sources = chunks.map(move |chunk| Source::Chunk(body, chunk));
+                // An instance with no events still gets one (empty) unit.
+                let empty = bodies[body].is_empty().then_some(Source::Events(&[]));
+                sources.chain(empty).map(move |source| Unit {
+                    instance,
+                    events: source.len(),
+                    source,
+                })
+            })
+            .collect();
+        telemetry
+            .counter("persist.bodies_decoded")
+            .add(included.len() as u64);
+        (included.iter().map(|&i| &instances[i]).collect(), units)
+    }
+
+    /// Fold `units` on [`AnalysisConfig::resolved_threads`] workers, each
+    /// decoding a chunk into a buffer of its own before folding it, then
+    /// merge and report them. The first unit that fails to decode, in unit
+    /// order, is the error, with its body.
+    fn fold_units(
+        &self,
+        pass: Pass<'_>,
+        units: Vec<Unit<Source<'_>>>,
+        telemetry: &Telemetry,
+    ) -> Result<Report, (usize, DecodeError)> {
         let folded = dsspy_parallel::par_map_weighted(
             &units,
-            threads,
+            pass.threads,
             |unit| unit.events,
-            || Vec::with_capacity(CHUNK_EVENTS),
-            |buffer, unit| {
-                let decoding = Instant::now();
-                match unit.source.1 {
-                    Some(chunk) => chunk.decode_into(buffer)?,
-                    None => buffer.clear(),
+            Vec::new,
+            |buffer, unit| match unit.source {
+                Source::Events(events) => Ok((self.fold_unit(unit.instance, events, telemetry), 0)),
+                Source::Chunk(body, chunk) => {
+                    let decoding = Instant::now();
+                    chunk.decode_into(buffer).map_err(|e| (body, e))?;
+                    let decode_nanos = decoding.elapsed().as_nanos() as u64;
+                    Ok((
+                        self.fold_unit(unit.instance, buffer, telemetry),
+                        decode_nanos,
+                    ))
                 }
-                let decode_nanos = decoding.elapsed().as_nanos() as u64;
-                Ok((
-                    self.fold_unit(unit.instance, buffer, telemetry),
-                    decode_nanos,
-                ))
             },
         );
         let mut folds = Vec::with_capacity(units.len());
         let mut decode_nanos = 0;
-        for (unit, result) in units.iter().zip(folded) {
-            let (fold, nanos) = result.map_err(|e| encoded.body_error(unit.source.0, e))?;
+        for result in folded {
+            let (fold, nanos) = result?;
             folds.push(fold);
             decode_nanos += nanos;
         }
-        if telemetry.is_enabled() {
-            telemetry
-                .counter("persist.bodies_decoded")
-                .add(included.len() as u64);
+        if decode_nanos > 0 {
             telemetry.counter(signals::PERSIST_DECODE).add(decode_nanos);
         }
-        let infos = included.iter().map(|&i| &encoded.instances[i]).collect();
         Ok(self.assemble(
-            Pass {
-                infos,
-                stats: encoded.stats,
-                session_nanos: encoded.session_nanos,
-                pass_start_nanos,
-                threads,
-            },
+            pass,
             &units,
             folds,
-            |unit| {
-                let mut events = Vec::new();
-                if let Some(chunk) = unit.source.1 {
+            |unit| match unit.source {
+                Source::Events(events) => Cow::Borrowed(events),
+                Source::Chunk(_, chunk) => {
+                    let mut events = Vec::new();
                     chunk
                         .decode_into(&mut events)
                         .expect("a chunk that decoded once decodes again");
+                    Cow::Owned(events)
                 }
-                Cow::Owned(events)
             },
             telemetry,
         ))
@@ -400,6 +437,24 @@ struct Unit<S> {
     instance: usize,
     events: usize,
     source: S,
+}
+
+/// Where a unit's events are.
+#[derive(Clone, Copy)]
+enum Source<'a> {
+    /// Decoded events.
+    Events(&'a [AccessEvent]),
+    /// A chunk of body `.0`, decoded right before it is folded.
+    Chunk(usize, &'a Chunk<'a>),
+}
+
+impl Source<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Source::Events(events) => events.len(),
+            Source::Chunk(_, chunk) => chunk.len(),
+        }
+    }
 }
 
 /// A unit's fold and how long folding it took.

@@ -4,10 +4,10 @@
 //! version 4): each instance's events are one *body*, a run of
 //! independently decodable chunks of at most [`CHUNK_EVENTS`] events, each
 //! guarded by a checksum of its rows.
-//! (The collector's channel carries `Vec<AccessEvent>` batches and never
-//! encodes them.) Every field is coded against the row before it, so the
-//! common row — the next tick, same thread and length, a neighbouring
-//! index — takes 4 bytes.
+//! A session's collector writes the same bodies as the batches arrive
+//! ([`BodyWriter`]); saving a capture writes them unchanged. Every field is
+//! coded against the row before it, so the common row — the next tick, same
+//! thread and length, a neighbouring index — takes 4 bytes.
 //!
 //! ```text
 //! body    := chunk*
@@ -138,7 +138,7 @@ impl std::fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 /// The running values every row is coded against; reset per chunk.
-#[derive(Default)]
+#[derive(Clone, Debug, Default)]
 struct Prev {
     seq: u64,
     thread: u32,
@@ -244,23 +244,89 @@ fn checksum(rows: &[u8]) -> u32 {
     s1.wrapping_add(s2.wrapping_mul(2))
 }
 
+/// One body written a batch at a time.
+///
+/// Each [`BodyWriter::push`] encodes its events on arrival into the open
+/// chunk, which is sealed — its frame and checksum written — as soon as it
+/// holds [`CHUNK_EVENTS`] rows, or when the body is finished. The bytes are
+/// the same however the events were split into pushes: [`encode_body`] is
+/// one push of the whole slice.
+#[derive(Clone, Debug, Default)]
+pub struct BodyWriter {
+    /// Sealed chunks, then the open chunk's frame placeholder and rows.
+    bytes: Vec<u8>,
+    /// Where the open chunk's frame starts in `bytes`.
+    frame: usize,
+    /// Rows in the open chunk; 0 when no chunk is open.
+    open: usize,
+    /// Events pushed so far.
+    events: u64,
+    prev: Prev,
+}
+
+impl BodyWriter {
+    /// Encode `events` after the events pushed before them.
+    pub fn push(&mut self, mut events: &[AccessEvent]) {
+        while !events.is_empty() {
+            if self.open == 0 {
+                self.frame = self.bytes.len();
+                self.bytes.extend_from_slice(&[0; FRAME_BYTES]);
+                self.prev = Prev::default();
+            }
+            let take = events.len().min(CHUNK_EVENTS - self.open);
+            let (rows, rest) = events.split_at(take);
+            self.bytes.reserve(take * MAX_ROW_BYTES);
+            for e in rows {
+                encode_row(e, &mut self.prev, &mut self.bytes);
+            }
+            self.open += take;
+            self.events += take as u64;
+            if self.open == CHUNK_EVENTS {
+                self.seal();
+            }
+            events = rest;
+        }
+    }
+
+    /// The number of events pushed so far.
+    pub fn len(&self) -> u64 {
+        self.events
+    }
+
+    /// Whether no event was pushed.
+    pub fn is_empty(&self) -> bool {
+        self.events == 0
+    }
+
+    /// Seal the open chunk, if any, and return the bytes.
+    pub fn finish(mut self) -> Vec<u8> {
+        self.seal();
+        self.bytes
+    }
+
+    fn seal(&mut self) {
+        if self.open == 0 {
+            return;
+        }
+        let frame = self.frame;
+        let rows = &self.bytes[frame + FRAME_BYTES..];
+        let (bytes, sum) = (rows.len() as u32, checksum(rows));
+        self.bytes[frame..frame + 4].copy_from_slice(&(self.open as u32).to_le_bytes());
+        self.bytes[frame + 4..frame + 8].copy_from_slice(&bytes.to_le_bytes());
+        self.bytes[frame + 8..frame + FRAME_BYTES].copy_from_slice(&sum.to_le_bytes());
+        self.open = 0;
+    }
+}
+
 /// Append `events` to `out` as one body: chunks of at most
 /// [`CHUNK_EVENTS`] rows, in order. An empty slice appends nothing.
 pub fn encode_body(events: &[AccessEvent], out: &mut Vec<u8>) {
-    for chunk in events.chunks(CHUNK_EVENTS) {
-        let frame = out.len();
-        out.reserve(FRAME_BYTES + chunk.len() * MAX_ROW_BYTES);
-        out.extend_from_slice(&[0; FRAME_BYTES]);
-        let mut prev = Prev::default();
-        for e in chunk {
-            encode_row(e, &mut prev, out);
-        }
-        let rows = &out[frame + FRAME_BYTES..];
-        let (bytes, sum) = (rows.len() as u32, checksum(rows));
-        out[frame..frame + 4].copy_from_slice(&(chunk.len() as u32).to_le_bytes());
-        out[frame + 4..frame + 8].copy_from_slice(&bytes.to_le_bytes());
-        out[frame + 8..frame + FRAME_BYTES].copy_from_slice(&sum.to_le_bytes());
-    }
+    let mut body = BodyWriter {
+        bytes: std::mem::take(out),
+        ..BodyWriter::default()
+    };
+    body.push(events);
+    *out = body.finish();
 }
 
 /// One chunk of a parsed [`Body`]: its declared event count, checksum and
@@ -605,6 +671,23 @@ mod tests {
         assert_eq!(counts, vec![CHUNK_EVENTS, 1]);
         assert_eq!((body.len(), body.is_empty()), (events.len(), false));
         assert_eq!(decode(&bytes, events.len() as u64).unwrap(), events);
+    }
+
+    #[test]
+    fn pushes_of_any_size_write_the_body_of_one_push() {
+        let events: Vec<_> = (0..2 * CHUNK_EVENTS as u64 + 5)
+            .map(|i| AccessEvent::at(i, AccessKind::Read, (i % 300) as u32, 300))
+            .collect();
+        let whole = encode(&events);
+        for step in [1, 1000, CHUNK_EVENTS - 1, CHUNK_EVENTS, CHUNK_EVENTS + 1] {
+            let mut body = BodyWriter::default();
+            for part in events.chunks(step) {
+                body.push(part);
+            }
+            assert_eq!(body.len(), events.len() as u64);
+            assert!(body.finish() == whole, "pushes of {step}");
+        }
+        assert!(BodyWriter::default().finish().is_empty());
     }
 
     #[test]

@@ -14,8 +14,9 @@ use serde::{Deserialize, Serialize};
 pub struct RuntimeProfile {
     /// Which instance this is the history of.
     pub instance: InstanceInfo,
-    /// All access events. [`RuntimeProfile::new`] (and so every profile a
-    /// session records) orders them by logical timestamp (`seq`); a profile
+    /// All access events. A session records each instance's events in
+    /// `seq` order (one handle ships its batches in record order), and
+    /// [`RuntimeProfile::new`] orders what it is given by `seq`; a profile
     /// built field by field, or read back from a capture file, keeps the
     /// order it was given, and the analysis fold counts each step back in
     /// `seq` as an inversion (`out_of_order`).
@@ -23,10 +24,9 @@ pub struct RuntimeProfile {
 }
 
 impl RuntimeProfile {
-    /// Build a profile from instance metadata and an event list.
-    ///
-    /// Events are sorted by sequence number if they arrive out of order
-    /// (multi-threaded sessions deliver per-thread batches).
+    /// Build a profile from instance metadata and an event list, sorted by
+    /// sequence number if it is out of order (generated and hand-built
+    /// profiles; a session's capture does not pass through here).
     pub fn new(instance: InstanceInfo, mut events: Vec<AccessEvent>) -> Self {
         if !events.windows(2).all(|w| w[0].seq <= w[1].seq) {
             events.sort_by_key(|e| e.seq);

@@ -11,8 +11,10 @@
 //!   from telemetry: the collector's on-thread busy time is the profiling
 //!   work performed inside the session window, so
 //!   `session / (session - accounted)` bounds the slowdown from below.
-//!   Capture encode and decode run after the session ends (like analysis),
-//!   so they are offline cost and never charged to it. A run with the
+//!   Capture encode is part of that busy time: the collector encodes each
+//!   batch as it arrives. Writing the encoded capture and decoding it run
+//!   after the session ends (like analysis), so they are offline cost and
+//!   never charged to it. A run with the
 //!   accountant enabled therefore always knows roughly how much it is paying
 //!   for being observed.
 
@@ -24,7 +26,7 @@ use crate::snapshot::TelemetrySnapshot;
 pub mod signals {
     /// Collector-thread busy time (batch handling), nanoseconds.
     pub const COLLECTOR_BUSY: &str = "collector.busy_nanos";
-    /// Capture encode time, nanoseconds (offline cost, not accounted).
+    /// Capture write time, nanoseconds (offline cost, not accounted).
     pub const PERSIST_ENCODE: &str = "persist.encode_nanos";
     /// Capture decode time, nanoseconds (offline cost, not accounted).
     pub const PERSIST_DECODE: &str = "persist.decode_nanos";

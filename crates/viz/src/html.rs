@@ -160,7 +160,7 @@ mod tests {
         }
         let capture = session.finish();
         let report = Dsspy::new().analyze_capture(&capture);
-        (report, capture.profiles)
+        (report, capture.profiles.into_vec())
     }
 
     #[test]

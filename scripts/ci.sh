@@ -23,7 +23,8 @@
 #               and the checksum), the table4-drift cell (Table
 #               IV detection columns identical in 30 runs under two busy
 #               loops), the closed-pipe cell (`analyze --json | head` and
-#               `repro --all | head` exit 0 quietly), the doctor-capture
+#               `repro --all | head` exit 0 quietly; usage and read errors
+#               into a closed stderr keep exit 2 and 1), the doctor-capture
 #               smoke (`doctor` on a plain capture is healthy), the
 #               live-scrape smoke
 #               (`telemetry serve --live --self-check`) and the follow
@@ -261,7 +262,18 @@ ROWS
             codes=("${PIPESTATUS[@]}")
             [[ "${codes[0]}" -eq 0 ]] || { echo "repro exit ${codes[0]}, want 0"; cat "$err"; exit 1; }
             [[ ! -s "$err" ]] || { echo "repro wrote to stderr:"; cat "$err"; exit 1; }
-            echo "analyze --json and repro --all into a closed pipe exit 0 with an empty stderr"
+            # A closed stderr keeps the exit code of the error it could not
+            # print (a panic would exit 101).
+            ./target/release/repro --table 1 --svg x.svg 2>&1 >/dev/null | head -c 0
+            codes=("${PIPESTATUS[@]}")
+            [[ "${codes[0]}" -eq 2 ]] || { echo "repro usage error into a closed stderr exit ${codes[0]}, want 2"; exit 1; }
+            ./target/release/dsspy analyze 2>&1 | head -c 0
+            codes=("${PIPESTATUS[@]}")
+            [[ "${codes[0]}" -eq 2 ]] || { echo "dsspy analyze into a closed stderr exit ${codes[0]}, want 2"; exit 1; }
+            ./target/release/dsspy analyze missing.dsspycap 2>&1 | head -c 0
+            codes=("${PIPESTATUS[@]}")
+            [[ "${codes[0]}" -eq 1 ]] || { echo "dsspy analyze missing.dsspycap into a closed stderr exit ${codes[0]}, want 1"; exit 1; }
+            echo "analyze --json and repro --all into a closed pipe exit 0 with an empty stderr; errors into a closed stderr keep exit 2 and 1"
         ' closed-pipe "$PIPED" "$LOG_DIR/ci-pipe.err"
     # The scrape endpoint attached to a *running* session: re-collects the
     # capture live, serves a fresh validated exposition per scrape, scrapes

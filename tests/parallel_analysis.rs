@@ -1,4 +1,5 @@
-//! The parallel fan-outs: capture decode, `analyze_capture` and the fused
+//! The parallel fan-outs: capture decode, `analyze_capture` (of a session's
+//! sealed chunks and of decoded profiles) and the fused
 //! `analyze_encoded_with` must produce the same report on one thread, two
 //! threads, or one worker per core — and `0` must resolve to the machine's
 //! parallelism. Instances of several chunks are folded chunk by chunk and
@@ -7,8 +8,8 @@
 //! memory, after a write and a read, and straight from its encoded bodies.
 
 use dsspy::collect::{
-    read_capture_with, read_encoded_with, write_capture, Capture, CollectorStats, ReadOptions,
-    Session,
+    read_capture_with, read_encoded_with, write_capture, Capture, CaptureEvents, CollectorStats,
+    ReadOptions, Session,
 };
 use dsspy::collections::{site, SpyQueue, SpyVec};
 use dsspy::core::{AnalysisConfig, Dsspy, InstanceFold};
@@ -58,6 +59,9 @@ fn zero_threads_resolves_to_default_threads() {
 /// with its bodies decoded at `threads` workers and analyzed at the same
 /// width, and analyzed straight from its encoded bodies at that width; every
 /// serialized report must equal the width-1 report of the loaded capture.
+/// The recorded capture itself, which holds sealed chunks, is analyzed at
+/// every width too, and must report what its decoded form and its saved
+/// bytes report at that width.
 #[test]
 fn suite7_reports_are_identical_at_any_decode_and_analysis_width() {
     let mut multi_chunk = 0;
@@ -92,6 +96,28 @@ fn suite7_reports_are_identical_at_any_decode_and_analysis_width() {
         };
         let baseline = report_at(1);
         assert_eq!(baseline, straight_report(&capture), "{name}: merged folds");
+        assert!(
+            matches!(capture.profiles.events(), CaptureEvents::Sealed(..)),
+            "{name}: a recorded capture holds its sealed chunks"
+        );
+        let decoded = Capture::new(
+            capture.profiles.to_vec(),
+            capture.stats,
+            capture.session_nanos,
+        );
+        for threads in [1, 2, 4, 0] {
+            let dsspy = Dsspy::new().with_threads(threads);
+            let sealed = serde_json::to_string(&dsspy.analyze_capture(&capture)).unwrap();
+            let of_decoded = serde_json::to_string(&dsspy.analyze_capture(&decoded)).unwrap();
+            assert!(
+                sealed == of_decoded,
+                "{name}: sealed and decoded reports differ at threads={threads}"
+            );
+            assert!(
+                sealed == fused_at(threads),
+                "{name}: sealed and saved reports differ at threads={threads}"
+            );
+        }
         for threads in [2, 4, 0] {
             assert!(
                 report_at(threads) == baseline,
