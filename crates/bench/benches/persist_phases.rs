@@ -1,8 +1,9 @@
 //! Benches for the post-mortem support machinery: capture persistence
-//! (write + read throughput) and phase segmentation.
+//! (write, read — framing and checksums — and read plus the row decode of
+//! the first access to the profiles) and phase segmentation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dsspy_collect::persist::{read_capture, write_capture};
+use dsspy_collect::persist::{read_capture_with, write_capture, ReadOptions};
 use dsspy_collect::Session;
 use dsspy_events::{AccessKind, AllocationSite, DsKind, Target};
 use dsspy_patterns::segment_phases;
@@ -37,8 +38,12 @@ fn bench_persist(c: &mut Criterion) {
             std::hint::black_box(buf.len())
         })
     });
+    let read = || read_capture_with(encoded.as_slice(), &ReadOptions::default()).unwrap();
     group.bench_function("read", |b| {
-        b.iter(|| std::hint::black_box(read_capture(encoded.as_slice()).unwrap().event_count()))
+        b.iter(|| std::hint::black_box(read().event_count()))
+    });
+    group.bench_function("decode", |b| {
+        b.iter(|| std::hint::black_box(read().profiles.decode().unwrap().len()))
     });
     group.finish();
 }

@@ -17,9 +17,8 @@
 pub mod args;
 
 use dsspy_collect::{
-    load_capture, load_capture_with, load_encoded_with, read_capture, save_capture_with, Capture,
-    CollectorStats, CollectorTap, PersistError, ReadOptions, Session, SessionConfig,
-    QUEUE_WATERMARK,
+    load_capture_with, read_capture_with, save_capture_with, Capture, CollectorStats, CollectorTap,
+    PersistError, ReadOptions, Session, SessionConfig, QUEUE_WATERMARK,
 };
 use dsspy_core::{diff_reports, instances_csv, sketches, use_cases_csv, Dsspy, Report};
 use dsspy_events::{AccessEvent, InstanceId, Origin, RuntimeProfile};
@@ -95,17 +94,47 @@ fn io_error(op: &str, target: impl std::fmt::Display) -> impl FnOnce(std::io::Er
     move |e| CliError::Io(std::io::Error::new(e.kind(), format!("{context}: {e}")))
 }
 
-/// Analyze the capture at `path` straight from its encoded bodies
-/// ([`Dsspy::analyze_encoded_with`]: each chunk is decoded on a worker and
-/// folded there, and no profile is built), observed or not. When observed,
-/// the report embeds the [`TelemetrySnapshot`] covering the file read, the
-/// chunk decode and the analysis — and, when the capture was recorded by
-/// an observed session, the collection-time signals merged back in.
+/// Analyze the capture at `path`, observed or not: load it, checking its
+/// checksums at the analysis width, and fold its chunks
+/// ([`Dsspy::try_analyze_capture_with`]: each chunk is decoded on a worker
+/// and folded there, and no profile is built).
 fn analyze_file(path: &Path, dsspy: Dsspy, telemetry: &Telemetry) -> Result<Report, CliError> {
-    let encoded = load_encoded_with(path, telemetry)?;
-    let mut report = dsspy.analyze_encoded_with(&encoded, telemetry)?;
-    merge_collection_telemetry(&mut report, encoded.collection_telemetry.as_ref());
+    let capture = load(path, dsspy.analysis.threads, telemetry)?;
+    analyze_loaded(&capture, dsspy, telemetry)
+}
+
+/// The capture at `path`, its checksums checked on `threads` workers (`0`:
+/// one per core), reporting the read into `telemetry`.
+fn load(path: &Path, threads: usize, telemetry: &Telemetry) -> Result<Capture, CliError> {
+    let telemetry = telemetry.clone();
+    let opts = ReadOptions { threads, telemetry };
+    Ok(load_capture_with(path, &opts)?)
+}
+
+/// The report of a loaded `capture`. When observed, the report embeds the
+/// [`TelemetrySnapshot`] covering the file read, the chunk decode and the
+/// analysis — and, when the capture was recorded by an observed session,
+/// the collection-time signals merged back in.
+fn analyze_loaded(
+    capture: &Capture,
+    dsspy: Dsspy,
+    telemetry: &Telemetry,
+) -> Result<Report, CliError> {
+    let mut report = dsspy.try_analyze_capture_with(capture, telemetry)?;
+    merge_collection_telemetry(&mut report, capture.collection_telemetry.as_ref());
     Ok(report)
+}
+
+/// `capture` with its profiles decoded: a file whose rows do not decode
+/// fails here, naming the instance, before any command reads an event.
+fn decoded(capture: Capture) -> Result<Capture, CliError> {
+    capture.profiles.decode()?;
+    Ok(capture)
+}
+
+/// The capture at `path`, [`decoded`], for a command that reads its events.
+fn load_decoded(path: &Path) -> Result<Capture, CliError> {
+    decoded(load(path, 1, &Telemetry::disabled())?)
 }
 
 /// Merge the collection-time snapshot a capture carries into the report's
@@ -162,7 +191,7 @@ pub fn cmd_analyze(
 
 /// Instance `instance`'s profile in the capture at `path`.
 fn load_profile(path: &Path, instance: usize) -> Result<RuntimeProfile, CliError> {
-    let capture = load_capture(path)?;
+    let capture = load_decoded(path)?;
     let count = capture.profiles.len();
     let profile = capture.profiles.into_iter().nth(instance);
     profile.ok_or(CliError::NoSuchInstance(instance, count))
@@ -254,20 +283,13 @@ pub fn cmd_report(
     telemetry_out: Option<&Path>,
 ) -> Result<String, CliError> {
     let telemetry = telemetry_out.map_or_else(Telemetry::disabled, |_| Telemetry::enabled());
-    // The HTML report draws every profile, so it loads them.
-    let opts = ReadOptions {
-        threads,
-        telemetry: telemetry.clone(),
-    };
-    let capture = load_capture_with(path, &opts)?;
-    let mut report = Dsspy::new()
-        .with_threads(threads)
-        .analyze_capture_with(&capture, &telemetry);
-    merge_collection_telemetry(&mut report, capture.collection_telemetry.as_ref());
+    let capture = load(path, threads, &telemetry)?;
+    let report = analyze_loaded(&capture, Dsspy::new().with_threads(threads), &telemetry)?;
     if let Some(tout) = telemetry_out {
         write_snapshot(&report, tout)?;
     }
-    let html = html_report(&report, &capture.profiles);
+    // The HTML report draws every profile.
+    let html = html_report(&report, capture.profiles.decode()?);
     std::fs::write(out, &html).map_err(io_error("write", out.display()))?;
     Ok(format!(
         "wrote {} ({} bytes): {}",
@@ -517,7 +539,7 @@ pub fn cmd_watch(
     every: NonZeroU64,
     max_frames: usize,
 ) -> Result<String, CliError> {
-    let capture = load_capture(path)?;
+    let capture = load_decoded(path)?;
     let dsspy = Dsspy::new().with_threads(1);
     let streaming = StreamingAnalyzer::new(dsspy, watch_config(every));
     for profile in &capture.profiles {
@@ -842,7 +864,7 @@ pub fn cmd_telemetry_serve_live(
     self_check: bool,
     flight_out: Option<&Path>,
 ) -> Result<String, CliError> {
-    let source = load_capture(path)?;
+    let source = load_decoded(path)?;
     let listener = std::net::TcpListener::bind(addr).map_err(io_error("listen on", addr))?;
     let observer = Observer::new(flight_out);
     let replayed = observer.clone();
@@ -962,7 +984,8 @@ pub fn cmd_doctor(
         None => {
             // Not a dump: treat as a capture and re-collect it live under
             // full observation.
-            let source = read_capture(bytes.as_slice())?;
+            let source = read_capture_with(bytes.as_slice(), &ReadOptions::default())?;
+            let source = decoded(source)?;
             let observer = Observer {
                 telemetry: Telemetry::enabled().with_flight(None),
                 flight_out: None,

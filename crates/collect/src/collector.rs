@@ -254,9 +254,8 @@ pub(crate) fn spawn(
 /// plus collection statistics.
 #[derive(Clone, Debug)]
 pub struct Capture {
-    /// Per-instance profiles in registration order. A session's capture
-    /// holds them as sealed v4 bodies and decodes them on first read (see
-    /// [`Profiles`]).
+    /// Per-instance profiles in registration order, held as sealed v4
+    /// bodies and decoded on first read (see [`Profiles`]).
     pub profiles: Profiles,
     /// What the collector saw.
     pub stats: CollectorStats,
@@ -272,8 +271,9 @@ pub struct Capture {
 }
 
 impl Capture {
-    /// Build a capture that holds `profiles` decoded (persistence decode,
-    /// synthetic captures in tests).
+    /// Build a capture of `profiles` (generated profiles, synthetic captures
+    /// in tests), encoding each one's events once into its sealed body, as
+    /// a session would have. Reading `profiles` back decodes them.
     pub fn new(
         profiles: Vec<RuntimeProfile>,
         stats: CollectorStats,

@@ -20,7 +20,8 @@
 //!   the sealed bodies are handed to post-mortem analysis as a [`Capture`]:
 //!   saved unchanged, folded chunk by chunk, and decoded into
 //!   [`dsspy_events::RuntimeProfile`]s only when a caller reads them
-//!   ([`Profiles`]).
+//!   ([`Profiles`]). A capture loaded from a file holds its bodies the
+//!   same way.
 //! * Live consumers implement the [`CollectorTap`] hook and subscribe to a
 //!   [`TapFanout`], the only tap the collector drives: it multiplexes one
 //!   session to any number of subscribers with per-subscriber panic
@@ -51,10 +52,9 @@ pub use clock::SessionClock;
 pub use collector::{Capture, CollectorStats, CollectorTap, QUEUE_WATERMARK};
 pub use fanout::{CaptureRecorder, TapFanout};
 pub use persist::{
-    load_capture, load_capture_with, load_encoded_with, read_capture, read_capture_with,
-    read_encoded_with, save_capture, save_capture_with, write_capture, write_capture_with,
-    EncodedCapture, PersistError, ReadOptions,
+    load_capture_with, read_capture_with, save_capture, save_capture_with, write_capture,
+    write_capture_with, PersistError, ReadOptions,
 };
 pub use registry::Registry;
 pub use session::{InstanceHandle, Session, SessionBuilder, SessionConfig};
-pub use store::{CaptureEvents, Profiles};
+pub use store::Profiles;

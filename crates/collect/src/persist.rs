@@ -20,25 +20,26 @@
 //! because they dominate the size (about 4 bytes per event), each chunk
 //! guarded by a checksum of its rows. This module owns the container:
 //! magic, version, header, body order, error mapping and telemetry.
-//! A session's capture holds its bodies already encoded, and
-//! [`write_capture`] writes them unchanged.
-//! [`read_encoded_with`] reads a file into an [`EncodedCapture`] whose
-//! bodies are still encoded; [`read_capture_with`] decodes those into
-//! profiles, and analysis can instead decode them chunk by chunk. Files of
-//! any other version — including version 3, whose chunks carried no
-//! checksum — are rejected with [`PersistError::BadVersion`] and must be
-//! re-recorded.
+//!
+//! A capture in memory holds its bodies encoded, whatever it came from (see
+//! [`crate::store`]): [`write_capture`] writes them unchanged, and
+//! [`read_capture_with`] keeps the bodies it reads, after checking each
+//! body's chunk framing and each chunk's checksum, so a flipped byte fails
+//! at load, naming its instance. Rows are decoded later, by analysis chunk
+//! by chunk or by the first read of the profiles. Files of any other
+//! version — including version 3, whose chunks carried no checksum — are
+//! rejected with [`PersistError::BadVersion`] and must be re-recorded.
 
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-use dsspy_events::encode::{encode_body, Body, DecodeError};
-use dsspy_events::{InstanceInfo, RuntimeProfile};
+use dsspy_events::encode::{Body, DecodeError};
+use dsspy_events::InstanceInfo;
 use dsspy_telemetry::{overhead::signals, Telemetry, TelemetrySnapshot};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::collector::{Capture, CollectorStats};
+use crate::store::{Profiles, SealedBody};
 
 const MAGIC: &[u8; 8] = b"DSSPYCAP";
 const VERSION: u32 = 4;
@@ -93,6 +94,14 @@ impl std::fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
+impl PersistError {
+    /// The error for `instance`'s body failing to decode: names the
+    /// instance.
+    pub fn bad_body(instance: &InstanceInfo, error: DecodeError) -> PersistError {
+        PersistError::BadBody(format!("instance {}: {error}", instance.id))
+    }
+}
+
 impl From<io::Error> for PersistError {
     fn from(e: io::Error) -> Self {
         PersistError::Io(e)
@@ -102,12 +111,12 @@ impl From<io::Error> for PersistError {
 /// Serialize a capture into a writer.
 ///
 /// ```
-/// use dsspy_collect::{read_capture, write_capture, Session};
+/// use dsspy_collect::{read_capture_with, write_capture, ReadOptions, Session};
 ///
 /// let capture = Session::new().finish();
 /// let mut buf = Vec::new();
 /// write_capture(&capture, &mut buf).unwrap();
-/// let back = read_capture(buf.as_slice()).unwrap();
+/// let back = read_capture_with(buf.as_slice(), &ReadOptions::default()).unwrap();
 /// assert_eq!(back.instance_count(), 0);
 /// ```
 pub fn write_capture(capture: &Capture, w: impl Write) -> Result<(), PersistError> {
@@ -116,11 +125,8 @@ pub fn write_capture(capture: &Capture, w: impl Write) -> Result<(), PersistErro
 
 /// [`write_capture`] that also reports write volume and time: counters
 /// `persist.encode_bytes`, `persist.bodies_encoded`, and the
-/// `persist.encode_nanos` signal.
-///
-/// A session's capture already holds its bodies encoded, and they are
-/// written unchanged; a capture of decoded profiles is encoded here, one
-/// body at a time.
+/// `persist.encode_nanos` signal. The capture's bodies are written
+/// unchanged.
 pub fn write_capture_with(
     capture: &Capture,
     mut w: impl Write,
@@ -130,12 +136,12 @@ pub fn write_capture_with(
     let mut written = 0u64;
     w.write_all(MAGIC)?;
     w.write_all(&VERSION.to_le_bytes())?;
-    let counted = capture.profiles.counted();
+    let profiles = &capture.profiles;
     let header = CaptureHeader {
-        instances: counted.iter().map(|(i, _)| (*i).clone()).collect(),
+        instances: profiles.instances().to_vec(),
         stats: capture.stats,
         session_nanos: capture.session_nanos,
-        event_counts: counted.iter().map(|(_, n)| *n).collect(),
+        event_counts: profiles.sealed.iter().map(|b| b.events).collect(),
         telemetry: capture.collection_telemetry.clone(),
     };
     let header_json =
@@ -143,22 +149,10 @@ pub fn write_capture_with(
     w.write_all(&(header_json.len() as u64).to_le_bytes())?;
     w.write_all(&header_json)?;
     written += 8 + 4 + 8 + header_json.len() as u64;
-    let mut write_body = |body: &[u8]| {
-        w.write_all(&(body.len() as u64).to_le_bytes())?;
-        w.write_all(body)?;
-        written += 8 + body.len() as u64;
-        Ok::<(), io::Error>(())
-    };
-    match capture.profiles.sealed_bytes() {
-        Some(mut bodies) => bodies.try_for_each(&mut write_body)?,
-        None => {
-            let mut body = Vec::new();
-            for profile in capture.profiles.iter() {
-                body.clear();
-                encode_body(&profile.events, &mut body);
-                write_body(&body)?;
-            }
-        }
+    for body in &profiles.sealed {
+        w.write_all(&(body.bytes.len() as u64).to_le_bytes())?;
+        w.write_all(&body.bytes)?;
+        written += 8 + body.bytes.len() as u64;
     }
     // A buffered writer may still hold the tail of the file: a failed final
     // write must surface here, not be dropped with the writer.
@@ -167,7 +161,7 @@ pub fn write_capture_with(
         telemetry.counter("persist.encode_bytes").add(written);
         telemetry
             .counter("persist.bodies_encoded")
-            .add(counted.len() as u64);
+            .add(profiles.instance_count() as u64);
         telemetry
             .counter(signals::PERSIST_ENCODE)
             .add(telemetry.now_nanos().saturating_sub(start_nanos));
@@ -178,12 +172,12 @@ pub fn write_capture_with(
 /// How [`read_capture_with`] / [`load_capture_with`] should behave.
 #[derive(Clone, Debug)]
 pub struct ReadOptions {
-    /// Worker threads for decoding event bodies. `1` (the default) decodes
-    /// inline; more threads split the chunks of all bodies into that many
-    /// runs of near-equal event count, so one large instance decodes on
-    /// several cores. `0` means one worker per core.
+    /// Worker threads for checking the chunk checksums. `1` (the default)
+    /// checks inline; more threads split the chunks of all bodies into that
+    /// many runs of near-equal event count, so one large instance is checked
+    /// on several cores. `0` means one worker per core.
     pub threads: usize,
-    /// Where to report decode volume and time.
+    /// Where to report read volume and time.
     pub telemetry: Telemetry,
 }
 
@@ -193,45 +187,6 @@ impl Default for ReadOptions {
             threads: 1,
             telemetry: Telemetry::disabled(),
         }
-    }
-}
-
-/// A capture read into memory with its event bodies still encoded.
-///
-/// [`read_capture_with`] decodes the bodies into [`RuntimeProfile`]s;
-/// analysis can instead decode one chunk at a time with
-/// [`EncodedCapture::bodies`] and never build the profiles.
-pub struct EncodedCapture {
-    /// The registered instances, in header order.
-    pub instances: Vec<InstanceInfo>,
-    /// Collector statistics of the recording session.
-    pub stats: CollectorStats,
-    /// Wall-clock duration of the recording session, nanoseconds.
-    pub session_nanos: u64,
-    /// Collection-time telemetry of an observed recording session.
-    pub collection_telemetry: Option<TelemetrySnapshot>,
-    event_counts: Vec<u64>,
-    bodies: Vec<Vec<u8>>,
-}
-
-impl EncodedCapture {
-    /// Every body with its chunk framing validated against its instance's
-    /// header event count, in header order. Rows are decoded later, chunk
-    /// by chunk.
-    pub fn bodies(&self) -> Result<Vec<Body<'_>>, PersistError> {
-        self.bodies
-            .iter()
-            .zip(&self.event_counts)
-            .enumerate()
-            .map(|(i, (body, &expect))| {
-                Body::parse(body, expect).map_err(|e| self.body_error(i, e))
-            })
-            .collect()
-    }
-
-    /// The error for body `body` failing to decode: names the instance.
-    pub fn body_error(&self, body: usize, error: DecodeError) -> PersistError {
-        PersistError::BadBody(format!("instance {}: {error}", self.instances[body].id))
     }
 }
 
@@ -253,15 +208,20 @@ fn read_field<const N: usize>(r: &mut impl Read, field: &str) -> Result<[u8; N],
     }
 }
 
-/// Read a capture's header and encoded bodies from a reader, decoding no
-/// event. With an enabled `telemetry`, the bytes read count into
-/// `persist.decode_bytes` and the time into the `persist.decode_nanos`
-/// signal; whoever decodes the bodies adds `persist.bodies_decoded` and the
-/// decode time.
-pub fn read_encoded_with(
-    mut r: impl Read,
-    telemetry: &Telemetry,
-) -> Result<EncodedCapture, PersistError> {
+/// Read a capture from a reader, checking what it reads and reporting into
+/// telemetry.
+///
+/// I/O is sequential (the format is a stream of length-prefixed bodies).
+/// Every body's chunk framing is then checked against its header event
+/// count, and every chunk's checksum on `opts.threads` workers; the first
+/// body or chunk that fails, in body order, is the error, naming its
+/// instance, whatever the thread count. The capture keeps the bodies as
+/// read and decodes no row, so reading back what [`write_capture`] wrote
+/// gives the same capture. With an enabled telemetry handle, the bytes read
+/// count into `persist.decode_bytes` and the time into the
+/// `persist.decode_nanos` signal.
+pub fn read_capture_with(mut r: impl Read, opts: &ReadOptions) -> Result<Capture, PersistError> {
+    let telemetry = &opts.telemetry;
     let start_nanos = telemetry.now_nanos();
     if &read_field::<8>(&mut r, "the magic")? != MAGIC {
         return Err(PersistError::BadMagic);
@@ -295,141 +255,70 @@ pub fn read_encoded_with(
 
     // The format is a stream of length-prefixed bodies: pull each one off.
     let mut total_bytes = 8 + 4 + 8 + header_len as u64;
-    let mut bodies = Vec::with_capacity(header.instances.len());
-    for _ in &header.instances {
+    let mut sealed = Vec::with_capacity(header.instances.len());
+    for &events in &header.event_counts {
         let body_len = u64::from_le_bytes(read_field(&mut r, "an event body length")?);
         // Sized up front (reading into a growing vector copies it at every
         // doubling), but capped, so a corrupt length cannot reserve more.
-        let mut body = Vec::with_capacity(body_len.min(MAX_BODY_RESERVE) as usize);
-        r.by_ref().take(body_len).read_to_end(&mut body)?;
-        if body.len() as u64 != body_len {
+        let mut bytes = Vec::with_capacity(body_len.min(MAX_BODY_RESERVE) as usize);
+        r.by_ref().take(body_len).read_to_end(&mut bytes)?;
+        if bytes.len() as u64 != body_len {
             return Err(truncated("an event body"));
         }
         total_bytes += 8 + body_len;
-        bodies.push(body);
+        sealed.push(SealedBody { events, bytes });
     }
+    let threads = if opts.threads == 0 {
+        dsspy_parallel::default_threads()
+    } else {
+        opts.threads
+    };
+    check_bodies(&header.instances, &sealed, threads)?;
     if telemetry.is_enabled() {
         telemetry.counter("persist.decode_bytes").add(total_bytes);
         telemetry
             .counter(signals::PERSIST_DECODE)
             .add(telemetry.now_nanos().saturating_sub(start_nanos));
     }
-    Ok(EncodedCapture {
-        instances: header.instances,
+    Ok(Capture {
+        profiles: Profiles::new(header.instances, sealed),
         stats: header.stats,
         session_nanos: header.session_nanos,
         collection_telemetry: header.telemetry,
-        event_counts: header.event_counts,
-        bodies,
     })
 }
 
-/// Load a capture file without decoding its bodies (see
-/// [`read_encoded_with`]).
-pub fn load_encoded_with(
-    path: impl AsRef<Path>,
-    telemetry: &Telemetry,
-) -> Result<EncodedCapture, PersistError> {
-    let file = std::fs::File::open(path)?;
-    read_encoded_with(io::BufReader::new(file), telemetry)
-}
-
-/// Deserialize a capture from a reader (sequential, unobserved).
-pub fn read_capture(r: impl Read) -> Result<Capture, PersistError> {
-    read_capture_with(r, &ReadOptions::default())
-}
-
-/// Deserialize a capture from a reader, optionally decoding event bodies in
-/// parallel and reporting into telemetry.
-///
-/// I/O stays sequential (the format is a stream of length-prefixed bodies),
-/// but chunk decode — the CPU-bound part — fans out over `opts.threads`.
-/// Profiles come back in header order regardless of thread count, and each
-/// keeps its events in stored order, so reading back what
-/// [`write_capture`] wrote gives the same capture, profile by profile.
-pub fn read_capture_with(r: impl Read, opts: &ReadOptions) -> Result<Capture, PersistError> {
-    let telemetry = &opts.telemetry;
-    let encoded = read_encoded_with(r, telemetry)?;
-    let start_nanos = telemetry.now_nanos();
-    // Validate every body's chunk framing against its header event count,
-    // then decode all chunks of all bodies on `threads` workers.
-    let bodies = encoded.bodies()?;
-    let threads = if opts.threads == 0 {
-        dsspy_parallel::default_threads()
-    } else {
-        opts.threads
-    };
-    let profiles = decode_profiles(&encoded.instances, &bodies, threads)
-        .map_err(|(body, e)| encoded.body_error(body, e))?;
-    drop(bodies);
-    if telemetry.is_enabled() {
-        telemetry
-            .counter("persist.bodies_decoded")
-            .add(profiles.len() as u64);
-        telemetry
-            .counter(signals::PERSIST_DECODE)
-            .add(telemetry.now_nanos().saturating_sub(start_nanos));
-    }
-    let mut capture = Capture::new(profiles, encoded.stats, encoded.session_nanos);
-    capture.collection_telemetry = encoded.collection_telemetry;
-    Ok(capture)
-}
-
-/// Decode the chunks of all bodies on `threads` workers of
-/// [`dsspy_parallel::par_map_weighted`], weighted by event count, and return
-/// the profile of each of `instances` with its body's events, in stored
-/// order.
-///
-/// Each chunk writes straight into its own slots of its body's vector, sized
-/// from the validated chunk counts. A chunk's slots sit behind a lock only
-/// so that the shared job list can hand them out; its one decoder takes the
-/// lock once. On error the first failing chunk in body order is reported,
-/// with its body's index, whatever the thread count.
-pub(crate) fn decode_profiles(
+/// Check every body's chunk framing against its event count, then every
+/// chunk's checksum on `threads` workers of
+/// [`dsspy_parallel::par_map_weighted`], weighted by event count.
+fn check_bodies(
     instances: &[InstanceInfo],
-    bodies: &[Body<'_>],
+    sealed: &[SealedBody],
     threads: usize,
-) -> Result<Vec<RuntimeProfile>, (usize, DecodeError)> {
-    let mut out: Vec<_> = bodies.iter().map(|b| Vec::with_capacity(b.len())).collect();
-    let mut jobs = Vec::new();
-    for (i, (body, events)) in bodies.iter().zip(out.iter_mut()).enumerate() {
-        let mut spare = &mut events.spare_capacity_mut()[..body.len()];
-        for chunk in body.chunks() {
-            let (dst, rest) = std::mem::take(&mut spare).split_at_mut(chunk.len());
-            spare = rest;
-            jobs.push((i, chunk, Mutex::new(dst)));
-        }
-    }
-    let results = dsspy_parallel::par_map_weighted(
-        &jobs,
+) -> Result<(), PersistError> {
+    let bodies = instances
+        .iter()
+        .zip(sealed)
+        .map(|(instance, body)| {
+            Body::parse(&body.bytes, body.events).map_err(|e| PersistError::bad_body(instance, e))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let chunks: Vec<_> = bodies
+        .iter()
+        .enumerate()
+        .flat_map(|(i, body)| body.chunks().iter().map(move |chunk| (i, chunk)))
+        .collect();
+    let checked = dsspy_parallel::par_map_weighted(
+        &chunks,
         threads,
-        |(_, chunk, _)| chunk.len(),
+        |(_, chunk)| chunk.len(),
         || (),
-        |(), (_, chunk, dst)| chunk.decode_to(&mut dst.lock()),
+        |(), (_, chunk)| chunk.verify(),
     );
-    let mut filled = vec![0usize; bodies.len()];
-    for ((body, chunk, _), result) in jobs.iter().zip(results) {
-        result.map_err(|e| (*body, e))?;
-        filled[*body] += chunk.len();
+    for ((body, _), result) in chunks.iter().zip(checked) {
+        result.map_err(|e| PersistError::bad_body(&instances[*body], e))?;
     }
-    drop(jobs);
-    for ((events, body), filled) in out.iter_mut().zip(bodies).zip(filled) {
-        assert_eq!(filled, body.len(), "every slot of the body was decoded");
-        // SAFETY: the capacity is at least `body.len()`. The body's chunks
-        // were handed disjoint, consecutive slot ranges of the spare
-        // capacity that together cover `0..body.len()` (`Body::parse` makes
-        // `len` the sum of the chunk counts), and a successful
-        // `Chunk::decode_to` has written every slot of its range. The assert
-        // above checks that every chunk of this body succeeded, so all
-        // `body.len()` slots are initialized. `AccessEvent: Copy`, so the
-        // vectors dropped on an earlier error own nothing to drop.
-        unsafe { events.set_len(body.len()) };
-    }
-    let instances = instances.iter().cloned();
-    Ok(instances
-        .zip(out)
-        .map(|(instance, events)| RuntimeProfile { instance, events })
-        .collect())
+    Ok(())
 }
 
 /// Save a capture to a file.
@@ -447,13 +336,7 @@ pub fn save_capture_with(
     write_capture_with(capture, io::BufWriter::new(file), telemetry)
 }
 
-/// Load a capture from a file (sequential, unobserved).
-pub fn load_capture(path: impl AsRef<Path>) -> Result<Capture, PersistError> {
-    load_capture_with(path, &ReadOptions::default())
-}
-
-/// Load a capture from a file with parallel chunk decode and telemetry
-/// (see [`read_capture_with`]).
+/// Load a capture from a file (see [`read_capture_with`]).
 pub fn load_capture_with(
     path: impl AsRef<Path>,
     opts: &ReadOptions,
@@ -467,7 +350,13 @@ mod tests {
     use super::*;
     use crate::session::Session;
     use dsspy_events::encode::CHUNK_EVENTS;
-    use dsspy_events::{AccessEvent, AccessKind, AllocationSite, DsKind, InstanceId, Target};
+    use dsspy_events::{
+        AccessEvent, AccessKind, AllocationSite, DsKind, InstanceId, RuntimeProfile, Target,
+    };
+
+    fn read_capture(r: &[u8]) -> Result<Capture, PersistError> {
+        read_capture_with(r, &ReadOptions::default())
+    }
 
     fn sample_capture() -> Capture {
         let session = Session::new();
@@ -504,14 +393,14 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("capture.dsspy");
         save_capture(&capture, &path).unwrap();
-        let back = load_capture(&path).unwrap();
+        let back = load_capture_with(&path, &ReadOptions::default()).unwrap();
         assert_eq!(back.event_count(), capture.event_count());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn rejects_wrong_magic() {
-        let err = read_capture(&b"NOTACAPXXXX"[..]).unwrap_err();
+        let err = read_capture(b"NOTACAPXXXX").unwrap_err();
         assert!(matches!(err, PersistError::BadMagic));
     }
 

@@ -1,22 +1,25 @@
-//! Where a session's events live: each instance's v4 body, encoded as its
-//! batches arrive, and the [`Profiles`] view a [`Capture`](crate::Capture)
-//! reads them through.
+//! Where a capture's events live: each instance's v4 body, and the
+//! [`Profiles`] view a [`Capture`](crate::Capture) reads them through.
 //!
-//! The collector thread appends every batch to its instance's open chunk
-//! ([`BodyWriter`]), about 4 bytes per event, and seals the chunk with its
-//! checksum at [`CHUNK_EVENTS`](dsspy_events::encode::CHUNK_EVENTS) events.
-//! When the session finishes, the open chunks are sealed and the bodies
-//! become the capture: saving writes them unchanged, analysis folds them a
-//! chunk at a time, and they are decoded into profiles only when a caller
-//! reads the events themselves.
+//! Every capture holds its events this one way. In a session the collector
+//! thread appends every batch to its instance's open chunk ([`BodyWriter`]),
+//! about 4 bytes per event, and seals the chunk with its checksum at
+//! [`CHUNK_EVENTS`](dsspy_events::encode::CHUNK_EVENTS) events; when the
+//! session finishes, the open chunks are sealed and the bodies become the
+//! capture. A capture read from a file holds the file's bodies, checked at
+//! load, and [`Capture::new`](crate::Capture::new) encodes its profiles
+//! once. Saving writes the bodies unchanged, analysis folds them a chunk at
+//! a time, and they are decoded into profiles only when a caller reads the
+//! events themselves.
 
 use std::ops::Deref;
 use std::sync::OnceLock;
 
-use dsspy_events::encode::{Body, BodyWriter};
+use dsspy_events::encode::{Body, BodyWriter, DecodeError};
 use dsspy_events::{AccessEvent, InstanceId, InstanceInfo, RuntimeProfile};
+use parking_lot::Mutex;
 
-use crate::persist::decode_profiles;
+use crate::persist::PersistError;
 
 /// Each instance's body so far, indexed by instance id (an instance's id is
 /// its registry position).
@@ -41,146 +44,128 @@ impl Store {
     }
 
     /// Seal every open chunk and pair instance `i` of `instances` with body
-    /// `i`, or with no events past the last body. A sealed body never grows
-    /// again, so it gives back the room its writer reserved.
+    /// `i`, or with no events past the last body.
     pub(crate) fn seal(self, instances: Vec<InstanceInfo>) -> Profiles {
         let mut bodies = self.bodies.into_iter();
-        let bodies = instances
+        let sealed = instances
             .iter()
-            .map(|_| {
-                let body = bodies.next().unwrap_or_default();
-                let events = body.len();
-                let mut bytes = body.finish();
-                bytes.shrink_to_fit();
-                SealedBody { events, bytes }
-            })
+            .map(|_| bodies.next().unwrap_or_default().into())
             .collect();
-        Profiles(Held::Sealed(Box::new(Sealed {
-            instances,
-            bodies,
-            decoded: OnceLock::new(),
-        })))
+        Profiles::new(instances, sealed)
     }
 }
 
 /// One instance's sealed body and the events it holds.
 #[derive(Clone, Default)]
-struct SealedBody {
-    events: u64,
-    bytes: Vec<u8>,
+pub(crate) struct SealedBody {
+    pub(crate) events: u64,
+    pub(crate) bytes: Vec<u8>,
 }
 
-#[derive(Clone)]
-struct Sealed {
-    instances: Vec<InstanceInfo>,
-    bodies: Vec<SealedBody>,
-    /// The profiles, once a caller has read them.
-    decoded: OnceLock<Vec<RuntimeProfile>>,
-}
-
-impl Sealed {
-    fn parse(&self) -> Vec<Body<'_>> {
-        let bodies = self.bodies.iter();
-        bodies
-            .map(|b| Body::parse(&b.bytes, b.events).expect("a sealed body parses"))
-            .collect()
+/// A sealed body never grows again, so it gives back the room its writer
+/// reserved.
+impl From<BodyWriter> for SealedBody {
+    fn from(body: BodyWriter) -> SealedBody {
+        let events = body.len();
+        let mut bytes = body.finish();
+        bytes.shrink_to_fit();
+        SealedBody { events, bytes }
     }
-
-    fn decode(&self) -> Vec<RuntimeProfile> {
-        let threads = dsspy_parallel::default_threads();
-        decode_profiles(&self.instances, &self.parse(), threads).expect("a sealed body decodes")
-    }
-}
-
-#[derive(Clone)]
-enum Held {
-    Decoded(Vec<RuntimeProfile>),
-    Sealed(Box<Sealed>),
 }
 
 /// A capture's per-instance profiles, in registration order.
 ///
-/// A session's capture holds each instance's sealed v4 body. The first read
-/// of the profiles themselves — indexing, iterating, anything through
-/// `Deref<Target = [RuntimeProfile]>` — decodes every body once, on every
-/// core, and keeps the result. [`Profiles::events`],
-/// [`Profiles::instance_count`] and [`Profiles::event_count`] never decode.
-/// A capture built from profiles ([`Capture::new`](crate::Capture::new), or
-/// read from a file) holds them decoded.
+/// The view holds each instance's sealed v4 body. [`Profiles::instances`],
+/// [`Profiles::bodies`], [`Profiles::instance_count`] and
+/// [`Profiles::event_count`] never decode. The first read of the profiles
+/// themselves — [`Profiles::decode`], or indexing, iterating, anything
+/// through `Deref<Target = [RuntimeProfile]>` — decodes every body once, on
+/// every core, and keeps the result.
 #[derive(Clone)]
-pub struct Profiles(Held);
-
-/// How a [`Profiles`] view holds its events: what a caller that folds them
-/// without building profiles reads.
-pub enum CaptureEvents<'a> {
-    /// Decoded profiles.
-    Decoded(&'a [RuntimeProfile]),
-    /// The instances and, for each, its sealed body with its chunks framed.
-    Sealed(&'a [InstanceInfo], Vec<Body<'a>>),
+pub struct Profiles {
+    instances: Vec<InstanceInfo>,
+    /// Body `i` holds the events of `instances[i]`.
+    pub(crate) sealed: Vec<SealedBody>,
+    /// The profiles, once a caller has read them.
+    decoded: OnceLock<Vec<RuntimeProfile>>,
 }
 
 impl Profiles {
-    /// The profiles' events as they are held, never decoded.
-    pub fn events(&self) -> CaptureEvents<'_> {
-        match &self.0 {
-            Held::Decoded(profiles) => CaptureEvents::Decoded(profiles),
-            Held::Sealed(sealed) => CaptureEvents::Sealed(&sealed.instances, sealed.parse()),
+    pub(crate) fn new(instances: Vec<InstanceInfo>, sealed: Vec<SealedBody>) -> Profiles {
+        Profiles {
+            instances,
+            sealed,
+            decoded: OnceLock::new(),
         }
     }
 
-    /// Each instance's sealed body bytes, or `None` when the profiles are
-    /// held decoded.
-    pub(crate) fn sealed_bytes(&self) -> Option<impl Iterator<Item = &[u8]>> {
-        match &self.0 {
-            Held::Decoded(_) => None,
-            Held::Sealed(sealed) => Some(sealed.bodies.iter().map(|b| &b.bytes[..])),
-        }
+    /// The instances, in order.
+    pub fn instances(&self) -> &[InstanceInfo] {
+        &self.instances
     }
 
-    /// Each instance with its number of events, in order.
-    pub(crate) fn counted(&self) -> Vec<(&InstanceInfo, u64)> {
-        match &self.0 {
-            Held::Decoded(profiles) => profiles
-                .iter()
-                .map(|p| (&p.instance, p.len() as u64))
-                .collect(),
-            Held::Sealed(sealed) => sealed
-                .instances
-                .iter()
-                .zip(&sealed.bodies)
-                .map(|(instance, body)| (instance, body.events))
-                .collect(),
-        }
+    /// Each instance's body with its chunks framed, in order: what a caller
+    /// that folds the events chunk by chunk reads. Every body's framing was
+    /// checked when it was sealed or loaded.
+    pub fn bodies(&self) -> Vec<Body<'_>> {
+        let sealed = self.sealed.iter();
+        sealed
+            .map(|b| Body::parse(&b.bytes, b.events).expect("a sealed body parses"))
+            .collect()
     }
 
     /// The number of instances.
     pub fn instance_count(&self) -> usize {
-        match &self.0 {
-            Held::Decoded(profiles) => profiles.len(),
-            Held::Sealed(sealed) => sealed.instances.len(),
-        }
+        self.instances.len()
     }
 
     /// The number of events across all instances.
     pub fn event_count(&self) -> usize {
-        match &self.0 {
-            Held::Decoded(profiles) => profiles.iter().map(RuntimeProfile::len).sum(),
-            Held::Sealed(sealed) => sealed.bodies.iter().map(|b| b.events as usize).sum(),
-        }
+        self.sealed.iter().map(|b| b.events as usize).sum()
     }
 
-    /// The profiles, decoded if they are held sealed.
-    pub fn into_vec(self) -> Vec<RuntimeProfile> {
-        match self.0 {
-            Held::Decoded(profiles) => profiles,
-            Held::Sealed(mut sealed) => sealed.decoded.take().unwrap_or_else(|| sealed.decode()),
+    /// The profiles, decoded on the first call. A chunk whose rows do not
+    /// decode is the error, naming its instance: the first in instance
+    /// order. Load checks every chunk's checksum, so only a file forged to
+    /// match its checksums can fail here; a caller reading such a file calls
+    /// this before it reads the events, which otherwise panic.
+    pub fn decode(&self) -> Result<&[RuntimeProfile], PersistError> {
+        if let Some(profiles) = self.decoded.get() {
+            return Ok(profiles);
+        }
+        let profiles = self.decode_all()?;
+        Ok(self.decoded.get_or_init(|| profiles))
+    }
+
+    fn decode_all(&self) -> Result<Vec<RuntimeProfile>, PersistError> {
+        let threads = dsspy_parallel::default_threads();
+        decode_profiles(&self.instances, &self.bodies(), threads)
+            .map_err(|(body, e)| PersistError::bad_body(&self.instances[body], e))
+    }
+
+    /// The profiles, decoded.
+    pub fn into_vec(mut self) -> Vec<RuntimeProfile> {
+        match self.decoded.take() {
+            Some(profiles) => profiles,
+            None => self.decode_all().expect(DECODES),
         }
     }
 }
 
+const DECODES: &str = "a capture's chunks decode (call Profiles::decode to get the error)";
+
+/// Encode each profile's events once.
 impl From<Vec<RuntimeProfile>> for Profiles {
     fn from(profiles: Vec<RuntimeProfile>) -> Profiles {
-        Profiles(Held::Decoded(profiles))
+        let (instances, sealed) = profiles
+            .into_iter()
+            .map(|profile| {
+                let mut body = BodyWriter::default();
+                body.push(&profile.events);
+                (profile.instance, body.into())
+            })
+            .unzip();
+        Profiles::new(instances, sealed)
     }
 }
 
@@ -188,10 +173,7 @@ impl Deref for Profiles {
     type Target = [RuntimeProfile];
 
     fn deref(&self) -> &[RuntimeProfile] {
-        match &self.0 {
-            Held::Decoded(profiles) => profiles,
-            Held::Sealed(sealed) => sealed.decoded.get_or_init(|| sealed.decode()),
-        }
+        self.decode().expect(DECODES)
     }
 }
 
@@ -213,7 +195,7 @@ impl IntoIterator for Profiles {
     }
 }
 
-/// Equal when the decoded profiles are equal, however each side holds them.
+/// Equal when the decoded profiles are equal.
 impl PartialEq for Profiles {
     fn eq(&self, other: &Profiles) -> bool {
         **self == **other
@@ -224,6 +206,63 @@ impl std::fmt::Debug for Profiles {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_list().entries(self.iter()).finish()
     }
+}
+
+/// Decode the chunks of all bodies on `threads` workers of
+/// [`dsspy_parallel::par_map_weighted`], weighted by event count, and return
+/// the profile of each of `instances` with its body's events, in stored
+/// order.
+///
+/// Each chunk writes straight into its own slots of its body's vector, sized
+/// from the validated chunk counts. A chunk's slots sit behind a lock only
+/// so that the shared job list can hand them out; its one decoder takes the
+/// lock once. On error the first failing chunk in body order is reported,
+/// with its body's index, whatever the thread count.
+fn decode_profiles(
+    instances: &[InstanceInfo],
+    bodies: &[Body<'_>],
+    threads: usize,
+) -> Result<Vec<RuntimeProfile>, (usize, DecodeError)> {
+    let mut out: Vec<_> = bodies.iter().map(|b| Vec::with_capacity(b.len())).collect();
+    let mut jobs = Vec::new();
+    for (i, (body, events)) in bodies.iter().zip(out.iter_mut()).enumerate() {
+        let mut spare = &mut events.spare_capacity_mut()[..body.len()];
+        for chunk in body.chunks() {
+            let (dst, rest) = std::mem::take(&mut spare).split_at_mut(chunk.len());
+            spare = rest;
+            jobs.push((i, chunk, Mutex::new(dst)));
+        }
+    }
+    let results = dsspy_parallel::par_map_weighted(
+        &jobs,
+        threads,
+        |(_, chunk, _)| chunk.len(),
+        || (),
+        |(), (_, chunk, dst)| chunk.decode_to(&mut dst.lock()),
+    );
+    let mut filled = vec![0usize; bodies.len()];
+    for ((body, chunk, _), result) in jobs.iter().zip(results) {
+        result.map_err(|e| (*body, e))?;
+        filled[*body] += chunk.len();
+    }
+    drop(jobs);
+    for ((events, body), filled) in out.iter_mut().zip(bodies).zip(filled) {
+        assert_eq!(filled, body.len(), "every slot of the body was decoded");
+        // SAFETY: the capacity is at least `body.len()`. The body's chunks
+        // were handed disjoint, consecutive slot ranges of the spare
+        // capacity that together cover `0..body.len()` (`Body::parse` makes
+        // `len` the sum of the chunk counts), and a successful
+        // `Chunk::decode_to` has written every slot of its range. The assert
+        // above checks that every chunk of this body succeeded, so all
+        // `body.len()` slots are initialized. `AccessEvent: Copy`, so the
+        // vectors dropped on an earlier error own nothing to drop.
+        unsafe { events.set_len(body.len()) };
+    }
+    let instances = instances.iter().cloned();
+    Ok(instances
+        .zip(out)
+        .map(|(instance, events)| RuntimeProfile { instance, events })
+        .collect())
 }
 
 #[cfg(test)]
@@ -250,14 +289,14 @@ mod tests {
         let profiles = store.seal(vec![info(0), info(1)]);
         assert_eq!(profiles.instance_count(), 2);
         assert_eq!(profiles.event_count(), 1);
-        assert!(profiles.sealed_bytes().is_some());
+        assert_eq!(profiles.instances()[1], info(1));
+        assert_eq!(profiles.sealed[1].events, 0);
         assert_eq!(profiles[0].len(), 1);
         assert!(profiles[1].is_empty());
-        assert_eq!(profiles.counted()[1], (&info(1), 0));
     }
 
     #[test]
-    fn a_sealed_view_equals_its_decoded_profiles() {
+    fn batches_and_profiles_seal_to_the_same_bytes() {
         let mut store = Store::default();
         let events: Vec<_> = (0..10u32)
             .map(|i| AccessEvent::at(u64::from(i), AccessKind::Insert, i, i + 1))
@@ -266,11 +305,12 @@ mod tests {
             store.store(InstanceId(1), batch);
         }
         let sealed = store.seal(vec![info(0), info(1)]);
-        let decoded = Profiles::from(vec![
+        let encoded = Profiles::from(vec![
             RuntimeProfile::new(info(0), Vec::new()),
             RuntimeProfile::new(info(1), events.clone()),
         ]);
-        assert_eq!(sealed, decoded);
+        assert_eq!(sealed.sealed[1].bytes, encoded.sealed[1].bytes);
+        assert_eq!(sealed, encoded);
         assert_eq!(sealed.clone().into_vec()[1].events, events);
         assert_eq!(sealed.into_iter().count(), 2);
     }

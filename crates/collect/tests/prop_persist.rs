@@ -1,13 +1,17 @@
 //! Property tests: capture persistence is lossless for arbitrary captures,
 //! and corrupted files never panic the loader.
 
-use dsspy_collect::persist::{read_capture, read_capture_with, write_capture, ReadOptions};
+use dsspy_collect::persist::{read_capture_with, write_capture, PersistError, ReadOptions};
 use dsspy_collect::{Capture, CollectorStats};
 use dsspy_events::{
     AccessEvent, AccessKind, AllocationSite, DsKind, InstanceId, InstanceInfo, RuntimeProfile,
     Target, ThreadTag,
 };
 use proptest::prelude::*;
+
+fn read_capture(r: &[u8]) -> Result<Capture, PersistError> {
+    read_capture_with(r, &ReadOptions::default())
+}
 
 fn arb_kind() -> impl Strategy<Value = AccessKind> {
     (0u8..11).prop_map(|v| AccessKind::from_u8(v).unwrap())
@@ -111,7 +115,11 @@ proptest! {
         let mut buf = Vec::new();
         write_capture(&capture, &mut buf).unwrap();
         let cut = ((buf.len() as f64) * frac) as usize;
-        let _ = read_capture(&buf[..cut]); // error or (very rarely) a prefix — never a panic
+        // An error or (very rarely) a prefix, whose events then decode —
+        // never a panic.
+        if let Ok(back) = read_capture(&buf[..cut]) {
+            prop_assert!(back.profiles.decode().is_ok());
+        }
     }
 
     #[test]
@@ -123,6 +131,9 @@ proptest! {
         }
         let pos = ((buf.len() - 1) as f64 * pos_frac) as usize;
         buf[pos] ^= 1 << bit;
-        let _ = read_capture(buf.as_slice()); // any outcome but a panic
+        // Any outcome but a panic, at load or when the events are read.
+        if let Ok(back) = read_capture(buf.as_slice()) {
+            let _ = back.profiles.decode();
+        }
     }
 }

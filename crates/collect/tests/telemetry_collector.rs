@@ -272,7 +272,7 @@ fn handle_side_drops_reach_the_telemetry_counter() {
 }
 
 #[test]
-fn persistence_round_trip_reports_volume_and_decodes_in_parallel() {
+fn persistence_round_trip_reports_volume_and_checks_in_parallel() {
     let session = Session::new();
     let mut handles: Vec<_> = (0..6)
         .map(|t| session.register(site(t), DsKind::List, "u64"))
@@ -294,7 +294,7 @@ fn persistence_round_trip_reports_volume_and_decodes_in_parallel() {
     assert_eq!(snap.counter("persist.bodies_encoded"), Some(6));
     assert!(snap.counter(signals::PERSIST_ENCODE).unwrap_or(0) > 0);
 
-    // Decode with 1 thread and 4 threads: identical captures either way.
+    // Check with 1 thread and 4 threads: identical captures either way.
     for threads in [1usize, 4] {
         let telemetry = Telemetry::enabled();
         let opts = ReadOptions {
@@ -310,7 +310,9 @@ fn persistence_round_trip_reports_volume_and_decodes_in_parallel() {
         }
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("persist.decode_bytes"), Some(buf.len() as u64));
-        assert_eq!(snap.counter("persist.bodies_decoded"), Some(6));
+        // Load checks the checksums but decodes no row: the analysis fold
+        // is the one writer of `persist.bodies_decoded`.
+        assert_eq!(snap.counter("persist.bodies_decoded"), None);
         assert!(snap.counter(signals::PERSIST_DECODE).unwrap_or(0) > 0);
     }
 }

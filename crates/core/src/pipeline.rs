@@ -1,9 +1,10 @@
 //! The analysis pipeline: capture → patterns → use cases → report.
 //!
-//! Analysis is chunk-parallel. Every analyzed instance's events are cut
-//! into *units* of at most [`CHUNK_EVENTS`] consecutive events (the capture
-//! codec's chunk, so a unit is exactly one chunk of the instance's body on
-//! disk). The units of all instances, in order, are split into
+//! Analysis is chunk-parallel. A capture holds each instance's sealed body,
+//! whatever it came from, and every chunk of an analyzed instance's body
+//! (at most [`CHUNK_EVENTS`](dsspy_events::encode::CHUNK_EVENTS) events) is
+//! one *unit*; an instance with no events gets one empty unit. The units of
+//! all instances, in order, are split into
 //! [`AnalysisConfig::resolved_threads`] contiguous runs of near-equal event
 //! count ([`dsspy_parallel::par_map_weighted`], the way capture decode
 //! splits chunks), and each worker folds each of its units into a fresh
@@ -19,20 +20,16 @@
 //! `a ++ b`) makes it equal to one straight fold of each instance, which is
 //! what the streaming analyzer computes.
 //!
-//! [`Dsspy::analyze_capture`] cuts decoded profiles into units, and folds a
-//! session's sealed bodies chunk by chunk; [`Dsspy::analyze_encoded_with`]
-//! folds a capture file's encoded bodies the same way. A chunk is decoded
-//! into a worker-local buffer right before it is folded, so no profile is
-//! ever built.
+//! [`Dsspy::try_analyze_capture_with`] is that one fold. Each chunk is
+//! decoded into a worker-local buffer right before it is folded, so no
+//! profile is ever built.
 
 use std::borrow::Cow;
 use std::time::Instant;
 
-use dsspy_collect::{
-    Capture, CaptureEvents, CollectorStats, EncodedCapture, PersistError, Session, SessionConfig,
-};
-use dsspy_events::encode::{Body, Chunk, DecodeError, CHUNK_EVENTS};
-use dsspy_events::{AccessEvent, InstanceInfo, Origin, RuntimeProfile};
+use dsspy_collect::{Capture, PersistError, Session, SessionConfig};
+use dsspy_events::encode::{Chunk, DecodeError};
+use dsspy_events::{AccessEvent, InstanceInfo, Origin};
 use dsspy_patterns::{MinerConfig, RegularityConfig};
 use dsspy_telemetry::{overhead::signals, OverheadReport, Telemetry};
 use dsspy_usecases::{AdvisoryConfig, Thresholds};
@@ -144,18 +141,34 @@ impl Dsspy {
         self.analyze_capture_with(&capture, telemetry)
     }
 
-    /// Post-mortem analysis of an existing capture (e.g. one loaded from
-    /// disk or produced by a long-running session managed by the caller).
+    /// Post-mortem analysis of an existing capture (e.g. one produced by a
+    /// long-running session managed by the caller).
     ///
     /// Each instance's events are folded in chunks on
     /// [`AnalysisConfig::resolved_threads`] workers and the chunk folds
     /// merged in order (see the module docs), so the report does not depend
-    /// on the thread count.
+    /// on the thread count. Panics where
+    /// [`Dsspy::try_analyze_capture_with`] returns an error: a session's own
+    /// chunks always decode, and so does a loaded file's unless it was
+    /// forged to match its checksums.
     pub fn analyze_capture(&self, capture: &Capture) -> Report {
         self.analyze_capture_with(capture, &Telemetry::disabled())
     }
 
-    /// [`Dsspy::analyze_capture`] under observation.
+    /// [`Dsspy::analyze_capture`] under observation (see
+    /// [`Dsspy::try_analyze_capture_with`]).
+    pub fn analyze_capture_with(&self, capture: &Capture, telemetry: &Telemetry) -> Report {
+        self.try_analyze_capture_with(capture, telemetry)
+            .expect("a capture's chunks decode")
+    }
+
+    /// The analysis of `capture`, or the first chunk that fails to decode,
+    /// in instance order, whatever the thread count. Each worker decodes
+    /// each of its chunks into a buffer of its own, checking the chunk's
+    /// checksum in the same pass, and folds it there, so memory stays at
+    /// the encoded bytes plus one chunk buffer per worker. A merge that
+    /// must replay a chunk decodes it again. Bodies of instances the
+    /// selective filter leaves out are not decoded.
     ///
     /// Each unit's fold is recorded as a `mine#i` span (category
     /// `analysis`, `i` the instance's index in the report, attributed to the
@@ -165,153 +178,69 @@ impl Dsspy {
     /// `classify#i` span. The whole pass is an `analyze_capture` span
     /// (category `pipeline`); counters `analysis.units` and
     /// `analysis.replayed_events` count the units and the events merges
-    /// replayed. The report embeds the snapshot, with
+    /// replayed, `persist.bodies_decoded` the analyzed bodies, and the
+    /// chunk decode time, summed over workers, adds to
+    /// `persist.decode_nanos`. The report embeds the snapshot, with
     /// [`OverheadReport::account`] run against the capture's session
-    /// duration. With a disabled handle this is exactly
-    /// [`Dsspy::analyze_capture`]: no spans, no snapshot, `telemetry: None`.
-    ///
-    /// The capture is folded in the form it holds and never converted: a
-    /// session's sealed bodies chunk by chunk, as
-    /// [`Dsspy::analyze_encoded_with`] folds a file's, and decoded profiles
-    /// in slices of [`CHUNK_EVENTS`].
-    pub fn analyze_capture_with(&self, capture: &Capture, telemetry: &Telemetry) -> Report {
-        let pass_start_nanos = telemetry.now_nanos();
-        let events = capture.profiles.events();
-        let (infos, units) = match &events {
-            CaptureEvents::Decoded(profiles) => self.profile_units(profiles),
-            CaptureEvents::Sealed(instances, bodies) => {
-                self.body_units(instances, bodies, telemetry)
-            }
-        };
-        let pass = Pass {
-            infos,
-            stats: capture.stats,
-            session_nanos: capture.session_nanos,
-            pass_start_nanos,
-            threads: self.analysis.resolved_threads(),
-        };
-        self.fold_units(pass, units, telemetry)
-            .expect("a session's own chunks decode")
-    }
-
-    /// The report [`Dsspy::analyze_capture_with`] gives for the decoded
-    /// capture, computed from its encoded bodies: each worker decodes each
-    /// of its chunks into a buffer of its own, checking the chunk's checksum
-    /// in the same pass, and folds it there. No [`Capture`] or profile is
-    /// built, so memory stays at the encoded bytes plus one chunk buffer per
-    /// worker. A merge that must replay a chunk decodes it again.
-    ///
-    /// Bodies of instances the selective filter leaves out are checked for
-    /// framing but not decoded. The first chunk that fails to decode, in
-    /// instance order, is the error, whatever the thread count. Observed,
-    /// the run also adds the decoded bodies to `persist.bodies_decoded` and
-    /// the chunk decode time, summed over workers, to `persist.decode_nanos`.
-    pub fn analyze_encoded_with(
+    /// duration. With a disabled handle there are no spans, no snapshot and
+    /// `telemetry: None`.
+    pub fn try_analyze_capture_with(
         &self,
-        encoded: &EncodedCapture,
+        capture: &Capture,
         telemetry: &Telemetry,
     ) -> Result<Report, PersistError> {
         let pass_start_nanos = telemetry.now_nanos();
-        let bodies = encoded.bodies()?;
-        let (infos, units) = self.body_units(&encoded.instances, &bodies, telemetry);
-        let pass = Pass {
-            infos,
-            stats: encoded.stats,
-            session_nanos: encoded.session_nanos,
-            pass_start_nanos,
-            threads: self.analysis.resolved_threads(),
-        };
-        self.fold_units(pass, units, telemetry)
-            .map_err(|(body, e)| encoded.body_error(body, e))
-    }
-
-    /// The analyzed instances of decoded `profiles` and their units: each
-    /// profile's events in slices of [`CHUNK_EVENTS`].
-    fn profile_units<'a>(
-        &self,
-        profiles: &'a [RuntimeProfile],
-    ) -> (Vec<&'a InstanceInfo>, Vec<Unit<Source<'a>>>) {
-        let profiles: Vec<_> = profiles
-            .iter()
-            .filter(|profile| self.analysis.includes(&profile.instance))
-            .collect();
-        let units = profiles
-            .iter()
-            .enumerate()
-            .flat_map(|(instance, profile)| {
-                let events = &profile.events;
-                let chunks = events.chunks(CHUNK_EVENTS);
-                // An instance with no events still gets one (empty) unit.
-                let empty = events.is_empty().then_some(&events[..]);
-                chunks.chain(empty).map(move |events| Unit {
-                    instance,
-                    events: events.len(),
-                    source: Source::Events(events),
-                })
-            })
-            .collect();
-        (profiles.iter().map(|p| &p.instance).collect(), units)
-    }
-
-    /// The analyzed instances of encoded `bodies` and their units: each
-    /// body's chunks. Observed, the analyzed bodies count into
-    /// `persist.bodies_decoded`.
-    fn body_units<'a>(
-        &self,
-        instances: &'a [InstanceInfo],
-        bodies: &'a [Body<'a>],
-        telemetry: &Telemetry,
-    ) -> (Vec<&'a InstanceInfo>, Vec<Unit<Source<'a>>>) {
+        let instances = capture.profiles.instances();
+        let bodies = capture.profiles.bodies();
         let included: Vec<usize> = (0..bodies.len())
             .filter(|&body| self.analysis.includes(&instances[body]))
             .collect();
-        let units = included
+        let units: Vec<Unit<'_>> = included
             .iter()
             .enumerate()
             .flat_map(|(instance, &body)| {
-                let chunks = bodies[body].chunks().iter();
-                let sources = chunks.map(move |chunk| Source::Chunk(body, chunk));
+                let chunks = bodies[body].chunks().iter().map(Some);
                 // An instance with no events still gets one (empty) unit.
-                let empty = bodies[body].is_empty().then_some(Source::Events(&[]));
-                sources.chain(empty).map(move |source| Unit {
+                let empty = bodies[body].is_empty().then_some(None);
+                chunks.chain(empty).map(move |chunk| Unit {
                     instance,
-                    events: source.len(),
-                    source,
+                    body,
+                    chunk,
                 })
             })
             .collect();
         telemetry
             .counter("persist.bodies_decoded")
             .add(included.len() as u64);
-        (included.iter().map(|&i| &instances[i]).collect(), units)
+        let folded = self
+            .fold_units(&units, telemetry)
+            .map_err(|(body, e)| PersistError::bad_body(&instances[body], e))?;
+        let infos = included.iter().map(|&i| &instances[i]).collect();
+        Ok(self.assemble(capture, infos, &units, folded, pass_start_nanos, telemetry))
     }
 
     /// Fold `units` on [`AnalysisConfig::resolved_threads`] workers, each
-    /// decoding a chunk into a buffer of its own before folding it, then
-    /// merge and report them. The first unit that fails to decode, in unit
-    /// order, is the error, with its body.
+    /// decoding a chunk into a buffer of its own before folding it. The
+    /// first unit that fails to decode, in unit order, is the error, with
+    /// its body.
     fn fold_units(
         &self,
-        pass: Pass<'_>,
-        units: Vec<Unit<Source<'_>>>,
+        units: &[Unit<'_>],
         telemetry: &Telemetry,
-    ) -> Result<Report, (usize, DecodeError)> {
+    ) -> Result<Vec<Folded>, (usize, DecodeError)> {
         let folded = dsspy_parallel::par_map_weighted(
-            &units,
-            pass.threads,
-            |unit| unit.events,
+            units,
+            self.analysis.resolved_threads(),
+            |unit| unit.chunk.map_or(0, Chunk::len),
             Vec::new,
-            |buffer, unit| match unit.source {
-                Source::Events(events) => Ok((self.fold_unit(unit.instance, events, telemetry), 0)),
-                Source::Chunk(body, chunk) => {
-                    let decoding = Instant::now();
-                    chunk.decode_into(buffer).map_err(|e| (body, e))?;
-                    let decode_nanos = decoding.elapsed().as_nanos() as u64;
-                    Ok((
-                        self.fold_unit(unit.instance, buffer, telemetry),
-                        decode_nanos,
-                    ))
-                }
+            |buffer, unit| {
+                let decoding = Instant::now();
+                unit.decode_into(buffer)?;
+                let decode_nanos = decoding.elapsed().as_nanos() as u64;
+                Ok((
+                    self.fold_unit(unit.instance, buffer, telemetry),
+                    decode_nanos,
+                ))
             },
         );
         let mut folds = Vec::with_capacity(units.len());
@@ -321,25 +250,8 @@ impl Dsspy {
             folds.push(fold);
             decode_nanos += nanos;
         }
-        if decode_nanos > 0 {
-            telemetry.counter(signals::PERSIST_DECODE).add(decode_nanos);
-        }
-        Ok(self.assemble(
-            pass,
-            &units,
-            folds,
-            |unit| match unit.source {
-                Source::Events(events) => Cow::Borrowed(events),
-                Source::Chunk(_, chunk) => {
-                    let mut events = Vec::new();
-                    chunk
-                        .decode_into(&mut events)
-                        .expect("a chunk that decoded once decodes again");
-                    Cow::Owned(events)
-                }
-            },
-            telemetry,
-        ))
+        telemetry.counter(signals::PERSIST_DECODE).add(decode_nanos);
+        Ok(folds)
     }
 
     /// Fold one unit's events into a fresh fold, timed (and recorded as a
@@ -359,27 +271,29 @@ impl Dsspy {
     }
 
     /// Merge each instance's unit folds left to right, report every
-    /// instance, and assemble the [`Report`]. `units` and `folded` are in
-    /// the same order; `events_of` yields a unit's events for a merge that
-    /// replays them.
-    fn assemble<'u, S>(
+    /// analyzed instance of `infos`, and assemble the [`Report`]. `units`
+    /// and `folded` are in the same order; a merge that replays a unit
+    /// decodes its chunk again.
+    fn assemble(
         &self,
-        pass: Pass<'_>,
-        units: &'u [Unit<S>],
+        capture: &Capture,
+        infos: Vec<&InstanceInfo>,
+        units: &[Unit<'_>],
         folded: Vec<Folded>,
-        events_of: impl Fn(&'u Unit<S>) -> Cow<'u, [AccessEvent]>,
+        pass_start_nanos: u64,
         telemetry: &Telemetry,
     ) -> Report {
-        telemetry.gauge("analysis.threads").set(pass.threads as u64);
+        let threads = self.analysis.resolved_threads();
+        telemetry.gauge("analysis.threads").set(threads as u64);
         telemetry
             .counter("analysis.instances")
-            .add(pass.infos.len() as u64);
+            .add(infos.len() as u64);
         telemetry.counter("analysis.units").add(units.len() as u64);
-        let mut instances = Vec::with_capacity(pass.infos.len());
-        let mut per_instance = Vec::with_capacity(pass.infos.len());
+        let mut instances = Vec::with_capacity(infos.len());
+        let mut per_instance = Vec::with_capacity(infos.len());
         let mut replayed = 0;
         let mut folded = units.iter().zip(folded).peekable();
-        for (idx, info) in pass.infos.iter().enumerate() {
+        for (idx, info) in infos.iter().enumerate() {
             let (_, first) = folded.next().expect("every instance has a unit");
             let mut fold = first.fold;
             let mut mining_nanos = first.nanos;
@@ -388,7 +302,12 @@ impl Dsspy {
                 let span = telemetry.span_lazy(signals::ANALYSIS_CAT, || format!("mine#{idx}"));
                 while let Some((unit, next)) = folded.next_if(|(unit, _)| unit.instance == idx) {
                     mining_nanos += next.nanos;
-                    replayed += fold.merge(next.fold, || events_of(unit));
+                    replayed += fold.merge(next.fold, || {
+                        let mut events = Vec::new();
+                        unit.decode_into(&mut events)
+                            .expect("a chunk that decoded once decodes again");
+                        Cow::Owned(events)
+                    });
                 }
                 drop(span);
                 mining_nanos += merging.elapsed().as_nanos() as u64;
@@ -405,8 +324,8 @@ impl Dsspy {
         }
         let mut report = Report {
             instances,
-            stats: pass.stats,
-            session_nanos: pass.session_nanos,
+            stats: capture.stats,
+            session_nanos: capture.session_nanos,
             timings: AnalysisTimings { per_instance },
             telemetry: None,
         };
@@ -420,39 +339,33 @@ impl Dsspy {
             telemetry.record_span(
                 signals::PIPELINE_CAT,
                 "analyze_capture",
-                pass.pass_start_nanos,
-                telemetry.now_nanos().saturating_sub(pass.pass_start_nanos),
+                pass_start_nanos,
+                telemetry.now_nanos().saturating_sub(pass_start_nanos),
             );
             let mut snapshot = telemetry.snapshot();
-            snapshot.overhead = Some(OverheadReport::account(&snapshot, pass.session_nanos));
+            snapshot.overhead = Some(OverheadReport::account(&snapshot, capture.session_nanos));
             report.telemetry = Some(snapshot);
         }
         report
     }
 }
 
-/// One unit of fold work: up to [`CHUNK_EVENTS`] consecutive events of the
-/// analyzed instance `instance`, read from `source`.
-struct Unit<S> {
+/// One unit of fold work: one chunk of body `body`, whose instance is the
+/// analyzed instance `instance`, or `None` for an instance with no events.
+struct Unit<'a> {
     instance: usize,
-    events: usize,
-    source: S,
+    body: usize,
+    chunk: Option<&'a Chunk<'a>>,
 }
 
-/// Where a unit's events are.
-#[derive(Clone, Copy)]
-enum Source<'a> {
-    /// Decoded events.
-    Events(&'a [AccessEvent]),
-    /// A chunk of body `.0`, decoded right before it is folded.
-    Chunk(usize, &'a Chunk<'a>),
-}
-
-impl Source<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Source::Events(events) => events.len(),
-            Source::Chunk(_, chunk) => chunk.len(),
+impl Unit<'_> {
+    /// Decode the unit's events into `out`, replacing what it held; on
+    /// error, the unit's body with the error.
+    fn decode_into(&self, out: &mut Vec<AccessEvent>) -> Result<(), (usize, DecodeError)> {
+        out.clear();
+        match self.chunk {
+            Some(chunk) => chunk.decode_into(out).map_err(|e| (self.body, e)),
+            None => Ok(()),
         }
     }
 }
@@ -461,15 +374,6 @@ impl Source<'_> {
 struct Folded {
     fold: InstanceFold,
     nanos: u64,
-}
-
-/// What one analysis pass reports besides its instances.
-struct Pass<'a> {
-    infos: Vec<&'a InstanceInfo>,
-    stats: CollectorStats,
-    session_nanos: u64,
-    pass_start_nanos: u64,
-    threads: usize,
 }
 
 #[cfg(test)]

@@ -384,7 +384,9 @@ impl Chunk<'_> {
         Ok(())
     }
 
-    fn verify(&self) -> Result<(), DecodeError> {
+    /// Check the chunk's rows against the checksum its frame declares,
+    /// decoding nothing.
+    pub fn verify(&self) -> Result<(), DecodeError> {
         let computed = checksum(self.rows);
         if computed != self.sum {
             return Err(DecodeError::Checksum {

@@ -7,7 +7,7 @@
 //! cargo run --example capture_replay
 //! ```
 
-use dsspy::collect::{load_capture, save_capture, Session};
+use dsspy::collect::{load_capture_with, save_capture, ReadOptions, Session};
 use dsspy::collections::{site, SpyVec};
 use dsspy::core::{diff_reports, Dsspy};
 use dsspy::usecases::Thresholds;
@@ -35,7 +35,7 @@ fn main() {
     // --- 2. Persist and reload ----------------------------------------------
     let path = std::env::temp_dir().join("dsspy-example.dsspycap");
     save_capture(&capture, &path).expect("save capture");
-    let reloaded = load_capture(&path).expect("load capture");
+    let reloaded = load_capture_with(&path, &ReadOptions::default()).expect("load capture");
     println!(
         "round-tripped through {} ({} bytes)",
         path.display(),

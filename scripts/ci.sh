@@ -19,8 +19,9 @@
 #               artifact all exit 2), the
 #               capture-write-error cell (`demo /dev/full` exits 1
 #               with "cannot write capture"), the corrupt-capture cell (a
-#               flipped row byte makes `analyze` exit 1 naming the instance
-#               and the checksum), the table4-drift cell (Table
+#               flipped row byte makes every command that reads the capture
+#               exit 1 naming the instance and the checksum), the
+#               table4-drift cell (Table
 #               IV detection columns identical in 30 runs under two busy
 #               loops), the closed-pipe cell (`analyze --json | head` and
 #               `repro --all | head` exit 0 quietly; usage and read errors
@@ -192,9 +193,9 @@ ROWS
                 { echo "stderr lacks \"cannot write capture\": $err"; exit 1; }
             echo "demo into a full device exits 1 with \"cannot write capture\""
         ' capture-write-error
-    # A flipped byte in a chunk's rows fails the chunk's checksum: analyze
-    # exits 1 naming the instance and the checksum instead of decoding the
-    # bytes into other events. The byte flipped is the first row byte of
+    # A flipped byte in a chunk's rows fails the chunk's checksum at load:
+    # every command that reads the capture exits 1 naming the instance and
+    # the checksum instead of decoding the bytes into other events. The byte flipped is the first row byte of
     # the first non-empty body (after the 20-byte preamble, the JSON header
     # and each body's 8-byte length, then the 12-byte chunk frame).
     CORRUPT="$LOG_DIR/ci-corrupt.dsspycap"
@@ -210,12 +211,19 @@ ROWS
             byte="$(od -An -t u1 -j "$pos" -N 1 "$cap" | tr -d " ")"
             printf "$(printf "\\%03o" $((byte ^ 1)))" |
                 dd of="$cap" bs=1 seek="$pos" conv=notrunc status=none || exit 1
-            err="$(./target/release/dsspy analyze "$cap" 2>&1 >/dev/null)"
-            code=$?
-            [[ "$code" -eq 1 ]] || { echo "analyze of a flipped capture: exit $code, want 1"; exit 1; }
-            grep -q "instance ds#" <<<"$err" && grep -q "checksum" <<<"$err" ||
-                { echo "stderr names no instance or checksum: $err"; exit 1; }
-            echo "a flipped row byte at offset $pos: analyze exits 1: $err"
+            html="${cap%.dsspycap}.html"
+            for cmd in "analyze $cap" "analyze $cap --json" "report $cap --out $html" \
+                "chart $cap" "timeline $cap --instance 0" "csv $cap usecases" \
+                "watch $cap --batch 256 --frames 4" "doctor $cap"; do
+                # Word splitting is wanted: $cmd is the command and its arguments.
+                # shellcheck disable=SC2086
+                err="$(./target/release/dsspy $cmd 2>&1 >/dev/null)"
+                code=$?
+                [[ "$code" -eq 1 ]] || { echo "dsspy $cmd: exit $code, want 1: $err"; exit 1; }
+                grep -q "instance ds#" <<<"$err" && grep -q "checksum" <<<"$err" ||
+                    { echo "dsspy $cmd: stderr names no instance or checksum: $err"; exit 1; }
+            done
+            echo "a flipped row byte at offset $pos: every command exits 1: $err"
         ' corrupt-capture "$CORRUPT"
     # Event time is the session's logical clock, so CPU contention cannot
     # move a verdict: under two busy loops, 30 test-scale Table IV runs

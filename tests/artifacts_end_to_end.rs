@@ -2,7 +2,7 @@
 //! gpdotnet, persist the capture, reload it, analyze, and emit every output
 //! format (text, JSON, CSV, HTML, SVG charts) without loss.
 
-use dsspy::collect::{load_capture, save_capture, Session};
+use dsspy::collect::{load_capture_with, save_capture, ReadOptions, Session};
 use dsspy::core::{instances_csv, use_cases_csv, Dsspy};
 use dsspy::viz::{html_report, profile_chart_svg, timeline_svg};
 use dsspy_workloads::programs::gpdotnet::GpDotNet;
@@ -21,7 +21,7 @@ fn gpdotnet_artifact_chain() {
 
     // 2. Reload and analyze: the verdicts are identical to the in-memory
     //    ones (the persistence layer is transparent to analysis).
-    let reloaded = load_capture(&cap_path).unwrap();
+    let reloaded = load_capture_with(&cap_path, &ReadOptions::default()).unwrap();
     let direct = Dsspy::new().analyze_capture(&capture);
     let via_disk = Dsspy::new().analyze_capture(&reloaded);
     assert_eq!(direct.instance_count(), via_disk.instance_count());

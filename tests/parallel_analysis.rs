@@ -1,15 +1,14 @@
-//! The parallel fan-outs: capture decode, `analyze_capture` (of a session's
-//! sealed chunks and of decoded profiles) and the fused
-//! `analyze_encoded_with` must produce the same report on one thread, two
-//! threads, or one worker per core — and `0` must resolve to the machine's
+//! The parallel fan-outs: the checksum check at load and `analyze_capture`
+//! must produce the same report on one thread, two threads, or one worker
+//! per core, whatever form the capture came in — a session's sealed chunks,
+//! a loaded file, or `Capture::new` — and `0` must resolve to the machine's
 //! parallelism. Instances of several chunks are folded chunk by chunk and
 //! merged, so the reports are also checked against one straight fold of
 //! each instance. A body stored out of `seq` order reports the same in
-//! memory, after a write and a read, and straight from its encoded bodies.
+//! memory and after a write and a read.
 
 use dsspy::collect::{
-    read_capture_with, read_encoded_with, write_capture, Capture, CaptureEvents, CollectorStats,
-    ReadOptions, Session,
+    read_capture_with, write_capture, Capture, CollectorStats, ReadOptions, Session,
 };
 use dsspy::collections::{site, SpyQueue, SpyVec};
 use dsspy::core::{AnalysisConfig, Dsspy, InstanceFold};
@@ -55,13 +54,11 @@ fn zero_threads_resolves_to_default_threads() {
     assert_eq!(pinned.analysis.resolved_threads(), 3);
 }
 
-/// Every path on real traffic: every suite7 capture is written, read back
-/// with its bodies decoded at `threads` workers and analyzed at the same
-/// width, and analyzed straight from its encoded bodies at that width; every
+/// Every capture form on real traffic: every suite7 capture, as recorded
+/// (its session's sealed chunks), as read back from its saved bytes with
+/// the checksums checked at `threads` workers, and as rebuilt from its
+/// profiles by `Capture::new`, is analyzed at 1, 2, 4 and 0 threads; every
 /// serialized report must equal the width-1 report of the loaded capture.
-/// The recorded capture itself, which holds sealed chunks, is analyzed at
-/// every width too, and must report what its decoded form and its saved
-/// bytes report at that width.
 #[test]
 fn suite7_reports_are_identical_at_any_decode_and_analysis_width() {
     let mut multi_chunk = 0;
@@ -86,48 +83,34 @@ fn suite7_reports_are_identical_at_any_decode_and_analysis_width() {
             let report = Dsspy::new().with_threads(threads).analyze_capture(&capture);
             serde_json::to_string(&report).expect("serialize report")
         };
-        let fused_at = |threads: usize| {
-            let encoded = read_encoded_with(&bytes[..], &Telemetry::disabled()).expect("read");
-            let report = Dsspy::new()
-                .with_threads(threads)
-                .analyze_encoded_with(&encoded, &Telemetry::disabled())
-                .expect("decode");
-            serde_json::to_string(&report).expect("serialize report")
-        };
         let baseline = report_at(1);
         assert_eq!(baseline, straight_report(&capture), "{name}: merged folds");
-        assert!(
-            matches!(capture.profiles.events(), CaptureEvents::Sealed(..)),
-            "{name}: a recorded capture holds its sealed chunks"
-        );
-        let decoded = Capture::new(
+        let built = Capture::new(
             capture.profiles.to_vec(),
             capture.stats,
             capture.session_nanos,
         );
+        let mut built_bytes = Vec::new();
+        write_capture(&built, &mut built_bytes).expect("write capture");
+        assert!(
+            built_bytes == bytes,
+            "{name}: Capture::new encodes what the session sealed"
+        );
         for threads in [1, 2, 4, 0] {
             let dsspy = Dsspy::new().with_threads(threads);
             let sealed = serde_json::to_string(&dsspy.analyze_capture(&capture)).unwrap();
-            let of_decoded = serde_json::to_string(&dsspy.analyze_capture(&decoded)).unwrap();
             assert!(
-                sealed == of_decoded,
-                "{name}: sealed and decoded reports differ at threads={threads}"
+                sealed == baseline,
+                "{name}: session and saved reports differ at threads={threads}"
             );
+            let of_built = serde_json::to_string(&dsspy.analyze_capture(&built)).unwrap();
             assert!(
-                sealed == fused_at(threads),
-                "{name}: sealed and saved reports differ at threads={threads}"
+                of_built == baseline,
+                "{name}: Capture::new and saved reports differ at threads={threads}"
             );
-        }
-        for threads in [2, 4, 0] {
             assert!(
                 report_at(threads) == baseline,
                 "{name}: report at threads={threads} differs from threads=1"
-            );
-        }
-        for threads in [1, 2, 4, 0] {
-            assert!(
-                fused_at(threads) == baseline,
-                "{name}: fused report at threads={threads} differs"
             );
         }
     }
@@ -242,26 +225,21 @@ fn multi_chunk_instances_report_the_same_at_every_width() {
     let baseline = straight_report(&capture);
     let mut bytes = Vec::new();
     write_capture(&capture, &mut bytes).expect("write capture");
-    let encoded = read_encoded_with(&bytes[..], &Telemetry::disabled()).expect("read");
+    let opts = ReadOptions {
+        threads: 2,
+        telemetry: Telemetry::disabled(),
+    };
+    let loaded = read_capture_with(&bytes[..], &opts).expect("read capture");
     for threads in [1, 2, 4, 0] {
         let dsspy = Dsspy::new().with_threads(threads);
-        let loaded = serde_json::to_string(&dsspy.analyze_capture(&capture)).unwrap();
-        assert!(loaded == baseline, "analyze_capture at threads={threads}");
-        let fused = serde_json::to_string(
-            &dsspy
-                .analyze_encoded_with(&encoded, &Telemetry::disabled())
-                .unwrap(),
-        )
-        .unwrap();
-        assert!(
-            fused == baseline,
-            "analyze_encoded_with at threads={threads}"
-        );
+        let built = serde_json::to_string(&dsspy.analyze_capture(&capture)).unwrap();
+        assert!(built == baseline, "Capture::new form at threads={threads}");
+        let loaded = serde_json::to_string(&dsspy.analyze_capture(&loaded)).unwrap();
+        assert!(loaded == baseline, "loaded form at threads={threads}");
     }
 }
 
-/// `capture` analyzed in memory, analyzed after a write and a read at
-/// decode widths 1 and 2, and analyzed straight from its encoded bodies at
+/// `capture` analyzed in memory and analyzed after a write and a read at
 /// widths 1 and 2 must serialize to the same report.
 fn assert_every_path_reports_alike(capture: &Capture) {
     let baseline = serde_json::to_string(&Dsspy::new().analyze_capture(capture)).unwrap();
@@ -277,15 +255,6 @@ fn assert_every_path_reports_alike(capture: &Capture) {
         assert!(
             serde_json::to_string(&report).unwrap() == baseline,
             "loaded capture at threads={threads}"
-        );
-        let encoded = read_encoded_with(&bytes[..], &Telemetry::disabled()).expect("read");
-        let report = Dsspy::new()
-            .with_threads(threads)
-            .analyze_encoded_with(&encoded, &Telemetry::disabled())
-            .expect("decode");
-        assert!(
-            serde_json::to_string(&report).unwrap() == baseline,
-            "fused analysis at threads={threads}"
         );
     }
 }
