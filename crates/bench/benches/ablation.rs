@@ -89,7 +89,7 @@ fn bench_threshold_settings(c: &mut Criterion) {
 fn bench_channel_mode(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/collector_channel");
     let n = 50_000u64;
-    for (name, capacity) in [("unbounded", None), ("bounded_1k", Some(1_024usize))] {
+    for (name, capacity) in [("default_cap", None), ("cap_1k", Some(1_024usize))] {
         group.bench_with_input(BenchmarkId::from_parameter(name), &capacity, |b, &cap| {
             b.iter(|| {
                 let session = Session::builder()

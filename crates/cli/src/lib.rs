@@ -18,7 +18,7 @@ pub mod args;
 
 use dsspy_collect::{
     load_capture_with, read_capture_with, save_capture_with, Capture, CollectorStats, CollectorTap,
-    PersistError, ReadOptions, Session, SessionConfig, QUEUE_WATERMARK,
+    PersistError, ReadOptions, Session, SessionConfig,
 };
 use dsspy_core::{diff_reports, instances_csv, sketches, use_cases_csv, Dsspy, Report};
 use dsspy_events::{AccessEvent, InstanceId, Origin, RuntimeProfile};
@@ -797,13 +797,16 @@ impl Live {
 }
 
 /// Re-collect a saved capture through real instance handles on the calling
-/// thread, in the original global event order, into a live session on
+/// thread, in the original event order, into a live session on
 /// `observer`'s telemetry (analysis on `threads` workers), and end it the
-/// way [`Live::end`] does. The session's channel is bounded below the
-/// collector's [`QUEUE_WATERMARK`], so a replay that outruns the collector
-/// waits for it instead of queueing past the watermark, an incident the
-/// replay itself would cause. With `pace`, the replay also sleeps 1 ms per
-/// 512 events, so that concurrent scrapes observe it mid-collection.
+/// way [`Live::end`] does. Like every session, the replay keeps at most
+/// [`MAX_BATCHES_IN_FLIGHT`](dsspy_collect::MAX_BATCHES_IN_FLIGHT) batches
+/// in flight, far below the collector's
+/// [`QUEUE_WATERMARK`](dsspy_collect::QUEUE_WATERMARK), so a replay
+/// that outruns the collector waits for it instead of queueing past the
+/// watermark, an incident the replay itself would cause. With `pace`, the
+/// replay also sleeps 1 ms per 512 events, so that concurrent scrapes
+/// observe it mid-collection.
 fn replay(
     observer: Observer,
     threads: usize,
@@ -812,7 +815,7 @@ fn replay(
 ) -> Result<(Capture, Arc<Report>, String), CliError> {
     let config = SessionConfig {
         batch_size: 64,
-        channel_capacity: Some(QUEUE_WATERMARK as usize / 2),
+        ..SessionConfig::default()
     };
     let (live, session) = Live::start(observer, config, threads, StreamConfig::default(), vec![]);
     let mut handles: Vec<_> = source
@@ -1169,7 +1172,7 @@ pub fn cmd_sketch(path: &Path) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsspy_collect::{save_capture, Session};
+    use dsspy_collect::{save_capture, Session, QUEUE_WATERMARK};
     use dsspy_collections::{site, SpyVec};
 
     fn temp_capture(hot: bool, name: &str) -> std::path::PathBuf {

@@ -5,10 +5,12 @@
 //! module concurrently and feeding it "via asynchronous intra-process
 //! communication" (§IV). The collector thread here plays that role: it
 //! encodes every batch on arrival into its instance's v4 body (about 4 bytes
-//! per event, see [`crate::store`]), so the profiled code never touches a
-//! shared log under a lock and the capture is ready to save when the
-//! session ends.
+//! per event, see [`crate::store`]) and hands the emptied batch back to the
+//! session's pool for the producers to refill, so the profiled code never
+//! touches a shared log under a lock and the capture is ready to save when
+//! the session ends.
 
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -20,6 +22,7 @@ use dsspy_telemetry::{
 use serde::{Deserialize, Serialize};
 
 use crate::fanout::TapFanout;
+use crate::pool::BatchPool;
 use crate::store::{Profiles, Store};
 
 /// Queue depth behind a batch above which an armed flight recorder logs a
@@ -98,7 +101,9 @@ pub struct CollectorStats {
 /// `Stop` marker. Anything still
 /// arriving *after* the marker was recorded after session shutdown; those
 /// events are drained so senders never block, but only counted, into
-/// [`CollectorStats::dropped`].
+/// [`CollectorStats::dropped`]. Every batch taken, stored or dropped, goes
+/// back to `pool`, which frees its slot; when the thread exits, by return
+/// or by panic, it disconnects `pool`, so no producer waits on it.
 ///
 /// When `telemetry` is enabled the thread reports its own behaviour: queue
 /// depth sampled at every batch receipt (and its peak — this thread is the
@@ -115,10 +120,19 @@ pub(crate) fn spawn(
     telemetry: Telemetry,
     session_id: u64,
     mut tap: Option<Box<TapFanout>>,
+    pool: Arc<BatchPool>,
 ) -> JoinHandle<(Store, CollectorStats, u64)> {
+    /// Disconnects the pool when the collector thread ends, however it ends.
+    struct Disconnect(Arc<BatchPool>);
+    impl Drop for Disconnect {
+        fn drop(&mut self) {
+            self.0.disconnect();
+        }
+    }
     std::thread::Builder::new()
         .name("dsspy-collector".into())
         .spawn(move || {
+            let pool = Disconnect(pool);
             // Handles resolved once, outside the receive loop.
             let queue_depth = telemetry.gauge("collector.queue_depth");
             let queue_hwm = telemetry.gauge("collector.queue_depth_hwm");
@@ -196,6 +210,7 @@ pub(crate) fn spawn(
                         stats.events += events;
                         stats.batches += 1;
                         stored.store(id, &batch);
+                        pool.0.release(batch);
                         if enabled {
                             let spent = telemetry.now_nanos().saturating_sub(start_nanos);
                             batch_handle.record(spent);
@@ -214,6 +229,7 @@ pub(crate) fn spawn(
             while let Ok(msg) = rx.try_recv() {
                 if let Msg::Batch(_, batch, _) = msg {
                     stats.dropped += batch.len() as u64;
+                    pool.0.release(batch);
                 }
             }
             let stop_ctx = TraceContext::new(session_id, stats.batches);
@@ -301,7 +317,19 @@ impl Capture {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crossbeam::channel::Sender;
     use dsspy_events::{AccessKind, AllocationSite, DsKind, InstanceInfo};
+
+    /// A pool with room for every batch a test queues.
+    fn pool() -> Arc<BatchPool> {
+        Arc::new(BatchPool::new(QUEUE_WATERMARK as usize + 16, 1))
+    }
+
+    /// Ship `events` for `id` as a handle does: take a slot, then send.
+    fn ship(tx: &Sender<Msg>, pool: &BatchPool, id: InstanceId, events: Vec<AccessEvent>) {
+        pool.reserve(&Telemetry::disabled());
+        tx.send(Msg::Batch(id, events, 0)).unwrap();
+    }
 
     fn info(id: u64) -> InstanceInfo {
         InstanceInfo::new(
@@ -315,13 +343,21 @@ mod tests {
     #[test]
     fn collector_thread_drains_after_stop() {
         let (tx, rx) = crossbeam::channel::unbounded();
-        let join = spawn(rx, Instant::now(), Telemetry::disabled(), 1, None);
-        tx.send(Msg::Batch(
+        let pool = pool();
+        let join = spawn(
+            rx,
+            Instant::now(),
+            Telemetry::disabled(),
+            1,
+            None,
+            Arc::clone(&pool),
+        );
+        ship(
+            &tx,
+            &pool,
             InstanceId(0),
             vec![AccessEvent::at(0, AccessKind::Insert, 0, 1)],
-            0,
-        ))
-        .unwrap();
+        );
         tx.send(Msg::Stop).unwrap();
         // Queued before the collector exits its drain loop is not guaranteed
         // for sends *after* Stop, but sends before Stop must be stored.
@@ -334,22 +370,30 @@ mod tests {
     #[test]
     fn batches_after_stop_are_counted_as_dropped() {
         let (tx, rx) = crossbeam::channel::unbounded();
+        let pool = pool();
         // Queue Stop and then a late batch *before* the collector starts:
         // FIFO delivery then guarantees the batch is seen after the Stop
         // marker, i.e. in the post-shutdown drain.
         tx.send(Msg::Stop).unwrap();
-        tx.send(Msg::Batch(
+        ship(
+            &tx,
+            &pool,
             InstanceId(9),
             vec![
                 AccessEvent::at(0, AccessKind::Insert, 0, 1),
                 AccessEvent::at(1, AccessKind::Insert, 1, 2),
             ],
-            0,
-        ))
+        );
+        let (stored, stats, _) = spawn(
+            rx,
+            Instant::now(),
+            Telemetry::disabled(),
+            1,
+            None,
+            Arc::clone(&pool),
+        )
+        .join()
         .unwrap();
-        let (stored, stats, _) = spawn(rx, Instant::now(), Telemetry::disabled(), 1, None)
-            .join()
-            .unwrap();
         assert_eq!(
             stored.instances_with_events(),
             0,
@@ -365,9 +409,12 @@ mod tests {
         // Queue the batches and Stop before the collector starts, so the
         // depth behind each of the first batches is above the watermark.
         let (tx, rx) = crossbeam::channel::unbounded();
+        let pool = pool();
         let batches = QUEUE_WATERMARK + 8;
         for i in 0..batches {
-            tx.send(Msg::Batch(
+            ship(
+                &tx,
+                &pool,
                 InstanceId(0),
                 vec![AccessEvent::at(
                     i,
@@ -375,15 +422,20 @@ mod tests {
                     i as u32,
                     i as u32 + 1,
                 )],
-                0,
-            ))
-            .unwrap();
+            );
         }
         tx.send(Msg::Stop).unwrap();
         let telemetry = Telemetry::enabled().with_flight(None);
-        let (_, stats, _) = spawn(rx, Instant::now(), telemetry.clone(), 1, None)
-            .join()
-            .unwrap();
+        let (_, stats, _) = spawn(
+            rx,
+            Instant::now(),
+            telemetry.clone(),
+            1,
+            None,
+            Arc::clone(&pool),
+        )
+        .join()
+        .unwrap();
         assert_eq!(stats.batches, batches);
         let incidents = telemetry.flight().dump().incidents;
         assert_eq!(incidents.len(), 1, "{incidents:?}");
@@ -402,13 +454,21 @@ mod tests {
     #[test]
     fn collector_thread_stops_when_senders_drop() {
         let (tx, rx) = crossbeam::channel::unbounded();
-        let join = spawn(rx, Instant::now(), Telemetry::disabled(), 1, None);
-        tx.send(Msg::Batch(
+        let pool = pool();
+        let join = spawn(
+            rx,
+            Instant::now(),
+            Telemetry::disabled(),
+            1,
+            None,
+            Arc::clone(&pool),
+        );
+        ship(
+            &tx,
+            &pool,
             InstanceId(3),
             vec![AccessEvent::at(0, AccessKind::Read, 0, 1)],
-            0,
-        ))
-        .unwrap();
+        );
         drop(tx);
         let (stored, stats, _) = join.join().unwrap();
         assert_eq!(stats.events, 1);
@@ -453,31 +513,32 @@ mod tests {
 
         let seen = Arc::new(Mutex::new(Seen::default()));
         let (tx, rx) = crossbeam::channel::unbounded();
+        let pool = pool();
         // Queue everything *before* spawning: FIFO delivery then guarantees
         // the straggler is seen after Stop, i.e. in the post-shutdown drain.
-        tx.send(Msg::Batch(
+        ship(
+            &tx,
+            &pool,
             InstanceId(1),
             vec![AccessEvent::at(0, AccessKind::Insert, 0, 1)],
-            0,
-        ))
-        .unwrap();
-        tx.send(Msg::Batch(
+        );
+        ship(
+            &tx,
+            &pool,
             InstanceId(2),
             vec![
                 AccessEvent::at(1, AccessKind::Insert, 0, 1),
                 AccessEvent::at(2, AccessKind::Insert, 1, 2),
             ],
-            0,
-        ))
-        .unwrap();
+        );
         tx.send(Msg::Stop).unwrap();
         // Post-stop straggler: dropped, must not reach the tap.
-        tx.send(Msg::Batch(
+        ship(
+            &tx,
+            &pool,
             InstanceId(3),
             vec![AccessEvent::at(3, AccessKind::Read, 0, 2)],
-            0,
-        ))
-        .unwrap();
+        );
         drop(tx);
         // A session that began 5 ms ago: the stamp taken at Stop covers it.
         let started = Instant::now() - std::time::Duration::from_millis(5);
@@ -490,6 +551,7 @@ mod tests {
                 "recording",
                 Box::new(RecordingTap(Arc::clone(&seen))),
             ))),
+            Arc::clone(&pool),
         )
         .join()
         .unwrap();

@@ -10,8 +10,11 @@
 //! We reproduce the same architecture inside one Rust process:
 //!
 //! * Every instrumented data structure owns an [`InstanceHandle`] that
-//!   buffers events locally (no locking on the hot path) and ships them in
-//!   batches over a crossbeam channel.
+//!   buffers events locally (no shared state on the hot path) and ships
+//!   them in batches over a crossbeam channel. At most
+//!   [`MAX_BATCHES_IN_FLIGHT`] batches are shipped and not yet stored; a
+//!   producer that gets that far ahead waits for the collector, and the
+//!   collector hands every emptied batch back for the producers to refill.
 //! * A dedicated **collector thread** receives the batches and encodes each
 //!   one on arrival into its instance's capture body (the v4 chunk format
 //!   of [`dsspy_events::encode`], about 4 bytes per event), off the
@@ -31,10 +34,11 @@
 //! * One [`dsspy_telemetry::Telemetry`] handle observes the whole session:
 //!   metrics, spans and, when armed, the flight recorder, all on one clock.
 //!
-//! Each event's one timestamp is a logical tick, the session-global atomic
-//! sequence number of the [`SessionClock`]: recording reads no clock. Wall
-//! time is kept per session (the collector stamps `session_nanos` at
-//! shutdown) and per batch (telemetry). Every event carries the
+//! Each event's one timestamp is a logical tick from a Lamport clock kept
+//! per thread and per instance ([`clock`]): recording reads no clock and
+//! touches no counter shared between threads. Wall time is kept per
+//! session (the collector stamps `session_nanos` at shutdown) and per
+//! batch (telemetry). Every event carries the
 //! [`dsspy_events::ThreadTag`] of the thread that raised it so that
 //! multi-threaded programs can be profiled (§IV).
 
@@ -44,6 +48,7 @@ pub mod clock;
 pub mod collector;
 pub mod fanout;
 pub mod persist;
+mod pool;
 pub mod registry;
 pub mod session;
 pub mod store;
@@ -55,6 +60,7 @@ pub use persist::{
     load_capture_with, read_capture_with, save_capture, save_capture_with, write_capture,
     write_capture_with, PersistError, ReadOptions,
 };
+pub use pool::MAX_BATCHES_IN_FLIGHT;
 pub use registry::Registry;
 pub use session::{InstanceHandle, Session, SessionBuilder, SessionConfig};
 pub use store::Profiles;

@@ -4,22 +4,25 @@
 //! paper's pipeline (Fig. 4: *Instrumentation → Execution → ... profiles*).
 //! Instrumented collections obtain an [`InstanceHandle`] at construction
 //! time and record one event per interface-method call; the collector
-//! encodes each shipped batch on arrival, and when the session is finished
-//! the sealed per-instance bodies are returned as a [`Capture`] for
-//! post-mortem analysis.
+//! encodes each shipped batch on arrival and hands its buffer back to the
+//! session's batch pool, and when the session is finished the sealed
+//! per-instance bodies are returned as a [`Capture`] for post-mortem
+//! analysis.
 
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Instant;
 
-use crossbeam::channel::{bounded, unbounded, Sender};
+use crossbeam::channel::{unbounded, Sender};
 use dsspy_events::{AccessEvent, AccessKind, AllocationSite, DsKind, InstanceId, Origin, Target};
 use dsspy_telemetry::{next_session_id, IncidentTrigger, Telemetry, TraceContext};
 
-use crate::clock::{current_thread_tag, SessionClock};
+use crate::clock::stamp;
 use crate::collector::{spawn, Capture, CollectorStats, Msg};
 use crate::fanout::TapFanout;
+use crate::pool::{BatchPool, MAX_BATCHES_IN_FLIGHT};
 use crate::registry::Registry;
 use crate::store::Store;
 
@@ -30,9 +33,12 @@ pub struct SessionConfig {
     /// collector thread. Larger batches amortize channel traffic; smaller
     /// batches bound the events lost if a structure leaks past shutdown.
     pub batch_size: usize,
-    /// Optional bound on the collector channel. `None` (the default) mirrors
-    /// the paper's design goal of never hitting a log-size ceiling; `Some(n)`
-    /// applies backpressure to the profiled code instead.
+    /// Bound on the batches shipped to the collector and not yet stored:
+    /// `None` (the default) is [`MAX_BATCHES_IN_FLIGHT`], `Some(n)` is `n`
+    /// (at least 1). A handle that would ship past the bound waits until
+    /// the collector has drained the backlog to half of it, so the profiled
+    /// code slows down instead of the session's memory growing; no event is
+    /// lost either way.
     pub channel_capacity: Option<usize>,
 }
 
@@ -48,7 +54,6 @@ impl Default for SessionConfig {
 /// Shared state between the session, its handles, and the collector.
 #[derive(Debug)]
 pub(crate) struct SessionInner {
-    pub(crate) clock: SessionClock,
     /// Shared with streaming consumers via [`Session::registry_handle`], so
     /// a tap can resolve instance metadata while the session is still live.
     pub(crate) registry: Arc<Registry>,
@@ -59,8 +64,28 @@ pub(crate) struct SessionInner {
     /// The process-unique id stamped into every [`TraceContext`] this
     /// session's collector emits.
     pub(crate) session_id: u64,
+    /// Bounds the batches in flight and recycles their buffers.
+    pool: Arc<BatchPool>,
     closed: AtomicBool,
     dropped: AtomicU64,
+}
+
+impl SessionInner {
+    /// Count `n` events a handle could not deliver. The first loss on the
+    /// session is a `drop-spike` incident; later ones ride it, and the
+    /// counter shows the volume.
+    #[cold]
+    fn lose(&self, n: u64) {
+        let prev = self.dropped.fetch_add(n, Ordering::Relaxed);
+        self.telemetry.counter("collector.dropped").add(n);
+        if prev == 0 {
+            self.telemetry.flight().incident(
+                TraceContext::new(self.session_id, 0),
+                None,
+                IncidentTrigger::DropSpike { dropped: n },
+            );
+        }
+    }
 }
 
 /// One profiling session: registry + clock + background collector.
@@ -145,8 +170,9 @@ impl Session {
             inner: Arc::clone(&self.inner),
             sender: self.sender.clone(),
             id,
-            buf: Vec::with_capacity(self.batch_size),
+            buf: self.inner.pool.buffer(),
             batch_size: self.batch_size,
+            tick: 0,
         }
     }
 
@@ -160,10 +186,12 @@ impl Session {
     /// [`Profiles`](crate::Profiles)).
     ///
     /// All instrumented structures should be dropped (or explicitly flushed)
-    /// before calling this; events recorded afterwards are counted in
-    /// [`CollectorStats::dropped`](crate::CollectorStats::dropped) rather
-    /// than silently lost. The session duration is stamped by the collector
-    /// once it has stored every pre-shutdown batch.
+    /// before calling this. Events shipped once the session is closing are
+    /// counted dropped rather than silently lost: in the `collector.dropped`
+    /// telemetry counter always, and in
+    /// [`CollectorStats::dropped`](crate::CollectorStats::dropped) when
+    /// they are lost before this returns. The session duration is stamped by
+    /// the collector once it has stored every pre-shutdown batch.
     pub fn finish(self) -> Capture {
         self.inner.closed.store(true, Ordering::SeqCst);
         let _ = self.sender.send(Msg::Stop);
@@ -242,31 +270,35 @@ impl SessionBuilder {
     /// [`CollectorTap`](crate::CollectorTap) for the exact delivery
     /// guarantees).
     pub fn start(self) -> Session {
-        let (tx, rx) = match self.config.channel_capacity {
-            Some(n) => bounded(n),
-            None => unbounded(),
-        };
+        let (tx, rx) = unbounded();
+        let batch_size = self.config.batch_size.max(1);
+        let pool = Arc::new(BatchPool::new(
+            self.config
+                .channel_capacity
+                .unwrap_or(MAX_BATCHES_IN_FLIGHT),
+            batch_size,
+        ));
         let session_id = next_session_id();
-        let clock = SessionClock::new();
         let join = spawn(
             rx,
-            clock.started(),
+            Instant::now(),
             self.telemetry.clone(),
             session_id,
             self.tap,
+            Arc::clone(&pool),
         );
         Session {
             inner: Arc::new(SessionInner {
-                clock,
                 registry: Arc::new(Registry::new()),
                 telemetry: self.telemetry,
                 session_id,
+                pool,
                 closed: AtomicBool::new(false),
                 dropped: AtomicU64::new(0),
             }),
             sender: tx,
             join,
-            batch_size: self.config.batch_size.max(1),
+            batch_size,
         }
     }
 }
@@ -279,16 +311,19 @@ impl Default for Session {
 
 /// Per-instance recording handle held by an instrumented collection.
 ///
-/// `record` is the hot path: it stamps the event with the session's next
-/// logical tick (no clock read) and appends to a local, unsynchronized
-/// buffer; only every `batch_size` events does it touch the channel. The
-/// handle flushes its tail on drop.
+/// `record` is the hot path: it stamps the event with a logical tick from
+/// the thread's and the instance's own clocks (no clock read, no shared
+/// state; see [`crate::clock`]) and appends to a local, unsynchronized
+/// buffer; only every `batch_size` events does it ship a batch. The handle
+/// flushes its tail on drop.
 pub struct InstanceHandle {
     inner: Arc<SessionInner>,
     sender: Sender<Msg>,
     id: InstanceId,
     buf: Vec<AccessEvent>,
     batch_size: usize,
+    /// The instance's next logical tick.
+    tick: u64,
 }
 
 impl InstanceHandle {
@@ -301,57 +336,58 @@ impl InstanceHandle {
     /// currently `len` elements long.
     #[inline]
     pub fn record(&mut self, kind: AccessKind, target: Target, len: u32) {
-        if self.inner.closed.load(Ordering::Relaxed) {
-            let prev = self.inner.dropped.fetch_add(1, Ordering::Relaxed);
-            // Cold path: the registry lookup is fine here, and publishing
-            // immediately means drop pressure is visible while it happens.
-            self.inner.telemetry.counter("collector.dropped").inc();
-            if prev == 0 {
-                // First post-shutdown drop on this session: the drop counter
-                // just moved, which is an incident trigger. Later drops ride
-                // the same incident — the counter shows the volume.
-                self.inner.telemetry.flight().incident(
-                    TraceContext::new(self.inner.session_id, 0),
-                    None,
-                    IncidentTrigger::DropSpike { dropped: 1 },
-                );
-            }
-            return;
-        }
-        let event = AccessEvent {
-            seq: self.inner.clock.next_seq(),
+        let (seq, thread) = stamp(self.inner.session_id, &mut self.tick);
+        self.buf.push(AccessEvent {
+            seq,
             kind,
             target,
             len,
-            thread: current_thread_tag(),
-        };
-        self.buf.push(event);
+            thread,
+        });
         if self.buf.len() >= self.batch_size {
             self.flush();
         }
     }
 
     /// Ship all locally buffered events to the collector now.
+    ///
+    /// When the session already has as many batches in flight as its
+    /// [`SessionConfig::channel_capacity`] allows, this waits for the
+    /// collector to drain half of them. After [`Session::finish`] it never
+    /// waits: the events are counted dropped.
     pub fn flush(&mut self) {
+        self.ship(true);
+    }
+
+    /// Ship the buffered events, continuing with a recycled buffer when
+    /// `refill` is set.
+    fn ship(&mut self, refill: bool) {
         if self.buf.is_empty() {
             return;
         }
-        let batch = std::mem::replace(&mut self.buf, Vec::with_capacity(self.batch_size));
+        let inner = &*self.inner;
+        if inner.closed.load(Ordering::Relaxed) {
+            inner.lose(self.buf.len() as u64);
+            self.buf.clear();
+            return;
+        }
+        inner.pool.reserve(&inner.telemetry);
+        let next = if refill {
+            inner.pool.buffer()
+        } else {
+            Vec::new()
+        };
+        let batch = std::mem::replace(&mut self.buf, next);
         // Stamp ship time from the telemetry clock (0 when disabled) so the
         // collector can report how long batches sit in the queue.
-        let sent_nanos = self.inner.telemetry.now_nanos();
+        let sent_nanos = inner.telemetry.now_nanos();
         if let Err(err) = self.sender.send(Msg::Batch(self.id, batch, sent_nanos)) {
             // Collector already gone; account the exact loss.
-            let crate::collector::Msg::Batch(_, lost, _) = err.0 else {
+            let Msg::Batch(_, lost, _) = err.0 else {
                 return;
             };
-            self.inner
-                .dropped
-                .fetch_add(lost.len() as u64, Ordering::Relaxed);
-            self.inner
-                .telemetry
-                .counter("collector.dropped")
-                .add(lost.len() as u64);
+            inner.lose(lost.len() as u64);
+            inner.pool.release(lost);
         }
     }
 
@@ -363,7 +399,8 @@ impl InstanceHandle {
 
 impl Drop for InstanceHandle {
     fn drop(&mut self) {
-        self.flush();
+        self.ship(false);
+        self.inner.pool.recycle(std::mem::take(&mut self.buf));
     }
 }
 
@@ -445,9 +482,16 @@ mod tests {
         let inner = Arc::clone(&session.inner);
         let cap = session.finish();
         assert_eq!(cap.stats.events, 1);
+        // Recording stays local; the flush counts the whole lost batch.
         h.record(AccessKind::Read, Target::Index(0), 1);
-        assert_eq!(inner.dropped.load(Ordering::Relaxed), 1);
+        h.record(AccessKind::Read, Target::Index(0), 1);
+        assert_eq!(inner.dropped.load(Ordering::Relaxed), 0);
+        h.flush();
+        assert_eq!(inner.dropped.load(Ordering::Relaxed), 2);
+        assert_eq!(h.buffered(), 0);
+        h.record(AccessKind::Read, Target::Index(0), 1);
         drop(h);
+        assert_eq!(inner.dropped.load(Ordering::Relaxed), 3);
     }
 
     #[test]

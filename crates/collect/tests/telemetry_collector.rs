@@ -9,6 +9,7 @@ use std::time::{Duration, Instant};
 use dsspy_collect::{
     load_capture_with, read_capture_with, save_capture_with, write_capture, write_capture_with,
     CollectorStats, CollectorTap, ReadOptions, Session, SessionConfig, TapFanout,
+    MAX_BATCHES_IN_FLIGHT,
 };
 use dsspy_events::{AccessEvent, AccessKind, AllocationSite, DsKind, InstanceId, Target};
 use dsspy_telemetry::{overhead::signals, Telemetry, TraceContext};
@@ -174,14 +175,20 @@ fn queue_depth_hwm_is_the_deepest_queue_the_tap_was_handed() {
     // Batch 1 ships and the collector is held inside the tap with it ...
     record(0..4);
     gate.wait();
-    // ... while batches 2..=500 queue up behind it.
-    record(4..2_000);
+    // ... while batches 2..=MAX_BATCHES_IN_FLIGHT queue up behind it, as
+    // many as the session lets be in flight.
+    let cap = MAX_BATCHES_IN_FLIGHT as u32;
+    record(4..4 * cap);
     gate.wait();
     gate.wait();
     drop(h);
     session.finish();
     let deepest = deepest.load(Ordering::Relaxed) as u64;
-    assert_eq!(deepest, 498, "batch 2 is received with 3..=500 queued");
+    assert_eq!(
+        deepest,
+        u64::from(cap) - 2,
+        "batch 2 is received with 3..={cap} queued"
+    );
     // The collector's receipt-time sample is the gauge's only writer.
     assert_eq!(
         telemetry.snapshot().gauge("collector.queue_depth_hwm"),
