@@ -476,9 +476,21 @@ pub fn speedups(runs: NonZeroUsize) -> String {
     };
     for (label, paper, sequential, parallel) in kernels {
         let ratio = time(sequential) as f64 / time(parallel).max(1) as f64;
-        let _ = writeln!(out, "{label}, {n} elems: {ratio:.2}x{paper}");
+        let ratio = significant(ratio);
+        let _ = writeln!(out, "{label}, {n} elems: {ratio}x{paper}");
     }
     out
+}
+
+/// `x` with two decimals, or with as many more as it takes to show two
+/// significant digits, so a small positive ratio never prints as zero.
+fn significant(x: f64) -> String {
+    let decimals = if x > 0.0 && x < 0.1 {
+        (1 - x.log10().floor() as i32).clamp(2, 12) as usize
+    } else {
+        2
+    };
+    format!("{x:.decimals$}")
 }
 
 /// Ablation study: sweep the main classifier thresholds over the Table III
@@ -610,6 +622,17 @@ mod tests {
             .collect();
         assert_eq!(ratios.len(), 4, "{t}");
         assert!(ratios.iter().all(|r| r.is_finite() && *r > 0.0), "{t}");
+    }
+
+    #[test]
+    fn small_ratios_keep_two_significant_digits() {
+        let printed: Vec<String> = [2.304, 0.96, 0.1, 0.04, 0.0461, 0.004, 0.00012]
+            .map(significant)
+            .into();
+        let want = [
+            "2.30", "0.96", "0.10", "0.040", "0.046", "0.0040", "0.00012",
+        ];
+        assert_eq!(printed, want);
     }
 
     #[test]

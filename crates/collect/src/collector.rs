@@ -3,18 +3,17 @@
 //! DSspy "keeps the execution slowdown low by only recording the access
 //! events at runtime and analyzing them post-mortem", running the analysis
 //! module concurrently and feeding it "via asynchronous intra-process
-//! communication" (§IV). The collector thread here plays that role: it
-//! encodes every batch on arrival into its instance's v4 body (about 4 bytes
-//! per event, see [`crate::store`]) and hands the emptied batch back to the
-//! session's pool for the producers to refill, so the profiled code never
-//! touches a shared log under a lock and the capture is ready to save when
-//! the session ends.
+//! communication" (§IV). The collector thread here plays that role: it takes
+//! the batches from the session's hand-off queue (`pool.rs`) a burst
+//! at a time, encodes every batch on arrival into its instance's v4 body
+//! (about 4 bytes per event, see [`crate::store`]) and hands the emptied
+//! batch back to the queue for the producers to refill, so the profiled code
+//! never touches a shared log and the capture is ready to save when the
+//! session ends.
 
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crossbeam::channel::Receiver;
 use dsspy_events::{AccessEvent, InstanceId, RuntimeProfile};
 use dsspy_telemetry::{
     overhead::signals, FlightEventKind, IncidentTrigger, Telemetry, TraceContext,
@@ -22,24 +21,12 @@ use dsspy_telemetry::{
 use serde::{Deserialize, Serialize};
 
 use crate::fanout::TapFanout;
-use crate::pool::BatchPool;
+use crate::pool::{Msg, Receiver};
 use crate::store::{Profiles, Store};
 
 /// Queue depth behind a batch above which an armed flight recorder logs a
 /// `QueueWatermark` incident (once per upward crossing).
 pub const QUEUE_WATERMARK: u64 = 4096;
-
-/// Messages from instrumented code to the collector thread.
-pub(crate) enum Msg {
-    /// A batch of events for one instance, in per-thread order. The last
-    /// field is the telemetry-clock time the batch was shipped (0 when
-    /// telemetry is disabled), so the collector can report queue wait.
-    Batch(InstanceId, Vec<AccessEvent>, u64),
-    /// Session shutdown: drain whatever is already queued, then stop. The
-    /// collector stamps the session's wall-clock duration when it takes this
-    /// marker, so every batch shipped before shutdown is stored by then.
-    Stop,
-}
 
 /// Observer of the collector's batch path — the subscription point for
 /// streaming consumers (`dsspy-stream`'s `StreamingAnalyzer` attaches here).
@@ -49,7 +36,7 @@ pub(crate) enum Msg {
 ///
 /// The tap runs *on the collector thread*: it sees every stored batch, in
 /// arrival order, before the batch is stored with its instance's events.
-/// Batches drained after `Msg::Stop` — the ones counted into
+/// Batches queued after `Msg::Stop` — the ones counted into
 /// [`CollectorStats::dropped`] — are **not** tapped, so a tap observes
 /// exactly the events that end up in the session's [`Capture`].
 ///
@@ -60,7 +47,7 @@ pub trait CollectorTap: Send {
     /// One stored batch: its causal coordinates (`ctx.batch_seq` is the
     /// 1-based arrival ordinal on this collector thread), the instance it
     /// belongs to, its events (per-thread chronological order), and the
-    /// channel depth observed *behind* this batch — the backpressure
+    /// queue depth observed *behind* this batch — the backpressure
     /// signal.
     fn on_batch(
         &mut self,
@@ -73,7 +60,7 @@ pub trait CollectorTap: Send {
     /// Session shutdown, after the post-stop drain. `ctx.batch_seq` carries
     /// the sequence of the *last* stored batch (0 when the session stored
     /// none); `session_nanos` is the session duration the collector stamped
-    /// on taking `Msg::Stop` (or on the senders disconnecting), the same
+    /// on taking `Msg::Stop` (or on the last sender going), the same
     /// value the session's [`Capture`] carries.
     fn on_stop(&mut self, ctx: TraceContext, stats: &CollectorStats, session_nanos: u64);
 }
@@ -94,45 +81,37 @@ pub struct CollectorStats {
 ///
 /// The thread hands back the store of encoded events, its counters and the
 /// session duration it stamped. It accumulates events
-/// until it sees [`Msg::Stop`] (or all senders disconnect), then stamps the
+/// until it sees [`Msg::Stop`] (or all senders are gone), then stamps the
 /// session duration — it is the one writer of `session_nanos`, so the
-/// collector's busy time can never exceed it. The channel is FIFO, so every
+/// collector's busy time can never exceed it. The queue is FIFO, so every
 /// batch flushed before shutdown is received — and stored — before the
-/// `Stop` marker. Anything still
-/// arriving *after* the marker was recorded after session shutdown; those
-/// events are drained so senders never block, but only counted, into
-/// [`CollectorStats::dropped`]. Every batch taken, stored or dropped, goes
-/// back to `pool`, which frees its slot; when the thread exits, by return
-/// or by panic, it disconnects `pool`, so no producer waits on it.
+/// `Stop` marker. Then it closes the queue: the batches queued *after* the
+/// marker were recorded after session shutdown and are only counted, into
+/// [`CollectorStats::dropped`], and a later ship fails and is counted by its
+/// handle. Every batch taken goes back to the queue, which frees its slot;
+/// when the thread exits, by return or by panic, the queue is closed, so no
+/// producer waits on it.
 ///
 /// When `telemetry` is enabled the thread reports its own behaviour: queue
 /// depth sampled at every batch receipt (and its peak — this thread is the
 /// only writer of both gauges), `collector.events`/`collector.batches`
 /// counters advanced per stored batch so a live scrape sees the session's
 /// pulse, batch size and queue-wait histograms, per-batch handling time,
-/// and the total busy time that feeds the Table IV-style overhead
-/// accountant. The disabled path costs one branch per batch. When the
-/// handle has an armed flight recorder, batch receipts, drops and
-/// queue-watermark crossings are recorded into it.
+/// the total busy time that feeds the Table IV-style overhead accountant,
+/// and `collector.wakeups`, one per resume from a park. The disabled path
+/// costs one branch per batch. When the handle has an armed flight
+/// recorder, batch receipts, drops and queue-watermark crossings are
+/// recorded into it.
 pub(crate) fn spawn(
-    rx: Receiver<Msg>,
+    mut rx: Receiver,
     started: Instant,
     telemetry: Telemetry,
     session_id: u64,
     mut tap: Option<Box<TapFanout>>,
-    pool: Arc<BatchPool>,
 ) -> JoinHandle<(Store, CollectorStats, u64)> {
-    /// Disconnects the pool when the collector thread ends, however it ends.
-    struct Disconnect(Arc<BatchPool>);
-    impl Drop for Disconnect {
-        fn drop(&mut self) {
-            self.0.disconnect();
-        }
-    }
     std::thread::Builder::new()
         .name("dsspy-collector".into())
         .spawn(move || {
-            let pool = Disconnect(pool);
             // Handles resolved once, outside the receive loop.
             let queue_depth = telemetry.gauge("collector.queue_depth");
             let queue_hwm = telemetry.gauge("collector.queue_depth_hwm");
@@ -142,6 +121,7 @@ pub(crate) fn spawn(
             let busy = telemetry.counter(signals::COLLECTOR_BUSY);
             let events_stored = telemetry.counter("collector.events");
             let batches_stored = telemetry.counter("collector.batches");
+            let wakeups = telemetry.counter("collector.wakeups");
             let enabled = telemetry.is_enabled();
             let flight = telemetry.flight();
             // Latched so a sustained breach is one incident, not one per
@@ -155,81 +135,73 @@ pub(crate) fn spawn(
             let mut stored = Store::default();
             let mut stats = CollectorStats::default();
             // Phase 1: normal operation until Stop (or all senders gone).
-            while let Ok(msg) = rx.recv() {
-                match msg {
-                    Msg::Batch(id, batch, sent_nanos) => {
-                        // Depth *behind* this batch: what is still queued
-                        // after we took ours. The backpressure signal both
-                        // telemetry and the tap consume; skipped entirely on
-                        // the bare path so tap-disabled cost stays one branch.
-                        let depth = if enabled || tap.is_some() || flight.is_enabled() {
-                            rx.len()
-                        } else {
-                            0
-                        };
-                        let start_nanos = if enabled {
-                            queue_depth.set(depth as u64);
-                            queue_hwm.set_max(depth as u64);
-                            let now = telemetry.now_nanos();
-                            batch_wait.record(now.saturating_sub(sent_nanos));
-                            batch_events.record(batch.len() as u64);
-                            now
-                        } else {
-                            0
-                        };
-                        let ctx = TraceContext::new(session_id, stats.batches + 1);
-                        if flight.is_enabled() {
-                            flight.record(
+            // `depth` is what is still queued after we took ours: the
+            // backpressure signal both telemetry and the tap consume.
+            let mut done = None;
+            while let Some((msg, depth)) = rx.next(done.take(), &wakeups) {
+                let Msg::Batch(id, batch, sent_nanos) = msg else {
+                    break;
+                };
+                let start_nanos = if enabled {
+                    queue_depth.set(depth as u64);
+                    queue_hwm.set_max(depth as u64);
+                    let now = telemetry.now_nanos();
+                    batch_wait.record(now.saturating_sub(sent_nanos));
+                    batch_events.record(batch.len() as u64);
+                    now
+                } else {
+                    0
+                };
+                let ctx = TraceContext::new(session_id, stats.batches + 1);
+                if flight.is_enabled() {
+                    flight.record(
+                        ctx,
+                        FlightEventKind::BatchReceived {
+                            instance: id.0,
+                            events: batch.len() as u64,
+                            queue_depth: depth as u64,
+                        },
+                    );
+                    if depth as u64 > QUEUE_WATERMARK {
+                        if !above_watermark {
+                            above_watermark = true;
+                            flight.incident(
                                 ctx,
-                                FlightEventKind::BatchReceived {
-                                    instance: id.0,
-                                    events: batch.len() as u64,
+                                None,
+                                IncidentTrigger::QueueWatermark {
                                     queue_depth: depth as u64,
+                                    watermark: QUEUE_WATERMARK,
                                 },
                             );
-                            if depth as u64 > QUEUE_WATERMARK {
-                                if !above_watermark {
-                                    above_watermark = true;
-                                    flight.incident(
-                                        ctx,
-                                        None,
-                                        IncidentTrigger::QueueWatermark {
-                                            queue_depth: depth as u64,
-                                            watermark: QUEUE_WATERMARK,
-                                        },
-                                    );
-                                }
-                            } else {
-                                above_watermark = false;
-                            }
                         }
-                        if let Some(tap) = tap.as_deref_mut() {
-                            tap.on_batch(ctx, id, &batch, depth);
-                        }
-                        let events = batch.len() as u64;
-                        stats.events += events;
-                        stats.batches += 1;
-                        stored.store(id, &batch);
-                        pool.0.release(batch);
-                        if enabled {
-                            let spent = telemetry.now_nanos().saturating_sub(start_nanos);
-                            batch_handle.record(spent);
-                            busy.add(spent);
-                            events_stored.add(events);
-                            batches_stored.inc();
-                        }
+                    } else {
+                        above_watermark = false;
                     }
-                    Msg::Stop => break,
                 }
+                if let Some(tap) = tap.as_deref_mut() {
+                    tap.on_batch(ctx, id, &batch, depth);
+                }
+                let events = batch.len() as u64;
+                stats.events += events;
+                stats.batches += 1;
+                stored.store(id, &batch);
+                if enabled {
+                    let spent = telemetry.now_nanos().saturating_sub(start_nanos);
+                    batch_handle.record(spent);
+                    busy.add(spent);
+                    events_stored.add(events);
+                    batches_stored.inc();
+                }
+                done = Some(batch);
             }
             let session_nanos = started.elapsed().as_nanos() as u64;
-            // Phase 2: drain post-shutdown stragglers without storing them.
-            // Dropped batches are *not* tapped: a tap mirrors the capture,
-            // and the capture excludes them too.
-            while let Ok(msg) = rx.try_recv() {
+            // Phase 2: close the queue and count the post-shutdown
+            // stragglers without storing them. Dropped batches are *not*
+            // tapped: a tap mirrors the capture, and the capture excludes
+            // them too.
+            for msg in rx.close() {
                 if let Msg::Batch(_, batch, _) = msg {
                     stats.dropped += batch.len() as u64;
-                    pool.0.release(batch);
                 }
             }
             let stop_ctx = TraceContext::new(session_id, stats.batches);
@@ -317,18 +289,17 @@ impl Capture {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::Sender;
+    use crate::pool::{channel, Sender};
     use dsspy_events::{AccessKind, AllocationSite, DsKind, InstanceInfo};
 
-    /// A pool with room for every batch a test queues.
-    fn pool() -> Arc<BatchPool> {
-        Arc::new(BatchPool::new(QUEUE_WATERMARK as usize + 16, 1))
+    /// A queue with room for every batch a test queues.
+    fn queue() -> (Sender, Receiver) {
+        channel(QUEUE_WATERMARK as usize + 16, 1)
     }
 
-    /// Ship `events` for `id` as a handle does: take a slot, then send.
-    fn ship(tx: &Sender<Msg>, pool: &BatchPool, id: InstanceId, events: Vec<AccessEvent>) {
-        pool.reserve(&Telemetry::disabled());
-        tx.send(Msg::Batch(id, events, 0)).unwrap();
+    /// Ship `events` for `id` as a handle does.
+    fn ship(tx: &Sender, id: InstanceId, events: Vec<AccessEvent>) {
+        tx.ship(id, events, &Telemetry::disabled()).unwrap();
     }
 
     fn info(id: u64) -> InstanceInfo {
@@ -342,23 +313,14 @@ mod tests {
 
     #[test]
     fn collector_thread_drains_after_stop() {
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let pool = pool();
-        let join = spawn(
-            rx,
-            Instant::now(),
-            Telemetry::disabled(),
-            1,
-            None,
-            Arc::clone(&pool),
-        );
+        let (tx, rx) = queue();
+        let join = spawn(rx, Instant::now(), Telemetry::disabled(), 1, None);
         ship(
             &tx,
-            &pool,
             InstanceId(0),
             vec![AccessEvent::at(0, AccessKind::Insert, 0, 1)],
         );
-        tx.send(Msg::Stop).unwrap();
+        tx.stop();
         // Queued before the collector exits its drain loop is not guaranteed
         // for sends *after* Stop, but sends before Stop must be stored.
         let (stored, stats, _) = join.join().unwrap();
@@ -369,31 +331,22 @@ mod tests {
 
     #[test]
     fn batches_after_stop_are_counted_as_dropped() {
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let pool = pool();
+        let (tx, rx) = queue();
         // Queue Stop and then a late batch *before* the collector starts:
         // FIFO delivery then guarantees the batch is seen after the Stop
         // marker, i.e. in the post-shutdown drain.
-        tx.send(Msg::Stop).unwrap();
+        tx.stop();
         ship(
             &tx,
-            &pool,
             InstanceId(9),
             vec![
                 AccessEvent::at(0, AccessKind::Insert, 0, 1),
                 AccessEvent::at(1, AccessKind::Insert, 1, 2),
             ],
         );
-        let (stored, stats, _) = spawn(
-            rx,
-            Instant::now(),
-            Telemetry::disabled(),
-            1,
-            None,
-            Arc::clone(&pool),
-        )
-        .join()
-        .unwrap();
+        let (stored, stats, _) = spawn(rx, Instant::now(), Telemetry::disabled(), 1, None)
+            .join()
+            .unwrap();
         assert_eq!(
             stored.instances_with_events(),
             0,
@@ -408,13 +361,11 @@ mod tests {
     fn queue_watermark_crossing_is_one_incident() {
         // Queue the batches and Stop before the collector starts, so the
         // depth behind each of the first batches is above the watermark.
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let pool = pool();
+        let (tx, rx) = queue();
         let batches = QUEUE_WATERMARK + 8;
         for i in 0..batches {
             ship(
                 &tx,
-                &pool,
                 InstanceId(0),
                 vec![AccessEvent::at(
                     i,
@@ -424,18 +375,11 @@ mod tests {
                 )],
             );
         }
-        tx.send(Msg::Stop).unwrap();
+        tx.stop();
         let telemetry = Telemetry::enabled().with_flight(None);
-        let (_, stats, _) = spawn(
-            rx,
-            Instant::now(),
-            telemetry.clone(),
-            1,
-            None,
-            Arc::clone(&pool),
-        )
-        .join()
-        .unwrap();
+        let (_, stats, _) = spawn(rx, Instant::now(), telemetry.clone(), 1, None)
+            .join()
+            .unwrap();
         assert_eq!(stats.batches, batches);
         let incidents = telemetry.flight().dump().incidents;
         assert_eq!(incidents.len(), 1, "{incidents:?}");
@@ -453,19 +397,10 @@ mod tests {
 
     #[test]
     fn collector_thread_stops_when_senders_drop() {
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let pool = pool();
-        let join = spawn(
-            rx,
-            Instant::now(),
-            Telemetry::disabled(),
-            1,
-            None,
-            Arc::clone(&pool),
-        );
+        let (tx, rx) = queue();
+        let join = spawn(rx, Instant::now(), Telemetry::disabled(), 1, None);
         ship(
             &tx,
-            &pool,
             InstanceId(3),
             vec![AccessEvent::at(0, AccessKind::Read, 0, 1)],
         );
@@ -512,30 +447,26 @@ mod tests {
         }
 
         let seen = Arc::new(Mutex::new(Seen::default()));
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let pool = pool();
+        let (tx, rx) = queue();
         // Queue everything *before* spawning: FIFO delivery then guarantees
         // the straggler is seen after Stop, i.e. in the post-shutdown drain.
         ship(
             &tx,
-            &pool,
             InstanceId(1),
             vec![AccessEvent::at(0, AccessKind::Insert, 0, 1)],
         );
         ship(
             &tx,
-            &pool,
             InstanceId(2),
             vec![
                 AccessEvent::at(1, AccessKind::Insert, 0, 1),
                 AccessEvent::at(2, AccessKind::Insert, 1, 2),
             ],
         );
-        tx.send(Msg::Stop).unwrap();
+        tx.stop();
         // Post-stop straggler: dropped, must not reach the tap.
         ship(
             &tx,
-            &pool,
             InstanceId(3),
             vec![AccessEvent::at(3, AccessKind::Read, 0, 2)],
         );
@@ -551,7 +482,6 @@ mod tests {
                 "recording",
                 Box::new(RecordingTap(Arc::clone(&seen))),
             ))),
-            Arc::clone(&pool),
         )
         .join()
         .unwrap();

@@ -11,14 +11,18 @@
 //!
 //! * Every instrumented data structure owns an [`InstanceHandle`] that
 //!   buffers events locally (no shared state on the hot path) and ships
-//!   them in batches over a crossbeam channel. At most
-//!   [`MAX_BATCHES_IN_FLIGHT`] batches are shipped and not yet stored; a
-//!   producer that gets that far ahead waits for the collector, and the
-//!   collector hands every emptied batch back for the producers to refill.
-//! * A dedicated **collector thread** receives the batches and encodes each
+//!   them in batches through the session's hand-off queue, one lock per
+//!   ship. At most [`MAX_BATCHES_IN_FLIGHT`] batches are shipped and not
+//!   yet stored; a producer that gets that far ahead waits for the
+//!   collector, and the collector hands every emptied batch back for the
+//!   producers to refill.
+//! * A dedicated **collector thread** takes the batches and encodes each
 //!   one on arrival into its instance's capture body (the v4 chunk format
 //!   of [`dsspy_events::encode`], about 4 bytes per event), off the
-//!   application's critical path.
+//!   application's critical path. A collector that keeps up parks between
+//!   bursts: a ship wakes it only once a burst of batches is queued, and
+//!   it looks at the queue by itself every millisecond, so it costs the
+//!   producer a wake per burst, not per batch.
 //! * When the [`Session`] is finished, the collector drains and joins, and
 //!   the sealed bodies are handed to post-mortem analysis as a [`Capture`]:
 //!   saved unchanged, folded chunk by chunk, and decoded into

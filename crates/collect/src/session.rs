@@ -5,7 +5,7 @@
 //! Instrumented collections obtain an [`InstanceHandle`] at construction
 //! time and record one event per interface-method call; the collector
 //! encodes each shipped batch on arrival and hands its buffer back to the
-//! session's batch pool, and when the session is finished the sealed
+//! session's hand-off queue, and when the session is finished the sealed
 //! per-instance bodies are returned as a [`Capture`] for post-mortem
 //! analysis.
 
@@ -15,14 +15,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crossbeam::channel::{unbounded, Sender};
 use dsspy_events::{AccessEvent, AccessKind, AllocationSite, DsKind, InstanceId, Origin, Target};
 use dsspy_telemetry::{next_session_id, IncidentTrigger, Telemetry, TraceContext};
 
 use crate::clock::stamp;
-use crate::collector::{spawn, Capture, CollectorStats, Msg};
+use crate::collector::{spawn, Capture, CollectorStats};
 use crate::fanout::TapFanout;
-use crate::pool::{BatchPool, MAX_BATCHES_IN_FLIGHT};
+use crate::pool::{channel, Sender, MAX_BATCHES_IN_FLIGHT};
 use crate::registry::Registry;
 use crate::store::Store;
 
@@ -30,15 +29,17 @@ use crate::store::Store;
 #[derive(Clone, Copy, Debug)]
 pub struct SessionConfig {
     /// Events buffered inside each handle before a batch is shipped to the
-    /// collector thread. Larger batches amortize channel traffic; smaller
+    /// collector thread. Larger batches amortize the hand-off; smaller
     /// batches bound the events lost if a structure leaks past shutdown.
     pub batch_size: usize,
     /// Bound on the batches shipped to the collector and not yet stored:
     /// `None` (the default) is [`MAX_BATCHES_IN_FLIGHT`], `Some(n)` is `n`
-    /// (at least 1). A handle that would ship past the bound waits until
-    /// the collector has drained the backlog to half of it, so the profiled
-    /// code slows down instead of the session's memory growing; no event is
-    /// lost either way.
+    /// (at least 1). It also bounds the emptied batches kept for reuse. A
+    /// handle that would ship past the bound wakes the collector and waits
+    /// until it has drained the backlog to half of it, so the profiled code
+    /// slows down instead of the session's memory growing; no event is lost
+    /// either way. The name is historical: batches travel through one
+    /// hand-off queue, not a channel.
     pub channel_capacity: Option<usize>,
 }
 
@@ -64,8 +65,6 @@ pub(crate) struct SessionInner {
     /// The process-unique id stamped into every [`TraceContext`] this
     /// session's collector emits.
     pub(crate) session_id: u64,
-    /// Bounds the batches in flight and recycles their buffers.
-    pool: Arc<BatchPool>,
     closed: AtomicBool,
     dropped: AtomicU64,
 }
@@ -91,7 +90,7 @@ impl SessionInner {
 /// One profiling session: registry + clock + background collector.
 pub struct Session {
     inner: Arc<SessionInner>,
-    sender: Sender<Msg>,
+    sender: Sender,
     join: JoinHandle<(Store, CollectorStats, u64)>,
     batch_size: usize,
 }
@@ -170,7 +169,7 @@ impl Session {
             inner: Arc::clone(&self.inner),
             sender: self.sender.clone(),
             id,
-            buf: self.inner.pool.buffer(),
+            buf: self.sender.buffer(),
             batch_size: self.batch_size,
             tick: 0,
         }
@@ -194,7 +193,7 @@ impl Session {
     /// the collector once it has stored every pre-shutdown batch.
     pub fn finish(self) -> Capture {
         self.inner.closed.store(true, Ordering::SeqCst);
-        let _ = self.sender.send(Msg::Stop);
+        self.sender.stop();
         drop(self.sender);
         let (store, mut stats, session_nanos) =
             self.join.join().expect("collector thread panicked");
@@ -270,14 +269,9 @@ impl SessionBuilder {
     /// [`CollectorTap`](crate::CollectorTap) for the exact delivery
     /// guarantees).
     pub fn start(self) -> Session {
-        let (tx, rx) = unbounded();
         let batch_size = self.config.batch_size.max(1);
-        let pool = Arc::new(BatchPool::new(
-            self.config
-                .channel_capacity
-                .unwrap_or(MAX_BATCHES_IN_FLIGHT),
-            batch_size,
-        ));
+        let cap = self.config.channel_capacity;
+        let (tx, rx) = channel(cap.unwrap_or(MAX_BATCHES_IN_FLIGHT), batch_size);
         let session_id = next_session_id();
         let join = spawn(
             rx,
@@ -285,14 +279,12 @@ impl SessionBuilder {
             self.telemetry.clone(),
             session_id,
             self.tap,
-            Arc::clone(&pool),
         );
         Session {
             inner: Arc::new(SessionInner {
                 registry: Arc::new(Registry::new()),
                 telemetry: self.telemetry,
                 session_id,
-                pool,
                 closed: AtomicBool::new(false),
                 dropped: AtomicU64::new(0),
             }),
@@ -318,7 +310,7 @@ impl Default for Session {
 /// flushes its tail on drop.
 pub struct InstanceHandle {
     inner: Arc<SessionInner>,
-    sender: Sender<Msg>,
+    sender: Sender,
     id: InstanceId,
     buf: Vec<AccessEvent>,
     batch_size: usize,
@@ -354,14 +346,9 @@ impl InstanceHandle {
     /// When the session already has as many batches in flight as its
     /// [`SessionConfig::channel_capacity`] allows, this waits for the
     /// collector to drain half of them. After [`Session::finish`] it never
-    /// waits: the events are counted dropped.
+    /// waits: the events are counted dropped. The collector takes the batch
+    /// within a millisecond, or at once when a burst is queued.
     pub fn flush(&mut self) {
-        self.ship(true);
-    }
-
-    /// Ship the buffered events, continuing with a recycled buffer when
-    /// `refill` is set.
-    fn ship(&mut self, refill: bool) {
         if self.buf.is_empty() {
             return;
         }
@@ -371,24 +358,16 @@ impl InstanceHandle {
             self.buf.clear();
             return;
         }
-        inner.pool.reserve(&inner.telemetry);
-        let next = if refill {
-            inner.pool.buffer()
-        } else {
-            Vec::new()
-        };
-        let batch = std::mem::replace(&mut self.buf, next);
-        // Stamp ship time from the telemetry clock (0 when disabled) so the
-        // collector can report how long batches sit in the queue.
-        let sent_nanos = inner.telemetry.now_nanos();
-        if let Err(err) = self.sender.send(Msg::Batch(self.id, batch, sent_nanos)) {
+        let batch = std::mem::take(&mut self.buf);
+        self.buf = match self.sender.ship(self.id, batch, &inner.telemetry) {
+            Ok(next) => next,
             // Collector already gone; account the exact loss.
-            let Msg::Batch(_, lost, _) = err.0 else {
-                return;
-            };
-            inner.lose(lost.len() as u64);
-            inner.pool.release(lost);
-        }
+            Err(mut lost) => {
+                inner.lose(lost.len() as u64);
+                lost.clear();
+                lost
+            }
+        };
     }
 
     /// Number of events currently buffered locally (not yet shipped).
@@ -399,8 +378,8 @@ impl InstanceHandle {
 
 impl Drop for InstanceHandle {
     fn drop(&mut self) {
-        self.ship(false);
-        self.inner.pool.recycle(std::mem::take(&mut self.buf));
+        self.flush();
+        self.sender.recycle(std::mem::take(&mut self.buf));
     }
 }
 

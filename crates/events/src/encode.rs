@@ -138,7 +138,7 @@ impl std::fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 /// The running values every row is coded against; reset per chunk.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 struct Prev {
     seq: u64,
     thread: u32,
@@ -166,21 +166,46 @@ fn put_delta(out: &mut Vec<u8>, from: u32, to: u32) {
     put_var(out, zigzag(i64::from(to) - i64::from(from)));
 }
 
-fn encode_row(e: &AccessEvent, prev: &mut Prev, out: &mut Vec<u8>) {
-    // The common row — an Index target on the same thread, every field one
-    // byte — is written in one go.
-    if let (Target::Index(i), true) = (e.target, e.thread.0 == prev.thread) {
-        let dseq = e.seq.wrapping_sub(prev.seq);
-        let dlen = zigzag(i64::from(e.len) - i64::from(prev.len));
-        let didx = zigzag(i64::from(i) - i64::from(prev.idx));
-        if (dseq | dlen | didx) < 0x80 {
-            out.extend_from_slice(&[e.kind as u8, dseq as u8, dlen as u8, didx as u8]);
-            prev.seq = e.seq;
-            prev.len = e.len;
-            prev.idx = i;
-            return;
+/// Rows of the common shape gathered on the stack before one copy into the
+/// body.
+const BLOCK_ROWS: usize = 64;
+
+/// Append `events` as rows coded against `prev`.
+///
+/// The common row — an Index target on the same thread, every field one
+/// byte — takes 4 bytes. Those rows are coded against a copy of `prev` held
+/// in locals and gathered in a stack block, which is copied into `out`
+/// whole; any other row flushes the block and goes through [`encode_row`].
+fn encode_rows(events: &[AccessEvent], prev: &mut Prev, out: &mut Vec<u8>) {
+    let mut block = [[0u8; 4]; BLOCK_ROWS];
+    let mut filled = 0;
+    let mut p = *prev;
+    for e in events {
+        if let (Target::Index(i), true) = (e.target, e.thread.0 == p.thread) {
+            let dseq = e.seq.wrapping_sub(p.seq);
+            let dlen = zigzag(i64::from(e.len) - i64::from(p.len));
+            let didx = zigzag(i64::from(i) - i64::from(p.idx));
+            if (dseq | dlen | didx) < 0x80 {
+                block[filled] = [e.kind as u8, dseq as u8, dlen as u8, didx as u8];
+                filled += 1;
+                if filled == BLOCK_ROWS {
+                    out.extend_from_slice(block.as_flattened());
+                    filled = 0;
+                }
+                (p.seq, p.len, p.idx) = (e.seq, e.len, i);
+                continue;
+            }
         }
+        out.extend_from_slice(block[..filled].as_flattened());
+        filled = 0;
+        encode_row(e, &mut p, out);
     }
+    out.extend_from_slice(block[..filled].as_flattened());
+    *prev = p;
+}
+
+/// Append one row of any shape coded against `prev`.
+fn encode_row(e: &AccessEvent, prev: &mut Prev, out: &mut Vec<u8>) {
     let tag = match e.target {
         Target::Index(_) => TAG_INDEX,
         Target::Range { .. } => TAG_RANGE,
@@ -276,9 +301,7 @@ impl BodyWriter {
             let take = events.len().min(CHUNK_EVENTS - self.open);
             let (rows, rest) = events.split_at(take);
             self.bytes.reserve(take * MAX_ROW_BYTES);
-            for e in rows {
-                encode_row(e, &mut self.prev, &mut self.bytes);
-            }
+            encode_rows(rows, &mut self.prev, &mut self.bytes);
             self.open += take;
             self.events += take as u64;
             if self.open == CHUNK_EVENTS {
@@ -660,6 +683,29 @@ mod tests {
             .collect();
         // One 12-byte chunk frame; the first row's deltas are all small too.
         assert_eq!(encode(&events).len(), FRAME_BYTES + 4 * 1000);
+    }
+
+    #[test]
+    fn the_block_path_writes_the_rows_of_one_row_at_a_time() {
+        // Runs of common rows longer than a block, broken by every other
+        // shape: a thread change, a large delta, ranges, untargeted events.
+        let mut events = Vec::new();
+        for (i, e) in sample_events().into_iter().cycle().take(40).enumerate() {
+            let run = (i * 37) % (2 * BLOCK_ROWS + 3);
+            let base = events.len() as u64;
+            events.extend((0..run as u64).map(|k| AccessEvent {
+                thread: e.thread,
+                ..AccessEvent::at(base + k, AccessKind::Read, (k % 90) as u32, 90)
+            }));
+            events.push(e);
+        }
+        let mut rows = Vec::new();
+        encode_rows(&events, &mut Prev::default(), &mut rows);
+        let (mut one_by_one, mut prev) = (Vec::new(), Prev::default());
+        for e in &events {
+            encode_row(e, &mut prev, &mut one_by_one);
+        }
+        assert_eq!(rows, one_by_one);
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub enum FlightEventKind {
         instance: u64,
         /// Events in the batch.
         events: u64,
-        /// Channel depth observed behind the batch.
+        /// Hand-off queue depth observed behind the batch.
         queue_depth: u64,
     },
     /// One subscriber finished an `on_batch` delivery.

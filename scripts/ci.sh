@@ -24,8 +24,9 @@
 #               table4-drift cell (Table
 #               IV detection columns identical in 30 runs under two busy
 #               loops), the tier1-repeat cell (the debug suites
-#               pipeline_end_to_end and logical_time pass 100 of 100 runs
-#               under two busy loops), the closed-pipe cell (`analyze
+#               pipeline_end_to_end and logical_time, and dsspy-collect's
+#               handoff and backpressure, pass 100 of 100 runs under two
+#               busy loops), the closed-pipe cell (`analyze
 #               --json | head` and `repro --all | head` exit 0 quietly;
 #               usage and read errors
 #               into a closed stderr keep exit 2 and 1), the doctor-capture
@@ -257,13 +258,17 @@ ROWS
         ' table4-drift
     # Event order is a per-thread Lamport clock, so how the scheduler
     # interleaves threads cannot move a verdict either: the two debug test
-    # suites that record on several threads and pin logical time run 100
-    # times under two busy loops, and not one run may fail.
+    # suites that record on several threads and pin logical time, and the
+    # two dsspy-collect suites that pin the hand-off between producers and
+    # the collector (wakes, lag, the cap), run 100 times under two busy
+    # loops, and not one run may fail.
     run_cell tier1-repeat '"kind":"test",' \
         bash -c '
             set -uo pipefail
             suites=(--test pipeline_end_to_end --test logical_time)
+            collect=(-p dsspy-collect --test handoff --test backpressure)
             cargo test -q --no-run "${suites[@]}" || exit 1
+            cargo test -q --no-run "${collect[@]}" || exit 1
             pids=()
             for _ in 1 2; do
                 (while :; do :; done) &
@@ -272,14 +277,15 @@ ROWS
             trap "kill ${pids[*]} 2>/dev/null" EXIT
             failed=0
             for run in $(seq 1 100); do
-                if ! out="$(cargo test -q "${suites[@]}" 2>&1)"; then
+                if ! out="$(cargo test -q "${suites[@]}" 2>&1 &&
+                    cargo test -q "${collect[@]}" 2>&1)"; then
                     failed=$((failed + 1))
                     echo "run $run failed:"
                     grep -E "panicked|FAILED" <<<"$out" | head -n 5
                 fi
             done
             [[ "$failed" -eq 0 ]] || { echo "$failed of 100 runs failed"; exit 1; }
-            echo "pipeline_end_to_end and logical_time passed 100 of 100 runs under two busy loops"
+            echo "pipeline_end_to_end, logical_time, handoff and backpressure passed 100 of 100 runs under two busy loops"
         ' tier1-repeat
     # A reader that closes the pipe early ends the output quietly: the
     # Gpdotnet report (~97 KB of JSON) overflows the pipe buffer, so
